@@ -30,7 +30,7 @@ use dsaudit_snark::groth16::{prove, setup, verify, Proof, ProvingKey, VerifyingK
 use dsaudit_snark::{batch_public_inputs, merkle_batch_membership_circuit};
 
 use crate::wire::{BackendProof, Commitment, ProverKit};
-use crate::{AuditBackend, BackendError, BackendId, BackendSetup};
+use crate::{AuditBackend, BackendError, BackendId, BackendSetup, Verifier};
 
 /// Wire ceiling on tree depth (shared rationale with the merkle
 /// backend: bounds decode work, unreachable in practice).
@@ -64,7 +64,8 @@ fn leaves_from(data: &[u8]) -> Vec<Fr> {
         .collect()
 }
 
-/// Decoded commitment payload.
+/// Decoded commitment payload (verifying key included); the backend's
+/// [`Verifier`].
 struct G16Commitment {
     root: Fr,
     depth: usize,
@@ -197,19 +198,27 @@ impl AuditBackend for Groth16MerkleBackend {
         })
     }
 
-    fn verify(
-        &self,
-        commitment: &Commitment,
-        beacon: &[u8; 48],
-        proof: &BackendProof,
-    ) -> Result<Verdict, BackendError> {
+    fn verifier(&self, commitment: &Commitment) -> Result<Box<dyn Verifier>, BackendError> {
         commitment.expect_backend(BackendId::Groth16Merkle)?;
+        Ok(Box::new(Self::decode_commitment(&commitment.bytes)?))
+    }
+}
+
+impl Verifier for G16Commitment {
+    fn id(&self) -> BackendId {
+        BackendId::Groth16Merkle
+    }
+
+    fn commitment_len(&self) -> usize {
+        self.root.encoded_len() + 4 + 8 + 4 + self.vk.encoded_len()
+    }
+
+    fn verify(&self, beacon: &[u8; 48], proof: &BackendProof) -> Result<Verdict, BackendError> {
         proof.expect_backend(BackendId::Groth16Merkle)?;
-        let c = Self::decode_commitment(&commitment.bytes)?;
         let p = Proof::decode(&proof.bytes)?;
-        let indices = Self::indices(beacon, c.leaf_count, c.batch);
-        let publics = batch_public_inputs(c.root, &indices, c.depth);
-        if verify(&c.vk, &publics, &p) {
+        let indices = Groth16MerkleBackend::indices(beacon, self.leaf_count, self.batch);
+        let publics = batch_public_inputs(self.root, &indices, self.depth);
+        if verify(&self.vk, &publics, &p) {
             Ok(Verdict::Accept)
         } else {
             Ok(Verdict::Reject(RejectReason::SnarkProof))

@@ -10,7 +10,8 @@
 //! setup/tag ─→ challenge (beacon) ─→ prove ─→ verify ─→ settle
 //! ```
 //!
-//! A contract stores an erased [`Commitment`]; the provider holds an
+//! A contract is deployed over an erased [`Commitment`], which its
+//! backend decodes **once** into a [`Verifier`]; the provider holds an
 //! erased [`ProverKit`]; each round the chain's randomness beacon is
 //! the challenge, the provider answers with an erased [`BackendProof`],
 //! and the verifier returns the protocol's usual
@@ -124,10 +125,10 @@ pub struct BackendSetup {
 
 /// A proof-of-storage scheme behind the common audit lifecycle.
 ///
-/// Object safety is the point: contracts hold `Box<dyn AuditBackend>`
-/// and a chain mixes backends freely. Implementations must be
-/// deterministic given the rng — the simulator replays fault schedules
-/// across backends and compares verdicts byte for byte.
+/// Object safety is the point: deployments pick a `dyn AuditBackend`
+/// per agreement and a chain mixes backends freely. Implementations
+/// must be deterministic given the rng — the simulator replays fault
+/// schedules across backends and compares verdicts byte for byte.
 ///
 /// The verdict contract, shared with the rest of the workspace: a proof
 /// that *decodes* but fails its check is `Ok(Verdict::Reject(..))`; a
@@ -162,19 +163,58 @@ pub trait AuditBackend: Send + Sync {
         beacon: &[u8; 48],
     ) -> Result<BackendProof, BackendError>;
 
-    /// Checks a proof against the commitment for the challenge derived
-    /// from `beacon`.
+    /// Decodes `commitment` once into a [`Verifier`] that checks round
+    /// after round without touching the commitment bytes again — what
+    /// an audit contract builds at deployment and keeps for its
+    /// lifetime, so a commitment that does not decode is a deployment
+    /// error and can never surface mid-round.
     ///
     /// # Errors
-    /// [`BackendError::WrongBackend`] on a backend-id mismatch, typed
-    /// codec errors on malformed bytes. A well-formed proof that fails
-    /// the check is `Ok(Verdict::Reject(..))`, not an error.
+    /// [`BackendError::WrongBackend`] when the commitment belongs to
+    /// another backend; typed codec errors when its payload does not
+    /// decode or describes a shape that can never be audited.
+    fn verifier(&self, commitment: &Commitment) -> Result<Box<dyn Verifier>, BackendError>;
+
+    /// One-shot check of a proof against the commitment for the
+    /// challenge derived from `beacon`: [`AuditBackend::verifier`]
+    /// followed by a single [`Verifier::verify`].
+    ///
+    /// # Errors
+    /// Everything `verifier` and [`Verifier::verify`] return. A
+    /// well-formed proof that fails the check is
+    /// `Ok(Verdict::Reject(..))`, not an error.
     fn verify(
         &self,
         commitment: &Commitment,
         beacon: &[u8; 48],
         proof: &BackendProof,
-    ) -> Result<Verdict, BackendError>;
+    ) -> Result<Verdict, BackendError> {
+        self.verifier(commitment)?.verify(beacon, proof)
+    }
+}
+
+/// A decoded commitment: the verifier half of a backend, with whatever
+/// per-file state makes repeated rounds cheap (the pairing scheme's
+/// warm hash-to-curve and prepared-G2 caches live here).
+pub trait Verifier: Send {
+    /// The backend this verifier belongs to (the id every proof it is
+    /// handed must carry).
+    fn id(&self) -> BackendId;
+
+    /// Payload bytes of the commitment this verifier stands for — what
+    /// registering it on chain stores.
+    fn commitment_len(&self) -> usize;
+
+    /// Checks one round's proof for the challenge derived from
+    /// `beacon`.
+    ///
+    /// # Errors
+    /// [`BackendError::WrongBackend`] when the proof is tagged for
+    /// another backend, typed codec errors when its payload does not
+    /// decode — the commitment is already parsed, so an error here is
+    /// always the proof's fault. A well-formed proof that fails the
+    /// check is `Ok(Verdict::Reject(..))`.
+    fn verify(&self, beacon: &[u8; 48], proof: &BackendProof) -> Result<Verdict, BackendError>;
 }
 
 /// The default-configured backend for a wire id — how contracts and

@@ -21,7 +21,7 @@ use dsaudit_merkle::audit::MerkleAudit;
 use dsaudit_merkle::tree::{MerkleHasher, MerklePath, Sha256Hasher};
 
 use crate::wire::{BackendProof, Commitment, ProverKit};
-use crate::{AuditBackend, BackendError, BackendId, BackendSetup};
+use crate::{AuditBackend, BackendError, BackendId, BackendSetup, Verifier};
 
 /// Hard ceiling on tree depth accepted from the wire (2^64 leaves is
 /// unreachable anyway; the bound keeps decode allocations small).
@@ -128,7 +128,11 @@ impl Codec for MerkleBackendProof {
     }
 }
 
-/// Decoded commitment payload.
+/// Commitment payload size: `root (32 B) || depth (4 B) || leaf_count
+/// (8 B) || k (4 B)`.
+const COMMITMENT_BYTES: usize = 32 + 4 + 8 + 4;
+
+/// Decoded commitment payload; the backend's [`Verifier`].
 struct MerkleCommitment {
     root: [u8; 32],
     depth: usize,
@@ -195,7 +199,7 @@ impl AuditBackend for MerkleBackend {
     fn setup(&self, _rng: &mut dyn RngCore, data: &[u8]) -> Result<BackendSetup, BackendError> {
         let (audit, _tree, _leaves) = MerkleAudit::commit(data, self.leaf_size);
 
-        let mut commitment = Vec::with_capacity(32 + 4 + 8 + 4);
+        let mut commitment = Vec::with_capacity(COMMITMENT_BYTES);
         commitment.extend_from_slice(&audit.root);
         commitment.extend_from_slice(&(audit.depth as u32).to_le_bytes());
         commitment.extend_from_slice(&(audit.num_leaves as u64).to_le_bytes());
@@ -249,17 +253,25 @@ impl AuditBackend for MerkleBackend {
         })
     }
 
-    fn verify(
-        &self,
-        commitment: &Commitment,
-        beacon: &[u8; 48],
-        proof: &BackendProof,
-    ) -> Result<Verdict, BackendError> {
+    fn verifier(&self, commitment: &Commitment) -> Result<Box<dyn Verifier>, BackendError> {
         commitment.expect_backend(BackendId::Merkle)?;
+        Ok(Box::new(Self::decode_commitment(&commitment.bytes)?))
+    }
+}
+
+impl Verifier for MerkleCommitment {
+    fn id(&self) -> BackendId {
+        BackendId::Merkle
+    }
+
+    fn commitment_len(&self) -> usize {
+        COMMITMENT_BYTES
+    }
+
+    fn verify(&self, beacon: &[u8; 48], proof: &BackendProof) -> Result<Verdict, BackendError> {
         proof.expect_backend(BackendId::Merkle)?;
-        let c = Self::decode_commitment(&commitment.bytes)?;
         let p = MerkleBackendProof::decode(&proof.bytes)?;
-        let expected = Self::indices(beacon, c.leaf_count, c.k);
+        let expected = MerkleBackend::indices(beacon, self.leaf_count, self.k);
         if p.entries.len() != expected.len() {
             return Ok(Verdict::Reject(RejectReason::MerklePath));
         }
@@ -271,8 +283,8 @@ impl AuditBackend for MerkleBackend {
                 siblings: entry.siblings.clone(),
             };
             if entry.index != *want
-                || entry.siblings.len() != c.depth
-                || !path.verify(&Sha256Hasher::leaf(&entry.leaf), &c.root)
+                || entry.siblings.len() != self.depth
+                || !path.verify(&Sha256Hasher::leaf(&entry.leaf), &self.root)
             {
                 return Ok(Verdict::Reject(RejectReason::MerklePath));
             }
@@ -319,6 +331,24 @@ mod tests {
             b.verify(&setup.commitment, &beacon, &proof).unwrap(),
             Verdict::Reject(RejectReason::MerklePath)
         );
+    }
+
+    /// The two §II drawbacks of the deployed-DSN baseline, on the bytes
+    /// that land on chain: bigger than the main protocol's constant
+    /// proof, and the challenged leaf is in them verbatim.
+    #[test]
+    fn baseline_proof_bigger_than_main_and_leaks() {
+        let mut r = rng();
+        let file: Vec<u8> = (0..8192).map(|i| (i % 251) as u8).collect();
+        // one 64-byte leaf per round, as Sia challenges
+        let b = MerkleBackend { leaf_size: 64, k: 1 };
+        let setup = b.setup(&mut r, &file).unwrap();
+        let wire = b.prove(&mut r, &setup.kit, &file, &[2u8; 48]).unwrap().encode();
+        // 64 B leaf + 7 * 32 B path + framing > 288 B main-protocol proof
+        assert!(wire.len() > dsaudit_core::PRIVATE_PROOF_BYTES);
+        assert!(file
+            .chunks(64)
+            .any(|leaf| wire.windows(64).any(|w| w == leaf)));
     }
 
     #[test]

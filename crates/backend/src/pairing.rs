@@ -10,12 +10,12 @@ use dsaudit_algebra::Fr;
 use dsaudit_core::codec::{ByteReader, Codec};
 use dsaudit_core::verify::FileMeta;
 use dsaudit_core::{
-    verify_private, AuditParams, Challenge, DataOwner, EncodedFile, PrivateProof, Prover, PublicKey,
+    AuditParams, Auditor, Challenge, DataOwner, EncodedFile, PrivateProof, Prover, PublicKey,
     Verdict,
 };
 
 use crate::wire::{BackendProof, Commitment, ProverKit};
-use crate::{AuditBackend, BackendError, BackendId, BackendSetup};
+use crate::{AuditBackend, BackendError, BackendId, BackendSetup, Verifier};
 
 /// The pairing backend; configured by the paper's audit parameters
 /// (blocks per chunk `s`, challenges per round `k`).
@@ -30,6 +30,33 @@ impl PairingBackend {
     /// scaled-down `s`/`k` through here).
     pub fn new(params: AuditParams) -> Self {
         Self { params }
+    }
+
+    /// The verifier for a file outsourced through the role API
+    /// ([`DataOwner`]), from the typed public key and metadata — what
+    /// [`AuditBackend::verifier`] builds after decoding the same two
+    /// from a commitment.
+    ///
+    /// # Errors
+    /// [`DsAuditError::BadMeta`](dsaudit_core::DsAuditError::BadMeta)
+    /// (wrapped) when the metadata can never be audited: zero chunks or
+    /// a zero challenge count.
+    pub fn verifier_for(pk: PublicKey, meta: FileMeta) -> Result<Box<dyn Verifier>, BackendError> {
+        meta.validate()?;
+        Ok(Box::new(PairingVerifier {
+            pk,
+            meta,
+            auditor: Auditor::new(),
+        }))
+    }
+
+    /// Frames a role-API proof as this backend's erased wire object
+    /// (what `prove` calldata carries).
+    pub fn frame(proof: &PrivateProof) -> BackendProof {
+        BackendProof {
+            backend: BackendId::Pairing,
+            bytes: proof.encode(),
+        }
     }
 
     /// Commitment payload: `pk || name || num_chunks (4 B) || k (4 B)`
@@ -112,25 +139,40 @@ impl AuditBackend for PairingBackend {
         }
         let prover = Prover::new(&pk, &file, &tags)?;
         let challenge = Challenge::from_beacon(beacon);
-        let proof = prover.prove_private(rng, &challenge);
-        Ok(BackendProof {
-            backend: BackendId::Pairing,
-            bytes: proof.encode(),
-        })
+        Ok(Self::frame(&prover.prove_private(rng, &challenge)))
     }
 
-    fn verify(
-        &self,
-        commitment: &Commitment,
-        beacon: &[u8; 48],
-        proof: &BackendProof,
-    ) -> Result<Verdict, BackendError> {
+    fn verifier(&self, commitment: &Commitment) -> Result<Box<dyn Verifier>, BackendError> {
         commitment.expect_backend(BackendId::Pairing)?;
-        proof.expect_backend(BackendId::Pairing)?;
         let (pk, meta) = Self::decode_commitment(&commitment.bytes)?;
+        Self::verifier_for(pk, meta)
+    }
+}
+
+/// A decoded pairing commitment plus the [`Auditor`] whose chi and
+/// prepared-G2 caches stay warm across this file's rounds.
+struct PairingVerifier {
+    pk: PublicKey,
+    meta: FileMeta,
+    auditor: Auditor,
+}
+
+impl Verifier for PairingVerifier {
+    fn id(&self) -> BackendId {
+        BackendId::Pairing
+    }
+
+    fn commitment_len(&self) -> usize {
+        self.pk.encoded_len() + self.meta.name.encoded_len() + 4 + 4
+    }
+
+    fn verify(&self, beacon: &[u8; 48], proof: &BackendProof) -> Result<Verdict, BackendError> {
+        proof.expect_backend(BackendId::Pairing)?;
         let p = PrivateProof::decode(&proof.bytes)?;
         let challenge = Challenge::from_beacon(beacon);
-        Ok(verify_private(&pk, &meta, &challenge, &p)?)
+        Ok(self
+            .auditor
+            .verify_private(&self.pk, &self.meta, &challenge, &p)?)
     }
 }
 

@@ -50,6 +50,45 @@ fn round_on_all(data: &[u8], beacon: [u8; 48], mutate: impl Fn(&mut Vec<u8>)) ->
     out
 }
 
+/// Parse once, check many: one `verifier` serves every round of a
+/// file, and a commitment that does not decode is refused there —
+/// before any proof exists to blame.
+#[test]
+fn verifier_is_reusable_and_rejects_bad_commitments_up_front() {
+    let data: Vec<u8> = (0..1024).map(|i| (i % 241) as u8).collect();
+    for backend in fleet() {
+        let name = backend.id().name();
+        let mut rng = StdRng::seed_from_u64(0xea_u64 ^ backend.id().as_u8() as u64);
+        let setup = backend.setup(&mut rng, &data).expect("setup");
+        let verifier = backend.verifier(&setup.commitment).expect("honest commitment parses");
+        assert_eq!(verifier.id(), backend.id());
+        assert_eq!(verifier.commitment_len(), setup.commitment.bytes.len(), "backend `{name}`");
+        for beacon in [[1u8; 48], [2u8; 48], [3u8; 48]] {
+            let proof = backend
+                .prove(&mut rng, &setup.kit, &data, &beacon)
+                .expect("prove");
+            let verdict = verifier.verify(&beacon, &proof).expect("verify");
+            assert!(verdict.accepted(), "backend `{name}` rejected an honest round");
+            assert_eq!(
+                backend.verify(&setup.commitment, &beacon, &proof).expect("one-shot"),
+                verdict,
+                "backend `{name}`: one-shot wrapper disagrees with the held verifier"
+            );
+        }
+        let mut truncated = setup.commitment.clone();
+        truncated.bytes.pop();
+        assert!(backend.verifier(&truncated).is_err(), "backend `{name}`");
+        let garbage = dsaudit_backend::BackendProof {
+            backend: backend.id(),
+            bytes: vec![0xff; 288],
+        };
+        assert!(
+            verifier.verify(&[1u8; 48], &garbage).is_err(),
+            "backend `{name}`: an undecodable payload is an error, not a verdict"
+        );
+    }
+}
+
 #[test]
 fn honest_provider_accepted_by_every_backend() {
     let data: Vec<u8> = (0..1024).map(|i| (i % 241) as u8).collect();

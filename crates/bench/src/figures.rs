@@ -328,67 +328,64 @@ pub fn costs() {
     );
 }
 
-/// Baseline comparison: the §II Sia-style Merkle contract vs. the main
-/// protocol contract, run on the same simulated chain — per-round
-/// on-chain bytes and the privacy difference, end to end.
+/// Baseline comparison: the §II Sia-style Merkle audit vs. the main
+/// protocol, both through the one audit contract on the same simulated
+/// chain machinery — per-round on-chain bytes and the privacy
+/// difference, end to end.
 pub fn baseline() {
+    use dsaudit_backend::{AuditBackend, BackendId, MerkleBackend};
     use dsaudit_chain::beacon::TrustedBeacon;
     use dsaudit_chain::chain::Blockchain;
-    use dsaudit_chain::types::{eth, gwei, Address, Transaction, TxKind};
-    use dsaudit_contract::MerkleAuditContract;
-    use dsaudit_merkle::audit::{honest_response, MerkleAudit};
+    use dsaudit_contract::harness::{latest_beacon, setup_backend_session, submit_ok};
+    use dsaudit_core::Codec;
 
     println!("Baseline (Sia-style Merkle) vs. main protocol, on chain");
     let file: Vec<u8> = (0..64 * 1024).map(|i| (i % 251) as u8).collect();
-
-    // --- Merkle baseline ---
-    let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"bl")));
-    let owner = Address::from_label("bl/owner");
-    let provider = Address::from_label("bl/provider");
-    chain.fund_account(owner, eth(2));
-    chain.fund_account(provider, eth(2));
-    let (verifier, tree, leaves) = MerkleAudit::commit(&file, 64);
-    let contract = MerkleAuditContract::new(
-        owner, provider, verifier.clone(), 3, 3600, 600,
-        gwei(1_000_000), gwei(1_000_000), gwei(3_000_000), gwei(3_000_000),
-    );
-    let addr = chain.deploy("bl", Box::new(contract));
-    for (who, amt) in [(owner, gwei(3_000_000)), (provider, gwei(3_000_000))] {
-        chain.submit(Transaction {
-            from: who, to: addr, value: amt,
-            kind: TxKind::Call { method: "freeze".into(), data: Vec::new() },
-        });
-        chain.mine_block();
-    }
-    let mut merkle_proof_bytes = 0usize;
-    for _ in 0..3 {
-        chain.advance_time(3601);
-        chain.mine_block();
-        let rand: [u8; 48] = chain
-            .all_events().into_iter().rev()
-            .find(|e| e.name == "challenged").expect("challenged")
-            .data.as_slice().try_into().expect("48");
-        let idx = verifier.challenge_index(&rand);
-        let wire = MerkleAuditContract::encode_proof(&honest_response(&tree, &leaves, idx));
-        merkle_proof_bytes += wire.len();
-        chain.submit(Transaction {
-            from: provider, to: addr, value: 0,
-            kind: TxKind::Call { method: "prove".into(), data: wire },
-        });
-        chain.mine_block();
-        chain.advance_time(601);
-        chain.mine_block();
-    }
-    let merkle_gas = chain.total_gas_used();
-
-    // --- main protocol (same chain machinery) ---
-    let mut chain2 = Blockchain::new(Box::new(TrustedBeacon::new(b"main")));
     let mut r = rng();
-    let params = dsaudit_core::params::AuditParams::new(16, 40).expect("valid");
     let terms = dsaudit_contract::AgreementTerms {
         num_audits: 3,
         ..dsaudit_contract::AgreementTerms::default()
     };
+
+    // --- Merkle baseline: one 64-byte leaf per round, as Sia does ---
+    let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"bl")));
+    let merkle = MerkleBackend { leaf_size: 64, k: 1 };
+    let session = setup_backend_session(
+        &mut r,
+        &mut chain,
+        "bl",
+        &file,
+        &merkle,
+        dsaudit_contract::AgreementTerms {
+            backend: BackendId::Merkle,
+            ..terms
+        },
+        None,
+    );
+    let mut merkle_proof_bytes = 0usize;
+    for _ in 0..3 {
+        chain.advance_time(terms.audit_interval_secs + 1);
+        chain.mine_block();
+        let rand = latest_beacon(&chain, session.contract).expect("challenged");
+        let wire = merkle
+            .prove(&mut r, &session.kit, &session.stored, &rand)
+            .expect("honest prover")
+            .encode();
+        merkle_proof_bytes += wire.len();
+        submit_ok(&mut chain, session.provider, session.contract, "prove", wire, 0);
+        chain.advance_time(terms.prove_deadline_secs + 1);
+        chain.mine_block();
+    }
+    assert_eq!(
+        chain.all_events().iter().filter(|e| e.name == "pass").count(),
+        3,
+        "the honest baseline passes every round"
+    );
+    let merkle_gas = chain.total_gas_used();
+
+    // --- main protocol (same chain machinery) ---
+    let mut chain2 = Blockchain::new(Box::new(TrustedBeacon::new(b"main")));
+    let params = dsaudit_core::params::AuditParams::new(16, 40).expect("valid");
     let session =
         dsaudit_contract::setup_session(&mut r, &mut chain2, "main", &file, params, None, terms);
     for _ in 0..3 {

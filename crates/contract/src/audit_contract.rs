@@ -1,5 +1,6 @@
 //! The storage-auditing smart contract of Fig. 2, as a state machine on
-//! the chain simulator.
+//! the chain simulator — the **one** contract of this crate, whatever
+//! proof-of-storage scheme an agreement audits with.
 //!
 //! Lifecycle (states match the figure):
 //!
@@ -15,13 +16,31 @@
 //! locked deposit; on `fail` (bad proof **or** timeout) the owner is
 //! compensated with `penalty_per_fail` from the provider's deposit.
 //! When `cnt` reaches `num` the remaining deposits are released.
+//!
+//! The scheme is a parameter of that flow, not a second contract: the
+//! agreement's `AuditBackend` decodes the erased commitment **once**,
+//! before deployment, into the [`Verifier`] the contract is built from
+//! and keeps for its lifetime (for the pairing scheme that is the
+//! public key, the file metadata and a warm `Auditor`). A commitment
+//! that does not decode therefore never becomes a contract, and
+//! contracts on different backends coexist on one chain. `prove`
+//! calldata is the framed [`BackendProof`] (`backend id || len ||
+//! payload`).
+//!
+//! Verdict contract, enforced here: wire problems (garbage calldata, a
+//! proof framed for another backend) revert the `prove` transaction
+//! with [`VmError::BadCalldata`] and never reach verdict logic; a
+//! well-framed proof settles the round — as a pass when its backend
+//! accepts it, as a failure when it rejects it *or cannot even decode
+//! its payload*. With the commitment parsed up front a verification
+//! error can only be the proof's fault, so no posted proof can leave a
+//! round unsettled and deposits locked.
 
+use dsaudit_backend::{BackendId, BackendProof, Verifier};
+use dsaudit_chain::gas::GasSchedule;
 use dsaudit_chain::runtime::{CallEnv, ContractBehavior, VmError};
 use dsaudit_chain::types::{Address, Wei};
-use dsaudit_core::{
-    Auditor, Challenge, Codec, DsAuditError, FileMeta, PrivateProof, PublicKey,
-    PRIVATE_PROOF_BYTES,
-};
+use dsaudit_core::Codec;
 
 /// Contract phase (the `st` variable of Fig. 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -107,78 +126,138 @@ pub struct RoundOutcome {
 /// The deployed auditing contract.
 pub struct AuditContract {
     agreement: Agreement,
-    pk: PublicKey,
-    meta: FileMeta,
-    /// The contract's verifier handle: its chi/prepared-G2 caches are
-    /// warm across this contract's rounds and die with it.
-    auditor: Auditor,
+    /// The agreement's commitment, already decoded; whatever state
+    /// makes repeated rounds cheap (the pairing scheme's
+    /// chi/prepared-G2 caches) is warm across this contract's rounds
+    /// and dies with it.
+    verifier: Box<dyn Verifier>,
     phase: Phase,
     cnt: u64,
     owner_deposited: bool,
     provider_deposited: bool,
     owner_pool: Wei,
     provider_pool: Wei,
-    current_challenge: Option<Challenge>,
-    pending_proof: Option<PrivateProof>,
+    /// The open round's beacon output (the challenge every backend
+    /// expands its own way).
+    challenge: Option<[u8; 48]>,
+    pending_proof: Option<BackendProof>,
     /// Batched-verification mode (§VII-D): when set, the `Verify` trigger
-    /// defers the pairing check to this address, which runs one
-    /// `verify_private_batch` for the whole round and posts per-contract
-    /// verdicts. `None` keeps the classic per-contract verification.
+    /// defers the check to this address, which verifies the whole
+    /// round's proofs in one batch and posts per-contract verdicts.
+    /// `None` keeps per-contract verification.
     batch_auditor: Option<Address>,
+    /// When set, verification is metered at this fixed cost in
+    /// milliseconds instead of the wall clock — simulator and benchmark
+    /// use it to keep gas totals reproducible across runs and machines.
+    nominal_verify_ms: Option<f64>,
     /// Provider migration in flight: the owner named this address as the
     /// share's next holder; it becomes the provider once it posts the
     /// takeover deposit.
     pending_migration: Option<Address>,
+    /// Bytes of proof calldata persisted on chain so far.
+    onchain_proof_bytes: usize,
+    /// Gas the rounds themselves have metered (proof storage +
+    /// verification), for per-backend head-to-head reporting.
+    metered_gas: u64,
     /// Completed round log (public audit trail).
     pub history: Vec<RoundOutcome>,
 }
 
+/// Obs counter names for one backend — gas, proof bytes, rounds passed,
+/// rounds failed — as static strings so the metered path never formats.
+fn obs_names(id: BackendId) -> [&'static str; 4] {
+    match id {
+        BackendId::Pairing => [
+            "contract.gas.pairing",
+            "contract.proof_bytes.pairing",
+            "contract.rounds_passed.pairing",
+            "contract.rounds_failed.pairing",
+        ],
+        BackendId::Merkle => [
+            "contract.gas.merkle",
+            "contract.proof_bytes.merkle",
+            "contract.rounds_passed.merkle",
+            "contract.rounds_failed.merkle",
+        ],
+        BackendId::Groth16Merkle => [
+            "contract.gas.groth16",
+            "contract.proof_bytes.groth16",
+            "contract.rounds_passed.groth16",
+            "contract.rounds_failed.groth16",
+        ],
+    }
+}
+
 impl AuditContract {
-    /// Creates the contract in `Pending` phase. `params`/`metadata`
-    /// (public key + file info) are fixed at deployment, as the paper's
-    /// `Initialize` prescribes.
-    ///
-    /// # Errors
-    /// [`DsAuditError::BadMeta`] when the metadata can never be audited
-    /// (zero chunks or zero challenge count) — rejected at deployment
-    /// rather than panicking at the first `Verify` trigger.
-    pub fn new(agreement: Agreement, pk: PublicKey, meta: FileMeta) -> Result<Self, DsAuditError> {
-        meta.validate()?;
-        Ok(Self {
+    /// Creates the contract in `Pending` phase around the decoded
+    /// commitment — the paper's `Initialize` fixes params and metadata
+    /// at deployment. Taking a [`Verifier`] rather than bytes is what
+    /// makes "stored commitment does not decode" unrepresentable here:
+    /// `AuditBackend::verifier` (or `PairingBackend::verifier_for`)
+    /// already refused it.
+    pub fn new(agreement: Agreement, verifier: Box<dyn Verifier>) -> Self {
+        Self {
             agreement,
-            pk,
-            meta,
-            auditor: Auditor::new(),
+            verifier,
             phase: Phase::Pending,
             cnt: 0,
             owner_deposited: false,
             provider_deposited: false,
             owner_pool: 0,
             provider_pool: 0,
-            current_challenge: None,
+            challenge: None,
             pending_proof: None,
             batch_auditor: None,
+            nominal_verify_ms: None,
             pending_migration: None,
+            onchain_proof_bytes: 0,
+            metered_gas: 0,
             history: Vec::new(),
-        })
+        }
     }
 
-    /// Runs the on-contract pairing check. Metadata was validated at
-    /// deployment, so verification-input errors are unreachable; should
-    /// one occur anyway it settles as a failed round (the proof did not
-    /// convince the contract).
-    fn check_proof(&self, challenge: &Challenge, proof: &PrivateProof) -> bool {
-        self.auditor
-            .verify_private(&self.pk, &self.meta, challenge, proof)
-            .map(|verdict| verdict.accepted())
-            .unwrap_or(false)
+    /// Meters round gas: onto the call, the contract's own running
+    /// total, and the obs counters.
+    fn charge(&mut self, env: &mut CallEnv, gas: u64) {
+        self.metered_gas += gas;
+        dsaudit_obs::counter_add("contract.gas", gas);
+        dsaudit_obs::counter_add(obs_names(self.verifier.id())[0], gas);
+        env.charge_gas(gas);
+    }
+
+    /// Runs the on-contract check of a posted proof and meters it. The
+    /// commitment was parsed at deployment, so an error here is the
+    /// proof's own (a payload that does not decode); it settles as a
+    /// failed round like any other proof that did not convince the
+    /// contract.
+    fn check_proof(&mut self, env: &mut CallEnv, proof: &BackendProof) -> bool {
+        let beacon = self.challenge.expect("an open round has a challenge");
+        let t0 = std::time::Instant::now();
+        let ok = self
+            .verifier
+            .verify(&beacon, proof)
+            .is_ok_and(|verdict| verdict.accepted());
+        // the paper's extrapolated compute gas
+        let ms = self
+            .nominal_verify_ms
+            .unwrap_or_else(|| t0.elapsed().as_secs_f64() * 1e3);
+        self.charge(env, GasSchedule::default().compute_gas(ms));
+        ok
     }
 
     /// Switches the contract into batched-verification mode: the round
     /// verdict is accepted from `auditor` (the §VII-D batch verifier)
     /// instead of being computed per contract at the `Verify` trigger.
+    #[must_use]
     pub fn with_batch_auditor(mut self, auditor: Address) -> Self {
         self.batch_auditor = Some(auditor);
+        self
+    }
+
+    /// Fixes the metered verification cost (deterministic-gas mode).
+    #[must_use]
+    pub fn with_nominal_verify_ms(mut self, ms: f64) -> Self {
+        self.nominal_verify_ms = Some(ms);
         self
     }
 
@@ -187,27 +266,11 @@ impl AuditContract {
         self.phase
     }
 
-    /// Rounds completed so far.
-    pub fn rounds_done(&self) -> u64 {
-        self.cnt
-    }
-
-    /// The provider currently bound to the contract (changes when a
-    /// `migrate`/`takeover` pair re-homes the share).
-    pub fn provider(&self) -> Address {
-        self.agreement.provider
-    }
-
     /// The takeover deposit a migration candidate must attach: the
     /// remaining rounds' worth of penalties, mirroring the original
     /// provider-deposit sizing rule.
     pub fn takeover_deposit(&self) -> Wei {
         self.agreement.penalty_per_fail * (self.agreement.num_audits - self.cnt) as Wei
-    }
-
-    /// The challenge of the in-flight round, if any.
-    pub fn current_challenge(&self) -> Option<Challenge> {
-        self.current_challenge
     }
 
     fn finalize(&mut self, env: &mut CallEnv) {
@@ -225,6 +288,8 @@ impl AuditContract {
     }
 
     fn settle_round(&mut self, env: &mut CallEnv, passed: bool, timed_out: bool) {
+        let _span = dsaudit_obs::span("contract.settle");
+        dsaudit_obs::counter_inc(obs_names(self.verifier.id())[if passed { 2 } else { 3 }]);
         if passed {
             let reward = self.agreement.reward_per_audit.min(self.owner_pool);
             self.owner_pool -= reward;
@@ -242,8 +307,15 @@ impl AuditContract {
             timed_out,
             verdict_at: env.now,
         });
+        // cumulative metering snapshot: off-chain harnesses (the
+        // simulator's head-to-head lanes) read per-contract gas and
+        // proof-byte totals from the event log instead of needing
+        // access to contract state
+        let mut metered = self.metered_gas.to_le_bytes().to_vec();
+        metered.extend_from_slice(&(self.onchain_proof_bytes as u64).to_le_bytes());
+        env.emit("metered", metered);
         self.cnt += 1;
-        self.current_challenge = None;
+        self.challenge = None;
         self.pending_proof = None;
         if self.cnt >= self.agreement.num_audits {
             self.finalize(env);
@@ -266,10 +338,11 @@ impl ContractBehavior for AuditContract {
                     return Err(VmError::Unauthorized);
                 }
                 self.agreement.validate()?;
-                // one-time on-chain storage of pk + metadata (Fig. 4 cost)
-                let pk_bytes = self.pk.serialized_len(true) + 48;
+                // one-time on-chain storage of the length-prefixed
+                // commitment (Fig. 4 cost); set-up, not round, gas
                 env.charge_gas(
-                    dsaudit_chain::gas::GasSchedule::default().pk_registration_gas(pk_bytes),
+                    GasSchedule::default()
+                        .pk_registration_gas(4 + self.verifier.commitment_len()),
                 );
                 self.phase = Phase::Ack;
                 env.emit("negotiated", Vec::new());
@@ -327,12 +400,12 @@ impl ContractBehavior for AuditContract {
                 }
                 if self.owner_deposited && self.provider_deposited {
                     self.phase = Phase::Audit;
-                    env.emit("inited", Vec::new());
+                    env.emit("inited", vec![self.verifier.id().as_u8()]);
                     env.schedule(env.now + self.agreement.audit_interval_secs, "Chal");
                 }
                 Ok(())
             }
-            // S posts the 288-byte proof during the Prove window
+            // S posts the framed proof during the Prove window
             "prove" => {
                 if self.phase != Phase::Prove {
                     return Err(VmError::BadState("no open challenge".into()));
@@ -340,15 +413,25 @@ impl ContractBehavior for AuditContract {
                 if env.caller != self.agreement.provider {
                     return Err(VmError::Unauthorized);
                 }
-                let proof = PrivateProof::decode(data)
+                // frame failures (garbage, unknown backend id, forged
+                // length, another backend's proof) revert the
+                // transaction — a wire problem is never a verdict
+                let proof = BackendProof::decode(data)
                     .map_err(|e| VmError::BadCalldata(e.to_string()))?;
+                if proof.backend != self.verifier.id() {
+                    return Err(VmError::BadCalldata(format!(
+                        "proof is for backend `{}`, contract speaks `{}`",
+                        proof.backend,
+                        self.verifier.id()
+                    )));
+                }
+                self.onchain_proof_bytes += data.len();
+                dsaudit_obs::counter_add("contract.proof_bytes", data.len() as u64);
+                dsaudit_obs::counter_add(obs_names(self.verifier.id())[1], data.len() as u64);
+                // proof persisted on chain beside its 48-byte challenge:
+                // storage gas now, verification gas at the Verify trigger
+                self.charge(env, GasSchedule::default().storage_gas(data.len() + 48));
                 self.pending_proof = Some(proof);
-                // proof persisted on chain: storage gas now, verification
-                // gas at the Verify trigger
-                env.charge_gas(
-                    dsaudit_chain::gas::GasSchedule::default()
-                        .storage_gas(PRIVATE_PROOF_BYTES + 48),
-                );
                 env.emit("proofposted", self.cnt.to_le_bytes().to_vec());
                 Ok(())
             }
@@ -370,9 +453,7 @@ impl ContractBehavior for AuditContract {
                 let passed = data[0] == 1;
                 let ms = f64::from_le_bytes(data[1..9].try_into().expect("sliced"));
                 if ms.is_finite() && ms > 0.0 {
-                    env.charge_gas(
-                        dsaudit_chain::gas::GasSchedule::default().compute_gas(ms),
-                    );
+                    self.charge(env, GasSchedule::default().compute_gas(ms));
                 }
                 self.settle_round(env, passed, false);
                 Ok(())
@@ -446,8 +527,7 @@ impl ContractBehavior for AuditContract {
                 if self.phase != Phase::Audit || self.cnt >= self.agreement.num_audits {
                     return Err(VmError::BadState("not ready to challenge".into()));
                 }
-                let challenge = Challenge::from_beacon(&env.beacon);
-                self.current_challenge = Some(challenge);
+                self.challenge = Some(env.beacon);
                 self.phase = Phase::Prove;
                 env.emit("challenged", env.beacon.to_vec());
                 env.schedule(env.now + self.agreement.prove_deadline_secs, "Verify");
@@ -457,9 +537,6 @@ impl ContractBehavior for AuditContract {
                 if self.phase != Phase::Prove {
                     return Err(VmError::BadState("no round to verify".into()));
                 }
-                let challenge = self
-                    .current_challenge
-                    .expect("Prove phase implies a challenge");
                 if self.batch_auditor.is_some() && self.pending_proof.is_some() {
                     // batched mode: keep the proof, hand the round to the
                     // shared batch verifier and wait for its verdict. The
@@ -477,13 +554,7 @@ impl ContractBehavior for AuditContract {
                 }
                 match self.pending_proof.take() {
                     Some(proof) => {
-                        let t0 = std::time::Instant::now();
-                        let ok = self.check_proof(&challenge, &proof);
-                        let verify_ms = t0.elapsed().as_secs_f64() * 1e3;
-                        // the paper's extrapolated compute gas
-                        env.charge_gas(
-                            dsaudit_chain::gas::GasSchedule::default().compute_gas(verify_ms),
-                        );
+                        let ok = self.check_proof(env, &proof);
                         self.settle_round(env, ok, false);
                     }
                     None => {
@@ -502,24 +573,333 @@ impl ContractBehavior for AuditContract {
                 if self.phase != Phase::AwaitVerdict {
                     return Ok(());
                 }
-                let challenge = self
-                    .current_challenge
-                    .expect("AwaitVerdict implies a challenge");
                 let proof = self
                     .pending_proof
                     .take()
                     .expect("AwaitVerdict implies a posted proof");
                 env.emit("verdicttimeout", self.cnt.to_le_bytes().to_vec());
-                let t0 = std::time::Instant::now();
-                let ok = self.check_proof(&challenge, &proof);
-                let verify_ms = t0.elapsed().as_secs_f64() * 1e3;
-                env.charge_gas(
-                    dsaudit_chain::gas::GasSchedule::default().compute_gas(verify_ms),
-                );
+                let ok = self.check_proof(env, &proof);
                 self.settle_round(env, ok, false);
                 Ok(())
             }
             other => Err(VmError::UnknownMethod(other.into())),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::harness::{
+        latest_beacon, setup_backend_session, submit_ok, AgreementTerms, BackendSession,
+    };
+    use dsaudit_backend::{
+        backend_for, AuditBackend, Groth16MerkleBackend, MerkleBackend, PairingBackend,
+    };
+    use dsaudit_chain::beacon::TrustedBeacon;
+    use dsaudit_chain::chain::Blockchain;
+    use dsaudit_chain::types::{eth, gwei, Transaction, TxKind, TxStatus};
+    use dsaudit_core::AuditParams;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    fn small_backend(id: BackendId) -> Box<dyn AuditBackend> {
+        match id {
+            BackendId::Pairing => Box::new(PairingBackend::new(
+                AuditParams::new(4, 3).expect("valid"),
+            )),
+            BackendId::Merkle => Box::new(MerkleBackend { leaf_size: 32, k: 3 }),
+            BackendId::Groth16Merkle => Box::new(Groth16MerkleBackend { batch: 2 }),
+        }
+    }
+
+    fn terms(num_audits: u64) -> AgreementTerms {
+        AgreementTerms {
+            num_audits,
+            audit_interval_secs: 3600,
+            prove_deadline_secs: 600,
+            reward_per_audit: gwei(1_000_000),
+            penalty_per_fail: gwei(1_000_000),
+            owner_deposit: gwei(1_000_000) * num_audits as Wei,
+            provider_deposit: gwei(1_000_000) * num_audits as Wei,
+            ..AgreementTerms::default()
+        }
+    }
+
+    fn call_tx(from: Address, to: Address, method: &str, data: Vec<u8>, value: Wei) -> Transaction {
+        Transaction {
+            from,
+            to,
+            value,
+            kind: TxKind::Call {
+                method: method.into(),
+                data,
+            },
+        }
+    }
+
+    /// Deploys one contract per backend id on the SAME chain, each
+    /// through negotiate → ack → both deposits — the mixed-backend-chain
+    /// scenario.
+    fn deploy_fleet(chain: &mut Blockchain, data: &[u8], num_audits: u64) -> Vec<BackendSession> {
+        let mut rng = StdRng::seed_from_u64(0xbac0);
+        BackendId::ALL
+            .into_iter()
+            .map(|id| {
+                setup_backend_session(
+                    &mut rng,
+                    chain,
+                    id.name(),
+                    data,
+                    small_backend(id).as_ref(),
+                    terms(num_audits),
+                    None,
+                )
+            })
+            .collect()
+    }
+
+    fn event_count(chain: &Blockchain, contract: Address, name: &str) -> usize {
+        chain
+            .all_events()
+            .iter()
+            .filter(|e| e.contract == contract && e.name == name)
+            .count()
+    }
+
+    fn verdict_counts(chain: &Blockchain, contract: Address) -> (usize, usize) {
+        (
+            event_count(chain, contract, "pass"),
+            event_count(chain, contract, "fail"),
+        )
+    }
+
+    #[test]
+    fn mixed_backends_share_one_chain_and_all_pass() {
+        let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"backend-ct")));
+        let data: Vec<u8> = (0..1024).map(|i| (i % 247) as u8).collect();
+        let fleet = deploy_fleet(&mut chain, &data, 2);
+        let mut rng = StdRng::seed_from_u64(0x50a1);
+        for _ in 0..2 {
+            chain.advance_time(3601);
+            chain.mine_block();
+            for d in &fleet {
+                let beacon = latest_beacon(&chain, d.contract).expect("challenged");
+                let backend = small_backend(d.backend);
+                let proof = backend
+                    .prove(&mut rng, &d.kit, &data, &beacon)
+                    .expect("prove");
+                chain.submit(call_tx(d.provider, d.contract, "prove", proof.encode(), 0));
+                let b = chain.mine_block();
+                assert_eq!(
+                    b.txs[0].1.status,
+                    TxStatus::Success,
+                    "{}: {:?}",
+                    d.backend,
+                    b.txs[0].1.revert_reason
+                );
+            }
+            chain.advance_time(601);
+            chain.mine_block();
+        }
+        for d in &fleet {
+            assert_eq!(
+                verdict_counts(&chain, d.contract),
+                (2, 0),
+                "backend `{}` must pass both rounds",
+                d.backend
+            );
+        }
+    }
+
+    #[test]
+    fn corrupted_store_fails_round_on_every_backend() {
+        let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"backend-corrupt")));
+        let data: Vec<u8> = (0..1024).map(|i| (i % 247) as u8).collect();
+        let fleet = deploy_fleet(&mut chain, &data, 1);
+        // flip a bit in every 31-byte window so each backend's
+        // challenged unit hits damage regardless of leaf geometry
+        let mut bad = data.clone();
+        for i in (0..bad.len()).step_by(31) {
+            bad[i] ^= 0x08;
+        }
+        let mut rng = StdRng::seed_from_u64(0x50a2);
+        chain.advance_time(3601);
+        chain.mine_block();
+        for d in &fleet {
+            let beacon = latest_beacon(&chain, d.contract).expect("challenged");
+            let proof = small_backend(d.backend)
+                .prove(&mut rng, &d.kit, &bad, &beacon)
+                .expect("prove");
+            chain.submit(call_tx(d.provider, d.contract, "prove", proof.encode(), 0));
+            let b = chain.mine_block();
+            assert_eq!(b.txs[0].1.status, TxStatus::Success);
+        }
+        chain.advance_time(601);
+        chain.mine_block();
+        for d in &fleet {
+            assert_eq!(
+                verdict_counts(&chain, d.contract),
+                (0, 1),
+                "backend `{}` must fail the corrupted round",
+                d.backend
+            );
+        }
+    }
+
+    #[test]
+    fn wire_problems_revert_and_never_settle() {
+        let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"backend-wire")));
+        let data = vec![5u8; 512];
+        let fleet = deploy_fleet(&mut chain, &data, 1);
+        let pairing = &fleet[0];
+        assert_eq!(pairing.backend, BackendId::Pairing);
+        chain.advance_time(3601);
+        chain.mine_block();
+        let beacon = latest_beacon(&chain, pairing.contract).expect("challenged");
+
+        // garbage calldata
+        chain.submit(call_tx(pairing.provider, pairing.contract, "prove", vec![0xff; 3], 0));
+        let b = chain.mine_block();
+        assert!(matches!(b.txs[0].1.status, TxStatus::Reverted));
+
+        // a well-formed proof for the WRONG backend
+        let merkle = &fleet[1];
+        let mut rng = StdRng::seed_from_u64(0x50a3);
+        let foreign = small_backend(merkle.backend)
+            .prove(&mut rng, &merkle.kit, &data, &beacon)
+            .expect("prove");
+        chain.submit(call_tx(
+            pairing.provider,
+            pairing.contract,
+            "prove",
+            foreign.encode(),
+            0,
+        ));
+        let b = chain.mine_block();
+        assert!(matches!(b.txs[0].1.status, TxStatus::Reverted));
+
+        // no verdict has been settled by either revert
+        assert_eq!(verdict_counts(&chain, pairing.contract), (0, 0));
+
+        // the silent round times out and settles as a failure — the
+        // timeout, not the malformed bytes, is what costs the provider
+        chain.advance_time(601);
+        chain.mine_block();
+        assert_eq!(verdict_counts(&chain, pairing.contract), (0, 1));
+        assert_eq!(event_count(&chain, pairing.contract, "timeout"), 1);
+    }
+
+    #[test]
+    fn commitment_backend_mismatch_is_a_deploy_error() {
+        let mut rng = StdRng::seed_from_u64(0x50a4);
+        let setup = backend_for(BackendId::Merkle)
+            .setup(&mut rng, &[1u8; 64])
+            .expect("setup");
+        // a contract is built from the verifier; the mismatched pair
+        // never yields one
+        assert!(backend_for(BackendId::Pairing)
+            .verifier(&setup.commitment)
+            .is_err());
+    }
+
+    /// Regression: a well-framed proof whose payload does not decode
+    /// used to be accepted by `prove` and then make the `Verify` trigger
+    /// revert — trigger consumed, no verdict ever emitted, both deposits
+    /// locked, and a provider that lost the data escaped the penalty.
+    /// It must settle like any other proof that does not convince.
+    #[test]
+    fn undecodable_payload_settles_the_round_on_every_backend() {
+        let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"backend-wedge")));
+        let data: Vec<u8> = (0..1024).map(|i| (i % 247) as u8).collect();
+        let fleet = deploy_fleet(&mut chain, &data, 1);
+        chain.advance_time(3601);
+        chain.mine_block();
+        let mut owner_before = Vec::new();
+        for d in &fleet {
+            let garbage = BackendProof {
+                backend: d.backend,
+                bytes: vec![0xff; 288],
+            };
+            chain.submit(call_tx(d.provider, d.contract, "prove", garbage.encode(), 0));
+            chain.mine_block();
+            owner_before.push(chain.balance(d.owner));
+        }
+        chain.advance_time(601);
+        chain.mine_block();
+        for (d, before) in fleet.iter().zip(owner_before) {
+            let (pass, fail) = verdict_counts(&chain, d.contract);
+            assert_eq!(pass + fail, 1, "backend `{}`: round must settle exactly once", d.backend);
+            assert_eq!(fail, 1, "backend `{}`: garbage cannot pass", d.backend);
+            assert_eq!(
+                event_count(&chain, d.contract, "completed"),
+                1,
+                "backend `{}`: contract must reach Completed",
+                d.backend
+            );
+            assert_eq!(chain.balance(d.contract), 0, "backend `{}`: pools released", d.backend);
+            let t = terms(1);
+            assert_eq!(
+                chain.balance(d.owner) - before,
+                t.owner_deposit + t.penalty_per_fail,
+                "backend `{}`: owner is compensated",
+                d.backend
+            );
+        }
+    }
+
+    /// Migration is part of the one lifecycle, so it works on every
+    /// backend: a merkle-audited share is re-homed between rounds and
+    /// the successor, proving from the same kit, earns what remains.
+    #[test]
+    fn merkle_contract_migrates_and_successor_earns_the_rest() {
+        let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"backend-migrate")));
+        let data: Vec<u8> = (0..1024).map(|i| (i % 247) as u8).collect();
+        let fleet = deploy_fleet(&mut chain, &data, 3);
+        let d = &fleet[1];
+        assert_eq!(d.backend, BackendId::Merkle);
+        let t = terms(3);
+        let backend = small_backend(d.backend);
+        let mut rng = StdRng::seed_from_u64(0x50a6);
+        let mut round = |chain: &mut Blockchain, sender: Address| {
+            chain.advance_time(3601);
+            chain.mine_block();
+            let beacon = latest_beacon(chain, d.contract).expect("challenged");
+            let proof = backend.prove(&mut rng, &d.kit, &data, &beacon).expect("prove");
+            submit_ok(chain, sender, d.contract, "prove", proof.encode(), 0);
+            chain.advance_time(601);
+            chain.mine_block();
+        };
+
+        // round 0 is served by the original provider
+        let old_before = chain.balance(d.provider);
+        round(&mut chain, d.provider);
+        assert_eq!(verdict_counts(&chain, d.contract), (1, 0));
+
+        // the owner re-homes the share; the successor covers the two
+        // remaining rounds' penalties and the old provider is refunded
+        let successor = Address::from_label("merkle/successor");
+        let takeover_deposit = 2 * t.penalty_per_fail;
+        chain.fund_account(successor, takeover_deposit + eth(1));
+        submit_ok(&mut chain, d.owner, d.contract, "migrate", successor.0.to_vec(), 0);
+        submit_ok(&mut chain, successor, d.contract, "takeover", Vec::new(), takeover_deposit);
+        assert_eq!(
+            chain.balance(d.provider) - old_before,
+            t.provider_deposit + t.reward_per_audit,
+            "old provider leaves with its deposit and the round it earned"
+        );
+
+        // the successor serves the remaining rounds and collects
+        let successor_before = chain.balance(successor);
+        round(&mut chain, successor);
+        round(&mut chain, successor);
+        assert_eq!(verdict_counts(&chain, d.contract), (3, 0));
+        assert_eq!(
+            chain.balance(successor) - successor_before,
+            takeover_deposit + 2 * t.reward_per_audit,
+            "successor gets its deposit back plus both remaining rewards"
+        );
+        assert_eq!(event_count(&chain, d.contract, "completed"), 1);
+        assert_eq!(chain.balance(d.contract), 0, "contract drained at completion");
     }
 }

@@ -2,15 +2,20 @@
 //! and the on-chain contract: deployment, deposits, and the
 //! challenge/prove/verify round-trip of one audit round.
 //!
-//! The off-chain sides are the role handles of `dsaudit-core`: a
+//! Two ways in, one contract out. [`setup_session`] plays the paper's
+//! protocol through the role handles of `dsaudit-core` — a
 //! [`DataOwner`] produces the outsourcing bundle, a [`StorageProvider`]
-//! validates and holds it, and the deployed [`AuditContract`] carries
-//! its own [`Auditor`](dsaudit_core::Auditor) for verification. (The
-//! typed off-chain session type is `dsaudit_core::session::AuditSession`;
-//! the on-chain pendant here is [`ContractSession`].)
+//! validates and holds it — and [`setup_backend_session`] lets any
+//! [`AuditBackend`] process the data itself. Both end in the same
+//! [`AuditContract`], built around the backend's [`Verifier`] and taken
+//! through negotiate → ack → deposits by one helper. (The typed
+//! off-chain session type is `dsaudit_core::session::AuditSession`; the
+//! on-chain pendants here are [`ContractSession`] and
+//! [`BackendSession`].)
 
+use dsaudit_backend::{AuditBackend, BackendId, PairingBackend, ProverKit, Verifier};
 use dsaudit_chain::chain::Blockchain;
-use dsaudit_chain::types::{Address, Transaction, TxKind, TxStatus, Wei};
+use dsaudit_chain::types::{eth, Address, Transaction, TxKind, TxStatus, Wei};
 use dsaudit_core::{Challenge, Codec, DataOwner, StorageProvider};
 
 use crate::audit_contract::{Agreement, AuditContract};
@@ -32,19 +37,52 @@ pub struct ContractSession {
 
 impl ContractSession {
     /// The provider's wire response to a challenge: the canonical
-    /// 288-byte encoding posted as `prove` calldata.
+    /// 288-byte proof in the pairing backend's frame, as posted in
+    /// `prove` calldata.
     pub fn respond_wire<R: rand::RngCore + ?Sized>(
         &self,
         rng: &mut R,
         challenge: &Challenge,
     ) -> Vec<u8> {
-        self.provider_state.respond(rng, challenge).encode()
+        PairingBackend::frame(&self.provider_state.respond(rng, challenge)).encode()
     }
+}
+
+/// Deploys an [`AuditContract`] around `verifier` for the accounts
+/// `{label}/owner` and `{label}/provider` (funded here) and takes it
+/// through negotiate → ack → both deposits. Returns the contract
+/// address and the agreement in force.
+fn deploy(
+    chain: &mut Blockchain,
+    label: &str,
+    verifier: Box<dyn Verifier>,
+    terms: AgreementTerms,
+    nominal_ms: Option<f64>,
+) -> (Address, Agreement) {
+    let owner = Address::from_label(&format!("{label}/owner"));
+    let provider = Address::from_label(&format!("{label}/provider"));
+    chain.fund_account(owner, terms.owner_deposit + eth(1));
+    chain.fund_account(provider, terms.provider_deposit + eth(1));
+    let agreement = terms.bind(owner, provider);
+    let mut contract = AuditContract::new(agreement, verifier);
+    if let Some(auditor) = terms.batch_auditor {
+        contract = contract.with_batch_auditor(auditor);
+    }
+    if let Some(ms) = nominal_ms {
+        contract = contract.with_nominal_verify_ms(ms);
+    }
+    let addr = chain.deploy(label, Box::new(contract));
+    submit_ok(chain, owner, addr, "negotiate", Vec::new(), 0);
+    submit_ok(chain, provider, addr, "acked", Vec::new(), 0);
+    submit_ok(chain, owner, addr, "freeze", Vec::new(), terms.owner_deposit);
+    submit_ok(chain, provider, addr, "freeze", Vec::new(), terms.provider_deposit);
+    (addr, agreement)
 }
 
 /// Sets up a complete audit session on the chain: keygen, encode, tag,
 /// provider-side tag validation, deploy, negotiate, ack, deposit (both
-/// sides).
+/// sides). Always the paper's pairing scheme, whatever `terms.backend`
+/// says — this is the role-API entry point.
 ///
 /// # Panics
 /// Panics if any setup transaction reverts or the honest bundle fails
@@ -57,71 +95,27 @@ pub fn setup_session<R: rand::RngCore + ?Sized>(
     data: &[u8],
     params: dsaudit_core::params::AuditParams,
     owner_handle: Option<DataOwner>,
-    agreement_template: AgreementTerms,
+    terms: AgreementTerms,
 ) -> ContractSession {
-    let owner = Address::from_label(&format!("{label}/owner"));
-    let provider = Address::from_label(&format!("{label}/provider"));
-    chain.fund_account(owner, agreement_template.owner_deposit + dsaudit_chain::types::eth(1));
-    chain.fund_account(
-        provider,
-        agreement_template.provider_deposit + dsaudit_chain::types::eth(1),
-    );
-
     let owner_handle = owner_handle.unwrap_or_else(|| DataOwner::generate(rng, params));
     let bundle = owner_handle.outsource(rng, data);
-    let meta = bundle.meta();
-    let pk = bundle.pk.clone();
+    let verifier = PairingBackend::verifier_for(bundle.pk.clone(), bundle.meta())
+        .expect("harness meta is auditable");
     // the provider validates the authenticators before acknowledging
     let provider_state =
         StorageProvider::ingest(rng, bundle).expect("honest bundle must validate");
-    let agreement = Agreement {
-        owner,
-        provider,
-        num_audits: agreement_template.num_audits,
-        audit_interval_secs: agreement_template.audit_interval_secs,
-        prove_deadline_secs: agreement_template.prove_deadline_secs,
-        reward_per_audit: agreement_template.reward_per_audit,
-        penalty_per_fail: agreement_template.penalty_per_fail,
-        owner_deposit: agreement_template.owner_deposit,
-        provider_deposit: agreement_template.provider_deposit,
-    };
-    let mut contract_obj =
-        AuditContract::new(agreement, pk, meta).expect("harness meta is auditable");
-    if let Some(auditor) = agreement_template.batch_auditor {
-        contract_obj = contract_obj.with_batch_auditor(auditor);
-    }
-    let contract = chain.deploy(label, Box::new(contract_obj));
-
-    // negotiate -> ack -> deposits
-    submit_ok(chain, owner, contract, "negotiate", Vec::new(), 0);
-    submit_ok(chain, provider, contract, "acked", Vec::new(), 0);
-    submit_ok(
-        chain,
-        owner,
-        contract,
-        "freeze",
-        Vec::new(),
-        agreement.owner_deposit,
-    );
-    submit_ok(
-        chain,
-        provider,
-        contract,
-        "freeze",
-        Vec::new(),
-        agreement.provider_deposit,
-    );
-
+    let (contract, agreement) = deploy(chain, label, verifier, terms, None);
     ContractSession {
         contract,
-        owner,
-        provider,
+        owner: agreement.owner,
+        provider: agreement.provider,
         provider_state,
         agreement,
     }
 }
 
-/// Economic terms for [`setup_session`], without the addresses.
+/// Economic terms for [`setup_session`] / [`setup_backend_session`],
+/// without the addresses.
 #[derive(Clone, Copy, Debug)]
 pub struct AgreementTerms {
     /// Number of audit rounds.
@@ -139,16 +133,32 @@ pub struct AgreementTerms {
     /// Provider's locked deposit.
     pub provider_deposit: Wei,
     /// When set, contracts defer round verdicts to this batch-verifier
-    /// address (§VII-D amortized verification); `None` keeps classic
+    /// address (§VII-D amortized verification); `None` keeps
     /// per-contract verification at the `Verify` trigger.
     pub batch_auditor: Option<Address>,
-    /// The proof-of-storage scheme this agreement audits with. The
-    /// pairing default is the paper's protocol ([`setup_session`] and
-    /// [`crate::AuditContract`] speak it natively); other backends are
-    /// deployed through [`setup_backend_session`] /
-    /// [`crate::BackendContract`], and contracts with different
-    /// backends coexist on one chain.
-    pub backend: dsaudit_backend::BackendId,
+    /// The proof-of-storage scheme this agreement audits with, recorded
+    /// for reporting. The backend instance handed to
+    /// [`setup_backend_session`] is what actually deploys; contracts
+    /// with different backends coexist on one chain.
+    pub backend: BackendId,
+}
+
+impl AgreementTerms {
+    /// The on-chain [`Agreement`] these terms become between `owner`
+    /// and `provider`.
+    pub fn bind(&self, owner: Address, provider: Address) -> Agreement {
+        Agreement {
+            owner,
+            provider,
+            num_audits: self.num_audits,
+            audit_interval_secs: self.audit_interval_secs,
+            prove_deadline_secs: self.prove_deadline_secs,
+            reward_per_audit: self.reward_per_audit,
+            penalty_per_fail: self.penalty_per_fail,
+            owner_deposit: self.owner_deposit,
+            provider_deposit: self.provider_deposit,
+        }
+    }
 }
 
 impl Default for AgreementTerms {
@@ -163,15 +173,15 @@ impl Default for AgreementTerms {
             owner_deposit: gwei(1_000_000) * 100,
             provider_deposit: gwei(5_000_000) * 100,
             batch_auditor: None,
-            backend: dsaudit_backend::BackendId::Pairing,
+            backend: BackendId::Pairing,
         }
     }
 }
 
-/// A backend-generic audit session on chain: a deployed
-/// [`crate::BackendContract`] with both deposits locked, plus the
-/// provider-side material ([`dsaudit_backend::ProverKit`] and the
-/// stored bytes) needed to answer challenges.
+/// A backend-driven audit session on chain: a deployed
+/// [`AuditContract`] with both deposits locked, plus the provider-side
+/// material ([`ProverKit`] and the stored bytes) needed to answer
+/// challenges.
 pub struct BackendSession {
     /// Deployed contract address.
     pub contract: Address,
@@ -180,9 +190,9 @@ pub struct BackendSession {
     /// Storage provider account.
     pub provider: Address,
     /// The scheme this session audits with.
-    pub backend: dsaudit_backend::BackendId,
+    pub backend: BackendId,
     /// Provider-side proving material.
-    pub kit: dsaudit_backend::ProverKit,
+    pub kit: ProverKit,
     /// The provider's stored copy of the file (corruptible by tests
     /// and fault injection).
     pub stored: Vec<u8>,
@@ -190,71 +200,37 @@ pub struct BackendSession {
     pub terms: AgreementTerms,
 }
 
-/// Sets up a backend-generic audit session: backend setup (tagging /
-/// tree build / SNARK keygen as the scheme demands), deploy, both
-/// deposits. The backend is chosen by `terms.backend`; `nominal_ms`
-/// fixes the metered verification cost for deterministic gas.
+/// Sets up a backend-driven audit session: backend setup (tagging /
+/// tree build / SNARK keygen as the scheme demands), deploy, negotiate,
+/// ack, both deposits. `nominal_ms` fixes the metered verification cost
+/// for deterministic gas.
 ///
 /// # Panics
-/// Panics if backend setup fails or a deposit transaction reverts —
+/// Panics if backend setup fails or a setup transaction reverts —
 /// harness programming errors, not runtime conditions.
 pub fn setup_backend_session<R: rand::RngCore>(
     rng: &mut R,
     chain: &mut Blockchain,
     label: &str,
     data: &[u8],
-    backend: &dyn dsaudit_backend::AuditBackend,
+    backend: &dyn AuditBackend,
     terms: AgreementTerms,
     nominal_ms: Option<f64>,
 ) -> BackendSession {
-    let owner = Address::from_label(&format!("{label}/owner"));
-    let provider = Address::from_label(&format!("{label}/provider"));
-    chain.fund_account(owner, terms.owner_deposit + dsaudit_chain::types::eth(1));
-    chain.fund_account(provider, terms.provider_deposit + dsaudit_chain::types::eth(1));
-
     let setup = backend.setup(rng, data).expect("backend setup");
-    let agreement = crate::backend_contract::BackendAgreement {
-        owner,
-        provider,
-        num_audits: terms.num_audits,
-        interval_secs: terms.audit_interval_secs,
-        deadline_secs: terms.prove_deadline_secs,
-        reward: terms.reward_per_audit,
-        penalty: terms.penalty_per_fail,
-        owner_deposit: terms.owner_deposit,
-        provider_deposit: terms.provider_deposit,
-    };
-    let mut contract = crate::backend_contract::BackendContract::new(
-        backend_box_for_session(backend),
-        setup.commitment,
-        agreement,
-    )
-    .expect("commitment id matches backend");
-    if let Some(ms) = nominal_ms {
-        contract = contract.with_nominal_verify_ms(ms);
-    }
-    let addr = chain.deploy(label, Box::new(contract));
-    submit_ok(chain, owner, addr, "freeze", Vec::new(), terms.owner_deposit);
-    submit_ok(chain, provider, addr, "freeze", Vec::new(), terms.provider_deposit);
-
+    let verifier = backend
+        .verifier(&setup.commitment)
+        .expect("a backend parses its own commitment");
+    let (contract, agreement) = deploy(chain, label, verifier, terms, nominal_ms);
     BackendSession {
-        contract: addr,
-        owner,
-        provider,
+        contract,
+        owner: agreement.owner,
+        provider: agreement.provider,
         backend: backend.id(),
         kit: setup.kit,
         stored: data.to_vec(),
         terms,
     }
-}
-
-/// The contract needs its own boxed backend instance; re-resolve the
-/// caller's through the registry (backends are stateless — identity is
-/// the id, configuration defaults are the registry's).
-fn backend_box_for_session(
-    backend: &dyn dsaudit_backend::AuditBackend,
-) -> Box<dyn dsaudit_backend::AuditBackend> {
-    dsaudit_backend::backend_for(backend.id())
 }
 
 /// Submits a contract call and asserts success.
@@ -288,18 +264,31 @@ pub fn submit_ok(
     );
 }
 
-/// Extracts the latest "challenged" event's beacon bytes from the chain.
-pub fn latest_challenge(chain: &Blockchain, contract: Address) -> Option<Challenge> {
+/// The beacon output of `contract`'s latest "challenged" event: the
+/// round's challenge in the form every backend's `prove` takes.
+pub fn latest_beacon(chain: &Blockchain, contract: Address) -> Option<[u8; 48]> {
     chain
         .all_events()
         .into_iter()
         .rev()
         .find(|e| e.contract == contract && e.name == "challenged")
-        .map(|e| {
-            let mut beacon = [0u8; 48];
-            beacon.copy_from_slice(&e.data);
-            Challenge::from_beacon(&beacon)
-        })
+        .and_then(|e| e.data.as_slice().try_into().ok())
+}
+
+/// [`latest_beacon`] expanded into the pairing scheme's [`Challenge`].
+pub fn latest_challenge(chain: &Blockchain, contract: Address) -> Option<Challenge> {
+    latest_beacon(chain, contract).map(|beacon| Challenge::from_beacon(&beacon))
+}
+
+/// Whether `contract`'s latest settled round passed; `None` before its
+/// first verdict.
+pub fn latest_verdict(chain: &Blockchain, contract: Address) -> Option<bool> {
+    chain
+        .all_events()
+        .into_iter()
+        .rev()
+        .find(|e| e.contract == contract && (e.name == "pass" || e.name == "fail"))
+        .map(|e| e.name == "pass")
 }
 
 /// Runs one complete audit round for a single session on its own chain.
@@ -352,17 +341,6 @@ pub fn run_round_multi<R: rand::RngCore + ?Sized>(
     chain.mine_block();
     sessions
         .iter()
-        .map(|(session, _)| {
-            chain
-                .all_events()
-                .into_iter()
-                .rev()
-                .find(|e| {
-                    e.contract == session.contract && (e.name == "pass" || e.name == "fail")
-                })
-                .expect("verdict event")
-                .name
-                == "pass"
-        })
+        .map(|(session, _)| latest_verdict(chain, session.contract).expect("verdict event"))
         .collect()
 }

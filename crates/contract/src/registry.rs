@@ -3,19 +3,20 @@
 //!
 //! With [`AgreementTerms::batch_auditor`] set, a whole round's proofs are
 //! checked with **one** shared pairing product
-//! ([`dsaudit_core::batch::verify_private_batch`], all users sharing a
-//! single final exponentiation) instead of one three-pairing product per
-//! user — the amortization the paper measures for ~30 co-hosted users per
+//! ([`Auditor::verify_private_each`], all users sharing a single final
+//! exponentiation) instead of one three-pairing product per user — the
+//! amortization the paper measures for ~30 co-hosted users per
 //! provider. If the batch rejects, the round falls back to per-user
 //! verification to attribute blame, so accept/reject outcomes are always
 //! identical to the unbatched path.
 
 use std::time::Instant;
 
+use dsaudit_backend::PairingBackend;
 use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::Address;
 use dsaudit_core::batch::BatchItem;
-use dsaudit_core::{Auditor, Challenge, Codec, AuditParams, PrivateProof};
+use dsaudit_core::{AuditParams, Auditor, Challenge, Codec, PrivateProof};
 
 use crate::harness::{
     latest_challenge, setup_session, submit_ok, AgreementTerms, ContractSession,
@@ -114,10 +115,8 @@ impl AuditNetwork {
     }
 
     /// One round in batched mode: challenge + prove in lockstep as usual,
-    /// then a single `verify_private_batch` over all posted proofs; the
-    /// auditor submits the per-contract verdicts (falling back to
-    /// per-user verification when the batch rejects, so a cheating
-    /// provider is singled out rather than failing the whole round).
+    /// then a single [`Auditor::verify_private_each`] over all posted
+    /// proofs; the auditor submits the per-contract verdicts.
     fn run_round_batched<R: rand::RngCore + ?Sized>(
         &mut self,
         rng: &mut R,
@@ -145,7 +144,7 @@ impl AuditNetwork {
                 session.provider,
                 session.contract,
                 "prove",
-                proof.encode(),
+                PairingBackend::frame(&proof).encode(),
                 0,
             );
             round.push((i, challenge, proof));
@@ -167,24 +166,7 @@ impl AuditNetwork {
             })
             .collect();
         let t0 = Instant::now();
-        // a proof the auditor cannot even check (metadata mismatch) is
-        // rejected, exactly as the contract would reject it
-        let batch_accepts = self
-            .auditor
-            .verify_private_batch(rng, &items)
-            .is_ok_and(|v| v.accepted());
-        let verdicts: Vec<bool> = if batch_accepts {
-            vec![true; items.len()]
-        } else {
-            items
-                .iter()
-                .map(|it| {
-                    self.auditor
-                        .verify_private(it.pk, &it.meta, &it.challenge, &it.proof)
-                        .is_ok_and(|v| v.accepted())
-                })
-                .collect()
-        };
+        let verdicts = self.auditor.verify_private_each(rng, &items);
         // amortized per-user verification time, metered by each contract
         let ms = t0.elapsed().as_secs_f64() * 1e3 / items.len() as f64;
         drop(items);
@@ -200,6 +182,7 @@ impl AuditNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::latest_verdict;
     use rand::SeedableRng;
 
     #[test]
@@ -223,16 +206,7 @@ mod tests {
     fn verdicts(net: &AuditNetwork) -> Vec<bool> {
         net.sessions
             .iter()
-            .map(|s| {
-                net.chain
-                    .all_events()
-                    .into_iter()
-                    .rev()
-                    .find(|e| e.contract == s.contract && (e.name == "pass" || e.name == "fail"))
-                    .expect("verdict event")
-                    .name
-                    == "pass"
-            })
+            .map(|s| latest_verdict(&net.chain, s.contract).expect("verdict event"))
             .collect()
     }
 

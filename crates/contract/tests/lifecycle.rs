@@ -113,8 +113,11 @@ fn provider_can_reject_negotiation() {
         owner_deposit: terms.owner_deposit,
         provider_deposit: terms.provider_deposit,
     };
-    let contract = dsaudit_contract::AuditContract::new(agreement, bundle.pk.clone(), meta)
-        .expect("auditable meta");
+    let contract = dsaudit_contract::AuditContract::new(
+        agreement,
+        dsaudit_backend::PairingBackend::verifier_for(bundle.pk.clone(), meta)
+            .expect("auditable meta"),
+    );
     let addr = chain.deploy("rej", Box::new(contract));
     submit_ok(&mut chain, owner, addr, "negotiate", Vec::new(), 0);
     submit_ok(&mut chain, provider, addr, "reject", Vec::new(), 0);
@@ -164,10 +167,9 @@ fn wrong_deposit_amount_rejected() {
     };
     let contract = dsaudit_contract::AuditContract::new(
         agreement,
-        owner_handle.public_key().clone(),
-        meta,
-    )
-    .expect("auditable meta");
+        dsaudit_backend::PairingBackend::verifier_for(owner_handle.public_key().clone(), meta)
+            .expect("auditable meta"),
+    );
     let addr = chain.deploy("dep", Box::new(contract));
     submit_ok(&mut chain, owner, addr, "negotiate", Vec::new(), 0);
     submit_ok(&mut chain, provider, addr, "acked", Vec::new(), 0);

@@ -144,6 +144,34 @@ impl Auditor {
     ) -> Result<Verdict, DsAuditError> {
         verify_private_batch_with(self, rng, items)
     }
+
+    /// Per-item accept flags for a whole round: one
+    /// [`Auditor::verify_private_batch`] product when every proof is
+    /// good, and a per-item [`Auditor::verify_private`] pass to
+    /// attribute blame when the batch rejects — so the flags always
+    /// equal what verifying each item alone would give, and a cheating
+    /// provider is singled out instead of failing its neighbours. An
+    /// item that cannot be checked at all (unusable metadata) is
+    /// rejected. Only the batch product draws from `rng`.
+    pub fn verify_private_each<R: rand::RngCore + ?Sized>(
+        &self,
+        rng: &mut R,
+        items: &[BatchItem<'_>],
+    ) -> Vec<bool> {
+        if self
+            .verify_private_batch(rng, items)
+            .is_ok_and(|v| v.accepted())
+        {
+            return vec![true; items.len()];
+        }
+        items
+            .iter()
+            .map(|it| {
+                self.verify_private(it.pk, &it.meta, &it.challenge, &it.proof)
+                    .is_ok_and(|v| v.accepted())
+            })
+            .collect()
+    }
 }
 
 impl Default for Auditor {

@@ -64,11 +64,11 @@ pub struct SimConfig {
     /// [`Simulation::new`]: crate::Simulation::new
     pub faults: FaultRates,
     /// Shadow audit lanes: for every listed backend, each share gets a
-    /// second, backend-generic contract driven through the *same*
+    /// second audit contract on that backend, driven through the *same*
     /// challenge and fault schedule as the primary pairing path, so one
     /// run compares the schemes head to head (per-backend verdicts,
     /// gas, proof bytes, prover time). Empty (the default) disables the
-    /// lanes and keeps the classic report byte-identical.
+    /// lanes and leaves the pairing-only report untouched.
     pub backends: Vec<BackendId>,
 }
 

@@ -22,11 +22,12 @@
 //!    *measured* from the blocks this epoch produced.
 //!
 //! When the config lists [`backends`](crate::SimConfig::backends),
-//! every share additionally carries one *shadow* backend-generic
-//! contract per listed backend, driven through the identical challenge
-//! and fault schedule — one run compares the schemes head to head
-//! (per-backend verdict accuracy, metered gas, proof bytes, measured
-//! prover time).
+//! every share additionally carries one *shadow* contract per listed
+//! backend — the same [`AuditContract`] type, deployed through the same
+//! helper, verifying on-contract instead of through a shard auditor —
+//! driven through the identical challenge and fault schedule: one run
+//! compares the schemes head to head (per-backend verdict accuracy,
+//! metered gas, proof bytes, measured prover time).
 //!
 //! Determinism: one seeded RNG drives keys, challenges, proof masking,
 //! churn and faults; every collection iterated is ordered; the one
@@ -41,12 +42,12 @@ use std::collections::BTreeMap;
 
 use dsaudit_backend::{
     AuditBackend, BackendId, Groth16MerkleBackend, MerkleBackend, PairingBackend, ProverKit,
+    Verifier,
 };
 use dsaudit_chain::beacon::TrustedBeacon;
 use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::{eth, Address, Transaction, TxKind, TxStatus, Wei};
-use dsaudit_contract::audit_contract::{Agreement, AuditContract};
-use dsaudit_contract::{BackendAgreement, BackendContract};
+use dsaudit_contract::{Agreement, AuditContract};
 use dsaudit_core::batch::BatchItem;
 use dsaudit_core::{
     Auditor, Challenge, Codec, DataOwner, EncodedFile, FileMeta, PrivateProof, Prover,
@@ -111,12 +112,12 @@ struct OwnerEntry {
     addr: Address,
 }
 
-/// One placement's slice of a shadow lane: the backend-generic contract
-/// auditing the same share, and the proving material its provider role
-/// holds. The transaction sender is pinned at deployment — hand-offs
-/// and repair re-homes are exercised on the primary lane; the shadow
-/// lanes measure scheme behavior over the identical blob and fault
-/// history.
+/// One placement's slice of a shadow lane: a second contract auditing
+/// the same share under the lane's backend, and the proving material
+/// its provider role holds. The transaction sender is pinned at
+/// deployment — hand-offs and repair re-homes are exercised on the
+/// primary lane; the shadow lanes measure scheme behavior over the
+/// identical blob and fault history.
 struct ShadowSlot {
     contract: Address,
     provider: Address,
@@ -124,7 +125,7 @@ struct ShadowSlot {
 }
 
 /// One backend driven head-to-head against the primary pairing path:
-/// a [`BackendContract`] per share plus the lane's running totals.
+/// an [`AuditContract`] per share plus the lane's running totals.
 struct ShadowLane {
     id: BackendId,
     /// Parallel to `Simulation::placements`.
@@ -345,72 +346,35 @@ impl Simulation {
                         owner_deposit: cfg.owner_deposit(),
                         provider_deposit: cfg.provider_deposit(),
                     };
-                    let contract_obj =
-                        AuditContract::new(agreement, bundle.pk.clone(), meta)
-                            .expect("share metadata is auditable")
-                            .with_batch_auditor(self.auditor_addrs[shard]);
-                    let contract = self
-                        .chain
-                        .deploy(&format!("sim/o{o}f{fi}s{share}"), Box::new(contract_obj));
-                    self.submit_call(self.owners[o].addr, contract, "negotiate", Vec::new(), 0);
-                    self.submit_call(self.roster[slot].addr, contract, "acked", Vec::new(), 0);
-                    self.submit_call(
-                        self.owners[o].addr,
-                        contract,
-                        "freeze",
-                        Vec::new(),
-                        cfg.owner_deposit(),
+                    // primary lane: outsourced through the role API,
+                    // settled by the shard's batch auditor
+                    let contract = self.deploy_contract(
+                        &format!("sim/o{o}f{fi}s{share}"),
+                        agreement,
+                        PairingBackend::verifier_for(bundle.pk.clone(), meta)
+                            .expect("share metadata is auditable"),
+                        Some(self.auditor_addrs[shard]),
                     );
-                    self.submit_call(
-                        self.roster[slot].addr,
-                        contract,
-                        "freeze",
-                        Vec::new(),
-                        cfg.provider_deposit(),
-                    );
-                    // shadow lanes: one backend-generic contract per
-                    // listed backend, auditing the same blob on the
-                    // same chain under the same economics
+                    // shadow lanes: one more contract per listed
+                    // backend, auditing the same blob on the same chain
+                    // under the same economics, verifying on-contract
                     for li in 0..self.shadows.len() {
                         let id = self.shadows[li].id;
                         let backend = self.lane_backend(id, blob.len());
                         let setup = backend
                             .setup(&mut self.rng, &blob)
                             .expect("lane setup over a fresh share");
-                        let lane_terms = BackendAgreement {
-                            owner: self.owners[o].addr,
-                            provider: self.roster[slot].addr,
-                            num_audits: cfg.epochs as u64,
-                            interval_secs: cfg.epoch_secs,
-                            deadline_secs: cfg.prove_deadline_secs,
-                            reward: cfg.reward_per_audit,
-                            penalty: cfg.penalty_per_fail,
-                            owner_deposit: cfg.owner_deposit(),
-                            provider_deposit: cfg.provider_deposit(),
-                        };
-                        let shadow = BackendContract::new(backend, setup.commitment, lane_terms)
-                            .expect("lane commitment matches its backend")
-                            .with_nominal_verify_ms(cfg.nominal_verify_ms);
-                        let addr = self
-                            .chain
-                            .deploy(&format!("sim/o{o}f{fi}s{share}/{id}"), Box::new(shadow));
-                        self.submit_call(
-                            self.owners[o].addr,
-                            addr,
-                            "freeze",
-                            Vec::new(),
-                            cfg.owner_deposit(),
-                        );
-                        self.submit_call(
-                            self.roster[slot].addr,
-                            addr,
-                            "freeze",
-                            Vec::new(),
-                            cfg.provider_deposit(),
+                        let addr = self.deploy_contract(
+                            &format!("sim/o{o}f{fi}s{share}/{id}"),
+                            agreement,
+                            backend
+                                .verifier(&setup.commitment)
+                                .expect("a backend parses its own commitment"),
+                            None,
                         );
                         self.shadows[li].slots.push(ShadowSlot {
                             contract: addr,
-                            provider: self.roster[slot].addr,
+                            provider: agreement.provider,
                             kit: setup.kit,
                         });
                     }
@@ -443,6 +407,38 @@ impl Simulation {
         }
         self.mine_ok("setup");
         self.report.setup_gas = self.chain.total_gas_used();
+    }
+
+    /// Deploys one [`AuditContract`] around `verifier` and queues its
+    /// negotiate → ack → deposits (mined with the rest of the setup
+    /// block). Every lane deploys through here; `batch_auditor` is what
+    /// tells the primary lane (verdicts from its shard auditor) from a
+    /// shadow lane (on-contract verification). Verification is metered
+    /// at the config's nominal cost either way.
+    fn deploy_contract(
+        &mut self,
+        label: &str,
+        agreement: Agreement,
+        verifier: Box<dyn Verifier>,
+        batch_auditor: Option<Address>,
+    ) -> Address {
+        let mut contract = AuditContract::new(agreement, verifier)
+            .with_nominal_verify_ms(self.cfg.nominal_verify_ms);
+        if let Some(auditor) = batch_auditor {
+            contract = contract.with_batch_auditor(auditor);
+        }
+        let addr = self.chain.deploy(label, Box::new(contract));
+        self.submit_call(agreement.owner, addr, "negotiate", Vec::new(), 0);
+        self.submit_call(agreement.provider, addr, "acked", Vec::new(), 0);
+        self.submit_call(agreement.owner, addr, "freeze", Vec::new(), agreement.owner_deposit);
+        self.submit_call(
+            agreement.provider,
+            addr,
+            "freeze",
+            Vec::new(),
+            agreement.provider_deposit,
+        );
+        addr
     }
 
     fn submit_call(&mut self, from: Address, to: Address, method: &str, data: Vec<u8>, value: Wei) {
@@ -801,7 +797,13 @@ impl Simulation {
             posted[pl_id] = Some((challenge, proof));
             let provider_addr = self.roster[pl.provider_slot].addr;
             let contract = pl.contract;
-            self.submit_call(provider_addr, contract, "prove", proof.encode(), 0);
+            self.submit_call(
+                provider_addr,
+                contract,
+                "prove",
+                PairingBackend::frame(&proof).encode(),
+                0,
+            );
             // shadow lanes prove over the *same* stored bytes for their
             // own contracts' beacons; proving time is the report's one
             // wall-clock measurement (the proofs really are computed)
@@ -854,25 +856,7 @@ impl Simulation {
                     }
                 })
                 .collect();
-            let batch_accepts = self.auditors[shard]
-                .verify_private_batch(&mut self.rng, &items)
-                .expect("share metadata validated at deployment")
-                .accepted();
-            let flags: Vec<bool> = if batch_accepts {
-                vec![true; items.len()]
-            } else {
-                // attribute blame: per-item verification, same outcome
-                // as the unbatched path
-                items
-                    .iter()
-                    .map(|it| {
-                        self.auditors[shard]
-                            .verify_private(it.pk, &it.meta, &it.challenge, &it.proof)
-                            .expect("share metadata validated at deployment")
-                            .accepted()
-                    })
-                    .collect()
-            };
+            let flags = self.auditors[shard].verify_private_each(&mut self.rng, &items);
             drop(items);
             for (&pl, flag) in members.iter().zip(flags) {
                 let mut data = vec![u8::from(flag)];

@@ -9,8 +9,8 @@
 //! wall-clock measurements (proving really runs); configs with no
 //! backend lanes (the default) keep the byte-identity guarantee whole.
 
-/// Head-to-head totals for one shadow audit lane: a second,
-/// backend-generic contract per share, driven through the same
+/// Head-to-head totals for one shadow audit lane: a second audit
+/// contract per share on the lane's backend, driven through the same
 /// challenge and fault schedule as the primary pairing path.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BackendLane {

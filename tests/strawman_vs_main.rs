@@ -86,13 +86,16 @@ fn merkle_baseline_leaks_but_main_does_not() {
 #[test]
 fn padded_strawman_profile_scales_with_constraints() {
     // the padding knob reproduces the paper's cost scaling: 4x the
-    // constraints => roughly >=2x the proving time (FFT + MSM growth)
+    // constraints => >3x the proving key (and with it the FFT + MSM
+    // work of proving). Asserted on sizes, not wall-clock times, so the
+    // test means the same on a loaded box.
     let mut rng = rng();
     let data = [3u8; 512];
     let small = StrawmanAudit::commit(&mut rng, &data, Some(4096)).unwrap();
     let (_, small_stats) = small.respond(&mut rng, 0, Some(4096)).unwrap();
     let big = StrawmanAudit::commit(&mut rng, &data, Some(16384)).unwrap();
     let (_, big_stats) = big.respond(&mut rng, 0, Some(16384)).unwrap();
-    assert!(big_stats.prove_time > small_stats.prove_time);
+    assert_eq!(small_stats.constraints, 4096);
+    assert_eq!(big_stats.constraints, 16384);
     assert!(big_stats.param_bytes > small_stats.param_bytes * 3);
 }

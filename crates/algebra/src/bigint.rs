@@ -217,8 +217,10 @@ pub const fn mul_wide(a: &Limbs, b: &Limbs) -> [u64; 8] {
 /// Binary long division of a 512-bit value by a non-zero 256-bit divisor:
 /// returns `(quotient, remainder)` with `a = q * d + rem`, `rem < d`.
 ///
-/// Used once per GLV decomposition (Babai rounding), so the simple
-/// shift-subtract loop is plenty fast.
+/// 512 shift-subtract steps: fine for deriving the GLV constants (the
+/// lattice basis and its reciprocals, once per process) and as the
+/// oracle the reciprocal division is tested against, too slow for
+/// anything per scalar.
 ///
 /// # Panics
 /// Panics when the divisor is zero.

@@ -12,7 +12,9 @@
 //! Nothing here is hand-transcribed: `beta` and `lambda` are found by
 //! exponentiation at first use, matched against each other on the
 //! generator, and the short lattice basis for the decomposition is
-//! derived with a partial extended Euclidean algorithm on `(r, lambda)`.
+//! derived with a partial extended Euclidean algorithm on `(r, lambda)`,
+//! together with the fixed-point reciprocals that turn the Babai
+//! rounding's two divisions by `r` into multiplications.
 //! Every decomposition is verified (`k1 + k2 * lambda == k` in `Fr`)
 //! before it is used; any failure falls back to the generic wNAF path,
 //! so a wrong constant can cost speed but never correctness.
@@ -106,34 +108,58 @@ fn mul_mags(a: u128, b: u128) -> Option<Limbs> {
     Some([wide[0], wide[1], wide[2], wide[3]])
 }
 
-/// `round(num / d)` where `num` is a 512-bit product and `d` the group
-/// order; returns the quotient magnitude if it fits `u128`.
-fn round_div(num: [u64; 8], d: &Limbs) -> Option<u128> {
-    let (q, rem) = bigint::div_rem_wide(&num, d);
-    // round half up: q += (2*rem >= d)
-    let (twice, carry) = bigint::add_wide(&rem, &rem);
-    let round_up = carry == 1 || bigint::geq(&twice, d);
-    let mut q = q;
-    if round_up {
-        let mut carry = 1u64;
-        for limb in q.iter_mut() {
-            let (s, c) = bigint::adc(*limb, 0, carry);
-            *limb = s;
-            carry = c;
-            if carry == 0 {
-                break;
-            }
-        }
-    }
-    if q[2..].iter().any(|&l| l != 0) {
+/// `floor(b * 2^256 / r)` for the group order `r`: the fixed-point
+/// reciprocal [`round_div`] multiplies by, derived once per basis entry
+/// with the long division it stands in for. `None` if it overflows 256
+/// bits (cannot happen for `b < 2^128`, checked defensively).
+fn reciprocal(b: u128) -> Option<Limbs> {
+    let mut shifted = [0u64; 8];
+    shifted[4] = b as u64;
+    shifted[5] = (b >> 64) as u64;
+    let (q, _) = bigint::div_rem_wide(&shifted, &FrParams::MODULUS);
+    if q[4..].iter().any(|&l| l != 0) {
         return None;
     }
-    Some((q[0] as u128) | ((q[1] as u128) << 64))
+    Some([q[0], q[1], q[2], q[3]])
 }
 
-/// The derived endomorphism data: `beta`, `lambda` and a short lattice
+/// `round(k * b / r)`, half up, for a canonical scalar `k < r` and a
+/// basis magnitude `b` with `recip = floor(b * 2^256 / r)`; returns the
+/// quotient magnitude if it fits `u128`.
+///
+/// Division-free: `floor(k * recip / 2^256)` undershoots
+/// `floor(k * b / r)` by at most one, because the two quotients differ
+/// by `k * frac(b * 2^256 / r) / 2^256 < 1`. The exact remainder
+/// `k * b - q * r` then says which — it is below `2r < 2^255`, so
+/// wrapping 256-bit arithmetic computes it exactly — and drives the
+/// rounding, so quotient and rounding equal the long division's.
+fn round_div(k: &Limbs, b: u128, recip: &Limbs) -> Option<u128> {
+    let r = FrParams::MODULUS;
+    let estimate = bigint::mul_wide(k, recip);
+    if estimate[6] != 0 || estimate[7] != 0 {
+        return None;
+    }
+    let mut q = (estimate[4] as u128) | ((estimate[5] as u128) << 64);
+    let kb = bigint::mul_wide(k, &u128_limbs(b));
+    let qr = bigint::mul_wide(&u128_limbs(q), &r);
+    let (mut rem, _) =
+        bigint::sub_wide(&[kb[0], kb[1], kb[2], kb[3]], &[qr[0], qr[1], qr[2], qr[3]]);
+    if bigint::geq(&rem, &r) {
+        rem = bigint::sub(&rem, &r);
+        q = q.checked_add(1)?;
+    }
+    // round half up: q += (2*rem >= r); rem < r < 2^254, so no carry
+    let (twice, _) = bigint::add_wide(&rem, &rem);
+    if bigint::geq(&twice, &r) {
+        q = q.checked_add(1)?;
+    }
+    Some(q)
+}
+
+/// The derived endomorphism data: `beta`, `lambda`, a short lattice
 /// basis `v1 = (a1, b1)`, `v2 = (a2, b2)` with `a_i + b_i * lambda == 0
-/// (mod r)`.
+/// (mod r)`, and the [`reciprocal`] of each `|b_i|` the decomposition
+/// divides by.
 struct G1Endo {
     beta: Fq,
     lambda: Fr,
@@ -141,6 +167,8 @@ struct G1Endo {
     b1: Signed128,
     a2: Signed128,
     b2: Signed128,
+    b1_recip: Limbs,
+    b2_recip: Limbs,
 }
 
 /// Finds a primitive cube root of unity in `Fp<P>` (requires
@@ -299,6 +327,8 @@ impl G1Endo {
             b1,
             a2,
             b2,
+            b1_recip: reciprocal(b1.mag)?,
+            b2_recip: reciprocal(b2.mag)?,
         };
         // verify both basis vectors: a + b * lambda == 0 (mod r)
         for (a, b) in [(&endo.a1, &endo.b1), (&endo.a2, &endo.b2)] {
@@ -319,17 +349,16 @@ impl G1Endo {
     /// Babai rounding against the short basis. Verified exactly in `Fr`
     /// before use; `None` (never expected) falls back to the slow path.
     fn decompose(&self, k: Fr) -> Option<(Signed128, Signed128)> {
-        let n = FrParams::MODULUS;
         let klimbs = k.to_canonical();
         // (c1, c2) = round( (k, 0) * B^{-1} ): c1 = round(k*b2/r) with
         // sign(b2), c2 = round(-k*b1/r) = round(k*b1/r) with sign flipped
         let c1 = Signed128 {
             neg: self.b2.neg,
-            mag: round_div(bigint::mul_wide(&klimbs, &u128_limbs(self.b2.mag)), &n)?,
+            mag: round_div(&klimbs, self.b2.mag, &self.b2_recip)?,
         };
         let c2 = Signed128 {
             neg: !self.b1.neg,
-            mag: round_div(bigint::mul_wide(&klimbs, &u128_limbs(self.b1.mag)), &n)?,
+            mag: round_div(&klimbs, self.b1.mag, &self.b1_recip)?,
         };
         let term = |c: &Signed128, v: &Signed128| -> Option<Signed256> {
             Some(Signed256 {
@@ -506,5 +535,75 @@ mod tests {
                 assert_eq!(g.to_projective(), p.mul(k), "k={k:?}");
             }
         }
+    }
+
+    /// The scalars every division test runs over: 10^4 seeded random
+    /// ones, the MSM suite's adversarial list, and the values around
+    /// which a quotient or its rounding could be off by one.
+    fn division_test_scalars() -> Vec<Fr> {
+        let endo = G1Endo::get().unwrap();
+        let mut rng = rng();
+        let mut scalars: Vec<Fr> = (0..10_000).map(|_| Fr::random(&mut rng)).collect();
+        scalars.extend(crate::msm::adversarial_scalars());
+        let half = Fr::from_limbs(bigint::shr(&FrParams::MODULUS, 1));
+        scalars.extend([
+            Fr::zero(),
+            Fr::one(),
+            -Fr::one(),
+            endo.lambda,
+            endo.lambda.square(),
+            half - Fr::one(),
+            half,
+            half + Fr::one(),
+        ]);
+        scalars
+    }
+
+    /// The bit-serial long division [`round_div`] replaced, kept as its
+    /// oracle: `round(num / d)`, half up.
+    fn round_div_long(num: [u64; 8], d: &Limbs) -> Option<u128> {
+        let (mut q, rem) = bigint::div_rem_wide(&num, d);
+        let (twice, carry) = bigint::add_wide(&rem, &rem);
+        if carry == 1 || bigint::geq(&twice, d) {
+            let mut carry = 1u64;
+            for limb in q.iter_mut() {
+                (*limb, carry) = bigint::adc(*limb, 0, carry);
+            }
+        }
+        if q[2..].iter().any(|&l| l != 0) {
+            return None;
+        }
+        Some((q[0] as u128) | ((q[1] as u128) << 64))
+    }
+
+    #[test]
+    fn reciprocal_division_equals_long_division() {
+        let endo = G1Endo::get().unwrap();
+        let r = FrParams::MODULUS;
+        for k in division_test_scalars() {
+            let klimbs = k.to_canonical();
+            for (b, recip) in [(endo.b1.mag, &endo.b1_recip), (endo.b2.mag, &endo.b2_recip)] {
+                let long = round_div_long(bigint::mul_wide(&klimbs, &u128_limbs(b)), &r);
+                assert!(long.is_some());
+                assert_eq!(round_div(&klimbs, b, recip), long, "k={k:?} b={b}");
+            }
+        }
+    }
+
+    /// Folds every `(k1, k2)` of the list above into one word, pinned at
+    /// the bit-serial long-division implementation: a quotient that
+    /// differs for any scalar, even to another *valid* split, moves it.
+    #[test]
+    fn decompose_known_answer() {
+        let endo = G1Endo::get().unwrap();
+        let mut acc = 0xcbf2_9ce4_8422_2325_u128;
+        for k in division_test_scalars() {
+            let (k1, k2) = endo.decompose(k).expect("decomposition never fails");
+            for v in [k1, k2] {
+                acc = (acc ^ v.mag ^ u128::from(v.neg)).wrapping_mul(0x0100_0000_01b3);
+                acc = acc.rotate_left(29);
+            }
+        }
+        assert_eq!(acc, 29_257_925_947_224_616_285_889_632_389_727_538_244);
     }
 }

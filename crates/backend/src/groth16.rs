@@ -79,11 +79,7 @@ impl Groth16MerkleBackend {
     /// other backends, clamped to the leaf count exactly like the
     /// circuit shape is at setup.
     fn indices(beacon: &[u8; 48], leaf_count: usize, batch: usize) -> Vec<u64> {
-        Challenge::from_beacon(beacon)
-            .expand(leaf_count, batch)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect()
+        Challenge::from_beacon(beacon).indices(leaf_count, batch)
     }
 
     /// Commitment payload: `root || depth (4 B) || leaf_count (8 B) ||

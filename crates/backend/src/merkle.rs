@@ -145,11 +145,7 @@ impl MerkleBackend {
     /// `leaf_count` leaves — the same constant-time expansion the
     /// pairing scheme uses for chunk indices.
     fn indices(beacon: &[u8; 48], leaf_count: usize, k: usize) -> Vec<u64> {
-        Challenge::from_beacon(beacon)
-            .expand(leaf_count, k)
-            .into_iter()
-            .map(|(i, _)| i)
-            .collect()
+        Challenge::from_beacon(beacon).indices(leaf_count, k)
     }
 
     /// Commitment payload: `root (32 B) || depth (4 B) || leaf_count

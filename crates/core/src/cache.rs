@@ -33,6 +33,8 @@ use dsaudit_algebra::pairing::G2Prepared;
 use dsaudit_algebra::Fr;
 use dsaudit_crypto::prf::index_oracle;
 
+use crate::par::par_map;
+
 /// Hit/miss counters of one cache since its creation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -46,7 +48,9 @@ pub struct CacheStats {
 ///
 /// Misses compute outside the lock (two racing lookups may both compute
 /// a fresh entry, which is benign for deterministic values); insertion
-/// evicts the oldest keys until the capacity bound holds. The counters
+/// evicts the oldest keys until the capacity bound holds. A batch of
+/// keys is looked up under one lock and its misses inserted under one
+/// more. The counters
 /// sit inside the same mutex as the map, so [`BoundedCache::stats`] is
 /// one consistent snapshot rather than two racing atomic loads.
 struct BoundedCache<K, V> {
@@ -72,6 +76,43 @@ struct BoundedMap<K, V> {
     pending_hits: u64,
     /// Misses not yet flushed to the obs registry.
     pending_misses: u64,
+}
+
+impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
+    /// Counts one lookup; every `OBS_FLUSH_EVERY`-th returns the
+    /// `(hits, misses)` deltas to mirror onto the obs registry once the
+    /// lock is released.
+    fn count(&mut self, hit: bool) -> Option<(u64, u64)> {
+        if hit {
+            self.hits = self.hits.saturating_add(1);
+            self.pending_hits = self.pending_hits.saturating_add(1);
+        } else {
+            self.misses = self.misses.saturating_add(1);
+            self.pending_misses = self.pending_misses.saturating_add(1);
+        }
+        if self.pending_hits.saturating_add(self.pending_misses) < OBS_FLUSH_EVERY {
+            return None;
+        }
+        let deltas = (self.pending_hits, self.pending_misses);
+        self.pending_hits = 0;
+        self.pending_misses = 0;
+        Some(deltas)
+    }
+
+    /// Inserts a computed entry, evicting oldest-first down to
+    /// `capacity`; a key already resident keeps its place in the order.
+    fn insert(&mut self, key: K, value: V, capacity: usize) {
+        if self.map.insert(key.clone(), value).is_none() {
+            self.order.push_back(key);
+            while self.map.len() > capacity {
+                if let Some(victim) = self.order.pop_front() {
+                    self.map.remove(&victim);
+                } else {
+                    break;
+                }
+            }
+        }
+    }
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
@@ -107,49 +148,77 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
         let (warm, flush) = {
             let mut inner = self.locked();
             let warm = inner.map.get(&key).cloned();
-            if warm.is_some() {
-                inner.hits = inner.hits.saturating_add(1);
-                inner.pending_hits = inner.pending_hits.saturating_add(1);
-            } else {
-                inner.misses = inner.misses.saturating_add(1);
-                inner.pending_misses = inner.pending_misses.saturating_add(1);
-            }
-            let flush = if inner.pending_hits.saturating_add(inner.pending_misses)
-                >= OBS_FLUSH_EVERY
-            {
-                let deltas = (inner.pending_hits, inner.pending_misses);
-                inner.pending_hits = 0;
-                inner.pending_misses = 0;
-                Some(deltas)
-            } else {
-                None
-            };
+            let flush = inner.count(warm.is_some());
             (warm, flush)
         };
-        if let Some((hits, misses)) = flush {
-            if hits > 0 {
-                dsaudit_obs::counter_add(&self.hit_metric, hits);
-            }
-            if misses > 0 {
-                dsaudit_obs::counter_add(&self.miss_metric, misses);
-            }
+        if let Some(deltas) = flush {
+            self.flush(deltas);
         }
         if let Some(v) = warm {
             return v;
         }
         let v = compute();
-        let mut inner = self.locked();
-        if inner.map.insert(key.clone(), v.clone()).is_none() {
-            inner.order.push_back(key);
-            while inner.map.len() > self.capacity {
-                if let Some(victim) = inner.order.pop_front() {
-                    inner.map.remove(&victim);
-                } else {
-                    break;
-                }
+        self.locked().insert(key, v.clone(), self.capacity);
+        v
+    }
+
+    /// [`Self::get_or_compute`] for a whole batch under two lock
+    /// acquisitions instead of one or two per key: the first gathers the
+    /// warm entries and counts every lookup, `compute` then fills in the
+    /// cold keys (each distinct one once, in first-occurrence order)
+    /// outside the lock, the second inserts them. Counting follows the
+    /// one-by-one order — a repeat of a cold key is a hit on its first
+    /// occurrence's value — so the totals and the obs flush points are
+    /// those of `keys.len()` sequential lookups.
+    fn get_or_compute_many(&self, keys: &[K], compute: impl FnOnce(&[K]) -> Vec<V>) -> Vec<V> {
+        // per key: the warm value, or its slot among the cold keys
+        let mut found: Vec<Result<V, usize>> = Vec::with_capacity(keys.len());
+        let mut cold: Vec<K> = Vec::new();
+        let mut cold_slot: HashMap<&K, usize> = HashMap::new();
+        let mut flushes = Vec::new();
+        {
+            let mut inner = self.locked();
+            for key in keys {
+                let (entry, hit) = match (inner.map.get(key), cold_slot.get(key)) {
+                    (Some(v), _) => (Ok(v.clone()), true),
+                    (None, Some(&slot)) => (Err(slot), true),
+                    (None, None) => {
+                        cold_slot.insert(key, cold.len());
+                        cold.push(key.clone());
+                        (Err(cold.len() - 1), false)
+                    }
+                };
+                found.push(entry);
+                flushes.extend(inner.count(hit));
             }
         }
-        v
+        for deltas in flushes {
+            self.flush(deltas);
+        }
+        if cold.is_empty() {
+            return found.into_iter().flatten().collect();
+        }
+        let computed = compute(&cold);
+        assert_eq!(computed.len(), cold.len(), "one value per cold key");
+        let out = found
+            .into_iter()
+            .map(|entry| entry.unwrap_or_else(|slot| computed[slot].clone()))
+            .collect();
+        let mut inner = self.locked();
+        for (key, v) in cold.into_iter().zip(computed) {
+            inner.insert(key, v, self.capacity);
+        }
+        out
+    }
+
+    /// Mirrors one batch of hit/miss deltas onto the obs registry.
+    fn flush(&self, (hits, misses): (u64, u64)) {
+        if hits > 0 {
+            dsaudit_obs::counter_add(&self.hit_metric, hits);
+        }
+        if misses > 0 {
+            dsaudit_obs::counter_add(&self.miss_metric, misses);
+        }
     }
 
     fn len(&self) -> usize {
@@ -200,6 +269,18 @@ impl ChiCache {
     pub fn index_oracle(&self, name: Fr, i: u64) -> G1Affine {
         self.cache
             .get_or_compute((name, i), || index_oracle(name, i))
+    }
+
+    /// `H(name || i)` for every `i` of `indices`, in order: warm
+    /// entries gathered under one lock, the cold ones hashed outside it
+    /// (across threads when there are enough) and inserted under one
+    /// more. A warm audit round is `k` hits for two lock acquisitions
+    /// and no thread.
+    pub fn index_oracles(&self, name: Fr, indices: &[u64]) -> Vec<G1Affine> {
+        let keys: Vec<(Fr, u64)> = indices.iter().map(|&i| (name, i)).collect();
+        self.cache.get_or_compute_many(&keys, |cold| {
+            par_map(cold.len(), |j| index_oracle(cold[j].0, cold[j].1))
+        })
     }
 
     /// Resident entries.
@@ -322,6 +403,103 @@ mod tests {
         let _ = cache.index_oracle(name, 0);
         assert_eq!(cache.stats().misses, before.misses + 1);
         assert_eq!(cache.len(), 4, "re-inserting keeps the bound");
+    }
+
+    #[test]
+    fn batch_lookup_matches_per_index_lookups() {
+        let name = Fr::from_u64(11);
+        let indices: Vec<u64> = (0..40).map(|i| i * 7 % 64).collect();
+        let expected: Vec<G1Affine> = indices.iter().map(|&i| index_oracle(name, i)).collect();
+        let batched = ChiCache::new();
+        // cold, then half warm, then all warm
+        assert_eq!(batched.index_oracles(name, &indices[..20]), expected[..20]);
+        assert_eq!(batched.index_oracles(name, &indices), expected);
+        assert_eq!(batched.index_oracles(name, &indices), expected);
+        let one_by_one = ChiCache::new();
+        for round in [&indices[..20], &indices, &indices] {
+            for (&i, want) in round.iter().zip(&expected) {
+                assert_eq!(one_by_one.index_oracle(name, i), *want);
+            }
+        }
+        assert_eq!(batched.stats(), one_by_one.stats());
+        assert_eq!(batched.len(), one_by_one.len());
+        assert!(batched.index_oracles(name, &[]).is_empty());
+    }
+
+    #[test]
+    fn batch_counts_a_repeated_cold_key_once() {
+        let name = Fr::from_u64(12);
+        let cache = ChiCache::new();
+        let got = cache.index_oracles(name, &[5, 9, 5, 5, 9]);
+        let (five, nine) = (index_oracle(name, 5), index_oracle(name, 9));
+        assert_eq!(got, [five, nine, five, five, nine]);
+        assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 2 });
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn batch_larger_than_capacity_keeps_the_fifo_bound() {
+        let name = Fr::from_u64(13);
+        let cache = ChiCache::with_capacity(4);
+        let indices: Vec<u64> = (0..10).collect();
+        let got = cache.index_oracles(name, &indices);
+        let expected: Vec<G1Affine> = indices.iter().map(|&i| index_oracle(name, i)).collect();
+        assert_eq!(got, expected, "evicted entries are still returned");
+        assert_eq!(cache.len(), 4, "capacity bound must hold");
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 0,
+                misses: 10
+            }
+        );
+        // the newest four (6..10) stayed, the oldest six went
+        let _ = cache.index_oracles(name, &[6, 7, 8, 9]);
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 4,
+                misses: 10
+            }
+        );
+        let _ = cache.index_oracles(name, &[0]);
+        assert_eq!(
+            cache.stats(),
+            CacheStats {
+                hits: 4,
+                misses: 11
+            }
+        );
+        assert_eq!(cache.len(), 4);
+    }
+
+    #[test]
+    fn concurrent_batches_count_every_lookup() {
+        let name = Fr::from_u64(14);
+        let cache = ChiCache::new();
+        let start = std::sync::Barrier::new(2);
+        let overlapping: [Vec<u64>; 2] = [(0..24).collect(), (12..36).collect()];
+        std::thread::scope(|scope| {
+            for indices in &overlapping {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..3 {
+                        let got = cache.index_oracles(name, indices);
+                        assert_eq!(got[0], index_oracle(name, indices[0]));
+                    }
+                });
+            }
+        });
+        let stats = cache.stats();
+        assert_eq!(stats.hits + stats.misses, 2 * 3 * 24);
+        // each key is cold for at most both racing first rounds
+        assert!(
+            (36..=48).contains(&stats.misses),
+            "misses: {}",
+            stats.misses
+        );
+        assert_eq!(cache.len(), 36);
     }
 
     #[test]

@@ -57,11 +57,23 @@ impl Challenge {
         48
     }
 
-    /// Expands the challenge against a file of `d` chunks into the
-    /// challenged set `{(i, c_i)}` with `k` distinct indices.
+    /// The `k` distinct challenged indices in `[0, d)`, in challenge
+    /// order, without the coefficients — all a Merkle-path or SNARK
+    /// backend needs of the expansion, and what [`Challenge::expand`]
+    /// pairs coefficients with.
     ///
     /// When `k >= d` every chunk is challenged (small files), matching
     /// the protocol's behavior of clamping rather than repeating indices.
+    ///
+    /// Constant-time contract: as for [`Challenge::expand`].
+    // lint:ct
+    pub fn indices(&self, d: usize, k: usize) -> Vec<u64> {
+        SmallDomainPrp::new(&self.c1, d as u64).sample_distinct(k.min(d))
+    }
+
+    /// Expands the challenge against a file of `d` chunks into the
+    /// challenged set `{(i, c_i)}`: the [`Challenge::indices`] with the
+    /// `j`-th paired to the PRF coefficient `f(C2, j)`.
     ///
     /// Constant-time contract: expansion is branch-free in the seeds —
     /// which chunks an audit samples must not leak before settlement, so
@@ -69,11 +81,8 @@ impl Challenge {
     /// Enforced by the `ct-branch` lint via the annotation below.
     // lint:ct
     pub fn expand(&self, d: usize, k: usize) -> Vec<(u64, Fr)> {
-        let k_eff = k.min(d);
-        let prp = SmallDomainPrp::new(&self.c1, d as u64);
-        let indices = prp.sample_distinct(k_eff);
         let prf_key = HmacKey::new(&self.c2);
-        indices
+        self.indices(d, k)
             .into_iter()
             .enumerate()
             .map(|(j, i)| (i, prf_fr_keyed(&prf_key, j as u64)))
@@ -167,6 +176,15 @@ mod tests {
     }
 
     #[test]
+    fn indices_are_the_expansion_without_coefficients() {
+        let ch = Challenge::random(&mut rng());
+        for (d, k) in [(1, 1), (7, 300), (677, 300), (5000, 40)] {
+            let from_expand: Vec<u64> = ch.expand(d, k).into_iter().map(|(i, _)| i).collect();
+            assert_eq!(ch.indices(d, k), from_expand, "d={d} k={k}");
+        }
+    }
+
+    #[test]
     fn beacon_roundtrip_and_sensitivity() {
         let mut b1 = [7u8; 48];
         let c1 = Challenge::from_beacon(&b1);
@@ -182,5 +200,65 @@ mod tests {
         let a = Challenge::random(&mut rng).expand(1000, 50);
         let b = Challenge::random(&mut rng).expand(1000, 50);
         assert_ne!(a, b);
+    }
+
+    /// Known-answer vectors for the expansion of the beacon
+    /// `00 01 .. 2f`: `(d, k, first indices, SHA-256 over every pair as
+    /// index (8 B LE) || coefficient (32 B BE))`, on the same `(d, k)`
+    /// grid as the PRP's own vectors — the one-element domain, `k`
+    /// clamped to `d = 7`, the paper's 1 MiB file, and a domain on each
+    /// side of the PRP's round-function-table rule.
+    const KNOWN_ANSWERS: [(usize, usize, &[u64], &str); 5] = [
+        (
+            1,
+            1,
+            &[0],
+            "55237b52b528551d8d0016cfe63f5d28be3296b8a7cc002788fecffed644a48b",
+        ),
+        (
+            7,
+            300,
+            &[6, 1, 5, 4, 3, 2, 0],
+            "a7182547fcec91600093f3f48af24aaeba32dc92b82fcd3d7a8cf1cf631f5e4b",
+        ),
+        (
+            677,
+            300,
+            &[610, 80, 363, 194, 671, 218, 558],
+            "99dc9c6202b277b92fbc51a47af5050ba82ee6973f99cbc3fddb79affb611e87",
+        ),
+        (
+            65536,
+            300,
+            &[4712, 43983, 59006, 8962, 16667, 35370, 41392],
+            "4468a4f221860a011543c175df63750bdc609b6d5f7c6fbb306ceda1f225c051",
+        ),
+        (
+            1 << 20,
+            300,
+            &[208598, 764581, 51985, 674523, 174, 1048038, 363655],
+            "7ddf760bdd30543ac87629d84a078d2748345d7e575f2c427962af4e2f1926f1",
+        ),
+    ];
+
+    #[test]
+    fn expand_known_answers() {
+        let ch = Challenge::from_beacon(&core::array::from_fn(|i| i as u8));
+        for (d, k, head, digest) in KNOWN_ANSWERS {
+            let set = ch.expand(d, k);
+            assert_eq!(set.len(), k.min(d));
+            let mut bytes = Vec::with_capacity(set.len() * 40);
+            for (i, c) in &set {
+                bytes.extend_from_slice(&i.to_le_bytes());
+                bytes.extend_from_slice(&c.to_bytes_be());
+            }
+            let hex: String = dsaudit_crypto::sha256::sha256(&bytes)
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            let indices: Vec<u64> = set.iter().map(|(i, _)| *i).collect();
+            assert_eq!(&indices[..head.len()], head, "d={d} k={k}");
+            assert_eq!(hex, digest, "d={d} k={k}");
+        }
     }
 }

@@ -284,4 +284,33 @@ mod tests {
             })
         );
     }
+
+    /// Known answer for one private proof from fixed seeds: key, file
+    /// name, tags, challenge and mask all come from the one RNG stream,
+    /// and the 40 challenged chunks take `msm_g1` through the GLV split
+    /// and the index PRP through its round-function table. The bytes
+    /// move only when the challenge set, the decomposition or the
+    /// aggregation does.
+    #[test]
+    fn private_proof_bytes_known_answer() {
+        use crate::codec::Codec;
+        let mut rng = rng();
+        let params = AuditParams::new(8, 40).unwrap();
+        let (sk, pk) = keygen(&mut rng, &params);
+        let data: Vec<u8> = (0..16_000).map(|i| (i * 31 % 251) as u8).collect();
+        let file = EncodedFile::encode(&mut rng, &data, params);
+        assert!(file.num_chunks() > 40, "k must not clamp");
+        let tags = generate_tags(&sk, &file);
+        let prover = Prover::new(&pk, &file, &tags).unwrap();
+        let ch = Challenge::random(&mut rng);
+        let proof = prover.prove_private(&mut rng, &ch);
+        let hex: String = dsaudit_crypto::sha256::sha256(&proof.encode())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "f1e8833c9e065c69de202cb75c0315c5789c20f6b8fe4b8d5933f20bf56563f8"
+        );
+    }
 }

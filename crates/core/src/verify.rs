@@ -20,7 +20,7 @@
 //! check stateless (cold caches) for one-shot use.
 
 use dsaudit_algebra::endo::msm_g1;
-use dsaudit_algebra::g1::{G1Affine, G1Projective};
+use dsaudit_algebra::g1::G1Projective;
 use dsaudit_algebra::pairing::{multi_pairing_prepared, G2Prepared};
 use dsaudit_algebra::Fr;
 use dsaudit_crypto::prf::h_prime;
@@ -30,7 +30,6 @@ use crate::cache::ChiCache;
 use crate::challenge::Challenge;
 use crate::error::{DsAuditError, RejectReason, Verdict};
 use crate::keys::PublicKey;
-use crate::par::par_map;
 use crate::proof::{PlainProof, PrivateProof};
 
 /// Public metadata the verifier (smart contract) holds about a file.
@@ -65,8 +64,8 @@ impl FileMeta {
 /// with the hash-to-curve points served from the given [`ChiCache`].
 pub fn compute_chi(cache: &ChiCache, name: Fr, set: &[(u64, Fr)]) -> G1Projective {
     let _span = dsaudit_obs::span("core.compute_chi");
-    let hashes: Vec<G1Affine> = par_map(set.len(), |j| cache.index_oracle(name, set[j].0));
-    let coeffs: Vec<Fr> = set.iter().map(|(_, c)| *c).collect();
+    let (indices, coeffs): (Vec<u64>, Vec<Fr>) = set.iter().copied().unzip();
+    let hashes = cache.index_oracles(name, &indices);
     msm_g1(&hashes, &coeffs)
 }
 

@@ -31,12 +31,14 @@ pub fn prf_fr(seed: &[u8], index: u64) -> Fr {
 /// `ct-branch` lint via the annotation below.
 // lint:ct
 pub fn prf_fr_keyed(key: &HmacKey, index: u64) -> Fr {
-    let mut msg = Vec::with_capacity(21);
-    msg.extend_from_slice(b"dsaudit/prf/");
-    msg.extend_from_slice(&index.to_le_bytes());
+    // `"dsaudit/prf/" || index (8 B LE)`, then the same with a trailing
+    // 0xff for the high half of the wide reduction
+    let mut msg = [0u8; 21];
+    msg[..12].copy_from_slice(b"dsaudit/prf/");
+    msg[12..20].copy_from_slice(&index.to_le_bytes());
+    msg[20] = 0xff;
     let mut wide = [0u8; 64];
-    wide[..32].copy_from_slice(&key.mac(&msg));
-    msg.push(0xff);
+    wide[..32].copy_from_slice(&key.mac(&msg[..20]));
     wide[32..].copy_from_slice(&key.mac(&msg));
     Fr::from_bytes_wide(&wide)
 }

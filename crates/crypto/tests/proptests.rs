@@ -53,6 +53,18 @@ proptest! {
         }
     }
 
+    /// `sample_distinct` is the first `k` outputs of `permute`, on both
+    /// sides of the round-function table rule (`2^half_bits <= k`): at
+    /// `d <= 4096` the half-block is at most 6 bits, so `k` up to 96
+    /// lands above and below the threshold.
+    #[test]
+    fn prp_sample_is_permute_prefix(seed in any::<[u8; 16]>(), d in 1u64..4097, k in 1usize..97) {
+        let prp = SmallDomainPrp::new(&seed, d);
+        let k = k.min(d as usize);
+        let expected: Vec<u64> = (0..k as u64).map(|j| prp.permute(j)).collect();
+        prop_assert_eq!(prp.sample_distinct(k), expected);
+    }
+
     /// HMAC differs on any single-bit message change.
     #[test]
     fn hmac_message_sensitivity(key in any::<[u8; 16]>(), msg in prop::collection::vec(any::<u8>(), 1..256), bit in 0usize..8) {

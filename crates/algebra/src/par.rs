@@ -1,9 +1,8 @@
 //! Tiny data-parallel helpers over `std::thread::scope`.
 //!
-//! Moved here from `dsaudit-core` so the MSM window loop can fan out
-//! across cores without a dependency cycle (`core` depends on `algebra`);
-//! `core::par` re-exports these functions so existing callers are
-//! unaffected. Keeping the shim dependency-free matters because the build
+//! They live in the lowest crate so the MSM window loop can fan out
+//! across cores without a dependency cycle (`core` depends on `algebra`).
+//! Keeping the shim dependency-free matters because the build
 //! environment has no registry access (no rayon).
 
 use std::num::NonZeroUsize;

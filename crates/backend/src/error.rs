@@ -21,9 +21,10 @@ pub enum BackendError {
     Audit(DsAuditError),
     /// A SNARK pipeline error (circuit too large, unsatisfied witness).
     Snark(SnarkError),
-    /// The prover's stored bytes no longer have the shape its kit was
-    /// built for — the honest response is a timeout, not a forged
-    /// submission.
+    /// A shape that cannot be audited. From `setup`: a backend
+    /// configured with a zero size. From `prove`: stored bytes that no
+    /// longer have the shape the kit was built for — the honest
+    /// response is a timeout, not a forged submission.
     Shape(&'static str),
 }
 
@@ -35,9 +36,7 @@ impl std::fmt::Display for BackendError {
             }
             BackendError::Audit(e) => write!(f, "audit layer error: {e}"),
             BackendError::Snark(e) => write!(f, "snark error: {e}"),
-            BackendError::Shape(what) => {
-                write!(f, "stored data does not match the kit's shape: {what}")
-            }
+            BackendError::Shape(what) => write!(f, "unauditable shape: {what}"),
         }
     }
 }

@@ -29,8 +29,8 @@ use dsaudit_merkle::tree::{MerkleTree, MimcHasher};
 use dsaudit_snark::groth16::{prove, setup, verify, Proof, ProvingKey, VerifyingKey};
 use dsaudit_snark::{batch_public_inputs, merkle_batch_membership_circuit};
 
-use crate::wire::{BackendProof, Commitment, ProverKit};
-use crate::{AuditBackend, BackendError, BackendId, BackendSetup, Verifier};
+use crate::wire::{BackendProof, Commitment};
+use crate::{AuditBackend, BackendError, BackendId, BackendSetup, ProverKit, Verifier};
 
 /// Wire ceiling on tree depth (shared rationale with the merkle
 /// backend: bounds decode work, unreachable in practice).
@@ -62,6 +62,16 @@ fn leaves_from(data: &[u8]) -> Vec<Fr> {
             Fr::from_bytes_be(&buf).expect("31 bytes fit below the modulus")
         })
         .collect()
+}
+
+/// The Groth16 provider's proving material: the tree shape and batch
+/// the circuit was keyed for, and the proving key itself.
+#[derive(Clone, Debug)]
+pub struct Groth16Kit {
+    depth: usize,
+    leaf_count: usize,
+    batch: usize,
+    pk: ProvingKey,
 }
 
 /// Decoded commitment payload (verifying key included); the backend's
@@ -106,18 +116,6 @@ impl Groth16MerkleBackend {
             vk,
         })
     }
-
-    /// Kit payload: `depth (4 B) || leaf_count (8 B) || batch (4 B) ||
-    /// pk`.
-    fn decode_kit(bytes: &[u8]) -> Result<(usize, usize, usize, ProvingKey), BackendError> {
-        let mut r = ByteReader::new(bytes, "Groth16Kit");
-        let depth = r.u32_le("depth")? as usize;
-        let leaf_count = u64::from_le_bytes(r.array::<8>("leaf_count")?) as usize;
-        let batch = r.u32_le("batch")? as usize;
-        let pk = ProvingKey::decode_from(&mut r)?;
-        r.finish()?;
-        Ok((depth, leaf_count, batch, pk))
-    }
 }
 
 impl AuditBackend for Groth16MerkleBackend {
@@ -126,6 +124,10 @@ impl AuditBackend for Groth16MerkleBackend {
     }
 
     fn setup(&self, rng: &mut dyn RngCore, data: &[u8]) -> Result<BackendSetup, BackendError> {
+        // an empty batch is a commitment `verifier` refuses
+        if self.batch == 0 {
+            return Err(BackendError::Shape("batch must be positive"));
+        }
         let leaves = leaves_from(data);
         let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
         let depth = tree.depth();
@@ -147,21 +149,17 @@ impl AuditBackend for Groth16MerkleBackend {
         commitment.extend_from_slice(&(self.batch as u32).to_le_bytes());
         pk.vk.encode_into(&mut commitment);
 
-        let mut kit = Vec::new();
-        kit.extend_from_slice(&(depth as u32).to_le_bytes());
-        kit.extend_from_slice(&(leaf_count as u64).to_le_bytes());
-        kit.extend_from_slice(&(self.batch as u32).to_le_bytes());
-        pk.encode_into(&mut kit);
-
         Ok(BackendSetup {
             commitment: Commitment {
                 backend: BackendId::Groth16Merkle,
                 bytes: commitment,
             },
-            kit: ProverKit {
-                backend: BackendId::Groth16Merkle,
-                bytes: kit,
-            },
+            kit: ProverKit::Groth16Merkle(Box::new(Groth16Kit {
+                depth,
+                leaf_count,
+                batch: self.batch,
+                pk,
+            })),
         })
     }
 
@@ -172,14 +170,15 @@ impl AuditBackend for Groth16MerkleBackend {
         stored: &[u8],
         beacon: &[u8; 48],
     ) -> Result<BackendProof, BackendError> {
-        kit.expect_backend(BackendId::Groth16Merkle)?;
-        let (depth, leaf_count, batch, pk) = Self::decode_kit(&kit.bytes)?;
+        let ProverKit::Groth16Merkle(kit) = kit else {
+            return Err(kit.wrong_backend(BackendId::Groth16Merkle));
+        };
         let leaves = leaves_from(stored);
         let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
-        if tree.depth() != depth || leaves.len() != leaf_count {
+        if tree.depth() != kit.depth || leaves.len() != kit.leaf_count {
             return Err(BackendError::Shape("tree depth / leaf count"));
         }
-        let entries: Vec<(Fr, Vec<Fr>, usize)> = Self::indices(beacon, leaf_count, batch)
+        let entries: Vec<(Fr, Vec<Fr>, usize)> = Self::indices(beacon, kit.leaf_count, kit.batch)
             .into_iter()
             .map(|i| (leaves[i as usize], tree.open(i as usize).siblings, i as usize))
             .collect();
@@ -187,7 +186,7 @@ impl AuditBackend for Groth16MerkleBackend {
         // proving never fails on corrupt data — the mismatch surfaces
         // at verification against the committed root
         let cs = merkle_batch_membership_circuit(tree.root(), &entries);
-        let proof = prove(rng, &pk, &cs)?;
+        let proof = prove(rng, &kit.pk, &cs)?;
         Ok(BackendProof {
             backend: BackendId::Groth16Merkle,
             bytes: proof.encode(),

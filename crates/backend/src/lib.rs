@@ -11,13 +11,13 @@
 //! ```
 //!
 //! A contract is deployed over an erased [`Commitment`], which its
-//! backend decodes **once** into a [`Verifier`]; the provider holds an
-//! erased [`ProverKit`]; each round the chain's randomness beacon is
-//! the challenge, the provider answers with an erased [`BackendProof`],
-//! and the verifier returns the protocol's usual
+//! backend decodes **once** into a [`Verifier`]; the provider holds the
+//! [`ProverKit`] that `setup` built; each round the chain's randomness
+//! beacon is the challenge, the provider answers with an erased
+//! [`BackendProof`], and the verifier returns the protocol's usual
 //! [`Verdict`] — `Reject` for a proof that
 //! decodes but does not verify, a typed error for bytes that don't
-//! decode. All three wire objects lead with a [`BackendId`] byte, so a
+//! decode. Both wire objects lead with a [`BackendId`] byte, so a
 //! chain can host contracts on different backends side by side and a
 //! frame for an unknown backend dies in decoding, never in a verdict.
 //!
@@ -46,10 +46,10 @@ pub use error::BackendError;
 pub use groth16::Groth16MerkleBackend;
 pub use merkle::{MerkleBackend, MerkleBackendProof, MerkleProofEntry};
 pub use pairing::PairingBackend;
-pub use wire::{BackendProof, Commitment, ProverKit};
+pub use wire::{BackendProof, Commitment};
 
 /// Identifies a proof-of-storage scheme on the wire: the leading byte
-/// of every [`Commitment`], [`ProverKit`], and [`BackendProof`], the
+/// of every [`Commitment`] and [`BackendProof`], the
 /// backend field of a node frame, and the per-contract selector in
 /// agreement terms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -111,9 +111,43 @@ impl std::fmt::Display for BackendId {
     }
 }
 
-/// What setup hands back: the verifier's on-chain commitment and the
-/// provider's proving material, both erased to wire objects.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// What the provider holds besides the data: the state `setup` built,
+/// handed back to `prove` as it is. No caller sends it anywhere, so it
+/// has no byte form to decode every round; its contents are each
+/// backend's own business.
+#[derive(Clone, Debug)]
+pub enum ProverKit {
+    /// Built by [`PairingBackend`].
+    Pairing(Box<pairing::PairingKit>),
+    /// Built by [`MerkleBackend`].
+    Merkle(merkle::MerkleKit),
+    /// Built by [`Groth16MerkleBackend`].
+    Groth16Merkle(Box<groth16::Groth16Kit>),
+}
+
+impl ProverKit {
+    /// The backend that built this kit, and the only one that proves
+    /// from it.
+    pub fn backend(&self) -> BackendId {
+        match self {
+            ProverKit::Pairing(_) => BackendId::Pairing,
+            ProverKit::Merkle(_) => BackendId::Merkle,
+            ProverKit::Groth16Merkle(_) => BackendId::Groth16Merkle,
+        }
+    }
+
+    /// The error for handing this kit to backend `expected`.
+    fn wrong_backend(&self, expected: BackendId) -> BackendError {
+        BackendError::WrongBackend {
+            expected,
+            got: self.backend(),
+        }
+    }
+}
+
+/// What setup hands back: the verifier's on-chain commitment, erased to
+/// a wire object, and the provider's proving material.
+#[derive(Clone, Debug)]
 pub struct BackendSetup {
     /// Stored by the audit contract; everything verification needs.
     pub commitment: Commitment,
@@ -142,19 +176,26 @@ pub trait AuditBackend: Send + Sync {
     /// Processes `data` into a commitment/kit pair.
     ///
     /// # Errors
-    /// Backend-specific setup failures (e.g. a circuit too large for
-    /// the SNARK's FFT domain).
+    /// A configuration that can never be audited (zero or out-of-range
+    /// parameters: [`BackendError::Shape`] or the core layer's
+    /// parameter error), and backend-specific setup failures (e.g. a
+    /// circuit too large for the SNARK's FFT domain).
     fn setup(&self, rng: &mut dyn RngCore, data: &[u8]) -> Result<BackendSetup, BackendError>;
 
     /// Produces the round's proof over the provider's `stored` bytes
     /// for the challenge derived from `beacon`.
     ///
+    /// Every parameter comes from `kit` and none from `self`: any
+    /// instance of the kit's backend, however configured, returns the
+    /// same proof — a caller that resolves the backend by id alone
+    /// ([`backend_for`]) proves correctly for a kit that a differently
+    /// configured instance set up.
+    ///
     /// # Errors
     /// [`BackendError::WrongBackend`] when the kit belongs to another
     /// backend; [`BackendError::Shape`] when `stored` no longer has the
     /// shape the kit was built for (a provider that lost bytes should
-    /// time out, not forge a submission); decode/prover errors
-    /// otherwise.
+    /// time out, not forge a submission); prover errors otherwise.
     fn prove(
         &self,
         rng: &mut dyn RngCore,

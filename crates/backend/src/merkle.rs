@@ -20,8 +20,8 @@ use dsaudit_core::{Challenge, DsAuditError, RejectReason, Verdict};
 use dsaudit_merkle::audit::MerkleAudit;
 use dsaudit_merkle::tree::{MerkleHasher, MerklePath, Sha256Hasher};
 
-use crate::wire::{BackendProof, Commitment, ProverKit};
-use crate::{AuditBackend, BackendError, BackendId, BackendSetup, Verifier};
+use crate::wire::{BackendProof, Commitment};
+use crate::{AuditBackend, BackendError, BackendId, BackendSetup, ProverKit, Verifier};
 
 /// Hard ceiling on tree depth accepted from the wire (2^64 leaves is
 /// unreachable anyway; the bound keeps decode allocations small).
@@ -132,6 +132,18 @@ impl Codec for MerkleBackendProof {
 /// (8 B) || k (4 B)`.
 const COMMITMENT_BYTES: usize = 32 + 4 + 8 + 4;
 
+/// The Merkle provider's proving material: the leaf geometry and the
+/// tree shape committed at setup. The tree itself is recomputed from
+/// the stored bytes every round — a provider that discarded data has
+/// nothing to answer from.
+#[derive(Clone, Debug)]
+pub struct MerkleKit {
+    leaf_size: usize,
+    k: usize,
+    depth: usize,
+    leaf_count: usize,
+}
+
 /// Decoded commitment payload; the backend's [`Verifier`].
 struct MerkleCommitment {
     root: [u8; 32],
@@ -171,20 +183,6 @@ impl MerkleBackend {
             k,
         })
     }
-
-    /// Kit payload: `leaf_size (4 B) || k (4 B) || depth (4 B) ||
-    /// leaf_count (8 B)`. The tree itself is recomputed from the stored
-    /// bytes — a provider that discarded data has nothing to answer
-    /// from.
-    fn decode_kit(bytes: &[u8]) -> Result<(usize, usize, usize, usize), BackendError> {
-        let mut r = ByteReader::new(bytes, "MerkleKit");
-        let leaf_size = r.u32_le("leaf_size")? as usize;
-        let k = r.u32_le("k")? as usize;
-        let depth = r.u32_le("depth")? as usize;
-        let leaf_count = u64::from_le_bytes(r.array::<8>("leaf_count")?) as usize;
-        r.finish()?;
-        Ok((leaf_size, k, depth, leaf_count))
-    }
 }
 
 impl AuditBackend for MerkleBackend {
@@ -193,6 +191,10 @@ impl AuditBackend for MerkleBackend {
     }
 
     fn setup(&self, _rng: &mut dyn RngCore, data: &[u8]) -> Result<BackendSetup, BackendError> {
+        // zero leaves cannot chunk; zero `k` is refused by `verifier`
+        if self.leaf_size == 0 || self.k == 0 {
+            return Err(BackendError::Shape("leaf_size and k must be positive"));
+        }
         let (audit, _tree, _leaves) = MerkleAudit::commit(data, self.leaf_size);
 
         let mut commitment = Vec::with_capacity(COMMITMENT_BYTES);
@@ -201,21 +203,17 @@ impl AuditBackend for MerkleBackend {
         commitment.extend_from_slice(&(audit.num_leaves as u64).to_le_bytes());
         commitment.extend_from_slice(&(self.k as u32).to_le_bytes());
 
-        let mut kit = Vec::with_capacity(4 + 4 + 4 + 8);
-        kit.extend_from_slice(&(self.leaf_size as u32).to_le_bytes());
-        kit.extend_from_slice(&(self.k as u32).to_le_bytes());
-        kit.extend_from_slice(&(audit.depth as u32).to_le_bytes());
-        kit.extend_from_slice(&(audit.num_leaves as u64).to_le_bytes());
-
         Ok(BackendSetup {
             commitment: Commitment {
                 backend: BackendId::Merkle,
                 bytes: commitment,
             },
-            kit: ProverKit {
-                backend: BackendId::Merkle,
-                bytes: kit,
-            },
+            kit: ProverKit::Merkle(MerkleKit {
+                leaf_size: self.leaf_size,
+                k: self.k,
+                depth: audit.depth,
+                leaf_count: audit.num_leaves,
+            }),
         })
     }
 
@@ -226,13 +224,14 @@ impl AuditBackend for MerkleBackend {
         stored: &[u8],
         beacon: &[u8; 48],
     ) -> Result<BackendProof, BackendError> {
-        kit.expect_backend(BackendId::Merkle)?;
-        let (leaf_size, k, depth, leaf_count) = Self::decode_kit(&kit.bytes)?;
-        let (audit, tree, leaves) = MerkleAudit::commit(stored, leaf_size);
-        if audit.depth != depth || audit.num_leaves != leaf_count {
+        let ProverKit::Merkle(kit) = kit else {
+            return Err(kit.wrong_backend(BackendId::Merkle));
+        };
+        let (audit, tree, leaves) = MerkleAudit::commit(stored, kit.leaf_size);
+        if audit.depth != kit.depth || audit.num_leaves != kit.leaf_count {
             return Err(BackendError::Shape("tree depth / leaf count"));
         }
-        let entries = Self::indices(beacon, leaf_count, k)
+        let entries = Self::indices(beacon, kit.leaf_count, kit.k)
             .into_iter()
             .map(|i| {
                 let path = tree.open(i as usize);

@@ -14,8 +14,8 @@ use dsaudit_core::{
     Verdict,
 };
 
-use crate::wire::{BackendProof, Commitment, ProverKit};
-use crate::{AuditBackend, BackendError, BackendId, BackendSetup, Verifier};
+use crate::wire::{BackendProof, Commitment};
+use crate::{AuditBackend, BackendError, BackendId, BackendSetup, ProverKit, Verifier};
 
 /// The pairing backend; configured by the paper's audit parameters
 /// (blocks per chunk `s`, challenges per round `k`).
@@ -23,6 +23,17 @@ use crate::{AuditBackend, BackendError, BackendId, BackendSetup, Verifier};
 pub struct PairingBackend {
     /// Audit parameters every file under this backend is encoded with.
     pub params: AuditParams,
+}
+
+/// The pairing provider's proving material: the owner's public key,
+/// the name the tags are bound to, the validated parameters the file
+/// was encoded with, and one tag per chunk.
+#[derive(Clone, Debug)]
+pub struct PairingKit {
+    pk: PublicKey,
+    name: Fr,
+    params: AuditParams,
+    tags: Vec<G1Affine>,
 }
 
 impl PairingBackend {
@@ -70,21 +81,6 @@ impl PairingBackend {
         r.finish()?;
         Ok((pk, FileMeta { name, num_chunks, k }))
     }
-
-    /// Kit payload: `pk || name || s (4 B) || k (4 B) || tags` — what
-    /// the provider needs to re-encode its stored bytes and answer.
-    fn decode_kit(
-        bytes: &[u8],
-    ) -> Result<(PublicKey, Fr, AuditParams, Vec<G1Affine>), BackendError> {
-        let mut r = ByteReader::new(bytes, "PairingKit");
-        let pk = PublicKey::decode_from(&mut r)?;
-        let name = Fr::decode_from(&mut r)?;
-        let s = r.u32_le("s")? as usize;
-        let k = r.u32_le("k")? as usize;
-        let tags = Vec::<G1Affine>::decode_from(&mut r)?;
-        r.finish()?;
-        Ok((pk, name, AuditParams::new(s, k)?, tags))
-    }
 }
 
 impl AuditBackend for PairingBackend {
@@ -93,7 +89,9 @@ impl AuditBackend for PairingBackend {
     }
 
     fn setup(&self, rng: &mut dyn RngCore, data: &[u8]) -> Result<BackendSetup, BackendError> {
-        let owner = DataOwner::generate(rng, self.params);
+        // the field is pub: validated here, once, before any encode
+        let params = AuditParams::new(self.params.s, self.params.k)?;
+        let owner = DataOwner::generate(rng, params);
         let out = owner.outsource(rng, data);
         let meta = out.meta();
 
@@ -103,22 +101,17 @@ impl AuditBackend for PairingBackend {
         commitment.extend_from_slice(&(meta.num_chunks as u32).to_le_bytes());
         commitment.extend_from_slice(&(meta.k as u32).to_le_bytes());
 
-        let mut kit = Vec::new();
-        out.pk.encode_into(&mut kit);
-        meta.name.encode_into(&mut kit);
-        kit.extend_from_slice(&(self.params.s as u32).to_le_bytes());
-        kit.extend_from_slice(&(self.params.k as u32).to_le_bytes());
-        out.tags.encode_into(&mut kit);
-
         Ok(BackendSetup {
             commitment: Commitment {
                 backend: BackendId::Pairing,
                 bytes: commitment,
             },
-            kit: ProverKit {
-                backend: BackendId::Pairing,
-                bytes: kit,
-            },
+            kit: ProverKit::Pairing(Box::new(PairingKit {
+                pk: out.pk,
+                name: meta.name,
+                params,
+                tags: out.tags,
+            })),
         })
     }
 
@@ -129,15 +122,16 @@ impl AuditBackend for PairingBackend {
         stored: &[u8],
         beacon: &[u8; 48],
     ) -> Result<BackendProof, BackendError> {
-        kit.expect_backend(BackendId::Pairing)?;
-        let (pk, name, params, tags) = Self::decode_kit(&kit.bytes)?;
-        let file = EncodedFile::encode_with_name(name, stored, params);
-        if file.num_chunks() != tags.len() {
+        let ProverKit::Pairing(kit) = kit else {
+            return Err(kit.wrong_backend(BackendId::Pairing));
+        };
+        let file = EncodedFile::encode_with_name(kit.name, stored, kit.params);
+        if file.num_chunks() != kit.tags.len() {
             // stored bytes shrank or grew past a chunk boundary — the
             // prover cannot even line its tags up any more
             return Err(BackendError::Shape("chunk count vs. tag count"));
         }
-        let prover = Prover::new(&pk, &file, &tags)?;
+        let prover = Prover::new(&kit.pk, &file, &kit.tags)?;
         let challenge = Challenge::from_beacon(beacon);
         Ok(Self::frame(&prover.prove_private(rng, &challenge)))
     }
@@ -223,8 +217,7 @@ mod tests {
         let b = small();
         let setup = b.setup(&mut r, &data).unwrap();
         let beacon = [1u8; 48];
-        let mut kit = setup.kit.clone();
-        kit.backend = BackendId::Merkle;
+        let kit = crate::MerkleBackend::default().setup(&mut r, &data).unwrap().kit;
         assert!(matches!(
             b.prove(&mut r, &kit, &data, &beacon),
             Err(BackendError::WrongBackend { .. })

@@ -1,14 +1,14 @@
 //! Erased wire objects: backend-tagged byte payloads.
 //!
 //! The trait layer cannot name per-backend types (object safety), so
-//! commitments, prover kits, and proofs cross boundaries as
+//! commitments and proofs cross boundaries as
 //! `backend id (1 B) || payload len (4 B LE) || payload`. The id byte
 //! makes mixed-backend chains safe: a contract or daemon handed bytes
 //! for a backend it does not speak fails with a typed decode error
 //! before any verdict logic runs. Payload layouts are each backend's
 //! own business, documented and decoded in its module.
 //!
-//! The three types are spelled out rather than macro-generated so the
+//! The two types are spelled out rather than macro-generated so the
 //! in-tree static analyzer sees every decode path in its call graph
 //! (macro bodies are opaque to it).
 
@@ -21,16 +21,6 @@ use crate::{BackendError, BackendId};
 /// tagged with the backend that produced it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Commitment {
-    /// The scheme this payload belongs to.
-    pub backend: BackendId,
-    /// Backend-specific payload bytes.
-    pub bytes: Vec<u8>,
-}
-
-/// What the provider holds besides the data: everything proving needs,
-/// tagged with the backend that produced it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ProverKit {
     /// The scheme this payload belongs to.
     pub backend: BackendId,
     /// Backend-specific payload bytes.
@@ -117,33 +107,6 @@ impl Codec for Commitment {
     }
 }
 
-impl ProverKit {
-    /// Asserts the object belongs to `expected`.
-    ///
-    /// # Errors
-    /// [`BackendError::WrongBackend`] on a mismatch.
-    pub fn expect_backend(&self, expected: BackendId) -> Result<(), BackendError> {
-        check_backend(self.backend, expected)
-    }
-}
-
-impl Codec for ProverKit {
-    const TYPE_NAME: &'static str = "ProverKit";
-
-    fn encoded_len(&self) -> usize {
-        erased_len(&self.bytes)
-    }
-
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        encode_erased(self.backend, &self.bytes, out);
-    }
-
-    fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, DsAuditError> {
-        let (backend, bytes) = decode_erased(r, Self::TYPE_NAME, "kit payload")?;
-        Ok(Self { backend, bytes })
-    }
-}
-
 impl BackendProof {
     /// Asserts the object belongs to `expected`.
     ///
@@ -210,15 +173,19 @@ mod tests {
 
     #[test]
     fn forged_length_prefix_is_bounded() {
-        let mut bytes = ProverKit {
+        let mut bytes = Commitment {
             backend: BackendId::Merkle,
             bytes: vec![0; 16],
         }
         .encode();
         bytes[1..5].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
-            ProverKit::decode(&bytes),
-            Err(DsAuditError::Truncated { field: "kit payload", .. })
+            Commitment::decode(&bytes),
+            Err(DsAuditError::Truncated { field: "commitment payload", got: 16, .. })
+        ));
+        assert!(matches!(
+            BackendProof::decode(&bytes),
+            Err(DsAuditError::Truncated { field: "proof payload", got: 16, .. })
         ));
     }
 

@@ -36,7 +36,7 @@ fn round_on_all(data: &[u8], beacon: [u8; 48], mutate: impl Fn(&mut Vec<u8>)) ->
         let mut rng = StdRng::seed_from_u64(0xe9_u64 ^ backend.id().as_u8() as u64);
         let setup = backend.setup(&mut rng, data).expect("setup");
         assert_eq!(setup.commitment.backend, backend.id());
-        assert_eq!(setup.kit.backend, backend.id());
+        assert_eq!(setup.kit.backend(), backend.id());
         let mut stored = data.to_vec();
         mutate(&mut stored);
         let proof = backend

@@ -26,28 +26,27 @@ fn emit_json() {
     }
 }
 
-/// Re-measures the guarded hot-path metrics and fails (exit 1) when any
-/// of them regressed more than `json::REGRESSION_TOLERANCE` against the
-/// committed `BENCH_repro.json` — the CI perf gate.
+/// Re-measures the guarded (exact) metrics and fails (exit 1) when any
+/// of them differs from the committed `BENCH_repro.json` — the CI gate.
 fn check_json() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
     match json::check_against(path) {
         Ok((report, ok)) => {
-            println!("bench regression gate against {path}:");
+            println!("exact-metric gate against {path}:");
             for line in &report {
                 println!("  {line}");
             }
             if !ok {
                 eprintln!(
-                    "FAIL: a guarded metric regressed more than {:.0}%",
-                    json::REGRESSION_TOLERANCE * 100.0
+                    "FAIL: a guarded metric differs from the committed snapshot \
+                     (if deliberate, refresh it with `repro json` in the same PR)"
                 );
                 std::process::exit(1);
             }
             println!("gate passed");
         }
         Err(e) => {
-            eprintln!("bench regression gate could not run: {e}");
+            eprintln!("exact-metric gate could not run: {e}");
             std::process::exit(1);
         }
     }

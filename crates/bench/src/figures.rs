@@ -69,7 +69,7 @@ pub fn fig6() {
         );
     }
     println!("[paper: ~$50 at 360 d daily, ~$250 at 1800 d daily; weekly ~7x cheaper]");
-    println!("note: at the paper's footnote rate (5 Gwei) every figure scales x3 — see EXPERIMENTS.md");
+    println!("note: at the paper's footnote rate (5 Gwei) every figure scales x3 — see CostModel::fig6_effective");
 }
 
 /// Fig. 7 — pre-processing time for 1 GB vs. `s` (throughput-based

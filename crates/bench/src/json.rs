@@ -170,8 +170,7 @@ fn bench_sim_config() -> dsaudit_sim::SimConfig {
         shards: 2,
         churn: dsaudit_sim::ChurnRates::none(),
         // honest providers on a lossy network: a tenth of all proof
-        // frames are lost in flight and recovered by node-layer
-        // retries, so the run doubles as the transport-recovery gate
+        // frames are lost in flight and recovered by retries
         faults: dsaudit_sim::FaultRates {
             corrupt: 0.0,
             drop: 0.0,
@@ -183,10 +182,9 @@ fn bench_sim_config() -> dsaudit_sim::SimConfig {
 }
 
 /// Measures the `sim` metric group: end-to-end audit-round throughput
-/// of the network simulator (storage → contract → chain per round),
-/// the deterministic gas cost per settled round, and the
-/// transport-recovery fraction (lost frames that were retried without
-/// ever reaching a verdict; anything below 1.0 is a protocol bug).
+/// of the network simulator (storage → contract → chain per round) and
+/// the deterministic gas cost per settled round. A lost frame that
+/// reached a verdict is a protocol bug and fails the collection.
 pub fn collect_sim_metrics() -> Vec<Metric> {
     let t0 = Instant::now();
     let report = dsaudit_sim::Simulation::new(bench_sim_config()).run();
@@ -207,12 +205,6 @@ pub fn collect_sim_metrics() -> Vec<Metric> {
             name: "sim_gas_per_round",
             unit: "gas",
             value: (report.total_gas - report.setup_gas) as f64 / report.audits as f64,
-        },
-        Metric {
-            name: "sim_transport_recovery",
-            unit: "fraction",
-            value: (report.transport_faults - report.transport_false_rejects) as f64
-                / report.transport_faults as f64,
         },
     ]
 }
@@ -369,9 +361,7 @@ pub fn collect_backend_metrics() -> Vec<Metric> {
 /// in the tenths-of-a-permille range is far below the run-to-run noise
 /// of a multi-millisecond parallel verify. The site count comes from a
 /// traced run and uses counter *values* as the call count, which
-/// overcounts batched flushes — the estimate only errs upward. The
-/// value is floored at 0.01 so the "every guarded metric measures"
-/// invariant holds.
+/// overcounts batched flushes — the estimate only errs upward.
 /// `obs_events_per_sec` is raw enabled-registry throughput: a counter
 /// bump, a histogram sample, and a span open/close per iteration.
 pub fn collect_obs_metrics() -> Vec<Metric> {
@@ -405,8 +395,7 @@ pub fn collect_obs_metrics() -> Vec<Metric> {
         }
         None => 0,
     };
-    let overhead_pct =
-        ((sites as f64 * noop_ns_per_site) / (t_verify_ms * 1e6) * 100.0).max(0.01);
+    let overhead_pct = (sites as f64 * noop_ns_per_site) / (t_verify_ms * 1e6) * 100.0;
 
     let reg = dsaudit_obs::Registry::new_wall();
     let iters = 100_000u64;
@@ -472,20 +461,25 @@ pub fn collect_lint_metrics() -> Vec<Metric> {
     }
 }
 
+/// The role-API proof sizes (constants of the wire format).
+fn proof_size_metrics() -> Vec<Metric> {
+    vec![
+        Metric {
+            name: "plain_proof_bytes",
+            unit: "bytes",
+            value: PLAIN_PROOF_BYTES as f64,
+        },
+        Metric {
+            name: "private_proof_bytes",
+            unit: "bytes",
+            value: PRIVATE_PROOF_BYTES as f64,
+        },
+    ]
+}
+
 /// Runs the compact benchmark set the JSON snapshot reports.
 pub fn collect_metrics() -> Vec<Metric> {
-    let mut out = Vec::new();
-
-    out.push(Metric {
-        name: "plain_proof_bytes",
-        unit: "bytes",
-        value: PLAIN_PROOF_BYTES as f64,
-    });
-    out.push(Metric {
-        name: "private_proof_bytes",
-        unit: "bytes",
-        value: PRIVATE_PROOF_BYTES as f64,
-    });
+    let mut out = proof_size_metrics();
 
     // Hot path 0: the MSM kernel group behind every figure below.
     out.extend(collect_msm_metrics());
@@ -607,55 +601,28 @@ pub fn emit(path: &str) -> std::io::Result<Vec<Metric>> {
     Ok(metrics)
 }
 
-/// Metrics guarded by the CI regression gate: `(name, higher_is_better)`.
-/// The MSM pair landed with PR 2; the verify/prove/MSM-kernel trio joined
-/// once the pairing engine stabilized those numbers (ROADMAP item).
-pub const GUARDED_METRICS: &[(&str, bool)] = &[
-    ("preprocess_s50_throughput", true),
-    ("tag_gen_1mib", false),
-    ("verify_private", false),
-    ("prove_private_1mib", false),
-    ("msm_g1_n1024", false),
-    ("encode_stream_1mib", false),
-    ("sim_round_throughput", true),
-    // Correctness-as-metric: the fraction of in-flight frame losses
-    // absorbed by node-layer retries. Committed at 1.0; any transport
-    // fault that leaks into a verdict both fails the collection assert
-    // (hard error) and regresses this metric past any tolerance.
-    ("sim_transport_recovery", true),
-    ("node_sessions_per_sec", true),
-    // Per-backend head-to-head figures: the Merkle verifier's latency,
-    // the Groth16 lane's constant proof size, and each lane's
-    // deterministic on-chain gas per settled round (nominal verify
-    // cost plus measured transaction bytes). Proof size and gas are
-    // structural — any growth is a wire-format or metering change that
-    // must be deliberate, not drift.
-    ("backend_merkle_verify_us", false),
-    ("backend_groth16_proof_bytes", false),
-    ("backend_gas_per_round_pairing", false),
-    ("backend_gas_per_round_merkle", false),
-    ("backend_gas_per_round_groth16", false),
-    // Static-analysis coverage: these only grow with the codebase, so a
-    // drop beyond tolerance means the parser or a pass silently lost
-    // sight of code, not that the code got faster.
-    ("lint_callgraph_fns", true),
-    ("lint_panic_audits", true),
-    ("lint_taint_audits", true),
-    // Observability: the enabled-registry cost on verify_private is
-    // gated against an *absolute* ceiling ([`OBS_OVERHEAD_CEILING_PCT`])
-    // rather than the relative tolerance — near-zero baselines make
-    // ratios meaningless — and registry throughput is gated normally.
-    ("obs_overhead_pct", false),
-    ("obs_events_per_sec", true),
+/// Metrics the CI gate holds at equality with the committed snapshot:
+/// the exact ones — proof sizes, deterministic gas, and the lint
+/// counters. A change to any of them is deliberate and refreshes
+/// `BENCH_repro.json` in the same PR. Timings stay in the snapshot as a
+/// record but are not gated here: one run on a shared box swings more
+/// than any tolerance worth setting, and the repo benchmark
+/// (`BENCHMARK.json`) compares them parent against change on every PR.
+pub const GUARDED_METRICS: &[&str] = &[
+    "plain_proof_bytes",
+    "private_proof_bytes",
+    "sim_gas_per_round",
+    "backend_merkle_proof_bytes",
+    "backend_groth16_proof_bytes",
+    "backend_gas_per_round_pairing",
+    "backend_gas_per_round_merkle",
+    "backend_gas_per_round_groth16",
+    "lint_files_scanned",
+    "lint_rules",
+    "lint_callgraph_fns",
+    "lint_panic_audits",
+    "lint_taint_audits",
 ];
-
-/// Absolute ceiling, in percent, on `obs_overhead_pct`: installing a
-/// registry may not slow `verify_private` by more than this (and the
-/// shipped no-op configuration is strictly cheaper).
-pub const OBS_OVERHEAD_CEILING_PCT: f64 = 1.0;
-
-/// Relative regression allowed against the committed snapshot.
-pub const REGRESSION_TOLERANCE: f64 = 0.10;
 
 /// Extracts `(name, value)` pairs from a committed snapshot. Hand-rolled
 /// to match [`to_json`]'s fixed shape (no serde in the build
@@ -685,142 +652,22 @@ pub fn parse_metrics(json: &str) -> Vec<(String, f64)> {
     out
 }
 
-/// Measures only the guarded metrics, taking the best of three runs per
-/// metric so a loaded machine does not trip the gate spuriously.
+/// Measures only the guarded metrics: one pass over the groups that
+/// hold them (every guarded value is deterministic).
 pub fn collect_guarded_metrics() -> Vec<Metric> {
-    let throughput = (0..3)
-        .map(|_| preprocess_throughput_mb_s(50, 2 * 1024 * 1024))
-        .fold(0.0f64, f64::max);
-    let env = Env::new(1024 * 1024, AuditParams::default());
-    let best_of_3 = |f: &mut dyn FnMut() -> f64| (0..3).map(|_| f()).fold(f64::INFINITY, f64::min);
-    let tag_ms = best_of_3(&mut || {
-        let t0 = Instant::now();
-        let tags = generate_tags(&env.sk, &env.file);
-        assert_eq!(tags.len(), env.file.num_chunks());
-        t0.elapsed().as_secs_f64() * 1e3
-    });
-    let verify_ms = best_of_3(&mut || measure_verify_ms(&env, true, 3));
-    let prover = env.prover();
-    let ch = env.challenge();
-    let mut r = rng();
-    let prove_ms = best_of_3(&mut || {
-        time_mean(3, || {
-            let _ = prover.prove_private(&mut r, &ch);
-        })
-        .as_secs_f64()
-            * 1e3
-    });
-    let scalars: Vec<Fr> = {
-        let mut r = rng();
-        (0..1024).map(|_| Fr::random(&mut r)).collect()
-    };
-    let bases: Vec<G1Affine> = G1Projective::generator_table().mul_many_affine(&scalars);
-    let msm_ms = best_of_3(&mut || {
-        time_mean(3, || {
-            let _ = msm(&bases, &scalars);
-        })
-        .as_secs_f64()
-            * 1e3
-    });
-    let stream_ms = best_of_3(&mut || measure_encode_stream_ms(1024 * 1024, 3));
-    let sim_throughput = (0..2)
-        .map(|_| {
-            collect_sim_metrics()
-                .into_iter()
-                .find(|m| m.name == "sim_round_throughput")
-                .expect("sim group measures throughput")
-                .value
-        })
-        .fold(0.0f64, f64::max);
-    // the recovery fraction is deterministic (a count ratio), so one
-    // run suffices; the soak throughput is wall clock, best of two
-    let transport_recovery = collect_sim_metrics()
+    proof_size_metrics()
         .into_iter()
-        .find(|m| m.name == "sim_transport_recovery")
-        .expect("sim group measures transport recovery")
-        .value;
-    let node_throughput = (0..2)
-        .map(|_| {
-            collect_node_metrics()
-                .into_iter()
-                .find(|m| m.name == "node_sessions_per_sec")
-                .expect("node group measures session throughput")
-                .value
-        })
-        .fold(0.0f64, f64::max);
-    vec![
-        Metric {
-            name: "preprocess_s50_throughput",
-            unit: "MB/s",
-            value: throughput,
-        },
-        Metric {
-            name: "tag_gen_1mib",
-            unit: "ms",
-            value: tag_ms,
-        },
-        Metric {
-            name: "verify_private",
-            unit: "ms",
-            value: verify_ms,
-        },
-        Metric {
-            name: "prove_private_1mib",
-            unit: "ms",
-            value: prove_ms,
-        },
-        Metric {
-            name: "msm_g1_n1024",
-            unit: "ms",
-            value: msm_ms,
-        },
-        Metric {
-            name: "encode_stream_1mib",
-            unit: "ms",
-            value: stream_ms,
-        },
-        Metric {
-            name: "sim_round_throughput",
-            unit: "rounds/s",
-            value: sim_throughput,
-        },
-        Metric {
-            name: "sim_transport_recovery",
-            unit: "fraction",
-            value: transport_recovery,
-        },
-        Metric {
-            name: "node_sessions_per_sec",
-            unit: "sessions/s",
-            value: node_throughput,
-        },
-    ]
-    .into_iter()
-    // backend proof sizes and per-round gas are deterministic, and the
-    // verify timing already averages internally — one collection pass;
-    // only the guarded subset participates in the gate
-    .chain(
-        collect_backend_metrics()
-            .into_iter()
-            .filter(|m| GUARDED_METRICS.iter().any(|(n, _)| *n == m.name)),
-    )
-    // coverage metrics (call-graph size, audited pass counts) are
-    // deterministic — one run, no best-of-three; only the guarded
-    // subset participates in the gate
-    .chain(
-        collect_lint_metrics()
-            .into_iter()
-            .filter(|m| GUARDED_METRICS.iter().any(|(n, _)| *n == m.name)),
-    )
-    // the obs group interleaves and min-of-Ns internally
-    .chain(collect_obs_metrics())
-    .collect()
+        .chain(collect_sim_metrics())
+        .chain(collect_backend_metrics())
+        .chain(collect_lint_metrics())
+        .filter(|m| GUARDED_METRICS.contains(&m.name))
+        .collect()
 }
 
 /// Compares fresh guarded measurements against the committed snapshot at
 /// `path`; returns a human-readable report per guarded metric and an
-/// overall pass flag (false when any metric regressed more than
-/// [`REGRESSION_TOLERANCE`]).
+/// overall pass flag (false when any metric differs from the snapshot
+/// at the four decimals the snapshot prints).
 ///
 /// # Errors
 /// Fails when the snapshot cannot be read or lacks a guarded metric.
@@ -831,7 +678,7 @@ pub fn check_against(path: &str) -> Result<(Vec<String>, bool), String> {
     let fresh = collect_guarded_metrics();
     let mut report = Vec::new();
     let mut ok = true;
-    for (name, higher_is_better) in GUARDED_METRICS {
+    for name in GUARDED_METRICS {
         let base = committed
             .iter()
             .find(|(n, _)| n == name)
@@ -842,34 +689,12 @@ pub fn check_against(path: &str) -> Result<(Vec<String>, bool), String> {
             .find(|m| m.name == *name)
             .map(|m| m.value)
             .expect("guarded metric measured");
-        // Absolute gate: the overhead baseline sits at the measurement
-        // floor, so a relative comparison against it is pure noise.
-        if *name == "obs_overhead_pct" {
-            let over = now > OBS_OVERHEAD_CEILING_PCT;
-            ok &= !over;
-            report.push(format!(
-                "{name}: measured {now:.3}% (absolute ceiling \
-                 {OBS_OVERHEAD_CEILING_PCT:.1}%) -> {}",
-                if over { "REGRESSED" } else { "ok" },
-            ));
-            continue;
-        }
-        let ratio = if *higher_is_better {
-            now / base
-        } else {
-            base / now
-        };
-        let regressed = ratio < 1.0 - REGRESSION_TOLERANCE;
-        ok &= !regressed;
+        let (base, now) = (format!("{base:.4}"), format!("{now:.4}"));
+        let same = base == now;
+        ok &= same;
         report.push(format!(
-            "{name}: committed {base:.3}, measured {now:.3} ({:+.1}% {}) -> {}",
-            (ratio - 1.0) * 100.0,
-            if *higher_is_better {
-                "throughput"
-            } else {
-                "latency, inverted"
-            },
-            if regressed { "REGRESSED" } else { "ok" },
+            "{name}: committed {base}, measured {now} -> {}",
+            if same { "ok" } else { "CHANGED" },
         ));
     }
     Ok((report, ok))
@@ -903,7 +728,7 @@ mod tests {
     #[test]
     fn guarded_metrics_are_all_measured() {
         let fresh = collect_guarded_metrics();
-        for (name, _) in GUARDED_METRICS {
+        for name in GUARDED_METRICS {
             let m = fresh
                 .iter()
                 .find(|m| m.name == *name)

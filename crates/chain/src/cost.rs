@@ -30,7 +30,6 @@ impl CostModel {
     /// (~$50 for 360 daily audits, i.e. ~$0.14 per audit). The footnote
     /// rate above would give ~$0.42 per audit; the two snapshots in the
     /// paper are inconsistent and we reproduce Fig. 6 with this one.
-    /// See EXPERIMENTS.md for the discrepancy note.
     pub fn fig6_effective() -> Self {
         Self {
             usd_per_eth: 143.0,

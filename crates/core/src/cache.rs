@@ -30,10 +30,9 @@ use std::sync::{Arc, Mutex};
 use dsaudit_algebra::g1::G1Affine;
 use dsaudit_algebra::g2::G2Affine;
 use dsaudit_algebra::pairing::G2Prepared;
+use dsaudit_algebra::par::par_map;
 use dsaudit_algebra::Fr;
 use dsaudit_crypto::prf::index_oracle;
-
-use crate::par::par_map;
 
 /// Hit/miss counters of one cache since its creation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -94,7 +94,6 @@ pub mod error;
 pub mod file;
 pub mod keys;
 pub mod owner;
-pub mod par;
 pub mod params;
 pub mod proof;
 pub mod prove;

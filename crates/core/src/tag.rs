@@ -12,13 +12,13 @@ use dsaudit_algebra::field::Field;
 use dsaudit_algebra::g1::{G1Affine, G1Projective};
 use dsaudit_algebra::msm::msm;
 use dsaudit_algebra::pairing::{multi_pairing_prepared, G2Prepared};
+use dsaudit_algebra::par::par_map;
 use dsaudit_algebra::Fr;
 use dsaudit_crypto::prf::index_oracle;
 
 use crate::error::{DsAuditError, RejectReason, Verdict};
 use crate::file::EncodedFile;
 use crate::keys::{PublicKey, SecretKey};
-use crate::par::par_map;
 
 /// Generates all chunk authenticators for a file.
 ///

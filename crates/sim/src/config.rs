@@ -126,7 +126,7 @@ impl SimConfig {
         // is challenged each round; with k < d detection is
         // probabilistic (§VI-A) and a clean miss would be scored as a
         // false accept. Reject such configs up front.
-        let share_len = self.file_bytes.div_ceil(self.erasure_k);
+        let share_len = self.share_len();
         let share_chunks = share_len.div_ceil(self.audit.chunk_bytes()).max(1);
         for (i, b) in self.backends.iter().enumerate() {
             assert!(
@@ -143,6 +143,12 @@ impl SimConfig {
             self.audit.k,
             self.audit.s,
         );
+    }
+
+    /// Bytes in each erasure share of a file (every file is
+    /// `file_bytes` long, so every share has this length).
+    pub(crate) fn share_len(&self) -> usize {
+        self.file_bytes.div_ceil(self.erasure_k)
     }
 
     /// The owner deposit a share contract locks (covers every round's

@@ -127,7 +127,9 @@ struct ShadowSlot {
 /// One backend driven head-to-head against the primary pairing path:
 /// an [`AuditContract`] per share plus the lane's running totals.
 struct ShadowLane {
-    id: BackendId,
+    /// The lane's backend, sized for this run's shares; it sets up
+    /// every slot and answers every round.
+    backend: Box<dyn AuditBackend>,
     /// Parallel to `Simulation::placements`.
     slots: Vec<ShadowSlot>,
     audits: u64,
@@ -255,16 +257,17 @@ impl Simulation {
         sim
     }
 
-    /// The backend instance a shadow lane tags shares with. Sized so
-    /// every leaf of a share is challenged each round (`expand` samples
+    /// The backend instance a shadow lane runs on. Sized so every
+    /// leaf of a share is challenged each round (`expand` samples
     /// distinct indices), which keeps the report's zero-false-accept
     /// ground truth exact for every lane, not just the pairing path.
-    fn lane_backend(&self, id: BackendId, share_len: usize) -> Box<dyn AuditBackend> {
+    fn lane_backend(cfg: &SimConfig, id: BackendId) -> Box<dyn AuditBackend> {
+        let share_len = cfg.share_len();
         match id {
-            BackendId::Pairing => Box::new(PairingBackend::new(self.cfg.audit)),
+            BackendId::Pairing => Box::new(PairingBackend::new(cfg.audit)),
             BackendId::Merkle => Box::new(MerkleBackend {
-                leaf_size: share_len.div_ceil(self.cfg.audit.k).max(1),
-                k: self.cfg.audit.k,
+                leaf_size: share_len.div_ceil(cfg.audit.k).max(1),
+                k: cfg.audit.k,
             }),
             BackendId::Groth16Merkle => Box::new(Groth16MerkleBackend {
                 batch: share_len.div_ceil(31).max(1),
@@ -282,7 +285,7 @@ impl Simulation {
             .backends
             .iter()
             .map(|&id| ShadowLane {
-                id,
+                backend: Self::lane_backend(&cfg, id),
                 slots: Vec::new(),
                 audits: 0,
                 passes: 0,
@@ -327,6 +330,7 @@ impl Simulation {
                         .expect("fresh upload")
                         .clone();
                     share_len = blob.len();
+                    debug_assert_eq!(share_len, cfg.share_len(), "lanes are sized from the config");
                     let bundle = self.owners[o].handle.outsource_share(
                         &manifest.content_id.0,
                         share as u64,
@@ -359,17 +363,18 @@ impl Simulation {
                     // backend, auditing the same blob on the same chain
                     // under the same economics, verifying on-contract
                     for li in 0..self.shadows.len() {
-                        let id = self.shadows[li].id;
-                        let backend = self.lane_backend(id, blob.len());
+                        let backend = &self.shadows[li].backend;
+                        let id = backend.id();
                         let setup = backend
                             .setup(&mut self.rng, &blob)
                             .expect("lane setup over a fresh share");
+                        let verifier = backend
+                            .verifier(&setup.commitment)
+                            .expect("a backend parses its own commitment");
                         let addr = self.deploy_contract(
                             &format!("sim/o{o}f{fi}s{share}/{id}"),
                             agreement,
-                            backend
-                                .verifier(&setup.commitment)
-                                .expect("a backend parses its own commitment"),
+                            verifier,
                             None,
                         );
                         self.shadows[li].slots.push(ShadowSlot {
@@ -812,10 +817,10 @@ impl Simulation {
                 let Some(&lane_beacon) = beacons.get(&lane_contract) else {
                     continue;
                 };
-                let backend = dsaudit_backend::backend_for(self.shadows[li].id);
                 // lint:allow(determinism) — prover wall clock is the report's one documented nondeterministic field; every verdict-relevant quantity stays seed-driven
                 let t0 = std::time::Instant::now();
-                let lane_proof = backend
+                let lane_proof = self.shadows[li]
+                    .backend
                     .prove(
                         &mut self.rng,
                         &self.shadows[li].slots[pl_id].kit,
@@ -1102,7 +1107,7 @@ impl Simulation {
                 }
             }
             self.report.backend_lanes.push(BackendLane {
-                backend: lane.id.name().to_string(),
+                backend: lane.backend.id().name().to_string(),
                 audits: lane.audits,
                 passes: lane.passes,
                 failures: lane.failures,

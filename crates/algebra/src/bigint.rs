@@ -92,6 +92,7 @@ pub const fn add_small(a: &Limbs, k: u64) -> Limbs {
 }
 
 /// Logical right shift by `k < 64` bits.
+#[inline]
 pub const fn shr(a: &Limbs, k: u32) -> Limbs {
     if k == 0 {
         return *a;
@@ -166,6 +167,7 @@ pub const fn mont_inv64(m0: u64) -> u64 {
 }
 
 /// Number of trailing zero bits (0 for zero input handled as 256).
+#[inline]
 pub const fn trailing_zeros(a: &Limbs) -> u32 {
     let mut i = 0;
     let mut total = 0u32;

@@ -27,7 +27,7 @@ use crate::field::Field;
 use crate::fields::{Fq, Fr, FrParams};
 use crate::fp::{FieldParams, Fp};
 use crate::g1::G1Affine;
-use crate::msm::{mul_each_batched, wnaf_digits};
+use crate::msm::{mul_each_batched, u128_limbs, wnaf_digits};
 use crate::par::par_map_chunks;
 
 /// A sign-magnitude integer with magnitude below `2^128` (the size class
@@ -81,10 +81,6 @@ impl Signed256 {
             mag: (self.mag[0] as u128) | ((self.mag[1] as u128) << 64),
         })
     }
-}
-
-fn u128_limbs(v: u128) -> Limbs {
-    [v as u64, (v >> 64) as u64, 0, 0]
 }
 
 /// Embeds a sign-magnitude 128-bit integer into `Fr`.

@@ -46,17 +46,29 @@ pub trait Field:
     /// Multiplicative inverse; `None` for zero.
     fn inverse(&self) -> Option<Self>;
 
-    /// Exponentiation by a little-endian limb slice (square-and-multiply).
+    /// Exponentiation by a little-endian limb slice, in fixed 4-bit
+    /// windows: 15 table products, then four squarings and at most one
+    /// product per exponent nibble, leading zero nibbles skipped.
+    ///
+    /// Variable-time in the exponent (which nibbles are zero). Every
+    /// exponent in the workspace is a public constant: `(p + 1) / 4` for
+    /// square roots, cube-root and root-of-unity cofactors, domain
+    /// sizes, the BN parameter.
     fn pow(&self, exp: &[u64]) -> Self {
+        let mut table = [Self::one(); 16];
+        for d in 1..16 {
+            table[d] = table[d - 1] * *self;
+        }
         let mut res = Self::one();
         let mut started = false;
         for limb in exp.iter().rev() {
-            for i in (0..64).rev() {
+            for shift in (0..64).step_by(4).rev() {
                 if started {
-                    res = res.square();
+                    res = res.square().square().square().square();
                 }
-                if (limb >> i) & 1 == 1 {
-                    res *= *self;
+                let d = ((limb >> shift) & 0xf) as usize;
+                if d != 0 {
+                    res *= table[d];
                     started = true;
                 }
             }

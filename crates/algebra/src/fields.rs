@@ -180,9 +180,23 @@ mod tests {
             let a = Fq::random(&mut rng);
             assert_eq!(Fq::from_bytes_be(&a.to_bytes_be()).unwrap(), a);
         }
-        // modulus itself must be rejected
-        let modulus_bytes = crate::bigint::to_bytes_be(&FqParams::MODULUS);
-        assert!(Fq::from_bytes_be(&modulus_bytes).is_none());
+        // the boundary: p - 1 is the last canonical value; p, p + 1 and
+        // the all-ones string are rejected
+        use crate::bigint::{add_small, sub_small, to_bytes_be};
+        let p = FqParams::MODULUS;
+        assert_eq!(
+            Fq::from_bytes_be(&to_bytes_be(&sub_small(&p, 1))),
+            Some(-Fq::one())
+        );
+        assert!(Fq::from_bytes_be(&to_bytes_be(&p)).is_none());
+        assert!(Fq::from_bytes_be(&to_bytes_be(&add_small(&p, 1))).is_none());
+        assert!(Fq::from_bytes_be(&[0xff; 32]).is_none());
+        let r = FrParams::MODULUS;
+        assert_eq!(
+            Fr::from_bytes_be(&to_bytes_be(&sub_small(&r, 1))),
+            Some(-Fr::one())
+        );
+        assert!(Fr::from_bytes_be(&to_bytes_be(&r)).is_none());
     }
 
     #[test]

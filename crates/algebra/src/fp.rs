@@ -4,6 +4,29 @@
 //! modulus; every other constant (Montgomery `R`, `R^2`, `R^3`,
 //! `-p^{-1} mod 2^64`, common exponents) is derived at compile time via
 //! `const fn`, so the modulus is the single point of trust.
+//!
+//! # Timing
+//!
+//! `+`, `-`, `*`, `square` run a fixed instruction sequence up to the
+//! final conditional subtraction. Three operations are **variable-time**
+//! and must only see values an observer may learn:
+//!
+//! * [`Field::pow`] skips zero nibbles of the *exponent*. Every exponent
+//!   in the workspace is a public constant (`(p + 1) / 4` under
+//!   [`Fp::sqrt`], cube-root and root-of-unity cofactors, FFT domain
+//!   sizes, the BN parameter).
+//! * [`Field::inverse`] (binary extended Euclid) and [`Fp::legendre`]
+//!   (binary Jacobi symbol) run a number of rounds that depends on the
+//!   *value*. Their callers pass public data: `legendre` sees only
+//!   hash-to-curve candidates and the Sloth VDF state, both derived from
+//!   public inputs; `inverse` sees the shared denominators of
+//!   batch-affine passes and `to_affine` normalisations over points
+//!   that are published (tags, proofs, commitments, key powers) or
+//!   recomputable from them, and FFT/Groth16 domain constants. The one
+//!   secret-dependent caller is the owner's own tagging
+//!   (`mul_each_g1(.., sk.x)`), whose wNAF schedule is already
+//!   variable-time in `x` and which runs only on the owner's machine;
+//!   no `lint:ct` kernel reaches any of the three (`ct-closure`).
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -12,8 +35,7 @@ use core::marker::PhantomData;
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 use crate::bigint::{
-    self, adc, add_small, add_wide, div_small, geq, mac, mont_inv64, pow2k_mod, shr, sub,
-    sub_small, sub_wide, Limbs,
+    self, adc, add_small, add_wide, geq, mac, mont_inv64, pow2k_mod, shr, sub, sub_wide, Limbs,
 };
 use crate::field::Field;
 
@@ -39,10 +61,6 @@ impl<P: FieldParams> Fp<P> {
     pub const R3: Limbs = pow2k_mod(768, &P::MODULUS);
     /// `-p^{-1} mod 2^64`.
     pub const INV: u64 = mont_inv64(P::MODULUS[0]);
-    /// `p - 2`, the inversion exponent.
-    pub const MODULUS_MINUS_2: Limbs = sub_small(&P::MODULUS, 2);
-    /// `(p - 1) / 2`, the Euler criterion exponent.
-    pub const HALF_MODULUS: Limbs = div_small(&sub_small(&P::MODULUS, 1), 2);
     /// `(p + 1) / 4`, the Tonelli shortcut exponent (valid when p = 3 mod 4).
     pub const SQRT_EXP: Limbs = shr(&add_small(&P::MODULUS, 1), 2);
 
@@ -179,6 +197,34 @@ impl<P: FieldParams> Fp<P> {
         r
     }
 
+    /// `x / 2^k mod p` for a plain integer `x < p`: up to 63 bits at a
+    /// time, add the multiple `m * p` that clears the low bits
+    /// (`m = x * (-p^{-1}) mod 2^s`, the Montgomery-reduction step at
+    /// sub-limb width) and shift. `x + m * p < 2^s * p`, so the result
+    /// stays below `p`.
+    #[inline]
+    fn div_pow2(x: &Limbs, k: u32) -> Limbs {
+        let m = &P::MODULUS;
+        let mut x = *x;
+        let mut k = k;
+        while k > 0 {
+            let s = if k < 63 { k } else { 63 };
+            let q = x[0].wrapping_mul(Self::INV) & ((1u64 << s) - 1);
+            let (t0, c) = mac(x[0], q, m[0], 0);
+            let (t1, c) = mac(x[1], q, m[1], c);
+            let (t2, c) = mac(x[2], q, m[2], c);
+            let (t3, t4) = mac(x[3], q, m[3], c);
+            x = [
+                (t0 >> s) | (t1 << (64 - s)),
+                (t1 >> s) | (t2 << (64 - s)),
+                (t2 >> s) | (t3 << (64 - s)),
+                (t3 >> s) | (t4 << (64 - s)),
+            ];
+            k -= s;
+        }
+        x
+    }
+
     /// Converts a canonical (non-Montgomery) integer `< p` into the field.
     pub const fn from_raw_limbs_unreduced(v: Limbs) -> RawFp<P> {
         RawFp(v, PhantomData)
@@ -202,10 +248,7 @@ impl<P: FieldParams> Fp<P> {
     /// Parses canonical big-endian bytes; `None` when the value is `>= p`.
     pub fn from_bytes_be(bytes: &[u8; 32]) -> Option<Self> {
         let limbs = bigint::from_bytes_be(bytes);
-        if geq(&limbs, &P::MODULUS) && limbs != P::MODULUS {
-            return None;
-        }
-        if limbs == P::MODULUS {
+        if geq(&limbs, &P::MODULUS) {
             return None;
         }
         Some(Self(Self::mont_mul(&limbs, &Self::R2), PhantomData))
@@ -260,15 +303,48 @@ impl<P: FieldParams> Fp<P> {
     }
 
     /// Legendre symbol: 1 for residues, -1 for non-residues, 0 for zero.
+    ///
+    /// A binary Jacobi symbol run directly on the Montgomery limbs
+    /// `aR`: `R = 2^256` is a square, so `(aR / p) = (a / p)` and no
+    /// conversion is needed. Shifts, subtractions and quadratic
+    /// reciprocity only — no field multiplication — and the
+    /// compare-and-swap is a mask, not a branch (its outcome is a coin
+    /// flip). Variable-time in `self` all the same: the round count
+    /// depends on the value (see the module docs).
     pub fn legendre(&self) -> i8 {
-        if self.is_zero() {
-            return 0;
+        let mut a = self.0;
+        let mut n = P::MODULUS;
+        // bit 0 counts the sign flips; invariant: n odd, and the answer
+        // is `(-1)^flips * (a / n)`
+        let mut flips = 0u64;
+        while !bigint::is_zero(&a) {
+            if a[2] | a[3] | n[2] | n[3] == 0 {
+                // the second half of the rounds fits native arithmetic
+                let a = u128::from(a[0]) | u128::from(a[1]) << 64;
+                let n_lo = u128::from(n[0]) | u128::from(n[1]) << 64;
+                let (n_lo, tail_flips) = jacobi_u128(a, n_lo);
+                n = [n_lo as u64, (n_lo >> 64) as u64, 0, 0];
+                flips ^= tail_flips;
+                break;
+            }
+            // (2 / n) = -1 iff n = 3, 5 mod 8, i.e. bits 1 and 2 differ
+            let twos = bigint::trailing_zeros(&a);
+            flips ^= u64::from(twos) & ((n[0] ^ (n[0] >> 1)) >> 1);
+            a = shr_var(&a, twos);
+            // both odd. a < n: swap, and reciprocity flips the sign iff
+            // both are 3 mod 4. Then (a / n) = ((a - n) / n), a - n even.
+            let (diff, borrow) = sub_wide(&a, &n);
+            flips ^= borrow & ((a[0] & n[0]) >> 1);
+            let swap = borrow.wrapping_neg();
+            n = select(swap, &a, &n);
+            a = negate_if(swap, &diff);
         }
-        let e = self.pow(&Self::HALF_MODULUS);
-        if e == Self::one() {
-            1
-        } else {
+        if n != [1, 0, 0, 0] {
+            0 // gcd(self, p) = n > 1: only for self = 0
+        } else if flips & 1 == 1 {
             -1
+        } else {
+            1
         }
     }
 
@@ -284,6 +360,57 @@ impl<P: FieldParams> Fp<P> {
         }
         Ordering::Equal
     }
+}
+
+/// `a` where `mask` is all ones, `b` where it is zero.
+#[inline]
+fn select(mask: u64, a: &Limbs, b: &Limbs) -> Limbs {
+    [
+        (a[0] & mask) | (b[0] & !mask),
+        (a[1] & mask) | (b[1] & !mask),
+        (a[2] & mask) | (b[2] & !mask),
+        (a[3] & mask) | (b[3] & !mask),
+    ]
+}
+
+/// `-a mod 2^256` where `mask` is all ones, `a` where it is zero.
+#[inline]
+fn negate_if(mask: u64, a: &Limbs) -> Limbs {
+    let (r0, c) = adc(a[0] ^ mask, mask & 1, 0);
+    let (r1, c) = adc(a[1] ^ mask, 0, c);
+    let (r2, c) = adc(a[2] ^ mask, 0, c);
+    let (r3, _) = adc(a[3] ^ mask, 0, c);
+    [r0, r1, r2, r3]
+}
+
+/// The rounds of [`Fp::legendre`] on operands below `2^128`: runs
+/// `(a / n)` down to `a = 0` and returns the final `n` (the gcd) with
+/// the sign flips in bit 0.
+fn jacobi_u128(mut a: u128, mut n: u128) -> (u128, u64) {
+    let mut flips = 0u64;
+    while a != 0 {
+        let twos = a.trailing_zeros();
+        flips ^= u64::from(twos) & ((n as u64 ^ (n as u64 >> 1)) >> 1);
+        a >>= twos;
+        if a < n {
+            flips ^= (a & n) as u64 >> 1;
+            core::mem::swap(&mut a, &mut n);
+        }
+        a -= n;
+    }
+    (n, flips)
+}
+
+/// Logical right shift by any `k <= 256`.
+#[inline]
+fn shr_var(a: &Limbs, k: u32) -> Limbs {
+    let mut r = *a;
+    let mut k = k;
+    while k >= 64 {
+        r = [r[1], r[2], r[3], 0];
+        k -= 64;
+    }
+    shr(&r, k)
 }
 
 /// A thin wrapper marking limbs as a *raw* (non-Montgomery) integer.
@@ -419,12 +546,47 @@ impl<P: FieldParams> Field for Fp<P> {
         Self(Self::mont_sqr(&self.0), PhantomData)
     }
 
+    /// Binary extended Euclid on the Montgomery limbs `A = aR`: the
+    /// loop yields `A^{-1} mod p` as a plain integer, and one
+    /// `mont_mul` by `R^3` turns it into `A^{-1} R^2 = a^{-1} R`, the
+    /// Montgomery form of the inverse. A few hundred rounds of
+    /// four-limb shifts and subtractions against the ~330
+    /// multiplications of the Fermat power `a^(p-2)`; the
+    /// compare-and-swap is a mask, not a branch. Variable-time in
+    /// `self` all the same: the round count depends on the value (see
+    /// the module docs).
     fn inverse(&self) -> Option<Self> {
         if self.is_zero() {
-            None
-        } else {
-            Some(self.pow(&Self::MODULUS_MINUS_2))
+            return None;
         }
+        let p = &P::MODULUS;
+        let (mut u, mut v) = (self.0, *p);
+        let (mut xu, mut xv): (Limbs, Limbs) = ([1, 0, 0, 0], [0; 4]);
+        // invariants: xu * A = u and xv * A = v (mod p), xu, xv < p,
+        // v odd, u > 0; gcd(A, p) = 1, so one of u, v runs down to 1
+        let x = loop {
+            let twos = bigint::trailing_zeros(&u);
+            u = shr_var(&u, twos);
+            xu = Self::div_pow2(&xu, twos);
+            if u == [1, 0, 0, 0] {
+                break xu;
+            }
+            if v == [1, 0, 0, 0] {
+                break xv;
+            }
+            // both odd, coprime and u > 1, so u != v: replace the larger
+            // by the (even, nonzero) difference and keep it in u
+            let (diff, borrow) = sub_wide(&u, &v);
+            let swap = borrow.wrapping_neg();
+            v = select(swap, &u, &v);
+            u = negate_if(swap, &diff);
+            // the cofactors follow: xu - xv mod p, operands swapped alike
+            let minuend = select(swap, &xv, &xu);
+            xv = select(swap, &xu, &xv);
+            let (xdiff, xborrow) = sub_wide(&minuend, &xv);
+            xu = add_wide(&xdiff, &select(xborrow.wrapping_neg(), p, &[0; 4])).0;
+        };
+        Some(Self(Self::mont_mul(&x, &Self::R3), PhantomData))
     }
 
     fn random<R: rand::RngCore + ?Sized>(rng: &mut R) -> Self {

@@ -31,10 +31,10 @@ use crate::par::par_map_chunks;
 const FR_BITS: usize = 254;
 
 /// Minimum number of simultaneous affine additions for the batch-affine
-/// path to beat Jacobian mixed additions. The shared inversion is a
-/// Fermat exponentiation (~380 field muls), so a batched lane (~6 muls)
-/// only beats a mixed addition (~11 muls) once the inversion is amortized
-/// over enough lanes.
+/// path to beat Jacobian mixed additions. The shared inversion (a binary
+/// Euclid, ~150 field muls' worth of time) is paid once per round, so a
+/// batched lane (~6 muls) only beats a mixed addition (~11 muls) once the
+/// inversion is amortized over enough lanes.
 const BATCH_AFFINE_CUTOFF: usize = 128;
 
 /// Picks the bucket window size for `n` terms of `nbits` bits by
@@ -72,8 +72,30 @@ pub fn msm<C: CurveParams>(bases: &[Affine<C>], scalars: &[Fr]) -> Projective<C>
     msm_limbs(bases, &limbs, FR_BITS)
 }
 
+/// [`msm`] for scalars that are 128 bits wide to begin with — the small
+/// exponents of a random-linear-combination batch check. Half the
+/// windows of a full-width scalar with no GLV split to pay for, so half
+/// the points of [`crate::endo::msm_g1`] at the same window count.
+///
+/// # Panics
+/// Panics if the slices have different lengths.
+pub fn msm_u128<C: CurveParams>(bases: &[Affine<C>], scalars: &[u128]) -> Projective<C> {
+    assert_eq!(
+        bases.len(),
+        scalars.len(),
+        "msm requires equal-length inputs"
+    );
+    let limbs: Vec<Limbs> = scalars.iter().map(|&k| u128_limbs(k)).collect();
+    msm_limbs(bases, &limbs, 128)
+}
+
+/// A 128-bit integer as little-endian limbs.
+pub(crate) fn u128_limbs(v: u128) -> Limbs {
+    [v as u64, (v >> 64) as u64, 0, 0]
+}
+
 /// Pippenger over raw little-endian limb scalars bounded by `2^nbits` —
-/// the shared core of [`msm`] and the GLV-split
+/// the shared core of [`msm`], [`msm_u128`] and the GLV-split
 /// [`crate::endo::msm_g1`], whose half-scalars only span 128 bits (and
 /// therefore half the windows).
 pub(crate) fn msm_limbs<C: CurveParams>(
@@ -121,7 +143,7 @@ pub(crate) fn msm_limbs<C: CurveParams>(
 /// All windows' bucket lists live in one flat arena and the batch-affine
 /// halving rounds run over the pooled pairs, so every round shares a
 /// single Montgomery inversion across the full range — the per-window
-/// variant pays one inversion (a ~380-mul Fermat exponentiation) *per
+/// variant pays one inversion (~150 field muls' worth of time) *per
 /// window* and drains most points through unbatched mixed additions at
 /// the sizes the audit verifier feeds (`chi` over a few hundred points).
 /// The tail that never reaches the batching cutoff merges through plain
@@ -533,6 +555,29 @@ mod tests {
                 "mismatch at n={n}"
             );
         }
+    }
+
+    #[test]
+    fn msm_u128_matches_naive() {
+        let mut rng = rng();
+        let n = 40;
+        let bases: Vec<_> = (0..n)
+            .map(|_| G1Projective::random(&mut rng).to_affine())
+            .collect();
+        let mut small: Vec<u128> = (0..n)
+            .map(|_| {
+                let mut bytes = [0u8; 16];
+                rand::RngCore::fill_bytes(&mut rng, &mut bytes);
+                u128::from_le_bytes(bytes)
+            })
+            .collect();
+        small[0] = 0;
+        small[1] = 1;
+        small[2] = u128::MAX;
+        small[3] = 1 << 127;
+        let as_fr: Vec<Fr> = small.iter().map(|&k| Fr::from_limbs(u128_limbs(k))).collect();
+        assert_eq!(msm_u128(&bases, &small), msm_naive(&bases, &as_fr));
+        assert!(msm_u128::<crate::g1::G1Params>(&[], &[]).is_identity());
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Property-based tests for the algebra crate: field axioms, curve group
 //! laws and serialization roundtrips under randomized inputs.
 
+use dsaudit_algebra::bigint;
 use dsaudit_algebra::curve::Projective;
 use dsaudit_algebra::field::Field;
+use dsaudit_algebra::fields::{FqParams, FrParams};
+use dsaudit_algebra::fp::{FieldParams, Fp};
 use dsaudit_algebra::fp12::Fq12;
 use dsaudit_algebra::fp2::Fq2;
 use dsaudit_algebra::fp6::Fq6;
@@ -261,5 +264,141 @@ proptest! {
             final_exponentiation(&multi_miller_loop(&refs)),
             final_exponentiation(&generic)
         );
+    }
+}
+
+// --- differential oracles for the write-path field kernels -----------------
+//
+// `Field::pow` walks fixed 4-bit windows, `Fp::inverse` is a binary
+// extended Euclid and `Fp::legendre` a binary Jacobi symbol. The
+// definitions they replaced stay here as the oracles: bit-by-bit
+// square-and-multiply, Fermat's `a^(p-2)` and Euler's `a^((p-1)/2)`.
+
+/// Bit-by-bit square-and-multiply over little-endian limbs.
+fn pow_binary<F: Field>(base: F, exp: &[u64]) -> F {
+    let mut res = F::one();
+    for limb in exp.iter().rev() {
+        for i in (0..64).rev() {
+            res = res.square();
+            if (limb >> i) & 1 == 1 {
+                res *= base;
+            }
+        }
+    }
+    res
+}
+
+fn inverse_fermat<P: FieldParams>(a: Fp<P>) -> Option<Fp<P>> {
+    (!a.is_zero()).then(|| pow_binary(a, &bigint::sub_small(&P::MODULUS, 2)))
+}
+
+fn legendre_euler<P: FieldParams>(a: Fp<P>) -> i8 {
+    let e = pow_binary(a, &bigint::shr(&P::MODULUS, 1));
+    if a.is_zero() {
+        0
+    } else if e == Fp::one() {
+        1
+    } else {
+        -1
+    }
+}
+
+/// A random exponent whose top `sel % 4` limbs are cleared, so the window
+/// walk also starts below limb 3.
+fn arb_exponent() -> impl Strategy<Value = [u64; 4]> {
+    (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u8>()).prop_map(
+        |(a, b, c, d, sel)| {
+            let mut e = [a, b, c, d];
+            for limb in e.iter_mut().rev().take(usize::from(sel % 4)) {
+                *limb = 0;
+            }
+            e
+        },
+    )
+}
+
+/// Values the shift-and-subtract loops could trip on: the ends of the
+/// range, powers of two on either side of the Montgomery map, and the
+/// elements whose Montgomery limbs are a lone bit (`2^k / R`), which
+/// drive the trailing-zero strips past a limb boundary.
+fn edge_elements<P: FieldParams>() -> Vec<Fp<P>> {
+    let r = Fp::<P>::from_u64(1 << 32).square().square().square();
+    let r_inv = inverse_fermat(r).expect("R is nonzero");
+    let mut out = vec![
+        Fp::zero(),
+        Fp::one(),
+        -Fp::<P>::one(),
+        Fp::from_u64(2),
+        Fp::from_u64(u64::MAX),
+        -Fp::<P>::from_u64(u64::MAX),
+        r,
+        r_inv,
+    ];
+    for k in [1u32, 63, 64, 65, 128, 200, 253] {
+        let mut limbs = [0u64; 4];
+        limbs[(k / 64) as usize] = 1 << (k % 64);
+        let pow2 = Fp::<P>::from_limbs(limbs);
+        out.extend([pow2, -pow2, pow2 * r_inv, -(pow2 * r_inv)]);
+    }
+    out
+}
+
+fn check_field_kernels<P: FieldParams>() {
+    let p_minus_1 = bigint::sub_small(&P::MODULUS, 1);
+    let exponents: [&[u64]; 9] = [
+        &[],
+        &[0],
+        &[0, 0, 0, 0],
+        &[1, 0, 0, 0],
+        &[0, 0, 0, 1],
+        &[0xf, 0, 0, 0],
+        &[0x10, 0, 0],
+        &[u64::MAX, u64::MAX, 0, 0],
+        &p_minus_1,
+    ];
+    for a in edge_elements::<P>() {
+        assert_eq!(a.inverse(), inverse_fermat(a), "inverse of {a:?}");
+        assert_eq!(a.legendre(), legendre_euler(a), "legendre of {a:?}");
+        for exp in exponents {
+            assert_eq!(a.pow(exp), pow_binary(a, exp), "{a:?} ^ {exp:?}");
+        }
+    }
+    assert_eq!(Fp::<P>::zero().inverse(), None);
+    assert_eq!(Fp::<P>::zero().legendre(), 0);
+    assert_eq!(Fp::<P>::zero().pow(&[0, 0, 0, 0]), Fp::one());
+}
+
+#[test]
+fn field_kernels_match_their_definitions_on_edge_cases() {
+    check_field_kernels::<FqParams>();
+    check_field_kernels::<FrParams>();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn euclid_inverse_matches_fermat(a in arb_fq(), b in arb_fr()) {
+        prop_assert_eq!(a.inverse(), inverse_fermat(a));
+        prop_assert_eq!(b.inverse(), inverse_fermat(b));
+    }
+
+    #[test]
+    fn jacobi_legendre_matches_euler(a in arb_fq(), b in arb_fr()) {
+        prop_assert_eq!(a.legendre(), legendre_euler(a));
+        prop_assert_eq!(b.legendre(), legendre_euler(b));
+        prop_assert_eq!(a.square().legendre(), i8::from(!a.is_zero()));
+    }
+
+    #[test]
+    fn windowed_pow_matches_binary(a in arb_fq(), b in arb_fr(), e in arb_exponent()) {
+        prop_assert_eq!(a.pow(&e), pow_binary(a, &e));
+        prop_assert_eq!(b.pow(&e), pow_binary(b, &e));
+    }
+
+    /// The tower fields take the same default `pow`.
+    #[test]
+    fn windowed_pow_matches_binary_in_fq2(a in arb_fq2(), e in arb_exponent()) {
+        prop_assert_eq!(a.pow(&e), pow_binary(a, &e));
     }
 }

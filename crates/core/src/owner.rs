@@ -263,6 +263,26 @@ mod tests {
         assert_ne!(share_name(&[0xcd; 32], 1), share_name(&content, 1));
     }
 
+    /// Known answer for the tag vector of one erasure share: fixed key
+    /// seed, content address, index and bytes. Captured before the
+    /// write-path algebra changed (windowed `pow`, Euclid inverse,
+    /// Jacobi-filtered `H`); the authenticators are a function of the
+    /// inputs alone, so none of that may move the digest.
+    #[test]
+    fn outsource_share_tags_known_answer() {
+        use crate::codec::Codec;
+        let params = AuditParams::new(8, 5).unwrap();
+        let owner = DataOwner::generate(&mut rng(), params);
+        let data: Vec<u8> = (0..4000).map(|i| (i * 29 % 253) as u8).collect();
+        let bundle = owner.outsource_share(&[0x5c; 32], 3, &data);
+        assert_eq!(bundle.tags.len(), 17);
+        let hex: String = dsaudit_crypto::sha256::sha256(&bundle.tags.encode())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, "5f552adcc228be9bbe3eecc0071f6971283e33d12f03746db8a7b17862f981b1");
+    }
+
     #[test]
     fn owner_rebuilds_from_secret_deterministically() {
         let mut rng = rng();

@@ -33,8 +33,8 @@ pub struct StorageProvider {
 impl StorageProvider {
     /// Accepts an outsourcing bundle after validating it: dimensions
     /// must agree and the tag vector must pass the random-linear-
-    /// combination batch check (a forged tag survives with probability
-    /// `1/r`).
+    /// combination batch check (128-bit weights: a forged tag survives
+    /// with probability at most `2^-128`).
     ///
     /// # Errors
     /// [`DsAuditError::DimensionMismatch`] on inconsistent shapes,

@@ -10,7 +10,7 @@ use dsaudit_algebra::curve::Projective;
 use dsaudit_algebra::endo::{msm_g1, mul_each_g1};
 use dsaudit_algebra::field::Field;
 use dsaudit_algebra::g1::{G1Affine, G1Projective};
-use dsaudit_algebra::msm::msm;
+use dsaudit_algebra::msm::{msm, msm_u128};
 use dsaudit_algebra::pairing::{multi_pairing_prepared, G2Prepared};
 use dsaudit_algebra::par::par_map;
 use dsaudit_algebra::Fr;
@@ -145,7 +145,11 @@ pub fn verify_tags_each(
 /// combination (one pairing product instead of `d`): for random weights
 /// `w_i`, checks `e(prod sigma_i^{w_i}, g2) == e(prod base_i^{w_i}, eps)`.
 ///
-/// A forged tag passes only with probability `1/r`.
+/// The weights are 128 bits wide (the small-exponents test of Bellare,
+/// Garay and Rabin): a tag vector with any forged entry passes with
+/// probability at most `2^-128`, already past BN254's own security
+/// level, and both aggregations run as `d`-point 128-bit MSMs instead
+/// of `2d`-point GLV-split ones.
 ///
 /// # Errors
 /// [`DsAuditError::DimensionMismatch`] when the tag count does not
@@ -165,22 +169,29 @@ pub fn verify_tags_batch<R: rand::RngCore + ?Sized>(
             got: tags.len(),
         });
     }
-    let weights: Vec<Fr> = (0..d).map(|_| Fr::random(rng)).collect();
+    let weights: Vec<u128> = (0..d)
+        .map(|_| {
+            let mut bytes = [0u8; 16];
+            rng.fill_bytes(&mut bytes);
+            u128::from_le_bytes(bytes)
+        })
+        .collect();
     // left: prod sigma_i^{w_i}
-    let sigma_agg = msm_g1(tags, &weights);
+    let sigma_agg = msm_u128(tags, &weights);
     // right: prod (g1^{M_i(alpha)} t_i)^{w_i}
     //      = g1^{sum_i w_i M_i(alpha)} * prod t_i^{w_i}
     // sum_i w_i M_i(alpha) has coefficient vector sum_i w_i m_{i,*}
     let s = pk.s();
     let mut combined = vec![Fr::zero(); s];
     for (i, w) in weights.iter().enumerate() {
+        let w = Fr::from_limbs([*w as u64, (*w >> 64) as u64, 0, 0]);
         for (j, m) in file.chunk(i).iter().enumerate() {
-            combined[j] += *w * *m;
+            combined[j] += w * *m;
         }
     }
     let commit = msm_g1(&pk.alpha_powers_g1, &combined);
     let hashes: Vec<G1Affine> = par_map(d, |i| index_oracle(file.name, i as u64));
-    let hash_agg = msm_g1(&hashes, &weights);
+    let hash_agg = msm_u128(&hashes, &weights);
     let base = commit.add(&hash_agg).to_affine();
     let sigma_neg = sigma_agg.to_affine().neg();
     let eps_p = G2Prepared::from_affine(&pk.eps);
@@ -296,6 +307,30 @@ mod tests {
             verify_tags_batch(&mut rng, &pk, &file, &tags).unwrap(),
             Verdict::Reject(RejectReason::TagEquation)
         );
+    }
+
+    /// `sigma_a + D`, `sigma_b - D`: the errors cancel in the plain
+    /// sum of the tags, so a check whose weights were equal (or shared
+    /// their low bits) would pass it. Independent 128-bit weights leave
+    /// `(w_a - w_b) * D`, nonzero except with probability `2^-128`.
+    #[test]
+    fn batch_validation_rejects_cancelling_forgery() {
+        let (_, pk, file, mut tags) = setup();
+        let mut rng = rng();
+        let honest_sum = G1Projective::sum(tags.iter().map(G1Affine::to_projective));
+        let delta = G1Projective::random(&mut rng);
+        tags[0] = tags[0].to_projective().add(&delta).to_affine();
+        tags[3] = tags[3].to_projective().add(&delta.neg()).to_affine();
+        assert_eq!(
+            G1Projective::sum(tags.iter().map(G1Affine::to_projective)),
+            honest_sum
+        );
+        for _ in 0..4 {
+            assert_eq!(
+                verify_tags_batch(&mut rng, &pk, &file, &tags).unwrap(),
+                Verdict::Reject(RejectReason::TagEquation)
+            );
+        }
     }
 
     #[test]

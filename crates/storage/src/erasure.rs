@@ -102,36 +102,32 @@ impl ErasureCode {
     /// The data is padded to a multiple of `k`.
     pub fn encode(&self, data: &[u8]) -> Vec<Share> {
         let share_len = data.len().div_ceil(self.k).max(1);
-        let mut padded = data.to_vec();
-        padded.resize(share_len * self.k, 0);
-        // column-major data layout: share r byte b = sum_c M[r][c] * D[c][b]
-        let mut shares: Vec<Share> = (0..self.n)
-            .map(|index| Share {
-                index,
-                data: vec![0u8; share_len],
+        // the top k rows of the matrix are the identity: systematic
+        // share c is the c-th slice of the zero-padded data, copied
+        let mut shares: Vec<Share> = (0..self.k)
+            .map(|index| {
+                let lo = (index * share_len).min(data.len());
+                let hi = (lo + share_len).min(data.len());
+                let mut row = data[lo..hi].to_vec();
+                row.resize(share_len, 0);
+                Share { index, data: row }
             })
             .collect();
-        for (r, share) in shares.iter_mut().enumerate() {
-            for c in 0..self.k {
-                let coef = self.matrix[r][c];
-                if coef == 0 {
-                    continue;
-                }
-                let chunk = &padded[c * share_len..(c + 1) * share_len];
-                for (out, inp) in share.data.iter_mut().zip(chunk) {
-                    *out = gf256::add(*out, gf256::mul(coef, *inp));
-                }
+        // parity share r byte b = sum_c M[r][c] * D[c][b]
+        for index in self.k..self.n {
+            let mut row = vec![0u8; share_len];
+            for (coef, systematic) in self.matrix[index].iter().zip(&shares) {
+                mul_acc(&mut row, &systematic.data, *coef);
             }
+            shares.push(Share { index, data: row });
         }
         shares
     }
 
-    /// Reconstructs the original data (including padding) from any `k`
-    /// distinct shares.
-    ///
-    /// # Errors
-    /// Returns [`ErasureError`] on insufficient/inconsistent shares.
-    pub fn decode(&self, shares: &[Share], original_len: usize) -> Result<Vec<u8>, ErasureError> {
+    /// Checks the first `k` of `shares` (enough of them, one length,
+    /// distinct in-range indices) and inverts the `k x k` submatrix of
+    /// their rows: `data = inv * shares`.
+    fn solve<'a>(&self, shares: &'a [Share]) -> Result<(&'a [Share], Vec<Vec<u8>>), ErasureError> {
         if shares.len() < self.k {
             return Err(ErasureError::NotEnoughShares {
                 have: shares.len(),
@@ -152,28 +148,82 @@ impl ErasureCode {
                 _ => return Err(ErasureError::BadShareIndex(s.index)),
             }
         }
-        // invert the k x k submatrix of selected rows
         let sub: Vec<Vec<u8>> = use_shares
             .iter()
             .map(|s| self.matrix[s.index].clone())
             .collect();
         let inv = invert_matrix(sub).ok_or(ErasureError::ShapeMismatch)?;
-        // data[c] = sum_r inv[c][r] * share[r]
+        Ok((use_shares, inv))
+    }
+
+    /// Writes row `index` of the code into the zeroed `dst`:
+    /// `M[index] * inv * shares`, one pass over each share.
+    fn rebuild_row(&self, index: usize, shares: &[Share], inv: &[Vec<u8>], dst: &mut [u8]) {
+        for (r, s) in shares.iter().enumerate() {
+            let coef = self.matrix[index]
+                .iter()
+                .zip(inv)
+                .fold(0, |acc, (m, inv_row)| gf256::add(acc, gf256::mul(*m, inv_row[r])));
+            mul_acc(dst, &s.data, coef);
+        }
+    }
+
+    /// Reconstructs the original data (including padding) from any `k`
+    /// distinct shares.
+    ///
+    /// # Errors
+    /// Returns [`ErasureError`] on insufficient/inconsistent shares.
+    pub fn decode(&self, shares: &[Share], original_len: usize) -> Result<Vec<u8>, ErasureError> {
+        let (used, inv) = self.solve(shares)?;
+        let share_len = used[0].data.len();
         let mut out = vec![0u8; self.k * share_len];
         for c in 0..self.k {
-            let dst = &mut out[c * share_len..(c + 1) * share_len];
-            for (r, s) in use_shares.iter().enumerate() {
-                let coef = inv[c][r];
-                if coef == 0 {
-                    continue;
-                }
-                for (o, i) in dst.iter_mut().zip(&s.data) {
-                    *o = gf256::add(*o, gf256::mul(coef, *i));
-                }
-            }
+            self.rebuild_row(c, used, &inv, &mut out[c * share_len..(c + 1) * share_len]);
         }
         out.truncate(original_len);
         Ok(out)
+    }
+
+    /// Rebuilds only the shares `wanted` from any `k` distinct shares —
+    /// what a repair needs: each lost share is one row
+    /// `M[index] * inv * shares`, so nothing is decoded to the full data
+    /// and no surviving share is re-encoded.
+    ///
+    /// # Errors
+    /// Returns [`ErasureError`] on insufficient/inconsistent shares or a
+    /// wanted index outside the code.
+    pub fn reconstruct(&self, shares: &[Share], wanted: &[usize]) -> Result<Vec<Share>, ErasureError> {
+        let (used, inv) = self.solve(shares)?;
+        let share_len = used[0].data.len();
+        wanted
+            .iter()
+            .map(|&index| {
+                if index >= self.n {
+                    return Err(ErasureError::BadShareIndex(index));
+                }
+                let mut data = vec![0u8; share_len];
+                self.rebuild_row(index, used, &inv, &mut data);
+                Ok(Share { index, data })
+            })
+            .collect()
+    }
+}
+
+/// `dst ^= coef * src` over GF(256), through the product row of `coef`.
+fn mul_acc(dst: &mut [u8], src: &[u8], coef: u8) {
+    match coef {
+        0 => {}
+        1 => {
+            for (out, inp) in dst.iter_mut().zip(src) {
+                *out ^= *inp;
+            }
+        }
+        _ => {
+            let row = gf256::mul_row(coef);
+            for (out, inp) in dst.iter_mut().zip(src) {
+                *out ^= row[*inp as usize];
+            }
+        }
     }
 }
 
@@ -247,6 +297,31 @@ mod tests {
         let shares = code.encode(data);
         assert_eq!(&shares[0].data, b"abc");
         assert_eq!(&shares[1].data, b"def");
+    }
+
+    /// SHA-256 over every share's index byte and payload.
+    fn shares_digest(shares: &[Share]) -> String {
+        let mut bytes = Vec::new();
+        for s in shares {
+            bytes.push(s.index as u8);
+            bytes.extend_from_slice(&s.data);
+        }
+        dsaudit_crypto::sha256::sha256(&bytes)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+
+    /// `encode` pinned at the log/antilog-table implementation: the
+    /// product-row kernel must place the same bytes (padding included —
+    /// 1000 is a multiple of neither `k`).
+    #[test]
+    fn encode_known_answers() {
+        let data: Vec<u8> = (0..1000u32).map(|i| (i * 37 % 251) as u8).collect();
+        for (k, n, want) in [(3, 6, "11989d7a3346f2716564f86be86e64012b78e101827ed661bd39d0cadc83f358"), (5, 10, "9e07572b657ae38757d339678865cd126f32581b435ad25027c80bfa11b6a34b")] {
+            let shares = ErasureCode::new(k, n).encode(&data);
+            assert_eq!(shares_digest(&shares), want, "{k}-of-{n}");
+        }
     }
 
     #[test]

@@ -44,6 +44,18 @@ pub fn mul(a: u8, b: u8) -> u8 {
     exp[log[a as usize] as usize + log[b as usize] as usize]
 }
 
+/// The product row of `coef`: `row[x] = coef * x` for every byte `x`.
+/// 256 bytes, built once per matrix coefficient, so a bulk kernel pays
+/// one load and one XOR per byte instead of two zero tests and three
+/// table reads.
+pub fn mul_row(coef: u8) -> [u8; 256] {
+    let mut row = [0u8; 256];
+    for (x, out) in row.iter_mut().enumerate() {
+        *out = mul(coef, x as u8);
+    }
+    row
+}
+
 /// Multiplicative inverse.
 ///
 /// # Panics
@@ -100,6 +112,16 @@ mod tests {
                 for c in [1u8, 42, 180] {
                     assert_eq!(mul(a, add(b, c)), add(mul(a, b), mul(a, c)));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn mul_row_is_mul_for_every_pair() {
+        for coef in 0..=255u8 {
+            let row = mul_row(coef);
+            for x in 0..=255u8 {
+                assert_eq!(row[x as usize], mul(coef, x), "{coef} * {x}");
             }
         }
     }

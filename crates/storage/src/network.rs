@@ -175,8 +175,8 @@ impl StorageNetwork {
         let content_id = NodeId::from_content(&ciphertext);
         let shares = self.code.encode(&ciphertext);
         let candidates = self.dht.providers_for(&content_id, self.code.n());
-        let mut placements = Vec::with_capacity(shares.len());
-        for share in &shares {
+        let mut placements = Vec::with_capacity(self.code.n());
+        for share in shares {
             let provider = candidates
                 .get(share.index % candidates.len().max(1))
                 .copied()
@@ -185,7 +185,7 @@ impl StorageNetwork {
             self.providers
                 .get_mut(&provider)
                 .ok_or(StorageError::NoEligibleProvider { share: share.index })?
-                .put(share_key, share.data.clone());
+                .put(share_key, share.data);
             placements.push((share.index, provider, share_key));
         }
         Ok(FileManifest {
@@ -238,7 +238,9 @@ impl StorageNetwork {
     /// Repair: reconstruct every lost share — a blob that is missing,
     /// sits on a departed provider, or is in `known_bad` (shares the
     /// audit layer proved corrupt; erasure coding alone cannot tell) —
-    /// and re-place each on the live provider *closest to the content id
+    /// straight from `k` survivors ([`ErasureCode::reconstruct`]: only
+    /// the lost rows are computed, the file is never decoded), and
+    /// re-place each on the live provider *closest to the content id
     /// by DHT distance* that does not already hold one of the file's
     /// shares ([`DhtNetwork::providers_for`]), never back on the slot
     /// that lost it. The manifest is updated in place.
@@ -257,10 +259,6 @@ impl StorageNetwork {
         manifest: &mut FileManifest,
         known_bad: &[usize],
     ) -> Result<Vec<(usize, NodeId)>, StorageError> {
-        let survivors = self.gather_shares(manifest, known_bad);
-        let ciphertext = self.code.decode(&survivors, manifest.ciphertext_len)?;
-        let shares = self.code.encode(&ciphertext);
-
         // which placements are lost, and who currently holds a healthy share
         let mut lost: Vec<usize> = Vec::new(); // positions in manifest.placements
         let mut holders: Vec<NodeId> = Vec::new();
@@ -277,8 +275,12 @@ impl StorageNetwork {
             }
         }
 
+        let survivors = self.gather_shares(manifest, known_bad);
+        let lost_indices: Vec<usize> = lost.iter().map(|&pos| manifest.placements[pos].0).collect();
+        let rebuilt = self.code.reconstruct(&survivors, &lost_indices)?;
+
         let mut repaired = Vec::with_capacity(lost.len());
-        for pos in lost {
+        for (pos, share) in lost.into_iter().zip(rebuilt) {
             let (index, old_provider, share_key) = manifest.placements[pos];
             let mut unavailable = holders.clone();
             unavailable.push(old_provider);
@@ -293,7 +295,7 @@ impl StorageNetwork {
             self.providers
                 .get_mut(&target)
                 .ok_or(StorageError::NoEligibleProvider { share: index })?
-                .put(share_key, shares[index].data.clone());
+                .put(share_key, share.data);
             manifest.placements[pos] = (index, target, share_key);
             holders.push(target);
             repaired.push((index, target));
@@ -470,6 +472,45 @@ mod tests {
             assert!(!crashed.contains(provider) && *provider != left);
         }
         assert_eq!(net.download(&manifest, [6u8; 32]).unwrap(), data);
+    }
+
+    /// Every loss pattern the code tolerates, parity-only survivors
+    /// included: repair must put back, under each lost index, exactly
+    /// the bytes `encode(ciphertext)` holds there — it rebuilds rows
+    /// from survivors without ever seeing the ciphertext.
+    #[test]
+    fn repair_places_encoded_bytes_for_every_loss_pattern() {
+        for (k, n) in [(3usize, 6usize), (5, 10)] {
+            let data: Vec<u8> = (0..257u32).map(|i| (i * 7 % 253) as u8).collect();
+            let (key, nonce) = ([k as u8; 32], [n as u8; 12]);
+            let mut ciphertext = data.clone();
+            ChaCha20::new(key, nonce).encrypt(&mut ciphertext);
+            let expected = ErasureCode::new(k, n).encode(&ciphertext);
+            for pattern in 1u32..1 << n {
+                if pattern.count_ones() as usize > n - k {
+                    continue;
+                }
+                let mut net = StorageNetwork::new(2 * n, k, n);
+                let mut manifest = net.upload(key, nonce, &data).expect("upload succeeds");
+                let mut lost = Vec::new();
+                for (index, provider, share_key) in &manifest.placements {
+                    if pattern >> index & 1 == 1 {
+                        assert!(net.provider_mut(provider).unwrap().drop_share(share_key));
+                        lost.push(*index);
+                    }
+                }
+                let repaired = net.repair(&mut manifest, &[]).unwrap();
+                let moved: Vec<usize> = repaired.iter().map(|(index, _)| *index).collect();
+                assert_eq!(moved, lost, "{k}-of-{n} pattern {pattern:#b}");
+                for (index, provider, share_key) in &manifest.placements {
+                    assert_eq!(
+                        net.provider(provider).unwrap().get(share_key),
+                        Some(&expected[*index].data),
+                        "{k}-of-{n} pattern {pattern:#b} share {index}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

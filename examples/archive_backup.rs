@@ -45,10 +45,15 @@ fn main() {
     let repaired = dsn
         .repair(&mut manifest, &[])
         .expect("enough shares survive");
+    assert_eq!(repaired.len(), 5);
+    assert_eq!(dsn.live_shares(&manifest), 10);
+    assert!(
+        dsn.download(&manifest, key).expect("decodable") == photos,
+        "repaired archive must download intact"
+    );
     println!(
-        "repair re-placed {} shares on DHT-nearest free providers; download intact: {}",
-        repaired.len(),
-        dsn.download(&manifest, key).expect("decodable") == photos
+        "repair re-placed {} shares on DHT-nearest free providers; download intact",
+        repaired.len()
     );
 
     // --- audit layer: contract + periodic auditing of one provider ---

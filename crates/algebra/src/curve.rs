@@ -127,9 +127,69 @@ impl<C: CurveParams> Affine<C> {
         }
     }
 
-    /// Scalar multiplication by an `Fr` element.
+    /// Double-and-add scalar multiplication by the canonical
+    /// representative of `k`. The base stays affine, so every set bit is
+    /// a mixed addition (~11 field multiplications) where
+    /// [`Projective::mul`] pays a general one (~16).
     pub fn mul(&self, k: Fr) -> Projective<C> {
-        self.to_projective().mul(k)
+        let limbs = k.to_canonical();
+        let top = match highest_bit(&limbs) {
+            None => return Projective::identity(),
+            Some(t) => t,
+        };
+        let mut acc = self.to_projective();
+        for i in (0..top).rev() {
+            acc = acc.double();
+            if bit(&limbs, i) {
+                acc = acc.add_affine(self);
+            }
+        }
+        acc
+    }
+
+    /// Denominator of the slope of `self + other` in affine coordinates:
+    /// `x2 - x1` for distinct `x`, `2 * y1` for a doubling, and 1 for the
+    /// lanes that need no slope (either operand at infinity, or a
+    /// cancellation) — never zero, so a whole batch of lanes can share
+    /// one [`batch_inverse`].
+    pub(crate) fn add_denominator(&self, other: &Self) -> C::Base {
+        if self.infinity || other.infinity {
+            C::Base::one()
+        } else if self.x != other.x {
+            other.x - self.x
+        } else if self.y == other.y && !self.y.is_zero() {
+            self.y.double()
+        } else {
+            C::Base::one()
+        }
+    }
+
+    /// `self + other` given `inv`, the inverse of
+    /// [`Affine::add_denominator`] for the same operands: an operand at
+    /// infinity copies the other through, equal points take the tangent
+    /// slope `3x^2 / 2y`, and opposite points (or a 2-torsion doubling)
+    /// give infinity.
+    pub(crate) fn add_with_inverse(&self, other: &Self, inv: C::Base) -> Self {
+        if other.infinity {
+            return *self;
+        }
+        if self.infinity {
+            return *other;
+        }
+        let lambda = if self.x != other.x {
+            (other.y - self.y) * inv
+        } else if self.y == other.y && !self.y.is_zero() {
+            let xx = self.x.square();
+            (xx.double() + xx) * inv
+        } else {
+            return Self::identity();
+        };
+        let x3 = lambda.square() - self.x - other.x;
+        Self {
+            x: x3,
+            y: lambda * (self.x - x3) - self.y,
+            infinity: false,
+        }
     }
 
     /// Negation (reflect over the x-axis).
@@ -360,64 +420,27 @@ impl<C: CurveParams> Projective<C> {
     /// `acc[i] = acc[i] + rhs[i]` for every lane, all lanes sharing a
     /// single Montgomery-inversion pass (`batch_inverse`).
     ///
-    /// This is the workhorse of the batch-affine MSM bucket accumulation
-    /// and the fixed-scalar multiplication kernels: a full affine addition
-    /// costs ~6 field multiplications per lane (3 of them amortized
-    /// inversion) versus ~11 for a Jacobian mixed addition.
-    ///
-    /// All the exceptional cases are folded into the same inversion pass
-    /// rather than special-cased on a slow path:
-    ///
-    /// * either operand at infinity — lane denominator is set to 1 and the
-    ///   other operand is copied through;
-    /// * equal x, equal y (doubling) — the denominator becomes `2y` and
-    ///   the tangent slope `3x^2 / 2y` is used;
-    /// * equal x, opposite y (cancellation) — the lane yields infinity.
+    /// This is the workhorse of the fixed-base and fixed-scalar
+    /// multiplication kernels (the MSM bucket arena runs the same lanes
+    /// in place): a full affine addition costs ~6 field multiplications
+    /// per lane (3 of them amortized inversion) versus ~11 for a Jacobian
+    /// mixed addition. The exceptional cases are lanes of the same pass
+    /// rather than a slow path: an operand at infinity copies the other
+    /// through, equal points take the tangent slope `3x^2 / 2y` over the
+    /// denominator `2y`, opposite points yield infinity.
     ///
     /// # Panics
     /// Panics if the slices have different lengths.
     pub fn batch_add_affine(acc: &mut [Affine<C>], rhs: &[Affine<C>]) {
         assert_eq!(acc.len(), rhs.len(), "batch_add_affine length mismatch");
-        // Per-lane denominator of the slope: x2 - x1 for distinct x,
-        // 2*y1 for doubling, 1 for the no-op/identity cases.
         let mut denoms: Vec<C::Base> = acc
             .iter()
             .zip(rhs)
-            .map(|(a, b)| {
-                if a.infinity || b.infinity {
-                    C::Base::one()
-                } else if a.x != b.x {
-                    b.x - a.x
-                } else if a.y == b.y && !a.y.is_zero() {
-                    a.y.double()
-                } else {
-                    C::Base::one()
-                }
-            })
+            .map(|(a, b)| a.add_denominator(b))
             .collect();
         batch_inverse(&mut denoms);
         for ((a, b), inv) in acc.iter_mut().zip(rhs).zip(denoms) {
-            if b.infinity {
-                continue;
-            }
-            if a.infinity {
-                *a = *b;
-                continue;
-            }
-            let lambda = if a.x != b.x {
-                (b.y - a.y) * inv
-            } else if a.y == b.y && !a.y.is_zero() {
-                let xx = a.x.square();
-                (xx.double() + xx) * inv
-            } else {
-                // cancellation (or doubling a 2-torsion point): identity
-                *a = Affine::identity();
-                continue;
-            };
-            let x3 = lambda.square() - a.x - b.x;
-            let y3 = lambda * (a.x - x3) - a.y;
-            a.x = x3;
-            a.y = y3;
+            *a = a.add_with_inverse(b, inv);
         }
     }
 
@@ -497,6 +520,20 @@ mod tests {
 
     fn rng() -> rand::rngs::StdRng {
         rand::rngs::StdRng::seed_from_u64(0xbadd)
+    }
+
+    #[test]
+    fn affine_mul_matches_projective_mul() {
+        let mut rng = rng();
+        let mut scalars = crate::msm::adversarial_scalars();
+        scalars.extend((0..4).map(|_| Fr::random(&mut rng)));
+        let g1 = G1Projective::random(&mut rng).to_affine();
+        let g2 = crate::g2::G2Projective::random(&mut rng).to_affine();
+        for k in scalars {
+            assert_eq!(g1.mul(k), g1.to_projective().mul(k), "G1, k={k:?}");
+            assert_eq!(g2.mul(k), g2.to_projective().mul(k), "G2, k={k:?}");
+            assert!(G1Affine::identity().mul(k).is_identity());
+        }
     }
 
     #[test]

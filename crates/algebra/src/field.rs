@@ -86,8 +86,15 @@ pub trait Field:
 /// Inverts a batch of field elements with a single inversion
 /// (Montgomery's trick). Zero entries are left untouched.
 pub fn batch_inverse<F: Field>(elems: &mut [F]) {
+    batch_inverse_with(elems, &mut Vec::with_capacity(elems.len()));
+}
+
+/// [`batch_inverse`] with the prefix-product scratch supplied by the
+/// caller, so a loop of batches (the MSM bucket arena's halving rounds)
+/// allocates it once. `prods` is overwritten.
+pub(crate) fn batch_inverse_with<F: Field>(elems: &mut [F], prods: &mut Vec<F>) {
     // prods[i] = product of the non-zero entries among elems[0..i]
-    let mut prods = Vec::with_capacity(elems.len());
+    prods.clear();
     let mut acc = F::one();
     for e in elems.iter() {
         prods.push(acc);
@@ -101,12 +108,12 @@ pub fn batch_inverse<F: Field>(elems: &mut [F]) {
         Some(i) => i,
         None => return, // all entries zero
     };
-    for i in (0..elems.len()).rev() {
-        if elems[i].is_zero() {
+    for (e, prod) in elems.iter_mut().zip(prods.iter()).rev() {
+        if e.is_zero() {
             continue;
         }
-        let next_inv = inv * elems[i];
-        elems[i] = inv * prods[i];
+        let next_inv = inv * *e;
+        *e = inv * *prod;
         inv = next_inv;
     }
 }

@@ -5,9 +5,10 @@
 //!   recoded into `(-2^(c-1), 2^(c-1)]`, which halves the bucket count per
 //!   window (negative digits reuse the positive buckets with a negated
 //!   point, since affine negation is free). Windows are processed in
-//!   parallel on the [`crate::par`] thread-pool shim, and large windows
-//!   accumulate their buckets with [`Projective::batch_add_affine`] — many
-//!   independent affine additions sharing one Montgomery-inversion pass.
+//!   parallel on the [`crate::par`] thread-pool shim, and their buckets
+//!   are segments of one counting-sorted arena halved in place — many
+//!   independent affine additions sharing one Montgomery-inversion pass
+//!   per round, lane for lane what [`Projective::batch_add_affine`] does.
 //! * [`FixedBaseTable`] — 8-bit windowed precomputation for one fixed
 //!   base; [`FixedBaseTable::mul_many_affine`] evaluates many scalars at
 //!   once with batch-affine accumulators (~6 field muls per window per
@@ -24,17 +25,26 @@
 
 use crate::bigint::{self, Limbs};
 use crate::curve::{Affine, CurveParams, Projective};
+use crate::field::batch_inverse_with;
 use crate::fields::Fr;
 use crate::par::par_map_chunks;
 
 /// Scalars are canonical representatives of the 254-bit field `Fr`.
 const FR_BITS: usize = 254;
 
-/// Minimum number of simultaneous affine additions for the batch-affine
-/// path to beat Jacobian mixed additions. The shared inversion (a binary
-/// Euclid, ~150 field muls' worth of time) is paid once per round, so a
-/// batched lane (~6 muls) only beats a mixed addition (~11 muls) once the
-/// inversion is amortized over enough lanes.
+/// Minimum number of simultaneous affine additions for which a halving
+/// round of the bucket arena is still run. The shared inversion (a
+/// binary Euclid, ~150 field muls' worth of time) is paid once per round,
+/// so a batched lane (~6 muls) only beats a mixed addition (~11 muls)
+/// once the inversion is amortized over enough lanes.
+///
+/// Swept on the in-place arena with `endo::msm_g1`, one pinned CPU,
+/// median ms of three passes at n = 49 / 300 / 8192 bases (98 / 600 /
+/// 16 384 split points): cutoff 16: 0.80 / 3.19 / 56.0; 32: 0.81 / 3.27 /
+/// 54.8; 64: 0.78 / 3.34 / 56.1; 128: 0.79 / 3.18 / 54.8; 256: 0.79 /
+/// 3.28 / 55.7; 512: 0.82 / 3.18 / 57.2. Flat inside the box's ±3 %
+/// run-to-run spread — the last rounds it decides hold a few hundred
+/// additions out of tens of thousands — so the value stays.
 const BATCH_AFFINE_CUTOFF: usize = 128;
 
 /// Picks the bucket window size for `n` terms of `nbits` bits by
@@ -43,6 +53,13 @@ const BATCH_AFFINE_CUTOFF: usize = 128;
 /// additions' worth of running-sum work per bucket. Signed digits halve
 /// the bucket count, so the optimum sits about one bit above the classic
 /// unsigned ladder.
+///
+/// The per-bucket weight was swept with the cutoff above (same set-up,
+/// median ms at n = 49 / 300 / 8192 bases): weight 1: 0.86 / 3.34 / 55.6;
+/// 2: 0.80 / 3.33 / 54.4; 3: 0.79 / 3.14 / 54.9; 4: 0.79 / 3.15 / 54.6;
+/// 5: 0.79 / 3.18 / 54.0; 6: 0.80 / 3.17 / 53.7; 8: 0.79 / 3.45 / 55.8.
+/// 3 to 6 tie at every size (at 600 points they choose between `c = 7`
+/// and `c = 6`, 3.14 against 3.15-3.18 ms); 3 stays.
 fn window_size(n: usize, nbits: usize) -> usize {
     let mut best = (usize::MAX, 1);
     for c in 1..=15 {
@@ -140,15 +157,12 @@ pub(crate) fn msm_limbs<C: CurveParams>(
 /// window with the running-sum trick, returning `sum_d d * bucket[w][d]`
 /// per window.
 ///
-/// All windows' bucket lists live in one flat arena and the batch-affine
-/// halving rounds run over the pooled pairs, so every round shares a
-/// single Montgomery inversion across the full range — the per-window
-/// variant pays one inversion (~150 field muls' worth of time) *per
-/// window* and drains most points through unbatched mixed additions at
-/// the sizes the audit verifier feeds (`chi` over a few hundred points).
-/// The tail that never reaches the batching cutoff merges through plain
-/// mixed additions inside the running-sum pass, which is exactly the old
-/// small-input path.
+/// The range is cut into blocks of windows that each fill one
+/// [`BucketArena`], so every batch-affine halving round shares a single
+/// inversion across all the windows of its block — the per-window variant
+/// pays one inversion (~150 field muls' worth of time) *per window* and
+/// drains most points through unbatched mixed additions at the sizes the
+/// audit verifier feeds (`chi` over a few hundred points).
 fn bucket_windows<C: CurveParams>(
     bases: &[Affine<C>],
     digits: &[i16],
@@ -162,89 +176,147 @@ fn bucket_windows<C: CurveParams>(
     // cache-sized working set instead of thrashing one giant arena.
     const TARGET_ARENA_POINTS: usize = 1 << 14;
     let block = (TARGET_ARENA_POINTS / bases.len().max(1)).max(1);
-    if ws.len() > block {
-        let mut out = Vec::with_capacity(ws.len());
-        let mut start = ws.start;
-        while start < ws.end {
-            let end = (start + block).min(ws.end);
-            out.extend(bucket_windows_block(bases, digits, start..end, num_windows, c));
-            start = end;
-        }
-        return out;
+    let mut arena = BucketArena::default();
+    let mut out = Vec::with_capacity(ws.len());
+    let mut start = ws.start;
+    while start < ws.end {
+        let end = (start + block).min(ws.end);
+        arena.fill(bases, digits, start..end, num_windows, c);
+        arena.halve();
+        arena.window_sums(&mut out);
+        start = end;
     }
-    bucket_windows_block(bases, digits, ws, num_windows, c)
+    out
 }
 
-/// One pooled arena of bucket lists covering `ws`; see [`bucket_windows`].
-fn bucket_windows_block<C: CurveParams>(
-    bases: &[Affine<C>],
-    digits: &[i16],
-    ws: core::ops::Range<usize>,
-    num_windows: usize,
-    c: usize,
-) -> Vec<Projective<C>> {
-    let half = 1usize << (c - 1);
-    let wcount = ws.len();
-    let mut lists: Vec<Vec<Affine<C>>> = vec![Vec::new(); wcount * half];
-    for (wi, w) in ws.enumerate() {
-        for (i, base) in bases.iter().enumerate() {
-            let d = digits[i * num_windows + w];
-            match d.cmp(&0) {
-                core::cmp::Ordering::Greater => {
-                    lists[wi * half + (d - 1) as usize].push(*base);
+/// The buckets of a block of windows as segments of one flat point
+/// array, sorted by `(window, bucket)`: bucket `b` is
+/// `points[starts[b]..starts[b] + lens[b]]`. Each point is written once
+/// on the way in and the halving rounds shrink every segment in place,
+/// so no round moves a point it does not add. The vectors are scratch
+/// reused from block to block.
+struct BucketArena<C: CurveParams> {
+    /// Buckets per window, `2^(c-1)`.
+    half: usize,
+    points: Vec<Affine<C>>,
+    starts: Vec<usize>,
+    lens: Vec<usize>,
+    denoms: Vec<C::Base>,
+    prods: Vec<C::Base>,
+}
+
+impl<C: CurveParams> Default for BucketArena<C> {
+    fn default() -> Self {
+        Self {
+            half: 0,
+            points: Vec::new(),
+            starts: Vec::new(),
+            lens: Vec::new(),
+            denoms: Vec::new(),
+            prods: Vec::new(),
+        }
+    }
+}
+
+impl<C: CurveParams> BucketArena<C> {
+    /// Counting sort of the non-zero digits of windows `ws`: one pass
+    /// counts every `(window, bucket)`, one pass places each point at its
+    /// bucket's cursor, negated on the way in for a negative digit.
+    fn fill(
+        &mut self,
+        bases: &[Affine<C>],
+        digits: &[i16],
+        ws: core::ops::Range<usize>,
+        num_windows: usize,
+        c: usize,
+    ) {
+        let half = 1usize << (c - 1);
+        self.half = half;
+        self.lens.clear();
+        self.lens.resize(ws.len() * half, 0);
+        for row in digits.chunks_exact(num_windows) {
+            for (wi, &d) in row[ws.clone()].iter().enumerate() {
+                if d != 0 {
+                    self.lens[wi * half + usize::from(d.unsigned_abs()) - 1] += 1;
                 }
-                core::cmp::Ordering::Less => {
-                    lists[wi * half + (-d - 1) as usize].push(base.neg());
+            }
+        }
+        self.starts.clear();
+        let mut total = 0;
+        for &len in &self.lens {
+            self.starts.push(total);
+            total += len;
+        }
+        self.points.clear();
+        self.points.resize(total, Affine::identity());
+        // `starts` doubles as the placement cursor and is wound back after
+        let starts = &mut self.starts;
+        for (base, row) in bases.iter().zip(digits.chunks_exact(num_windows)) {
+            for (wi, &d) in row[ws.clone()].iter().enumerate() {
+                if d != 0 {
+                    let cursor = &mut starts[wi * half + usize::from(d.unsigned_abs()) - 1];
+                    self.points[*cursor] = if d < 0 { base.neg() } else { *base };
+                    *cursor += 1;
                 }
-                core::cmp::Ordering::Equal => {}
+            }
+        }
+        for (start, len) in starts.iter_mut().zip(&self.lens) {
+            *start -= len;
+        }
+    }
+
+    /// Halves every bucket round by round: pair `(2j, 2j + 1)` of a
+    /// segment is summed into its slot `j` (read before any later pair
+    /// writes that far), an odd leftover moves down behind the sums, and
+    /// all pairs of all windows share one inversion per round. Stops once
+    /// the pooled pair count no longer pays for the next inversion; what
+    /// is left merges through mixed additions in
+    /// [`BucketArena::window_sums`].
+    fn halve(&mut self) {
+        loop {
+            let pairs: usize = self.lens.iter().map(|len| len / 2).sum();
+            if pairs < BATCH_AFFINE_CUTOFF {
+                return;
+            }
+            self.denoms.clear();
+            for (&start, &len) in self.starts.iter().zip(&self.lens) {
+                for pair in self.points[start..start + len].chunks_exact(2) {
+                    self.denoms.push(pair[0].add_denominator(&pair[1]));
+                }
+            }
+            batch_inverse_with(&mut self.denoms, &mut self.prods);
+            let mut lane = 0;
+            for (&start, len) in self.starts.iter().zip(self.lens.iter_mut()) {
+                let segment = &mut self.points[start..start + *len];
+                for j in 0..*len / 2 {
+                    segment[j] =
+                        segment[2 * j].add_with_inverse(&segment[2 * j + 1], self.denoms[lane]);
+                    lane += 1;
+                }
+                if *len % 2 == 1 {
+                    segment[*len / 2] = segment[*len - 1];
+                }
+                *len = len.div_ceil(2);
             }
         }
     }
-    // Halve every list round by round; all pending pairs of all windows
-    // share one inversion per round. The loop stops once the pooled pair
-    // count stops paying for the next inversion.
-    let mut lhs: Vec<Affine<C>> = Vec::new();
-    let mut rhs: Vec<Affine<C>> = Vec::new();
-    let mut origin: Vec<usize> = Vec::new();
-    loop {
-        lhs.clear();
-        rhs.clear();
-        origin.clear();
-        for (bi, list) in lists.iter_mut().enumerate() {
-            while list.len() >= 2 {
-                lhs.push(list.pop().expect("len >= 2"));
-                rhs.push(list.pop().expect("len >= 2"));
-                origin.push(bi);
-            }
-        }
-        if lhs.len() < BATCH_AFFINE_CUTOFF {
-            // not worth another shared inversion: put the pairs back
-            for ((bi, l), r) in origin.iter().zip(&lhs).zip(&rhs) {
-                lists[*bi].push(*l);
-                lists[*bi].push(*r);
-            }
-            break;
-        }
-        Projective::batch_add_affine(&mut lhs, &rhs);
-        for (bi, p) in origin.iter().zip(&lhs) {
-            lists[*bi].push(*p);
-        }
-    }
-    // Per window: merge each list's leftovers (mixed additions) while
-    // folding the buckets with the running-sum trick.
-    (0..wcount)
-        .map(|wi| {
+
+    /// Per window: merges each bucket's leftovers (mixed additions) while
+    /// folding the buckets with the running-sum trick, appending one sum
+    /// per window of the block to `out`.
+    fn window_sums(&self, out: &mut Vec<Projective<C>>) {
+        for window in 0..self.lens.len() / self.half {
             let mut running = Projective::<C>::identity();
             let mut acc = Projective::<C>::identity();
-            for list in lists[wi * half..(wi + 1) * half].iter().rev() {
-                for p in list {
+            for b in (window * self.half..(window + 1) * self.half).rev() {
+                for p in &self.points[self.starts[b]..self.starts[b] + self.lens[b]] {
                     running = running.add_affine(p);
                 }
                 acc = acc.add(&running);
             }
-            acc
-        })
-        .collect()
+            out.push(acc);
+        }
+    }
 }
 
 /// Recodes every scalar into signed window digits in

@@ -14,9 +14,34 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
+/// Runs `a` and `b` at the same time and returns both results in
+/// argument order: `a` on a scoped thread, `b` on the caller. With one
+/// CPU there is nothing to overlap and no thread: `a` runs, then `b`,
+/// both on the caller.
+///
+/// `dsaudit-obs` nests spans by one registry-wide stack, so at most one
+/// of two joined closures may record telemetry; by convention that is
+/// `b`, and `a` calls nothing instrumented.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB,
+    RA: Send,
+{
+    if num_threads() <= 1 {
+        let ra = a();
+        return (ra, b());
+    }
+    std::thread::scope(|scope| {
+        let side = scope.spawn(a);
+        let rb = b();
+        (side.join().expect("worker panicked"), rb)
+    })
+}
+
 /// Applies `f` to every index in `0..n`, in parallel, collecting results
 /// in order. `f` must be cheap to call many times; chunking is by
-/// contiguous ranges.
+/// contiguous ranges, the first of which runs on the caller.
 pub fn par_map<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send + Default + Clone,
@@ -28,22 +53,29 @@ where
     }
     let mut out = vec![T::default(); n];
     let chunk = n.div_ceil(threads);
+    let fill = |t: usize, slot: &mut [T]| {
+        for (i, s) in slot.iter_mut().enumerate() {
+            *s = f(t * chunk + i);
+        }
+    };
     std::thread::scope(|scope| {
-        for (t, slot) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                for (i, s) in slot.iter_mut().enumerate() {
-                    *s = f(t * chunk + i);
-                }
-            });
+        let mut slots = out.chunks_mut(chunk).enumerate();
+        let first = slots.next();
+        for (t, slot) in slots {
+            let fill = &fill;
+            scope.spawn(move || fill(t, slot));
+        }
+        if let Some((t, slot)) = first {
+            fill(t, slot);
         }
     });
     out
 }
 
 /// Splits `0..n` into at most `num_threads()` contiguous ranges of at
-/// least `min_chunk` items, maps each range to a `Vec<T>` in parallel and
-/// concatenates the results in order.
+/// least `min_chunk` items, maps each range to a `Vec<T>` in parallel
+/// (the first range on the caller) and concatenates the results in
+/// order.
 ///
 /// Unlike [`par_map`] the worker sees a whole range at once, which lets
 /// batch-inversion-based kernels (batched affine addition, fixed-base
@@ -58,23 +90,18 @@ where
         return f(0..n);
     }
     let chunk = n.div_ceil(threads);
-    let ranges: Vec<_> = (0..threads)
+    let mut ranges = (0..threads)
         .map(|t| (t * chunk).min(n)..((t + 1) * chunk).min(n))
-        .filter(|r| !r.is_empty())
-        .collect();
+        .filter(|r| !r.is_empty());
+    let first = ranges.next().expect("threads > 1 implies n > 0");
     std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|r| {
-                let f = &f;
-                let r = r.clone();
-                scope.spawn(move || f(r))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker panicked"))
-            .collect()
+        let f = &f;
+        let handles: Vec<_> = ranges.map(|r| scope.spawn(move || f(r))).collect();
+        let mut out = f(first);
+        for h in handles {
+            out.extend(h.join().expect("worker panicked"));
+        }
+        out
     })
 }
 
@@ -101,5 +128,18 @@ mod tests {
         let got = par_map_chunks(997, 16, |r| r.map(|i| i * 3).collect());
         assert_eq!(expect, got);
         assert!(par_map_chunks(0, 16, |r| r.collect::<Vec<_>>()).is_empty());
+    }
+
+    #[test]
+    fn join_returns_both_results_in_argument_order() {
+        let text = String::from("side");
+        let (a, b) = join(|| text.len(), || vec![1u8, 2, 3]);
+        assert_eq!((a, b), (4, vec![1u8, 2, 3]));
+        // nested: a joined closure may itself fan out
+        let (sum, inner) = join(
+            || par_map(100, |i| i).iter().sum::<usize>(),
+            || join(|| 1, || 2),
+        );
+        assert_eq!((sum, inner), (4950, (1, 2)));
     }
 }

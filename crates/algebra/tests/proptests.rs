@@ -11,7 +11,7 @@ use dsaudit_algebra::fp2::Fq2;
 use dsaudit_algebra::fp6::Fq6;
 use dsaudit_algebra::g1::{G1Affine, G1Projective};
 use dsaudit_algebra::g2::{G2Affine, G2Projective};
-use dsaudit_algebra::msm::{msm, msm_naive};
+use dsaudit_algebra::msm::{msm, msm_naive, msm_u128};
 use dsaudit_algebra::pairing::{
     final_exponentiation, miller_loop_generic, multi_miller_loop, G2Prepared,
 };
@@ -118,41 +118,90 @@ fn arb_msm_scalar() -> impl Strategy<Value = Fr> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Differential test of the signed-digit Pippenger against the naive
-    /// oracle, pinned to the window-size breakpoints (0, 1, 2, 31->32,
-    /// 255->256) so any digit-extraction or bucket regression at a window
-    /// boundary is caught. `same_base` floods the buckets with one point,
-    /// stressing the batch-affine doubling/cancellation lanes.
+    /// Differential test of the three Pippenger entry points — `msm`,
+    /// `msm_u128` and the GLV-split `endo::msm_g1` — against the naive
+    /// oracle. Sizes sit on the window-size breakpoints (0, 1, 2, 31->32,
+    /// 255->256; the small ones never reach a batched halving round, so
+    /// they drain through mixed additions) and at 600, where the windows
+    /// no longer fit one 2^14-point arena block. Each size runs with every
+    /// shape of bases the bucket arena has an exceptional lane for.
     #[test]
     fn msm_differential_vs_naive(
-        sel in any::<u8>(),
         pool in prop::collection::vec(arb_msm_scalar(), 1..12),
         kbase in arb_fr(),
-        same_base in any::<bool>(),
     ) {
-        let lens = [0usize, 1, 2, 31, 32, 255, 256];
-        let n = lens[(sel as usize) % lens.len()];
-        let scalars: Vec<Fr> = (0..n).map(|i| pool[i % pool.len()]).collect();
+        #[derive(Clone, Copy, Debug)]
+        enum Shape {
+            /// No two bases alike.
+            Distinct,
+            /// One point in every slot: buckets full of doublings.
+            Repeated,
+            /// `P, -P` side by side under one scalar: one bucket, cancels.
+            Opposite,
+            /// Every third base is the identity.
+            Identities,
+            /// Distinct bases, every scalar zero: nothing enters a bucket.
+            ZeroScalars,
+        }
         let g = G1Projective::generator();
-        let bases_proj: Vec<G1Projective> = (0..n)
-            .map(|i| {
-                if same_base {
-                    g.mul(kbase)
-                } else {
-                    g.mul(kbase + Fr::from_u64(i as u64 + 1))
-                }
-            })
-            .collect();
-        let bases = Projective::batch_to_affine(&bases_proj);
-        prop_assert_eq!(msm(&bases, &scalars), msm_naive(&bases, &scalars));
-        // the GLV-split variant must agree everywhere too (including the
-        // small-n fallback and identity points among the bases)
-        prop_assert_eq!(
-            dsaudit_algebra::endo::msm_g1(&bases, &scalars),
-            msm_naive(&bases, &scalars)
-        );
+        for n in [0usize, 1, 2, 31, 32, 255, 256, 600] {
+            let distinct: Vec<G1Affine> = Projective::batch_to_affine(
+                &(0..n)
+                    .map(|i| g.mul(kbase + Fr::from_u64(i as u64 + 1)))
+                    .collect::<Vec<_>>(),
+            );
+            for shape in [
+                Shape::Distinct,
+                Shape::Repeated,
+                Shape::Opposite,
+                Shape::Identities,
+                Shape::ZeroScalars,
+            ] {
+                let bases: Vec<G1Affine> = (0..n)
+                    .map(|i| match shape {
+                        Shape::Distinct | Shape::ZeroScalars => distinct[i],
+                        Shape::Repeated => distinct[0],
+                        Shape::Opposite if i % 2 == 1 => distinct[i - 1].neg(),
+                        Shape::Opposite => distinct[i],
+                        Shape::Identities if i % 3 == 0 => G1Affine::identity(),
+                        Shape::Identities => distinct[i],
+                    })
+                    .collect();
+                let scalars: Vec<Fr> = (0..n)
+                    .map(|i| match shape {
+                        Shape::ZeroScalars => Fr::zero(),
+                        Shape::Opposite => pool[(i / 2) % pool.len()],
+                        _ => pool[i % pool.len()],
+                    })
+                    .collect();
+                let want = msm_naive(&bases, &scalars);
+                prop_assert_eq!(msm(&bases, &scalars), want, "msm, n={} {:?}", n, shape);
+                // including the small-n fallback of the GLV split
+                prop_assert_eq!(
+                    dsaudit_algebra::endo::msm_g1(&bases, &scalars),
+                    want,
+                    "msm_g1, n={} {:?}", n, shape
+                );
+                let halves: Vec<u128> = scalars
+                    .iter()
+                    .map(|s| {
+                        let l = s.to_canonical();
+                        u128::from(l[0]) | (u128::from(l[1]) << 64)
+                    })
+                    .collect();
+                let as_fr: Vec<Fr> = halves
+                    .iter()
+                    .map(|h| Fr::from_limbs([*h as u64, (*h >> 64) as u64, 0, 0]))
+                    .collect();
+                prop_assert_eq!(
+                    msm_u128(&bases, &halves),
+                    msm_naive(&bases, &as_fr),
+                    "msm_u128, n={} {:?}", n, shape
+                );
+            }
+        }
     }
 }
 

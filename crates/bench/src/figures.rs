@@ -122,6 +122,7 @@ pub fn fig8() {
             t_plain.total().as_secs_f64() * 1e3
         );
     }
+    println!("[totals are busy time: with a second CPU the GT class runs beside the other two]");
     println!("[paper: ECC dominates; Zp peaks near s = 50; totals 25–45 ms]");
 }
 

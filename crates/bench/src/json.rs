@@ -9,11 +9,11 @@
 use std::io::Write as _;
 use std::time::Instant;
 
-use dsaudit_algebra::endo::mul_each_g1;
+use dsaudit_algebra::endo::{msm_g1, mul_each_g1};
 use dsaudit_algebra::field::Field;
 use dsaudit_algebra::g1::{G1Affine, G1Projective};
 use dsaudit_algebra::g2::{G2Affine, G2Projective};
-use dsaudit_algebra::msm::{msm, msm_naive};
+use dsaudit_algebra::msm::msm_naive;
 use dsaudit_algebra::pairing::{
     final_exponentiation, miller_loop, multi_miller_loop, multi_pairing_prepared, G2Prepared,
 };
@@ -37,10 +37,11 @@ pub struct Metric {
     pub value: f64,
 }
 
-/// Measures the `msm` metric group: the signed-digit Pippenger at two
-/// sizes, the naive oracle at the small size (so the speedup is readable
-/// straight off the snapshot), and the two fixed-pattern kernels it
-/// feeds (fixed-base table, fixed-scalar batch).
+/// Measures the `msm` metric group: the GLV-split signed-digit Pippenger
+/// a round runs (`endo::msm_g1`) at two sizes, the naive oracle at the
+/// small size (so the speedup is readable straight off the snapshot),
+/// and the two fixed-pattern kernels it feeds (fixed-base table,
+/// fixed-scalar batch).
 pub fn collect_msm_metrics() -> Vec<Metric> {
     let mut r = rng();
     let n_large = 8192usize;
@@ -50,7 +51,7 @@ pub fn collect_msm_metrics() -> Vec<Metric> {
     let mut out = Vec::new();
 
     let t = time_mean(3, || {
-        let _ = msm(&bases[..1024], &scalars[..1024]);
+        let _ = msm_g1(&bases[..1024], &scalars[..1024]);
     });
     out.push(Metric {
         name: "msm_g1_n1024",
@@ -58,7 +59,7 @@ pub fn collect_msm_metrics() -> Vec<Metric> {
         value: t.as_secs_f64() * 1e3,
     });
     let t = time_mean(3, || {
-        let _ = msm(&bases, &scalars);
+        let _ = msm_g1(&bases, &scalars);
     });
     out.push(Metric {
         name: "msm_g1_n8192",

@@ -22,7 +22,7 @@ use crate::challenge::Challenge;
 use crate::error::{DsAuditError, RejectReason, Verdict};
 use crate::keys::PublicKey;
 use crate::proof::PrivateProof;
-use crate::verify::{compute_chi, FileMeta};
+use crate::verify::{eps_side, FileMeta};
 
 /// One user's audit instance inside a batch.
 #[derive(Clone, Debug)]
@@ -52,28 +52,28 @@ pub(crate) fn verify_private_batch_with<R: rand::RngCore + ?Sized>(
     // Per item: (sigma^{zeta rho}, g2), (g1^{-y' rho} chi^{-zeta rho}
     // psi^{zeta rho r}, eps), (psi^{-zeta rho}, delta) — same equation
     // shape as single verification, weighted by rho.
-    let mut g1_points: Vec<G1Affine> = Vec::with_capacity(3 * items.len());
+    let mut g1_points: Vec<G1Projective> = Vec::with_capacity(3 * items.len());
     let mut g2_points: Vec<Arc<G2Prepared>> = Vec::with_capacity(2 * items.len());
     let mut rhs_terms: Vec<(Gt, Fr)> = Vec::with_capacity(items.len());
     for item in items {
         let rho = Fr::random(rng);
-        let set = item.challenge.expand(item.meta.num_chunks, item.meta.k);
-        let chi = compute_chi(auditor.chi_cache(), item.meta.name, &set);
-        let zeta = h_prime(&item.proof.r_commit);
-        let zr = zeta * rho;
-        g1_points.push(item.proof.sigma.mul(zr).to_affine());
-        g1_points.push(
-            G1Projective::generator()
-                .mul(-(item.proof.y_prime * rho))
-                .add(&chi.mul(zr).neg())
-                .add(&item.proof.psi.mul(zr * item.challenge.r))
-                .to_affine(),
-        );
-        g1_points.push(item.proof.psi.mul(-zr).to_affine());
+        let zr = h_prime(&item.proof.r_commit) * rho;
+        g1_points.push(item.proof.sigma.mul(zr));
+        g1_points.push(eps_side(
+            auditor.chi_cache(),
+            &item.meta,
+            &item.challenge,
+            item.proof.y_prime * rho,
+            zr,
+            &item.proof.psi,
+        ));
+        g1_points.push(item.proof.psi.mul(-zr));
         g2_points.push(auditor.g2_cache().prepared(&item.pk.eps));
         g2_points.push(auditor.g2_cache().prepared(&item.pk.delta));
         rhs_terms.push((item.proof.r_commit.invert(), rho));
     }
+    // one shared inversion for every affine conversion of the batch
+    let g1_points = G1Projective::batch_to_affine(&g1_points);
     // prod_u R_u^{-rho_u} through one shared cyclotomic squaring chain
     let rhs = Gt::multi_pow(&rhs_terms);
     let pairs: Vec<(&G1Affine, &G2Prepared)> = items

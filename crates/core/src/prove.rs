@@ -3,9 +3,10 @@
 use std::time::{Duration, Instant};
 
 use dsaudit_algebra::curve::Projective;
-use dsaudit_algebra::field::Field;
-use dsaudit_algebra::g1::G1Affine;
 use dsaudit_algebra::endo::msm_g1;
+use dsaudit_algebra::field::Field;
+use dsaudit_algebra::g1::{G1Affine, G1Projective};
+use dsaudit_algebra::par::join;
 use dsaudit_algebra::poly::DensePoly;
 use dsaudit_algebra::Fr;
 use dsaudit_crypto::prf::h_prime;
@@ -28,21 +29,24 @@ pub struct Prover<'a> {
     pub tags: &'a [G1Affine],
 }
 
-/// Wall-clock split of one proof generation, for the Fig. 8 ablation.
+/// Time split of one proof generation, for the Fig. 8 ablation. Each
+/// class is timed inside the closure that runs it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ProveTimings {
-    /// Finite-field work: challenge-weighted coefficients, evaluation,
-    /// quotient division.
+    /// Finite-field work: challenge expansion, challenge-weighted
+    /// coefficients, evaluation, quotient division.
     pub field_ops: Duration,
     /// Elliptic-curve work: the two MSMs.
     pub curve_ops: Duration,
-    /// GT work: the privacy commitment `R = e(g1, eps)^z` (zero for the
-    /// plain variant).
+    /// GT work: the privacy commitment `R = e(g1, eps)^z` and its hash
+    /// `zeta = H'(R)` (zero for the plain variant).
     pub gt_ops: Duration,
 }
 
 impl ProveTimings {
-    /// Total prove time.
+    /// Busy time: the sum of the three classes. The private prover runs
+    /// the GT class beside the other two when it has a second CPU, so
+    /// this can exceed the wall-clock time of the call.
     pub fn total(&self) -> Duration {
         self.field_ops + self.curve_ops + self.gt_ops
     }
@@ -77,52 +81,65 @@ impl<'a> Prover<'a> {
         Ok(Self { pk, file, tags })
     }
 
-    /// Expands the challenge and computes the shared pieces:
-    /// `(sigma, P_k coefficients)`.
-    fn aggregate(&self, challenge: &Challenge) -> (dsaudit_algebra::g1::G1Projective, Vec<Fr>) {
-        let d = self.file.num_chunks();
-        let k = self.file.params.k;
-        let set = challenge.expand(d, k);
-        // sigma = prod_i sigma_i^{c_i}
-        let bases: Vec<G1Affine> = set.iter().map(|(i, _)| self.tags[*i as usize]).collect();
-        let coeffs: Vec<Fr> = set.iter().map(|(_, c)| *c).collect();
-        let sigma = msm_g1(&bases, &coeffs);
+    /// What both responses share, `(sigma, y, psi)` still projective:
+    /// expands the challenge, aggregates `P_k = sum_i c_i M_i`, opens it
+    /// at `r` (evaluation `y`, quotient witness) and runs the two MSMs —
+    /// `sigma` over the challenged tags, `psi` over the commitment key —
+    /// through the GLV-split Pippenger of `dsaudit_algebra::endo`.
+    fn aggregate_and_open(
+        &self,
+        challenge: &Challenge,
+    ) -> (G1Projective, Fr, G1Projective, ProveTimings) {
+        let t0 = Instant::now();
+        let set = challenge.expand(self.file.num_chunks(), self.file.params.k);
         // P_k coefficients: p_j = sum_i c_i m_{i,j}
-        let s = self.file.params.s;
-        let mut pk_coeffs = vec![Fr::zero(); s];
+        let mut pk_coeffs = vec![Fr::zero(); self.file.params.s];
         for (i, c) in &set {
-            for (j, m) in self.file.chunk(*i as usize).iter().enumerate() {
-                pk_coeffs[j] += *c * *m;
+            for (p, m) in pk_coeffs.iter_mut().zip(self.file.chunk(*i as usize)) {
+                *p += *c * *m;
             }
         }
-        (sigma, pk_coeffs)
-    }
+        let (quot, y) = DensePoly::from_coeffs(pk_coeffs).divide_by_linear(challenge.r);
+        let field_ops = t0.elapsed();
 
-    /// KZG opening: quotient witness `psi` and evaluation `y = P_k(r)`.
-    fn open(&self, pk_coeffs: Vec<Fr>, r: Fr) -> (Fr, Vec<Fr>) {
-        let poly = DensePoly::from_coeffs(pk_coeffs);
-        let (quot, y) = poly.divide_by_linear(r);
-        (y, quot.coeffs().to_vec())
+        let t1 = Instant::now();
+        // sigma = prod_i sigma_i^{c_i}
+        let (bases, coeffs): (Vec<G1Affine>, Vec<Fr>) = set
+            .iter()
+            .map(|(i, c)| (self.tags[*i as usize], *c))
+            .unzip();
+        let sigma = msm_g1(&bases, &coeffs);
+        let quot = quot.coeffs();
+        let psi = msm_g1(&self.pk.alpha_powers_g1[..quot.len()], quot);
+        let t = ProveTimings {
+            field_ops,
+            curve_ops: t1.elapsed(),
+            gt_ops: Duration::ZERO,
+        };
+        (sigma, y, psi, t)
     }
 
     /// Produces the non-private response `(sigma, y, psi)` — Eq. (1).
-    ///
-    /// Both aggregation MSMs (`sigma` over the challenged tags, `psi`
-    /// over the commitment key) run through the signed-digit Pippenger in
-    /// `dsaudit_algebra::msm`, and the two results share one batched
-    /// affine conversion.
     pub fn prove_plain(&self, challenge: &Challenge) -> PlainProof {
+        self.prove_plain_instrumented(challenge).0
+    }
+
+    /// Instrumented plain prover (the "w/o on-chain privacy" series of
+    /// the Fig. 8 reproduction).
+    pub fn prove_plain_instrumented(&self, challenge: &Challenge) -> (PlainProof, ProveTimings) {
         let _span = dsaudit_obs::span("core.prove_plain");
         dsaudit_obs::counter_inc("core.proofs_plain");
-        let (sigma, pk_coeffs) = self.aggregate(challenge);
-        let (y, quot) = self.open(pk_coeffs, challenge.r);
-        let psi = msm_g1(&self.pk.alpha_powers_g1[..quot.len()], &quot);
+        let (sigma, y, psi, t) = self.aggregate_and_open(challenge);
+        // one shared inversion for both affine conversions
         let affine = Projective::batch_to_affine(&[sigma, psi]);
-        PlainProof {
-            sigma: affine[0],
-            y,
-            psi: affine[1],
-        }
+        (
+            PlainProof {
+                sigma: affine[0],
+                y,
+                psi: affine[1],
+            },
+            t,
+        )
     }
 
     /// Produces the privacy-assured response `(sigma, y', psi, R)` —
@@ -137,6 +154,10 @@ impl<'a> Prover<'a> {
 
     /// Instrumented variant returning the field/curve/GT time split used
     /// by the Fig. 8 reproduction.
+    ///
+    /// The mask `z` is the only RNG draw and is taken first, so that the
+    /// commitment `R = e(g1, eps)^z` and `zeta = H'(R)` — which depend on
+    /// nothing else — run beside the shared response under [`join`].
     pub fn prove_private_instrumented<R: rand::RngCore + ?Sized>(
         &self,
         rng: &mut R,
@@ -144,79 +165,23 @@ impl<'a> Prover<'a> {
     ) -> (PrivateProof, ProveTimings) {
         let _span = dsaudit_obs::span("core.prove_private");
         dsaudit_obs::counter_inc("core.proofs_private");
-        let mut t = ProveTimings::default();
-
-        let t0 = Instant::now();
-        let d = self.file.num_chunks();
-        let k = self.file.params.k;
-        let set = challenge.expand(d, k);
-        let s = self.file.params.s;
-        let mut pk_coeffs = vec![Fr::zero(); s];
-        for (i, c) in &set {
-            for (j, m) in self.file.chunk(*i as usize).iter().enumerate() {
-                pk_coeffs[j] += *c * *m;
-            }
-        }
-        let (y, quot) = self.open(pk_coeffs, challenge.r);
-        t.field_ops += t0.elapsed();
-
-        let t1 = Instant::now();
-        let bases: Vec<G1Affine> = set.iter().map(|(i, _)| self.tags[*i as usize]).collect();
-        let coeffs: Vec<Fr> = set.iter().map(|(_, c)| *c).collect();
-        let sigma = msm_g1(&bases, &coeffs);
-        let psi = msm_g1(&self.pk.alpha_powers_g1[..quot.len()], &quot);
-        t.curve_ops += t1.elapsed();
-
-        let t2 = Instant::now();
         let z = Fr::random(rng);
-        let r_commit = self.pk.e_g1_eps.pow(z);
-        t.gt_ops += t2.elapsed();
-
-        let t3 = Instant::now();
-        let zeta = h_prime(&r_commit);
-        let y_prime = zeta * y + z;
-        t.field_ops += t3.elapsed();
-
+        let ((r_commit, zeta, gt_ops), (sigma, y, psi, mut t)) = join(
+            || {
+                let t0 = Instant::now();
+                let r_commit = self.pk.e_g1_eps.pow(z);
+                (r_commit, h_prime(&r_commit), t0.elapsed())
+            },
+            || self.aggregate_and_open(challenge),
+        );
+        t.gt_ops = gt_ops;
         let affine = Projective::batch_to_affine(&[sigma, psi]);
         (
             PrivateProof {
                 sigma: affine[0],
-                y_prime,
+                y_prime: zeta * y + z,
                 psi: affine[1],
                 r_commit,
-            },
-            t,
-        )
-    }
-
-    /// Instrumented plain prover (the "w/o on-chain privacy" series).
-    pub fn prove_plain_instrumented(&self, challenge: &Challenge) -> (PlainProof, ProveTimings) {
-        let mut t = ProveTimings::default();
-        let t0 = Instant::now();
-        let d = self.file.num_chunks();
-        let k = self.file.params.k;
-        let set = challenge.expand(d, k);
-        let s = self.file.params.s;
-        let mut pk_coeffs = vec![Fr::zero(); s];
-        for (i, c) in &set {
-            for (j, m) in self.file.chunk(*i as usize).iter().enumerate() {
-                pk_coeffs[j] += *c * *m;
-            }
-        }
-        let (y, quot) = self.open(pk_coeffs, challenge.r);
-        t.field_ops += t0.elapsed();
-        let t1 = Instant::now();
-        let bases: Vec<G1Affine> = set.iter().map(|(i, _)| self.tags[*i as usize]).collect();
-        let coeffs: Vec<Fr> = set.iter().map(|(_, c)| *c).collect();
-        let sigma = msm_g1(&bases, &coeffs);
-        let psi = msm_g1(&self.pk.alpha_powers_g1[..quot.len()], &quot);
-        t.curve_ops += t1.elapsed();
-        let affine = Projective::batch_to_affine(&[sigma, psi]);
-        (
-            PlainProof {
-                sigma: affine[0],
-                y,
-                psi: affine[1],
             },
             t,
         )

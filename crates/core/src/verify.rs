@@ -1,13 +1,13 @@
 //! On-chain proof verification (§V-B Audit / §V-D step 2).
 //!
-//! Both verification equations are evaluated as a single product of three
-//! pairings (one shared Miller loop, one shared final exponentiation).
-//! The paper writes the KZG term as `e(psi^{-1}, delta * eps^{-r})`, but
-//! `eps^{-r}` would force a fresh G2 scalar multiplication *and* a fresh
-//! Miller-loop preparation every round; moving the challenge exponent to
-//! the G1 side (`e(psi^{-1}, eps^{-r}) = e(psi^{r}, eps)`) folds it into
-//! the `eps` term, so every G2 point in the product is fixed across
-//! audits and served prepared from the [`Auditor`]'s bounded
+//! Both verification equations are a product of three pairings under one
+//! final exponentiation. The paper writes the KZG term as
+//! `e(psi^{-1}, delta * eps^{-r})`, but `eps^{-r}` would force a fresh G2
+//! scalar multiplication *and* a fresh Miller-loop preparation every
+//! round; moving the challenge exponent to the G1 side
+//! (`e(psi^{-1}, eps^{-r}) = e(psi^{r}, eps)`) folds it into the `eps`
+//! term, so every G2 point in the product is fixed across audits and
+//! served prepared from the [`Auditor`]'s bounded
 //! [`PreparedG2Cache`](crate::cache::PreparedG2Cache):
 //!
 //! * Eq. (1): `e(sigma, g2) * e(g1^{-y} * chi^{-1} * psi^{r}, eps) * e(psi^{-1}, delta) == 1`
@@ -15,13 +15,33 @@
 //!
 //! with `chi = prod H(name || i)^{c_i}` recomputed from public data.
 //!
+//! The eps-side point is never assembled from `chi`: `eps_side` runs
+//! *one* `k + 1`-point MSM over the cached `H(name || i)` and `psi` with
+//! scalars `-zeta c_i` and `zeta r`, plus the fixed-base `g1^{-y}` — no
+//! variable-base multiplication of `chi` or `psi` on that side.
+//!
+//! Eq. (2) runs as two closures under [`join`]. What does not depend on
+//! the challenge set — `sigma^zeta`, `psi^{-zeta}` and their Miller loop
+//! against `g2` and `delta` — goes on the second CPU while the caller
+//! expands the challenge, gathers the `k` hashes, runs the MSM and the
+//! Miller loop against `eps`; the two `Fq12` values are multiplied and
+//! exponentiated once. The Miller loop is multiplicative in its pairs,
+//! so this is the three-pair product to the bit. With one CPU the same
+//! two closures run in order. Only the caller's closure records
+//! telemetry.
+//!
 //! The entry points are methods on [`Auditor`], which owns the caches;
 //! the free [`verify_plain`] / [`verify_private`] wrappers run the same
 //! check stateless (cold caches) for one-shot use.
 
+use dsaudit_algebra::curve::Projective;
 use dsaudit_algebra::endo::msm_g1;
-use dsaudit_algebra::g1::G1Projective;
-use dsaudit_algebra::pairing::{multi_pairing_prepared, G2Prepared};
+use dsaudit_algebra::field::Field;
+use dsaudit_algebra::g1::{G1Affine, G1Projective};
+use dsaudit_algebra::pairing::{
+    final_exponentiation, multi_miller_loop, multi_pairing_prepared, G2Prepared,
+};
+use dsaudit_algebra::par::join;
 use dsaudit_algebra::Fr;
 use dsaudit_crypto::prf::h_prime;
 
@@ -69,6 +89,34 @@ pub fn compute_chi(cache: &ChiCache, name: Fr, set: &[(u64, Fr)]) -> G1Projectiv
     msm_g1(&hashes, &coeffs)
 }
 
+/// The G1 point paired with `eps`, `g1^{-y} * chi^{-zeta} * psi^{zeta r}`,
+/// for the challenge `(d, k, challenge)` on file `name`: expands the
+/// challenge, gathers the `k` cached `H(name || i)` and runs one MSM over
+/// them and `psi`. Eq. (1) passes `zeta = 1`; the batch verifier passes
+/// `y` and `zeta` already weighted by its `rho`.
+pub(crate) fn eps_side(
+    cache: &ChiCache,
+    meta: &FileMeta,
+    challenge: &Challenge,
+    y: Fr,
+    zeta: Fr,
+    psi: &G1Affine,
+) -> G1Projective {
+    let set = {
+        let _expand = dsaudit_obs::span("core.challenge_expand");
+        challenge.expand(meta.num_chunks, meta.k)
+    };
+    dsaudit_obs::observe("core.challenge_set", set.len() as u64);
+    let (indices, mut scalars): (Vec<u64>, Vec<Fr>) =
+        set.iter().map(|(i, c)| (*i, -(zeta * *c))).unzip();
+    let mut bases = cache.index_oracles(meta.name, &indices);
+    bases.push(*psi);
+    scalars.push(zeta * challenge.r);
+    G1Projective::generator_table()
+        .mul(-y)
+        .add(&msm_g1(&bases, &scalars))
+}
+
 /// Eq. (1) against the caches of `auditor`.
 pub(crate) fn verify_plain_with(
     auditor: &Auditor,
@@ -79,19 +127,15 @@ pub(crate) fn verify_plain_with(
 ) -> Result<Verdict, DsAuditError> {
     meta.validate()?;
     let _span = dsaudit_obs::span("core.verify_plain");
-    let set = {
-        let _expand = dsaudit_obs::span("core.challenge_expand");
-        challenge.expand(meta.num_chunks, meta.k)
-    };
-    dsaudit_obs::observe("core.challenge_set", set.len() as u64);
-    let chi = compute_chi(auditor.chi_cache(), meta.name, &set);
-    // g1^{-y} * chi^{-1} * psi^{r}, with the fixed-base term served from
-    // the shared generator table
-    let left_eps = G1Projective::generator_table()
-        .mul(-proof.y)
-        .add(&chi.neg())
-        .add(&proof.psi.mul(challenge.r))
-        .to_affine();
+    let left_eps = eps_side(
+        auditor.chi_cache(),
+        meta,
+        challenge,
+        proof.y,
+        Fr::one(),
+        &proof.psi,
+    )
+    .to_affine();
     let psi_neg = proof.psi.neg();
     let eps_p = auditor.g2_cache().prepared(&pk.eps);
     let delta_p = auditor.g2_cache().prepared(&pk.delta);
@@ -115,35 +159,34 @@ pub(crate) fn verify_private_with(
 ) -> Result<Verdict, DsAuditError> {
     meta.validate()?;
     let _span = dsaudit_obs::span("core.verify_private");
-    let set = {
-        let _expand = dsaudit_obs::span("core.challenge_expand");
-        challenge.expand(meta.num_chunks, meta.k)
-    };
-    dsaudit_obs::observe("core.challenge_set", set.len() as u64);
-    let chi = compute_chi(auditor.chi_cache(), meta.name, &set);
-    let zeta = h_prime(&proof.r_commit);
-    let sigma_zeta = proof.sigma.mul(zeta);
-    // g1^{-y'} * chi^{-zeta} * psi^{zeta r}, fixed-base term off the
-    // shared generator table
-    let left_eps = G1Projective::generator_table()
-        .mul(-proof.y_prime)
-        .add(&chi.mul(zeta).neg())
-        .add(&proof.psi.mul(zeta * challenge.r));
-    let psi_neg_zeta = proof.psi.mul(-zeta);
-    // one shared inversion for all three affine conversions
-    let affine = dsaudit_algebra::curve::Projective::batch_to_affine(&[
-        sigma_zeta,
-        left_eps,
-        psi_neg_zeta,
-    ]);
     let eps_p = auditor.g2_cache().prepared(&pk.eps);
     let delta_p = auditor.g2_cache().prepared(&pk.delta);
-    let product = multi_pairing_prepared(&[
-        (&affine[0], G2Prepared::generator()),
-        (&affine[1], eps_p.as_ref()),
-        (&affine[2], delta_p.as_ref()),
-    ]);
-    let holds = product == proof.r_commit.invert();
+    let zeta = h_prime(&proof.r_commit);
+    let (fixed, challenged) = join(
+        || {
+            // one shared inversion for both affine conversions
+            let affine =
+                Projective::batch_to_affine(&[proof.sigma.mul(zeta), proof.psi.mul(-zeta)]);
+            multi_miller_loop(&[
+                (&affine[0], G2Prepared::generator()),
+                (&affine[1], delta_p.as_ref()),
+            ])
+        },
+        || {
+            let left_eps = eps_side(
+                auditor.chi_cache(),
+                meta,
+                challenge,
+                proof.y_prime,
+                zeta,
+                &proof.psi,
+            )
+            .to_affine();
+            let _miller = dsaudit_obs::span("algebra.miller_loop");
+            multi_miller_loop(&[(&left_eps, eps_p.as_ref())])
+        },
+    );
+    let holds = final_exponentiation(&(fixed * challenged)) == proof.r_commit.invert();
     dsaudit_obs::counter_inc(if holds { "core.verdict.accept" } else { "core.verdict.reject" });
     Ok(Verdict::from_equation(holds, RejectReason::Equation2))
 }
@@ -189,7 +232,6 @@ mod tests {
     use crate::params::AuditParams;
     use crate::prove::Prover;
     use crate::tag::generate_tags;
-    use dsaudit_algebra::field::Field;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -354,6 +396,102 @@ mod tests {
         let mut bad = good;
         bad.r_commit = bad.r_commit.mul(&dsaudit_algebra::Gt::generator());
         assert!(!accepts_private(&env, &ch, &bad));
+    }
+
+    /// The paper's equations evaluated term by term, sharing nothing
+    /// with the verifiers: `chi` by one hash and one multiplication per
+    /// challenged index, the exponent `-r` on the G2 side where the
+    /// paper writes it, one full pairing per factor. With `zeta = 1`,
+    /// `R = 1` this is Eq. (1):
+    /// `R * e(sigma^zeta, g2) == e(g1^y chi^zeta, eps) * e(psi^zeta, delta eps^{-r})`.
+    fn equation_holds(
+        env: &Env,
+        ch: &Challenge,
+        (sigma, y, psi): (G1Affine, Fr, G1Affine),
+        zeta: Fr,
+        r_commit: dsaudit_algebra::Gt,
+    ) -> bool {
+        use dsaudit_algebra::g2::G2Affine;
+        use dsaudit_algebra::pairing::pairing;
+        let mut chi = G1Projective::identity();
+        for (i, c) in ch.expand(env.meta.num_chunks, env.meta.k) {
+            chi = chi.add(&dsaudit_crypto::prf::index_oracle(env.meta.name, i).mul(c));
+        }
+        let on_eps = G1Affine::generator().mul(y).add(&chi.mul(zeta)).to_affine();
+        let eps_neg_r = env.pk.eps.mul(-ch.r);
+        let kzg_g2 = env.pk.delta.to_projective().add(&eps_neg_r).to_affine();
+        let sigma_zeta = sigma.mul(zeta).to_affine();
+        let psi_zeta = psi.mul(zeta).to_affine();
+        let lhs = r_commit.mul(&pairing(&sigma_zeta, &G2Affine::generator()));
+        let rhs = pairing(&on_eps, &env.pk.eps).mul(&pairing(&psi_zeta, &kzg_g2));
+        lhs == rhs
+    }
+
+    #[test]
+    fn fused_verifiers_agree_with_term_by_term_equations() {
+        use crate::batch::{verify_private_batch, BatchItem};
+        use dsaudit_algebra::Gt;
+        // (s, k, bytes): d > k, the design point, k >= d clamped, d = 1
+        for (s, k, len) in [(4, 3, 2000), (50, 300, 480_000), (4, 8, 900), (4, 3, 100)] {
+            let env = setup(s, k, len);
+            let d = env.meta.num_chunks;
+            match len {
+                900 => assert!(d > 1 && d <= k, "premise: clamped"),
+                100 => assert_eq!(d, 1, "premise: one chunk"),
+                _ => assert!(d > k, "premise: k distinct of d"),
+            }
+            let mut rng = rng();
+            let prover = Prover::new(&env.pk, &env.file, &env.tags).unwrap();
+            let ch = Challenge::random(&mut rng);
+            let other = G1Projective::random(&mut rng).to_affine();
+
+            let good = prover.prove_plain(&ch);
+            let mut plain_cases = [good; 4];
+            plain_cases[1].sigma = other;
+            plain_cases[2].y += Fr::one();
+            plain_cases[3].psi = other;
+            for (case, proof) in plain_cases.iter().enumerate() {
+                let want = equation_holds(
+                    &env,
+                    &ch,
+                    (proof.sigma, proof.y, proof.psi),
+                    Fr::one(),
+                    Gt::identity(),
+                );
+                let at = format!("plain case {case} at s={s} k={k} d={d}");
+                assert_eq!(want, case == 0, "oracle, {at}");
+                let got = verify_plain(&env.pk, &env.meta, &ch, proof).unwrap();
+                assert_eq!(got.accepted(), want, "{at}");
+            }
+
+            let good = prover.prove_private(&mut rng, &ch);
+            let mut private_cases = [good; 5];
+            private_cases[1].sigma = other;
+            private_cases[2].y_prime += Fr::one();
+            private_cases[3].psi = other;
+            private_cases[4].r_commit = good.r_commit.mul(&Gt::generator());
+            for (case, proof) in private_cases.iter().enumerate() {
+                let want = equation_holds(
+                    &env,
+                    &ch,
+                    (proof.sigma, proof.y_prime, proof.psi),
+                    h_prime(&proof.r_commit),
+                    proof.r_commit,
+                );
+                let at = format!("private case {case} at s={s} k={k} d={d}");
+                assert_eq!(want, case == 0, "oracle, {at}");
+                assert_eq!(accepts_private(&env, &ch, proof), want, "{at}");
+                // the batch is the conjunction of its items
+                let items = [good, *proof].map(|proof| BatchItem {
+                    pk: &env.pk,
+                    meta: env.meta,
+                    challenge: ch,
+                    proof,
+                });
+                let batch = verify_private_batch(&mut rng, &items).unwrap();
+                assert_eq!(batch.accepted(), want, "batch with {at}");
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::curve::Affine;
 use crate::field::Field;
 use crate::fields::{Fq, Fr, FrParams};
 use crate::fp::{FieldParams, Fp};
-use crate::g1::G1Affine;
+use crate::g1::{G1Affine, G1Projective};
 use crate::msm::{mul_each_batched, u128_limbs, wnaf_digits};
 use crate::par::par_map_chunks;
 
@@ -381,7 +381,88 @@ impl G1Endo {
         }
         Some((k1, k2))
     }
+
+    /// `phi(p) = (beta * x, y)`, which is `lambda * p` on the subgroup.
+    fn phi(&self, p: &G1Affine) -> G1Affine {
+        Affine {
+            x: p.x * self.beta,
+            y: p.y,
+            infinity: p.infinity,
+        }
+    }
+
+    /// `sum_i k1_i * P_i + k2_i * phi(P_i)` by one interleaved (Straus)
+    /// double-and-add ladder over all `2n` half-scalars: ~128 doublings
+    /// shared by every term, then per term one mixed addition per
+    /// non-zero width-[`STRAUS_WIDTH`] signed digit (about one bit in
+    /// six). Each base gets a table of its odd multiples `P, 3P, .., 15P`,
+    /// all tables made affine by one shared inversion; `phi` of a table
+    /// entry is one multiplication. Variable-time in the scalars, like
+    /// the Pippenger path it stands in for.
+    fn straus(&self, bases: &[G1Affine], halves: &[(Signed128, Signed128)]) -> G1Projective {
+        let mut multiples: Vec<G1Projective> = Vec::with_capacity(bases.len() * STRAUS_TABLE);
+        for p in bases {
+            let mut m = p.to_projective();
+            let twice = m.double();
+            multiples.push(m);
+            for _ in 1..STRAUS_TABLE {
+                m = m.add(&twice);
+                multiples.push(m);
+            }
+        }
+        let tables = G1Projective::batch_to_affine(&multiples);
+        let phi_tables: Vec<G1Affine> = tables.iter().map(|p| self.phi(p)).collect();
+        let terms: Vec<(Vec<i8>, &[G1Affine])> = halves
+            .iter()
+            .zip(tables.chunks_exact(STRAUS_TABLE))
+            .zip(phi_tables.chunks_exact(STRAUS_TABLE))
+            .flat_map(|(((k1, k2), table), phi_table)| {
+                [
+                    (signed_wnaf(k1, STRAUS_WIDTH), table),
+                    (signed_wnaf(k2, STRAUS_WIDTH), phi_table),
+                ]
+            })
+            .collect();
+        let len = terms
+            .iter()
+            .map(|(digits, _)| digits.len())
+            .max()
+            .unwrap_or(0);
+        let mut acc = G1Projective::identity();
+        for j in (0..len).rev() {
+            acc = acc.double();
+            for (digits, table) in &terms {
+                let d = digits.get(j).copied().unwrap_or(0);
+                if d != 0 {
+                    let p = table[usize::from(d.unsigned_abs() >> 1)];
+                    acc = acc.add_affine(&if d < 0 { p.neg() } else { p });
+                }
+            }
+        }
+        acc
+    }
 }
+
+/// Below this many points [`msm_g1`] runs the Straus ladder of
+/// [`G1Endo::straus`] rather than the GLV-split Pippenger, whose ~33
+/// windows of 128 bits and per-call worker thread do not pay off on a
+/// handful of points.
+///
+/// Swept with `msm_g1` over random bases and scalars on a 2-vCPU Xeon,
+/// median µs of five alternating processes, Straus | Pippenger: one
+/// pinned CPU n = 6: 144 | 217, 8: 185 | 220, 10: 234 | 266, 12: 264 |
+/// 314, 14: 344 | 349, 16: 418 | 382; two CPUs n = 6: 129 | 167, 8: 162
+/// | 193, 10: 198 | 195, 12: 240 | 215, 14: 284 | 209, 16: 337 | 236.
+/// The ladder wins through n = 9 on both (by 16 % at n = 8), ties at
+/// 10 on two CPUs and loses from 12 there, so the boundary is 10.
+const STRAUS_BELOW: usize = 10;
+
+/// Signed-digit width of the Straus ladder: digits are odd with
+/// `|d| <= 2^w - 1` (see [`crate::msm::wnaf_digits`]).
+const STRAUS_WIDTH: usize = 4;
+
+/// Odd multiples per base in a Straus table, `2^(w-1)`.
+const STRAUS_TABLE: usize = 1 << (STRAUS_WIDTH - 1);
 
 /// Signed wNAF digits of a sign-magnitude 128-bit scalar.
 fn signed_wnaf(v: &Signed128, w: usize) -> Vec<i8> {
@@ -415,32 +496,44 @@ pub fn mul_each_g1(points: &[G1Affine], k: Fr) -> Vec<G1Affine> {
 }
 
 /// GLV-split multi-scalar multiplication on G1: every term
-/// `k_i * P_i` becomes `k1_i * (+-P_i) + k2_i * (+-phi(P_i))` with
-/// half-width magnitudes, so the Pippenger core runs over `2n` points but
-/// only ~128 scalar bits — half the windows, half the inter-window
-/// doubling chain. This is the verifier's `chi` aggregation and the
-/// prover's commitment kernel. Every decomposition is exact-checked; any
-/// failure (never expected) falls back to the generic [`crate::msm::msm`].
-pub fn msm_g1(bases: &[G1Affine], scalars: &[Fr]) -> crate::g1::G1Projective {
+/// `k_i * P_i` becomes `k1_i * P_i + k2_i * phi(P_i)` with half-width
+/// scalars. This is the verifier's eps-side aggregation, the prover's
+/// commitment kernel and every MSM of the batch verifier.
+///
+/// From ten points up the `2n` halves go through the Pippenger core
+/// (signs folded into the points): ~128 scalar bits, so half the windows
+/// and half the inter-window doubling chain of a full-width MSM. Below
+/// ten they go through an interleaved (Straus) ladder over width-4
+/// signed-digit tables, which records the same `algebra.msm` span,
+/// `algebra.msm_calls` counter and `algebra.msm_points` histogram (`2n`
+/// on both paths) but no window count. Every decomposition is
+/// exact-checked; any failure (never expected) falls back to the generic
+/// [`crate::msm::msm`].
+pub fn msm_g1(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     assert_eq!(bases.len(), scalars.len(), "msm requires equal-length inputs");
-    // Tiny inputs don't amortize the decomposition bookkeeping.
-    if bases.len() < 8 {
-        return crate::msm::msm(bases, scalars);
+    if bases.is_empty() {
+        return G1Projective::identity();
     }
     let Some(endo) = G1Endo::get() else {
         return crate::msm::msm(bases, scalars);
     };
+    let Some(halves) = scalars
+        .iter()
+        .map(|k| endo.decompose(*k))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return crate::msm::msm(bases, scalars);
+    };
+    if bases.len() < STRAUS_BELOW {
+        let _span = dsaudit_obs::span("algebra.msm");
+        dsaudit_obs::counter_inc("algebra.msm_calls");
+        dsaudit_obs::observe("algebra.msm_points", 2 * bases.len() as u64);
+        return endo.straus(bases, &halves);
+    }
     let mut split_bases: Vec<G1Affine> = Vec::with_capacity(2 * bases.len());
     let mut split_scalars: Vec<Limbs> = Vec::with_capacity(2 * bases.len());
-    for (p, k) in bases.iter().zip(scalars) {
-        let Some((k1, k2)) = endo.decompose(*k) else {
-            return crate::msm::msm(bases, scalars);
-        };
-        let phi = Affine {
-            x: p.x * endo.beta,
-            y: p.y,
-            infinity: p.infinity,
-        };
+    for (p, (k1, k2)) in bases.iter().zip(&halves) {
+        let phi = endo.phi(p);
         split_bases.push(if k1.neg { p.neg() } else { *p });
         split_scalars.push(u128_limbs(k1.mag));
         split_bases.push(if k2.neg { phi.neg() } else { phi });
@@ -452,7 +545,6 @@ pub fn msm_g1(bases: &[G1Affine], scalars: &[Fr]) -> crate::g1::G1Projective {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::g1::G1Projective;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -483,11 +575,7 @@ mod tests {
         let mut rng = rng();
         for _ in 0..5 {
             let p = G1Projective::random(&mut rng).to_affine();
-            let phi = Affine {
-                x: p.x * endo.beta,
-                y: p.y,
-                infinity: false,
-            };
+            let phi = endo.phi(&p);
             assert!(phi.is_on_curve());
             assert_eq!(p.mul(endo.lambda).to_affine(), phi);
         }

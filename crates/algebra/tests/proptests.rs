@@ -120,13 +120,15 @@ fn arb_msm_scalar() -> impl Strategy<Value = Fr> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// Differential test of the three Pippenger entry points — `msm`,
+    /// Differential test of the three MSM entry points — `msm`,
     /// `msm_u128` and the GLV-split `endo::msm_g1` — against the naive
-    /// oracle. Sizes sit on the window-size breakpoints (0, 1, 2, 31->32,
-    /// 255->256; the small ones never reach a batched halving round, so
-    /// they drain through mixed additions) and at 600, where the windows
-    /// no longer fit one 2^14-point arena block. Each size runs with every
-    /// shape of bases the bucket arena has an exceptional lane for.
+    /// oracle. Sizes 1 to 9 take `msm_g1` through its Straus ladder and
+    /// 10 is the first through its Pippenger core; the others sit on the
+    /// window-size breakpoints (0, 31->32, 255->256;
+    /// the small ones never reach a batched halving round, so they drain
+    /// through mixed additions) and at 600, where the windows no longer
+    /// fit one 2^14-point arena block. Each size runs with every shape of
+    /// bases the bucket arena and the ladder have an exceptional lane for.
     #[test]
     fn msm_differential_vs_naive(
         pool in prop::collection::vec(arb_msm_scalar(), 1..12),
@@ -146,7 +148,7 @@ proptest! {
             ZeroScalars,
         }
         let g = G1Projective::generator();
-        for n in [0usize, 1, 2, 31, 32, 255, 256, 600] {
+        for n in [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 31, 32, 255, 256, 600] {
             let distinct: Vec<G1Affine> = Projective::batch_to_affine(
                 &(0..n)
                     .map(|i| g.mul(kbase + Fr::from_u64(i as u64 + 1)))
@@ -178,7 +180,6 @@ proptest! {
                     .collect();
                 let want = msm_naive(&bases, &scalars);
                 prop_assert_eq!(msm(&bases, &scalars), want, "msm, n={} {:?}", n, shape);
-                // including the small-n fallback of the GLV split
                 prop_assert_eq!(
                     dsaudit_algebra::endo::msm_g1(&bases, &scalars),
                     want,

@@ -191,15 +191,17 @@ pub fn fig10() {
     println!("[paper: linear, ~12 s at 300 owners; ~20 s at 5,000-user scale]");
 }
 
-/// Fig. 10-style **measured** batched-verification series (§VII-D): one
-/// provider hosting 1..30 users, each round settled end-to-end through
-/// the contract layer. The batched path routes the whole round through a
-/// single `verify_private_batch` (one shared Miller loop and final
-/// exponentiation for all `3n` pairs); the per-user path verifies each
-/// proof separately. This is the amortization the paper reports at its
-/// ~30-users-per-provider Siacoin/Storj scale — measured here rather
-/// than extrapolated, closing PR 2's "not yet measured at the paper's
-/// scale" note.
+/// Fig. 10-style **measured** batched-verification series (§VII-D).
+///
+/// First one provider hosting 1..30 users, each round settled
+/// end-to-end through the contract layer, per-user against batched.
+/// Then the verification-only curve for n = 1..64 items: the same proofs
+/// through one `verify_private_batch` and through n single
+/// verifications, in ms per item, under one owner key and under n
+/// distinct keys. A batch pairs `1 + 2 * (distinct keys)` points in one
+/// Miller loop — 3 under one key, `2n + 1` under distinct keys — where n
+/// single verifications pay `3n` pairs and n final exponentiations.
+/// Every honest batch must accept.
 pub fn fig10_batched() {
     use dsaudit_contract::harness::AgreementTerms;
     use dsaudit_contract::registry::AuditNetwork;
@@ -237,32 +239,33 @@ pub fn fig10_batched() {
     }
     println!("(end-to-end rounds include challenge + proving; verification-only below)");
 
-    // Verification-only amortization: the same proofs checked through one
-    // shared Miller loop + final exponentiation vs. one product per user.
     use dsaudit_core::batch::BatchItem;
-    use dsaudit_core::{Auditor, DataOwner, StorageProvider};
+    use dsaudit_core::{Auditor, DataOwner, PublicKey, StorageProvider};
 
+    const MAX_ITEMS: usize = 64;
+    let respond = |r: &mut rand::rngs::StdRng, owner: &DataOwner, u: usize| {
+        let data: Vec<u8> = (0..2048).map(|i| ((i + u * 13) % 251) as u8).collect();
+        let bundle = owner.outsource(r, &data);
+        let provider = StorageProvider::ingest(r, bundle).expect("honest bundle");
+        let ch = dsaudit_core::Challenge::random(r);
+        let proof = provider.respond(r, &ch);
+        (provider.public_key().clone(), provider.meta(), ch, proof)
+    };
     let mut r = rng();
-    let users_max = 30usize;
-    let built: Vec<_> = (0..users_max)
+    let one_owner = DataOwner::generate(&mut r, params);
+    let one_key: Vec<_> = (0..MAX_ITEMS)
+        .map(|u| respond(&mut r, &one_owner, u))
+        .collect();
+    let distinct_keys: Vec<_> = (0..MAX_ITEMS)
         .map(|u| {
             let owner = DataOwner::generate(&mut r, params);
-            let data: Vec<u8> = (0..2048).map(|i| ((i + u * 13) % 251) as u8).collect();
-            let bundle = owner.outsource(&mut r, &data);
-            let provider = StorageProvider::ingest(&mut r, bundle).expect("honest bundle");
-            let meta = provider.meta();
-            let ch = dsaudit_core::Challenge::random(&mut r);
-            let proof = provider.respond(&mut r, &ch);
-            (provider.public_key().clone(), meta, ch, proof)
+            respond(&mut r, &owner, u)
         })
         .collect();
     let auditor = Auditor::new();
-    println!(
-        "{:>6} {:>16} {:>16} {:>10}",
-        "users", "per-user (ms)", "batched (ms)", "speedup"
-    );
-    for &users in &[1usize, 2, 5, 10, 20, 30] {
-        let items: Vec<BatchItem<'_>> = built[..users]
+    // (batched, single) ms per item over the first n items
+    let per_item = |built: &[(PublicKey, _, _, _)], n: usize| {
+        let items: Vec<BatchItem<'_>> = built[..n]
             .iter()
             .map(|(pk, meta, ch, proof)| BatchItem {
                 pk,
@@ -271,30 +274,35 @@ pub fn fig10_batched() {
                 proof: *proof,
             })
             .collect();
-        let per_user = time_mean(3, || {
+        let single = time_mean(3, || {
             for it in &items {
                 assert!(auditor
                     .verify_private(it.pk, &it.meta, &it.challenge, &it.proof)
                     .expect("valid meta")
                     .accepted());
             }
-        })
-        .as_secs_f64()
-            * 1e3;
+        });
         let batched = time_mean(3, || {
             assert!(auditor
                 .verify_private_batch(&mut rng(), &items)
                 .expect("valid meta")
                 .accepted());
-        })
-        .as_secs_f64()
-            * 1e3;
+        });
+        let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3 / n as f64;
+        (ms(batched), ms(single))
+    };
+    println!("\nverification only, ms per item (ratio = batched / single)");
+    println!(
+        "{:>4} | {:>9} {:>9} {:>6} | {:>9} {:>9} {:>6}",
+        "n", "one key", "single", "ratio", "distinct", "single", "ratio"
+    );
+    for n in [1usize, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64] {
+        let (one_b, one_s) = per_item(&one_key, n);
+        let (many_b, many_s) = per_item(&distinct_keys, n);
         println!(
-            "{:>6} {:>16.1} {:>16.1} {:>9.2}x",
-            users,
-            per_user,
-            batched,
-            per_user / batched
+            "{n:>4} | {one_b:>9.3} {one_s:>9.3} {:>6.2} | {many_b:>9.3} {many_s:>9.3} {:>6.2}",
+            one_b / one_s,
+            many_b / many_s
         );
     }
     println!("[paper: batched verification amortizes at ~30 users/provider]");

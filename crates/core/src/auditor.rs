@@ -129,10 +129,11 @@ impl Auditor {
         verify_private_with(self, pk, meta, challenge, proof)
     }
 
-    /// Verifies a whole round's proofs with one shared Miller loop and
-    /// final exponentiation (§VII-D). Equivalent to verifying each item
-    /// individually (soundness error `~1/r` from the random weights); an
-    /// empty batch is trivially accepted.
+    /// Verifies a whole round's proofs with one shared Miller loop over
+    /// `1 + 2 * (distinct owner keys)` pairs and one final
+    /// exponentiation (§VII-D, [`crate::batch`]). Equivalent to
+    /// verifying each item individually (soundness error `~1/r` from the
+    /// random weights); an empty batch is trivially accepted.
     ///
     /// # Errors
     /// [`DsAuditError::BadMeta`] when any item's metadata is unusable; a

@@ -92,9 +92,8 @@ pub fn compute_chi(cache: &ChiCache, name: Fr, set: &[(u64, Fr)]) -> G1Projectiv
 /// The G1 point paired with `eps`, `g1^{-y} * chi^{-zeta} * psi^{zeta r}`,
 /// for the challenge `(d, k, challenge)` on file `name`: expands the
 /// challenge, gathers the `k` cached `H(name || i)` and runs one MSM over
-/// them and `psi`. Eq. (1) passes `zeta = 1`; the batch verifier passes
-/// `y` and `zeta` already weighted by its `rho`.
-pub(crate) fn eps_side(
+/// them and `psi`. Eq. (1) passes `zeta = 1`.
+fn eps_side(
     cache: &ChiCache,
     meta: &FileMeta,
     challenge: &Challenge,

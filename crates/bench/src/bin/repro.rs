@@ -225,15 +225,15 @@ fn run_node_soak(args: &[String]) {
     for s in &report.schedules {
         println!(
             "  {:<12} {:>4} sessions: {:>4} accept / {:>3} reject / {:>3} expired; \
-             {} retries, {} corrupt frames, {} shed, {} virtual ms",
+             {} proof retries, {} late proofs, {} corrupt frames, {} virtual ms",
             s.name,
             s.sessions,
             s.settled_accept,
             s.settled_reject,
             s.expired,
             s.retries,
+            s.late_proofs,
             s.corrupt_frames,
-            s.overloaded,
             s.virtual_ms,
         );
     }

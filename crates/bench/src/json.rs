@@ -221,9 +221,9 @@ fn bench_node_config() -> dsaudit_node::SoakConfig {
 }
 
 /// Measures the `node` metric group: challenge sessions settled per
-/// wall-clock second by the fault-injected daemons (issue → deliver →
-/// prove → settle/expire, across the baseline/lossy/partitioned
-/// schedules), asserting the termination invariant holds.
+/// wall-clock second by the fault-injected daemons (open → prove →
+/// settle/expire, across the baseline/lossy/partitioned schedules),
+/// asserting the termination invariant holds.
 pub fn collect_node_metrics() -> Vec<Metric> {
     let t0 = Instant::now();
     let report = dsaudit_node::run_soak(&bench_node_config());

@@ -921,16 +921,27 @@ pub fn ct_closure(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
 // ---------------------------------------------------------------------------
 
 /// Identifier fragments that witness a timeout/TTL bound (checked
-/// case-insensitively as substrings, so `expires_at`, `Ttl`,
-/// `poll_timeout` and `horizon_ms` all count).
-const DEADLINE_WITNESSES: &[&str] = &["deadline", "ttl", "timeout", "expir", "horizon"];
+/// case-insensitively as substrings, so `expires_at`, `poll_timeout`
+/// and `horizon_ms` all count).
+const DEADLINE_WITNESSES: &[&str] = &["deadline", "timeout", "expir", "horizon"];
+
+/// The TTL witness, matched as a whole word (`ttl_ms`, `Ttl`,
+/// `TTL`) only: as a substring it would also match `settle`.
+const TTL_WORD: &str = "ttl";
 
 /// Method/function names that receive from a transport.
 const RECV_NAMES: &[&str] = &["recv", "try_recv"];
 
 fn mentions_witness(ident: &str) -> bool {
     let lower = ident.to_ascii_lowercase();
+    let lowercase_at = |i: Option<usize>| {
+        i.and_then(|i| ident.as_bytes().get(i))
+            .is_some_and(u8::is_ascii_lowercase)
+    };
     DEADLINE_WITNESSES.iter().any(|w| lower.contains(w))
+        || lower.match_indices(TTL_WORD).any(|(i, _)| {
+            !lowercase_at(i.checked_sub(1)) && !lowercase_at(Some(i + TTL_WORD.len()))
+        })
 }
 
 /// `deadline`: every loop in `crates/node` that awaits a transport
@@ -1328,11 +1339,12 @@ mod tests {
 
     #[test]
     fn unbounded_recv_loop_in_node_is_flagged() {
+        // `Settle` contains `ttl` but is not a TTL witness
         let g = graph_of(&[(
             "crates/node/src/pump.rs",
             "fn pump(t: &mut Mailbox) {\n\
                  while let Some(m) = t.recv(0, 1) {\n\
-                     handle(m);\n\
+                     handle(Frame::Settle(m));\n\
                  }\n\
              }\n\
              fn handle(_m: u8) {}\n",
@@ -1345,8 +1357,9 @@ mod tests {
 
     #[test]
     fn deadline_witness_in_the_same_function_silences_the_rule() {
-        // the witness can be a field access (`expires_at`), a local
-        // (`deadline`), or a parameter — all idioms the daemons use
+        // the witness can be a field access (`expires_at`, `ttl_ms`),
+        // a local (`deadline`), or a parameter — all idioms the daemons
+        // use
         let g = graph_of(&[(
             "crates/node/src/pump.rs",
             "fn pump(t: &mut Mailbox, deadline: u64) {\n\
@@ -1360,6 +1373,11 @@ mod tests {
                  loop {\n\
                      let m = t.try_recv(now);\n\
                      if m.is_none() { break; }\n\
+                 }\n\
+             }\n\
+             fn bounded(t: &mut Mailbox, cfg: Cfg) {\n\
+                 while let Some(m) = t.recv(cfg.ttl_ms, 1) {\n\
+                     handle(m);\n\
                  }\n\
              }\n\
              fn expire_overdue(_now: u64) {}\n\

@@ -1,61 +1,47 @@
-//! The auditor daemon: issues beacon-derived challenges, tracks each
-//! one through the lifecycle state machine, and settles it exactly
-//! once.
+//! The auditor daemon: opens beacon-derived rounds, verifies the proofs
+//! that arrive for them, and settles each one exactly once.
 //!
-//! Challenges are derived deterministically from [`Beacon`] output, so
-//! any two verifiers watching the same beacon issue byte-identical
-//! challenges with identical idempotent ids. Unanswered challenges are
-//! retransmitted with exponential backoff and deterministic jitter
-//! until the TTL, at which point the challenge auto-expires into the
-//! contract's penalty path ([`Outcome::Expired`]).
+//! The auditor sends no challenge: the provider derives the same
+//! challenge from the same beacon output, so the auditor only records
+//! the round ([`AuditorNode::open`]) and waits. A proof is verified
+//! once; a late or duplicated proof for a settled round gets the
+//! `Settle` notice again (the first one may have been lost), and a round
+//! still open at its deadline expires into the contract's penalty path
+//! ([`Outcome::Expired`]).
 
 #![deny(missing_docs)]
 
 use std::collections::BTreeMap;
 
 use dsaudit_backend::BackendId;
-use dsaudit_chain::beacon::Beacon;
 use dsaudit_core::codec::Codec;
 use dsaudit_core::{
     Auditor, Challenge, FileMeta, PrivateProof, PublicKey, RoundChallenge, Verdict,
 };
 
-use crate::frame::{
-    derive_challenge_id, ChallengeFrame, ChallengeId, Frame, ProofFrame, SettleFrame,
-};
-use crate::lifecycle::{ChallengePhase, ChallengeTrack, Outcome, RetryPolicy};
+use crate::frame::{derive_challenge_id, ChallengeId, Frame, ProofFrame, SettleFrame};
+use crate::lifecycle::{ChallengeTrack, Outcome};
 use crate::transport::{Millis, PeerId, Transport};
 
 /// Tuning knobs of an [`AuditorNode`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AuditorConfig {
-    /// Challenge time-to-live: an unsettled challenge expires into the
-    /// penalty path this many ms after issue.
+    /// Round time-to-live: an unsettled round expires into the penalty
+    /// path this many ms after it opens.
     pub ttl_ms: u64,
-    /// Retransmission policy.
-    pub retry: RetryPolicy,
 }
 
 impl Default for AuditorConfig {
     fn default() -> Self {
-        Self {
-            ttl_ms: 10_000,
-            retry: RetryPolicy::default(),
-        }
+        Self { ttl_ms: 10_000 }
     }
 }
 
 /// Counters over everything an auditor daemon did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AuditorStats {
-    /// Challenges issued (unique ids).
-    pub issued: u64,
-    /// Challenge retransmissions.
-    pub retries: u64,
-    /// Acks received for live challenges.
-    pub acks: u64,
-    /// Overload sheds received; each schedules a later retry.
-    pub overloaded: u64,
+    /// Rounds opened (unique ids).
+    pub opened: u64,
     /// Proofs verified (pairing check run).
     pub proofs_verified: u64,
     /// Terminal `Settled(Accept)` outcomes.
@@ -64,18 +50,20 @@ pub struct AuditorStats {
     pub settled_reject: u64,
     /// Terminal `Expired` outcomes.
     pub expired: u64,
-    /// Frames that failed to decode (loss; retries recover).
+    /// Frames that failed to decode (loss; the provider's proof
+    /// retransmission recovers it).
     pub corrupt_frames: u64,
-    /// Proofs for already-terminal challenges (refused: settlement is
-    /// write-once, so these can never double-settle).
+    /// Proofs for already-terminal rounds (refused: settlement is
+    /// write-once, so these can never double-settle; a settled round's
+    /// `Settle` notice is sent again).
     pub late_proofs: u64,
     /// Proofs answering the wrong session round (refused).
     pub round_mismatches: u64,
-    /// Frames referencing unknown challenge ids.
+    /// Proofs for unknown challenge ids or for another provider's round.
     pub unknown_ids: u64,
     /// Proof bodies tagged for a backend this auditor cannot verify,
     /// or whose payload failed its backend decode (refused; the
-    /// challenge stays open and the retry path recovers).
+    /// round stays open and the provider's retransmission recovers).
     pub backend_mismatches: u64,
 }
 
@@ -119,167 +107,94 @@ impl AuditorNode {
         self.targets.insert(provider, Target { pk, meta });
     }
 
-    /// Issues one challenge against `provider`, derived from the
-    /// beacon's output for `beacon_round`. The audit session round *is*
-    /// the beacon round: both sides derive it independently.
+    /// The TTL this auditor gives each round.
+    pub fn ttl_ms(&self) -> u64 {
+        self.cfg.ttl_ms
+    }
+
+    /// Opens the round `beacon_round` against `provider`, from the
+    /// beacon's `randomness` for that round, settling by `deadline`.
+    /// The audit session round *is* the beacon round. Nothing is sent:
+    /// the provider opens the same round from the same beacon output.
     ///
     /// The id is a deterministic function of the file name and the
-    /// beacon round, so re-issuing the same `(provider, beacon_round)`
-    /// pair is idempotent: the existing track is kept and its id
-    /// returned, whatever state it is in.
-    pub fn issue<T: Transport>(
+    /// beacon round. Returns it for a newly opened round, and `None`
+    /// when `provider` is not a registered target or the round is
+    /// already tracked (opening is idempotent, whatever state the
+    /// existing track is in).
+    pub fn open(
         &mut self,
         now: Millis,
         provider: PeerId,
-        beacon: &mut dyn Beacon,
         beacon_round: u64,
-        transport: &mut T,
+        randomness: &[u8; 48],
+        deadline: Millis,
     ) -> Option<ChallengeId> {
         let target = self.targets.get(&provider)?;
-        let session_round = beacon_round;
-        let id = derive_challenge_id(&target.meta.name, beacon_round, session_round);
+        let id = derive_challenge_id(&target.meta.name, beacon_round, beacon_round);
         if self.tracks.contains_key(&id) {
-            return Some(id);
+            return None;
         }
-        let challenge = Challenge::from_beacon(&beacon.randomness(beacon_round));
         let track = ChallengeTrack {
             provider,
             rc: RoundChallenge {
-                round: session_round,
-                challenge,
+                round: beacon_round,
+                challenge: Challenge::from_beacon(randomness),
             },
-            beacon_round,
-            issued_at: now,
-            deadline: now + self.cfg.ttl_ms,
-            attempt: 0,
-            next_send: Some(now + self.cfg.retry.backoff_ms(&id, 1)),
-            phase: ChallengePhase::Issued,
+            opened_at: now,
+            deadline,
             outcome: None,
         };
-        self.send_challenge(now, &id, &track, transport);
         self.tracks.insert(id, track);
-        self.stats.issued += 1;
+        self.stats.opened += 1;
         dsaudit_obs::counter_inc("node.session.issued");
         Some(id)
     }
 
-    fn send_challenge<T: Transport>(
-        &self,
-        now: Millis,
-        id: &ChallengeId,
-        track: &ChallengeTrack,
-        transport: &mut T,
-    ) {
-        let frame = Frame::Challenge(ChallengeFrame {
-            challenge_id: *id,
-            backend: BackendId::Pairing,
-            beacon_round: track.beacon_round,
-            round: track.rc.round,
-            expires_at: track.deadline,
-            challenge: track.rc.challenge,
-        });
-        transport.send(now, self.peer, track.provider, frame.to_wire());
-    }
-
     /// One scheduling step at virtual time `now`: ingest frames, then
-    /// run the timer wheel (expiry first, then retransmissions).
+    /// expire every open round whose deadline has passed.
     pub fn step<T: Transport>(&mut self, now: Millis, transport: &mut T) {
-        // ingest; every frame belongs to a track bounded by its ttl
+        // ingest; every frame belongs to a track bounded by its
         // deadline below, so this loop cannot outlive the ttl horizon
         while let Some((from, wire)) = transport.recv(now, self.peer) {
             match Frame::from_wire(&wire) {
-                Ok(frame) => self.handle(now, from, frame, transport),
+                Ok(Frame::Proof(p)) => self.handle_proof(now, from, p, transport),
+                // the auditor's own frame echoed back: ignore
+                Ok(Frame::Settle(_)) => {}
                 Err(_) => {
                     self.stats.corrupt_frames += 1;
                     dsaudit_obs::counter_inc("node.corrupt_frames");
                 }
             }
         }
-        // timer wheel over the ordered track map
-        let ids: Vec<ChallengeId> = self.tracks.keys().copied().collect();
-        for id in ids {
-            let Some(track) = self.tracks.get_mut(&id) else {
-                continue;
-            };
-            if track.is_terminal() {
-                continue;
+        for track in self.tracks.values_mut() {
+            // deadline elapsed: the round expires into the penalty
+            // path, exactly once
+            if now >= track.deadline && track.settle(Outcome::Expired) {
+                self.stats.expired += 1;
+                dsaudit_obs::counter_inc("node.session.expired");
             }
-            if now >= track.deadline {
-                // ttl elapsed: the challenge expires into the penalty
-                // path, exactly once
-                if track.settle(Outcome::Expired) {
-                    self.stats.expired += 1;
-                    dsaudit_obs::counter_inc("node.session.expired");
-                }
-                continue;
-            }
-            if let Some(at) = track.next_send {
-                if now >= at {
-                    track.attempt += 1;
-                    track.next_send = if track.attempt < self.cfg.retry.max_retries {
-                        Some(now + self.cfg.retry.backoff_ms(&id, track.attempt + 1))
-                    } else {
-                        None
-                    };
-                    let snapshot = *track;
-                    self.stats.retries += 1;
-                    dsaudit_obs::counter_inc("node.retries");
-                    self.send_challenge(now, &id, &snapshot, transport);
-                }
-            }
-        }
-    }
-
-    fn handle<T: Transport>(&mut self, now: Millis, from: PeerId, frame: Frame, transport: &mut T) {
-        let id = *frame.challenge_id();
-        let Some(track) = self.tracks.get_mut(&id) else {
-            self.stats.unknown_ids += 1;
-            return;
-        };
-        if track.provider != from {
-            // a frame about someone else's challenge: ignore
-            self.stats.unknown_ids += 1;
-            return;
-        }
-        match frame {
-            Frame::Ack(_) => {
-                if !track.is_terminal() && track.phase == ChallengePhase::Issued {
-                    track.phase = ChallengePhase::Delivered;
-                    dsaudit_obs::counter_inc("node.session.delivered");
-                }
-                self.stats.acks += 1;
-                dsaudit_obs::counter_inc("node.acks");
-            }
-            Frame::Overloaded(o) => {
-                self.stats.overloaded += 1;
-                dsaudit_obs::counter_inc("node.sheds");
-                if !track.is_terminal() {
-                    track.phase = ChallengePhase::Delivered;
-                    // honor the provider's hint, clamped to the ttl
-                    let at = (now + o.retry_after_ms.max(1)).min(track.deadline);
-                    track.next_send = Some(at);
-                }
-            }
-            Frame::Proof(p) => self.handle_proof(now, id, p, transport),
-            // provider-bound frames echoed back: ignore
-            Frame::Challenge(_) | Frame::Settle(_) => {}
         }
     }
 
     fn handle_proof<T: Transport>(
         &mut self,
         now: Millis,
-        id: ChallengeId,
+        from: PeerId,
         p: ProofFrame,
         transport: &mut T,
     ) {
-        let Some(track) = self.tracks.get(&id) else {
+        let id = p.challenge_id;
+        let Some(track) = self.tracks.get(&id).filter(|t| t.provider == from) else {
+            // an unknown id, or a proof for someone else's round
+            self.stats.unknown_ids += 1;
             return;
         };
         if track.is_terminal() {
-            // write-once settlement: a proof racing the ttl (or a
-            // duplicated frame) cannot settle a second time, but we do
-            // re-send the settle notice when one exists
+            // write-once settlement: a proof racing the deadline, a
+            // duplicated frame or a retransmission whose `Settle` was
+            // lost cannot settle a second time, but the settle notice
+            // is sent again when one exists
             self.stats.late_proofs += 1;
             dsaudit_obs::counter_inc("node.late_proofs");
             if let Some(Outcome::Settled(v)) = track.outcome {
@@ -292,14 +207,15 @@ impl AuditorNode {
             return;
         }
         if p.round != track.rc.round {
-            // wrong session round: refuse, keep the challenge open
+            // wrong session round: refuse, keep the round open
             self.stats.round_mismatches += 1;
             dsaudit_obs::counter_inc("node.round_mismatches");
             return;
         }
         // the erased body must be tagged for the scheme this auditor
         // verifies, and its payload must decode under it — wire-level
-        // problems refuse the proof (retries recover), never settle
+        // problems refuse the proof (retransmission recovers), never
+        // settle
         if p.proof.backend != BackendId::Pairing {
             self.stats.backend_mismatches += 1;
             return;
@@ -344,7 +260,7 @@ impl AuditorNode {
         }
     }
 
-    /// Challenges not yet terminal.
+    /// Rounds not yet terminal.
     pub fn pending(&self) -> usize {
         self.tracks.values().filter(|t| !t.is_terminal()).count()
     }
@@ -374,7 +290,7 @@ impl AuditorNode {
     }
 
     /// Checks the terminal-state invariant over all tracks: every
-    /// challenge has exactly one terminal outcome and the stats agree.
+    /// round has exactly one terminal outcome and the stats agree.
     /// Returns human-readable violations (empty = invariant holds).
     pub fn audit_invariants(&self) -> Vec<String> {
         let mut violations = Vec::new();
@@ -382,10 +298,10 @@ impl AuditorNode {
         if pending > 0 {
             violations.push(format!("{pending} challenge(s) never reached a terminal state"));
         }
-        if accept + reject + expired + pending != self.stats.issued {
+        if accept + reject + expired + pending != self.stats.opened {
             violations.push(format!(
-                "issued {} but tracked {} outcomes",
-                self.stats.issued,
+                "opened {} but tracked {} outcomes",
+                self.stats.opened,
                 accept + reject + expired + pending
             ));
         }

@@ -9,28 +9,33 @@
 //! disagrees with the bytes actually present, and every malformed byte
 //! surfaces as a typed [`DsAuditError`] — a corrupted frame is data
 //! loss to be retried, never a panic and never a verdict.
+//!
+//! There is no challenge message: both daemons derive each round's
+//! challenge from the beacon, so the proof is the only frame a round
+//! needs and the settle notice the only reply. Tags 1, 2 and 4 (the
+//! retired challenge, ack and overload frames) decode as unknown tags.
 
 #![deny(missing_docs)]
 
 use dsaudit_algebra::Fr;
-use dsaudit_backend::{BackendId, BackendProof};
+use dsaudit_backend::BackendProof;
 use dsaudit_core::codec::{ByteReader, Codec};
-use dsaudit_core::{Challenge, DsAuditError};
+use dsaudit_core::DsAuditError;
 use dsaudit_crypto::sha256::sha256;
 
 /// A challenge's globally unique, deterministic identifier.
 ///
 /// Derived by [`derive_challenge_id`] from the audited file's on-chain
 /// name and the beacon/session round counters, so every retransmission
-/// of the same logical challenge carries the same id — receivers dedup
-/// on it, which is what makes retries idempotent.
+/// of the same proof carries the same id — receivers dedup on it, which
+/// is what makes retries idempotent.
 pub type ChallengeId = [u8; 32];
 
 /// Derives the idempotent id of one challenge.
 ///
 /// Any party holding the file name and the round counters derives the
-/// same id, so the id itself never needs to be trusted: a provider can
-/// recompute it from the frame's fields.
+/// same id, so the auditor and the provider agree on it without sending
+/// it to each other first.
 pub fn derive_challenge_id(file_name: &Fr, beacon_round: u64, session_round: u64) -> ChallengeId {
     let mut buf = Vec::with_capacity(25 + 32 + 16);
     buf.extend_from_slice(b"dsaudit/node/challenge-id");
@@ -38,35 +43,6 @@ pub fn derive_challenge_id(file_name: &Fr, beacon_round: u64, session_round: u64
     buf.extend_from_slice(&beacon_round.to_le_bytes());
     buf.extend_from_slice(&session_round.to_le_bytes());
     sha256(&buf)
-}
-
-/// Challenge issuance: auditor → provider. Retransmitted verbatim on
-/// retry (same `challenge_id`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChallengeFrame {
-    /// Deterministic challenge id (see [`derive_challenge_id`]).
-    pub challenge_id: ChallengeId,
-    /// The proof-of-storage scheme this challenge must be answered
-    /// with. One id byte on the wire; an unknown id fails decode with
-    /// a typed error — it can never reach verdict logic.
-    pub backend: BackendId,
-    /// Beacon round the challenge was derived from.
-    pub beacon_round: u64,
-    /// The audit session's round counter.
-    pub round: u64,
-    /// Virtual-clock deadline (ms) after which the auditor settles the
-    /// challenge as expired; providers drop work past it.
-    pub expires_at: u64,
-    /// The beacon-derived challenge itself.
-    pub challenge: Challenge,
-}
-
-/// Receipt acknowledgment: provider → auditor. Moves the lifecycle from
-/// `Issued` to `Delivered`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AckFrame {
-    /// The acknowledged challenge.
-    pub challenge_id: ChallengeId,
 }
 
 /// Proof of storage: provider → auditor. The erased, backend-tagged
@@ -85,19 +61,8 @@ pub struct ProofFrame {
     pub proof: BackendProof,
 }
 
-/// Backpressure shed: provider → auditor. The provider's in-flight and
-/// queued session budgets are both full; the auditor should retry after
-/// the hinted delay instead of the regular backoff.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct OverloadedFrame {
-    /// The shed challenge.
-    pub challenge_id: ChallengeId,
-    /// Provider's hint: earliest useful retry, in ms from receipt.
-    pub retry_after_ms: u64,
-}
-
-/// Settlement notice: auditor → provider. Lets the provider drop its
-/// memoized proof for the challenge.
+/// Settlement notice: auditor → provider. Closes the provider's round:
+/// it stops retransmitting the proof and drops it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SettleFrame {
     /// The settled challenge.
@@ -110,42 +75,21 @@ pub struct SettleFrame {
 ///
 /// `Frame` is `Clone`, not `Copy`: a `Proof` body is variable-length
 /// per backend (288 B pairing, `O(k · depth)` Merkle paths, 128 B
-/// Groth16), so the proof payload lives in a heap buffer. Frames are
-/// still short-lived values — cloned only when memoized for
-/// retransmission, never stored in bulk.
-#[allow(clippy::large_enum_variant)]
+/// Groth16), so the proof payload lives in a heap buffer. A provider
+/// keeps the *wire bytes* of its proof for retransmission, not the
+/// frame.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// Auditor → provider: open a challenge.
-    Challenge(ChallengeFrame),
-    /// Provider → auditor: challenge received.
-    Ack(AckFrame),
     /// Provider → auditor: proof of storage.
     Proof(ProofFrame),
-    /// Provider → auditor: session budget full, retry later.
-    Overloaded(OverloadedFrame),
     /// Auditor → provider: challenge settled.
     Settle(SettleFrame),
 }
 
-const TAG_CHALLENGE: u8 = 1;
-const TAG_ACK: u8 = 2;
 const TAG_PROOF: u8 = 3;
-const TAG_OVERLOADED: u8 = 4;
 const TAG_SETTLE: u8 = 5;
 
 impl Frame {
-    /// The challenge id every frame variant carries.
-    pub fn challenge_id(&self) -> &ChallengeId {
-        match self {
-            Frame::Challenge(f) => &f.challenge_id,
-            Frame::Ack(f) => &f.challenge_id,
-            Frame::Proof(f) => &f.challenge_id,
-            Frame::Overloaded(f) => &f.challenge_id,
-            Frame::Settle(f) => &f.challenge_id,
-        }
-    }
-
     /// Bytes of the integrity checksum trailing every wire frame.
     pub const CHECKSUM_BYTES: usize = 4;
 
@@ -199,39 +143,18 @@ impl Codec for Frame {
 
     fn encoded_len(&self) -> usize {
         1 + match self {
-            Frame::Challenge(f) => 32 + 1 + 8 + 8 + 8 + f.challenge.encoded_len(),
-            Frame::Ack(_) => 32,
             Frame::Proof(f) => 32 + 8 + f.proof.encoded_len(),
-            Frame::Overloaded(_) => 32 + 8,
             Frame::Settle(_) => 32 + 1,
         }
     }
 
     fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
-            Frame::Challenge(f) => {
-                out.push(TAG_CHALLENGE);
-                out.extend_from_slice(&f.challenge_id);
-                out.push(f.backend.as_u8());
-                out.extend_from_slice(&f.beacon_round.to_le_bytes());
-                out.extend_from_slice(&f.round.to_le_bytes());
-                out.extend_from_slice(&f.expires_at.to_le_bytes());
-                f.challenge.encode_into(out);
-            }
-            Frame::Ack(f) => {
-                out.push(TAG_ACK);
-                out.extend_from_slice(&f.challenge_id);
-            }
             Frame::Proof(f) => {
                 out.push(TAG_PROOF);
                 out.extend_from_slice(&f.challenge_id);
                 out.extend_from_slice(&f.round.to_le_bytes());
                 f.proof.encode_into(out);
-            }
-            Frame::Overloaded(f) => {
-                out.push(TAG_OVERLOADED);
-                out.extend_from_slice(&f.challenge_id);
-                out.extend_from_slice(&f.retry_after_ms.to_le_bytes());
             }
             Frame::Settle(f) => {
                 out.push(TAG_SETTLE);
@@ -244,26 +167,6 @@ impl Codec for Frame {
     fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, DsAuditError> {
         let tag = u8::from_le_bytes(r.array::<1>("tag")?);
         match tag {
-            TAG_CHALLENGE => {
-                let challenge_id = r.array::<32>("challenge_id")?;
-                let backend = BackendId::from_u8(u8::from_le_bytes(r.array::<1>("backend id")?))
-                    .ok_or_else(|| r.malformed("backend id"))?;
-                let beacon_round = u64::from_le_bytes(r.array::<8>("beacon_round")?);
-                let round = u64::from_le_bytes(r.array::<8>("round")?);
-                let expires_at = u64::from_le_bytes(r.array::<8>("expires_at")?);
-                let challenge = Challenge::decode_from(r)?;
-                Ok(Frame::Challenge(ChallengeFrame {
-                    challenge_id,
-                    backend,
-                    beacon_round,
-                    round,
-                    expires_at,
-                    challenge,
-                }))
-            }
-            TAG_ACK => Ok(Frame::Ack(AckFrame {
-                challenge_id: r.array::<32>("challenge_id")?,
-            })),
             TAG_PROOF => {
                 let challenge_id = r.array::<32>("challenge_id")?;
                 let round = u64::from_le_bytes(r.array::<8>("round")?);
@@ -272,14 +175,6 @@ impl Codec for Frame {
                     challenge_id,
                     round,
                     proof,
-                }))
-            }
-            TAG_OVERLOADED => {
-                let challenge_id = r.array::<32>("challenge_id")?;
-                let retry_after_ms = u64::from_le_bytes(r.array::<8>("retry_after_ms")?);
-                Ok(Frame::Overloaded(OverloadedFrame {
-                    challenge_id,
-                    retry_after_ms,
                 }))
             }
             TAG_SETTLE => {
@@ -302,6 +197,7 @@ impl Codec for Frame {
 mod tests {
     use super::*;
     use dsaudit_algebra::field::Field;
+    use dsaudit_backend::BackendId;
     use rand::{RngCore, SeedableRng};
 
     fn rng() -> rand::rngs::StdRng {
@@ -311,25 +207,17 @@ mod tests {
     fn sample_frames(rng: &mut rand::rngs::StdRng) -> Vec<Frame> {
         let mut id = [0u8; 32];
         rng.fill_bytes(&mut id);
-        let challenge = Challenge::random(rng);
+        let mut pairing_body = vec![0u8; 288];
+        rng.fill_bytes(&mut pairing_body);
         vec![
-            Frame::Challenge(ChallengeFrame {
+            Frame::Proof(ProofFrame {
                 challenge_id: id,
-                backend: BackendId::Pairing,
-                beacon_round: 7,
                 round: 3,
-                expires_at: 90_000,
-                challenge,
+                proof: BackendProof {
+                    backend: BackendId::Pairing,
+                    bytes: pairing_body,
+                },
             }),
-            Frame::Challenge(ChallengeFrame {
-                challenge_id: id,
-                backend: BackendId::Groth16Merkle,
-                beacon_round: 7,
-                round: 3,
-                expires_at: 90_000,
-                challenge,
-            }),
-            Frame::Ack(AckFrame { challenge_id: id }),
             Frame::Proof(ProofFrame {
                 challenge_id: id,
                 round: 3,
@@ -339,10 +227,6 @@ mod tests {
                     backend: BackendId::Merkle,
                     bytes: vec![0xaa; 37],
                 },
-            }),
-            Frame::Overloaded(OverloadedFrame {
-                challenge_id: id,
-                retry_after_ms: 250,
             }),
             Frame::Settle(SettleFrame {
                 challenge_id: id,
@@ -380,19 +264,23 @@ mod tests {
     #[test]
     fn unknown_tag_rejected() {
         // hand-frame a body with an unknown tag and a *valid* checksum,
-        // so the failure is attributed to the tag, not the checksum
-        let mut body = vec![99u8];
-        body.extend_from_slice(&[9u8; 32]);
-        let mut wire = (body.len() as u32).to_le_bytes().to_vec();
-        wire.extend_from_slice(&body);
-        wire.extend_from_slice(&crate::frame::sha256(&body)[..Frame::CHECKSUM_BYTES]);
-        assert_eq!(
-            Frame::from_wire(&wire),
-            Err(DsAuditError::Malformed {
-                ty: "Frame",
-                field: "tag"
-            })
-        );
+        // so the failure is attributed to the tag, not the checksum;
+        // 1, 2 and 4 are the retired challenge, ack and overload tags
+        for tag in [0u8, 1, 2, 4, 6, 255] {
+            let mut body = vec![tag];
+            body.extend_from_slice(&[9u8; 32]);
+            let mut wire = (body.len() as u32).to_le_bytes().to_vec();
+            wire.extend_from_slice(&body);
+            wire.extend_from_slice(&crate::frame::sha256(&body)[..Frame::CHECKSUM_BYTES]);
+            assert_eq!(
+                Frame::from_wire(&wire),
+                Err(DsAuditError::Malformed {
+                    ty: "Frame",
+                    field: "tag"
+                }),
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]
@@ -419,12 +307,11 @@ mod tests {
     #[test]
     fn unknown_backend_id_is_a_typed_decode_error_not_a_verdict() {
         let mut rng = rng();
-        for (frame_idx, byte_off) in [(0usize, 1 + 32), (3, 1 + 32 + 8)] {
-            // challenge frame: backend byte follows the id; proof
-            // frame: the BackendProof's own id byte follows the round
+        for frame_idx in [0usize, 1] {
+            // the BackendProof's own id byte follows the id and round
             let frame = sample_frames(&mut rng).remove(frame_idx);
             let mut body = frame.encode();
-            body[byte_off] = 0x7f;
+            body[1 + 32 + 8] = 0x7f;
             let mut wire = (body.len() as u32).to_le_bytes().to_vec();
             wire.extend_from_slice(&body);
             wire.extend_from_slice(&crate::frame::sha256(&body)[..Frame::CHECKSUM_BYTES]);

@@ -45,27 +45,38 @@ impl<T: Transport> Cluster<T> {
         self.providers.insert(node.peer(), node);
     }
 
-    /// Issues one challenge against `provider` from the beacon's
-    /// `beacon_round` output at the current instant.
+    /// Opens round `beacon_round` against `provider` at the current
+    /// instant. The beacon is read once, and the auditor and the
+    /// provider daemon each open the round from the same 48 bytes and
+    /// the same deadline; no frame is sent. Returns the round's id when
+    /// it is newly opened, `None` when `provider` is unknown or the
+    /// round was opened before.
     pub fn issue(
         &mut self,
         provider: PeerId,
         beacon: &mut dyn Beacon,
         beacon_round: u64,
     ) -> Option<ChallengeId> {
-        self.auditor
-            .issue(self.now, provider, beacon, beacon_round, &mut self.transport)
+        let node = self.providers.get_mut(&provider)?;
+        let randomness = beacon.randomness(beacon_round);
+        let deadline = self.now + self.auditor.ttl_ms();
+        let id = self
+            .auditor
+            .open(self.now, provider, beacon_round, &randomness, deadline)?;
+        node.open(self.now, self.auditor.peer(), beacon_round, &randomness, deadline);
+        Some(id)
     }
 
-    /// Runs the event loop until every issued challenge is terminal or
-    /// the virtual clock passes `horizon`. Returns `true` when all
-    /// challenges terminated (the lifecycle invariant); `false` means
-    /// the horizon was too short — callers treat that as a lost
-    /// challenge.
+    /// Runs the event loop until every opened round is closed on both
+    /// sides — terminal at the auditor, settled or past its deadline at
+    /// the provider — or the virtual clock passes `horizon`. Returns
+    /// `true` when all rounds closed (the lifecycle invariant); `false`
+    /// means the horizon was too short — callers treat that as a lost
+    /// round.
     pub fn run_until_settled(&mut self, horizon: Millis) -> bool {
-        // horizon is the outer deadline; each challenge's ttl is the
-        // inner one, so termination needs horizon > max ttl deadline
-        while self.auditor.pending() > 0 {
+        // horizon is the outer deadline; each round's ttl is the inner
+        // one, so termination needs horizon > max ttl deadline
+        while self.auditor.pending() > 0 || self.providers.values().any(|p| p.open_rounds() > 0) {
             if self.now > horizon {
                 return false;
             }
@@ -102,7 +113,7 @@ impl<T: Transport> Cluster<T> {
 mod tests {
     use super::*;
     use crate::auditor::AuditorConfig;
-    use crate::lifecycle::{Outcome, RetryPolicy};
+    use crate::lifecycle::Outcome;
     use crate::provider::{ProviderConfig, ProviderNode};
     use crate::transport::{InProcTransport, NetFaultConfig, PartitionWindow};
     use dsaudit_chain::beacon::TrustedBeacon;
@@ -185,38 +196,87 @@ mod tests {
         let id = cluster.issue(1, &mut beacon, 0).unwrap();
         assert!(cluster.run_until_settled(60_000));
         assert_eq!(cluster.auditor.tracks()[&id].outcome, Some(Outcome::Expired));
-        assert!(cluster.auditor.stats.retries > 0, "silence must be retried first");
+        let provider = &cluster.providers[&1];
+        assert!(provider.stats.retries > 0, "the provider retries its proof first");
+        assert_eq!((provider.stats.expired, provider.open_rounds()), (1, 0));
         assert!(cluster.auditor.audit_invariants().is_empty());
     }
 
     #[test]
-    fn burst_beyond_budgets_is_shed_with_overloaded_then_recovers() {
+    fn proof_retries_outlast_a_partition_and_settle_accept() {
+        // the proof goes out at prove_ms (40 ms), the first retry
+        // 200–300 ms later and the second 400–600 ms after that: a cut
+        // over [0, 400) eats the first two sends and lets the third in
+        let faults = NetFaultConfig {
+            partitions: vec![PartitionWindow {
+                peer: 1,
+                from: 0,
+                until: 400,
+            }],
+            ..NetFaultConfig::reliable(5)
+        };
+        let (mut cluster, mut beacon) = cluster(faults, AuditorConfig::default());
+        attach(&mut cluster, 1, false, ProviderConfig::default());
+        let id = cluster.issue(1, &mut beacon, 0).unwrap();
+        assert!(cluster.run_until_settled(60_000));
+        let track = &cluster.auditor.tracks()[&id];
+        assert_eq!(track.outcome, Some(Outcome::Settled(Verdict::Accept)));
+        assert!(cluster.now < track.deadline, "settled before the TTL");
+        let provider = &cluster.providers[&1];
+        assert!(provider.stats.retries >= 2, "retries: {}", provider.stats.retries);
+        assert_eq!(provider.stats.proofs_sent, 1, "proven once, resent verbatim");
+        assert!(cluster.transport.stats.partitioned >= 2);
+        assert!(cluster.auditor.audit_invariants().is_empty());
+    }
+
+    #[test]
+    fn lost_settle_is_recovered_by_a_proof_retransmit() {
+        // on a reliable 5 ms link the proof leaves at prove_ms and the
+        // auditor settles it 5 ms later: a 1 ms cut at that instant
+        // eats exactly the first Settle
+        const LATENCY: u64 = 5;
+        let settle_at = ProviderConfig::default().prove_ms + LATENCY;
+        let faults = NetFaultConfig {
+            partitions: vec![PartitionWindow {
+                peer: 1,
+                from: settle_at,
+                until: settle_at + 1,
+            }],
+            ..NetFaultConfig::reliable(LATENCY)
+        };
+        let (mut cluster, mut beacon) = cluster(faults, AuditorConfig::default());
+        attach(&mut cluster, 1, false, ProviderConfig::default());
+        let id = cluster.issue(1, &mut beacon, 0).unwrap();
+        assert!(cluster.run_until_settled(60_000));
+        assert_eq!(cluster.transport.stats.partitioned, 1, "only the first Settle is lost");
+        assert_eq!(
+            cluster.auditor.tracks()[&id].outcome,
+            Some(Outcome::Settled(Verdict::Accept))
+        );
+        let a = cluster.auditor.stats;
+        assert_eq!((a.proofs_verified, a.late_proofs), (1, 1), "verified once, answered twice");
+        let provider = &cluster.providers[&1];
+        assert_eq!(provider.stats.retries, 1);
+        assert_eq!((provider.stats.settled, provider.open_rounds()), (1, 0));
+        assert!(cluster.auditor.audit_invariants().is_empty());
+    }
+
+    #[test]
+    fn ten_opens_against_one_provider_settle_ten_accept() {
         let (mut cluster, mut beacon) = cluster(
             NetFaultConfig::reliable(2),
-            AuditorConfig {
-                ttl_ms: 30_000,
-                retry: RetryPolicy::default(),
-            },
+            AuditorConfig::default(),
         );
-        let tight = ProviderConfig {
-            max_inflight: 2,
-            queue_capacity: 2,
-            prove_ms: 100,
-            ..ProviderConfig::default()
-        };
-        attach(&mut cluster, 1, false, tight);
+        attach(&mut cluster, 1, false, ProviderConfig::default());
         for round in 0..10u64 {
             cluster.issue(1, &mut beacon, round).unwrap();
         }
-        assert!(cluster.run_until_settled(120_000));
-        let (accept, reject, expired, pending) = cluster.auditor.outcome_counts();
-        assert_eq!((accept, reject, expired, pending), (10, 0, 0, 0));
-        assert!(
-            cluster.auditor.stats.overloaded > 0,
-            "a 10-challenge burst against budgets of 2+2 must shed"
-        );
+        assert_eq!(cluster.providers[&1].open_rounds(), 10);
+        assert!(cluster.run_until_settled(60_000));
+        assert_eq!(cluster.auditor.outcome_counts(), (10, 0, 0, 0));
         let provider = &cluster.providers[&1];
-        assert_eq!(provider.stats.overloaded_sent, cluster.auditor.stats.overloaded);
+        assert_eq!((provider.stats.proofs_sent, provider.stats.retries), (10, 0));
+        assert_eq!((provider.stats.settled, provider.open_rounds()), (10, 0));
         assert!(cluster.auditor.audit_invariants().is_empty());
     }
 
@@ -229,18 +289,21 @@ mod tests {
         attach(&mut cluster, 1, false, ProviderConfig::default());
         let a = cluster.issue(1, &mut beacon, 0).unwrap();
         // a duplicate issue of the same beacon round is a no-op, even
-        // while the challenge is still in flight
-        assert_eq!(cluster.issue(1, &mut beacon, 0), Some(a));
-        assert_eq!(cluster.auditor.stats.issued, 1);
+        // while the round is still open
+        assert_eq!(cluster.issue(1, &mut beacon, 0), None);
+        assert_eq!(cluster.auditor.stats.opened, 1);
         assert!(cluster.run_until_settled(60_000));
-        // ... and after settlement too: the terminal track is kept
-        assert_eq!(cluster.issue(1, &mut beacon, 0), Some(a));
-        assert_eq!(cluster.auditor.stats.issued, 1);
+        // ... and after settlement too: the terminal track is kept and
+        // the provider does not prove the round again
+        assert_eq!(cluster.issue(1, &mut beacon, 0), None);
+        assert_eq!(cluster.auditor.stats.opened, 1);
+        assert_eq!(cluster.providers[&1].open_rounds(), 0);
         // a new beacon round yields a fresh id
         let b = cluster.issue(1, &mut beacon, 1).unwrap();
         assert_ne!(a, b);
         assert!(cluster.run_until_settled(120_000));
-        assert_eq!(cluster.auditor.stats.issued, 2);
+        assert_eq!(cluster.auditor.stats.opened, 2);
+        assert_eq!(cluster.providers[&1].stats.proofs_sent, 2);
         assert!(cluster.auditor.audit_invariants().is_empty());
     }
 }

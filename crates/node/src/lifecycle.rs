@@ -1,19 +1,21 @@
-//! The challenge lifecycle state machine.
+//! The challenge lifecycle.
 //!
-//! Every challenge an auditor daemon issues moves through
+//! An epoch's beacon output opens a round on both sides at once; the
+//! proof is the only message that has to cross the network:
 //!
 //! ```text
-//!            retransmit (backoff)             verify
-//! Issued ----------------------> Delivered --------> Proven --> Settled(Accept)
-//!   |  \_______________________/     |                  |   \--> Settled(Reject)
-//!   |        Ack received            |                  |
-//!   +--------- TTL elapsed ----------+------------------+-----> Expired(Penalty)
+//!          proof verifies (write-once)
+//! Open ---------------------------------> Settled(Accept)
+//!   |   \-------------------------------> Settled(Reject)
+//!   |
+//!   +------------ deadline elapsed -----> Expired(Penalty)
 //! ```
 //!
-//! and terminates in **exactly one** of `Settled(Accept)`,
-//! `Settled(Reject)` or `Expired` — the terminal outcome is written
-//! once and never overwritten, so a late proof racing the TTL cannot
-//! double-settle, and the TTL guarantees no challenge is ever lost.
+//! Every opened round terminates in **exactly one** of
+//! `Settled(Accept)`, `Settled(Reject)` or `Expired` — the terminal
+//! outcome is written once and never overwritten, so a late proof racing
+//! the deadline cannot double-settle, and the deadline guarantees no
+//! round is ever lost.
 
 #![deny(missing_docs)]
 
@@ -22,17 +24,6 @@ use dsaudit_crypto::sha256::sha256;
 
 use crate::frame::ChallengeId;
 use crate::transport::{Millis, PeerId};
-
-/// Non-terminal progress of one challenge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChallengePhase {
-    /// Challenge sent; no sign of life from the provider yet.
-    Issued,
-    /// Provider acknowledged receipt (or signalled overload).
-    Delivered,
-    /// A proof arrived and verified (or failed); settlement recorded.
-    Proven,
-}
 
 /// The single terminal outcome of a challenge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,8 +46,8 @@ impl Outcome {
     }
 }
 
-/// Bounded retransmission with exponential backoff and deterministic
-/// jitter.
+/// Bounded proof retransmission with exponential backoff and
+/// deterministic jitter.
 ///
 /// The jitter is derived from the challenge id and the attempt number,
 /// not from an RNG: two runs of the same schedule retry at identical
@@ -67,7 +58,7 @@ pub struct RetryPolicy {
     pub base_ms: u64,
     /// Backoff cap, ms.
     pub max_backoff_ms: u64,
-    /// Retransmissions after the initial send (0 = never retransmit).
+    /// Retransmissions after the first send (0 = never retransmit).
     pub max_retries: u32,
 }
 
@@ -99,32 +90,24 @@ impl RetryPolicy {
     }
 }
 
-/// Auditor-side bookkeeping for one in-flight challenge.
+/// Auditor-side bookkeeping for one open round.
 #[derive(Clone, Copy, Debug)]
 pub struct ChallengeTrack {
     /// The provider under audit.
     pub provider: PeerId,
     /// The round-stamped challenge.
     pub rc: RoundChallenge,
-    /// Beacon round the challenge derives from.
-    pub beacon_round: u64,
-    /// Issue time (virtual ms).
-    pub issued_at: Millis,
-    /// Hard settlement deadline: at this instant an unsettled challenge
+    /// Open time (virtual ms).
+    pub opened_at: Millis,
+    /// Hard settlement deadline: at this instant an unsettled round
     /// expires into the penalty path.
     pub deadline: Millis,
-    /// Retransmissions performed so far.
-    pub attempt: u32,
-    /// Next scheduled retransmission, if retries remain.
-    pub next_send: Option<Millis>,
-    /// Lifecycle phase while non-terminal.
-    pub phase: ChallengePhase,
     /// Terminal outcome; written exactly once.
     pub outcome: Option<Outcome>,
 }
 
 impl ChallengeTrack {
-    /// Whether the challenge has reached its single terminal state.
+    /// Whether the round has reached its single terminal state.
     pub fn is_terminal(&self) -> bool {
         self.outcome.is_some()
     }
@@ -137,21 +120,13 @@ impl ChallengeTrack {
             return false;
         }
         self.outcome = Some(outcome);
-        self.phase = ChallengePhase::Proven;
-        self.next_send = None;
         true
     }
 
-    /// The earliest future instant this track needs attention: its next
-    /// retransmission or, failing that, its expiry deadline.
+    /// The instant this track next needs attention: its deadline while
+    /// open, never once terminal.
     pub fn next_wakeup(&self) -> Option<Millis> {
-        if self.is_terminal() {
-            return None;
-        }
-        match self.next_send {
-            Some(t) => Some(t.min(self.deadline)),
-            None => Some(self.deadline),
-        }
+        (!self.is_terminal()).then_some(self.deadline)
     }
 }
 
@@ -191,15 +166,11 @@ mod tests {
                 round: 0,
                 challenge: Challenge::random(&mut rng),
             },
-            beacon_round: 1,
-            issued_at: 0,
+            opened_at: 0,
             deadline: 1_000,
-            attempt: 0,
-            next_send: Some(200),
-            phase: ChallengePhase::Issued,
             outcome: None,
         };
-        assert_eq!(track.next_wakeup(), Some(200));
+        assert_eq!(track.next_wakeup(), Some(1_000));
         assert!(track.settle(Outcome::Settled(Verdict::Accept)));
         assert!(!track.settle(Outcome::Expired), "second settle refused");
         assert_eq!(track.outcome, Some(Outcome::Settled(Verdict::Accept)));
@@ -215,12 +186,8 @@ mod tests {
                 round: 2,
                 challenge: Challenge::random(&mut rng),
             },
-            beacon_round: 9,
-            issued_at: 0,
+            opened_at: 0,
             deadline: 5_000,
-            attempt: 6,
-            next_send: None,
-            phase: ChallengePhase::Delivered,
             outcome: None,
         };
         assert_eq!(track.next_wakeup(), Some(5_000));

@@ -1,49 +1,40 @@
-//! The provider daemon: answers challenges over the transport with
-//! bounded concurrency and idempotent replies.
+//! The provider daemon: opens each round from the beacon, proves it
+//! once, and retransmits the proof until the auditor settles it.
 //!
-//! Backpressure policy: at most `max_inflight` proofs are being
-//! computed at once; up to `queue_capacity` further challenges wait in
-//! arrival order; anything beyond that is shed immediately with a typed
-//! [`Frame::Overloaded`] reply (never buffered unboundedly). Completed
-//! proofs are memoized until the auditor's `Settle` notice, so a
-//! retransmitted challenge is answered from the memo instead of being
-//! proven twice.
+//! No challenge reaches the provider over the network. It derives the
+//! round's challenge and id from the same beacon output the auditor
+//! used ([`ProviderNode::open`]), proves after `prove_ms` of virtual
+//! time, and keeps the proof's wire bytes. The proof is resent under the
+//! [`RetryPolicy`] until a `Settle` notice arrives or the round's
+//! deadline passes; either one closes the round and drops the proof.
 
 #![deny(missing_docs)]
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeMap;
 
 use dsaudit_backend::{BackendId, BackendProof};
 use dsaudit_core::codec::Codec;
-use dsaudit_core::{RoundChallenge, StorageProvider};
+use dsaudit_core::{Challenge, RoundChallenge, StorageProvider};
 use rand::{rngs::StdRng, SeedableRng};
 
-use crate::frame::{AckFrame, ChallengeFrame, ChallengeId, Frame, OverloadedFrame, ProofFrame};
+use crate::frame::{derive_challenge_id, ChallengeId, Frame, ProofFrame};
+use crate::lifecycle::RetryPolicy;
 use crate::transport::{Millis, PeerId, Transport};
 
 /// Tuning knobs of a [`ProviderNode`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ProviderConfig {
-    /// Proofs computed concurrently before new work queues.
-    pub max_inflight: usize,
-    /// Challenges waiting behind the in-flight set before shedding.
-    pub queue_capacity: usize,
     /// Virtual time one proof takes to compute, ms.
     pub prove_ms: u64,
-    /// `retry_after_ms` hint attached to `Overloaded` replies.
-    pub retry_after_ms: u64,
-    /// Completed proofs memoized for retransmitted challenges.
-    pub memo_capacity: usize,
+    /// Proof retransmission policy.
+    pub retry: RetryPolicy,
 }
 
 impl Default for ProviderConfig {
     fn default() -> Self {
         Self {
-            max_inflight: 4,
-            queue_capacity: 8,
             prove_ms: 40,
-            retry_after_ms: 300,
-            memo_capacity: 1024,
+            retry: RetryPolicy::default(),
         }
     }
 }
@@ -51,32 +42,32 @@ impl Default for ProviderConfig {
 /// Counters over everything a provider daemon did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ProviderStats {
-    /// Well-formed frames received.
-    pub received: u64,
-    /// Frames that failed to decode (treated as loss; the auditor's
-    /// retransmission recovers them).
+    /// Frames that failed to decode (treated as loss; the proof
+    /// retransmission recovers a lost `Settle`).
     pub corrupt_frames: u64,
-    /// Challenge retransmissions deduplicated by id.
-    pub duplicates: u64,
-    /// Challenges shed with an `Overloaded` reply.
-    pub overloaded_sent: u64,
-    /// Proofs computed and sent.
+    /// Proofs computed and sent, one per round that reached its prove
+    /// time.
     pub proofs_sent: u64,
-    /// Proofs re-sent from the memo for retransmitted challenges.
-    pub proofs_resent: u64,
-    /// Jobs dropped because their challenge deadline had passed.
-    pub shed_stale: u64,
-    /// Challenges for a backend this daemon holds no kit for (dropped;
-    /// the auditor's TTL expires them into the penalty path).
-    pub backend_mismatches: u64,
+    /// Proof retransmissions.
+    pub retries: u64,
+    /// Rounds closed by a `Settle` notice.
+    pub settled: u64,
+    /// Rounds closed by their deadline without a `Settle` notice.
+    pub expired: u64,
 }
 
-#[derive(Clone, Copy, Debug)]
+/// One open round on the provider side.
 struct Job {
     auditor: PeerId,
     rc: RoundChallenge,
-    expires_at: Millis,
-    ready_at: Millis,
+    deadline: Millis,
+    /// The proof's wire bytes, once computed; resent verbatim.
+    wire: Option<Vec<u8>>,
+    /// Sends of the proof so far.
+    sends: u32,
+    /// When the job next needs work — its prove time, then each
+    /// retransmission; `None` once the retry budget is spent.
+    next_at: Option<Millis>,
 }
 
 /// A storage provider attached to the transport as a daemon.
@@ -85,13 +76,7 @@ pub struct ProviderNode {
     provider: StorageProvider,
     cfg: ProviderConfig,
     rng: StdRng,
-    active: BTreeMap<ChallengeId, Job>,
-    queued: VecDeque<(ChallengeId, Job)>,
-    /// Completed proofs awaiting the auditor's settle notice, with FIFO
-    /// eviction order.
-    memo: BTreeMap<ChallengeId, (u64, BackendProof)>,
-    memo_order: VecDeque<ChallengeId>,
-    settled: BTreeSet<ChallengeId>,
+    jobs: BTreeMap<ChallengeId, Job>,
     /// Daemon counters.
     pub stats: ProviderStats,
 }
@@ -105,11 +90,7 @@ impl ProviderNode {
             provider,
             cfg,
             rng: StdRng::seed_from_u64(seed),
-            active: BTreeMap::new(),
-            queued: VecDeque::new(),
-            memo: BTreeMap::new(),
-            memo_order: VecDeque::new(),
-            settled: BTreeSet::new(),
+            jobs: BTreeMap::new(),
             stats: ProviderStats::default(),
         }
     }
@@ -125,187 +106,111 @@ impl ProviderNode {
         &mut self.provider
     }
 
-    /// Sessions currently proving or queued.
-    pub fn load(&self) -> usize {
-        self.active.len() + self.queued.len()
+    /// Opens the round `beacon_round` from the beacon's `randomness` for
+    /// that round, to be answered to `auditor` by `deadline`, and queues
+    /// one prove `prove_ms` from `now`. The id and the challenge are
+    /// derived here, from the held file's name and the beacon output —
+    /// the same derivation the auditor runs. Opening a round that is
+    /// already open changes nothing.
+    pub fn open(
+        &mut self,
+        now: Millis,
+        auditor: PeerId,
+        beacon_round: u64,
+        randomness: &[u8; 48],
+        deadline: Millis,
+    ) -> ChallengeId {
+        let id = derive_challenge_id(&self.provider.meta().name, beacon_round, beacon_round);
+        self.jobs.entry(id).or_insert_with(|| Job {
+            auditor,
+            rc: RoundChallenge {
+                round: beacon_round,
+                challenge: Challenge::from_beacon(randomness),
+            },
+            deadline,
+            wire: None,
+            sends: 0,
+            next_at: Some(now + self.cfg.prove_ms),
+        });
+        id
     }
 
-    /// Earliest future instant a proof finishes, if any.
+    /// The challenge of an open round, if `id` is one.
+    pub fn open_round(&self, id: &ChallengeId) -> Option<&RoundChallenge> {
+        self.jobs.get(id).map(|job| &job.rc)
+    }
+
+    /// Rounds opened and not yet closed by a `Settle` or their deadline.
+    pub fn open_rounds(&self) -> usize {
+        self.jobs.len()
+    }
+
+    /// Earliest future instant a round needs work: a prove, a
+    /// retransmission or a deadline.
     pub fn next_wakeup(&self) -> Option<Millis> {
-        self.active.values().map(|j| j.ready_at).min()
+        self.jobs
+            .values()
+            .map(|j| j.next_at.map_or(j.deadline, |t| t.min(j.deadline)))
+            .min()
     }
 
-    /// One scheduling step at virtual time `now`: ingest frames, shed
-    /// stale work, emit finished proofs, refill the in-flight set.
+    /// One scheduling step at virtual time `now`: ingest `Settle`
+    /// notices, close rounds past their deadline, then prove or
+    /// retransmit every round that is due.
     pub fn step<T: Transport>(&mut self, now: Millis, transport: &mut T) {
-        // ingest; bounded per step by what the stale-deadline shedding
-        // below and the backpressure budgets admit
+        // ingest; every frame closes at most one job, and jobs are
+        // bounded by the deadline sweep below
         while let Some((from, wire)) = transport.recv(now, self.peer) {
             match Frame::from_wire(&wire) {
-                Ok(frame) => {
-                    self.stats.received += 1;
-                    self.handle(now, from, frame, transport);
+                Ok(Frame::Settle(s)) => {
+                    // idempotent: a duplicated or re-sent notice finds
+                    // the job already gone
+                    if self.jobs.get(&s.challenge_id).is_some_and(|j| j.auditor == from) {
+                        self.jobs.remove(&s.challenge_id);
+                        self.stats.settled += 1;
+                    }
                 }
+                // a provider-sent frame echoed back: ignore
+                Ok(Frame::Proof(_)) => {}
                 Err(_) => self.stats.corrupt_frames += 1,
             }
         }
-        // shed anything whose settlement deadline already passed — the
-        // auditor has expired it, so the proof would be wasted work
-        let stale: Vec<ChallengeId> = self
-            .active
-            .iter()
-            .filter(|(_, j)| now >= j.expires_at)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in stale {
-            self.active.remove(&id);
-            self.stats.shed_stale += 1;
-        }
-        self.queued.retain(|(_, j)| {
-            let fresh = now < j.expires_at;
-            if !fresh {
-                self.stats.shed_stale += 1;
-            }
-            fresh
-        });
-        // emit proofs whose virtual compute time has elapsed
-        let ready: Vec<ChallengeId> = self
-            .active
-            .iter()
-            .filter(|(_, j)| now >= j.ready_at)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in ready {
-            let Some(job) = self.active.remove(&id) else {
+        // past its deadline the auditor has expired the round: drop it
+        let before = self.jobs.len();
+        self.jobs.retain(|_, j| now < j.deadline);
+        self.stats.expired += (before - self.jobs.len()) as u64;
+
+        for (id, job) in &mut self.jobs {
+            if !job.next_at.is_some_and(|t| now >= t) {
                 continue;
-            };
-            let response = self.provider.respond_round(&mut self.rng, &job.rc);
-            // the daemon speaks the pairing scheme; the proof crosses
-            // the wire as an erased, backend-tagged body
-            let proof = BackendProof {
-                backend: BackendId::Pairing,
-                bytes: response.proof.encode(),
-            };
-            let frame = Frame::Proof(ProofFrame {
-                challenge_id: id,
-                round: response.round,
-                proof: proof.clone(),
-            });
-            transport.send(now, self.peer, job.auditor, frame.to_wire());
-            self.stats.proofs_sent += 1;
-            dsaudit_obs::counter_inc("node.provider.proofs_sent");
-            self.memoize(id, response.round, proof);
-        }
-        // refill the in-flight set from the queue
-        while self.active.len() < self.cfg.max_inflight {
-            let Some((id, mut job)) = self.queued.pop_front() else {
-                break;
-            };
-            job.ready_at = now + self.cfg.prove_ms;
-            self.active.insert(id, job);
-        }
-    }
-
-    fn memoize(&mut self, id: ChallengeId, round: u64, proof: BackendProof) {
-        if self.memo.insert(id, (round, proof)).is_none() {
-            self.memo_order.push_back(id);
-        }
-        while self.memo.len() > self.cfg.memo_capacity.max(1) {
-            let Some(evict) = self.memo_order.pop_front() else {
-                break;
-            };
-            self.memo.remove(&evict);
-        }
-    }
-
-    fn handle<T: Transport>(&mut self, now: Millis, from: PeerId, frame: Frame, transport: &mut T) {
-        match frame {
-            Frame::Challenge(c) => self.handle_challenge(now, from, c, transport),
-            Frame::Settle(s) => {
-                // idempotent: the memo and any in-flight work for this
-                // challenge are released exactly once
-                self.settled.insert(s.challenge_id);
-                if self.memo.remove(&s.challenge_id).is_some() {
-                    self.memo_order.retain(|id| id != &s.challenge_id);
-                }
-                self.active.remove(&s.challenge_id);
-                self.queued.retain(|(id, _)| id != &s.challenge_id);
             }
-            // auditor-bound frames echoed back by a confused peer are
-            // ignored; the protocol stays silent rather than amplifying
-            Frame::Ack(_) | Frame::Proof(_) | Frame::Overloaded(_) => {}
+            let wire = match &job.wire {
+                Some(wire) => {
+                    self.stats.retries += 1;
+                    dsaudit_obs::counter_inc("node.retries");
+                    wire
+                }
+                None => {
+                    let response = self.provider.respond_round(&mut self.rng, &job.rc);
+                    // the daemon speaks the pairing scheme; the proof
+                    // crosses the wire as an erased, backend-tagged body
+                    let frame = Frame::Proof(ProofFrame {
+                        challenge_id: *id,
+                        round: response.round,
+                        proof: BackendProof {
+                            backend: BackendId::Pairing,
+                            bytes: response.proof.encode(),
+                        },
+                    });
+                    self.stats.proofs_sent += 1;
+                    dsaudit_obs::counter_inc("node.provider.proofs_sent");
+                    &*job.wire.insert(frame.to_wire())
+                }
+            };
+            transport.send(now, self.peer, job.auditor, wire.clone());
+            job.sends += 1;
+            job.next_at = (job.sends <= self.cfg.retry.max_retries)
+                .then(|| now + self.cfg.retry.backoff_ms(id, job.sends));
         }
-    }
-
-    fn handle_challenge<T: Transport>(
-        &mut self,
-        now: Millis,
-        from: PeerId,
-        c: ChallengeFrame,
-        transport: &mut T,
-    ) {
-        let id = c.challenge_id;
-        if c.backend != BackendId::Pairing {
-            // this daemon holds only pairing kits; a challenge for a
-            // backend it cannot answer is dropped, never guessed at
-            self.stats.backend_mismatches += 1;
-            return;
-        }
-        if self.settled.contains(&id) {
-            self.stats.duplicates += 1;
-            return;
-        }
-        if let Some((round, proof)) = self.memo.get(&id) {
-            // already proven: answer from the memo, never prove twice
-            let frame = Frame::Proof(ProofFrame {
-                challenge_id: id,
-                round: *round,
-                proof: proof.clone(),
-            });
-            transport.send(now, self.peer, from, frame.to_wire());
-            self.stats.proofs_resent += 1;
-            dsaudit_obs::counter_inc("node.provider.proofs_resent");
-            return;
-        }
-        if self.active.contains_key(&id) || self.queued.iter().any(|(qid, _)| qid == &id) {
-            // retransmission of work in progress: re-ack so the auditor
-            // knows the challenge was delivered
-            self.stats.duplicates += 1;
-            let ack = Frame::Ack(AckFrame { challenge_id: id });
-            transport.send(now, self.peer, from, ack.to_wire());
-            return;
-        }
-        if now >= c.expires_at {
-            // past its settlement deadline: proving would be wasted
-            self.stats.shed_stale += 1;
-            return;
-        }
-        let job = Job {
-            auditor: from,
-            rc: RoundChallenge {
-                round: c.round,
-                challenge: c.challenge,
-            },
-            expires_at: c.expires_at,
-            ready_at: now + self.cfg.prove_ms,
-        };
-        if self.active.len() < self.cfg.max_inflight {
-            self.active.insert(id, job);
-        } else if self.queued.len() < self.cfg.queue_capacity {
-            self.queued.push_back((id, job));
-        } else {
-            // both budgets full: shed with a typed reply instead of
-            // buffering without bound
-            let frame = Frame::Overloaded(OverloadedFrame {
-                challenge_id: id,
-                retry_after_ms: self.cfg.retry_after_ms,
-            });
-            transport.send(now, self.peer, from, frame.to_wire());
-            self.stats.overloaded_sent += 1;
-            dsaudit_obs::counter_inc("node.provider.overloaded_sent");
-            return;
-        }
-        let ack = Frame::Ack(AckFrame { challenge_id: id });
-        transport.send(now, self.peer, from, ack.to_wire());
     }
 }

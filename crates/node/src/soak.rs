@@ -1,7 +1,7 @@
-//! Seeded soak runner: hundreds of challenge sessions across named
-//! fault schedules, checked against the lifecycle invariant.
+//! Seeded soak runner: hundreds of audit rounds across named fault
+//! schedules, checked against the lifecycle invariant.
 //!
-//! Every challenge must terminate in exactly one of `Settled(Accept)`,
+//! Every opened round must terminate in exactly one of `Settled(Accept)`,
 //! `Settled(Reject)` or `Expired` — no challenge lost, no double
 //! settlement. The report is a pure function of the seed: running the
 //! same [`SoakConfig`] twice yields byte-identical JSON, which CI
@@ -26,11 +26,11 @@ use crate::transport::{
 pub struct SoakConfig {
     /// Master seed; everything else derives from it.
     pub seed: u64,
-    /// Total challenge sessions, split evenly across the schedules.
+    /// Total audit rounds (sessions), split evenly across the schedules.
     pub sessions: u32,
     /// Providers per cluster.
     pub providers: u32,
-    /// Challenge TTL, virtual ms.
+    /// Round TTL, virtual ms.
     pub ttl_ms: u64,
 }
 
@@ -50,23 +50,29 @@ impl Default for SoakConfig {
 pub struct ScheduleReport {
     /// Schedule name.
     pub name: &'static str,
-    /// Sessions issued under this schedule.
+    /// Rounds opened under this schedule.
     pub sessions: u64,
-    /// Challenges settled with an accepted proof.
+    /// Rounds settled with an accepted proof.
     pub settled_accept: u64,
-    /// Challenges settled with a rejected proof.
+    /// Rounds settled with a rejected proof.
     pub settled_reject: u64,
-    /// Challenges expired into the penalty path.
+    /// Rounds expired into the penalty path.
     pub expired: u64,
-    /// Challenge retransmissions.
+    /// Proof retransmissions by the providers.
     pub retries: u64,
-    /// Overload sheds observed by the auditor.
+    /// Always 0: providers no longer shed work, because no challenge
+    /// frame arrives for them to refuse — a provider opens each round
+    /// itself. Kept (and left out of [`SoakReport::to_json`]) because
+    /// the benchmark package reads it.
     pub overloaded: u64,
     /// Corrupt frames seen (auditor + providers).
     pub corrupt_frames: u64,
-    /// Proofs arriving after their challenge was already terminal.
+    /// Proofs arriving after their round was already terminal.
     pub late_proofs: u64,
-    /// Proofs proven once but re-sent from the provider memo.
+    /// Equals [`retries`](Self::retries): every re-sent proof is a
+    /// retransmission of the one proof a provider computed. Kept (and
+    /// left out of [`SoakReport::to_json`]) because the benchmark
+    /// package reads it.
     pub proofs_resent: u64,
     /// Transport fault-layer counters.
     pub transport: TransportStats,
@@ -122,10 +128,8 @@ impl SoakReport {
             out.push_str(&format!("      \"settled_reject\": {},\n", s.settled_reject));
             out.push_str(&format!("      \"expired\": {},\n", s.expired));
             out.push_str(&format!("      \"retries\": {},\n", s.retries));
-            out.push_str(&format!("      \"overloaded\": {},\n", s.overloaded));
             out.push_str(&format!("      \"corrupt_frames\": {},\n", s.corrupt_frames));
             out.push_str(&format!("      \"late_proofs\": {},\n", s.late_proofs));
-            out.push_str(&format!("      \"proofs_resent\": {},\n", s.proofs_resent));
             out.push_str(&format!(
                 "      \"transport\": {{\"sent\": {}, \"delivered\": {}, \"dropped\": {}, \"partitioned\": {}, \"duplicated\": {}, \"delayed\": {}, \"reordered\": {}, \"corrupted\": {}}},\n",
                 t.sent, t.delivered, t.dropped, t.partitioned, t.duplicated, t.delayed, t.reordered, t.corrupted
@@ -172,7 +176,7 @@ fn schedules(cfg: &SoakConfig) -> Vec<(&'static str, NetFaultConfig, bool)> {
         ..NetFaultConfig::reliable(8)
     };
     // the last provider is cut off for the entire run: all its
-    // challenges must expire into the penalty path
+    // rounds must expire into the penalty path
     let partitioned = NetFaultConfig {
         drop_rate: 0.05,
         delay_rate: 0.10,
@@ -219,23 +223,17 @@ fn run_schedule(
 ) -> ScheduleReport {
     let _span = dsaudit_obs::span("node.schedule");
     dsaudit_obs::point("node.schedule", name);
-    let auditor_cfg = AuditorConfig {
-        ttl_ms: cfg.ttl_ms,
+    let auditor_cfg = AuditorConfig { ttl_ms: cfg.ttl_ms };
+    let transport = InProcTransport::new(cfg.seed ^ (index.wrapping_mul(0x9e37)), faults);
+    let mut cluster = Cluster::new(transport, AuditorNode::new(0, auditor_cfg));
+    let mut beacon = TrustedBeacon::new(&cfg.seed.to_le_bytes());
+    let provider_cfg = ProviderConfig {
+        prove_ms: 40,
         retry: RetryPolicy {
             base_ms: 200,
             max_backoff_ms: 4_000,
             max_retries: 8,
         },
-    };
-    let transport = InProcTransport::new(cfg.seed ^ (index.wrapping_mul(0x9e37)), faults);
-    let mut cluster = Cluster::new(transport, AuditorNode::new(0, auditor_cfg));
-    let mut beacon = TrustedBeacon::new(&cfg.seed.to_le_bytes());
-    let provider_cfg = ProviderConfig {
-        max_inflight: 3,
-        queue_capacity: 6,
-        prove_ms: 40,
-        retry_after_ms: 400,
-        memo_capacity: 256,
     };
     for p in 1..=cfg.providers {
         // the "lossy" schedule gives the second provider corrupted
@@ -253,7 +251,7 @@ fn run_schedule(
         ));
     }
 
-    // issue in bursts big enough to trip backpressure, then let the
+    // open rounds in waves of a dozen per provider, then let the
     // cluster quiesce before the next wave
     let wave = (cfg.providers * 12).max(1);
     let mut issued = 0u32;
@@ -267,7 +265,7 @@ fn run_schedule(
             beacon_round += 1;
         }
         issued += batch;
-        // horizon: every challenge's ttl plus generous slack
+        // horizon: every round's ttl plus generous slack
         let horizon = cluster.now + cfg.ttl_ms + 60_000;
         if !cluster.run_until_settled(horizon) {
             lost = true;
@@ -277,39 +275,37 @@ fn run_schedule(
 
     let mut violations = cluster.auditor.audit_invariants();
     if lost {
-        violations.push("event loop hit its horizon with challenges still pending".into());
+        violations.push("event loop hit its horizon with rounds still open".into());
     }
-    if cluster.auditor.stats.issued != sessions as u64 {
+    if cluster.auditor.stats.opened != sessions as u64 {
         violations.push(format!(
-            "issued {} of {sessions} planned sessions",
-            cluster.auditor.stats.issued
+            "opened {} of {sessions} planned sessions",
+            cluster.auditor.stats.opened
         ));
     }
     let a = cluster.auditor.stats;
-    let (resent, corrupt_p) = cluster
+    let (retries, corrupt_p) = cluster
         .providers
         .values()
-        .fold((0, 0), |(r, c), p| {
-            (r + p.stats.proofs_resent, c + p.stats.corrupt_frames)
-        });
+        .fold((0, 0), |(r, c), p| (r + p.stats.retries, c + p.stats.corrupt_frames));
     ScheduleReport {
         name,
-        sessions: a.issued,
+        sessions: a.opened,
         settled_accept: a.settled_accept,
         settled_reject: a.settled_reject,
         expired: a.expired,
-        retries: a.retries,
-        overloaded: a.overloaded,
+        retries,
+        overloaded: 0,
         corrupt_frames: a.corrupt_frames + corrupt_p,
         late_proofs: a.late_proofs,
-        proofs_resent: resent,
+        proofs_resent: retries,
         transport: cluster.transport.stats,
         virtual_ms: cluster.now,
         violations,
     }
 }
 
-/// Runs the full soak: `cfg.sessions` challenge sessions split across
+/// Runs the full soak: `cfg.sessions` audit rounds split across
 /// the three fault schedules.
 pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let plans = schedules(cfg);

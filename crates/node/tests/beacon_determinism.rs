@@ -1,12 +1,16 @@
 //! Satellite property: challenge derivation is a pure function of the
 //! beacon output. Any two verifiers holding the same beacon round must
 //! derive byte-identical challenges and identical challenge ids —
-//! there is no per-auditor randomness left in the derivation path.
+//! there is no per-auditor randomness left in the derivation path —
+//! and an auditor and a provider daemon open the same round without a
+//! challenge message between them.
 
 use dsaudit_chain::beacon::{Beacon, TrustedBeacon};
-use dsaudit_core::{Challenge, Codec};
+use dsaudit_core::{AuditParams, Challenge, Codec, DataOwner, StorageProvider};
 use dsaudit_node::frame::derive_challenge_id;
+use dsaudit_node::{AuditorConfig, AuditorNode, ProviderConfig, ProviderNode};
 use proptest::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -61,6 +65,38 @@ proptest! {
             Challenge::from_beacon(&a_then_b.0).encode(),
             Challenge::from_beacon(&a_then_b.1).encode(),
             "distinct rounds yield distinct challenges"
+        );
+    }
+
+    /// Each daemon reads the beacon on its own: for any beacon seed,
+    /// round and file, `AuditorNode::open` and `ProviderNode::open`
+    /// derive the same challenge id and the same round challenge.
+    #[test]
+    fn auditor_and_provider_open_the_same_round(
+        seed in prop::collection::vec(any::<u8>(), 1..64),
+        round in any::<u64>(),
+        file_seed in any::<u64>(),
+        file_len in 1usize..400,
+    ) {
+        let mut rng = StdRng::seed_from_u64(file_seed);
+        let owner = DataOwner::generate(&mut rng, AuditParams::new(4, 3).unwrap());
+        let file: Vec<u8> = (0..file_len).map(|i| (i as u64 ^ file_seed) as u8).collect();
+        let bundle = owner.outsource(&mut rng, &file);
+        let handle = StorageProvider::ingest(&mut rng, bundle).unwrap();
+        let mut auditor = AuditorNode::new(0, AuditorConfig::default());
+        auditor.register_target(1, handle.public_key().clone(), handle.meta());
+        let mut provider = ProviderNode::new(1, handle, ProviderConfig::default(), file_seed);
+
+        let at_auditor = TrustedBeacon::new(&seed).randomness(round);
+        let at_provider = TrustedBeacon::new(&seed).randomness(round);
+        let deadline = 10_000;
+        let a = auditor.open(0, 1, round, &at_auditor, deadline).unwrap();
+        let p = provider.open(0, 0, round, &at_provider, deadline);
+        prop_assert_eq!(a, p, "same challenge id");
+        prop_assert_eq!(
+            Some(&auditor.tracks()[&a].rc),
+            provider.open_round(&p),
+            "same round challenge"
         );
     }
 }

@@ -1,5 +1,5 @@
-//! The acceptance soak: ≥500 challenge sessions across three fault
-//! schedules, every challenge terminal, zero lost, zero double-settled,
+//! The acceptance soak: ≥500 audit rounds across three fault
+//! schedules, every round terminal, zero lost, zero double-settled,
 //! and the whole report byte-for-byte reproducible.
 
 use dsaudit_node::soak::{run_soak, SoakConfig};
@@ -25,19 +25,36 @@ fn soak_terminates_every_challenge_and_reproduces_exactly() {
             .find(|s| s.name == n)
             .unwrap_or_else(|| panic!("schedule {n} missing"))
     };
+    // sessions go round the providers in turn, so each holds a third
+    let third = |s: &dsaudit_node::ScheduleReport| s.sessions / cfg.providers as u64;
     let baseline = by_name("baseline");
-    assert!(baseline.settled_accept > 0, "baseline must mostly accept");
+    assert_eq!(baseline.settled_accept, baseline.sessions, "baseline accepts every round");
+    // a round needs one proof and one settle; faults add retransmissions
+    assert!(
+        baseline.transport.sent < 3 * baseline.sessions,
+        "{} frames for {} sessions",
+        baseline.transport.sent,
+        baseline.sessions
+    );
     let lossy = by_name("lossy");
     assert!(
         lossy.settled_reject > 0,
         "the corrupted-data provider must draw rejects through the lossy net"
     );
-    assert!(lossy.retries > 0, "a 20% drop rate must force retries");
+    assert!(lossy.retries > 0, "a 20% drop rate must force proof retries");
     assert!(lossy.corrupt_frames > 0, "corrupt frames must surface as typed errors");
-    let partitioned = by_name("partitioned");
+    // the corrupted provider's third never accepts, and nobody else
+    // is rejected
+    assert!(lossy.settled_reject <= third(lossy), "rejects outside the corrupted third");
     assert!(
-        partitioned.expired > 0,
-        "the fully partitioned provider's challenges must expire"
+        lossy.settled_accept <= lossy.sessions - third(lossy),
+        "the corrupted provider's third must not accept"
+    );
+    let partitioned = by_name("partitioned");
+    assert_eq!(
+        partitioned.expired,
+        third(partitioned),
+        "exactly the fully partitioned provider's rounds expire"
     );
 
     // a dropped/corrupted frame is a retry, never a verdict: rejects
@@ -45,6 +62,10 @@ fn soak_terminates_every_challenge_and_reproduces_exactly() {
     // corrupted provider)
     assert_eq!(baseline.settled_reject, 0, "transport faults must not reject");
     assert_eq!(partitioned.settled_reject, 0, "partition must expire, not reject");
+    for s in &first.schedules {
+        assert_eq!(s.overloaded, 0, "{}: nothing sheds", s.name);
+        assert_eq!(s.proofs_resent, s.retries, "{}: a resent proof is a retry", s.name);
+    }
 
     // byte-for-byte reproducibility of the full report
     let second = run_soak(&cfg);

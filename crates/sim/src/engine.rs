@@ -9,7 +9,8 @@
 //!    contracts migrate), or crash (shares lost with the node).
 //! 2. **Faults** — the fault model corrupts, drops, or withholds
 //!    stored shares, or eats a proof frame in flight (transport loss,
-//!    recovered by node-layer retries before the deadline).
+//!    recovered before the deadline because the provider retransmits
+//!    its proof, as `dsaudit-node`'s provider daemon does).
 //! 3. **Audit** — every share contract's `Chal` trigger fires; online
 //!    providers prove over *whatever bytes they actually store*; the
 //!    per-shard auditors settle all posted proofs with one batched
@@ -780,9 +781,10 @@ impl Simulation {
                 continue;
             }
             if pl.transport {
-                // the first frame was lost in flight; the node layer's
-                // bounded retry resends it inside the proving deadline,
-                // so the submission below is the (successful) retransmit
+                // the first proof frame was lost in flight; the
+                // provider retransmits its proof under its bounded retry
+                // policy inside the proving deadline, so the submission
+                // below is the (successful) retransmit
                 es.transport_retries += 1;
             }
             let file = &self.files[pl.file];

@@ -449,18 +449,17 @@ fn run_backends() {
     );
     let report = dsaudit_sim::Simulation::new(cfg).run();
     println!(
-        "  {:<10} {:>7} {:>11} {:>13} {:>10} {:>6} {:>6}",
-        "backend", "rounds", "gas/round", "proof B/round", "prover ms", "fa", "fr"
+        "  {:<10} {:>7} {:>11} {:>13} {:>6} {:>6}",
+        "backend", "rounds", "gas/round", "proof B/round", "fa", "fr"
     );
     let mut violated = false;
     for lane in &report.backend_lanes {
         println!(
-            "  {:<10} {:>7} {:>11} {:>13} {:>10.3} {:>6} {:>6}",
+            "  {:<10} {:>7} {:>11} {:>13} {:>6} {:>6}",
             lane.backend,
             lane.audits,
             lane.gas_per_round(),
             lane.proof_bytes_per_round(),
-            lane.mean_prover_ms(),
             lane.false_accepts,
             lane.false_rejects,
         );

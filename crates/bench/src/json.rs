@@ -239,7 +239,7 @@ pub fn collect_node_metrics() -> Vec<Metric> {
 /// The fixed-seed shadow-lane simulation behind the per-backend gas
 /// figures: a tiny honest network where every share also runs all
 /// three audit backends as shadow lanes through the same challenge
-/// schedule. Gas is deterministic (the nominal per-proof verify cost
+/// schedule. Gas is deterministic (the declared per-proof verify cost
 /// plus measured transaction bytes), so one run yields stable
 /// per-round figures.
 fn bench_backend_sim_config() -> dsaudit_sim::SimConfig {
@@ -478,6 +478,27 @@ fn proof_size_metrics() -> Vec<Metric> {
     ]
 }
 
+/// `audit_gas_private`: the gas of one classic on-chain round, read off
+/// the chain — the `prove` transaction plus the declared verification
+/// cost, the paper's ~589k per audit, exact at any file size or params.
+fn audit_gas_metric() -> Metric {
+    use dsaudit_chain::{beacon::TrustedBeacon, chain::Blockchain};
+    use dsaudit_contract::{run_round, setup_session, AgreementTerms};
+    let mut r = rng();
+    let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"classic")));
+    let data: Vec<u8> = (0..1024).map(|i| (i % 251) as u8).collect();
+    let params = AuditParams::new(4, 3).expect("valid");
+    let terms = AgreementTerms::default();
+    let session = setup_session(&mut r, &mut chain, "classic", &data, params, None, terms);
+    let first_block = chain.block_count();
+    assert!(run_round(&mut r, &mut chain, &session, true), "an honest round passes");
+    Metric {
+        name: "audit_gas_private",
+        unit: "gas",
+        value: chain.gas_used_since(first_block) as f64,
+    }
+}
+
 /// Runs the compact benchmark set the JSON snapshot reports.
 pub fn collect_metrics() -> Vec<Metric> {
     let mut out = proof_size_metrics();
@@ -537,12 +558,7 @@ pub fn collect_metrics() -> Vec<Metric> {
         unit: "ms",
         value: v_plain,
     });
-    let gas = dsaudit_chain::gas::GasSchedule::default();
-    out.push(Metric {
-        name: "audit_gas_private",
-        unit: "gas",
-        value: gas.audit_gas(PRIVATE_PROOF_BYTES, v_priv) as f64,
-    });
+    out.push(audit_gas_metric());
 
     // Hot path 4: tag generation latency at default params (absolute).
     let t0 = Instant::now();
@@ -612,6 +628,7 @@ pub fn emit(path: &str) -> std::io::Result<Vec<Metric>> {
 pub const GUARDED_METRICS: &[&str] = &[
     "plain_proof_bytes",
     "private_proof_bytes",
+    "audit_gas_private",
     "sim_gas_per_round",
     "backend_merkle_proof_bytes",
     "backend_groth16_proof_bytes",
@@ -658,6 +675,7 @@ pub fn parse_metrics(json: &str) -> Vec<(String, f64)> {
 pub fn collect_guarded_metrics() -> Vec<Metric> {
     proof_size_metrics()
         .into_iter()
+        .chain([audit_gas_metric()])
         .chain(collect_sim_metrics())
         .chain(collect_backend_metrics())
         .chain(collect_lint_metrics())

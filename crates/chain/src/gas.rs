@@ -16,8 +16,20 @@
 //!   (the quoted per-audit cost) and 30 ms + 384 B Groth16 proof ->
 //!   ~1.7M gas (a typical on-chain SNARK verification transaction).
 //!
+//! This is the one place that decides what verifying a proof costs on
+//! chain: [`GasSchedule::verify_gas`], `K` times the *declared* time
+//! [`DECLARED_VERIFY_MS`], never a clock reading, so the same rounds
+//! meter the same gas on any machine. It is one figure for every backend
+//! because each stands for the one pre-compiled verifier call the paper
+//! prices; a per-backend figure would move a guarded gas metric.
+//!
 //! EIP-1108 precompile prices are also provided for cross-checking the
 //! curve-operation budget.
+
+/// The declared native verification time of one proof, in milliseconds:
+/// the paper's 7.2 ms precompile figure (§VII-B). Every on-chain
+/// verification is metered at this cost.
+pub const DECLARED_VERIFY_MS: f64 = 7.2;
 
 /// Gas cost constants (see module docs for provenance).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -79,6 +91,12 @@ impl GasSchedule {
         (self.compute_per_ms * verify_ms).round() as u64
     }
 
+    /// Gas the chain charges for verifying one proof: the compute gas of
+    /// [`DECLARED_VERIFY_MS`]. What every contract meters per check.
+    pub fn verify_gas(&self) -> u64 {
+        self.compute_gas(DECLARED_VERIFY_MS)
+    }
+
     /// Total gas of one audit transaction: the proof is passed as
     /// calldata, recorded in storage together with the 48-byte
     /// challenge, and verified on chain.
@@ -112,6 +130,7 @@ mod tests {
         // 288-byte private proof at the paper's 7.2 ms verification:
         // must land on ~589,000 gas (the paper's quoted per-audit cost).
         let g = GasSchedule::default();
+        assert_eq!(g.verify_gas(), 342_720, "47,600 gas/ms x the declared 7.2 ms");
         let gas = g.audit_gas(288, 7.2);
         assert!(
             (570_000..=610_000).contains(&gas),

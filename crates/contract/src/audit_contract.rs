@@ -35,6 +35,10 @@
 //! its payload*. With the commitment parsed up front a verification
 //! error can only be the proof's fault, so no posted proof can leave a
 //! round unsettled and deposits locked.
+//!
+//! Metering: a round pays the proof's storage at `prove` and one
+//! [`GasSchedule::verify_gas`] for its check, on-contract or by batch
+//! `verdict`. No clock is read: gas depends on the transactions only.
 
 use dsaudit_backend::{BackendId, BackendProof, Verifier};
 use dsaudit_chain::gas::GasSchedule;
@@ -146,10 +150,6 @@ pub struct AuditContract {
     /// round's proofs in one batch and posts per-contract verdicts.
     /// `None` keeps per-contract verification.
     batch_auditor: Option<Address>,
-    /// When set, verification is metered at this fixed cost in
-    /// milliseconds instead of the wall clock — simulator and benchmark
-    /// use it to keep gas totals reproducible across runs and machines.
-    nominal_verify_ms: Option<f64>,
     /// Provider migration in flight: the owner named this address as the
     /// share's next holder; it becomes the provider once it posts the
     /// takeover deposit.
@@ -208,7 +208,6 @@ impl AuditContract {
             challenge: None,
             pending_proof: None,
             batch_auditor: None,
-            nominal_verify_ms: None,
             pending_migration: None,
             onchain_proof_bytes: 0,
             metered_gas: 0,
@@ -225,23 +224,18 @@ impl AuditContract {
         env.charge_gas(gas);
     }
 
-    /// Runs the on-contract check of a posted proof and meters it. The
-    /// commitment was parsed at deployment, so an error here is the
-    /// proof's own (a payload that does not decode); it settles as a
-    /// failed round like any other proof that did not convince the
-    /// contract.
+    /// Runs the on-contract check of a posted proof and meters it at the
+    /// declared verification cost. The commitment was parsed at
+    /// deployment, so an error here is the proof's own (a payload that
+    /// does not decode); it settles as a failed round like any other
+    /// proof that did not convince the contract.
     fn check_proof(&mut self, env: &mut CallEnv, proof: &BackendProof) -> bool {
         let beacon = self.challenge.expect("an open round has a challenge");
-        let t0 = std::time::Instant::now();
         let ok = self
             .verifier
             .verify(&beacon, proof)
             .is_ok_and(|verdict| verdict.accepted());
-        // the paper's extrapolated compute gas
-        let ms = self
-            .nominal_verify_ms
-            .unwrap_or_else(|| t0.elapsed().as_secs_f64() * 1e3);
-        self.charge(env, GasSchedule::default().compute_gas(ms));
+        self.charge(env, GasSchedule::default().verify_gas());
         ok
     }
 
@@ -251,13 +245,6 @@ impl AuditContract {
     #[must_use]
     pub fn with_batch_auditor(mut self, auditor: Address) -> Self {
         self.batch_auditor = Some(auditor);
-        self
-    }
-
-    /// Fixes the metered verification cost (deterministic-gas mode).
-    #[must_use]
-    pub fn with_nominal_verify_ms(mut self, ms: f64) -> Self {
-        self.nominal_verify_ms = Some(ms);
         self
     }
 
@@ -436,8 +423,10 @@ impl ContractBehavior for AuditContract {
                 Ok(())
             }
             // the designated batch auditor settles a deferred round:
-            // calldata is 1 verdict byte plus the amortized verification
-            // time in milliseconds (8-byte LE f64) for gas metering
+            // calldata is exactly one flag byte (1 pass, 0 fail). The
+            // check it stands for is charged like the contract's own,
+            // at the declared verification cost; the auditor reports a
+            // verdict, never a price
             "verdict" => {
                 if self.phase != Phase::AwaitVerdict {
                     return Err(VmError::BadState("no verdict pending".into()));
@@ -445,16 +434,16 @@ impl ContractBehavior for AuditContract {
                 if Some(env.caller) != self.batch_auditor {
                     return Err(VmError::Unauthorized);
                 }
-                if data.len() != 9 || data[0] > 1 {
-                    return Err(VmError::BadCalldata(
-                        "verdict is 1 flag byte + 8-byte f64 ms".into(),
-                    ));
-                }
-                let passed = data[0] == 1;
-                let ms = f64::from_le_bytes(data[1..9].try_into().expect("sliced"));
-                if ms.is_finite() && ms > 0.0 {
-                    self.charge(env, GasSchedule::default().compute_gas(ms));
-                }
+                let passed = match data {
+                    [0] => false,
+                    [1] => true,
+                    _ => {
+                        return Err(VmError::BadCalldata(
+                            "verdict is one flag byte, 0 or 1".into(),
+                        ))
+                    }
+                };
+                self.charge(env, GasSchedule::default().verify_gas());
                 self.settle_round(env, passed, false);
                 Ok(())
             }

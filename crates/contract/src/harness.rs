@@ -57,7 +57,6 @@ fn deploy(
     label: &str,
     verifier: Box<dyn Verifier>,
     terms: AgreementTerms,
-    nominal_ms: Option<f64>,
 ) -> (Address, Agreement) {
     let owner = Address::from_label(&format!("{label}/owner"));
     let provider = Address::from_label(&format!("{label}/provider"));
@@ -67,9 +66,6 @@ fn deploy(
     let mut contract = AuditContract::new(agreement, verifier);
     if let Some(auditor) = terms.batch_auditor {
         contract = contract.with_batch_auditor(auditor);
-    }
-    if let Some(ms) = nominal_ms {
-        contract = contract.with_nominal_verify_ms(ms);
     }
     let addr = chain.deploy(label, Box::new(contract));
     submit_ok(chain, owner, addr, "negotiate", Vec::new(), 0);
@@ -104,7 +100,7 @@ pub fn setup_session<R: rand::RngCore + ?Sized>(
     // the provider validates the authenticators before acknowledging
     let provider_state =
         StorageProvider::ingest(rng, bundle).expect("honest bundle must validate");
-    let (contract, agreement) = deploy(chain, label, verifier, terms, None);
+    let (contract, agreement) = deploy(chain, label, verifier, terms);
     ContractSession {
         contract,
         owner: agreement.owner,
@@ -202,8 +198,13 @@ pub struct BackendSession {
 
 /// Sets up a backend-driven audit session: backend setup (tagging /
 /// tree build / SNARK keygen as the scheme demands), deploy, negotiate,
-/// ack, both deposits. `nominal_ms` fixes the metered verification cost
-/// for deterministic gas.
+/// ack, both deposits.
+///
+/// `_nominal_ms` is inert: every contract meters verification at the
+/// declared cost of
+/// [`GasSchedule::verify_gas`](dsaudit_chain::gas::GasSchedule::verify_gas),
+/// whatever is passed here. The argument stays only because the
+/// `benchmark/` package still passes one.
 ///
 /// # Panics
 /// Panics if backend setup fails or a setup transaction reverts —
@@ -215,13 +216,13 @@ pub fn setup_backend_session<R: rand::RngCore>(
     data: &[u8],
     backend: &dyn AuditBackend,
     terms: AgreementTerms,
-    nominal_ms: Option<f64>,
+    _nominal_ms: Option<f64>,
 ) -> BackendSession {
     let setup = backend.setup(rng, data).expect("backend setup");
     let verifier = backend
         .verifier(&setup.commitment)
         .expect("a backend parses its own commitment");
-    let (contract, agreement) = deploy(chain, label, verifier, terms, nominal_ms);
+    let (contract, agreement) = deploy(chain, label, verifier, terms);
     BackendSession {
         contract,
         owner: agreement.owner,

@@ -7,7 +7,7 @@
 //!
 //! * **panic-freedom** — the wire/codec surfaces must survive adversarial
 //!   bytes without aborting (any two verifiers must reach a verdict);
-//! * **determinism** — the simulator, chain and storage crates must be
+//! * **determinism** — the simulator, chain, storage and contract crates must be
 //!   byte-for-byte reproducible from a seed (verdict agreement dies the
 //!   moment iteration order differs between verifiers);
 //! * **secret-hygiene** — secret key material must not be formattable,

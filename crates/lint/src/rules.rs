@@ -32,7 +32,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "determinism",
         summary: "no HashMap/HashSet/Instant/SystemTime/thread_rng/Date-like calls in \
-                  crates/{sim,chain,storage}: seed-reproducibility is contractual",
+                  crates/{sim,chain,storage,contract}: seed-reproducibility is contractual",
     },
     RuleInfo {
         id: "secret-debug",
@@ -106,7 +106,8 @@ const PANIC_FREE_FILES: &[&str] = &[
 const NO_INDEX_FILES: &[&str] = &["crates/core/src/codec.rs", "crates/storage/src/wire.rs"];
 
 /// Crate source trees where determinism is contractual.
-const DETERMINISTIC_TREES: &[&str] = &["crates/sim/src/", "crates/chain/src/", "crates/storage/src/"];
+const DETERMINISTIC_TREES: &[&str] =
+    &["crates/sim/src/", "crates/chain/src/", "crates/storage/src/", "crates/contract/src/"];
 
 /// A half-open token-index range.
 type Span = (usize, usize);

@@ -78,6 +78,9 @@ fn determinism_fires_in_deterministic_trees() {
     assert_eq!(live_rules("crates/chain/src/chain.rs", src), ["determinism"]);
     let src = "fn s() { let _ = SystemTime::now(); }";
     assert_eq!(live_rules("crates/storage/src/network.rs", src), ["determinism"]);
+    // contract gas is metered at a declared cost, never a clock reading
+    let src = "fn gas() { let t0 = std::time::Instant::now(); }";
+    assert_eq!(live_rules("crates/contract/src/audit_contract.rs", src), ["determinism"]);
     // any Date-like identifier counts
     let src = "fn d() { let _ = LocalDate::today(); }";
     assert_eq!(live_rules("crates/sim/src/clock.rs", src), ["determinism"]);

@@ -1,5 +1,7 @@
 //! Simulation configuration: population sizes, protocol parameters,
 //! economics, and the churn/fault rates of the default models.
+//! There is no gas knob: verification costs the chain's declared
+//! `verify_gas()` and bytes are measured, so gas follows from the config.
 
 use dsaudit_backend::BackendId;
 use dsaudit_chain::cost::ChainCapacity;
@@ -46,12 +48,6 @@ pub struct SimConfig {
     pub reward_per_audit: Wei,
     /// Compensation to the owner per failed round.
     pub penalty_per_fail: Wei,
-    /// Deterministic per-proof verification cost (ms) metered as compute
-    /// gas when a shard auditor posts verdicts. A fixed figure (the
-    /// paper's 7.2 ms) keeps gas — and therefore the whole report —
-    /// reproducible across machines; the *byte* side of every
-    /// transaction is measured, not assumed.
-    pub nominal_verify_ms: f64,
     /// Reference chain capacity that per-epoch utilization is measured
     /// against (mined bytes vs. what the block space could carry).
     pub capacity: ChainCapacity,
@@ -67,7 +63,7 @@ pub struct SimConfig {
     /// second audit contract on that backend, driven through the *same*
     /// challenge and fault schedule as the primary pairing path, so one
     /// run compares the schemes head to head (per-backend verdicts,
-    /// gas, proof bytes, prover time). Empty (the default) disables the
+    /// gas, proof bytes). Empty (the default) disables the
     /// lanes and leaves the pairing-only report untouched.
     pub backends: Vec<BackendId>,
 }
@@ -89,7 +85,6 @@ impl Default for SimConfig {
             prove_deadline_secs: 3_600,
             reward_per_audit: gwei(1_000_000),
             penalty_per_fail: gwei(5_000_000),
-            nominal_verify_ms: 7.2,
             capacity: ChainCapacity::default(),
             churn: ChurnRates::default(),
             faults: FaultRates::default(),

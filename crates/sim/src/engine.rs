@@ -28,16 +28,14 @@
 //! helper, verifying on-contract instead of through a shard auditor —
 //! driven through the identical challenge and fault schedule: one run
 //! compares the schemes head to head (per-backend verdict accuracy,
-//! metered gas, proof bytes, measured prover time).
+//! metered gas, proof bytes).
 //!
 //! Determinism: one seeded RNG drives keys, challenges, proof masking,
-//! churn and faults; every collection iterated is ordered; the one
-//! wall-clock-dependent quantity of the production path (verification
-//! time metered as compute gas) is replaced by the configured
-//! [`nominal_verify_ms`](crate::SimConfig::nominal_verify_ms). Two runs
-//! of the same config yield byte-for-byte identical reports — except
-//! the shadow lanes' prover milliseconds, which are real wall-clock
-//! measurements (configs without lanes keep the guarantee whole).
+//! churn and faults; every collection iterated is ordered; and no clock
+//! is read — every contract meters verification at the chain's declared
+//! cost ([`GasSchedule::verify_gas`](dsaudit_chain::gas::GasSchedule::verify_gas)).
+//! Two runs of the same config, shadow lanes included, yield
+//! byte-for-byte identical reports.
 
 use std::collections::BTreeMap;
 
@@ -138,7 +136,6 @@ struct ShadowLane {
     failures: u64,
     false_accepts: u64,
     false_rejects: u64,
-    prover_ms: f64,
     prover_calls: u64,
 }
 
@@ -293,7 +290,6 @@ impl Simulation {
                 failures: 0,
                 false_accepts: 0,
                 false_rejects: 0,
-                prover_ms: 0.0,
                 prover_calls: 0,
             })
             .collect();
@@ -420,7 +416,7 @@ impl Simulation {
     /// block). Every lane deploys through here; `batch_auditor` is what
     /// tells the primary lane (verdicts from its shard auditor) from a
     /// shadow lane (on-contract verification). Verification is metered
-    /// at the config's nominal cost either way.
+    /// at the chain's declared cost either way.
     fn deploy_contract(
         &mut self,
         label: &str,
@@ -428,8 +424,7 @@ impl Simulation {
         verifier: Box<dyn Verifier>,
         batch_auditor: Option<Address>,
     ) -> Address {
-        let mut contract = AuditContract::new(agreement, verifier)
-            .with_nominal_verify_ms(self.cfg.nominal_verify_ms);
+        let mut contract = AuditContract::new(agreement, verifier);
         if let Some(auditor) = batch_auditor {
             contract = contract.with_batch_auditor(auditor);
         }
@@ -812,15 +807,12 @@ impl Simulation {
                 0,
             );
             // shadow lanes prove over the *same* stored bytes for their
-            // own contracts' beacons; proving time is the report's one
-            // wall-clock measurement (the proofs really are computed)
+            // own contracts' beacons
             for li in 0..self.shadows.len() {
                 let lane_contract = self.shadows[li].slots[pl_id].contract;
                 let Some(&lane_beacon) = beacons.get(&lane_contract) else {
                     continue;
                 };
-                // lint:allow(determinism) — prover wall clock is the report's one documented nondeterministic field; every verdict-relevant quantity stays seed-driven
-                let t0 = std::time::Instant::now();
                 let lane_proof = self.shadows[li]
                     .backend
                     .prove(
@@ -830,7 +822,6 @@ impl Simulation {
                         &lane_beacon,
                     )
                     .expect("a same-shape blob always proves");
-                self.shadows[li].prover_ms += t0.elapsed().as_secs_f64() * 1e3;
                 self.shadows[li].prover_calls += 1;
                 let sender = self.shadows[li].slots[pl_id].provider;
                 self.submit_call(sender, lane_contract, "prove", lane_proof.encode(), 0);
@@ -866,10 +857,8 @@ impl Simulation {
             let flags = self.auditors[shard].verify_private_each(&mut self.rng, &items);
             drop(items);
             for (&pl, flag) in members.iter().zip(flags) {
-                let mut data = vec![u8::from(flag)];
-                data.extend_from_slice(&self.cfg.nominal_verify_ms.to_le_bytes());
-                let contract = self.placements[pl].contract;
-                self.submit_call(self.auditor_addrs[shard], contract, "verdict", data, 0);
+                let (auditor, contract) = (self.auditor_addrs[shard], self.placements[pl].contract);
+                self.submit_call(auditor, contract, "verdict", vec![u8::from(flag)], 0);
             }
         }
         self.mine_ok("verdict submissions");
@@ -1117,7 +1106,6 @@ impl Simulation {
                 false_rejects: lane.false_rejects,
                 gas,
                 proof_bytes,
-                prover_ms_total: lane.prover_ms,
                 prover_calls: lane.prover_calls,
             });
         }

@@ -12,11 +12,10 @@
 //! per epoch and measured chain utilization.
 //!
 //! Reproducibility is a hard guarantee: one seed drives every random
-//! decision, all state is iterated in deterministic order, and the one
-//! wall-clock quantity of the production path (verification time
-//! metered as gas) is replaced by a configured nominal figure — two
-//! runs of the same [`SimConfig`] render byte-for-byte identical
-//! reports.
+//! decision, all state is iterated in deterministic order, and no clock
+//! is read (verification gas is the chain's declared cost, not a
+//! measured time) — two runs of the same [`SimConfig`], backend lanes
+//! included, render byte-for-byte identical reports.
 //!
 //! ```
 //! use dsaudit_sim::{ChurnRates, FaultRates, SimConfig, Simulation};

@@ -4,10 +4,8 @@
 //! Every field is either an exact counter or derived from exact
 //! counters with fixed-precision formatting, so two runs of the same
 //! [`SimConfig`](crate::SimConfig) render **byte-for-byte identical**
-//! reports — the property the reproducibility suite asserts. The one
-//! exception: the head-to-head [`BackendLane`] prover times are
-//! wall-clock measurements (proving really runs); configs with no
-//! backend lanes (the default) keep the byte-identity guarantee whole.
+//! reports, head-to-head [`BackendLane`]s included — the property the
+//! reproducibility suite asserts. No field is a clock reading.
 
 /// Head-to-head totals for one shadow audit lane: a second audit
 /// contract per share on the lane's backend, driven through the same
@@ -28,14 +26,11 @@ pub struct BackendLane {
     /// be zero).
     pub false_rejects: u64,
     /// Gas the lane's contracts metered (proof storage at `prove` +
-    /// verification compute at the `Verify` trigger, at the nominal
-    /// per-ms rate).
+    /// verification compute at the `Verify` trigger, at the declared
+    /// verification cost).
     pub gas: u64,
     /// Proof bytes persisted on chain by the lane.
     pub proof_bytes: u64,
-    /// Wall-clock milliseconds spent proving (the report's one
-    /// measured, machine-dependent quantity).
-    pub prover_ms_total: f64,
     /// Proofs actually computed (timeout rounds prove nothing).
     pub prover_calls: u64,
 }
@@ -55,14 +50,6 @@ impl BackendLane {
             return 0;
         }
         self.proof_bytes / self.prover_calls
-    }
-
-    /// Mean wall-clock proving time per computed proof.
-    pub fn mean_prover_ms(&self) -> f64 {
-        if self.prover_calls == 0 {
-            return 0.0;
-        }
-        self.prover_ms_total / self.prover_calls as f64
     }
 }
 
@@ -282,7 +269,7 @@ impl SimReport {
             s.push_str("backend lanes (shadow contracts, same fault schedule):\n");
             for l in &self.backend_lanes {
                 s.push_str(&format!(
-                    "  {:>8}: {} rounds, {} pass / {} fail, false accepts {}, false rejects {}, gas/round {}, proof bytes/round {}, prover {:.3} ms/round\n",
+                    "  {:>8}: {} rounds, {} pass / {} fail, false accepts {}, false rejects {}, gas/round {}, proof bytes/round {}\n",
                     l.backend,
                     l.audits,
                     l.passes,
@@ -291,7 +278,6 @@ impl SimReport {
                     l.false_rejects,
                     l.gas_per_round(),
                     l.proof_bytes_per_round(),
-                    l.mean_prover_ms(),
                 ));
             }
         }
@@ -363,10 +349,9 @@ impl SimReport {
         for (i, l) in self.backend_lanes.iter().enumerate() {
             let comma = if i + 1 == self.backend_lanes.len() { "" } else { "," };
             s.push_str(&format!(
-                "    {{ \"backend\": \"{}\", \"audits\": {}, \"passes\": {}, \"failures\": {}, \"false_accepts\": {}, \"false_rejects\": {}, \"gas\": {}, \"gas_per_round\": {}, \"proof_bytes\": {}, \"proof_bytes_per_round\": {}, \"prover_ms_total\": {:.3}, \"prover_ms_per_round\": {:.3} }}{}\n",
+                "    {{ \"backend\": \"{}\", \"audits\": {}, \"passes\": {}, \"failures\": {}, \"false_accepts\": {}, \"false_rejects\": {}, \"gas\": {}, \"gas_per_round\": {}, \"proof_bytes\": {}, \"proof_bytes_per_round\": {} }}{}\n",
                 l.backend, l.audits, l.passes, l.failures, l.false_accepts, l.false_rejects,
-                l.gas, l.gas_per_round(), l.proof_bytes, l.proof_bytes_per_round(),
-                l.prover_ms_total, l.mean_prover_ms(), comma
+                l.gas, l.gas_per_round(), l.proof_bytes, l.proof_bytes_per_round(), comma
             ));
         }
         s.push_str("  ],\n");
@@ -478,7 +463,6 @@ mod tests {
                 failures: 1,
                 gas: 2400,
                 proof_bytes: 288 * 23,
-                prover_ms_total: 46.0,
                 prover_calls: 23,
                 ..BackendLane::default()
             },
@@ -489,17 +473,14 @@ mod tests {
                 failures: 1,
                 gas: 1200,
                 proof_bytes: 900 * 23,
-                prover_ms_total: 2.3,
                 prover_calls: 23,
                 ..BackendLane::default()
             },
         ];
         assert_eq!(r.backend_lanes[0].gas_per_round(), 100);
         assert_eq!(r.backend_lanes[0].proof_bytes_per_round(), 288);
-        assert!((r.backend_lanes[0].mean_prover_ms() - 2.0).abs() < 1e-12);
         assert_eq!(BackendLane::default().gas_per_round(), 0);
         assert_eq!(BackendLane::default().proof_bytes_per_round(), 0);
-        assert_eq!(BackendLane::default().mean_prover_ms(), 0.0);
         let text = r.to_text();
         assert!(text.contains("backend lanes (shadow contracts, same fault schedule):"));
         assert!(text.contains("pairing: 24 rounds, 23 pass / 1 fail"));

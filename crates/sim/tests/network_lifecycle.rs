@@ -1,6 +1,7 @@
 //! End-to-end network-lifecycle suite: the acceptance-scale
 //! reproducibility run plus targeted churn/fault scenarios.
 
+use dsaudit_backend::BackendId;
 use dsaudit_sim::{ChurnRates, FaultRates, SimConfig, Simulation};
 
 /// The acceptance-scale configuration: 32 providers, 8 owners, 50
@@ -102,6 +103,33 @@ fn acceptance_run_is_reproducible_and_sound() {
     assert!(first.per_epoch.iter().all(|e| e.gas > 0 && e.chain_bytes > 0));
     assert!(first.mean_utilization() > 0.0);
     assert!(first.max_utilization() >= first.mean_utilization());
+}
+
+/// The report is a function of its seed with every backend running as a
+/// shadow lane too (the config behind `repro json`'s per-backend gas):
+/// no lane field is a clock reading, so text and JSON are byte-identical.
+#[test]
+fn backend_lane_runs_are_byte_identical() {
+    let cfg = || SimConfig {
+        seed: 0xbac_4e40,
+        epochs: 4,
+        providers: 6,
+        owners: 1,
+        files_per_owner: 1,
+        file_bytes: 240,
+        erasure_k: 2,
+        erasure_n: 3,
+        shards: 1,
+        churn: ChurnRates::none(),
+        faults: FaultRates::none(),
+        backends: BackendId::ALL.to_vec(),
+        ..SimConfig::default()
+    };
+    let first = Simulation::new(cfg()).run();
+    let second = Simulation::new(cfg()).run();
+    assert_eq!(first.backend_lanes.len(), BackendId::ALL.len());
+    assert_eq!(first.to_json(), second.to_json());
+    assert_eq!(first.to_text(), second.to_text());
 }
 
 #[test]

@@ -166,13 +166,11 @@ impl Fq12 {
     ///
     /// Constant-time contract: the body branches on nothing but the NAF
     /// digits of `exp`, so it is constant-time in the *base* and
-    /// variable-time in the *exponent*. Most callers pass a public
-    /// exponent (the BN parameter `x` of the final exponentiation), but
-    /// `Gt::pow` also reaches it with the prover's secret Sigma-protocol
-    /// mask `z` (`R = e(g1, eps)^z`): that call runs on the prover's
-    /// machine only and is listed among the variable-time calls in
-    /// docs/LINTS.md. The two digit-dependent branches below carry
-    /// audited `ct-branch` allows saying so.
+    /// variable-time in the *exponent*. Every exponent it sees is
+    /// public: the BN parameter `x` of the final exponentiation's
+    /// degenerate-input fallback, and the exponents of the tests that
+    /// use it as the oracle of `Gt::pow`. The two digit-dependent
+    /// branches below carry audited `ct-branch` allows saying so.
     // lint:ct
     pub fn cyclotomic_exp(&self, exp: &[u64]) -> Self {
         let digits = naf_digits(exp);
@@ -180,11 +178,11 @@ impl Fq12 {
         let mut acc = Self::one();
         let mut started = false;
         for &d in digits.iter().rev() {
-            // lint:allow(ct-branch) — `started` tracks the scan position in the NAF digits of the exponent; the prover's secret mask z is a documented variable-time exponent (docs/LINTS.md)
+            // lint:allow(ct-branch) — `started` tracks the scan position in the NAF digits of the exponent, which is public at every call
             if started {
                 acc = acc.cyclotomic_square();
             }
-            // lint:allow(ct-branch) — dispatch on a NAF digit of the exponent, never on the base; the prover's secret mask z is a documented variable-time exponent (docs/LINTS.md)
+            // lint:allow(ct-branch) — dispatch on a NAF digit of the public exponent, never on the base
             match d {
                 1 => {
                     acc *= *self;
@@ -313,7 +311,7 @@ impl CompressedFq12 {
 
 /// Signed NAF digits (`0, +1, -1`) of a little-endian limb integer,
 /// least-significant first. Average non-zero density 1/3.
-pub(crate) fn naf_digits(exp: &[u64]) -> Vec<i8> {
+fn naf_digits(exp: &[u64]) -> Vec<i8> {
     let nbits = exp.len() * 64;
     let bit = |i: usize| -> u8 {
         if i >= nbits {

@@ -17,6 +17,14 @@
 //! [`miller_loop_generic`], the correctness oracle for differential
 //! tests; the hard part is likewise cross-checked against a generic
 //! big-integer exponentiation in [`final_exp_hard_generic`].
+//!
+//! Exponentiation in `GT` splits the exponent along the Frobenius map
+//! (the GLS analogue of the G1 GLV split in [`crate::endo`]): on the
+//! order-`r` subgroup Frobenius is the power `lambda = q mod r = 6x^2`,
+//! so `g^k = prod_i frobenius_i(g)^{k_i}` with four ~66-bit `k_i` that
+//! share one run of cyclotomic squarings. The lattice basis and its
+//! rounding reciprocals are derived from the BN parameter `x` at first
+//! use and checked there; every split is checked before it is used.
 
 use std::sync::OnceLock;
 
@@ -25,13 +33,14 @@ use crate::bigint::{div_small, sub_small};
 use crate::biguint::BigUint;
 use crate::curve::CurveParams;
 use crate::field::Field;
-use crate::fields::{Fq, FqParams, Fr, FrParams, ATE_LOOP_COUNT};
+use crate::fields::{Fq, FqParams, Fr, FrParams, ATE_LOOP_COUNT, BN_X};
 use crate::fp::FieldParams;
 use crate::fp12::Fq12;
 use crate::fp2::Fq2;
 use crate::fp6::Fq6;
 use crate::g1::G1Affine;
 use crate::g2::{G2Affine, G2Params};
+use crate::msm::{u128_limbs, wnaf_digits};
 
 // ---------------------------------------------------------------------------
 // Projective Miller loop over the twist
@@ -470,47 +479,60 @@ impl Gt {
         Gt(self.0.conjugate())
     }
 
-    /// Exponentiation by a scalar: signed-NAF square-and-multiply on
-    /// cyclotomic squarings, with the free conjugation serving the
-    /// negative digits. Variable-time in `k` (see
-    /// [`Fq12::cyclotomic_exp`]); the prover's mask `z` is the one secret
-    /// exponent it sees.
+    /// Exponentiation by a scalar: the one-term [`Gt::multi_pow`], about
+    /// 66 cyclotomic squarings and 55 multiplications where a signed-NAF
+    /// square-and-multiply takes 254 and ~85. Variable-time in `k`
+    /// through its Frobenius split and wNAF schedule; the prover's mask
+    /// `z` (`R = e(g1, eps)^z`) is the one secret exponent it sees
+    /// (docs/LINTS.md).
     pub fn pow(&self, k: Fr) -> Self {
-        Gt(self.0.cyclotomic_exp(&k.to_canonical()))
+        Self::multi_pow(&[(*self, k)])
     }
 
-    /// Simultaneous multi-exponentiation `prod_i g_i^{k_i}` (Straus
-    /// interleaving): all terms share one cyclotomic squaring chain, so
-    /// `n` terms cost one chain plus the NAF-digit multiplications
-    /// instead of `n` full chains. This is the batch verifier's
-    /// `prod_u R_u^{-rho_u}` accumulator.
+    /// Simultaneous multi-exponentiation `prod_i g_i^{k_i}`. Each `k_i`
+    /// is split as `k_i0 + k_i1 lambda + k_i2 lambda^2 + k_i3 lambda^3`
+    /// with ~66-bit parts (`GlsBasis::split`), so `g_i^{k_i}` is the
+    /// product of `frobenius_j(g_i)^{k_ij}`, and all `4n` parts share one
+    /// run of ~66 cyclotomic squarings (`gt_straus`). Each base pays
+    /// one table of its odd powers `g, g^3, g^5, g^7` (one squaring and
+    /// three multiplications); the other three tables are its Frobenius
+    /// images, and a negative part or digit is a free conjugation. This
+    /// is the prover's mask `R = e(g1, eps)^z` and the batch verifier's
+    /// `prod_u R_u^{-rho_u}`.
+    ///
+    /// Exact on the order-`r` subgroup, where Frobenius is the power
+    /// `lambda`: every pairing value and every product and power of
+    /// them. A decoded element outside it ([`Gt::from_compressed`] checks
+    /// cyclotomic membership only) is raised to some `k'` congruent to
+    /// `k` modulo `r`.
     pub fn multi_pow(terms: &[(Gt, Fr)]) -> Gt {
-        let nafs: Vec<Vec<i8>> = terms
-            .iter()
-            .map(|(_, k)| crate::fp12::naf_digits(&k.to_canonical()))
-            .collect();
-        let maxlen = nafs.iter().map(Vec::len).max().unwrap_or(0);
-        let mut acc = Fq12::one();
-        let mut started = false;
-        for pos in (0..maxlen).rev() {
-            if started {
-                acc = acc.cyclotomic_square();
-            }
-            for (naf, (g, _)) in nafs.iter().zip(terms) {
-                match naf.get(pos) {
-                    Some(1) => {
-                        acc *= g.0;
-                        started = true;
+        let mut parts: Vec<GlsTerm> = Vec::with_capacity(4 * terms.len());
+        for (g, k) in terms {
+            let table = odd_powers(&g.0);
+            match GlsBasis::get().and_then(|basis| basis.split(*k)) {
+                Some(split) => {
+                    for (i, &part) in split.iter().enumerate() {
+                        let table = if i == 0 {
+                            table
+                        } else {
+                            table.map(|p| p.frobenius(i))
+                        };
+                        parts.push(GlsTerm {
+                            table,
+                            digits: wnaf_digits(&u128_limbs(part.unsigned_abs()), GT_WNAF_WIDTH),
+                            neg: part < 0,
+                        });
                     }
-                    Some(-1) => {
-                        acc *= g.0.conjugate();
-                        started = true;
-                    }
-                    _ => {}
                 }
+                // never expected: the unsplit exponent on the same kernel
+                None => parts.push(GlsTerm {
+                    table,
+                    digits: wnaf_digits(&k.to_canonical(), GT_WNAF_WIDTH),
+                    neg: false,
+                }),
             }
         }
-        Gt(acc)
+        Gt(gt_straus(&parts))
     }
 
     /// True for the identity.
@@ -597,9 +619,244 @@ impl Gt {
     }
 }
 
-/// Exponentiates `Gt` by a raw 256-bit canonical integer (used by tests).
-pub fn gt_pow_limbs(g: &Gt, limbs: &bigint::Limbs) -> Gt {
-    Gt(g.0.cyclotomic_exp(limbs))
+// ---------------------------------------------------------------------------
+// GLS exponentiation in GT
+
+/// Signed-digit width of the `GT` exponentiation: `wnaf_digits(.., 3)`
+/// gives odd digits with `|d| <= 7`, at most one non-zero in any four
+/// consecutive positions, so a ~66-bit part costs about 13
+/// multiplications against a four-entry table.
+const GT_WNAF_WIDTH: usize = 3;
+
+/// `[g, g^3, g^5, g^7]` for cyclotomic `g`: the table a digit `d`
+/// indexes at `|d| >> 1`.
+fn odd_powers(g: &Fq12) -> [Fq12; 4] {
+    let sq = g.cyclotomic_square();
+    let g3 = *g * sq;
+    let g5 = g3 * sq;
+    [*g, g3, g5, g5 * sq]
+}
+
+/// One part of a split exponent: the odd-power table of its base, the
+/// signed digits of the part's magnitude, and the part's sign.
+struct GlsTerm {
+    table: [Fq12; 4],
+    digits: Vec<i8>,
+    neg: bool,
+}
+
+/// `prod_t base_t^{k_t}` by one interleaved (Straus) pass over the
+/// terms' digits: one cyclotomic squaring per digit position, shared by
+/// every term, and one table multiplication per non-zero digit.
+///
+/// Constant-time contract: constant-time in the bases, variable-time in
+/// the exponents. The body branches on the digits and on the sign of
+/// each part only, through the two audited `ct-branch` allows below;
+/// `Gt::pow(z)` brings the prover's secret mask here (docs/LINTS.md).
+// lint:ct
+fn gt_straus(terms: &[GlsTerm]) -> Fq12 {
+    let len = terms.iter().map(|t| t.digits.len()).max().unwrap_or(0);
+    let mut acc = Fq12::one();
+    for pos in (0..len).rev() {
+        acc = acc.cyclotomic_square();
+        for t in terms {
+            let d = t.digits.get(pos).copied().unwrap_or(0);
+            // lint:allow(ct-branch) — dispatch on a wNAF digit of a split exponent, never on a base; the prover's secret mask z is a documented variable-time exponent (docs/LINTS.md)
+            if d != 0 {
+                let p = t.table[usize::from(d.unsigned_abs() >> 1)];
+                // lint:allow(ct-branch) — the sign of the digit times the sign of its part k_i picks a free conjugation; variable-time in z as documented (docs/LINTS.md)
+                acc *= if (d < 0) != t.neg { p.conjugate() } else { p };
+            }
+        }
+    }
+    acc
+}
+
+/// A sign-magnitude integer of any width, for the once-per-process
+/// derivation of [`GlsBasis`] only.
+#[derive(Clone, Debug)]
+struct BigInt {
+    neg: bool,
+    mag: BigUint,
+}
+
+impl BigInt {
+    fn from_i128(v: i128) -> Self {
+        Self {
+            neg: v < 0,
+            mag: BigUint::from_limbs(&u128_limbs(v.unsigned_abs())),
+        }
+    }
+
+    fn add(&self, other: &Self) -> Self {
+        if self.neg == other.neg {
+            return Self {
+                neg: self.neg,
+                mag: self.mag.add(&other.mag),
+            };
+        }
+        let (big, small) = if self.mag.cmp_ge(&other.mag) {
+            (self, other)
+        } else {
+            (other, self)
+        };
+        let mag = big.mag.sub(&small.mag);
+        Self {
+            neg: big.neg && !mag.is_zero(),
+            mag,
+        }
+    }
+
+    fn mul(&self, other: &Self) -> Self {
+        let mag = self.mag.mul(&other.mag);
+        Self {
+            neg: self.neg != other.neg && !mag.is_zero(),
+            mag,
+        }
+    }
+}
+
+/// `det(m)` by Laplace expansion along the first column (1 for the
+/// empty matrix).
+fn det(m: &[Vec<i128>]) -> BigInt {
+    if m.is_empty() {
+        return BigInt::from_i128(1);
+    }
+    let mut acc = BigInt::from_i128(0);
+    for (j, row) in m.iter().enumerate() {
+        let head = BigInt::from_i128(row.first().copied().unwrap_or(0));
+        acc = acc.add(&head.mul(&cofactor(m, j)));
+    }
+    acc
+}
+
+/// The cofactor of entry `(j, 0)`: `(-1)^j` times the determinant of
+/// `m` without row `j` and column 0.
+fn cofactor(m: &[Vec<i128>], j: usize) -> BigInt {
+    let minor: Vec<Vec<i128>> = m
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != j)
+        .map(|(_, row)| row.iter().skip(1).copied().collect())
+        .collect();
+    let mut c = det(&minor);
+    if j % 2 == 1 {
+        c.neg = !c.neg && !c.mag.is_zero();
+    }
+    c
+}
+
+/// Embeds a signed 128-bit integer into `Fr`.
+fn fr_from_i128(v: i128) -> Fr {
+    let f = Fr::from_limbs(u128_limbs(v.unsigned_abs()));
+    if v < 0 {
+        -f
+    } else {
+        f
+    }
+}
+
+/// The Galbraith–Scott basis of the lattice `{v in Z^4 : sum_i v_i
+/// lambda^i == 0 (mod r)}` for `lambda = 6x^2 == q (mod r)`, its rows
+/// written in the BN parameter `x`, together with the first row of its
+/// inverse in fixed point, which Babai rounding multiplies by. The rows
+/// span an index-3 sublattice (`|det| = 3r`), which lengthens a split
+/// by under two bits.
+struct GlsBasis {
+    lambda: Fr,
+    rows: [[i128; 4]; 4],
+    /// Per row `j`: the sign of `B^{-1}[0][j]` and
+    /// `floor(|B^{-1}[0][j]| * 2^256)`.
+    recips: [(bool, bigint::Limbs); 4],
+}
+
+impl GlsBasis {
+    /// Derives the basis from `x` and checks it: `q == lambda (mod r)`,
+    /// every row in the lattice, `|det| = 3r`. `None` (never expected)
+    /// leaves every exponent unsplit.
+    fn derive() -> Option<Self> {
+        let x = i128::from(BN_X);
+        let rows = [
+            [x + 1, x, x, -2 * x],
+            [2 * x + 1, -x, -(x + 1), -x],
+            [2 * x, 2 * x + 1, 2 * x + 1, 2 * x + 1],
+            [x - 1, 4 * x + 2, -2 * x + 1, x - 1],
+        ];
+        let six_x2 = 6 * x * x;
+        let r = BigUint::from_limbs(&FrParams::MODULUS);
+        let (_, q_mod_r) = BigUint::from_limbs(&FqParams::MODULUS).div_rem(&r);
+        if q_mod_r != BigInt::from_i128(six_x2).mag {
+            return None;
+        }
+        let basis = Self {
+            lambda: fr_from_i128(six_x2),
+            rows,
+            recips: [(false, [0; 4]); 4],
+        };
+        if rows.iter().any(|row| basis.at_lambda(row) != Fr::zero()) {
+            return None;
+        }
+        let m: Vec<Vec<i128>> = rows.iter().map(|row| row.to_vec()).collect();
+        let d = det(&m);
+        if d.mag != r.mul(&BigUint::from_limbs(&[3])) {
+            return None;
+        }
+        // B^{-1}[0][j] = cofactor(j, 0) / det
+        let mut recips = [(false, [0u64; 4]); 4];
+        for (j, recip) in recips.iter_mut().enumerate() {
+            let c = cofactor(&m, j);
+            let (quot, _) = c.mag.shl(256).div_rem(&d.mag);
+            if quot.limbs().len() > 4 {
+                return None;
+            }
+            let mut fixed = [0u64; 4];
+            for (f, &l) in fixed.iter_mut().zip(quot.limbs()) {
+                *f = l;
+            }
+            *recip = (c.neg != d.neg, fixed);
+        }
+        Some(Self { recips, ..basis })
+    }
+
+    /// The process-wide basis (derived once).
+    fn get() -> Option<&'static GlsBasis> {
+        static BASIS: OnceLock<Option<GlsBasis>> = OnceLock::new();
+        BASIS.get_or_init(GlsBasis::derive).as_ref()
+    }
+
+    /// `sum_i v_i lambda^i` in `Fr`.
+    fn at_lambda(&self, v: &[i128; 4]) -> Fr {
+        v.iter()
+            .rev()
+            .fold(Fr::zero(), |acc, &vi| acc * self.lambda + fr_from_i128(vi))
+    }
+
+    /// Splits `k` as `k0 + k1 lambda + k2 lambda^2 + k3 lambda^3 (mod r)`
+    /// by Babai rounding: `c_j = round(k B^{-1}[0][j])`, then
+    /// `(k0, .., k3) = (k, 0, 0, 0) - sum_j c_j row_j`. The `c_j` run to
+    /// ~192 bits, but every part is below `2^65` (each `c_j` is within
+    /// 3/4 of the exact quotient, and the rows' entries in any column
+    /// sum to at most `8x + 3` in absolute value), so the recombination
+    /// runs modulo `2^128` in wrapping `i128` arithmetic and is exact.
+    /// Checked in `Fr` before use; `None` is never expected.
+    fn split(&self, k: Fr) -> Option<[i128; 4]> {
+        let limbs = k.to_canonical();
+        let [k0, k1, _, _] = limbs;
+        let mut parts = [(u128::from(k0) | u128::from(k1) << 64) as i128, 0, 0, 0];
+        for (row, (neg, recip)) in self.rows.iter().zip(&self.recips) {
+            // c = floor((k * recip + 2^255) / 2^256), kept modulo 2^128
+            let [_, _, _, w3, w4, w5, _, _] = bigint::mul_wide(&limbs, recip);
+            let (_, carry) = bigint::adc(w3, 1 << 63, 0);
+            let (lo, carry) = bigint::adc(w4, 0, carry);
+            let (hi, _) = bigint::adc(w5, 0, carry);
+            let c = (u128::from(lo) | u128::from(hi) << 64) as i128;
+            let c = if *neg { c.wrapping_neg() } else { c };
+            for (part, &b) in parts.iter_mut().zip(row) {
+                *part = part.wrapping_sub(c.wrapping_mul(b));
+            }
+        }
+        (self.at_lambda(&parts) == k).then_some(parts)
+    }
 }
 
 #[cfg(test)]
@@ -607,6 +864,7 @@ mod tests {
     use super::*;
     use crate::g1::G1Projective;
     use crate::g2::G2Projective;
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -622,7 +880,7 @@ mod tests {
     #[test]
     fn pairing_has_order_r() {
         let e = Gt::generator();
-        assert!(gt_pow_limbs(&e, &FrParams::MODULUS).is_identity());
+        assert_eq!(e.0.cyclotomic_exp(&FrParams::MODULUS), Fq12::one());
     }
 
     #[test]
@@ -831,27 +1089,92 @@ mod tests {
         assert_eq!(g.pow(a).pow(b), g.pow(a * b));
     }
 
+    /// `multi_pow` over `n` terms equals the product of the single
+    /// `pow`s and of the NAF oracle's powers, for bases that mix the
+    /// identity, the generator and random elements of `GT`.
     #[test]
     fn gt_multi_pow_matches_individual_pows() {
         let mut rng = rng();
-        let terms: Vec<(Gt, Fr)> = (0..4)
-            .map(|_| {
-                (
-                    Gt::generator().pow(Fr::random(&mut rng)),
-                    Fr::random(&mut rng),
-                )
-            })
-            .collect();
-        let mut expected = Gt::identity();
-        for (g, k) in &terms {
-            expected = expected.mul(&g.pow(*k));
+        for n in [0usize, 1, 2, 7, 13] {
+            let terms: Vec<(Gt, Fr)> = (0..n)
+                .map(|i| {
+                    let base = match i % 3 {
+                        0 => Gt::identity(),
+                        1 => Gt::generator(),
+                        _ => final_exponentiation(&Fq12::random(&mut rng)),
+                    };
+                    (base, Fr::random(&mut rng))
+                })
+                .collect();
+            let mut singles = Gt::identity();
+            let mut oracle = Fq12::one();
+            for (g, k) in &terms {
+                singles = singles.mul(&g.pow(*k));
+                oracle *= g.0.cyclotomic_exp(&k.to_canonical());
+            }
+            let got = Gt::multi_pow(&terms);
+            assert_eq!(got, singles, "n = {n}");
+            assert_eq!(got.0, oracle, "n = {n}");
         }
-        assert_eq!(Gt::multi_pow(&terms), expected);
-        assert_eq!(Gt::multi_pow(&[]), Gt::identity());
         assert_eq!(
             Gt::multi_pow(&[(Gt::generator(), Fr::zero())]),
             Gt::identity()
         );
+    }
+
+    /// The first-use checks of the GLS basis, restated: `q == lambda
+    /// (mod r)`, every row in the lattice, `|det| = 3r`; and Frobenius
+    /// is the power `lambda` on `GT`.
+    #[test]
+    fn gls_basis_rows_lie_in_the_lattice() {
+        let basis = GlsBasis::get().expect("the GLS basis derives for BN254");
+        assert_eq!(Fr::from_limbs(FqParams::MODULUS), basis.lambda);
+        for row in &basis.rows {
+            assert_eq!(basis.at_lambda(row), Fr::zero(), "row {row:?}");
+        }
+        let m: Vec<Vec<i128>> = basis.rows.iter().map(|row| row.to_vec()).collect();
+        let three_r = BigUint::from_limbs(&FrParams::MODULUS).mul(&BigUint::from_limbs(&[3]));
+        assert_eq!(det(&m).mag, three_r);
+        let g = Gt::generator().0;
+        assert_eq!(
+            g.frobenius(1),
+            g.cyclotomic_exp(&basis.lambda.to_canonical())
+        );
+    }
+
+    /// Every split recombines to its scalar with parts below `2^66`.
+    fn assert_split_short(k: Fr) {
+        let basis = GlsBasis::get().expect("the GLS basis derives for BN254");
+        let parts = basis.split(k).expect("every split recombines");
+        assert_eq!(basis.at_lambda(&parts), k);
+        for part in parts {
+            assert!(part.unsigned_abs() < 1 << 66, "part {part} of {k:?}");
+        }
+    }
+
+    #[test]
+    fn gls_split_of_edge_scalars() {
+        let lambda = GlsBasis::get().expect("derives").lambda;
+        for k in [
+            Fr::zero(),
+            Fr::one(),
+            -Fr::one(),
+            lambda,
+            lambda.square(),
+            lambda.square() * lambda,
+            -lambda,
+        ] {
+            assert_split_short(k);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn gls_split_recombines_short(bytes in any::<[u8; 64]>()) {
+            assert_split_short(Fr::from_bytes_wide(&bytes));
+        }
     }
 
     #[test]
@@ -864,5 +1187,6 @@ mod tests {
         }
         assert_eq!(g.pow(Fr::zero()), Gt::identity());
         assert_eq!(g.pow(Fr::one()), g);
+        assert_eq!(Gt::identity().pow(Fr::random(&mut rng)), Gt::identity());
     }
 }

@@ -13,7 +13,7 @@ use dsaudit_algebra::g1::{G1Affine, G1Projective};
 use dsaudit_algebra::g2::{G2Affine, G2Projective};
 use dsaudit_algebra::msm::{msm, msm_naive, msm_u128};
 use dsaudit_algebra::pairing::{
-    final_exponentiation, miller_loop_generic, multi_miller_loop, G2Prepared,
+    final_exponentiation, miller_loop_generic, multi_miller_loop, G2Prepared, Gt,
 };
 use dsaudit_algebra::poly::DensePoly;
 use dsaudit_algebra::{Fq, Fr};
@@ -267,6 +267,26 @@ proptest! {
         prop_assert_eq!(u.cyclotomic_pow_x(), u.pow_x());
         let exp = k.to_canonical();
         prop_assert_eq!(u.cyclotomic_exp(&exp), u.pow(&exp));
+    }
+}
+
+/// Random elements of `GT`: the final exponentiation of a random
+/// non-zero `Fq12` lands in the order-`r` subgroup, where the Frobenius
+/// split of `Gt::pow` holds.
+fn arb_gt() -> impl Strategy<Value = Gt> {
+    arb_fq12().prop_map(|f| final_exponentiation(&if f.is_zero() { Fq12::one() } else { f }))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The Frobenius-split `Gt::pow` agrees with the signed-NAF
+    /// square-and-multiply oracle, on random elements and the identity.
+    #[test]
+    fn gt_pow_matches_cyclotomic_exp(g in arb_gt(), k in arb_fr()) {
+        let exp = k.to_canonical();
+        prop_assert_eq!(*g.pow(k).as_fq12(), g.as_fq12().cyclotomic_exp(&exp));
+        prop_assert_eq!(Gt::identity().pow(k), Gt::identity());
     }
 }
 

@@ -6,9 +6,10 @@
 //! ([`Auditor::verify_private_each`], all users sharing a single final
 //! exponentiation) instead of one three-pairing product per user — the
 //! amortization the paper measures for ~30 co-hosted users per
-//! provider. If the batch rejects, the round falls back to per-user
-//! verification to attribute blame, so accept/reject outcomes are always
-//! identical to the unbatched path. Each contract charges the
+//! provider. If the batch rejects, bisection over the batch's own
+//! weights finds the bad proofs (a few sub-batch checks, then single
+//! verification of the last few items), so accept/reject outcomes are
+//! always identical to the unbatched path. Each contract charges the
 //! verification it delegated at the declared cost, so a network's gas
 //! is a function of its seed, not of the machine that runs the batch.
 

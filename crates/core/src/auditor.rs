@@ -13,7 +13,7 @@
 
 #![deny(missing_docs)]
 
-use crate::batch::{verify_private_batch_with, BatchItem};
+use crate::batch::{verify_private_batch_with, verify_private_each_with, BatchItem};
 use crate::cache::{CacheStats, ChiCache, PreparedG2Cache};
 use crate::challenge::Challenge;
 use crate::error::{DsAuditError, Verdict};
@@ -148,30 +148,24 @@ impl Auditor {
 
     /// Per-item accept flags for a whole round: one
     /// [`Auditor::verify_private_batch`] product when every proof is
-    /// good, and a per-item [`Auditor::verify_private`] pass to
-    /// attribute blame when the batch rejects — so the flags always
-    /// equal what verifying each item alone would give, and a cheating
-    /// provider is singled out instead of failing its neighbours. An
-    /// item that cannot be checked at all (unusable metadata) is
-    /// rejected. Only the batch product draws from `rng`.
+    /// good. When the batch rejects, blame is found by bisection over
+    /// the batch's own weights: the items are sorted by owner key, only
+    /// the left half of a failing sub-batch is checked (the right half's
+    /// two `GT` sides are the parent's divided by the left's), and a
+    /// sub-batch of a few items verifies each alone with
+    /// [`Auditor::verify_private`]. So the flags always equal what
+    /// verifying each item alone would give, a cheating provider is
+    /// singled out instead of failing its neighbours, and one bad item
+    /// in `n` costs about `log2 n` sub-batch checks instead of `n`
+    /// single verifications. An item that cannot be checked at all
+    /// (unusable metadata) is rejected. Only the batch's weights draw
+    /// from `rng`, exactly as [`Auditor::verify_private_batch`] draws.
     pub fn verify_private_each<R: rand::RngCore + ?Sized>(
         &self,
         rng: &mut R,
         items: &[BatchItem<'_>],
     ) -> Vec<bool> {
-        if self
-            .verify_private_batch(rng, items)
-            .is_ok_and(|v| v.accepted())
-        {
-            return vec![true; items.len()];
-        }
-        items
-            .iter()
-            .map(|it| {
-                self.verify_private(it.pk, &it.meta, &it.challenge, &it.proof)
-                    .is_ok_and(|v| v.accepted())
-            })
-            .collect()
+        verify_private_each_with(self, rng, items)
     }
 }
 

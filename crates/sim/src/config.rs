@@ -37,7 +37,9 @@ pub struct SimConfig {
     /// Audit parameters `(s, k)` for each *share's* tag vector.
     pub audit: AuditParams,
     /// Number of auditor shards; each shard settles its contracts'
-    /// rounds with one batched pairing product.
+    /// rounds with one batched pairing product. Shard `o % shards` holds
+    /// every share of owner `o`, so a batch spans `ceil(owners / shards)`
+    /// owner keys at most. The report does not depend on it.
     pub shards: usize,
     /// Seconds between audit rounds (the epoch length on the chain
     /// clock).

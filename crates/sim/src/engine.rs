@@ -15,7 +15,10 @@
 //!    providers prove over *whatever bytes they actually store*; the
 //!    per-shard auditors settle all posted proofs with one batched
 //!    pairing product each and post verdicts on chain (timeouts settle
-//!    at the `Verify` trigger).
+//!    at the `Verify` trigger). Shard `o % shards` holds every share of
+//!    owner `o`, so a shard's batch pairs `1 + 2 * (its owner keys)`
+//!    points; a rejected batch finds its bad proofs by bisection
+//!    ([`Auditor::verify_private_each`]).
 //! 4. **Repair** — every share whose round failed is reconstructed
 //!    from surviving shares, re-placed on the DHT-nearest free
 //!    provider, and its contract migrated to the new holder.
@@ -84,7 +87,6 @@ struct Placement {
     share: usize,
     provider_slot: usize,
     contract: Address,
-    shard: usize,
     status: ShareStatus,
     withhold: bool,
     /// The network ate this epoch's first proof frame; the node layer
@@ -335,7 +337,6 @@ impl Simulation {
                     );
                     let meta = bundle.meta();
                     let slot = self.slot_by_id[provider];
-                    let shard = self.placements.len() % cfg.shards;
                     let agreement = Agreement {
                         owner: self.owners[o].addr,
                         provider: self.roster[slot].addr,
@@ -348,13 +349,13 @@ impl Simulation {
                         provider_deposit: cfg.provider_deposit(),
                     };
                     // primary lane: outsourced through the role API,
-                    // settled by the shard's batch auditor
+                    // settled by the batch auditor of the owner's shard
                     let contract = self.deploy_contract(
                         &format!("sim/o{o}f{fi}s{share}"),
                         agreement,
                         PairingBackend::verifier_for(bundle.pk.clone(), meta)
                             .expect("share metadata is auditable"),
-                        Some(self.auditor_addrs[shard]),
+                        Some(self.auditor_addrs[o % cfg.shards]),
                     );
                     // shadow lanes: one more contract per listed
                     // backend, auditing the same blob on the same chain
@@ -386,7 +387,6 @@ impl Simulation {
                         share,
                         provider_slot: slot,
                         contract,
-                        shard,
                         status: ShareStatus::Good,
                         withhold: false,
                         transport: false,
@@ -833,10 +833,13 @@ impl Simulation {
         self.chain.advance_time(self.cfg.prove_deadline_secs + 1);
         self.mine_ok("verify triggers");
 
-        // per-shard batched settlement
+        // per-shard batched settlement: a shard holds whole owner keys
         for shard in 0..self.cfg.shards {
             let members: Vec<usize> = (0..self.placements.len())
-                .filter(|&pl| self.placements[pl].shard == shard && posted[pl].is_some())
+                .filter(|&pl| {
+                    let owner = self.files[self.placements[pl].file].owner;
+                    owner % self.cfg.shards == shard && posted[pl].is_some()
+                })
                 .collect();
             if members.is_empty() {
                 continue;

@@ -5,8 +5,9 @@
 //! DHT of storage providers (`dsaudit-storage`), every share carries
 //! its own authenticator vector (`dsaudit-core`'s per-share
 //! outsourcing) and its own Fig. 2 audit contract (`dsaudit-contract`)
-//! on one shared chain (`dsaudit-chain`); per-shard auditors settle
-//! each epoch's rounds with batched pairing products, failed audits
+//! on one shared chain (`dsaudit-chain`); per-shard auditors, each
+//! holding whole owner keys, settle each epoch's rounds with batched
+//! pairing products, failed audits
 //! trigger DHT-proximity repair and on-chain contract migration, and a
 //! [`SimReport`] aggregates pass rates, repair traffic, durability, gas
 //! per epoch and measured chain utilization.

@@ -152,8 +152,9 @@ pub struct BackendSetup {
     /// Stored by the audit contract; everything verification needs.
     pub commitment: Commitment,
     /// Held by the provider; everything proving needs beyond the data
-    /// itself (the data is *not* inside — provers re-derive from what
-    /// they store, so discarded bytes fail the next audit).
+    /// itself (the data is *not* inside — provers read the challenged
+    /// units from what they store, so discarded bytes fail every round
+    /// that challenges them).
     pub kit: ProverKit,
 }
 

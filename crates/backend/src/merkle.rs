@@ -17,8 +17,8 @@ use rand::RngCore;
 
 use dsaudit_core::codec::{ByteReader, Codec};
 use dsaudit_core::{Challenge, DsAuditError, RejectReason, Verdict};
-use dsaudit_merkle::audit::MerkleAudit;
-use dsaudit_merkle::tree::{MerkleHasher, MerklePath, Sha256Hasher};
+use dsaudit_merkle::audit::{leaf_bytes, MerkleAudit};
+use dsaudit_merkle::tree::{MerkleHasher, MerklePath, PrunedTree, Sha256Hasher};
 
 use crate::wire::{BackendProof, Commitment};
 use crate::{AuditBackend, BackendError, BackendId, BackendSetup, ProverKit, Verifier};
@@ -132,16 +132,26 @@ impl Codec for MerkleBackendProof {
 /// (8 B) || k (4 B)`.
 const COMMITMENT_BYTES: usize = 32 + 4 + 8 + 4;
 
-/// The Merkle provider's proving material: the leaf geometry and the
-/// tree shape committed at setup. The tree itself is recomputed from
-/// the stored bytes every round — a provider that discarded data has
-/// nothing to answer from.
+/// The Merkle provider's proving material: the leaf geometry, and the
+/// tree built at setup minus its leaf level — the nodes above the leaf
+/// hashes, `32 · (leaves.next_power_of_two() − 1)` bytes, 0.5 MiB per
+/// MiB of file at the default 64-byte leaves. A round hashes each
+/// challenged leaf and its sibling leaf from the stored bytes and takes
+/// every other sibling from here, so it costs `O(k)`, and a leaf the
+/// provider lost or changed fails every round that challenges it or
+/// its sibling.
 #[derive(Clone, Debug)]
 pub struct MerkleKit {
     leaf_size: usize,
     k: usize,
-    depth: usize,
-    leaf_count: usize,
+    tree: PrunedTree<Sha256Hasher>,
+}
+
+impl MerkleKit {
+    /// Bytes of tree nodes held.
+    pub fn tree_bytes(&self) -> usize {
+        32 * self.tree.node_count()
+    }
 }
 
 /// Decoded commitment payload; the backend's [`Verifier`].
@@ -195,7 +205,7 @@ impl AuditBackend for MerkleBackend {
         if self.leaf_size == 0 || self.k == 0 {
             return Err(BackendError::Shape("leaf_size and k must be positive"));
         }
-        let (audit, _tree, _leaves) = MerkleAudit::commit(data, self.leaf_size);
+        let (audit, tree) = MerkleAudit::commit(data, self.leaf_size);
 
         let mut commitment = Vec::with_capacity(COMMITMENT_BYTES);
         commitment.extend_from_slice(&audit.root);
@@ -211,8 +221,7 @@ impl AuditBackend for MerkleBackend {
             kit: ProverKit::Merkle(MerkleKit {
                 leaf_size: self.leaf_size,
                 k: self.k,
-                depth: audit.depth,
-                leaf_count: audit.num_leaves,
+                tree: tree.prune_leaves(),
             }),
         })
     }
@@ -227,17 +236,18 @@ impl AuditBackend for MerkleBackend {
         let ProverKit::Merkle(kit) = kit else {
             return Err(kit.wrong_backend(BackendId::Merkle));
         };
-        let (audit, tree, leaves) = MerkleAudit::commit(stored, kit.leaf_size);
-        if audit.depth != kit.depth || audit.num_leaves != kit.leaf_count {
-            return Err(BackendError::Shape("tree depth / leaf count"));
+        let leaf_count = stored.len().div_ceil(kit.leaf_size).max(1);
+        if leaf_count != kit.tree.num_leaves {
+            return Err(BackendError::Shape("leaf count"));
         }
-        let entries = Self::indices(beacon, kit.leaf_count, kit.k)
+        let leaf = |i: usize| leaf_bytes(stored, kit.leaf_size, i);
+        let entries = Self::indices(beacon, leaf_count, kit.k)
             .into_iter()
             .map(|i| {
-                let path = tree.open(i as usize);
+                let path = kit.tree.open(i as usize, |j| Sha256Hasher::leaf(leaf(j)));
                 MerkleProofEntry {
                     index: i,
-                    leaf: leaves[i as usize].clone(),
+                    leaf: leaf(i as usize).to_vec(),
                     siblings: path.siblings,
                 }
             })

@@ -26,12 +26,12 @@ pub struct PairingBackend {
 }
 
 /// The pairing provider's proving material: the owner's public key,
-/// the name the tags are bound to, the validated parameters the file
-/// was encoded with, and one tag per chunk.
+/// the validated parameters the file was encoded with, and one tag per
+/// chunk. The name the tags are bound to is the verifier's business; a
+/// round encodes its `k` challenged chunks from the stored bytes.
 #[derive(Clone, Debug)]
 pub struct PairingKit {
     pk: PublicKey,
-    name: Fr,
     params: AuditParams,
     tags: Vec<G1Affine>,
 }
@@ -108,7 +108,6 @@ impl AuditBackend for PairingBackend {
             },
             kit: ProverKit::Pairing(Box::new(PairingKit {
                 pk: out.pk,
-                name: meta.name,
                 params,
                 tags: out.tags,
             })),
@@ -125,13 +124,13 @@ impl AuditBackend for PairingBackend {
         let ProverKit::Pairing(kit) = kit else {
             return Err(kit.wrong_backend(BackendId::Pairing));
         };
-        let file = EncodedFile::encode_with_name(kit.name, stored, kit.params);
-        if file.num_chunks() != kit.tags.len() {
+        if EncodedFile::chunk_count(stored.len(), kit.params) != kit.tags.len() {
             // stored bytes shrank or grew past a chunk boundary — the
             // prover cannot even line its tags up any more
             return Err(BackendError::Shape("chunk count vs. tag count"));
         }
-        let prover = Prover::new(&kit.pk, &file, &kit.tags)?;
+        // only the k challenged chunks are encoded
+        let prover = Prover::from_stored(&kit.pk, stored, kit.params, &kit.tags)?;
         let challenge = Challenge::from_beacon(beacon);
         Ok(Self::frame(&prover.prove_private(rng, &challenge)))
     }

@@ -427,6 +427,8 @@ fn run_backends() {
         );
     }
 
+    prove_by_size();
+
     let cfg = dsaudit_sim::SimConfig {
         seed: 0xbac_4e40,
         epochs: 4,
@@ -469,6 +471,67 @@ fn run_backends() {
         eprintln!("AUDIT ACCURACY VIOLATION on a backend lane — see table above");
         std::process::exit(1);
     }
+}
+
+/// Prove time of the default pairing and merkle backends as the file
+/// grows 64x: both read only the challenged units, so the row stays
+/// flat. Panics if an honest proof rejects.
+fn prove_by_size() {
+    use dsaudit_backend::{AuditBackend, MerkleBackend, PairingBackend, ProverKit};
+    use dsaudit_bench::time_mean;
+    use rand::SeedableRng;
+
+    const SIZES: [(&str, usize); 4] = [
+        ("64 KiB", 64 << 10),
+        ("256 KiB", 256 << 10),
+        ("1 MiB", 1 << 20),
+        ("4 MiB", 4 << 20),
+    ];
+    let beacon = [0x42u8; 48];
+    println!(
+        "\nprove ms by file size (pairing s = 50, k = 300; merkle 64-byte leaves, k = 4)\n"
+    );
+    print!("  {:<12}", "backend");
+    for (label, _) in SIZES {
+        print!(" {label:>9}");
+    }
+    println!();
+    let backends: [(&dyn AuditBackend, u32); 2] =
+        [(&PairingBackend::default(), 9), (&MerkleBackend::default(), 1000)];
+    let mut kit_bytes = Vec::new();
+    for (backend, iters) in backends {
+        print!("  {:<12}", backend.id().name());
+        for (_, len) in SIZES {
+            let data: Vec<u8> = (0..len).map(|i| (i * 31 % 251) as u8).collect();
+            let mut r = rand::rngs::StdRng::seed_from_u64(0x512e);
+            let setup = backend.setup(&mut r, &data).expect("setup");
+            let proof = backend
+                .prove(&mut r, &setup.kit, &data, &beacon)
+                .expect("honest prove");
+            assert!(
+                backend
+                    .verify(&setup.commitment, &beacon, &proof)
+                    .expect("well-formed proof")
+                    .accepted(),
+                "honest {} proof rejected at {len} bytes",
+                backend.id()
+            );
+            let t = time_mean(iters, || {
+                std::hint::black_box(backend.prove(&mut r, &setup.kit, &data, &beacon))
+                    .expect("honest prove");
+            });
+            print!(" {:>9.3}", t.as_secs_f64() * 1e3);
+            if let ProverKit::Merkle(kit) = &setup.kit {
+                kit_bytes.push(kit.tree_bytes());
+            }
+        }
+        println!();
+    }
+    print!("  {:<12}", "merkle kit B");
+    for bytes in kit_bytes {
+        print!(" {bytes:>9}");
+    }
+    println!();
 }
 
 fn main() {

@@ -39,22 +39,33 @@ impl EncodedFile {
     /// Encodes with a caller-chosen `name` (deterministic; used by tests
     /// and by re-encoding during disputes).
     pub fn encode_with_name(name: Fr, data: &[u8], params: AuditParams) -> Self {
-        let s = params.s;
-        let n_blocks = data.len().div_ceil(BLOCK_BYTES).max(1);
-        let d = n_blocks.div_ceil(s);
-        let chunk_bytes = params.chunk_bytes();
-        let mut blocks = Vec::with_capacity(d);
-        for i in 0..d {
-            let lo = (i * chunk_bytes).min(data.len());
-            let hi = ((i + 1) * chunk_bytes).min(data.len());
-            blocks.push(Self::chunk_from_bytes(&data[lo..hi], s));
-        }
+        let blocks = (0..Self::chunk_count(data.len(), params))
+            .map(|i| Self::encode_chunk(data, i, params))
+            .collect();
         Self {
             name,
             params,
             byte_len: data.len(),
             blocks,
         }
+    }
+
+    /// The chunk count `d` of a `byte_len`-byte file: `ceil(n / s)` for
+    /// `n = max(1, ceil(byte_len / 31))` blocks, so an empty file is one
+    /// chunk.
+    pub fn chunk_count(byte_len: usize, params: AuditParams) -> usize {
+        byte_len.div_ceil(BLOCK_BYTES).max(1).div_ceil(params.s)
+    }
+
+    /// Chunk `i` of raw `data`, exactly as [`EncodedFile::encode_with_name`]
+    /// stores it: bytes `[i·s·31, (i+1)·s·31)` (clipped to the file)
+    /// packed into `s` blocks — what a prover holding only the raw bytes
+    /// encodes for each challenged chunk.
+    pub fn encode_chunk(data: &[u8], i: usize, params: AuditParams) -> Vec<Fr> {
+        let chunk_bytes = params.chunk_bytes();
+        let lo = i.saturating_mul(chunk_bytes).min(data.len());
+        let hi = lo.saturating_add(chunk_bytes).min(data.len());
+        Self::chunk_from_bytes(&data[lo..hi], params.s)
     }
 
     /// Streaming encode: reads `reader` to EOF, chunk by chunk, with a

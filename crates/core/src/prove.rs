@@ -15,6 +15,7 @@ use crate::challenge::Challenge;
 use crate::error::DsAuditError;
 use crate::file::EncodedFile;
 use crate::keys::PublicKey;
+use crate::params::AuditParams;
 use crate::proof::{PlainProof, PrivateProof};
 
 /// Storage-provider state for one stored file: the data plus its
@@ -23,10 +24,20 @@ use crate::proof::{PlainProof, PrivateProof};
 pub struct Prover<'a> {
     /// Public key of the owning contract.
     pub pk: &'a PublicKey,
-    /// The stored (encoded) file.
-    pub file: &'a EncodedFile,
     /// Per-chunk authenticators received from the data owner.
     pub tags: &'a [G1Affine],
+    chunks: Chunks<'a>,
+    params: AuditParams,
+}
+
+/// Where a [`Prover`] reads the challenged chunks from.
+#[derive(Clone, Copy, Debug)]
+enum Chunks<'a> {
+    /// An encoded file, read as it is.
+    Encoded(&'a EncodedFile),
+    /// The raw stored bytes: each challenged chunk is encoded as it is
+    /// read ([`EncodedFile::encode_chunk`]), so a round costs `O(k)`.
+    Stored(&'a [u8]),
 }
 
 /// Time split of one proof generation, for the Fig. 8 ablation. Each
@@ -53,7 +64,8 @@ impl ProveTimings {
 }
 
 impl<'a> Prover<'a> {
-    /// Creates a prover after sanity-checking dimensions.
+    /// Creates a prover over an encoded file after sanity-checking
+    /// dimensions.
     ///
     /// # Errors
     /// [`DsAuditError::DimensionMismatch`] when the tag count does not
@@ -64,21 +76,53 @@ impl<'a> Prover<'a> {
         file: &'a EncodedFile,
         tags: &'a [G1Affine],
     ) -> Result<Self, DsAuditError> {
-        if tags.len() != file.num_chunks() {
+        Self::checked(pk, Chunks::Encoded(file), file.num_chunks(), file.params, tags)
+    }
+
+    /// Creates a prover over raw stored bytes, laid out in chunks as
+    /// [`EncodedFile::encode_with_name`] lays them out under `params`;
+    /// only the challenged chunks are ever encoded. Proofs are
+    /// byte-identical to [`Prover::new`] over the encoded bytes.
+    ///
+    /// # Errors
+    /// As [`Prover::new`].
+    pub fn from_stored(
+        pk: &'a PublicKey,
+        stored: &'a [u8],
+        params: AuditParams,
+        tags: &'a [G1Affine],
+    ) -> Result<Self, DsAuditError> {
+        let num_chunks = EncodedFile::chunk_count(stored.len(), params);
+        Self::checked(pk, Chunks::Stored(stored), num_chunks, params, tags)
+    }
+
+    fn checked(
+        pk: &'a PublicKey,
+        chunks: Chunks<'a>,
+        num_chunks: usize,
+        params: AuditParams,
+        tags: &'a [G1Affine],
+    ) -> Result<Self, DsAuditError> {
+        if tags.len() != num_chunks {
             return Err(DsAuditError::DimensionMismatch {
                 what: "authenticators per chunk",
-                expected: file.num_chunks(),
+                expected: num_chunks,
                 got: tags.len(),
             });
         }
-        if file.params.s > pk.s() {
+        if params.s > pk.s() {
             return Err(DsAuditError::DimensionMismatch {
                 what: "chunk size vs. commitment key",
                 expected: pk.s(),
-                got: file.params.s,
+                got: params.s,
             });
         }
-        Ok(Self { pk, file, tags })
+        Ok(Self {
+            pk,
+            tags,
+            chunks,
+            params,
+        })
     }
 
     /// What both responses share, `(sigma, y, psi)` still projective:
@@ -91,11 +135,20 @@ impl<'a> Prover<'a> {
         challenge: &Challenge,
     ) -> (G1Projective, Fr, G1Projective, ProveTimings) {
         let t0 = Instant::now();
-        let set = challenge.expand(self.file.num_chunks(), self.file.params.k);
+        // one tag per chunk, checked at construction
+        let set = challenge.expand(self.tags.len(), self.params.k);
         // P_k coefficients: p_j = sum_i c_i m_{i,j}
-        let mut pk_coeffs = vec![Fr::zero(); self.file.params.s];
+        let mut pk_coeffs = vec![Fr::zero(); self.params.s];
         for (i, c) in &set {
-            for (p, m) in pk_coeffs.iter_mut().zip(self.file.chunk(*i as usize)) {
+            let encoded;
+            let chunk = match self.chunks {
+                Chunks::Encoded(file) => file.chunk(*i as usize),
+                Chunks::Stored(stored) => {
+                    encoded = EncodedFile::encode_chunk(stored, *i as usize, self.params);
+                    &encoded
+                }
+            };
+            for (p, m) in pk_coeffs.iter_mut().zip(chunk) {
                 *p += *c * *m;
             }
         }
@@ -230,6 +283,30 @@ mod tests {
         assert_ne!(priv1.y_prime, plain.y);
         assert_ne!(priv1.y_prime, priv2.y_prime);
         assert_ne!(priv1.r_commit, priv2.r_commit);
+    }
+
+    /// Proving from the raw bytes encodes only the challenged chunks
+    /// and answers byte for byte as proving from the encoded file.
+    #[test]
+    fn stored_bytes_prove_as_the_encoded_file() {
+        let mut rng = rng();
+        let params = AuditParams::new(3, 4).unwrap();
+        let (sk, pk) = keygen(&mut rng, &params);
+        for len in [0usize, 1, 92, 93, 94, 800] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 7 + 1) as u8).collect();
+            let file = EncodedFile::encode(&mut rng, &data, params);
+            let tags = generate_tags(&sk, &file);
+            let encoded = Prover::new(&pk, &file, &tags).unwrap();
+            let stored = Prover::from_stored(&pk, &data, params, &tags).unwrap();
+            let ch = Challenge::random(&mut rng);
+            assert_eq!(stored.prove_plain(&ch), encoded.prove_plain(&ch), "len {len}");
+        }
+        let file = EncodedFile::encode(&mut rng, &[5u8; 800], params);
+        let tags = generate_tags(&sk, &file);
+        assert!(matches!(
+            Prover::from_stored(&pk, &[5u8; 700], params, &tags),
+            Err(DsAuditError::DimensionMismatch { what: "authenticators per chunk", .. })
+        ));
     }
 
     #[test]

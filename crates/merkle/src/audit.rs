@@ -55,23 +55,23 @@ pub struct MerkleAudit {
 const COMMITMENT_DOMAIN: &[u8] = b"dsaudit/merkle/commitment/v1";
 
 impl MerkleAudit {
-    /// Commits to a file split into `leaf_size`-byte leaves. Returns the
+    /// Commits to a file split into `leaf_size`-byte leaves (an empty
+    /// file is one empty leaf), hashing each leaf in place. Returns the
     /// verifier state and the prover's tree.
-    pub fn commit(data: &[u8], leaf_size: usize) -> (Self, MerkleTree<Sha256Hasher>, Vec<Vec<u8>>) {
-        let leaves: Vec<Vec<u8>> = if data.is_empty() {
-            vec![Vec::new()]
+    pub fn commit(data: &[u8], leaf_size: usize) -> (Self, MerkleTree<Sha256Hasher>) {
+        let hashes = if data.is_empty() {
+            vec![Sha256Hasher::leaf(data)]
         } else {
-            data.chunks(leaf_size).map(<[u8]>::to_vec).collect()
+            data.chunks(leaf_size).map(Sha256Hasher::leaf).collect()
         };
-        let tree = MerkleTree::<Sha256Hasher>::from_data(&leaves);
+        let tree = MerkleTree::<Sha256Hasher>::from_leaves(hashes);
         (
             Self {
                 root: tree.root(),
                 depth: tree.depth(),
-                num_leaves: leaves.len(),
+                num_leaves: tree.num_leaves,
             },
             tree,
-            leaves,
         )
     }
 
@@ -112,14 +112,24 @@ impl MerkleAudit {
     }
 }
 
+/// Leaf `index` of `data` split into `leaf_size`-byte leaves, the
+/// split [`MerkleAudit::commit`] hashes: the last leaf may be short, and
+/// an index past the end is an empty leaf.
+pub fn leaf_bytes(data: &[u8], leaf_size: usize, index: usize) -> &[u8] {
+    let lo = index.saturating_mul(leaf_size).min(data.len());
+    let hi = lo.saturating_add(leaf_size).min(data.len());
+    &data[lo..hi]
+}
+
 /// Honest prover: answers from the full file.
 pub fn honest_response(
     tree: &MerkleTree<Sha256Hasher>,
-    leaves: &[Vec<u8>],
+    data: &[u8],
+    leaf_size: usize,
     index: usize,
 ) -> MerkleAuditProof {
     MerkleAuditProof {
-        leaf_data: leaves[index].clone(),
+        leaf_data: leaf_bytes(data, leaf_size, index).to_vec(),
         path: tree.open(index),
     }
 }
@@ -171,11 +181,11 @@ mod tests {
     #[test]
     fn honest_audit_passes() {
         let data: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
-        let (audit, tree, leaves) = MerkleAudit::commit(&data, 64);
+        let (audit, tree) = MerkleAudit::commit(&data, 64);
         for round in 0..20u64 {
             let rand = round.to_le_bytes();
             let idx = audit.challenge_index(&rand);
-            let proof = honest_response(&tree, &leaves, idx);
+            let proof = honest_response(&tree, &data, 64, idx);
             assert!(audit.verify(&rand, &proof));
         }
     }
@@ -183,21 +193,21 @@ mod tests {
     #[test]
     fn wrong_index_fails() {
         let data = vec![7u8; 1024];
-        let (audit, tree, leaves) = MerkleAudit::commit(&data, 64);
+        let (audit, tree) = MerkleAudit::commit(&data, 64);
         let rand = 1u64.to_le_bytes();
         let idx = audit.challenge_index(&rand);
         let other = (idx + 1) % audit.num_leaves;
-        let proof = honest_response(&tree, &leaves, other);
+        let proof = honest_response(&tree, &data, 64, other);
         assert!(!audit.verify(&rand, &proof));
     }
 
     #[test]
     fn tampered_leaf_fails() {
         let data: Vec<u8> = (0..2048).map(|i| i as u8).collect();
-        let (audit, tree, leaves) = MerkleAudit::commit(&data, 32);
+        let (audit, tree) = MerkleAudit::commit(&data, 32);
         let rand = 9u64.to_le_bytes();
         let idx = audit.challenge_index(&rand);
-        let mut proof = honest_response(&tree, &leaves, idx);
+        let mut proof = honest_response(&tree, &data, 32, idx);
         proof.leaf_data[0] ^= 1;
         assert!(!audit.verify(&rand, &proof));
     }
@@ -208,7 +218,7 @@ mod tests {
     #[test]
     fn caching_cheater_beats_low_entropy_challenges() {
         let data: Vec<u8> = (0..32 * 256).map(|i| (i * 7) as u8).collect();
-        let (audit, tree, leaves) = MerkleAudit::commit(&data, 256); // 32 leaves
+        let (audit, tree) = MerkleAudit::commit(&data, 256); // 32 leaves
         let mut cheater = CachingCheater::new();
 
         // phase 1: the provider behaves, but records responses. The
@@ -217,7 +227,7 @@ mod tests {
         for round in 0..64u64 {
             let rand = beacon(round);
             let idx = audit.challenge_index(&rand);
-            let proof = honest_response(&tree, &leaves, idx);
+            let proof = honest_response(&tree, &data, 256, idx);
             assert!(audit.verify(&rand, &proof));
             cheater.observe(idx, proof);
         }
@@ -242,7 +252,7 @@ mod tests {
     #[test]
     fn commitment_binds_each_field() {
         let data: Vec<u8> = (0..4096).map(|i| (i % 199) as u8).collect();
-        let (audit, _, _) = MerkleAudit::commit(&data, 64);
+        let (audit, _) = MerkleAudit::commit(&data, 64);
         let stored = audit.commitment();
         assert!(audit.matches_commitment(&stored));
 
@@ -266,7 +276,7 @@ mod tests {
     #[test]
     fn depth_spoof_is_rejected() {
         let data: Vec<u8> = (0..64 * 8).map(|i| i as u8).collect();
-        let (audit, tree, leaves) = MerkleAudit::commit(&data, 64); // 8 leaves, depth 3
+        let (audit, tree) = MerkleAudit::commit(&data, 64); // 8 leaves, depth 3
         assert_eq!(audit.depth, 3);
         let stored = audit.commitment();
 
@@ -282,10 +292,10 @@ mod tests {
         // long) is rejected by the depth check before the root check
         let rand = 3u64.to_le_bytes();
         let idx = audit.challenge_index(&rand);
-        let mut short = honest_response(&tree, &leaves, idx);
+        let mut short = honest_response(&tree, &data, 64, idx);
         short.path.siblings.pop();
         assert!(!audit.verify(&rand, &short));
-        let mut long = honest_response(&tree, &leaves, idx);
+        let mut long = honest_response(&tree, &data, 64, idx);
         long.path.siblings.push([0u8; 32]);
         assert!(!audit.verify(&rand, &long));
     }
@@ -296,12 +306,12 @@ mod tests {
     #[test]
     fn high_entropy_defeats_small_cache() {
         let data: Vec<u8> = (0..256 * 512).map(|i| (i * 3) as u8).collect();
-        let (audit, tree, leaves) = MerkleAudit::commit(&data, 256); // 512 leaves
+        let (audit, tree) = MerkleAudit::commit(&data, 256); // 512 leaves
         let mut cheater = CachingCheater::new();
         for round in 0..32u64 {
             let rand = sha256(&round.to_le_bytes()); // full-entropy beacon
             let idx = audit.challenge_index(&rand);
-            cheater.observe(idx, honest_response(&tree, &leaves, idx));
+            cheater.observe(idx, honest_response(&tree, &data, 256, idx));
         }
         cheater.drop_file();
         let misses = (32..96u64)

@@ -14,4 +14,4 @@ pub mod audit;
 pub mod tree;
 
 pub use audit::{CachingCheater, MerkleAudit, MerkleAuditProof};
-pub use tree::{MerkleHasher, MerklePath, MerkleTree, MimcHasher, Sha256Hasher};
+pub use tree::{MerkleHasher, MerklePath, MerkleTree, MimcHasher, PrunedTree, Sha256Hasher};

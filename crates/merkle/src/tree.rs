@@ -175,6 +175,63 @@ impl<H: MerkleHasher> MerkleTree<H> {
         }
         MerklePath { index, siblings }
     }
+
+    /// Drops the leaf level, keeping every node above it — half the
+    /// tree's nodes. See [`PrunedTree`].
+    pub fn prune_leaves(mut self) -> PrunedTree<H> {
+        self.levels.remove(0);
+        PrunedTree {
+            levels: self.levels,
+            num_leaves: self.num_leaves,
+        }
+    }
+}
+
+/// A [`MerkleTree`] without its leaf level: the nodes above the leaf
+/// hashes, `num_leaves.next_power_of_two() - 1` of them. An opening
+/// takes the opened leaf's sibling hash from the caller and every
+/// other sibling from here, so whoever keeps this hashes one leaf per
+/// opening instead of rebuilding the tree, and a changed leaf still
+/// shows in every opening whose path starts at it or at its sibling.
+#[derive(Clone, Debug)]
+pub struct PrunedTree<H: MerkleHasher> {
+    /// levels[0] = parents of the leaves, last level = [root]; empty
+    /// for a one-leaf tree.
+    levels: Vec<Vec<H::Node>>,
+    /// Number of real (unpadded) leaves.
+    pub num_leaves: usize,
+}
+
+impl<H: MerkleHasher> PrunedTree<H> {
+    /// Nodes held.
+    pub fn node_count(&self) -> usize {
+        self.levels.iter().map(Vec::len).sum()
+    }
+
+    /// Opens an inclusion proof for leaf `index`. `leaf_hash(j)` must
+    /// return the hash of real leaf `j`; it is called at most once, for
+    /// the sibling (a padding sibling is [`MerkleHasher::empty`]).
+    ///
+    /// # Panics
+    /// Panics when `index` is not a real leaf.
+    pub fn open(&self, index: usize, leaf_hash: impl FnOnce(usize) -> H::Node) -> MerklePath<H> {
+        assert!(index < self.num_leaves, "leaf index out of range");
+        let mut siblings = Vec::with_capacity(self.levels.len());
+        if let Some((_root, inner)) = self.levels.split_last() {
+            let sibling = index ^ 1;
+            siblings.push(if sibling < self.num_leaves {
+                leaf_hash(sibling)
+            } else {
+                H::empty()
+            });
+            let mut idx = index >> 1;
+            for level in inner {
+                siblings.push(level[idx ^ 1].clone());
+                idx >>= 1;
+            }
+        }
+        MerklePath { index, siblings }
+    }
 }
 
 #[cfg(test)]
@@ -233,6 +290,23 @@ mod tests {
         data2[2][0] ^= 1;
         let t2 = MerkleTree::<Sha256Hasher>::from_data(&data2);
         assert_ne!(t1.root(), t2.root());
+    }
+
+    /// A pruned tree opens the same paths as the full tree it came
+    /// from, for every leaf count from 1 to 17, padded or not.
+    #[test]
+    fn pruned_tree_opens_the_full_trees_paths() {
+        for n in 1..=17u8 {
+            let data: Vec<Vec<u8>> = (0..n).map(|i| vec![i; 9]).collect();
+            let tree = MerkleTree::<Sha256Hasher>::from_data(&data);
+            let full: Vec<_> = (0..data.len()).map(|i| tree.open(i)).collect();
+            let pruned = tree.prune_leaves();
+            assert_eq!(pruned.node_count(), usize::from(n).next_power_of_two() - 1);
+            for (i, want) in full.iter().enumerate() {
+                let path = pruned.open(i, |j| Sha256Hasher::leaf(&data[j]));
+                assert_eq!(&path, want, "{n} leaves, leaf {i}");
+            }
+        }
     }
 
     #[test]

@@ -51,9 +51,7 @@ use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::{eth, Address, Transaction, TxKind, TxStatus, Wei};
 use dsaudit_contract::{Agreement, AuditContract};
 use dsaudit_core::batch::BatchItem;
-use dsaudit_core::{
-    Auditor, Challenge, Codec, DataOwner, EncodedFile, FileMeta, PrivateProof, Prover,
-};
+use dsaudit_core::{Auditor, Challenge, Codec, DataOwner, FileMeta, PrivateProof, Prover};
 use dsaudit_storage::{FileManifest, NodeId, StorageError, StorageNetwork};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -789,42 +787,33 @@ impl Simulation {
                 .provider(&self.roster[pl.provider_slot].id)
                 .expect("online provider")
                 .get(&share_key)
-                .expect("blob present")
-                .clone();
-            let enc = EncodedFile::encode_with_name(file.metas[pl.share].name, &blob, self.cfg.audit);
+                .expect("blob present");
             let pk = self.owners[file.owner].handle.public_key();
-            let prover =
-                Prover::new(pk, &enc, &file.tags[pl.share]).expect("share shapes are fixed");
+            let prover = Prover::from_stored(pk, blob, self.cfg.audit, &file.tags[pl.share])
+                .expect("share shapes are fixed");
             let proof = prover.prove_private(&mut self.rng, &challenge);
             posted[pl_id] = Some((challenge, proof));
-            let provider_addr = self.roster[pl.provider_slot].addr;
-            let contract = pl.contract;
-            self.submit_call(
-                provider_addr,
-                contract,
-                "prove",
+            let mut calls = vec![(
+                self.roster[pl.provider_slot].addr,
+                pl.contract,
                 PairingBackend::frame(&proof).encode(),
-                0,
-            );
+            )];
             // shadow lanes prove over the *same* stored bytes for their
             // own contracts' beacons
-            for li in 0..self.shadows.len() {
-                let lane_contract = self.shadows[li].slots[pl_id].contract;
-                let Some(&lane_beacon) = beacons.get(&lane_contract) else {
+            for lane in &mut self.shadows {
+                let slot = &lane.slots[pl_id];
+                let Some(lane_beacon) = beacons.get(&slot.contract) else {
                     continue;
                 };
-                let lane_proof = self.shadows[li]
+                let lane_proof = lane
                     .backend
-                    .prove(
-                        &mut self.rng,
-                        &self.shadows[li].slots[pl_id].kit,
-                        &blob,
-                        &lane_beacon,
-                    )
+                    .prove(&mut self.rng, &slot.kit, blob, lane_beacon)
                     .expect("a same-shape blob always proves");
-                self.shadows[li].prover_calls += 1;
-                let sender = self.shadows[li].slots[pl_id].provider;
-                self.submit_call(sender, lane_contract, "prove", lane_proof.encode(), 0);
+                calls.push((slot.provider, slot.contract, lane_proof.encode()));
+                lane.prover_calls += 1;
+            }
+            for (sender, contract, data) in calls {
+                self.submit_call(sender, contract, "prove", data, 0);
             }
         }
         self.mine_ok("proof submissions");

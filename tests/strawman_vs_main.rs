@@ -59,9 +59,9 @@ fn merkle_baseline_leaks_but_main_does_not() {
     // The deployed-DSN baseline posts raw leaf bytes on chain; the main
     // protocol's 288-byte response contains no data bytes at all.
     let data = b"this exact substring must never appear in an on-chain proof!!";
-    let (audit, tree, leaves) = dsaudit::merkle::audit::MerkleAudit::commit(data, 16);
+    let (audit, tree) = dsaudit::merkle::audit::MerkleAudit::commit(data, 16);
     let idx = audit.challenge_index(b"round1");
-    let baseline = dsaudit::merkle::audit::honest_response(&tree, &leaves, idx);
+    let baseline = dsaudit::merkle::audit::honest_response(&tree, data, 16, idx);
     // the baseline's on-chain bytes literally contain file data
     assert!(data
         .windows(8)

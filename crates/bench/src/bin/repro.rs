@@ -8,7 +8,7 @@
 
 use dsaudit_bench::{figures, json, tables};
 
-/// Measures the compact metric set and writes `BENCH_repro.json` at the
+/// Measures the exact metrics and writes `BENCH_repro.json` at the
 /// workspace root (not the cwd, so the tracked snapshot always updates).
 fn emit_json() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
@@ -26,24 +26,23 @@ fn emit_json() {
     }
 }
 
-/// Re-measures the guarded (exact) metrics and fails (exit 1) when any
-/// of them differs from the committed `BENCH_repro.json` — the CI gate.
+/// Measures the exact metrics again and fails (exit 1) when their
+/// rendering differs from the committed `BENCH_repro.json` in any line,
+/// printing each differing line — the CI gate.
 fn check_json() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_repro.json");
     match json::check_against(path) {
-        Ok((report, ok)) => {
-            println!("exact-metric gate against {path}:");
+        Ok(report) if report.is_empty() => println!("{path} matches the measured metrics"),
+        Ok(report) => {
             for line in &report {
-                println!("  {line}");
+                eprintln!("  {line}");
             }
-            if !ok {
-                eprintln!(
-                    "FAIL: a guarded metric differs from the committed snapshot \
-                     (if deliberate, refresh it with `repro json` in the same PR)"
-                );
-                std::process::exit(1);
-            }
-            println!("gate passed");
+            eprintln!(
+                "FAIL: {path} differs from the measured metrics in {} line(s) \
+                 (if deliberate, refresh it with `repro json` in the same PR)",
+                report.len()
+            );
+            std::process::exit(1);
         }
         Err(e) => {
             eprintln!("exact-metric gate could not run: {e}");

@@ -1,164 +1,35 @@
-//! Machine-readable benchmark snapshot.
+//! The exact-metric snapshot, `BENCH_repro.json`.
 //!
-//! `repro` (and `repro json`) writes `BENCH_repro.json` at the workspace
-//! root so every PR leaves a comparable perf record: proof sizes, the
-//! measured hot-path latencies, and the derived gas figure. Hand-rolled
-//! serialization — the build environment has no registry access, so no
+//! `repro json` writes it at the workspace root and `repro check` holds
+//! it at equality: every metric here is exact (proof sizes, gas read off
+//! the chain, chain bytes of a fixed-seed run, lint coverage), so the
+//! gate renders the metrics again and compares the whole file line by
+//! line. Timings live in `benchmark/`, which reports them with their
+//! spread and compares them parent against change. Hand-rolled
+//! serialization: the build environment has no registry access, so no
 //! serde.
 
 use std::io::Write as _;
-use std::time::Instant;
 
-use dsaudit_algebra::endo::{msm_g1, mul_each_g1};
-use dsaudit_algebra::field::Field;
-use dsaudit_algebra::g1::{G1Affine, G1Projective};
-use dsaudit_algebra::g2::{G2Affine, G2Projective};
-use dsaudit_algebra::msm::msm_naive;
-use dsaudit_algebra::pairing::{
-    final_exponentiation, miller_loop, multi_miller_loop, multi_pairing_prepared, G2Prepared,
-};
-use dsaudit_algebra::Fr;
 use dsaudit_core::params::AuditParams;
 use dsaudit_core::proof::{PLAIN_PROOF_BYTES, PRIVATE_PROOF_BYTES};
-use dsaudit_core::tag::generate_tags;
 
-use crate::{
-    measure_encode_stream_ms, measure_verify_ms, preprocess_throughput_mb_s, rng, time_mean, Env,
-};
+use crate::rng;
 
-/// One measured metric: a name and a value with a unit.
+/// One exact metric: a name and a value with a unit.
 #[derive(Clone, Debug)]
 pub struct Metric {
     /// Snake-case metric name.
     pub name: &'static str,
-    /// Unit label (e.g. `"ms"`, `"MB/s"`, `"bytes"`).
+    /// Unit label (e.g. `"gas"`, `"bytes"`).
     pub unit: &'static str,
-    /// Measured value.
+    /// The value, printed at four decimals.
     pub value: f64,
 }
 
-/// Measures the `msm` metric group: the GLV-split signed-digit Pippenger
-/// a round runs (`endo::msm_g1`) at two sizes, the naive oracle at the
-/// small size (so the speedup is readable straight off the snapshot),
-/// and the two fixed-pattern kernels it feeds (fixed-base table,
-/// fixed-scalar batch).
-pub fn collect_msm_metrics() -> Vec<Metric> {
-    let mut r = rng();
-    let n_large = 8192usize;
-    let scalars: Vec<Fr> = (0..n_large).map(|_| Fr::random(&mut r)).collect();
-    let table = G1Projective::generator_table();
-    let bases: Vec<G1Affine> = table.mul_many_affine(&scalars);
-    let mut out = Vec::new();
-
-    let t = time_mean(3, || {
-        let _ = msm_g1(&bases[..1024], &scalars[..1024]);
-    });
-    out.push(Metric {
-        name: "msm_g1_n1024",
-        unit: "ms",
-        value: t.as_secs_f64() * 1e3,
-    });
-    let t = time_mean(3, || {
-        let _ = msm_g1(&bases, &scalars);
-    });
-    out.push(Metric {
-        name: "msm_g1_n8192",
-        unit: "ms",
-        value: t.as_secs_f64() * 1e3,
-    });
-    let t = time_mean(1, || {
-        let _ = msm_naive(&bases[..1024], &scalars[..1024]);
-    });
-    out.push(Metric {
-        name: "msm_naive_g1_n1024",
-        unit: "ms",
-        value: t.as_secs_f64() * 1e3,
-    });
-    let t = time_mean(3, || {
-        let _ = table.mul_many_affine(&scalars);
-    });
-    out.push(Metric {
-        name: "msm_fixed_base_n8192",
-        unit: "ms",
-        value: t.as_secs_f64() * 1e3,
-    });
-    let k = Fr::random(&mut r);
-    let t = time_mean(3, || {
-        let _ = mul_each_g1(&bases, k);
-    });
-    out.push(Metric {
-        name: "msm_mul_each_n8192",
-        unit: "ms",
-        value: t.as_secs_f64() * 1e3,
-    });
-    out
-}
-
-/// Measures the `pairing` metric group: the projective Miller loop
-/// (fresh and prepared), the cyclotomic final exponentiation, and the
-/// shared-loop pairing product at the verifier's size (n = 2 pairs, the
-/// tag-validation shape) and the paper's batched scale (n = 30).
-pub fn collect_pairing_metrics() -> Vec<Metric> {
-    let mut r = rng();
-    let n = 30usize;
-    let ps: Vec<G1Affine> = (0..n)
-        .map(|_| G1Projective::generator().mul(Fr::random(&mut r)).to_affine())
-        .collect();
-    let qs: Vec<G2Affine> = (0..n)
-        .map(|_| G2Projective::generator().mul(Fr::random(&mut r)).to_affine())
-        .collect();
-    let prepared: Vec<G2Prepared> = qs.iter().map(G2Prepared::from_affine).collect();
-    let mut out = Vec::new();
-
-    let t = time_mean(10, || {
-        let _ = miller_loop(&ps[0], &qs[0]);
-    });
-    out.push(Metric {
-        name: "miller_loop",
-        unit: "ms",
-        value: t.as_secs_f64() * 1e3,
-    });
-    let t = time_mean(10, || {
-        let _ = multi_miller_loop(&[(&ps[0], &prepared[0])]);
-    });
-    out.push(Metric {
-        name: "miller_loop_prepared",
-        unit: "ms",
-        value: t.as_secs_f64() * 1e3,
-    });
-    let f = miller_loop(&ps[0], &qs[0]);
-    let t = time_mean(10, || {
-        let _ = final_exponentiation(&f);
-    });
-    out.push(Metric {
-        name: "final_exponentiation",
-        unit: "ms",
-        value: t.as_secs_f64() * 1e3,
-    });
-    for count in [2usize, 30] {
-        let pairs: Vec<(&G1Affine, &G2Prepared)> =
-            ps[..count].iter().zip(&prepared[..count]).collect();
-        let t = time_mean(5, || {
-            let _ = multi_pairing_prepared(&pairs);
-        });
-        out.push(Metric {
-            name: if count == 2 {
-                "multi_pairing_n2"
-            } else {
-                "multi_pairing_n30"
-            },
-            unit: "ms",
-            value: t.as_secs_f64() * 1e3,
-        });
-    }
-    out
-}
-
-/// The fixed-seed benchmark simulation: honest steady state, sized so
-/// a release build settles it in a couple of seconds. Round throughput
-/// is end-to-end — churnless epochs of challenge triggers, proof
-/// generation over stored share bytes, per-shard batched settlement and
-/// on-chain verdict mining.
+/// The fixed-seed snapshot simulation: honest providers on a lossy
+/// network, churnless, sized so a release build settles it in well
+/// under a second.
 fn bench_sim_config() -> dsaudit_sim::SimConfig {
     dsaudit_sim::SimConfig {
         seed: 0xbe_c4a5,
@@ -182,14 +53,12 @@ fn bench_sim_config() -> dsaudit_sim::SimConfig {
     }
 }
 
-/// Measures the `sim` metric group: end-to-end audit-round throughput
-/// of the network simulator (storage → contract → chain per round) and
-/// the deterministic gas cost per settled round. A lost frame that
-/// reached a verdict is a protocol bug and fails the collection.
-pub fn collect_sim_metrics() -> Vec<Metric> {
-    let t0 = Instant::now();
+/// The `sim` metric group: gas per settled round and chain bytes per
+/// round (the whole chain, setup included, as `benchmark/`'s
+/// `sim.chain_bytes_per_round`). A lost frame that reached a verdict is
+/// a protocol bug and fails the collection.
+fn collect_sim_metrics() -> Vec<Metric> {
     let report = dsaudit_sim::Simulation::new(bench_sim_config()).run();
-    let secs = t0.elapsed().as_secs_f64();
     assert_eq!(report.passes, report.audits, "benchmark network is honest");
     assert!(report.transport_faults > 0, "the lossy-link model must fire");
     assert_eq!(
@@ -198,42 +67,16 @@ pub fn collect_sim_metrics() -> Vec<Metric> {
     );
     vec![
         Metric {
-            name: "sim_round_throughput",
-            unit: "rounds/s",
-            value: report.audits as f64 / secs,
-        },
-        Metric {
             name: "sim_gas_per_round",
             unit: "gas",
             value: (report.total_gas - report.setup_gas) as f64 / report.audits as f64,
         },
+        Metric {
+            name: "sim_chain_bytes_per_round",
+            unit: "bytes",
+            value: report.chain_bytes as f64 / report.audits as f64,
+        },
     ]
-}
-
-/// The fixed-seed node soak driven for throughput measurement: smaller
-/// than the CI soak (which proves the termination invariant at ≥500
-/// sessions) but the same three fault schedules end to end.
-fn bench_node_config() -> dsaudit_node::SoakConfig {
-    dsaudit_node::SoakConfig {
-        sessions: 120,
-        ..dsaudit_node::SoakConfig::default()
-    }
-}
-
-/// Measures the `node` metric group: challenge sessions settled per
-/// wall-clock second by the fault-injected daemons (open → prove →
-/// settle/expire, across the baseline/lossy/partitioned schedules),
-/// asserting the termination invariant holds.
-pub fn collect_node_metrics() -> Vec<Metric> {
-    let t0 = Instant::now();
-    let report = dsaudit_node::run_soak(&bench_node_config());
-    let secs = t0.elapsed().as_secs_f64();
-    assert!(report.ok(), "soak invariant violated: {:?}", report.violations());
-    vec![Metric {
-        name: "node_sessions_per_sec",
-        unit: "sessions/s",
-        value: report.total_sessions() as f64 / secs,
-    }]
 }
 
 /// The fixed-seed shadow-lane simulation behind the per-backend gas
@@ -260,36 +103,28 @@ fn bench_backend_sim_config() -> dsaudit_sim::SimConfig {
     }
 }
 
-/// Measures the `backend` metric group: per-backend `verify` latency
-/// and proof size over the same 1 KiB blob (the head-to-head micro
-/// side), plus per-round on-chain gas for each shadow lane of the
-/// fixed-seed backend simulation (the whole-system side).
-pub fn collect_backend_metrics() -> Vec<Metric> {
-    use dsaudit_backend::{AuditBackend, Groth16MerkleBackend, MerkleBackend, PairingBackend};
+/// The `backend` metric group: the merkle and groth16 proof sizes over
+/// one 1 KiB blob (each proof must verify), plus per-round on-chain gas
+/// for each shadow lane of the fixed-seed backend simulation.
+fn collect_backend_metrics() -> Vec<Metric> {
+    use dsaudit_backend::{AuditBackend, Groth16MerkleBackend, MerkleBackend};
     use dsaudit_core::codec::Codec as _;
     let data: Vec<u8> = (0..1024).map(|i| (i % 251) as u8).collect();
     let beacon = [0x42u8; 48];
     let mut r = rng();
-    // honest setup → prove once, then time verification against the
-    // commitment; proof size is a property of the scheme, not the run
-    let mut measure = |backend: &dyn AuditBackend| -> (f64, f64) {
+    let mut proof_bytes = |backend: &dyn AuditBackend| -> f64 {
         let setup = backend.setup(&mut r, &data).expect("setup");
         let proof = backend
             .prove(&mut r, &setup.kit, &data, &beacon)
             .expect("honest prove");
-        let t = time_mean(10, || {
-            assert!(backend
-                .verify(&setup.commitment, &beacon, &proof)
-                .expect("well-formed proof")
-                .accepted());
-        });
-        (t.as_secs_f64() * 1e6, proof.encoded_len() as f64)
+        assert!(backend
+            .verify(&setup.commitment, &beacon, &proof)
+            .expect("well-formed proof")
+            .accepted());
+        proof.encoded_len() as f64
     };
-    let (pairing_us, _) = measure(&PairingBackend::new(
-        AuditParams::new(4, 3).expect("valid"),
-    ));
-    let (merkle_us, merkle_bytes) = measure(&MerkleBackend { leaf_size: 32, k: 3 });
-    let (groth16_us, groth16_bytes) = measure(&Groth16MerkleBackend { batch: 2 });
+    let merkle_bytes = proof_bytes(&MerkleBackend { leaf_size: 32, k: 3 });
+    let groth16_bytes = proof_bytes(&Groth16MerkleBackend { batch: 2 });
 
     let report = dsaudit_sim::Simulation::new(bench_backend_sim_config()).run();
     let lane_gas = |name: &str| -> f64 {
@@ -307,21 +142,6 @@ pub fn collect_backend_metrics() -> Vec<Metric> {
     };
 
     vec![
-        Metric {
-            name: "backend_pairing_verify_us",
-            unit: "us",
-            value: pairing_us,
-        },
-        Metric {
-            name: "backend_merkle_verify_us",
-            unit: "us",
-            value: merkle_us,
-        },
-        Metric {
-            name: "backend_groth16_verify_us",
-            unit: "us",
-            value: groth16_us,
-        },
         Metric {
             name: "backend_merkle_proof_bytes",
             unit: "bytes",
@@ -350,84 +170,11 @@ pub fn collect_backend_metrics() -> Vec<Metric> {
     ]
 }
 
-/// Measures the `obs` metric group: what observability costs the
-/// verifier, and what an enabled registry can absorb.
-///
-/// `obs_overhead_pct` is the cost of the *no-op* (disabled, shipped)
-/// instrumentation left on the `verify_private` path, as a percentage
-/// of the verify time: per-site disabled-facade cost, times the number
-/// of instrumentation sites one verify crosses, over one verify. It is
-/// computed from three separately stable measurements rather than by
-/// differencing two whole-verify timings, because an atomic-load cost
-/// in the tenths-of-a-permille range is far below the run-to-run noise
-/// of a multi-millisecond parallel verify. The site count comes from a
-/// traced run and uses counter *values* as the call count, which
-/// overcounts batched flushes — the estimate only errs upward.
-/// `obs_events_per_sec` is raw enabled-registry throughput: a counter
-/// bump, a histogram sample, and a span open/close per iteration.
-pub fn collect_obs_metrics() -> Vec<Metric> {
-    use std::sync::Arc;
-    let env = Env::new(1024 * 1024, AuditParams::default());
-    // Denominator: the verify itself, in the shipped (obs-off) config.
-    let t_verify_ms = measure_verify_ms(&env, true, 3);
-
-    // Per-site cost of disabled instrumentation: each facade call here
-    // is one relaxed atomic load and an immediate return.
-    let noop_iters = 1_000_000u64;
-    let t0 = Instant::now();
-    for i in 0..noop_iters {
-        dsaudit_obs::counter_inc("obs.bench.noop");
-        dsaudit_obs::observe("obs.bench.noop", i);
-        let _span = dsaudit_obs::span("obs.bench.noop");
-    }
-    let noop_ns_per_site = t0.elapsed().as_secs_f64() * 1e9 / ((noop_iters * 3) as f64);
-
-    // Sites per verify, counted from a traced run (warm-up + 1 timed
-    // verify inside `measure_verify_ms`, hence the division by 2).
-    dsaudit_obs::install(Arc::new(dsaudit_obs::Registry::new_virtual()));
-    let _ = measure_verify_ms(&env, true, 1);
-    let sites = match dsaudit_obs::uninstall() {
-        Some(reg) => {
-            let snap = reg.snapshot();
-            let span_calls = 2 * snap.spans.len() as u64;
-            let hist_calls: u64 = snap.histograms.iter().map(|(_, h)| h.sample_count()).sum();
-            let ctr_calls: u64 = snap.counters.iter().map(|&(_, v)| v).sum();
-            (span_calls + hist_calls + ctr_calls) / 2
-        }
-        None => 0,
-    };
-    let overhead_pct = (sites as f64 * noop_ns_per_site) / (t_verify_ms * 1e6) * 100.0;
-
-    let reg = dsaudit_obs::Registry::new_wall();
-    let iters = 100_000u64;
-    let t0 = Instant::now();
-    for i in 0..iters {
-        reg.counter_add("obs.bench.counter", 1);
-        reg.observe("obs.bench.hist", i);
-        let id = reg.begin_span("obs.bench.span");
-        reg.end_span(id);
-    }
-    let secs = t0.elapsed().as_secs_f64().max(1e-9);
-
-    vec![
-        Metric {
-            name: "obs_overhead_pct",
-            unit: "%",
-            value: overhead_pct,
-        },
-        Metric {
-            name: "obs_events_per_sec",
-            unit: "events/s",
-            value: (iters * 3) as f64 / secs,
-        },
-    ]
-}
-
 /// Static-analysis coverage of the workspace: how many files the
 /// `dsaudit-lint` pass scans and how many rules it enforces. The CI
 /// gate requires zero unsuppressed findings, so the snapshot records
 /// *coverage* (which only grows with the codebase), not problem counts.
-pub fn collect_lint_metrics() -> Vec<Metric> {
+fn collect_lint_metrics() -> Vec<Metric> {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     match dsaudit_lint::analyze_workspace(&root) {
         Ok(report) => vec![
@@ -499,97 +246,13 @@ fn audit_gas_metric() -> Metric {
     }
 }
 
-/// Runs the compact benchmark set the JSON snapshot reports.
+/// Collects every snapshot metric, in the order the file lists them.
 pub fn collect_metrics() -> Vec<Metric> {
     let mut out = proof_size_metrics();
-
-    // Hot path 0: the MSM kernel group behind every figure below.
-    out.extend(collect_msm_metrics());
-
-    // Hot path 0b: the pairing engine behind every verification.
-    out.extend(collect_pairing_metrics());
-
-    // Hot path 1: tag generation (data-owner pre-processing, Fig. 7).
-    out.push(Metric {
-        name: "preprocess_s50_throughput",
-        unit: "MB/s",
-        value: preprocess_throughput_mb_s(50, 2 * 1024 * 1024),
-    });
-
-    // Hot path 1b: the streaming chunk-blocking encode that feeds it.
-    out.push(Metric {
-        name: "encode_stream_1mib",
-        unit: "ms",
-        value: measure_encode_stream_ms(1024 * 1024, 3),
-    });
-
-    // Hot path 2: proving, both variants (Figs. 8, 9).
-    let env = Env::new(1024 * 1024, AuditParams::default());
-    let prover = env.prover();
-    let ch = env.challenge();
-    let mut r = rng();
-    let t_priv = time_mean(3, || {
-        let _ = prover.prove_private(&mut r, &ch);
-    });
-    let t_plain = time_mean(3, || {
-        let _ = prover.prove_plain(&ch);
-    });
-    out.push(Metric {
-        name: "prove_private_1mib",
-        unit: "ms",
-        value: t_priv.as_secs_f64() * 1e3,
-    });
-    out.push(Metric {
-        name: "prove_plain_1mib",
-        unit: "ms",
-        value: t_plain.as_secs_f64() * 1e3,
-    });
-
-    // Hot path 3: on-chain verification (Fig. 5 / Table II).
-    let v_priv = measure_verify_ms(&env, true, 5);
-    let v_plain = measure_verify_ms(&env, false, 5);
-    out.push(Metric {
-        name: "verify_private",
-        unit: "ms",
-        value: v_priv,
-    });
-    out.push(Metric {
-        name: "verify_plain",
-        unit: "ms",
-        value: v_plain,
-    });
     out.push(audit_gas_metric());
-
-    // Hot path 4: tag generation latency at default params (absolute).
-    let t0 = Instant::now();
-    let tags = generate_tags(&env.sk, &env.file);
-    out.push(Metric {
-        name: "tag_gen_1mib",
-        unit: "ms",
-        value: t0.elapsed().as_secs_f64() * 1e3,
-    });
-    assert_eq!(tags.len(), env.file.num_chunks());
-
-    // Hot path 5: the whole network under load (storage -> contract ->
-    // chain), measured end to end by the simulator.
     out.extend(collect_sim_metrics());
-
-    // Hot path 6: the challenge lifecycle under injected transport
-    // faults, driven by the node daemons over the in-process transport.
-    out.extend(collect_node_metrics());
-
-    // Hot path 7: the pluggable audit backends head to head — verify
-    // latency, proof size, and per-round gas for every lane.
     out.extend(collect_backend_metrics());
-
-    // The observability layer's own cost and capacity: the verifier
-    // with a registry installed, and raw registry throughput.
-    out.extend(collect_obs_metrics());
-
-    // Not a hot path: static-analysis coverage, recorded so the
-    // snapshot shows the lint gate's reach growing with the codebase.
     out.extend(collect_lint_metrics());
-
     out
 }
 
@@ -618,164 +281,113 @@ pub fn emit(path: &str) -> std::io::Result<Vec<Metric>> {
     Ok(metrics)
 }
 
-/// Metrics the CI gate holds at equality with the committed snapshot:
-/// the exact ones — proof sizes, deterministic gas, and the lint
-/// counters. A change to any of them is deliberate and refreshes
-/// `BENCH_repro.json` in the same PR. Timings stay in the snapshot as a
-/// record but are not gated here: one run on a shared box swings more
-/// than any tolerance worth setting, and the repo benchmark
-/// (`BENCHMARK.json`) compares them parent against change on every PR.
-pub const GUARDED_METRICS: &[&str] = &[
-    "plain_proof_bytes",
-    "private_proof_bytes",
-    "audit_gas_private",
-    "sim_gas_per_round",
-    "backend_merkle_proof_bytes",
-    "backend_groth16_proof_bytes",
-    "backend_gas_per_round_pairing",
-    "backend_gas_per_round_merkle",
-    "backend_gas_per_round_groth16",
-    "lint_files_scanned",
-    "lint_rules",
-    "lint_callgraph_fns",
-    "lint_panic_audits",
-    "lint_taint_audits",
-];
+/// What a snapshot line is matched by: the quoted key it starts with
+/// (a metric name, `schema`, `metrics`), or else the whole line.
+fn line_key(line: &str) -> &str {
+    line.trim_start()
+        .strip_prefix('"')
+        .and_then(|rest| rest.split_once('"'))
+        .map_or(line, |(key, _)| key)
+}
 
-/// Extracts `(name, value)` pairs from a committed snapshot. Hand-rolled
-/// to match [`to_json`]'s fixed shape (no serde in the build
-/// environment); unknown lines are ignored.
-pub fn parse_metrics(json: &str) -> Vec<(String, f64)> {
+/// The gate's comparison: `committed` snapshot text against the
+/// rendering of `fresh`, one report line per line that differs. A line
+/// is matched by its key, so a changed value gives one line naming its
+/// metric, and a line on only one side says which side holds it. Empty
+/// means the files are byte-identical.
+pub fn diff_snapshot(committed: &str, fresh: &[Metric]) -> Vec<String> {
+    fn find<'a>(side: &[(&str, &'a str)], key: &str) -> Option<&'a str> {
+        side.iter().find(|(k, _)| *k == key).map(|&(_, line)| line)
+    }
+    let rendered = to_json(fresh);
+    let old: Vec<_> = committed.lines().map(|l| (line_key(l), l)).collect();
+    let new: Vec<_> = rendered.lines().map(|l| (line_key(l), l)).collect();
     let mut out = Vec::new();
-    for line in json.lines() {
-        let line = line.trim();
-        let Some(rest) = line.strip_prefix('"') else {
-            continue;
-        };
-        let Some((name, rest)) = rest.split_once('"') else {
-            continue;
-        };
-        let Some(rest) = rest.split_once("\"value\":").map(|(_, r)| r) else {
-            continue;
-        };
-        let value_str: String = rest
-            .trim_start()
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-            .collect();
-        if let Ok(v) = value_str.parse::<f64>() {
-            out.push((name.to_string(), v));
+    for &(key, line) in &old {
+        match find(&new, key) {
+            Some(now) if now == line => {}
+            Some(now) => out.push(format!("{key}: committed `{line}`, measured `{now}`")),
+            None => out.push(format!("{key}: only in the committed snapshot: `{line}`")),
         }
+    }
+    for &(key, line) in &new {
+        if find(&old, key).is_none() {
+            out.push(format!("{key}: not in the committed snapshot: `{line}`"));
+        }
+    }
+    if out.is_empty() && committed != rendered {
+        out.push("same lines, but in another order or with other line endings".to_string());
     }
     out
 }
 
-/// Measures only the guarded metrics: one pass over the groups that
-/// hold them (every guarded value is deterministic).
-pub fn collect_guarded_metrics() -> Vec<Metric> {
-    proof_size_metrics()
-        .into_iter()
-        .chain([audit_gas_metric()])
-        .chain(collect_sim_metrics())
-        .chain(collect_backend_metrics())
-        .chain(collect_lint_metrics())
-        .filter(|m| GUARDED_METRICS.contains(&m.name))
-        .collect()
-}
-
-/// Compares fresh guarded measurements against the committed snapshot at
-/// `path`; returns a human-readable report per guarded metric and an
-/// overall pass flag (false when any metric differs from the snapshot
-/// at the four decimals the snapshot prints).
+/// Measures the metrics and diffs them against the committed snapshot
+/// at `path` ([`diff_snapshot`]); an empty report means the gate passes.
 ///
 /// # Errors
-/// Fails when the snapshot cannot be read or lacks a guarded metric.
-pub fn check_against(path: &str) -> Result<(Vec<String>, bool), String> {
+/// Fails when the snapshot cannot be read.
+pub fn check_against(path: &str) -> Result<Vec<String>, String> {
     let committed = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read committed snapshot {path}: {e}"))?;
-    let committed = parse_metrics(&committed);
-    let fresh = collect_guarded_metrics();
-    let mut report = Vec::new();
-    let mut ok = true;
-    for name in GUARDED_METRICS {
-        let base = committed
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .ok_or_else(|| format!("committed snapshot lacks metric {name}"))?;
-        let now = fresh
-            .iter()
-            .find(|m| m.name == *name)
-            .map(|m| m.value)
-            .expect("guarded metric measured");
-        let (base, now) = (format!("{base:.4}"), format!("{now:.4}"));
-        let same = base == now;
-        ok &= same;
-        report.push(format!(
-            "{name}: committed {base}, measured {now} -> {}",
-            if same { "ok" } else { "CHANGED" },
-        ));
-    }
-    Ok((report, ok))
+    Ok(diff_snapshot(&committed, &collect_metrics()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn metric(name: &'static str, unit: &'static str, value: f64) -> Metric {
+        Metric { name, unit, value }
+    }
+
+    fn sample() -> Vec<Metric> {
+        vec![
+            metric("a_bytes", "bytes", 288.0),
+            metric("b_gas", "gas", 588_488.0),
+            metric("c_fns", "fns", 2127.0),
+        ]
+    }
+
     #[test]
     fn json_shape_is_valid_enough() {
-        let metrics = vec![
-            Metric {
-                name: "a",
-                unit: "ms",
-                value: 1.5,
-            },
-            Metric {
-                name: "b",
-                unit: "bytes",
-                value: 288.0,
-            },
-        ];
-        let s = to_json(&metrics);
+        let s = to_json(&sample());
         assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
-        assert_eq!(s.matches("\"value\"").count(), 2);
+        assert_eq!(s.matches("\"value\"").count(), 3);
         assert!(!s.contains(",\n  }"), "no trailing comma before close");
-        assert!(s.contains("\"b\": { \"value\": 288.0000, \"unit\": \"bytes\" }"));
+        assert!(s.contains("\"a_bytes\": { \"value\": 288.0000, \"unit\": \"bytes\" },"));
     }
 
     #[test]
-    fn guarded_metrics_are_all_measured() {
-        let fresh = collect_guarded_metrics();
-        for name in GUARDED_METRICS {
-            let m = fresh
-                .iter()
-                .find(|m| m.name == *name)
-                .unwrap_or_else(|| panic!("guarded metric {name} not measured"));
-            assert!(m.value.is_finite() && m.value > 0.0, "{name} must measure");
-        }
-        assert_eq!(fresh.len(), GUARDED_METRICS.len());
-    }
+    fn gate_reports_each_differing_line_and_nothing_else() {
+        let committed = to_json(&sample());
+        assert!(diff_snapshot(&committed, &sample()).is_empty());
 
-    #[test]
-    fn parse_roundtrips_emitted_json() {
-        let metrics = vec![
-            Metric {
-                name: "preprocess_s50_throughput",
-                unit: "MB/s",
-                value: 17.25,
-            },
-            Metric {
-                name: "tag_gen_1mib",
-                unit: "ms",
-                value: 59.125,
-            },
-        ];
-        let parsed = parse_metrics(&to_json(&metrics));
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].0, "preprocess_s50_throughput");
-        assert!((parsed[0].1 - 17.25).abs() < 1e-9);
-        assert_eq!(parsed[1].0, "tag_gen_1mib");
-        assert!((parsed[1].1 - 59.125).abs() < 1e-9);
+        // one changed value: one line, naming that metric
+        let mut changed = sample();
+        changed[1].value = 588_489.0;
+        let report = diff_snapshot(&committed, &changed);
+        assert_eq!(report.len(), 1, "{report:?}");
+        assert!(report[0].starts_with("b_gas:") && report[0].contains("588489.0000"));
+
+        // a hand edit of one committed line is that line
+        let edited = committed.replace("2127.0000", "2128.0000");
+        let report = diff_snapshot(&edited, &sample());
+        assert_eq!(report.len(), 1, "{report:?}");
+        assert!(report[0].starts_with("c_fns:"));
+
+        // a metric measured but not committed, and the other way round
+        let mut fewer = sample();
+        fewer.remove(1);
+        let report = diff_snapshot(&committed, &fewer);
+        assert_eq!(report.len(), 1, "{report:?}");
+        assert!(report[0].starts_with("b_gas: only in the committed"));
+        let report = diff_snapshot(&to_json(&fewer), &sample());
+        assert_eq!(report.len(), 1, "{report:?}");
+        assert!(report[0].starts_with("b_gas: not in the committed"));
+
+        // no metrics at all (a binary run outside the workspace has no
+        // lint counters): reported, not a panic
+        assert_eq!(diff_snapshot(&committed, &[]).len(), 3);
+        assert!(!diff_snapshot("", &sample()).is_empty());
     }
 }

@@ -1,9 +1,9 @@
 //! # dsaudit-bench
 //!
-//! The reproduction harness: one function per table/figure of the
-//! paper's evaluation (§VII), shared by the `repro` binary and the
-//! Criterion benches. Each function *measures* the relevant pipeline on
-//! this machine and prints the same rows/series the paper reports.
+//! The reproduction harness behind the `repro` binary: one function per
+//! table/figure of the paper's evaluation (§VII), each *measuring* the
+//! relevant pipeline on this machine and printing the same rows/series
+//! the paper reports, plus the exact-metric snapshot ([`json`]).
 
 #![forbid(unsafe_code)]
 
@@ -103,21 +103,6 @@ pub fn preprocess_throughput_mb_s(s: usize, file_bytes: usize) -> f64 {
     let dt = t0.elapsed();
     assert_eq!(tags.len(), file.num_chunks());
     file_bytes as f64 / 1e6 / dt.as_secs_f64()
-}
-
-/// Measures the streaming-encode throughput over `file_bytes` of
-/// synthetic data, returning the mean milliseconds per pass. Feeds the
-/// `encode_stream_1mib` guarded metric.
-pub fn measure_encode_stream_ms(file_bytes: usize, iters: u32) -> f64 {
-    let params = AuditParams::default();
-    let data: Vec<u8> = (0..file_bytes).map(|i| (i % 251) as u8).collect();
-    let name = <dsaudit_algebra::Fr as dsaudit_algebra::field::Field>::from_u64(0xbe7c);
-    let d = time_mean(iters, || {
-        let file = EncodedFile::encode_reader_with_name(name, &mut &data[..], params)
-            .expect("in-memory reader");
-        assert_eq!(file.byte_len, file_bytes);
-    });
-    d.as_secs_f64() * 1e3
 }
 
 /// Measured single verification time in milliseconds (averaged), run

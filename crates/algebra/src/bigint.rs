@@ -216,38 +216,6 @@ pub const fn mul_wide(a: &Limbs, b: &Limbs) -> [u64; 8] {
     t
 }
 
-/// Binary long division of a 512-bit value by a non-zero 256-bit divisor:
-/// returns `(quotient, remainder)` with `a = q * d + rem`, `rem < d`.
-///
-/// 512 shift-subtract steps: fine for deriving the GLV constants (the
-/// lattice basis and its reciprocals, once per process) and as the
-/// oracle the reciprocal division is tested against, too slow for
-/// anything per scalar.
-///
-/// # Panics
-/// Panics when the divisor is zero.
-pub fn div_rem_wide(a: &[u64; 8], d: &Limbs) -> ([u64; 8], Limbs) {
-    assert!(!is_zero(d), "division by zero");
-    let mut q = [0u64; 8];
-    let mut rem: Limbs = [0; 4];
-    for i in (0..512).rev() {
-        // rem = 2*rem + bit_i(a); the shift can carry past 256 bits when
-        // the divisor occupies the full width, so track the carry-out.
-        let mut carry = (a[i / 64] >> (i % 64)) & 1;
-        for limb in rem.iter_mut() {
-            let next = *limb >> 63;
-            *limb = (*limb << 1) | carry;
-            carry = next;
-        }
-        if carry == 1 || geq(&rem, d) {
-            // with carry, (2^256 + rem) - d wraps to the correct value
-            rem = sub_wide(&rem, d).0;
-            q[i / 64] |= 1 << (i % 64);
-        }
-    }
-    (q, rem)
-}
-
 /// Parses a decimal string into limbs. Returns `None` on invalid characters
 /// or overflow past 256 bits.
 pub fn from_decimal(s: &str) -> Option<Limbs> {
@@ -363,46 +331,6 @@ mod tests {
         assert_eq!(t[0], 1);
         assert_eq!(t[1], u64::MAX - 1);
         assert_eq!(&t[2..], &[0, 0, 0, 0, 0, 0]);
-    }
-
-    #[test]
-    fn div_rem_wide_roundtrip() {
-        // a = q*d + rem exactly, rem < d, for a few structured cases
-        let cases: [([u64; 8], Limbs); 4] = [
-            ([u64::MAX; 8], P),
-            ([1, 0, 0, 0, 0, 0, 0, 0], P),
-            ([0, 0, 0, 0, 1, 0, 0, 0], [3, 0, 0, 0]),
-            (
-                [0xdeadbeef, 42, 0, 7, 0, 0xabc, 0, 1 << 62],
-                [5, 0, 0, 1 << 63],
-            ),
-        ];
-        for (a, d) in cases {
-            let (q, rem) = div_rem_wide(&a, &d);
-            assert!(!geq(&rem, &d) || is_zero(&d), "rem must be < d");
-            // recompute q*d + rem over 512 bits (school-book)
-            let mut t = [0u64; 8];
-            for i in 0..8 {
-                let mut carry = 0u64;
-                for j in 0..4 {
-                    if i + j < 8 {
-                        let (lo, hi) = mac(t[i + j], q[i], d[j], carry);
-                        t[i + j] = lo;
-                        carry = hi;
-                    }
-                }
-                if i + 4 < 8 {
-                    t[i + 4] = t[i + 4].wrapping_add(carry);
-                }
-            }
-            let mut carry = 0u64;
-            for (i, limb) in t.iter_mut().enumerate() {
-                let (s, c) = adc(*limb, if i < 4 { rem[i] } else { 0 }, carry);
-                *limb = s;
-                carry = c;
-            }
-            assert_eq!(t, a);
-        }
     }
 
     #[test]

@@ -1,385 +1,258 @@
-//! GLV endomorphism acceleration for G1 scalar multiplication.
+//! Endomorphism splits of scalars, one implementation for G1 and `GT`.
 //!
-//! BN254 has `j`-invariant 0, so G1 admits the efficient endomorphism
-//! `phi(x, y) = (beta * x, y)` where `beta` is a primitive cube root of
-//! unity in `Fq`; on the prime-order subgroup `phi` acts as
-//! multiplication by `lambda`, a primitive cube root of unity mod `r`.
-//! Writing a scalar as `k = k1 + k2 * lambda` with `|k1|, |k2| ~ sqrt(r)`
-//! halves the doubling count of a double-and-add ladder:
-//! `k * P = k1 * P + k2 * phi(P)` with two ~128-bit scalars sharing one
-//! run of doublings.
+//! An endomorphism that acts on an order-`r` group as the multiple (or
+//! power) `lambda` turns one 254-bit scalar into `N` short parts,
+//! `k == k_0 + k_1 lambda + .. + k_{N-1} lambda^{N-1} (mod r)`, that
+//! share one run of doublings (or squarings). The parts come from the
+//! lattice `{v in Z^N : sum_i v_i lambda^i == 0 (mod r)}`: Babai
+//! rounding of `(k, 0, .., 0)` against a short basis leaves a
+//! remainder of length about `r^(1/N)`. `Lattice` is that basis with
+//! its rounding, for both groups:
 //!
-//! Nothing here is hand-transcribed: `beta` and `lambda` are found by
-//! exponentiation at first use, matched against each other on the
-//! generator, and the short lattice basis for the decomposition is
-//! derived with a partial extended Euclidean algorithm on `(r, lambda)`,
-//! together with the fixed-point reciprocals that turn the Babai
-//! rounding's two divisions by `r` into multiplications.
-//! Every decomposition is verified (`k1 + k2 * lambda == k` in `Fr`)
-//! before it is used; any failure falls back to the generic wNAF path,
-//! so a wrong constant can cost speed but never correctness.
+//! - G1, `N = 2` (GLV): `phi(x, y) = (beta x, y)` is the multiple
+//!   `lambda = 36x^3 + 18x^2 + 6x + 1` on G1 for
+//!   `beta = 18x^3 + 18x^2 + 9x + 1`, so `k P = k_0 P + k_1 phi(P)`
+//!   with two ~127-bit parts ([`msm_g1`], [`mul_each_g1`]);
+//! - `GT`, `N = 4` (GLS): Frobenius is the power `lambda = 6x^2 == q`,
+//!   so `g^k` is a product of four ~66-bit powers
+//!   ([`crate::pairing::Gt::multi_pow`]).
+//!
+//! Both bases are written in the BN parameter `x`, and nothing is
+//! trusted: at first use every row is checked to lie in the lattice,
+//! `|det|` to be the expected multiple of `r`, and for G1 `phi(G) ==
+//! lambda G` on the generator; every split is checked in `Fr` before it
+//! is used. A failed check falls back to the unsplit scalar, so a wrong
+//! constant can cost speed but never correctness.
 
 use std::sync::OnceLock;
 
 use crate::bigint::{self, Limbs};
+use crate::biguint::BigUint;
 use crate::curve::Affine;
 use crate::field::Field;
-use crate::fields::{Fq, Fr, FrParams};
+use crate::fields::{Fq, Fr, FrParams, BN_X};
 use crate::fp::{FieldParams, Fp};
 use crate::g1::{G1Affine, G1Projective};
 use crate::msm::{mul_each_batched, u128_limbs, wnaf_digits};
 use crate::par::par_map_chunks;
 
-/// A sign-magnitude integer with magnitude below `2^128` (the size class
-/// of GLV half-scalars and lattice basis entries).
-#[derive(Clone, Copy, Debug)]
-struct Signed128 {
+/// A sign-magnitude integer of any width, for the once-per-process
+/// checks of [`Lattice::derive`] only.
+#[derive(Clone, Debug)]
+pub(crate) struct BigInt {
     neg: bool,
-    mag: u128,
+    pub(crate) mag: BigUint,
 }
 
-/// A sign-magnitude integer on 256-bit limbs, used only inside the
-/// decomposition arithmetic.
-#[derive(Clone, Copy, Debug)]
-struct Signed256 {
-    neg: bool,
-    mag: Limbs,
-}
+impl BigInt {
+    fn from_i128(v: i128) -> Self {
+        Self {
+            neg: v < 0,
+            mag: BigUint::from_limbs(&u128_limbs(v.unsigned_abs())),
+        }
+    }
 
-impl Signed256 {
     fn add(&self, other: &Self) -> Self {
         if self.neg == other.neg {
-            let (mag, carry) = bigint::add_wide(&self.mag, &other.mag);
-            debug_assert_eq!(carry, 0, "decomposition magnitudes stay below 2^256");
-            Self { neg: self.neg, mag }
+            return Self {
+                neg: self.neg,
+                mag: self.mag.add(&other.mag),
+            };
+        }
+        let (big, small) = if self.mag.cmp_ge(&other.mag) {
+            (self, other)
         } else {
-            let (mag, borrow) = bigint::sub_wide(&self.mag, &other.mag);
-            if borrow == 0 {
-                Self { neg: self.neg, mag }
-            } else {
-                Self {
-                    neg: other.neg,
-                    mag: bigint::sub(&other.mag, &self.mag),
-                }
-            }
-        }
-    }
-
-    fn negate(&self) -> Self {
+            (other, self)
+        };
+        let mag = big.mag.sub(&small.mag);
         Self {
-            neg: !self.neg && !bigint::is_zero(&self.mag),
-            mag: self.mag,
+            neg: big.neg && !mag.is_zero(),
+            mag,
         }
     }
 
-    fn to_signed128(self) -> Option<Signed128> {
-        if self.mag[2] != 0 || self.mag[3] != 0 {
-            return None;
+    fn mul(&self, other: &Self) -> Self {
+        let mag = self.mag.mul(&other.mag);
+        Self {
+            neg: self.neg != other.neg && !mag.is_zero(),
+            mag,
         }
-        Some(Signed128 {
-            neg: self.neg && !bigint::is_zero(&self.mag),
-            mag: (self.mag[0] as u128) | ((self.mag[1] as u128) << 64),
-        })
     }
 }
 
-/// Embeds a sign-magnitude 128-bit integer into `Fr`.
-fn fr_from_signed128(v: &Signed128) -> Fr {
-    let two64 = Fr::from_u64(1 << 32).square();
-    let f = Fr::from_u64((v.mag >> 64) as u64) * two64 + Fr::from_u64(v.mag as u64);
-    if v.neg {
+/// `det(m)` by Laplace expansion along the first column (1 for the
+/// empty matrix).
+pub(crate) fn det(m: &[Vec<i128>]) -> BigInt {
+    if m.is_empty() {
+        return BigInt::from_i128(1);
+    }
+    let mut acc = BigInt::from_i128(0);
+    for (j, row) in m.iter().enumerate() {
+        let head = BigInt::from_i128(row.first().copied().unwrap_or(0));
+        acc = acc.add(&head.mul(&cofactor(m, j)));
+    }
+    acc
+}
+
+/// The cofactor of entry `(j, 0)`: `(-1)^j` times the determinant of
+/// `m` without row `j` and column 0.
+fn cofactor(m: &[Vec<i128>], j: usize) -> BigInt {
+    let minor: Vec<Vec<i128>> = m
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| i != j)
+        .map(|(_, row)| row.iter().skip(1).copied().collect())
+        .collect();
+    let mut c = det(&minor);
+    if j % 2 == 1 {
+        c.neg = !c.neg && !c.mag.is_zero();
+    }
+    c
+}
+
+/// Embeds a signed 128-bit integer into `Fr`.
+pub(crate) fn fr_from_i128(v: i128) -> Fr {
+    let f = Fr::from_limbs(u128_limbs(v.unsigned_abs()));
+    if v < 0 {
         -f
     } else {
         f
     }
 }
 
-/// `mag_a * mag_b` as full 256-bit limbs; `None` if the product overflows
-/// (cannot happen for in-range basis entries, checked defensively).
-fn mul_mags(a: u128, b: u128) -> Option<Limbs> {
-    let wide = bigint::mul_wide(&u128_limbs(a), &u128_limbs(b));
-    if wide[4..].iter().any(|&l| l != 0) {
-        return None;
-    }
-    Some([wide[0], wide[1], wide[2], wide[3]])
+/// A basis `B` of the lattice `{v in Z^N : sum_i v_i lambda^i == 0
+/// (mod r)}`, or of a sublattice of small index, together with the
+/// first row of `B^{-1}` in fixed point, which Babai rounding
+/// multiplies by.
+pub(crate) struct Lattice<const N: usize> {
+    pub(crate) lambda: Fr,
+    pub(crate) rows: [[i128; N]; N],
+    /// Per row `j`: the sign of `B^{-1}[0][j]` and
+    /// `floor(|B^{-1}[0][j]| * 2^256)`.
+    recips: [(bool, Limbs); N],
 }
 
-/// `floor(b * 2^256 / r)` for the group order `r`: the fixed-point
-/// reciprocal [`round_div`] multiplies by, derived once per basis entry
-/// with the long division it stands in for. `None` if it overflows 256
-/// bits (cannot happen for `b < 2^128`, checked defensively).
-fn reciprocal(b: u128) -> Option<Limbs> {
-    let mut shifted = [0u64; 8];
-    shifted[4] = b as u64;
-    shifted[5] = (b >> 64) as u64;
-    let (q, _) = bigint::div_rem_wide(&shifted, &FrParams::MODULUS);
-    if q[4..].iter().any(|&l| l != 0) {
-        return None;
-    }
-    Some([q[0], q[1], q[2], q[3]])
-}
-
-/// `round(k * b / r)`, half up, for a canonical scalar `k < r` and a
-/// basis magnitude `b` with `recip = floor(b * 2^256 / r)`; returns the
-/// quotient magnitude if it fits `u128`.
-///
-/// Division-free: `floor(k * recip / 2^256)` undershoots
-/// `floor(k * b / r)` by at most one, because the two quotients differ
-/// by `k * frac(b * 2^256 / r) / 2^256 < 1`. The exact remainder
-/// `k * b - q * r` then says which — it is below `2r < 2^255`, so
-/// wrapping 256-bit arithmetic computes it exactly — and drives the
-/// rounding, so quotient and rounding equal the long division's.
-fn round_div(k: &Limbs, b: u128, recip: &Limbs) -> Option<u128> {
-    let r = FrParams::MODULUS;
-    let estimate = bigint::mul_wide(k, recip);
-    if estimate[6] != 0 || estimate[7] != 0 {
-        return None;
-    }
-    let mut q = (estimate[4] as u128) | ((estimate[5] as u128) << 64);
-    let kb = bigint::mul_wide(k, &u128_limbs(b));
-    let qr = bigint::mul_wide(&u128_limbs(q), &r);
-    let (mut rem, _) =
-        bigint::sub_wide(&[kb[0], kb[1], kb[2], kb[3]], &[qr[0], qr[1], qr[2], qr[3]]);
-    if bigint::geq(&rem, &r) {
-        rem = bigint::sub(&rem, &r);
-        q = q.checked_add(1)?;
-    }
-    // round half up: q += (2*rem >= r); rem < r < 2^254, so no carry
-    let (twice, _) = bigint::add_wide(&rem, &rem);
-    if bigint::geq(&twice, &r) {
-        q = q.checked_add(1)?;
-    }
-    Some(q)
-}
-
-/// The derived endomorphism data: `beta`, `lambda`, a short lattice
-/// basis `v1 = (a1, b1)`, `v2 = (a2, b2)` with `a_i + b_i * lambda == 0
-/// (mod r)`, and the [`reciprocal`] of each `|b_i|` the decomposition
-/// divides by.
-struct G1Endo {
-    beta: Fq,
-    lambda: Fr,
-    a1: Signed128,
-    b1: Signed128,
-    a2: Signed128,
-    b2: Signed128,
-    b1_recip: Limbs,
-    b2_recip: Limbs,
-}
-
-/// Finds a primitive cube root of unity in `Fp<P>` (requires
-/// `p == 1 mod 3`), by raising small bases to `(p - 1) / 3`.
-fn primitive_cube_root<P: FieldParams>() -> Option<Fp<P>> {
-    let m1 = bigint::sub_small(&P::MODULUS, 1);
-    let third = bigint::div_small(&m1, 3);
-    let three_thirds = bigint::add_wide(&bigint::add_wide(&third, &third).0, &third).0;
-    if three_thirds != m1 {
-        return None; // p - 1 not divisible by 3
-    }
-    for g in 2u64..50 {
-        let c = Fp::<P>::from_u64(g).pow(&third);
-        if c != Fp::<P>::one() {
-            return Some(c); // a cube root != 1 is primitive (order exactly 3)
-        }
-    }
-    None
-}
-
-/// Partial extended Euclidean algorithm on `(r, lambda)` producing the
-/// two shortest `(a, b)` lattice vectors with `a + b * lambda == 0 mod r`
-/// (the GLV construction): remainders `r_i` pair with cofactors `t_i`
-/// such that `r_i == t_i * lambda (mod r)`, i.e. `(r_i, -t_i)` is in the
-/// lattice; stopping at the first remainder below `sqrt(r)` yields
-/// vectors of norm `O(sqrt(r))`.
-fn short_basis(lambda: &Limbs) -> Option<[(Signed128, Signed128); 2]> {
-    let n = FrParams::MODULUS;
-    let below_sqrt_n = |v: &Limbs| {
-        let sq = bigint::mul_wide(v, v);
-        sq[4..].iter().all(|&l| l == 0)
-            && !bigint::geq(&[sq[0], sq[1], sq[2], sq[3]], &n)
-    };
-    // rows (r_i, |t_i|, sign(t_i)); t signs alternate, magnitudes add
-    let mut r_prev = n;
-    let mut r_cur = *lambda;
-    let mut t_prev = ([0u64; 4], true); // t0 = 0 (sign chosen so alternation works)
-    let mut t_cur = ([1u64, 0, 0, 0], false); // t1 = 1
-    let mut steps = 0;
-    while !below_sqrt_n(&r_cur) {
-        steps += 1;
-        if steps > 600 || bigint::is_zero(&r_cur) {
+impl<const N: usize> Lattice<N> {
+    /// Checks the basis and derives its reciprocals: every row in the
+    /// lattice, and `|det| = index * r`, so the rows span a sublattice
+    /// of that index. `None` (never expected) leaves every scalar
+    /// unsplit.
+    pub(crate) fn derive(lambda: Fr, rows: [[i128; N]; N], index: u64) -> Option<Self> {
+        let mut lattice = Self {
+            lambda,
+            rows,
+            recips: [(false, [0; 4]); N],
+        };
+        if rows.iter().any(|row| lattice.at_lambda(row) != Fr::zero()) {
             return None;
         }
-        let mut wide = [0u64; 8];
-        wide[..4].copy_from_slice(&r_prev);
-        let (q, rem) = bigint::div_rem_wide(&wide, &r_cur);
-        if q[4..].iter().any(|&l| l != 0) {
+        let m: Vec<Vec<i128>> = rows.iter().map(|row| row.to_vec()).collect();
+        let d = det(&m);
+        let r = BigUint::from_limbs(&FrParams::MODULUS);
+        if d.mag != r.mul(&BigUint::from_limbs(&[index])) {
             return None;
         }
-        // |t_next| = |t_prev| + q * |t_cur| (signs alternate)
-        let prod = bigint::mul_wide(&[q[0], q[1], q[2], q[3]], &t_cur.0);
-        if prod[4..].iter().any(|&l| l != 0) {
-            return None;
+        // B^{-1}[0][j] = cofactor(j, 0) / det
+        for (j, recip) in lattice.recips.iter_mut().enumerate() {
+            let c = cofactor(&m, j);
+            let (quot, _) = c.mag.shl(256).div_rem(&d.mag);
+            if quot.limbs().len() > 4 {
+                return None;
+            }
+            let mut fixed = [0u64; 4];
+            for (f, &l) in fixed.iter_mut().zip(quot.limbs()) {
+                *f = l;
+            }
+            *recip = (c.neg != d.neg, fixed);
         }
-        let (t_next_mag, carry) =
-            bigint::add_wide(&t_prev.0, &[prod[0], prod[1], prod[2], prod[3]]);
-        if carry != 0 {
-            return None;
-        }
-        let t_next = (t_next_mag, !t_cur.1);
-        r_prev = r_cur;
-        r_cur = rem;
-        t_prev = t_cur;
-        t_cur = t_next;
+        Some(lattice)
     }
-    // one more division for the row after the stopping point
-    let mut wide = [0u64; 8];
-    wide[..4].copy_from_slice(&r_prev);
-    let (q, r_next) = bigint::div_rem_wide(&wide, &r_cur);
-    let prod = bigint::mul_wide(&[q[0], q[1], q[2], q[3]], &t_cur.0);
-    if prod[4..].iter().any(|&l| l != 0) {
-        return None;
-    }
-    let (t_next_mag, carry) = bigint::add_wide(&t_prev.0, &[prod[0], prod[1], prod[2], prod[3]]);
-    if carry != 0 {
-        return None;
-    }
-    let t_next = (t_next_mag, !t_cur.1);
 
-    // candidate vectors (a, b) = (r_i, -t_i): v1 from the stopping row,
-    // v2 the shorter of its neighbours
-    let to_vec = |r: &Limbs, t: &([u64; 4], bool)| -> Option<(Signed128, Signed128)> {
-        let a = Signed256 { neg: false, mag: *r }.to_signed128()?;
-        let b = Signed256 {
-            neg: !t.1, // -t_i
-            mag: t.0,
-        }
-        .to_signed128()?;
-        Some((a, b))
-    };
-    let v1 = to_vec(&r_cur, &t_cur)?;
-    let norm = |v: &(Signed128, Signed128)| -> (u64, [u64; 8]) {
-        let aa = bigint::mul_wide(&u128_limbs(v.0.mag), &u128_limbs(v.0.mag));
-        let bb = bigint::mul_wide(&u128_limbs(v.1.mag), &u128_limbs(v.1.mag));
-        let mut sum = [0u64; 8];
-        let mut carry = 0u64;
-        for i in 0..8 {
-            let (s, c) = bigint::adc(aa[i], bb[i], carry);
-            sum[i] = s;
-            carry = c;
-        }
-        (carry, sum)
-    };
-    // norms compare as (carry, top limb, ..., bottom limb)
-    let norm_key = |v: &(Signed128, Signed128)| {
-        let (carry, sum) = norm(v);
-        let mut key = [carry; 9];
-        for i in 0..8 {
-            key[1 + i] = sum[7 - i];
-        }
-        key
-    };
-    let v2 = match (to_vec(&r_prev, &t_prev), to_vec(&r_next, &t_next)) {
-        (Some(p), Some(nx)) => {
-            if norm_key(&p) <= norm_key(&nx) {
-                p
-            } else {
-                nx
+    /// `sum_i v_i lambda^i` in `Fr`.
+    pub(crate) fn at_lambda(&self, v: &[i128; N]) -> Fr {
+        v.iter()
+            .rev()
+            .fold(Fr::zero(), |acc, &vi| acc * self.lambda + fr_from_i128(vi))
+    }
+
+    /// Splits `k` as `sum_i k_i lambda^i (mod r)` by Babai rounding:
+    /// `c_j = round(k B^{-1}[0][j])`, then `(k_0, .., k_{N-1}) = (k, 0,
+    /// .., 0) - sum_j c_j row_j`. Each `c_j` is within 3/4 of the exact
+    /// quotient (1/2 from rounding, under 1/4 from the truncated
+    /// reciprocal since `k < 2^254`), so part `i` is at most 3/4 of the
+    /// rows' column sum `sum_j |row_j[i]|`: below `2^65` for `GT`
+    /// (column sums at most `8x + 3`) and below `2^126.4` for G1 (at
+    /// most `6x^2 + 6x + 2`). The `c_j` run to ~192 bits for `GT`, but
+    /// every part is below `2^127`, so the recombination runs modulo `2^128`
+    /// in wrapping `i128` arithmetic and is exact. Checked in `Fr`
+    /// before use; `None` is never expected.
+    pub(crate) fn split(&self, k: Fr) -> Option<[i128; N]> {
+        let limbs = k.to_canonical();
+        let [k0, k1, _, _] = limbs;
+        let low = (u128::from(k0) | u128::from(k1) << 64) as i128;
+        let mut parts: [i128; N] = std::array::from_fn(|i| if i == 0 { low } else { 0 });
+        for (row, (neg, recip)) in self.rows.iter().zip(&self.recips) {
+            // c = floor((k * recip + 2^255) / 2^256), kept modulo 2^128
+            let [_, _, _, w3, w4, w5, _, _] = bigint::mul_wide(&limbs, recip);
+            let (_, carry) = bigint::adc(w3, 1 << 63, 0);
+            let (lo, carry) = bigint::adc(w4, 0, carry);
+            let (hi, _) = bigint::adc(w5, 0, carry);
+            let c = (u128::from(lo) | u128::from(hi) << 64) as i128;
+            let c = if *neg { c.wrapping_neg() } else { c };
+            for (part, &b) in parts.iter_mut().zip(row) {
+                *part = part.wrapping_sub(c.wrapping_mul(b));
             }
         }
-        (Some(p), None) => p,
-        (None, Some(nx)) => nx,
-        (None, None) => return None,
-    };
-    Some([v1, v2])
+        (self.at_lambda(&parts) == k).then_some(parts)
+    }
+}
+
+/// `c_3 x^3 + c_2 x^2 + c_1 x + c_0` at the BN parameter, in `Fp<P>`.
+fn cubic_in_x<P: FieldParams>([c3, c2, c1, c0]: [u64; 4]) -> Fp<P> {
+    let x = Fp::<P>::from_u64(BN_X);
+    [c2, c1, c0]
+        .into_iter()
+        .fold(Fp::from_u64(c3), |acc, c| acc * x + Fp::from_u64(c))
+}
+
+/// The GLV data of G1: `beta` and the lattice of `lambda`.
+pub(crate) struct G1Endo {
+    beta: Fq,
+    pub(crate) lattice: Lattice<2>,
 }
 
 impl G1Endo {
-    /// Derives and verifies the endomorphism data; `None` disables GLV.
+    /// `beta`, `lambda` and the basis, written in `x` and checked:
+    /// `phi(G) == lambda G` on the generator, and the rows
+    /// `(2x + 1, -(6x^2 + 2x))`, `(6x^2 + 4x + 1, 2x + 1)` span the
+    /// lattice (`det = r`). `None` (never expected) disables GLV.
     fn derive() -> Option<Self> {
-        let beta0: Fq = primitive_cube_root()?;
-        let lambda0: Fr = primitive_cube_root()?;
+        let beta: Fq = cubic_in_x([18, 18, 9, 1]);
+        let lambda: Fr = cubic_in_x([36, 18, 6, 1]);
         let g = G1Affine::generator();
-        // match (beta, lambda) so that phi(G) == lambda * G
-        let mut found = None;
-        'outer: for beta in [beta0, beta0.square()] {
-            let phi = Affine {
-                x: g.x * beta,
-                y: g.y,
-                infinity: false,
-            };
-            for lambda in [lambda0, lambda0.square()] {
-                if g.mul(lambda).to_affine() == phi {
-                    found = Some((beta, lambda));
-                    break 'outer;
-                }
-            }
-        }
-        let (beta, lambda) = found?;
-        let [(a1, b1), (a2, b2)] = short_basis(&lambda.to_canonical())?;
-        let endo = Self {
-            beta,
-            lambda,
-            a1,
-            b1,
-            a2,
-            b2,
-            b1_recip: reciprocal(b1.mag)?,
-            b2_recip: reciprocal(b2.mag)?,
+        let phi = Affine {
+            x: g.x * beta,
+            y: g.y,
+            infinity: false,
         };
-        // verify both basis vectors: a + b * lambda == 0 (mod r)
-        for (a, b) in [(&endo.a1, &endo.b1), (&endo.a2, &endo.b2)] {
-            if fr_from_signed128(a) + fr_from_signed128(b) * lambda != Fr::zero() {
-                return None;
-            }
+        if g.mul(lambda).to_affine() != phi {
+            return None;
         }
-        Some(endo)
+        let x = i128::from(BN_X);
+        let rows = [
+            [2 * x + 1, -(6 * x * x + 2 * x)],
+            [6 * x * x + 4 * x + 1, 2 * x + 1],
+        ];
+        Some(Self {
+            beta,
+            lattice: Lattice::derive(lambda, rows, 1)?,
+        })
     }
 
     /// The process-wide endomorphism data (derived once).
-    fn get() -> Option<&'static G1Endo> {
+    pub(crate) fn get() -> Option<&'static G1Endo> {
         static ENDO: OnceLock<Option<G1Endo>> = OnceLock::new();
         ENDO.get_or_init(G1Endo::derive).as_ref()
-    }
-
-    /// Splits `k` as `k1 + k2 * lambda (mod r)` with half-width parts via
-    /// Babai rounding against the short basis. Verified exactly in `Fr`
-    /// before use; `None` (never expected) falls back to the slow path.
-    fn decompose(&self, k: Fr) -> Option<(Signed128, Signed128)> {
-        let klimbs = k.to_canonical();
-        // (c1, c2) = round( (k, 0) * B^{-1} ): c1 = round(k*b2/r) with
-        // sign(b2), c2 = round(-k*b1/r) = round(k*b1/r) with sign flipped
-        let c1 = Signed128 {
-            neg: self.b2.neg,
-            mag: round_div(&klimbs, self.b2.mag, &self.b2_recip)?,
-        };
-        let c2 = Signed128 {
-            neg: !self.b1.neg,
-            mag: round_div(&klimbs, self.b1.mag, &self.b1_recip)?,
-        };
-        let term = |c: &Signed128, v: &Signed128| -> Option<Signed256> {
-            Some(Signed256 {
-                neg: c.neg ^ v.neg,
-                mag: mul_mags(c.mag, v.mag)?,
-            })
-        };
-        // k1 = k - c1*a1 - c2*a2 ; k2 = -c1*b1 - c2*b2
-        let k_pos = Signed256 {
-            neg: false,
-            mag: klimbs,
-        };
-        let k1 = k_pos
-            .add(&term(&c1, &self.a1)?.negate())
-            .add(&term(&c2, &self.a2)?.negate())
-            .to_signed128()?;
-        let k2 = term(&c1, &self.b1)?
-            .negate()
-            .add(&term(&c2, &self.b2)?.negate())
-            .to_signed128()?;
-        // exact check: any derivation bug shows up here, not in results
-        if fr_from_signed128(&k1) + fr_from_signed128(&k2) * self.lambda != k {
-            return None;
-        }
-        Some((k1, k2))
     }
 
     /// `phi(p) = (beta * x, y)`, which is `lambda * p` on the subgroup.
@@ -399,7 +272,7 @@ impl G1Endo {
     /// all tables made affine by one shared inversion; `phi` of a table
     /// entry is one multiplication. Variable-time in the scalars, like
     /// the Pippenger path it stands in for.
-    fn straus(&self, bases: &[G1Affine], halves: &[(Signed128, Signed128)]) -> G1Projective {
+    fn straus(&self, bases: &[G1Affine], halves: &[[i128; 2]]) -> G1Projective {
         let mut multiples: Vec<G1Projective> = Vec::with_capacity(bases.len() * STRAUS_TABLE);
         for p in bases {
             let mut m = p.to_projective();
@@ -416,7 +289,7 @@ impl G1Endo {
             .iter()
             .zip(tables.chunks_exact(STRAUS_TABLE))
             .zip(phi_tables.chunks_exact(STRAUS_TABLE))
-            .flat_map(|(((k1, k2), table), phi_table)| {
+            .flat_map(|((&[k1, k2], table), phi_table)| {
                 [
                     (signed_wnaf(k1, STRAUS_WIDTH), table),
                     (signed_wnaf(k2, STRAUS_WIDTH), phi_table),
@@ -464,10 +337,10 @@ const STRAUS_WIDTH: usize = 4;
 /// Odd multiples per base in a Straus table, `2^(w-1)`.
 const STRAUS_TABLE: usize = 1 << (STRAUS_WIDTH - 1);
 
-/// Signed wNAF digits of a sign-magnitude 128-bit scalar.
-fn signed_wnaf(v: &Signed128, w: usize) -> Vec<i8> {
-    let mut digits = wnaf_digits(&u128_limbs(v.mag), w);
-    if v.neg {
+/// Signed wNAF digits of a split part.
+fn signed_wnaf(v: i128, w: usize) -> Vec<i8> {
+    let mut digits = wnaf_digits(&u128_limbs(v.unsigned_abs()), w);
+    if v < 0 {
         for d in &mut digits {
             *d = -*d;
         }
@@ -483,9 +356,9 @@ fn signed_wnaf(v: &Signed128, w: usize) -> Vec<i8> {
 /// same secret `x`).
 pub fn mul_each_g1(points: &[G1Affine], k: Fr) -> Vec<G1Affine> {
     if let Some(endo) = G1Endo::get() {
-        if let Some((k1, k2)) = endo.decompose(k) {
-            let d1 = signed_wnaf(&k1, 4);
-            let d2 = signed_wnaf(&k2, 4);
+        if let Some([k1, k2]) = endo.lattice.split(k) {
+            let d1 = signed_wnaf(k1, 4);
+            let d2 = signed_wnaf(k2, 4);
             let beta = endo.beta;
             return par_map_chunks(points.len(), 64, |r| {
                 mul_each_batched(&points[r], &d1, &d2, 4, Some(beta))
@@ -506,8 +379,8 @@ pub fn mul_each_g1(points: &[G1Affine], k: Fr) -> Vec<G1Affine> {
 /// ten they go through an interleaved (Straus) ladder over width-4
 /// signed-digit tables, which records the same `algebra.msm` span,
 /// `algebra.msm_calls` counter and `algebra.msm_points` histogram (`2n`
-/// on both paths) but no window count. Every decomposition is
-/// exact-checked; any failure (never expected) falls back to the generic
+/// on both paths) but no window count. Every split is exact-checked;
+/// any failure (never expected) falls back to the generic
 /// [`crate::msm::msm`].
 pub fn msm_g1(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     assert_eq!(bases.len(), scalars.len(), "msm requires equal-length inputs");
@@ -519,7 +392,7 @@ pub fn msm_g1(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     };
     let Some(halves) = scalars
         .iter()
-        .map(|k| endo.decompose(*k))
+        .map(|k| endo.lattice.split(*k))
         .collect::<Option<Vec<_>>>()
     else {
         return crate::msm::msm(bases, scalars);
@@ -532,12 +405,11 @@ pub fn msm_g1(bases: &[G1Affine], scalars: &[Fr]) -> G1Projective {
     }
     let mut split_bases: Vec<G1Affine> = Vec::with_capacity(2 * bases.len());
     let mut split_scalars: Vec<Limbs> = Vec::with_capacity(2 * bases.len());
-    for (p, (k1, k2)) in bases.iter().zip(&halves) {
-        let phi = endo.phi(p);
-        split_bases.push(if k1.neg { p.neg() } else { *p });
-        split_scalars.push(u128_limbs(k1.mag));
-        split_bases.push(if k2.neg { phi.neg() } else { phi });
-        split_scalars.push(u128_limbs(k2.mag));
+    for (p, &[k1, k2]) in bases.iter().zip(&halves) {
+        for (q, k) in [(*p, k1), (endo.phi(p), k2)] {
+            split_bases.push(if k < 0 { q.neg() } else { q });
+            split_scalars.push(u128_limbs(k.unsigned_abs()));
+        }
     }
     crate::msm::msm_limbs(&split_bases, &split_scalars, 128)
 }
@@ -554,18 +426,13 @@ mod tests {
     #[test]
     fn endo_derivation_succeeds_for_bn254() {
         let endo = G1Endo::get().expect("BN254 admits the GLV endomorphism");
+        let lambda = endo.lattice.lambda;
         // lambda^2 + lambda + 1 == 0 (primitive cube root of unity)
-        assert_eq!(
-            endo.lambda.square() + endo.lambda + Fr::one(),
-            Fr::zero()
-        );
-        assert_eq!(
-            endo.beta.square() * endo.beta,
-            crate::fields::Fq::one()
-        );
-        // basis magnitudes are genuinely short (~sqrt(r) ~ 2^127)
-        for v in [&endo.a1, &endo.b1, &endo.a2, &endo.b2] {
-            assert!(v.mag < 1u128 << 127, "basis entry too long: {v:?}");
+        assert_eq!(lambda.square() + lambda + Fr::one(), Fr::zero());
+        assert_eq!(endo.beta.square() * endo.beta, Fq::one());
+        // basis entries are genuinely short (~sqrt(r) ~ 2^127)
+        for v in endo.lattice.rows.iter().flatten() {
+            assert!(v.unsigned_abs() < 1u128 << 127, "basis entry too long: {v}");
         }
     }
 
@@ -577,27 +444,25 @@ mod tests {
             let p = G1Projective::random(&mut rng).to_affine();
             let phi = endo.phi(&p);
             assert!(phi.is_on_curve());
-            assert_eq!(p.mul(endo.lambda).to_affine(), phi);
+            assert_eq!(p.mul(endo.lattice.lambda).to_affine(), phi);
         }
     }
 
     #[test]
     fn decompose_verified_and_short() {
-        let endo = G1Endo::get().unwrap();
+        let lattice = &G1Endo::get().unwrap().lattice;
         let mut rng = rng();
         let mut scalars: Vec<Fr> = (0..20).map(|_| Fr::random(&mut rng)).collect();
         scalars.push(Fr::zero());
         scalars.push(Fr::one());
         scalars.push(Fr::zero() - Fr::one());
-        scalars.push(endo.lambda);
+        scalars.push(lattice.lambda);
         for k in scalars {
-            let (k1, k2) = endo.decompose(k).expect("decomposition never fails");
-            assert_eq!(
-                fr_from_signed128(&k1) + fr_from_signed128(&k2) * endo.lambda,
-                k
-            );
-            assert!(k1.mag < 1u128 << 127, "k1 too long for {k:?}");
-            assert!(k2.mag < 1u128 << 127, "k2 too long for {k:?}");
+            let parts = lattice.split(k).expect("decomposition never fails");
+            assert_eq!(lattice.at_lambda(&parts), k);
+            for part in parts {
+                assert!(part.unsigned_abs() < 1u128 << 127, "part {part} of {k:?}");
+            }
         }
     }
 
@@ -621,11 +486,13 @@ mod tests {
         }
     }
 
-    /// The scalars every division test runs over: 10^4 seeded random
-    /// ones, the MSM suite's adversarial list, and the values around
-    /// which a quotient or its rounding could be off by one.
-    fn division_test_scalars() -> Vec<Fr> {
-        let endo = G1Endo::get().unwrap();
+    /// Folds every `(k1, k2)` of 10^4 seeded random scalars, the MSM
+    /// suite's adversarial list and the values around which a rounding
+    /// could be off by one into one word: a split that differs for any
+    /// scalar, even to another *valid* split, moves it.
+    #[test]
+    fn decompose_known_answer() {
+        let lattice = &G1Endo::get().unwrap().lattice;
         let mut rng = rng();
         let mut scalars: Vec<Fr> = (0..10_000).map(|_| Fr::random(&mut rng)).collect();
         scalars.extend(crate::msm::adversarial_scalars());
@@ -634,60 +501,20 @@ mod tests {
             Fr::zero(),
             Fr::one(),
             -Fr::one(),
-            endo.lambda,
-            endo.lambda.square(),
+            lattice.lambda,
+            lattice.lambda.square(),
             half - Fr::one(),
             half,
             half + Fr::one(),
         ]);
-        scalars
-    }
-
-    /// The bit-serial long division [`round_div`] replaced, kept as its
-    /// oracle: `round(num / d)`, half up.
-    fn round_div_long(num: [u64; 8], d: &Limbs) -> Option<u128> {
-        let (mut q, rem) = bigint::div_rem_wide(&num, d);
-        let (twice, carry) = bigint::add_wide(&rem, &rem);
-        if carry == 1 || bigint::geq(&twice, d) {
-            let mut carry = 1u64;
-            for limb in q.iter_mut() {
-                (*limb, carry) = bigint::adc(*limb, 0, carry);
-            }
-        }
-        if q[2..].iter().any(|&l| l != 0) {
-            return None;
-        }
-        Some((q[0] as u128) | ((q[1] as u128) << 64))
-    }
-
-    #[test]
-    fn reciprocal_division_equals_long_division() {
-        let endo = G1Endo::get().unwrap();
-        let r = FrParams::MODULUS;
-        for k in division_test_scalars() {
-            let klimbs = k.to_canonical();
-            for (b, recip) in [(endo.b1.mag, &endo.b1_recip), (endo.b2.mag, &endo.b2_recip)] {
-                let long = round_div_long(bigint::mul_wide(&klimbs, &u128_limbs(b)), &r);
-                assert!(long.is_some());
-                assert_eq!(round_div(&klimbs, b, recip), long, "k={k:?} b={b}");
-            }
-        }
-    }
-
-    /// Folds every `(k1, k2)` of the list above into one word, pinned at
-    /// the bit-serial long-division implementation: a quotient that
-    /// differs for any scalar, even to another *valid* split, moves it.
-    #[test]
-    fn decompose_known_answer() {
-        let endo = G1Endo::get().unwrap();
         let mut acc = 0xcbf2_9ce4_8422_2325_u128;
-        for k in division_test_scalars() {
-            let (k1, k2) = endo.decompose(k).expect("decomposition never fails");
-            for v in [k1, k2] {
-                acc = (acc ^ v.mag ^ u128::from(v.neg)).wrapping_mul(0x0100_0000_01b3);
+        for k in scalars {
+            let parts = lattice.split(k).expect("decomposition never fails");
+            for v in parts {
+                acc = (acc ^ v.unsigned_abs() ^ u128::from(v < 0)).wrapping_mul(0x0100_0000_01b3);
                 acc = acc.rotate_left(29);
             }
         }
-        assert_eq!(acc, 29_257_925_947_224_616_285_889_632_389_727_538_244);
+        assert_eq!(acc, 219_261_822_974_519_048_021_654_786_222_554_289_098);
     }
 }

@@ -28,7 +28,6 @@
 //!   variable-time in `x` and which runs only on the owner's machine;
 //!   no `lint:ct` kernel reaches any of the three (`ct-closure`).
 
-use core::cmp::Ordering;
 use core::fmt;
 use core::hash::{Hash, Hasher};
 use core::marker::PhantomData;
@@ -225,11 +224,6 @@ impl<P: FieldParams> Fp<P> {
         x
     }
 
-    /// Converts a canonical (non-Montgomery) integer `< p` into the field.
-    pub const fn from_raw_limbs_unreduced(v: Limbs) -> RawFp<P> {
-        RawFp(v, PhantomData)
-    }
-
     /// Canonical little-endian limbs of the represented integer.
     pub fn to_canonical(&self) -> Limbs {
         Self::mont_mul(&self.0, &[1, 0, 0, 0])
@@ -347,19 +341,6 @@ impl<P: FieldParams> Fp<P> {
             1
         }
     }
-
-    /// Lexicographic comparison of canonical representatives.
-    pub fn cmp_canonical(&self, other: &Self) -> Ordering {
-        let a = self.to_canonical();
-        let b = other.to_canonical();
-        for i in (0..4).rev() {
-            match a[i].cmp(&b[i]) {
-                Ordering::Equal => continue,
-                o => return o,
-            }
-        }
-        Ordering::Equal
-    }
 }
 
 /// `a` where `mask` is all ones, `b` where it is zero.
@@ -411,18 +392,6 @@ fn shr_var(a: &Limbs, k: u32) -> Limbs {
         k -= 64;
     }
     shr(&r, k)
-}
-
-/// A thin wrapper marking limbs as a *raw* (non-Montgomery) integer.
-/// Exists only so `const` contexts can carry raw constants around.
-#[derive(Clone, Copy)]
-pub struct RawFp<P: FieldParams>(pub Limbs, PhantomData<P>);
-
-impl<P: FieldParams> RawFp<P> {
-    /// Converts into Montgomery form at runtime.
-    pub fn into_fp(self) -> Fp<P> {
-        Fp::from_limbs(self.0)
-    }
 }
 
 // --- trait plumbing (manual impls to avoid `P: Trait` bounds) ---

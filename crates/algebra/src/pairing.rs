@@ -18,20 +18,19 @@
 //! tests; the hard part is likewise cross-checked against a generic
 //! big-integer exponentiation in [`final_exp_hard_generic`].
 //!
-//! Exponentiation in `GT` splits the exponent along the Frobenius map
-//! (the GLS analogue of the G1 GLV split in [`crate::endo`]): on the
-//! order-`r` subgroup Frobenius is the power `lambda = q mod r = 6x^2`,
-//! so `g^k = prod_i frobenius_i(g)^{k_i}` with four ~66-bit `k_i` that
-//! share one run of cyclotomic squarings. The lattice basis and its
-//! rounding reciprocals are derived from the BN parameter `x` at first
-//! use and checked there; every split is checked before it is used.
+//! Exponentiation in `GT` splits the exponent along the Frobenius map:
+//! on the order-`r` subgroup Frobenius is the power `lambda = q mod r =
+//! 6x^2`, so `g^k = prod_i frobenius_i(g)^{k_i}` with four ~66-bit `k_i`
+//! that share one run of cyclotomic squarings. The split is the one
+//! [`crate::endo`] runs for G1, on a four-dimensional basis written in
+//! the BN parameter `x`.
 
 use std::sync::OnceLock;
 
-use crate::bigint;
 use crate::bigint::{div_small, sub_small};
 use crate::biguint::BigUint;
 use crate::curve::CurveParams;
+use crate::endo::{fr_from_i128, Lattice};
 use crate::field::Field;
 use crate::fields::{Fq, FqParams, Fr, FrParams, ATE_LOOP_COUNT, BN_X};
 use crate::fp::FieldParams;
@@ -491,7 +490,7 @@ impl Gt {
 
     /// Simultaneous multi-exponentiation `prod_i g_i^{k_i}`. Each `k_i`
     /// is split as `k_i0 + k_i1 lambda + k_i2 lambda^2 + k_i3 lambda^3`
-    /// with ~66-bit parts (`GlsBasis::split`), so `g_i^{k_i}` is the
+    /// with ~66-bit parts (`Lattice::split`), so `g_i^{k_i}` is the
     /// product of `frobenius_j(g_i)^{k_ij}`, and all `4n` parts share one
     /// run of ~66 cyclotomic squarings (`gt_straus`). Each base pays
     /// one table of its odd powers `g, g^3, g^5, g^7` (one squaring and
@@ -509,7 +508,7 @@ impl Gt {
         let mut parts: Vec<GlsTerm> = Vec::with_capacity(4 * terms.len());
         for (g, k) in terms {
             let table = odd_powers(&g.0);
-            match GlsBasis::get().and_then(|basis| basis.split(*k)) {
+            match gls_lattice().and_then(|lattice| lattice.split(*k)) {
                 Some(split) => {
                     for (i, &part) in split.iter().enumerate() {
                         let table = if i == 0 {
@@ -672,196 +671,35 @@ fn gt_straus(terms: &[GlsTerm]) -> Fq12 {
     acc
 }
 
-/// A sign-magnitude integer of any width, for the once-per-process
-/// derivation of [`GlsBasis`] only.
-#[derive(Clone, Debug)]
-struct BigInt {
-    neg: bool,
-    mag: BigUint,
-}
-
-impl BigInt {
-    fn from_i128(v: i128) -> Self {
-        Self {
-            neg: v < 0,
-            mag: BigUint::from_limbs(&u128_limbs(v.unsigned_abs())),
-        }
-    }
-
-    fn add(&self, other: &Self) -> Self {
-        if self.neg == other.neg {
-            return Self {
-                neg: self.neg,
-                mag: self.mag.add(&other.mag),
-            };
-        }
-        let (big, small) = if self.mag.cmp_ge(&other.mag) {
-            (self, other)
-        } else {
-            (other, self)
-        };
-        let mag = big.mag.sub(&small.mag);
-        Self {
-            neg: big.neg && !mag.is_zero(),
-            mag,
-        }
-    }
-
-    fn mul(&self, other: &Self) -> Self {
-        let mag = self.mag.mul(&other.mag);
-        Self {
-            neg: self.neg != other.neg && !mag.is_zero(),
-            mag,
-        }
-    }
-}
-
-/// `det(m)` by Laplace expansion along the first column (1 for the
-/// empty matrix).
-fn det(m: &[Vec<i128>]) -> BigInt {
-    if m.is_empty() {
-        return BigInt::from_i128(1);
-    }
-    let mut acc = BigInt::from_i128(0);
-    for (j, row) in m.iter().enumerate() {
-        let head = BigInt::from_i128(row.first().copied().unwrap_or(0));
-        acc = acc.add(&head.mul(&cofactor(m, j)));
-    }
-    acc
-}
-
-/// The cofactor of entry `(j, 0)`: `(-1)^j` times the determinant of
-/// `m` without row `j` and column 0.
-fn cofactor(m: &[Vec<i128>], j: usize) -> BigInt {
-    let minor: Vec<Vec<i128>> = m
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| i != j)
-        .map(|(_, row)| row.iter().skip(1).copied().collect())
-        .collect();
-    let mut c = det(&minor);
-    if j % 2 == 1 {
-        c.neg = !c.neg && !c.mag.is_zero();
-    }
-    c
-}
-
-/// Embeds a signed 128-bit integer into `Fr`.
-fn fr_from_i128(v: i128) -> Fr {
-    let f = Fr::from_limbs(u128_limbs(v.unsigned_abs()));
-    if v < 0 {
-        -f
-    } else {
-        f
-    }
-}
-
-/// The Galbraith–Scott basis of the lattice `{v in Z^4 : sum_i v_i
-/// lambda^i == 0 (mod r)}` for `lambda = 6x^2 == q (mod r)`, its rows
-/// written in the BN parameter `x`, together with the first row of its
-/// inverse in fixed point, which Babai rounding multiplies by. The rows
-/// span an index-3 sublattice (`|det| = 3r`), which lengthens a split
-/// by under two bits.
-struct GlsBasis {
-    lambda: Fr,
-    rows: [[i128; 4]; 4],
-    /// Per row `j`: the sign of `B^{-1}[0][j]` and
-    /// `floor(|B^{-1}[0][j]| * 2^256)`.
-    recips: [(bool, bigint::Limbs); 4],
-}
-
-impl GlsBasis {
-    /// Derives the basis from `x` and checks it: `q == lambda (mod r)`,
-    /// every row in the lattice, `|det| = 3r`. `None` (never expected)
-    /// leaves every exponent unsplit.
-    fn derive() -> Option<Self> {
-        let x = i128::from(BN_X);
-        let rows = [
-            [x + 1, x, x, -2 * x],
-            [2 * x + 1, -x, -(x + 1), -x],
-            [2 * x, 2 * x + 1, 2 * x + 1, 2 * x + 1],
-            [x - 1, 4 * x + 2, -2 * x + 1, x - 1],
-        ];
-        let six_x2 = 6 * x * x;
-        let r = BigUint::from_limbs(&FrParams::MODULUS);
-        let (_, q_mod_r) = BigUint::from_limbs(&FqParams::MODULUS).div_rem(&r);
-        if q_mod_r != BigInt::from_i128(six_x2).mag {
-            return None;
-        }
-        let basis = Self {
-            lambda: fr_from_i128(six_x2),
-            rows,
-            recips: [(false, [0; 4]); 4],
-        };
-        if rows.iter().any(|row| basis.at_lambda(row) != Fr::zero()) {
-            return None;
-        }
-        let m: Vec<Vec<i128>> = rows.iter().map(|row| row.to_vec()).collect();
-        let d = det(&m);
-        if d.mag != r.mul(&BigUint::from_limbs(&[3])) {
-            return None;
-        }
-        // B^{-1}[0][j] = cofactor(j, 0) / det
-        let mut recips = [(false, [0u64; 4]); 4];
-        for (j, recip) in recips.iter_mut().enumerate() {
-            let c = cofactor(&m, j);
-            let (quot, _) = c.mag.shl(256).div_rem(&d.mag);
-            if quot.limbs().len() > 4 {
+/// The Galbraith–Scott lattice of `GT`: `lambda = 6x^2 == q (mod r)`,
+/// the rows written in the BN parameter `x`. They span an index-3
+/// sublattice (`|det| = 3r`), which lengthens a split by under two
+/// bits. Derived and checked once; `None` (never expected) leaves every
+/// exponent unsplit.
+fn gls_lattice() -> Option<&'static Lattice<4>> {
+    static LATTICE: OnceLock<Option<Lattice<4>>> = OnceLock::new();
+    LATTICE
+        .get_or_init(|| {
+            let x = i128::from(BN_X);
+            let lambda = fr_from_i128(6 * x * x);
+            if Fr::from_limbs(FqParams::MODULUS) != lambda {
                 return None;
             }
-            let mut fixed = [0u64; 4];
-            for (f, &l) in fixed.iter_mut().zip(quot.limbs()) {
-                *f = l;
-            }
-            *recip = (c.neg != d.neg, fixed);
-        }
-        Some(Self { recips, ..basis })
-    }
-
-    /// The process-wide basis (derived once).
-    fn get() -> Option<&'static GlsBasis> {
-        static BASIS: OnceLock<Option<GlsBasis>> = OnceLock::new();
-        BASIS.get_or_init(GlsBasis::derive).as_ref()
-    }
-
-    /// `sum_i v_i lambda^i` in `Fr`.
-    fn at_lambda(&self, v: &[i128; 4]) -> Fr {
-        v.iter()
-            .rev()
-            .fold(Fr::zero(), |acc, &vi| acc * self.lambda + fr_from_i128(vi))
-    }
-
-    /// Splits `k` as `k0 + k1 lambda + k2 lambda^2 + k3 lambda^3 (mod r)`
-    /// by Babai rounding: `c_j = round(k B^{-1}[0][j])`, then
-    /// `(k0, .., k3) = (k, 0, 0, 0) - sum_j c_j row_j`. The `c_j` run to
-    /// ~192 bits, but every part is below `2^65` (each `c_j` is within
-    /// 3/4 of the exact quotient, and the rows' entries in any column
-    /// sum to at most `8x + 3` in absolute value), so the recombination
-    /// runs modulo `2^128` in wrapping `i128` arithmetic and is exact.
-    /// Checked in `Fr` before use; `None` is never expected.
-    fn split(&self, k: Fr) -> Option<[i128; 4]> {
-        let limbs = k.to_canonical();
-        let [k0, k1, _, _] = limbs;
-        let mut parts = [(u128::from(k0) | u128::from(k1) << 64) as i128, 0, 0, 0];
-        for (row, (neg, recip)) in self.rows.iter().zip(&self.recips) {
-            // c = floor((k * recip + 2^255) / 2^256), kept modulo 2^128
-            let [_, _, _, w3, w4, w5, _, _] = bigint::mul_wide(&limbs, recip);
-            let (_, carry) = bigint::adc(w3, 1 << 63, 0);
-            let (lo, carry) = bigint::adc(w4, 0, carry);
-            let (hi, _) = bigint::adc(w5, 0, carry);
-            let c = (u128::from(lo) | u128::from(hi) << 64) as i128;
-            let c = if *neg { c.wrapping_neg() } else { c };
-            for (part, &b) in parts.iter_mut().zip(row) {
-                *part = part.wrapping_sub(c.wrapping_mul(b));
-            }
-        }
-        (self.at_lambda(&parts) == k).then_some(parts)
-    }
+            let rows = [
+                [x + 1, x, x, -2 * x],
+                [2 * x + 1, -x, -(x + 1), -x],
+                [2 * x, 2 * x + 1, 2 * x + 1, 2 * x + 1],
+                [x - 1, 4 * x + 2, -2 * x + 1, x - 1],
+            ];
+            Lattice::derive(lambda, rows, 3)
+        })
+        .as_ref()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::endo::{det, G1Endo};
     use crate::g1::G1Projective;
     use crate::g2::G2Projective;
     use proptest::prelude::*;
@@ -1122,50 +960,58 @@ mod tests {
         );
     }
 
-    /// The first-use checks of the GLS basis, restated: `q == lambda
-    /// (mod r)`, every row in the lattice, `|det| = 3r`; and Frobenius
-    /// is the power `lambda` on `GT`.
+    /// The first-use checks of both lattices, restated: every row in
+    /// the lattice and `|det| = index * r`; for `GT`, `q == lambda (mod
+    /// r)` and Frobenius is the power `lambda`.
     #[test]
     fn gls_basis_rows_lie_in_the_lattice() {
-        let basis = GlsBasis::get().expect("the GLS basis derives for BN254");
-        assert_eq!(Fr::from_limbs(FqParams::MODULUS), basis.lambda);
-        for row in &basis.rows {
-            assert_eq!(basis.at_lambda(row), Fr::zero(), "row {row:?}");
+        fn assert_basis<const N: usize>(lattice: &Lattice<N>, index: u64) {
+            for row in &lattice.rows {
+                assert_eq!(lattice.at_lambda(row), Fr::zero(), "row {row:?}");
+            }
+            let m: Vec<Vec<i128>> = lattice.rows.iter().map(|row| row.to_vec()).collect();
+            let r = BigUint::from_limbs(&FrParams::MODULUS);
+            assert_eq!(det(&m).mag, r.mul(&BigUint::from_limbs(&[index])));
         }
-        let m: Vec<Vec<i128>> = basis.rows.iter().map(|row| row.to_vec()).collect();
-        let three_r = BigUint::from_limbs(&FrParams::MODULUS).mul(&BigUint::from_limbs(&[3]));
-        assert_eq!(det(&m).mag, three_r);
+        let gt = gls_lattice().expect("the GLS basis derives for BN254");
+        assert_basis(gt, 3);
+        assert_eq!(Fr::from_limbs(FqParams::MODULUS), gt.lambda);
         let g = Gt::generator().0;
-        assert_eq!(
-            g.frobenius(1),
-            g.cyclotomic_exp(&basis.lambda.to_canonical())
-        );
+        assert_eq!(g.frobenius(1), g.cyclotomic_exp(&gt.lambda.to_canonical()));
+        assert_basis(g1_lattice(), 1);
     }
 
-    /// Every split recombines to its scalar with parts below `2^66`.
-    fn assert_split_short(k: Fr) {
-        let basis = GlsBasis::get().expect("the GLS basis derives for BN254");
-        let parts = basis.split(k).expect("every split recombines");
-        assert_eq!(basis.at_lambda(&parts), k);
+    fn g1_lattice() -> &'static Lattice<2> {
+        &G1Endo::get().expect("the GLV basis derives for BN254").lattice
+    }
+
+    /// Every split recombines to its scalar with parts below `2^bits`.
+    fn assert_split_short<const N: usize>(lattice: &Lattice<N>, bits: u32, k: Fr) {
+        let parts = lattice.split(k).expect("every split recombines");
+        assert_eq!(lattice.at_lambda(&parts), k);
         for part in parts {
-            assert!(part.unsigned_abs() < 1 << 66, "part {part} of {k:?}");
+            assert!(part.unsigned_abs() < 1 << bits, "part {part} of {k:?}");
         }
     }
 
     #[test]
     fn gls_split_of_edge_scalars() {
-        let lambda = GlsBasis::get().expect("derives").lambda;
-        for k in [
-            Fr::zero(),
-            Fr::one(),
-            -Fr::one(),
-            lambda,
-            lambda.square(),
-            lambda.square() * lambda,
-            -lambda,
-        ] {
-            assert_split_short(k);
+        fn edges<const N: usize>(lattice: &Lattice<N>, bits: u32) {
+            let lambda = lattice.lambda;
+            for k in [
+                Fr::zero(),
+                Fr::one(),
+                -Fr::one(),
+                lambda,
+                lambda.square(),
+                lambda.square() * lambda,
+                -lambda,
+            ] {
+                assert_split_short(lattice, bits, k);
+            }
         }
+        edges(gls_lattice().expect("derives"), 66);
+        edges(g1_lattice(), 127);
     }
 
     proptest! {
@@ -1173,7 +1019,9 @@ mod tests {
 
         #[test]
         fn gls_split_recombines_short(bytes in any::<[u8; 64]>()) {
-            assert_split_short(Fr::from_bytes_wide(&bytes));
+            let k = Fr::from_bytes_wide(&bytes);
+            assert_split_short(gls_lattice().expect("derives"), 66, k);
+            assert_split_short(g1_lattice(), 127, k);
         }
     }
 

@@ -53,10 +53,42 @@ fn bench_sim_config() -> dsaudit_sim::SimConfig {
     }
 }
 
+/// The fixed-seed faulty simulation, `crates/sim/tests/keyed_shards.rs`'s
+/// `faulty_config(4)`: churn and all four fault classes over eight owners
+/// in four auditor shards, so its verdicts run both scalar splits (G1
+/// MSMs, bisection included, and `Gt::multi_pow`) on every batch.
+fn bench_faulty_sim_config() -> dsaudit_sim::SimConfig {
+    dsaudit_sim::SimConfig {
+        seed: 0x005e_aded,
+        epochs: 6,
+        providers: 12,
+        owners: 8,
+        files_per_owner: 1,
+        file_bytes: 240,
+        erasure_k: 2,
+        erasure_n: 3,
+        shards: 4,
+        churn: dsaudit_sim::ChurnRates {
+            join_rate: 0.3,
+            leave_prob: 0.01,
+            crash_prob: 0.01,
+        },
+        faults: dsaudit_sim::FaultRates {
+            corrupt: 0.08,
+            drop: 0.02,
+            withhold: 0.02,
+            transport: 0.02,
+        },
+        ..dsaudit_sim::SimConfig::default()
+    }
+}
+
 /// The `sim` metric group: gas per settled round and chain bytes per
-/// round (the whole chain, setup included, as `benchmark/`'s
-/// `sim.chain_bytes_per_round`). A lost frame that reached a verdict is
-/// a protocol bug and fails the collection.
+/// round of the honest run (the whole chain, setup included, as
+/// `benchmark/`'s `sim.chain_bytes_per_round`), then the faulty run's
+/// audits, injected and detected faults and repairs. A lost frame that
+/// reached a verdict, a false accept or a false reject is a protocol bug
+/// and fails the collection.
 fn collect_sim_metrics() -> Vec<Metric> {
     let report = dsaudit_sim::Simulation::new(bench_sim_config()).run();
     assert_eq!(report.passes, report.audits, "benchmark network is honest");
@@ -64,6 +96,12 @@ fn collect_sim_metrics() -> Vec<Metric> {
     assert_eq!(
         report.transport_false_rejects, 0,
         "a dropped frame is a retry, not a verdict"
+    );
+    let faulty = dsaudit_sim::Simulation::new(bench_faulty_sim_config()).run();
+    assert_eq!(
+        (faulty.false_accepts, faulty.false_rejects, faulty.transport_false_rejects),
+        (0, 0, 0),
+        "every verdict of the faulty run matches the injected faults"
     );
     vec![
         Metric {
@@ -75,6 +113,26 @@ fn collect_sim_metrics() -> Vec<Metric> {
             name: "sim_chain_bytes_per_round",
             unit: "bytes",
             value: report.chain_bytes as f64 / report.audits as f64,
+        },
+        Metric {
+            name: "sim_faulty_audits",
+            unit: "audits",
+            value: faulty.audits as f64,
+        },
+        Metric {
+            name: "sim_faulty_injected_faults",
+            unit: "faults",
+            value: faulty.injected_faults as f64,
+        },
+        Metric {
+            name: "sim_faulty_detected_faults",
+            unit: "faults",
+            value: faulty.detected_faults as f64,
+        },
+        Metric {
+            name: "sim_faulty_repairs",
+            unit: "repairs",
+            value: faulty.repairs as f64,
         },
     ]
 }

@@ -49,14 +49,6 @@ impl Challenge {
         Self::from_beacon(&beacon)
     }
 
-    /// Serializes to the 48-byte on-chain format. (The `r` component is
-    /// stored as its 16-byte seed on chain; this helper re-serializes the
-    /// logical challenge for gas accounting, using the first 16 bytes of
-    /// the field element as a faithful size model.)
-    pub fn on_chain_bytes(&self) -> usize {
-        48
-    }
-
     /// The `k` distinct challenged indices in `[0, d)`, in challenge
     /// order, without the coefficients — all a Merkle-path or SNARK
     /// backend needs of the expansion, and what [`Challenge::expand`]

@@ -17,7 +17,7 @@ use crate::file::EncodedFile;
 use crate::keys::PublicKey;
 use crate::owner::Outsourcing;
 use crate::proof::{PlainProof, PrivateProof};
-use crate::prove::{Prover, ProveTimings};
+use crate::prove::Prover;
 use crate::session::{RoundChallenge, RoundResponse};
 use crate::tag::verify_tags_batch;
 use crate::verify::FileMeta;
@@ -123,16 +123,6 @@ impl StorageProvider {
             round: challenge.round,
             proof: self.respond(rng, &challenge.challenge),
         }
-    }
-
-    /// Instrumented proof generation (field/curve/GT time split, for
-    /// the Fig. 8 reproduction).
-    pub fn respond_instrumented<R: rand::RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        challenge: &Challenge,
-    ) -> (PrivateProof, ProveTimings) {
-        self.prover().prove_private_instrumented(rng, challenge)
     }
 
     // --- dispute/fault simulation -------------------------------------

@@ -6,8 +6,9 @@
 //! that carry analysis facts: calls, method calls, macros, field
 //! projections, indexing, assignments and control flow. Everything
 //! else parses to [`Expr::Unknown`] without failing; the parser is
-//! total and records token-index spans so the differential gate can
-//! assert the item tree tiles the lexer stream exactly.
+//! total and records token-index spans: the per-file rules take their
+//! zones from them, and the differential gate asserts the item tree
+//! tiles the lexer stream exactly.
 
 use crate::lexer::Token;
 
@@ -29,6 +30,8 @@ pub struct Item {
     pub kind: ItemKind,
     /// Half-open `[start, end)` token-index span.
     pub span: (usize, usize),
+    /// Whether the item carries `#[test]` or `#[cfg(test)]`.
+    pub is_test: bool,
 }
 
 /// The item kinds the analyzer distinguishes.
@@ -42,8 +45,6 @@ pub enum ItemKind {
     Mod {
         /// Module name.
         name: String,
-        /// Whether the module carries `#[cfg(test)]`.
-        is_test: bool,
         /// Items inside the braces.
         items: Vec<Item>,
     },
@@ -99,17 +100,18 @@ pub struct FnDef {
     pub name: String,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// Token index of the `fn` keyword (used to match `lint:ct`
-    /// comment annotations to their function).
-    pub kw_idx: usize,
+    /// Whether a standalone `// lint:ct` comment annotates the fn (see
+    /// [`crate::parser::parse`]).
+    pub is_ct: bool,
     /// Parameters in order.
     pub params: Vec<Param>,
     /// Identifiers appearing in the return type.
     pub ret: Vec<String>,
     /// The parsed body; `None` for trait-method signatures.
     pub body: Option<Vec<Stmt>>,
-    /// Whether the item carries `#[test]` or `#[cfg(test)]`.
-    pub is_test: bool,
+    /// Half-open token span of the braced body, braces included; `None`
+    /// exactly when `body` is.
+    pub body_span: Option<(usize, usize)>,
 }
 
 /// One statement inside a function body.
@@ -490,7 +492,8 @@ pub fn walk_stmts(stmts: &[Stmt], f: &mut impl FnMut(&Expr)) {
 
 impl Ast {
     /// Visits every function in the tree with its container context:
-    /// `(fn, impl_self_ty, trait_name, inside_test_mod, is_trait_decl)`.
+    /// `(fn, impl_self_ty, trait_name, in_test, is_trait_decl)`, where
+    /// `in_test` holds when the fn or any item around it is a test item.
     pub fn visit_fns(
         &self,
         f: &mut impl FnMut(&FnDef, Option<&str>, Option<&str>, bool, bool),
@@ -504,11 +507,12 @@ impl Ast {
             f: &mut impl FnMut(&FnDef, Option<&str>, Option<&str>, bool, bool),
         ) {
             for item in items {
+                let in_test = in_test || item.is_test;
                 match &item.kind {
                     ItemKind::Fn(fd) => {
                         f(fd, self_ty, trait_name, in_test, is_trait_decl);
                         if let Some(body) = &fd.body {
-                            walk_nested(body, in_test || fd.is_test, f);
+                            walk_nested(body, in_test, f);
                         }
                     }
                     ItemKind::Impl(im) => walk_items(
@@ -519,9 +523,7 @@ impl Ast {
                         false,
                         f,
                     ),
-                    ItemKind::Mod {
-                        items, is_test, ..
-                    } => walk_items(items, None, None, in_test || *is_test, false, f),
+                    ItemKind::Mod { items, .. } => walk_items(items, None, None, in_test, false, f),
                     ItemKind::Trait { name, items } => {
                         walk_items(items, Some(name), Some(name), in_test, true, f)
                     }

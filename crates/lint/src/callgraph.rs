@@ -26,10 +26,11 @@
 //! policies. All containers are `BTreeMap`/`BTreeSet`-ordered so graph
 //! dumps and finding order are deterministic.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use crate::ast::{walk_stmts, Ast, Expr, FnDef};
-use crate::lexer::{Lexed, TokenKind};
+use crate::lexer::Lexed;
+use crate::rules::is_test_path;
 
 /// A fully-qualified function node.
 #[derive(Debug, Clone)]
@@ -49,8 +50,6 @@ pub struct FnNode {
     pub in_test: bool,
     /// Whether this is a bodyless trait declaration (`fn f(..);`).
     pub is_trait_decl: bool,
-    /// Whether the fn carries a `// lint:ct` annotation.
-    pub is_ct: bool,
 }
 
 impl FnNode {
@@ -74,10 +73,6 @@ pub struct CallSite {
     pub line: u32,
     /// Display form (`frobenius`, `Fr::new`, `.unwrap`).
     pub display: String,
-    /// Argument count (receiver excluded for method calls).
-    pub n_args: usize,
-    /// For method calls: 1-based receiver marker; unused otherwise.
-    pub is_method: bool,
 }
 
 /// The workspace call graph.
@@ -93,20 +88,16 @@ impl CallGraph {
     /// Builds the graph from `(file, lexed, ast)` triples.
     pub fn build(files: &[(String, Lexed, Ast)]) -> CallGraph {
         let mut fns = Vec::new();
-        for (file, lexed, ast) in files {
-            let path_test = ["tests/", "benches/", "examples/"]
-                .iter()
-                .any(|d| file.starts_with(d) || file.contains(&format!("/{d}")));
-            let ct_lines = ct_annotation_kw_indices(lexed);
+        for (file, _, ast) in files {
+            let path_test = is_test_path(file);
             ast.visit_fns(&mut |def, self_ty, trait_name, in_test, is_trait_decl| {
                 fns.push(FnNode {
                     file: file.clone(),
                     self_ty: self_ty.unwrap_or("").to_string(),
                     trait_name: trait_name.map(str::to_string),
                     def: def.clone(),
-                    in_test: in_test || def.is_test || path_test,
+                    in_test: in_test || path_test,
                     is_trait_decl,
-                    is_ct: ct_lines.contains(&def.kw_idx),
                 });
             });
         }
@@ -142,36 +133,6 @@ impl CallGraph {
         }
         rev
     }
-}
-
-/// Token indices of `fn` keywords annotated by a standalone
-/// `// lint:ct` comment — the first `fn` token after the comment line
-/// (doc comments and attributes may intervene), matching the scheme of
-/// the token-level `ct-branch` rule.
-fn ct_annotation_kw_indices(lexed: &Lexed) -> BTreeSet<usize> {
-    let mut out = BTreeSet::new();
-    for c in &lexed.comments {
-        if c.text.trim() != "lint:ct" {
-            continue;
-        }
-        let idx = lexed
-            .tokens
-            .iter()
-            .enumerate()
-            .position(|(i, t)| {
-                t.line > c.line
-                    && t.kind == TokenKind::Ident
-                    && t.text == "fn"
-                    && lexed
-                        .tokens
-                        .get(i + 1)
-                        .is_some_and(|n| n.kind == TokenKind::Ident)
-            });
-        if let Some(i) = idx {
-            out.insert(i);
-        }
-    }
-    out
 }
 
 /// Method names that collide with the std prelude/collections API:
@@ -226,9 +187,6 @@ struct ResolutionMaps {
     /// free fn with that name agrees on it (ambiguous names type
     /// nothing). `Box<dyn Trait>` returns unwrap to the trait name.
     free_fn_ret: BTreeMap<String, String>,
-    /// Constructor returns: `(container, method)` for methods returning
-    /// `Self`/their own type, used to type `let x = Foo::new(..)`.
-    secret_ctor_unused: (),
 }
 
 impl ResolutionMaps {
@@ -277,7 +235,6 @@ impl ResolutionMaps {
             methods_by_ty_name,
             impls_of_trait,
             free_fn_ret,
-            secret_ctor_unused: (),
         }
     }
 
@@ -416,14 +373,13 @@ fn main_type_name(ty: &[String]) -> Option<String> {
 
 /// Extracts and resolves every call site in `node`'s body.
 fn extract_calls(node: &FnNode, maps: &ResolutionMaps) -> Vec<CallSite> {
-    let _ = &maps.secret_ctor_unused;
     let Some(body) = &node.def.body else {
         return Vec::new();
     };
     let env = local_types(node, &maps.free_fn_ret);
     let mut sites = Vec::new();
     walk_stmts(body, &mut |e| match e {
-        Expr::Call { segs, args, line } => {
+        Expr::Call { segs, line, .. } => {
             let callees = if segs.len() >= 2 {
                 let ty = &segs[segs.len() - 2];
                 let name = &segs[segs.len() - 1];
@@ -448,19 +404,15 @@ fn extract_calls(node: &FnNode, maps: &ResolutionMaps) -> Vec<CallSite> {
                 callees,
                 line: *line,
                 display: segs.join("::"),
-                n_args: args.len(),
-                is_method: false,
             });
         }
-        Expr::Method { recv, name, args, line } => {
+        Expr::Method { recv, name, line, .. } => {
             let recv_ty = receiver_type(recv, &env, node);
             let callees = maps.resolve_method(recv_ty.as_deref(), name);
             sites.push(CallSite {
                 callees,
                 line: *line,
                 display: format!(".{name}"),
-                n_args: args.len(),
-                is_method: true,
             });
         }
         _ => {}
@@ -620,7 +572,7 @@ mod tests {
         )]);
         let k = g.find("kernel").expect("kernel");
         let p = g.find("plain").expect("plain");
-        assert!(g.fns[k].is_ct);
-        assert!(!g.fns[p].is_ct);
+        assert!(g.fns[k].def.is_ct);
+        assert!(!g.fns[p].def.is_ct);
     }
 }

@@ -13,12 +13,12 @@
 //! * **secret-hygiene** — secret key material must not be formattable,
 //!   and annotated crypto hot paths must not branch on secret data.
 //!
-//! This crate walks every workspace `.rs` file with a hand-rolled,
-//! comment/string/raw-string-aware lexer (no `syn`; the build
-//! environment is offline) and enforces the rule catalogue in
-//! `docs/LINTS.md`. Findings carry `file:line`, a stable rule id and a
-//! fix hint; intentional exceptions are audited in place via
-//! `lint:allow(<rule>)` comments that must carry a reason.
+//! This crate reads every workspace `.rs` file once through a
+//! hand-rolled, comment/string/raw-string-aware lexer and a total
+//! parser (no `syn`; the build environment is offline) and enforces the
+//! rule catalogue in `docs/LINTS.md`. Findings carry `file:line`, a
+//! stable rule id and a fix hint; intentional exceptions are audited in
+//! place via `lint:allow(<rule>)` comments that must carry a reason.
 //!
 //! Shipped three ways: the `dsaudit-lint` binary (nonzero exit on
 //! findings, `--json` for machine-readable reports), the
@@ -40,7 +40,7 @@ pub mod sarif;
 use std::path::{Path, PathBuf};
 
 pub use report::{FileReport, Finding, Suppression, WorkspaceReport};
-pub use rules::{analyze_source, RuleInfo, RULES};
+pub use rules::{analyze_file, analyze_source, RuleInfo, RULES};
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", ".github"];
@@ -70,8 +70,9 @@ fn rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 }
 
 /// Loads every workspace `.rs` file under `root` as
-/// `(relative_path, lexed, ast)` triples — the shared input of the
-/// token rules, the call graph, and the differential parser gate.
+/// `(relative_path, lexed, ast)` triples — each file read, lexed and
+/// parsed once, the shared input of the per-file rules, the call graph,
+/// and the differential parser gate.
 ///
 /// # Errors
 /// Propagates I/O errors from the directory walk or file reads.
@@ -94,7 +95,7 @@ pub fn parse_workspace(root: &Path) -> std::io::Result<Vec<(String, lexer::Lexed
 }
 
 /// Analyzes every workspace `.rs` file under `root`: the per-file
-/// token rules, then the workspace call graph and the five
+/// rules, then the workspace call graph and the five
 /// interprocedural passes (panic-reachability, secret-taint,
 /// ct-closure, deadline, obs-purity) with `lint.toml` suppressions
 /// applied.
@@ -109,11 +110,8 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     let mut report = WorkspaceReport::default();
     let files = parse_workspace(root)?;
 
-    // Per-file token rules (re-lexes via analyze_source to keep its
-    // signature; lexing is a few ms for the whole tree).
-    for (rel, _, _) in &files {
-        let src = std::fs::read_to_string(root.join(rel))?;
-        let file_report = analyze_source(rel, &src);
+    for (rel, lexed, ast) in &files {
+        let file_report = analyze_file(rel, lexed, ast);
         report.files_scanned += 1;
         report.findings.extend(file_report.findings);
         report.suppressed.extend(file_report.suppressed);

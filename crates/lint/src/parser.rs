@@ -38,31 +38,41 @@ const ITEM_KEYWORDS: &[&str] = &[
 ];
 
 /// Parses a lexed file into its item tree. Never fails.
+///
+/// A `// lint:ct` comment annotates the function whose `fn name` comes
+/// first after the comment's line (doc comments and attributes may
+/// intervene); that [`FnDef`] gets `is_ct`.
 pub fn parse(lexed: &Lexed) -> Ast {
+    let toks = &lexed.tokens;
+    let ct_kws = lexed
+        .comments
+        .iter()
+        .filter(|c| c.text.trim() == "lint:ct")
+        .filter_map(|c| {
+            (0..toks.len()).find(|&i| {
+                toks[i].line > c.line
+                    && toks[i].kind == TokenKind::Ident
+                    && toks[i].text == "fn"
+                    && toks.get(i + 1).is_some_and(|n| n.kind == TokenKind::Ident)
+            })
+        })
+        .collect();
     let mut p = Parser {
-        toks: &lexed.tokens,
+        toks,
         pos: 0,
+        ct_kws,
     };
-    let items = p.parse_items(lexed.tokens.len(), false);
-    let mut ast = Ast {
-        items,
-        num_tokens: lexed.tokens.len(),
-    };
-    mark_ct_fns(&mut ast, lexed);
-    ast
-}
-
-/// Marks functions annotated with a standalone `// lint:ct` comment:
-/// the annotated function is the one whose `fn` keyword is the first
-/// one after the comment line (same scheme as the token-level rule).
-fn mark_ct_fns(_ast: &mut Ast, _lexed: &Lexed) {
-    // ct-annotation matching happens in the call-graph builder, which
-    // has the flat function list; nothing to do at parse time.
+    Ast {
+        items: p.parse_items(toks.len()),
+        num_tokens: toks.len(),
+    }
 }
 
 struct Parser<'a> {
     toks: &'a [Token],
     pos: usize,
+    /// Token indices of the `fn` keywords a `lint:ct` comment annotates.
+    ct_kws: Vec<usize>,
 }
 
 impl<'a> Parser<'a> {
@@ -259,11 +269,11 @@ impl<'a> Parser<'a> {
     // ---- items ----------------------------------------------------------
 
     /// Parses items until token index `end`.
-    fn parse_items(&mut self, end: usize, in_test: bool) -> Vec<Item> {
+    fn parse_items(&mut self, end: usize) -> Vec<Item> {
         let mut items = Vec::new();
         while self.pos < end {
             let before = self.pos;
-            let item = self.parse_item(end, in_test);
+            let item = self.parse_item(end);
             items.push(item);
             if self.pos == before {
                 // absolute progress guard — cannot happen, but never loop
@@ -275,9 +285,9 @@ impl<'a> Parser<'a> {
 
     /// Parses one item starting at the current position (attributes
     /// included in its span). Unknown leading tokens become `Opaque`.
-    fn parse_item(&mut self, end: usize, in_test: bool) -> Item {
+    fn parse_item(&mut self, end: usize) -> Item {
         let start = self.pos;
-        let mut is_test_attr = false;
+        let mut is_test = false;
 
         // attributes: `#[...]` / `#![...]`
         while self.at_punct("#") && self.pos < end {
@@ -293,7 +303,7 @@ impl<'a> Parser<'a> {
             let close = self.matching(self.pos);
             for t in &self.toks[save..=close.min(self.toks.len() - 1)] {
                 if t.kind == TokenKind::Ident && t.text == "test" {
-                    is_test_attr = true;
+                    is_test = true;
                 }
             }
             self.pos = close + 1;
@@ -335,27 +345,22 @@ impl<'a> Parser<'a> {
         }
 
         let kind = if self.at_ident("fn") {
-            ItemKind::Fn(self.parse_fn(is_test_attr))
+            ItemKind::Fn(self.parse_fn())
         } else if self.at_ident("impl") {
-            ItemKind::Impl(self.parse_impl(in_test))
+            ItemKind::Impl(self.parse_impl())
         } else if self.at_ident("mod") {
             self.pos += 1;
             let name = self.bump_ident_name();
             if self.at_punct("{") {
                 let close = self.matching(self.pos);
                 self.pos += 1; // into the braces
-                let items = self.parse_items(close, in_test || is_test_attr);
+                let items = self.parse_items(close);
                 self.pos = close + 1;
-                ItemKind::Mod {
-                    name,
-                    is_test: is_test_attr,
-                    items,
-                }
+                ItemKind::Mod { name, items }
             } else {
                 self.eat_punct(";");
                 ItemKind::Mod {
                     name,
-                    is_test: is_test_attr,
                     items: Vec::new(),
                 }
             }
@@ -379,7 +384,7 @@ impl<'a> Parser<'a> {
             if self.at_punct("{") {
                 let close = self.matching(self.pos);
                 self.pos += 1;
-                let items = self.parse_items(close, in_test);
+                let items = self.parse_items(close);
                 self.pos = close + 1;
                 ItemKind::Trait { name, items }
             } else {
@@ -470,7 +475,7 @@ impl<'a> Parser<'a> {
             let close = self.matching(self.pos);
             let items = if braced {
                 self.pos += 1;
-                let items = self.parse_items(close, in_test);
+                let items = self.parse_items(close);
                 self.pos = close + 1;
                 items
             } else {
@@ -480,7 +485,6 @@ impl<'a> Parser<'a> {
             };
             ItemKind::Mod {
                 name: format!("{name}!"),
-                is_test: is_test_attr,
                 items,
             }
         } else {
@@ -496,6 +500,7 @@ impl<'a> Parser<'a> {
         Item {
             kind,
             span: (start, self.pos),
+            is_test,
         }
     }
 
@@ -509,7 +514,7 @@ impl<'a> Parser<'a> {
 
     /// Parses `impl<G> Trait for Type<G> where ... { items }`; `pos` is
     /// at the `impl` keyword.
-    fn parse_impl(&mut self, in_test: bool) -> ImplDef {
+    fn parse_impl(&mut self) -> ImplDef {
         self.pos += 1; // impl
         if self.at_punct("<") {
             self.skip_angles();
@@ -564,7 +569,7 @@ impl<'a> Parser<'a> {
         let items = if self.at_punct("{") {
             let close = self.matching(self.pos);
             self.pos += 1;
-            let items = self.parse_items(close, in_test);
+            let items = self.parse_items(close);
             self.pos = close + 1;
             items
         } else {
@@ -579,8 +584,8 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses a `fn` item; `pos` is at the `fn` keyword.
-    fn parse_fn(&mut self, is_test: bool) -> FnDef {
-        let kw_idx = self.pos;
+    fn parse_fn(&mut self) -> FnDef {
+        let is_ct = self.ct_kws.contains(&self.pos);
         let line = self.line();
         self.pos += 1; // fn
         let name = self.bump_ident_name();
@@ -645,24 +650,25 @@ impl<'a> Parser<'a> {
             }
         }
         // body
-        let body = if self.at_punct("{") {
+        let (body, body_span) = if self.at_punct("{") {
+            let open = self.pos;
             let close = self.matching(self.pos);
             self.pos += 1;
             let stmts = self.parse_block(close);
             self.pos = close + 1;
-            Some(stmts)
+            (Some(stmts), Some((open, self.pos)))
         } else {
             self.eat_punct(";");
-            None
+            (None, None)
         };
         FnDef {
             name,
             line,
-            kw_idx,
+            is_ct,
             params,
             ret,
             body,
-            is_test,
+            body_span,
         }
     }
 
@@ -770,7 +776,7 @@ impl<'a> Parser<'a> {
                 // nested item (fn/use/struct/... in statement position).
                 // NB `const { ... }` blocks and `const fn` fall through
                 // to the item parser's qualifier handling.
-                let item = self.parse_item(end, false);
+                let item = self.parse_item(end);
                 stmts.push(Stmt::Item(Box::new(item)));
             } else {
                 let e = self.parse_expr(end, false);

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::ast::{walk_stmts, Expr, Stmt};
+use crate::ast::{walk_stmts, Expr, FnDef, Stmt};
 use crate::callgraph::{CallGraph, CallSite, FnNode};
 use crate::config::LintConfig;
 use crate::report::{Finding, Suppression};
@@ -39,9 +39,34 @@ impl PassResult {
 
 /// One intrinsic (local, non-transitive) panic site.
 #[derive(Debug, Clone)]
-struct PanicSite {
-    line: u32,
-    what: String,
+pub(crate) struct PanicSite {
+    pub(crate) line: u32,
+    pub(crate) kind: PanicKind,
+}
+
+/// What makes a [`PanicSite`] panic.
+#[derive(Debug, Clone)]
+pub(crate) enum PanicKind {
+    /// A [`PANIC_MACROS`] invocation, by macro name.
+    Macro(String),
+    /// `.unwrap()` or `.expect(..)`, by method name.
+    Unwrap(String),
+    /// Slice/array indexing `x[i]`.
+    Index,
+    /// `/` or `%` by a non-literal divisor, by operator.
+    Division(String),
+}
+
+impl PanicSite {
+    /// The site as the reports name it (`panic!`, `.unwrap()`, ...).
+    pub(crate) fn what(&self) -> String {
+        match &self.kind {
+            PanicKind::Macro(name) => format!("{name}!"),
+            PanicKind::Unwrap(name) => format!(".{name}()"),
+            PanicKind::Index => "slice/array indexing".into(),
+            PanicKind::Division(op) => format!("`{op}` with non-literal divisor"),
+        }
+    }
 }
 
 /// Macros that abort on expansion (debug_assert* compiles out in
@@ -56,46 +81,38 @@ const PANIC_MACROS: &[&str] = &[
     "assert_ne",
 ];
 
-/// Collects the intrinsic panic sites of one function body.
-fn intrinsic_panic_sites(node: &FnNode) -> Vec<PanicSite> {
+/// Collects the intrinsic panic sites of one function body — the one
+/// definition behind `panic-reachability` and the `no-panic`/`no-index`
+/// token rules.
+pub(crate) fn intrinsic_panic_sites(def: &FnDef) -> Vec<PanicSite> {
     let mut sites = Vec::new();
-    let Some(body) = &node.def.body else {
+    let Some(body) = &def.body else {
         return sites;
     };
-    walk_stmts(body, &mut |e| match e {
-        Expr::Macro { segs, line, .. } => {
-            let name = segs.last().map(String::as_str).unwrap_or("");
-            if PANIC_MACROS.contains(&name) {
-                sites.push(PanicSite {
-                    line: *line,
-                    what: format!("{name}!"),
-                });
+    walk_stmts(body, &mut |e| {
+        let (line, kind) = match e {
+            Expr::Macro { segs, line, .. } => {
+                let name = segs.last().map(String::as_str).unwrap_or("");
+                if !PANIC_MACROS.contains(&name) {
+                    return;
+                }
+                (line, PanicKind::Macro(name.to_string()))
             }
-        }
-        Expr::Method { name, line, .. } if name == "unwrap" || name == "expect" => {
-            sites.push(PanicSite {
-                line: *line,
-                what: format!(".{name}()"),
-            });
-        }
-        Expr::Index { line, .. } => {
-            sites.push(PanicSite {
-                line: *line,
-                what: "slice/array indexing".into(),
-            });
-        }
-        // division by a literal cannot raise a divide-by-zero panic
-        // (overflow `MIN / -1` aside, which the kernels avoid by
-        // operating on unsigned words)
-        Expr::Binary { op, rhs, line, .. }
-            if (op == "/" || op == "%") && !matches!(rhs.as_ref(), Expr::Lit { .. }) =>
-        {
-            sites.push(PanicSite {
-                line: *line,
-                what: format!("`{op}` with non-literal divisor"),
-            });
-        }
-        _ => {}
+            Expr::Method { name, line, .. } if name == "unwrap" || name == "expect" => {
+                (line, PanicKind::Unwrap(name.clone()))
+            }
+            Expr::Index { line, .. } => (line, PanicKind::Index),
+            // division by a literal cannot raise a divide-by-zero panic
+            // (overflow `MIN / -1` aside, which the kernels avoid by
+            // operating on unsigned words)
+            Expr::Binary { op, rhs, line, .. }
+                if (op == "/" || op == "%") && !matches!(rhs.as_ref(), Expr::Lit { .. }) =>
+            {
+                (line, PanicKind::Division(op.clone()))
+            }
+            _ => return,
+        };
+        sites.push(PanicSite { line: *line, kind });
     });
     sites
 }
@@ -127,7 +144,7 @@ pub fn panic_reachability(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
             sites.push(Vec::new());
             continue;
         }
-        let s = intrinsic_panic_sites(node);
+        let s = intrinsic_panic_sites(&node.def);
         let sup = if s.is_empty() {
             None
         } else {
@@ -145,7 +162,7 @@ pub fn panic_reachability(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
                         "{} panic site(s) in `{}` audited (first: {})",
                         s.len(),
                         node.qname(),
-                        s[0].what
+                        s[0].what()
                     ),
                     hint: "return a typed error on the panicking path, or audit it in \
                            lint.toml with a reason",
@@ -201,7 +218,7 @@ pub fn panic_reachability(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
                     "panic reachable from entry point `{}`: {} ({} at {}:{})",
                     node.qname(),
                     chain_str,
-                    site.what,
+                    site.what(),
                     graph.fns[sink].file,
                     site.line
                 ),
@@ -262,8 +279,9 @@ fn shortest_chains_to_sinks(
 // secret-taint
 // ---------------------------------------------------------------------------
 
-/// Types whose values are secret material (mirrors the token rule).
-const SECRET_TYPES: &[&str] = &["SecretKey", "HmacKey", "SmallDomainPrp"];
+/// Types whose values are secret material: the sources of this pass
+/// and the types the `secret-debug` token rule keeps unformattable.
+pub(crate) const SECRET_TYPES: &[&str] = &["SecretKey", "HmacKey", "SmallDomainPrp"];
 
 /// Format-family macros: anything that can render a value to text.
 const FORMAT_MACROS: &[&str] = &[
@@ -862,7 +880,7 @@ fn index_taint<'a>(
 pub fn ct_closure(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
     let mut out = PassResult::default();
     for (i, node) in graph.fns.iter().enumerate() {
-        if !node.is_ct {
+        if !node.def.is_ct {
             continue;
         }
         for site in &graph.calls[i] {
@@ -874,7 +892,7 @@ pub fn ct_closure(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
             // the closure before firing (documented under-approximation).
             let ok = site.callees.iter().any(|&c| {
                 let callee = &graph.fns[c];
-                callee.is_ct
+                callee.def.is_ct
                     || cfg
                         .match_allow("ct-closure", &callee.qname(), &callee.def.name, &callee.file)
                         .is_some()
@@ -956,7 +974,7 @@ fn mentions_witness(ident: &str) -> bool {
 pub fn deadline(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
     let mut out = PassResult::default();
     for node in &graph.fns {
-        if node.in_test || node.def.is_test || !node.file.starts_with("crates/node/src/") {
+        if node.in_test || !node.file.starts_with("crates/node/src/") {
             continue;
         }
         let Some(body) = &node.def.body else {
@@ -1123,7 +1141,7 @@ pub fn obs_purity(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
 
     // (b) ct kernels are obs-free, reachable or not.
     for (i, node) in graph.fns.iter().enumerate() {
-        if !node.is_ct || node.in_test {
+        if !node.def.is_ct || node.in_test {
             continue;
         }
         for site in &graph.calls[i] {
@@ -1154,7 +1172,7 @@ pub fn obs_purity(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
     let mut reach = vec![false; n];
     let mut queue: VecDeque<usize> = VecDeque::new();
     for (i, node) in graph.fns.iter().enumerate() {
-        if is_panic_entry(node) || (node.is_ct && !node.in_test && !node.is_trait_decl) {
+        if is_panic_entry(node) || (node.def.is_ct && !node.in_test && !node.is_trait_decl) {
             reach[i] = true;
             queue.push_back(i);
         }
@@ -1173,7 +1191,7 @@ pub fn obs_purity(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
     // (a) on every reachable function, each obs call site must appear
     // at a discarded-result position at least as often as it occurs.
     for (i, node) in graph.fns.iter().enumerate() {
-        if !reach[i] || node.in_test || node.is_ct || node.file.starts_with(OBS_PREFIX) {
+        if !reach[i] || node.in_test || node.def.is_ct || node.file.starts_with(OBS_PREFIX) {
             continue;
         }
         let Some(body) = &node.def.body else {

@@ -172,8 +172,9 @@ fn finding_json(f: &Finding, reason: Option<&str>) -> String {
     s
 }
 
-/// JSON string escaping (quotes, backslashes, control characters).
-fn json_str(s: &str) -> String {
+/// JSON string escaping (quotes, backslashes, control characters),
+/// shared by the `--json` and `--sarif` renderers.
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -1,12 +1,21 @@
-//! The rule engine: zones, spans, suppressions and the six rules.
+//! The per-file rules: zones, inline suppressions, and the seven rules
+//! that need no call graph (`no-panic`, `no-index`, `determinism`,
+//! `secret-debug`, `ct-branch`, `decode-bounds`, `suppression`).
 //!
-//! Each rule is a pure function of the token stream plus precomputed
-//! *spans* (token-index ranges): `#[cfg(test)]` blocks, `impl Codec for`
-//! blocks, `fn decode*` bodies and `ct`-annotated bodies. Zones are
-//! path predicates. See `docs/LINTS.md` for the catalogue.
+//! They read the `(path, Lexed, Ast)` triple that
+//! [`crate::parse_workspace`] builds for the passes too, so each file is
+//! lexed and parsed once. Every zone comes from the AST: `#[cfg(test)]`
+//! and `#[test]` items, `impl Codec for` blocks, `decode*` bodies and
+//! `lint:ct` bodies. `no-panic` and `no-index` report the panic sites
+//! `panic-reachability` collects (`passes::intrinsic_panic_sites`); the other
+//! rules match tokens inside the AST's spans. Path zones are prefix
+//! predicates. See `docs/LINTS.md` for the catalogue.
 
+use crate::ast::{Ast, Item, ItemKind};
 use crate::lexer::{lex, Lexed, Token, TokenKind};
-use crate::report::{Finding, FileReport, Suppression};
+use crate::parser::parse;
+use crate::passes::{intrinsic_panic_sites, PanicKind, SECRET_TYPES};
+use crate::report::{FileReport, Finding, Suppression};
 
 /// Static description of one rule, for `--json` and the docs.
 #[derive(Clone, Copy, Debug)]
@@ -83,9 +92,6 @@ pub const RULES: &[RuleInfo] = &[
     },
 ];
 
-/// Types whose in-memory representation is secret material.
-const SECRET_TYPES: &[&str] = &["SecretKey", "HmacKey", "SmallDomainPrp"];
-
 /// Identifiers that break seed-reproducibility when they appear in the
 /// deterministic crates.
 const NONDETERMINISTIC_IDENTS: &[&str] =
@@ -116,26 +122,13 @@ fn in_spans(spans: &[Span], idx: usize) -> bool {
     spans.iter().any(|&(a, b)| idx >= a && idx < b)
 }
 
-/// Index of the `}` matching the `{` at `open` (or `tokens.len()`).
-fn matching_brace(tokens: &[Token], open: usize) -> usize {
-    let mut depth = 0usize;
-    let mut i = open;
-    while i < tokens.len() {
-        if tokens[i].kind == TokenKind::Punct {
-            match tokens[i].text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth = depth.saturating_sub(1);
-                    if depth == 0 {
-                        return i;
-                    }
-                }
-                _ => {}
-            }
-        }
-        i += 1;
-    }
-    tokens.len()
+/// Whether `path` (workspace-relative, `/`-separated) lies under a
+/// `tests/`, `benches/` or `examples/` directory: all of such a file is
+/// test code, for the per-file rules and the passes alike.
+pub(crate) fn is_test_path(path: &str) -> bool {
+    ["tests/", "benches/", "examples/"]
+        .iter()
+        .any(|d| path.starts_with(d) || path.contains(&format!("/{d}")))
 }
 
 fn is_punct(t: &Token, s: &str) -> bool {
@@ -144,119 +137,6 @@ fn is_punct(t: &Token, s: &str) -> bool {
 
 fn is_ident(t: &Token, s: &str) -> bool {
     t.kind == TokenKind::Ident && t.text == s
-}
-
-/// Spans of `#[cfg(test)]` items (the following braced item).
-fn cfg_test_spans(tokens: &[Token]) -> Vec<Span> {
-    let mut spans = Vec::new();
-    let mut i = 0usize;
-    while i + 4 < tokens.len() {
-        if is_punct(&tokens[i], "#")
-            && is_punct(&tokens[i + 1], "[")
-            && is_ident(&tokens[i + 2], "cfg")
-            && is_punct(&tokens[i + 3], "(")
-            && is_ident(&tokens[i + 4], "test")
-        {
-            // Find the braced item the attribute decorates: the first `{`
-            // before a `;` ends the search (an attribute on a `use` or
-            // field has no body to exempt).
-            let mut j = i + 5;
-            while j < tokens.len() && !is_punct(&tokens[j], "{") && !is_punct(&tokens[j], ";") {
-                j += 1;
-            }
-            if j < tokens.len() && is_punct(&tokens[j], "{") {
-                let end = matching_brace(tokens, j);
-                spans.push((j, end + 1));
-                i = end;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    spans
-}
-
-/// Spans of `impl ... Codec for ... { ... }` bodies.
-fn codec_impl_spans(tokens: &[Token]) -> Vec<Span> {
-    let mut spans = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if is_ident(&tokens[i], "impl") {
-            let mut j = i + 1;
-            let mut saw_codec = false;
-            let mut saw_for = false;
-            while j < tokens.len() && !is_punct(&tokens[j], "{") && !is_punct(&tokens[j], ";") {
-                if is_ident(&tokens[j], "Codec") {
-                    saw_codec = true;
-                }
-                if is_ident(&tokens[j], "for") {
-                    saw_for = true;
-                }
-                j += 1;
-            }
-            if saw_codec && saw_for && j < tokens.len() && is_punct(&tokens[j], "{") {
-                let end = matching_brace(tokens, j);
-                spans.push((j, end + 1));
-                i = end;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    spans
-}
-
-/// Body spans of functions whose name starts with `decode`.
-fn decode_fn_spans(tokens: &[Token]) -> Vec<Span> {
-    let mut spans = Vec::new();
-    let mut i = 0usize;
-    while i + 1 < tokens.len() {
-        if is_ident(&tokens[i], "fn")
-            && tokens[i + 1].kind == TokenKind::Ident
-            && tokens[i + 1].text.starts_with("decode")
-        {
-            let mut j = i + 2;
-            while j < tokens.len() && !is_punct(&tokens[j], "{") && !is_punct(&tokens[j], ";") {
-                j += 1;
-            }
-            if j < tokens.len() && is_punct(&tokens[j], "{") {
-                let end = matching_brace(tokens, j);
-                spans.push((j, end + 1));
-                i = end;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    spans
-}
-
-/// Body spans of functions annotated with a `lint:ct` comment: the
-/// annotation must sit on its own line directly above the function item
-/// (attributes and doc comments may intervene).
-fn ct_spans(lexed: &Lexed) -> Vec<Span> {
-    let tokens = &lexed.tokens;
-    let mut spans = Vec::new();
-    for c in &lexed.comments {
-        if c.text.trim() != "lint:ct" {
-            continue;
-        }
-        // first `fn` token after the annotation line
-        let Some(fn_idx) = tokens
-            .iter()
-            .position(|t| t.line > c.line && is_ident(t, "fn"))
-        else {
-            continue;
-        };
-        let mut j = fn_idx + 1;
-        while j < tokens.len() && !is_punct(&tokens[j], "{") && !is_punct(&tokens[j], ";") {
-            j += 1;
-        }
-        if j < tokens.len() && is_punct(&tokens[j], "{") {
-            spans.push((j, matching_brace(tokens, j) + 1));
-        }
-    }
-    spans
 }
 
 /// Parsed suppressions plus findings for malformed ones.
@@ -323,19 +203,72 @@ fn parse_suppressions(lexed: &Lexed, file: &str) -> (Vec<Suppression>, Vec<Findi
     (sups, bad)
 }
 
-/// Everything the per-token rules need to know about a file.
+/// Everything the per-file rules need to know about a file. Every span
+/// comes from the file's AST.
 struct FileContext<'a> {
     path: &'a str,
     tokens: &'a [Token],
     /// File lives under tests/, benches/ or examples/.
     test_file: bool,
+    /// `#[cfg(test)]`/`#[test]` items.
     test_spans: Vec<Span>,
+    /// `impl Codec for` items.
     codec_spans: Vec<Span>,
+    /// Bodies of fns named `decode*`.
     decode_spans: Vec<Span>,
+    /// Bodies of `lint:ct` fns.
     ct_spans: Vec<Span>,
 }
 
-impl FileContext<'_> {
+impl<'a> FileContext<'a> {
+    fn new(path: &'a str, lexed: &'a Lexed, ast: &Ast) -> FileContext<'a> {
+        let mut ctx = FileContext {
+            path,
+            tokens: &lexed.tokens,
+            test_file: is_test_path(path),
+            test_spans: Vec::new(),
+            codec_spans: Vec::new(),
+            decode_spans: Vec::new(),
+            ct_spans: Vec::new(),
+        };
+        ctx.add_item_spans(&ast.items);
+        ast.visit_fns(&mut |def, _, _, _, _| {
+            let Some(body) = def.body_span else {
+                return;
+            };
+            if def.is_ct {
+                ctx.ct_spans.push(body);
+            }
+            if def.name.starts_with("decode") {
+                ctx.decode_spans.push(body);
+            }
+        });
+        ctx
+    }
+
+    /// Records the test items and `Codec` impls among `items`, at any
+    /// depth of the item tree.
+    fn add_item_spans(&mut self, items: &[Item]) {
+        for item in items {
+            if item.is_test {
+                self.test_spans.push(item.span);
+                continue;
+            }
+            match &item.kind {
+                ItemKind::Impl(im) => {
+                    if im.trait_name.as_deref() == Some("Codec") {
+                        self.codec_spans.push(item.span);
+                    }
+                    self.add_item_spans(&im.items);
+                }
+                ItemKind::Mod { items, .. } | ItemKind::Trait { items, .. } => {
+                    self.add_item_spans(items);
+                }
+                _ => {}
+            }
+        }
+    }
+
     fn is_test(&self, idx: usize) -> bool {
         self.test_file || in_spans(&self.test_spans, idx)
     }
@@ -365,56 +298,40 @@ impl FileContext<'_> {
     }
 }
 
-fn check_no_panic(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        if !ctx.panic_free(i) || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let next_is = |s: &str| ctx.tokens.get(i + 1).is_some_and(|n| is_punct(n, s));
-        let prev_is_dot = i > 0 && is_punct(&ctx.tokens[i - 1], ".");
-        match t.text.as_str() {
-            "unwrap" | "expect" if next_is("(") && prev_is_dot => {
-                out.push(ctx.finding(
-                    t.line,
+/// `no-panic` and `no-index`: the intrinsic panic sites of each fn whose
+/// body lies in the rule's zone. `no-panic` takes `.unwrap()`,
+/// `.expect()`, `panic!`, `unimplemented!` and `todo!`; `no-index`
+/// takes indexing.
+fn check_panic_sites(ctx: &FileContext<'_>, ast: &Ast, out: &mut Vec<Finding>) {
+    ast.visit_fns(&mut |def, _, _, _, _| {
+        let Some((body, _)) = def.body_span else {
+            return;
+        };
+        for site in intrinsic_panic_sites(def) {
+            let (rule, in_zone, hint) = match &site.kind {
+                PanicKind::Unwrap(_) => (
                     "no-panic",
-                    format!(".{}() on a decode surface", t.text),
+                    ctx.panic_free(body),
                     "return a typed DsAuditError (ok_or_else + reader.malformed(...)) instead",
-                ));
-            }
-            "panic" | "unimplemented" | "todo" if next_is("!") => {
-                out.push(ctx.finding(
-                    t.line,
+                ),
+                PanicKind::Macro(m) if matches!(m.as_str(), "panic" | "unimplemented" | "todo") => (
                     "no-panic",
-                    format!("{}! on a decode surface", t.text),
+                    ctx.panic_free(body),
                     "decode paths must return errors, never abort",
-                ));
+                ),
+                PanicKind::Index => (
+                    "no-index",
+                    ctx.no_index(body),
+                    "use get()/get_mut() and surface a typed error on None",
+                ),
+                _ => continue,
+            };
+            if in_zone {
+                let message = format!("{} on a decode surface", site.what());
+                out.push(ctx.finding(site.line, rule, message, hint));
             }
-            _ => {}
         }
-    }
-}
-
-fn check_no_index(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        if !ctx.no_index(i) || !is_punct(t, "[") || i == 0 {
-            continue;
-        }
-        let prev = &ctx.tokens[i - 1];
-        // `[` in postfix position (after an ident, `)` or `]`) is an
-        // index expression; after `#`, `!`, `=`, `(` etc. it is an
-        // attribute, macro bracket, or array literal/type. `mut`/`dyn`
-        // precede slice *types* (`&mut [u8]`), never an indexed value.
-        let postfix = (prev.kind == TokenKind::Ident && prev.text != "mut" && prev.text != "dyn")
-            || (prev.kind == TokenKind::Punct && (prev.text == ")" || prev.text == "]"));
-        if postfix {
-            out.push(ctx.finding(
-                t.line,
-                "no-index",
-                "slice/array indexing on a decode surface".into(),
-                "use get()/get_mut() and surface a typed error on None",
-            ));
-        }
-    }
+    });
 }
 
 fn check_determinism(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
@@ -506,26 +423,25 @@ fn check_secret_debug(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 }
 
 fn check_ct_branch(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        if !in_spans(&ctx.ct_spans, i) {
-            continue;
-        }
-        let construct = match (t.kind, t.text.as_str()) {
-            (TokenKind::Ident, "if") => Some("if"),
-            (TokenKind::Ident, "match") => Some("match"),
-            (TokenKind::Ident, "return") => Some("early return"),
-            (TokenKind::Punct, "&&") => Some("&&"),
-            (TokenKind::Punct, "||") => Some("||"),
-            _ => None,
-        };
-        if let Some(c) = construct {
-            out.push(ctx.finding(
-                t.line,
-                "ct-branch",
-                format!("`{c}` inside a lint:ct (constant-time) body"),
-                "rewrite branch-free, or add an audited allow stating why the \
-                 branched-on data is public",
-            ));
+    for &(start, end) in &ctx.ct_spans {
+        for t in &ctx.tokens[start..end] {
+            let construct = match (t.kind, t.text.as_str()) {
+                (TokenKind::Ident, "if") => Some("if"),
+                (TokenKind::Ident, "match") => Some("match"),
+                (TokenKind::Ident, "return") => Some("early return"),
+                (TokenKind::Punct, "&&") => Some("&&"),
+                (TokenKind::Punct, "||") => Some("||"),
+                _ => None,
+            };
+            if let Some(c) = construct {
+                out.push(ctx.finding(
+                    t.line,
+                    "ct-branch",
+                    format!("`{c}` inside a lint:ct (constant-time) body"),
+                    "rewrite branch-free, or add an audited allow stating why the \
+                     branched-on data is public",
+                ));
+            }
         }
     }
 }
@@ -533,8 +449,7 @@ fn check_ct_branch(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
 fn check_decode_bounds(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     for &(start, end) in &ctx.decode_spans {
         let mut bounded = false;
-        for i in start..end.min(ctx.tokens.len()) {
-            let t = &ctx.tokens[i];
+        for (i, t) in ctx.tokens.iter().enumerate().take(end).skip(start) {
             if t.kind != TokenKind::Ident {
                 continue;
             }
@@ -564,27 +479,21 @@ fn check_decode_bounds(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-/// Analyzes one file's source. `path` must be workspace-relative with
-/// `/` separators — zone membership is decided from it.
+/// Analyzes one file's source: lexes and parses it, then runs
+/// [`analyze_file`]. `path` must be workspace-relative with `/`
+/// separators — zone membership is decided from it.
 pub fn analyze_source(path: &str, src: &str) -> FileReport {
     let lexed = lex(src);
-    let (sups, mut findings) = parse_suppressions(&lexed, path);
-    let ctx = FileContext {
-        path,
-        tokens: &lexed.tokens,
-        test_file: path.contains("/tests/")
-            || path.contains("/benches/")
-            || path.contains("/examples/")
-            || path.starts_with("tests/")
-            || path.starts_with("benches/")
-            || path.starts_with("examples/"),
-        test_spans: cfg_test_spans(&lexed.tokens),
-        codec_spans: codec_impl_spans(&lexed.tokens),
-        decode_spans: decode_fn_spans(&lexed.tokens),
-        ct_spans: ct_spans(&lexed),
-    };
-    check_no_panic(&ctx, &mut findings);
-    check_no_index(&ctx, &mut findings);
+    let ast = parse(&lexed);
+    analyze_file(path, &lexed, &ast)
+}
+
+/// Runs the per-file rules over one lexed and parsed file (see
+/// [`analyze_source`] for `path`).
+pub fn analyze_file(path: &str, lexed: &Lexed, ast: &Ast) -> FileReport {
+    let (sups, mut findings) = parse_suppressions(lexed, path);
+    let ctx = FileContext::new(path, lexed, ast);
+    check_panic_sites(&ctx, ast, &mut findings);
     check_determinism(&ctx, &mut findings);
     check_secret_debug(&ctx, &mut findings);
     check_ct_branch(&ctx, &mut findings);
@@ -595,17 +504,38 @@ pub fn analyze_source(path: &str, src: &str) -> FileReport {
 
     // split into suppressed / live. Malformed suppressions ("suppression"
     // rule) are never themselves suppressible.
+    let mut used = vec![false; sups.len()];
     let mut live = Vec::new();
     let mut suppressed = Vec::new();
     for f in findings {
-        let s = (f.rule != "suppression")
-            .then(|| sups.iter().find(|s| s.line == f.line && s.rule == f.rule))
+        let hit = (f.rule != "suppression")
+            .then(|| {
+                sups.iter()
+                    .position(|s| s.line == f.line && s.rule == f.rule)
+            })
             .flatten();
-        match s {
-            Some(s) => suppressed.push((f, s.clone())),
+        match hit {
+            Some(i) => {
+                used[i] = true;
+                suppressed.push((f, sups[i].clone()));
+            }
             None => live.push(f),
         }
     }
+    // an allow that suppresses nothing is stale, like an unused
+    // lint.toml entry
+    for (s, _) in sups.iter().zip(&used).filter(|(_, &u)| !u) {
+        live.push(ctx.finding(
+            s.comment_line,
+            "suppression",
+            format!(
+                "lint:allow({}) suppresses nothing: no `{}` finding on line {}",
+                s.rule, s.rule, s.line
+            ),
+            "delete stale allows so every suppression audits a live finding",
+        ));
+    }
+    live.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     FileReport {
         findings: live,
         suppressed,

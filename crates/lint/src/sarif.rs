@@ -8,7 +8,7 @@
 //! included with `suppressions[]` entries carrying the audit reason
 //! (SARIF viewers render those as dismissed).
 
-use crate::report::{Finding, WorkspaceReport};
+use crate::report::{json_str, Finding, WorkspaceReport};
 use crate::rules::RULES;
 
 /// Renders the workspace report as a SARIF 2.1.0 document.
@@ -72,25 +72,6 @@ fn result_json(f: &Finding, suppressed_reason: Option<&str>, comma: bool) -> Str
     s.push_str("\n        }");
     s.push_str(if comma { ",\n" } else { "\n" });
     s
-}
-
-/// JSON string escaping (quotes, backslashes, control characters).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

@@ -3,6 +3,11 @@
 //! text-match linter into a false-positive machine.
 
 use dsaudit_lint::analyze_source;
+use dsaudit_lint::callgraph::CallGraph;
+use dsaudit_lint::config::LintConfig;
+use dsaudit_lint::lexer::lex;
+use dsaudit_lint::parser::parse;
+use dsaudit_lint::passes::panic_reachability;
 
 /// Rules of the live (unsuppressed) findings for `src` analyzed at `path`.
 fn live_rules(path: &str, src: &str) -> Vec<&'static str> {
@@ -48,6 +53,42 @@ fn no_panic_silent_outside_zones_and_in_tests() {
     assert!(live_rules("crates/core/src/codec.rs", src).is_empty());
 }
 
+/// Why `no-panic` is not subsumed by `panic-reachability`: `encode_into`
+/// is no entry point of the pass, and a file-level `lint.toml` allow
+/// (like the one on `crates/core/src/keys.rs`) discharges every site in
+/// the file. The token rule still reports the `.unwrap()`.
+#[test]
+fn no_panic_catches_what_a_file_level_reachability_allow_discharges() {
+    let path = "crates/core/src/keys.rs";
+    let src = "impl Codec for PublicKey {\n\
+               \x20   fn encode_into(&self, out: &mut Vec<u8>) { out.push(self.x.checked().unwrap()); }\n\
+               \x20   fn decode_from(r: &mut R) -> Result<Self, E> { self_check(r); Ok(PublicKey) }\n\
+               }\n\
+               fn self_check(r: &mut R) { r.first().expect(\"byte\"); }\n";
+    let rep = analyze_source(path, src);
+    assert_eq!(
+        rep.findings.iter().map(|f| (f.line, f.rule)).collect::<Vec<_>>(),
+        [(2, "no-panic")]
+    );
+
+    let lexed = lex(src);
+    let ast = parse(&lexed);
+    let graph = CallGraph::build(&[(path.to_string(), lexed, ast)]);
+    // without an allow the pass sees only the decode_from chain
+    let (bare, _) = LintConfig::parse("", "lint.toml");
+    let pass = panic_reachability(&graph, &bare);
+    assert_eq!(pass.findings.len(), 1);
+    assert!(pass.findings[0].message.contains("PublicKey::decode_from -> self_check"));
+    // the file-level allow discharges it; the encode_into site stays
+    // visible to no-panic alone
+    let toml = "[[allow]]\nrule = \"panic-reachability\"\nfile = \"crates/core/src/keys.rs\"\nreason = \"fixture\"\n";
+    let (cfg, bad) = LintConfig::parse(toml, "lint.toml");
+    assert!(bad.is_empty());
+    let pass = panic_reachability(&graph, &cfg);
+    assert!(pass.findings.is_empty());
+    assert_eq!(pass.suppressed.len(), 2, "one audit record per fn with sites");
+}
+
 // --- no-index --------------------------------------------------------------
 
 #[test]
@@ -63,6 +104,15 @@ fn no_index_fires_on_postfix_indexing() {
 fn no_index_ignores_attributes_literals_and_types() {
     let src = "#[derive(Clone)]\npub struct A;\nconst B: [u8; 4] = [0; 4];\npub fn f(x: &mut [u8], v: Vec<u8>) -> Vec<u8> { vec![0u8; 3] }";
     assert!(live_rules("crates/core/src/codec.rs", src).is_empty());
+    // array literals after a keyword are literals, not indexing
+    for body in [
+        "for b in [1u8, 2] { let _ = b; }",
+        "return [0u8; 2];",
+        "match [x, 1] { _ => {} }",
+    ] {
+        let src = format!("pub fn f(x: u8) {{ {body} }}");
+        assert!(live_rules("crates/core/src/codec.rs", &src).is_empty(), "{body}");
+    }
     // indexing outside the zones is fine (erasure kernels, sim, ...)
     let src = "pub fn first(b: &[u8]) -> u8 { b[0] }";
     assert!(live_rules("crates/storage/src/erasure.rs", src).is_empty());
@@ -204,12 +254,28 @@ fn allow_does_not_leak_to_other_lines_or_rules() {
     assert_eq!(rep.findings.len(), 1);
     assert_eq!(rep.suppressed.len(), 1);
     // an allow for a different rule suppresses nothing
+    // (and, suppressing nothing, is itself a finding)
     let src = "pub fn read(b: &[u8]) -> u8 { b[0] } // lint:allow(no-panic) — wrong rule";
     let rep = analyze_source("crates/core/src/codec.rs", src);
     assert_eq!(
         rep.findings.iter().map(|f| f.rule).collect::<Vec<_>>(),
-        ["no-index"]
+        ["no-index", "suppression"]
     );
+}
+
+#[test]
+fn an_allow_that_suppresses_nothing_is_a_finding() {
+    // the unwrap it audited is gone
+    let src = "fn f(r: &R) -> u8 {\n    // lint:allow(no-panic) — fixture\n    r.next().unwrap_or(0)\n}";
+    let rep = analyze_source("crates/core/src/codec.rs", src);
+    assert!(rep.suppressed.is_empty());
+    assert_eq!(
+        rep.findings.iter().map(|f| (f.line, f.rule)).collect::<Vec<_>>(),
+        [(2, "suppression")]
+    );
+    // interprocedural rules take no inline allows: lint.toml audits them
+    let src = "fn f() {} // lint:allow(panic-reachability) — fixture";
+    assert_eq!(live_rules("crates/core/src/misc.rs", src), ["suppression"]);
 }
 
 #[test]

@@ -137,6 +137,79 @@ fn collect_sim_metrics() -> Vec<Metric> {
     ]
 }
 
+/// The `node` metric names per fault schedule of the default soak:
+/// settled accepts, settled rejects, expiries, proof retries and late
+/// proofs.
+const NODE_SCHEDULE_METRICS: [(&str, [&str; 5]); 3] = [
+    (
+        "baseline",
+        [
+            "node_baseline_settled_accept",
+            "node_baseline_settled_reject",
+            "node_baseline_expired",
+            "node_baseline_retries",
+            "node_baseline_late_proofs",
+        ],
+    ),
+    (
+        "lossy",
+        [
+            "node_lossy_settled_accept",
+            "node_lossy_settled_reject",
+            "node_lossy_expired",
+            "node_lossy_retries",
+            "node_lossy_late_proofs",
+        ],
+    ),
+    (
+        "partitioned",
+        [
+            "node_partitioned_settled_accept",
+            "node_partitioned_settled_reject",
+            "node_partitioned_expired",
+            "node_partitioned_retries",
+            "node_partitioned_late_proofs",
+        ],
+    ),
+];
+
+/// The `node` metric group: the default 504-session node soak's
+/// verdicts, proof retries and late proofs per fault schedule, then the
+/// virtual ms of all three schedules. A round that escapes the
+/// Settled/Expired terminal set fails the collection.
+fn collect_node_metrics() -> Vec<Metric> {
+    let report = dsaudit_node::run_soak(&dsaudit_node::SoakConfig::default());
+    assert!(report.ok(), "node soak violations: {:?}", report.violations());
+    let mut out = Vec::new();
+    for (schedule, names) in NODE_SCHEDULE_METRICS {
+        let s = report
+            .schedules
+            .iter()
+            .find(|s| s.name == schedule)
+            .expect("the soak runs every named schedule");
+        let values = [
+            (s.settled_accept, "rounds"),
+            (s.settled_reject, "rounds"),
+            (s.expired, "rounds"),
+            (s.retries, "proofs"),
+            (s.late_proofs, "proofs"),
+        ];
+        for (name, (value, unit)) in names.into_iter().zip(values) {
+            out.push(Metric {
+                name,
+                unit,
+                value: value as f64,
+            });
+        }
+    }
+    out.push(Metric {
+        name: "node_virtual_ms",
+        unit: "ms",
+        value: report.schedules.iter().map(|s| s.virtual_ms).sum::<u64>() as f64,
+    });
+    out
+}
+
 /// The fixed-seed shadow-lane simulation behind the per-backend gas
 /// figures: a tiny honest network where every share also runs all
 /// three audit backends as shadow lanes through the same challenge
@@ -309,6 +382,7 @@ pub fn collect_metrics() -> Vec<Metric> {
     let mut out = proof_size_metrics();
     out.push(audit_gas_metric());
     out.extend(collect_sim_metrics());
+    out.extend(collect_node_metrics());
     out.extend(collect_backend_metrics());
     out.extend(collect_lint_metrics());
     out

@@ -146,8 +146,11 @@ impl PublicKey {
     /// The consistency checks a contract performs once at registration:
     /// the commitment key must start at the generator, and the cached
     /// GT element must equal `e(g1, eps)`.
-    fn validate(&self) -> Result<(), DsAuditError> {
-        if self.alpha_powers_g1[0] != G1Affine::generator() {
+    ///
+    /// # Errors
+    /// [`DsAuditError::Malformed`] naming the field that fails.
+    pub fn validate(&self) -> Result<(), DsAuditError> {
+        if self.alpha_powers_g1.first() != Some(&G1Affine::generator()) {
             return Err(DsAuditError::Malformed {
                 ty: Self::TYPE_NAME,
                 field: "alpha_powers_g1[0]",

@@ -3,8 +3,14 @@
 //!
 //! The auditor sends no challenge: the provider derives the same
 //! challenge from the same beacon output, so the auditor only records
-//! the round ([`AuditorNode::open`]) and waits. A proof is verified
-//! once; a late or duplicated proof for a settled round gets the
+//! the round ([`AuditorNode::open`]) and waits. Each [`AuditorNode::step`]
+//! drains every frame due at its instant, picks the first acceptable
+//! proof of each open round, and verifies those proofs together: one
+//! batch per owner key (§VII-D, [`Auditor::verify_private_each`]), keys
+//! in the order their first proof arrived, a lone proof alone. The
+//! verdicts are then settled in arrival order, so a verdict, a counter
+//! or a `Settle` frame is what verifying each proof as it arrived would
+//! give. A late or duplicated proof for a settled round gets the
 //! `Settle` notice again (the first one may have been lost), and a round
 //! still open at its deadline expires into the contract's penalty path
 //! ([`Outcome::Expired`]).
@@ -14,10 +20,13 @@
 use std::collections::BTreeMap;
 
 use dsaudit_backend::BackendId;
+use dsaudit_core::batch::BatchItem;
 use dsaudit_core::codec::Codec;
 use dsaudit_core::{
-    Auditor, Challenge, FileMeta, PrivateProof, PublicKey, RoundChallenge, Verdict,
+    Auditor, Challenge, DsAuditError, FileMeta, PrivateProof, PublicKey, RejectReason,
+    RoundChallenge, Verdict,
 };
+use rand::{rngs::StdRng, SeedableRng};
 
 use crate::frame::{derive_challenge_id, ChallengeId, Frame, ProofFrame, SettleFrame};
 use crate::lifecycle::{ChallengeTrack, Outcome};
@@ -42,7 +51,9 @@ impl Default for AuditorConfig {
 pub struct AuditorStats {
     /// Rounds opened (unique ids).
     pub opened: u64,
-    /// Proofs verified (pairing check run).
+    /// Rounds whose proof was verified: one per round, counted when its
+    /// verdict settles, whether the proof was checked alone or inside
+    /// its owner key's batch.
     pub proofs_verified: u64,
     /// Terminal `Settled(Accept)` outcomes.
     pub settled_accept: u64,
@@ -72,11 +83,31 @@ struct Target {
     meta: FileMeta,
 }
 
+/// What one received proof frame asks of the auditor, decided against
+/// the tracks as the step found them.
+enum Ingest {
+    /// An unknown id, or a proof for someone else's round.
+    Unknown,
+    /// The round is terminal, or an earlier frame of this step carries
+    /// its proof.
+    Late(ChallengeId),
+    /// A proof answering another session round.
+    RoundMismatch,
+    /// A body tagged for another backend, or a payload that does not
+    /// decode under it.
+    BackendMismatch,
+    /// The round's first acceptable proof: settles with its verdict.
+    Verify(ChallengeId),
+}
+
 /// An auditor attached to the transport as a daemon.
 pub struct AuditorNode {
     peer: PeerId,
     auditor: Auditor,
     cfg: AuditorConfig,
+    /// Draws the batch weights; seeded by the operator, so a provider
+    /// cannot predict them.
+    rng: StdRng,
     targets: BTreeMap<PeerId, Target>,
     tracks: BTreeMap<ChallengeId, ChallengeTrack>,
     /// Daemon counters.
@@ -84,12 +115,14 @@ pub struct AuditorNode {
 }
 
 impl AuditorNode {
-    /// An auditor daemon at transport address `peer`.
-    pub fn new(peer: PeerId, cfg: AuditorConfig) -> Self {
+    /// An auditor daemon at transport address `peer`, drawing its batch
+    /// weights from an RNG seeded with `seed`.
+    pub fn new(peer: PeerId, cfg: AuditorConfig, seed: u64) -> Self {
         Self {
             peer,
             auditor: Auditor::new(),
             cfg,
+            rng: StdRng::seed_from_u64(seed),
             targets: BTreeMap::new(),
             tracks: BTreeMap::new(),
             stats: AuditorStats::default(),
@@ -102,9 +135,23 @@ impl AuditorNode {
     }
 
     /// Registers a provider to audit: its public key and the audited
-    /// file's metadata.
-    pub fn register_target(&mut self, provider: PeerId, pk: PublicKey, meta: FileMeta) {
+    /// file's metadata. Both are checked here, once, so that a proof can
+    /// only fail verification by not convincing the auditor.
+    ///
+    /// # Errors
+    /// [`DsAuditError::BadMeta`] on metadata no audit can run against,
+    /// [`DsAuditError::Malformed`] on an inconsistent public key; the
+    /// target is not registered.
+    pub fn register_target(
+        &mut self,
+        provider: PeerId,
+        pk: PublicKey,
+        meta: FileMeta,
+    ) -> Result<(), DsAuditError> {
+        meta.validate()?;
+        pk.validate()?;
         self.targets.insert(provider, Target { pk, meta });
+        Ok(())
     }
 
     /// The TTL this auditor gives each round.
@@ -151,14 +198,19 @@ impl AuditorNode {
         Some(id)
     }
 
-    /// One scheduling step at virtual time `now`: ingest frames, then
-    /// expire every open round whose deadline has passed.
+    /// One scheduling step at virtual time `now`, in three passes:
+    /// drain the frames due and sort each against the tracks as the
+    /// step found them; verify the selected proofs, one batch per owner
+    /// key; settle in arrival order. Then expire every open round whose
+    /// deadline has passed.
     pub fn step<T: Transport>(&mut self, now: Millis, transport: &mut T) {
+        let mut ingests = Vec::new();
+        let mut selected = Vec::new();
         // ingest; every frame belongs to a track bounded by its
         // deadline below, so this loop cannot outlive the ttl horizon
         while let Some((from, wire)) = transport.recv(now, self.peer) {
             match Frame::from_wire(&wire) {
-                Ok(Frame::Proof(p)) => self.handle_proof(now, from, p, transport),
+                Ok(Frame::Proof(p)) => ingests.push(self.sort_proof(from, p, &mut selected)),
                 // the auditor's own frame echoed back: ignore
                 Ok(Frame::Settle(_)) => {}
                 Err(_) => {
@@ -166,6 +218,10 @@ impl AuditorNode {
                     dsaudit_obs::counter_inc("node.corrupt_frames");
                 }
             }
+        }
+        let verdicts = self.verify_selected(selected);
+        for ingest in ingests {
+            self.settle_proof(now, ingest, &verdicts, transport);
         }
         for track in self.tracks.values_mut() {
             // deadline elapsed: the round expires into the penalty
@@ -177,71 +233,139 @@ impl AuditorNode {
         }
     }
 
-    fn handle_proof<T: Transport>(
-        &mut self,
-        now: Millis,
+    /// Sorts one proof frame. The first acceptable proof of an open
+    /// round joins `selected`; a later frame for that round is late, as
+    /// it would be once the round settled.
+    fn sort_proof(
+        &self,
         from: PeerId,
         p: ProofFrame,
-        transport: &mut T,
-    ) {
+        selected: &mut Vec<(ChallengeId, PrivateProof)>,
+    ) -> Ingest {
         let id = p.challenge_id;
         let Some(track) = self.tracks.get(&id).filter(|t| t.provider == from) else {
-            // an unknown id, or a proof for someone else's round
-            self.stats.unknown_ids += 1;
-            return;
+            return Ingest::Unknown;
         };
-        if track.is_terminal() {
-            // write-once settlement: a proof racing the deadline, a
-            // duplicated frame or a retransmission whose `Settle` was
-            // lost cannot settle a second time, but the settle notice
-            // is sent again when one exists
-            self.stats.late_proofs += 1;
-            dsaudit_obs::counter_inc("node.late_proofs");
-            if let Some(Outcome::Settled(v)) = track.outcome {
-                let frame = Frame::Settle(SettleFrame {
-                    challenge_id: id,
-                    accepted: v.accepted(),
-                });
-                transport.send(now, self.peer, track.provider, frame.to_wire());
-            }
-            return;
+        if track.is_terminal() || selected.iter().any(|(s, _)| *s == id) {
+            return Ingest::Late(id);
         }
         if p.round != track.rc.round {
-            // wrong session round: refuse, keep the round open
-            self.stats.round_mismatches += 1;
-            dsaudit_obs::counter_inc("node.round_mismatches");
-            return;
+            return Ingest::RoundMismatch;
         }
         // the erased body must be tagged for the scheme this auditor
         // verifies, and its payload must decode under it — wire-level
         // problems refuse the proof (retransmission recovers), never
         // settle
         if p.proof.backend != BackendId::Pairing {
-            self.stats.backend_mismatches += 1;
-            return;
+            return Ingest::BackendMismatch;
         }
         let Ok(proof) = PrivateProof::decode(&p.proof.bytes) else {
-            self.stats.backend_mismatches += 1;
+            return Ingest::BackendMismatch;
+        };
+        selected.push((id, proof));
+        Ingest::Verify(id)
+    }
+
+    /// Verdicts for the `selected` proofs: one
+    /// [`Auditor::verify_private_each`] batch per owner key, keys in the
+    /// order their first proof arrived; a key with one proof verifies
+    /// it alone. Each verdict is the one [`Auditor::verify_private`]
+    /// gives that proof alone: it rejects only on Eq. (2), and the
+    /// registered metadata cannot make it fail.
+    fn verify_selected(
+        &mut self,
+        selected: Vec<(ChallengeId, PrivateProof)>,
+    ) -> BTreeMap<ChallengeId, Verdict> {
+        let mut groups: Vec<(&PublicKey, Vec<ChallengeId>, Vec<BatchItem<'_>>)> = Vec::new();
+        for (id, proof) in selected {
+            let Some(track) = self.tracks.get(&id) else {
+                continue;
+            };
+            let Some(target) = self.targets.get(&track.provider) else {
+                continue;
+            };
+            let item = BatchItem {
+                pk: &target.pk,
+                meta: target.meta,
+                challenge: track.rc.challenge,
+                proof,
+            };
+            match groups.iter_mut().find(|(pk, ..)| **pk == target.pk) {
+                Some((_, ids, items)) => {
+                    ids.push(id);
+                    items.push(item);
+                }
+                None => groups.push((&target.pk, vec![id], vec![item])),
+            }
+        }
+        let mut verdicts = BTreeMap::new();
+        for (_, ids, items) in groups {
+            let accepted = match items.as_slice() {
+                [item] => vec![self
+                    .auditor
+                    .verify_private(item.pk, &item.meta, &item.challenge, &item.proof)
+                    .is_ok_and(|v| v.accepted())],
+                _ => self.auditor.verify_private_each(&mut self.rng, &items),
+            };
+            for (id, ok) in ids.into_iter().zip(accepted) {
+                let verdict = if ok {
+                    Verdict::Accept
+                } else {
+                    Verdict::Reject(RejectReason::Equation2)
+                };
+                verdicts.insert(id, verdict);
+            }
+        }
+        verdicts
+    }
+
+    /// Applies one sorted frame, in arrival order: counts a refusal,
+    /// answers a late proof with its round's `Settle` again, or settles
+    /// a selected proof with its verdict.
+    fn settle_proof<T: Transport>(
+        &mut self,
+        now: Millis,
+        ingest: Ingest,
+        verdicts: &BTreeMap<ChallengeId, Verdict>,
+        transport: &mut T,
+    ) {
+        let id = match ingest {
+            Ingest::Verify(id) => id,
+            Ingest::Late(id) => {
+                // write-once settlement: a proof racing the deadline, a
+                // duplicated frame or a retransmission whose `Settle` was
+                // lost cannot settle a second time, but the settle notice
+                // is sent again when one exists
+                self.stats.late_proofs += 1;
+                dsaudit_obs::counter_inc("node.late_proofs");
+                if let Some(track) = self.tracks.get(&id) {
+                    if let Some(Outcome::Settled(v)) = track.outcome {
+                        self.send_settle(now, id, track.provider, v, transport);
+                    }
+                }
+                return;
+            }
+            Ingest::Unknown => {
+                self.stats.unknown_ids += 1;
+                return;
+            }
+            Ingest::RoundMismatch => {
+                // wrong session round: refuse, keep the round open
+                self.stats.round_mismatches += 1;
+                dsaudit_obs::counter_inc("node.round_mismatches");
+                return;
+            }
+            Ingest::BackendMismatch => {
+                self.stats.backend_mismatches += 1;
+                return;
+            }
+        };
+        let (Some(&verdict), Some(track)) = (verdicts.get(&id), self.tracks.get_mut(&id)) else {
             return;
         };
-        let Some(target) = self.targets.get(&track.provider) else {
-            return;
-        };
-        let verdict = self
-            .auditor
-            .verify_private(&target.pk, &target.meta, &track.rc.challenge, &proof);
         self.stats.proofs_verified += 1;
         dsaudit_obs::counter_inc("node.proofs_verified");
-        let verdict = match verdict {
-            Ok(v) => v,
-            // metadata was validated at registration; an input error
-            // here means the proof did not convince the auditor
-            Err(_) => Verdict::Reject(dsaudit_core::RejectReason::Equation2),
-        };
         let provider = track.provider;
-        let Some(track) = self.tracks.get_mut(&id) else {
-            return;
-        };
         if track.settle(Outcome::Settled(verdict)) {
             match verdict {
                 Verdict::Accept => self.stats.settled_accept += 1,
@@ -252,12 +376,23 @@ impl AuditorNode {
             } else {
                 "node.session.settled_reject"
             });
-            let frame = Frame::Settle(SettleFrame {
-                challenge_id: id,
-                accepted: verdict.accepted(),
-            });
-            transport.send(now, self.peer, provider, frame.to_wire());
+            self.send_settle(now, id, provider, verdict, transport);
         }
+    }
+
+    fn send_settle<T: Transport>(
+        &self,
+        now: Millis,
+        id: ChallengeId,
+        provider: PeerId,
+        verdict: Verdict,
+        transport: &mut T,
+    ) {
+        let frame = Frame::Settle(SettleFrame {
+            challenge_id: id,
+            accepted: verdict.accepted(),
+        });
+        transport.send(now, self.peer, provider, frame.to_wire());
     }
 
     /// Rounds not yet terminal.

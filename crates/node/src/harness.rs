@@ -113,12 +113,18 @@ impl<T: Transport> Cluster<T> {
 mod tests {
     use super::*;
     use crate::auditor::AuditorConfig;
+    use crate::frame::{Frame, ProofFrame};
     use crate::lifecycle::Outcome;
     use crate::provider::{ProviderConfig, ProviderNode};
     use crate::transport::{InProcTransport, NetFaultConfig, PartitionWindow};
+    use dsaudit_backend::{BackendId, BackendProof};
     use dsaudit_chain::beacon::TrustedBeacon;
-    use dsaudit_core::{AuditParams, DataOwner, StorageProvider, Verdict};
+    use dsaudit_core::codec::Codec;
+    use dsaudit_core::{
+        AuditParams, Auditor, DataOwner, DsAuditError, FileMeta, StorageProvider, Verdict,
+    };
     use rand::SeedableRng;
+    use std::collections::VecDeque;
 
     fn provider_handle(seed: u64, corrupt: bool) -> StorageProvider {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -139,8 +145,9 @@ mod tests {
         faults: NetFaultConfig,
         cfg: AuditorConfig,
     ) -> (Cluster<InProcTransport>, TrustedBeacon) {
-        let transport = InProcTransport::new(0xc1u64, faults);
-        let auditor = AuditorNode::new(0, cfg);
+        let seed = 0xc1u64;
+        let transport = InProcTransport::new(seed, faults);
+        let auditor = AuditorNode::new(0, cfg, seed ^ 0xa0d1);
         (Cluster::new(transport, auditor), TrustedBeacon::new(b"harness"))
     }
 
@@ -148,7 +155,8 @@ mod tests {
         let handle = provider_handle(0x9000 + peer as u64, corrupt);
         cluster
             .auditor
-            .register_target(peer, handle.public_key().clone(), handle.meta());
+            .register_target(peer, handle.public_key().clone(), handle.meta())
+            .unwrap();
         cluster.add_provider(ProviderNode::new(peer, handle, cfg, 0x400 + peer as u64));
     }
 
@@ -305,5 +313,155 @@ mod tests {
         assert_eq!(cluster.auditor.stats.opened, 2);
         assert_eq!(cluster.providers[&1].stats.proofs_sent, 2);
         assert!(cluster.auditor.audit_invariants().is_empty());
+    }
+
+    #[test]
+    fn unusable_targets_are_refused_at_registration() {
+        let (mut cluster, mut beacon) = cluster(
+            NetFaultConfig::reliable(5),
+            AuditorConfig::default(),
+        );
+        let handle = provider_handle(0x9001, false);
+        let zero_chunks = FileMeta {
+            num_chunks: 0,
+            ..handle.meta()
+        };
+        let refused = cluster
+            .auditor
+            .register_target(1, handle.public_key().clone(), zero_chunks);
+        assert!(matches!(refused, Err(DsAuditError::BadMeta(_))), "{refused:?}");
+        let mut no_generator = handle.public_key().clone();
+        no_generator.alpha_powers_g1.clear();
+        let refused = cluster.auditor.register_target(1, no_generator, handle.meta());
+        assert!(matches!(refused, Err(DsAuditError::Malformed { .. })), "{refused:?}");
+        // nothing was registered, so no round opens against the peer
+        cluster.add_provider(ProviderNode::new(1, handle, ProviderConfig::default(), 0x401));
+        assert_eq!(cluster.issue(1, &mut beacon, 0), None);
+        assert_eq!(cluster.auditor.stats.opened, 0);
+    }
+
+    /// Hands the auditor a scripted inbox in one step and records every
+    /// frame it sends, in send order.
+    #[derive(Default)]
+    struct Mailbox {
+        inbox: VecDeque<(PeerId, Vec<u8>)>,
+        sent: Vec<(PeerId, Frame)>,
+    }
+
+    impl Transport for Mailbox {
+        fn send(&mut self, _now: Millis, _from: PeerId, to: PeerId, wire: Vec<u8>) {
+            self.sent.push((to, Frame::from_wire(&wire).unwrap()));
+        }
+
+        fn recv(&mut self, _now: Millis, _peer: PeerId) -> Option<(PeerId, Vec<u8>)> {
+            self.inbox.pop_front()
+        }
+
+        fn next_delivery(&self) -> Option<Millis> {
+            None
+        }
+    }
+
+    #[test]
+    fn one_step_batches_per_key_and_settles_in_arrival_order() {
+        // peers 1 and 2 hold files under one owner key, peer 3 holds
+        // corrupted data under another
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xba7c);
+        let params = AuditParams::new(4, 3).unwrap();
+        let owner = DataOwner::generate(&mut rng, params);
+        let mut holdings = BTreeMap::new();
+        for (peer, data) in [(1, [0x11u8; 500]), (2, [0x22u8; 500])] {
+            let bundle = owner.outsource(&mut rng, &data);
+            holdings.insert(peer, StorageProvider::ingest(&mut rng, bundle).unwrap());
+        }
+        holdings.insert(3, provider_handle(0x9003, true));
+
+        let mut auditor = AuditorNode::new(0, AuditorConfig::default(), 0xa0d1);
+        let mut beacon = TrustedBeacon::new(b"one step");
+        let mut proofs = Vec::new();
+        for (&peer, holding) in &holdings {
+            let pk = holding.public_key().clone();
+            auditor.register_target(peer, pk, holding.meta()).unwrap();
+            for round in 0..3u64 {
+                let beacon_round = 10 * u64::from(peer) + round;
+                let randomness = beacon.randomness(beacon_round);
+                let id = auditor.open(0, peer, beacon_round, &randomness, 10_000).unwrap();
+                let rc = auditor.tracks()[&id].rc;
+                let proof = holding.respond_round(&mut rng, &rc).proof;
+                let wire = Frame::Proof(ProofFrame {
+                    challenge_id: id,
+                    round: rc.round,
+                    proof: BackendProof {
+                        backend: BackendId::Pairing,
+                        bytes: proof.encode(),
+                    },
+                })
+                .to_wire();
+                proofs.push((peer, id, proof, wire));
+            }
+        }
+        // what each proof settles with when verified alone
+        let alone = Auditor::new();
+        let expected: BTreeMap<_, _> = proofs
+            .iter()
+            .map(|(peer, id, proof, _)| {
+                let (holding, rc) = (&holdings[peer], auditor.tracks()[id].rc);
+                let verdict = alone
+                    .verify_private(holding.public_key(), &holding.meta(), &rc.challenge, proof)
+                    .unwrap();
+                (*id, verdict)
+            })
+            .collect();
+
+        // an earlier step settles peer 1's first round
+        let mut net = Mailbox::default();
+        let (settled_peer, settled_id, _, settled_wire) = &proofs[0];
+        net.inbox.push_back((*settled_peer, settled_wire.clone()));
+        auditor.step(1, &mut net);
+        assert_eq!(auditor.stats.proofs_verified, 1);
+
+        // then one instant brings both keys' proofs interleaved, a
+        // duplicate of one of them and a retransmission for the round
+        // settled above
+        let order = [3, 6, 4, 7, 5, 4, 0, 8, 1, 2];
+        net.sent.clear();
+        for &i in &order {
+            let (peer, _, _, wire) = &proofs[i];
+            net.inbox.push_back((*peer, wire.clone()));
+        }
+        auditor.step(2, &mut net);
+
+        for (id, verdict) in &expected {
+            assert_eq!(auditor.tracks()[id].outcome, Some(Outcome::Settled(*verdict)));
+        }
+        let rejected = expected.values().filter(|v| !v.accepted()).count();
+        assert_eq!(rejected, 3, "exactly the corrupted peer's rounds reject");
+        let a = auditor.stats;
+        assert_eq!(a.proofs_verified, proofs.len() as u64, "each round verified once");
+        assert_eq!(a.late_proofs, 2, "the duplicate and the retransmission");
+        assert_eq!(
+            (a.settled_accept, a.settled_reject),
+            (proofs.len() as u64 - 3, 3)
+        );
+        // every frame of the step is answered, in the order it arrived;
+        // the late ones get their round's verdict again
+        let sent: Vec<_> = net
+            .sent
+            .iter()
+            .map(|(to, frame)| match frame {
+                Frame::Settle(s) => (*to, s.challenge_id, s.accepted),
+                Frame::Proof(_) => panic!("the auditor sends only Settle frames"),
+            })
+            .collect();
+        let arrived: Vec<_> = order
+            .iter()
+            .map(|&i| {
+                let (peer, id, _, _) = &proofs[i];
+                (*peer, *id, expected[id].accepted())
+            })
+            .collect();
+        assert_eq!(sent, arrived);
+        assert!(sent.contains(&(*settled_peer, *settled_id, true)));
+        assert!(auditor.audit_invariants().is_empty());
     }
 }

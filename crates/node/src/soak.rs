@@ -225,7 +225,10 @@ fn run_schedule(
     dsaudit_obs::point("node.schedule", name);
     let auditor_cfg = AuditorConfig { ttl_ms: cfg.ttl_ms };
     let transport = InProcTransport::new(cfg.seed ^ (index.wrapping_mul(0x9e37)), faults);
-    let mut cluster = Cluster::new(transport, AuditorNode::new(0, auditor_cfg));
+    // the auditor's batch weights come from its own seed, which the
+    // providers never see
+    let auditor = AuditorNode::new(0, auditor_cfg, cfg.seed ^ (0xa0d1 << 32) ^ index);
+    let mut cluster = Cluster::new(transport, auditor);
     let mut beacon = TrustedBeacon::new(&cfg.seed.to_le_bytes());
     let provider_cfg = ProviderConfig {
         prove_ms: 40,
@@ -242,7 +245,8 @@ fn run_schedule(
         let handle = provider_handle(cfg.seed ^ (index << 8) ^ p as u64, corrupt);
         cluster
             .auditor
-            .register_target(p as PeerId, handle.public_key().clone(), handle.meta());
+            .register_target(p as PeerId, handle.public_key().clone(), handle.meta())
+            .expect("ingested soak holdings are auditable");
         cluster.add_provider(ProviderNode::new(
             p as PeerId,
             handle,

@@ -83,8 +83,8 @@ proptest! {
         let file: Vec<u8> = (0..file_len).map(|i| (i as u64 ^ file_seed) as u8).collect();
         let bundle = owner.outsource(&mut rng, &file);
         let handle = StorageProvider::ingest(&mut rng, bundle).unwrap();
-        let mut auditor = AuditorNode::new(0, AuditorConfig::default());
-        auditor.register_target(1, handle.public_key().clone(), handle.meta());
+        let mut auditor = AuditorNode::new(0, AuditorConfig::default(), file_seed);
+        auditor.register_target(1, handle.public_key().clone(), handle.meta()).unwrap();
         let mut provider = ProviderNode::new(1, handle, ProviderConfig::default(), file_seed);
 
         let at_auditor = TrustedBeacon::new(&seed).randomness(round);

@@ -3,10 +3,13 @@
 
 use std::sync::OnceLock;
 
+use crate::bigint::{div_small, sub_small};
 use crate::curve::{Affine, CurveParams, Projective};
 use crate::field::Field;
-use crate::fields::{Fq, Fr};
+use crate::fields::{Fq, FqParams, Fr, BN_X};
+use crate::fp::FieldParams;
 use crate::fp2::Fq2;
+use crate::msm::u128_limbs;
 
 /// The EIP-197 G2 generator coordinates (decimal, widely cross-checked).
 const G2_X_C0: &str =
@@ -33,6 +36,47 @@ fn g2_constants() -> &'static (Fq2, (Fq2, Fq2)) {
         );
         (b, (gx, gy))
     })
+}
+
+/// `(q - 1)/3` and `(q - 1)/2` powers of `xi`, plus their `q^2`
+/// counterparts: the constants of the twisted Frobenius [`psi`] and of
+/// its square, which the optimal ate pairing's two correction lines use.
+pub(crate) fn frob_twist_consts() -> &'static (Fq2, Fq2, Fq2, Fq2) {
+    static CACHE: OnceLock<(Fq2, Fq2, Fq2, Fq2)> = OnceLock::new();
+    CACHE.get_or_init(|| {
+        let q_minus_1 = sub_small(&FqParams::MODULUS, 1);
+        let g2 = Fq2::xi().pow(&div_small(&q_minus_1, 3)); // xi^{(q-1)/3}
+        let g3 = Fq2::xi().pow(&div_small(&q_minus_1, 2)); // xi^{(q-1)/2}
+        // xi^{(q^2-1)/3} = g2^{q+1} = conj(g2) * g2, likewise for g3
+        (g2, g3, g2.conjugate() * g2, g3.conjugate() * g3)
+    })
+}
+
+/// `psi(x, y) = (conj(x) xi^((q-1)/3), conj(y) xi^((q-1)/2))`: the
+/// `q`-power Frobenius of `E(Fq12)` carried onto the twist. It maps the
+/// twist to itself and acts on `G2` as the multiple `6x^2` (`== q` mod
+/// `r`), but not so on the rest of `E'(Fq2)`.
+pub(crate) fn psi(p: &G2Affine) -> G2Affine {
+    let (g2, g3, _, _) = *frob_twist_consts();
+    G2Affine {
+        x: p.x.conjugate() * g2,
+        y: p.y.conjugate() * g3,
+        infinity: p.infinity,
+    }
+}
+
+/// `psi(p) == [6x^2] p`, compared in projective form.
+fn psi_is_six_x_squared_on(p: &G2Affine) -> bool {
+    let x = u128::from(BN_X);
+    p.mul(Fr::from_limbs(u128_limbs(6 * x * x))) == psi(p).to_projective()
+}
+
+/// Whether `psi(G) == [6x^2] G` on the generator, checked once per
+/// process. `false` (never expected) sends [`G2Affine::is_torsion_free`]
+/// to the slower `[r] Q == O`.
+fn psi_is_six_x_squared() -> bool {
+    static CHECKED: OnceLock<bool> = OnceLock::new();
+    *CHECKED.get_or_init(|| psi_is_six_x_squared_on(&G2Affine::generator()))
 }
 
 /// Curve parameters for G2.
@@ -78,9 +122,25 @@ impl G2Affine {
         out
     }
 
-    /// Parses a compressed G2 point (curve check included; the points we
-    /// deserialize in this project are always protocol-generated multiples
-    /// of the generator, so no subgroup check is performed).
+    /// Whether the point lies in `G2`, the order-`r` subgroup of the
+    /// twist. `E'(Fq2)` has order `r (2q - r)`, so a point off `G2` can
+    /// satisfy the curve equation; it is caught by `psi(Q) == [6x^2] Q`,
+    /// which holds on a twist point exactly when it is in `G2` (El
+    /// Housni, Guillevic and Piellard, "Co-factor clearing and subgroup
+    /// membership testing on pairing-friendly curves", 2022): one
+    /// ~127-bit multiplication where `[r] Q == O` takes a 254-bit one.
+    pub fn is_torsion_free(&self) -> bool {
+        if psi_is_six_x_squared() {
+            psi_is_six_x_squared_on(self)
+        } else {
+            // [r - 1] Q + Q, with r - 1 the canonical form of -1
+            self.mul(-Fr::one()).add_affine(self).is_identity()
+        }
+    }
+
+    /// Parses a compressed G2 point: on the twist and in `G2`
+    /// ([`G2Affine::is_torsion_free`]), or `None`. Keys carry `eps` and
+    /// `delta` from the owner, so a point off `G2` is refused here.
     pub fn from_compressed(bytes: &[u8; 64]) -> Option<Self> {
         if bytes[0] & 0x80 != 0 {
             let ok = bytes[0] == 0x80 && bytes[1..].iter().all(|&b| b == 0);
@@ -103,7 +163,7 @@ impl G2Affine {
         if y_sign != sign {
             y = -y;
         }
-        Self::from_xy(x, y)
+        Self::from_xy(x, y).filter(Self::is_torsion_free)
     }
 }
 
@@ -206,6 +266,48 @@ mod tests {
             let sq = a.square();
             let root = fq2_sqrt(&sq).expect("square must have root");
             assert!(root == a || root == -a, "bad root");
+        }
+    }
+
+    /// A twist point with a random `x`: almost never in `G2`, whose
+    /// index in `E'(Fq2)` is `2q - r`.
+    fn random_twist_point(rng: &mut rand::rngs::StdRng) -> G2Affine {
+        loop {
+            let x = Fq2::random(rng);
+            if let Some(y) = fq2_sqrt(&(x.square() * x + G2Params::coeff_b())) {
+                return G2Affine::from_xy(x, y).expect("on the twist");
+            }
+        }
+    }
+
+    /// `[r] Q == O`, as `[r - 1] Q + Q` with `r - 1` the canonical `-1`.
+    fn killed_by_r(p: &G2Affine) -> bool {
+        p.mul(-Fr::one()).add_affine(p).is_identity()
+    }
+
+    #[test]
+    fn off_subgroup_twist_points_are_refused() {
+        assert!(psi_is_six_x_squared(), "psi(G) == [6x^2] G on the generator");
+        let mut rng = rng();
+        for _ in 0..4 {
+            let p = random_twist_point(&mut rng);
+            assert!(!killed_by_r(&p), "the point has the wrong order");
+            assert!(!p.is_torsion_free());
+            assert_eq!(G2Affine::from_compressed(&p.to_compressed()), None);
+        }
+    }
+
+    #[test]
+    fn psi_check_agrees_with_multiplication_by_r() {
+        let mut rng = rng();
+        for _ in 0..12 {
+            let off = random_twist_point(&mut rng);
+            let on = G2Projective::random(&mut rng).to_affine();
+            let mixed = on.to_projective().add_affine(&off).to_affine();
+            for p in [off, on, mixed, G2Affine::identity()] {
+                assert_eq!(p.is_torsion_free(), killed_by_r(&p));
+            }
+            assert!(on.is_torsion_free());
         }
     }
 

@@ -27,7 +27,6 @@
 
 use std::sync::OnceLock;
 
-use crate::bigint::{div_small, sub_small};
 use crate::biguint::BigUint;
 use crate::curve::CurveParams;
 use crate::endo::{fr_from_i128, Lattice};
@@ -38,7 +37,7 @@ use crate::fp12::Fq12;
 use crate::fp2::Fq2;
 use crate::fp6::Fq6;
 use crate::g1::G1Affine;
-use crate::g2::{G2Affine, G2Params};
+use crate::g2::{frob_twist_consts, psi, G2Affine, G2Params};
 use crate::msm::{u128_limbs, wnaf_digits};
 
 // ---------------------------------------------------------------------------
@@ -56,20 +55,6 @@ struct HomProjective {
 /// One sparse line value: coefficients at the `w^0`, `w^1`, `w^3` slots,
 /// with `c0` still to be scaled by `y_P` and `c3` by `x_P`.
 type EllCoeff = (Fq2, Fq2, Fq2);
-
-/// `(q - 1)/3` and `(q - 1)/2` powers of `xi`, plus their `q^2`
-/// counterparts — the twisted-Frobenius constants for the two
-/// correction lines of the optimal ate pairing.
-fn frob_twist_consts() -> &'static (Fq2, Fq2, Fq2, Fq2) {
-    static CACHE: OnceLock<(Fq2, Fq2, Fq2, Fq2)> = OnceLock::new();
-    CACHE.get_or_init(|| {
-        let q_minus_1 = sub_small(&FqParams::MODULUS, 1);
-        let g2 = Fq2::xi().pow(&div_small(&q_minus_1, 3)); // xi^{(q-1)/3}
-        let g3 = Fq2::xi().pow(&div_small(&q_minus_1, 2)); // xi^{(q-1)/2}
-        // xi^{(q^2-1)/3} = g2^{q+1} = conj(g2) * g2, likewise for g3
-        (g2, g3, g2.conjugate() * g2, g3.conjugate() * g3)
-    })
-}
 
 /// Doubling step: `r <- 2r`, returning the tangent-line coefficients.
 /// Homogeneous-coordinate formulas (Costello–Lange–Naehrig, as deployed
@@ -145,14 +130,9 @@ impl G2Prepared {
                 ell_coeffs.push(addition_step(&mut r, q));
             }
         }
-        // Frobenius corrections: Q1 = pi(Q), Q2 = -pi^2(Q), where pi acts
-        // on the twist as (x, y) -> (conj(x) g2, conj(y) g3).
-        let (g2c, g3c, g2c2, g3c2) = *frob_twist_consts();
-        let q1 = G2Affine {
-            x: q.x.conjugate() * g2c,
-            y: q.y.conjugate() * g3c,
-            infinity: false,
-        };
+        // Frobenius corrections: Q1 = pi(Q) = psi(Q), Q2 = -pi^2(Q).
+        let (_, _, g2c2, g3c2) = *frob_twist_consts();
+        let q1 = psi(q);
         let nq2 = G2Affine {
             x: q.x * g2c2,
             y: -(q.y * g3c2),
@@ -505,6 +485,7 @@ impl Gt {
     /// cyclotomic membership only) is raised to some `k'` congruent to
     /// `k` modulo `r`.
     pub fn multi_pow(terms: &[(Gt, Fr)]) -> Gt {
+        let _span = dsaudit_obs::span("algebra.multi_pow");
         let mut parts: Vec<GlsTerm> = Vec::with_capacity(4 * terms.len());
         for (g, k) in terms {
             let table = odd_powers(&g.0);

@@ -163,9 +163,13 @@ pub(crate) fn verify_private_with(
     let zeta = h_prime(&proof.r_commit);
     let (fixed, challenged) = join(
         || {
-            // one shared inversion for both affine conversions
-            let affine =
-                Projective::batch_to_affine(&[proof.sigma.mul(zeta), proof.psi.mul(-zeta)]);
+            // each power is a one-term GLV Straus pass; one shared
+            // inversion for both affine conversions
+            let affine = Projective::batch_to_affine(&[
+                msm_g1(&[proof.sigma], &[zeta]),
+                msm_g1(&[proof.psi], &[-zeta]),
+            ]);
+            let _miller = dsaudit_obs::span("algebra.miller_loop");
             multi_miller_loop(&[
                 (&affine[0], G2Prepared::generator()),
                 (&affine[1], delta_p.as_ref()),

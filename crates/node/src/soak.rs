@@ -6,9 +6,19 @@
 //! settlement. The report is a pure function of the seed: running the
 //! same [`SoakConfig`] twice yields byte-identical JSON, which CI
 //! exploits to catch nondeterminism as well as lifecycle violations.
+//!
+//! The schedules share nothing — each builds its own cluster, transport,
+//! beacon and holdings from the seed — so they run side by side through
+//! `algebra::par::par_jobs`, as many at once as there are CPUs, and the
+//! report lists them in schedule order whatever order they finish in.
+//! Each schedule is an obs job: under a virtual-clock registry its
+//! spans, events and counters land in one block per schedule, in
+//! schedule order, and its ticks move its own clock, which starts where
+//! the caller's stood.
 
 #![deny(missing_docs)]
 
+use dsaudit_algebra::par::par_jobs;
 use dsaudit_chain::beacon::TrustedBeacon;
 use dsaudit_core::{AuditParams, DataOwner, StorageProvider};
 use rand::{rngs::StdRng, SeedableRng};
@@ -310,19 +320,19 @@ fn run_schedule(
 }
 
 /// Runs the full soak: `cfg.sessions` audit rounds split across
-/// the three fault schedules.
+/// the three fault schedules, which run side by side as
+/// [`par_jobs`] jobs; the reports come back in schedule order.
 pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let plans = schedules(cfg);
-    let per = cfg.sessions / plans.len() as u32;
-    let mut remainder = cfg.sessions % plans.len() as u32;
-    let mut reports = Vec::with_capacity(plans.len());
-    for (i, (name, faults, corrupt_one)) in plans.into_iter().enumerate() {
-        let extra = u32::from(remainder > 0);
-        remainder = remainder.saturating_sub(1);
-        reports.push(run_schedule(cfg, i as u64, name, faults, corrupt_one, per + extra));
-    }
+    let count = plans.len() as u32;
+    let schedules = par_jobs(plans.len(), |i| {
+        let (name, faults, corrupt_one) = plans[i].clone();
+        // the first `sessions % count` schedules take one session more
+        let sessions = cfg.sessions / count + u32::from((i as u32) < cfg.sessions % count);
+        run_schedule(cfg, i as u64, name, faults, corrupt_one, sessions)
+    });
     SoakReport {
         seed: cfg.seed,
-        schedules: reports,
+        schedules,
     }
 }

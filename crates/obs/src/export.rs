@@ -186,14 +186,6 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-fn merge_hist(into: &mut Histogram, from: &Histogram) {
-    for (a, b) in into.counts.iter_mut().zip(from.counts.iter()) {
-        *a = a.saturating_add(*b);
-    }
-    into.sum = into.sum.saturating_add(from.sum);
-    into.count = into.count.saturating_add(from.count);
-}
-
 /// Prometheus-style text exposition of counters and histograms, plus
 /// the registry's own meta-counters. Metric names are sanitized onto
 /// the Prometheus alphabet; distinct raw names that collide after
@@ -213,7 +205,7 @@ pub fn export_prometheus(snap: &Snapshot) -> String {
     for (name, h) in &snap.histograms {
         let key = prom_name(name);
         match hists.get_mut(&key) {
-            Some(existing) => merge_hist(existing, h),
+            Some(existing) => existing.merge(h),
             None => {
                 hists.insert(key, h.clone());
             }

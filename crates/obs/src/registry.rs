@@ -17,11 +17,12 @@ pub const HIST_BUCKETS: usize = 65;
 
 /// Retained point/span events before the oldest are dropped (the drop
 /// count is reported in exports, so truncation is never silent).
-const MAX_EVENTS: usize = 1 << 16;
+pub(crate) const MAX_EVENTS: usize = 1 << 16;
 
 /// Retained span records; spans opened past this cap are counted as
-/// dropped and their guards become inert.
-const MAX_SPANS: usize = 1 << 20;
+/// dropped and their guards become inert. Unit tests run with a small
+/// cap so that they can fill it.
+pub(crate) const MAX_SPANS: usize = if cfg!(test) { 1 << 10 } else { 1 << 20 };
 
 /// A sentinel span id meaning "not recorded" (cap overflow).
 const SPAN_DROPPED: usize = usize::MAX;
@@ -38,9 +39,9 @@ enum ClockSource {
 /// value zero; bucket `i ≥ 1` holds values in `(2^(i-1), 2^i]`.
 #[derive(Clone)]
 pub struct Histogram {
-    pub(crate) counts: [u64; HIST_BUCKETS],
-    pub(crate) sum: u64,
-    pub(crate) count: u64,
+    counts: [u64; HIST_BUCKETS],
+    sum: u64,
+    count: u64,
 }
 
 impl Default for Histogram {
@@ -76,6 +77,15 @@ impl Histogram {
         }
         self.sum = self.sum.saturating_add(value);
         self.count = self.count.saturating_add(1);
+    }
+
+    /// Adds every sample of `other` (saturating).
+    pub(crate) fn merge(&mut self, other: &Histogram) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
+            *a = a.saturating_add(*b);
+        }
+        self.sum = self.sum.saturating_add(other.sum);
+        self.count = self.count.saturating_add(other.count);
     }
 
     /// Total recorded samples.
@@ -162,6 +172,52 @@ impl Inner {
         }
         self.events.push_back(ev);
     }
+
+    fn counter_add(&mut self, name: &str, n: u64) {
+        if let Some(v) = self.counters.get_mut(name) {
+            *v = v.saturating_add(n);
+        } else {
+            self.counters.insert(name.to_owned(), n);
+        }
+    }
+
+    fn merge_histogram(&mut self, name: &str, h: &Histogram) {
+        if let Some(mine) = self.histograms.get_mut(name) {
+            mine.merge(h);
+        } else {
+            self.histograms.insert(name.to_owned(), h.clone());
+        }
+    }
+
+    /// Appends what a job recorded, as if it had been recorded here
+    /// after everything already present: job span ids move up by this
+    /// table's length, the job's root spans hang under `parent`,
+    /// counters and histograms add, and events append. The caps still
+    /// hold: spans past `MAX_SPANS` (with their descendants, which come
+    /// later) are dropped and counted, and the oldest events give way.
+    fn absorb(&mut self, job: Inner, parent: Option<usize>) {
+        for (name, n) in &job.counters {
+            self.counter_add(name, *n);
+        }
+        for (name, h) in &job.histograms {
+            self.merge_histogram(name, h);
+        }
+        let offset = self.spans.len();
+        let room = MAX_SPANS.saturating_sub(offset);
+        let over = job.spans.len().saturating_sub(room) as u64;
+        self.dropped_spans = self.dropped_spans.saturating_add(job.dropped_spans).saturating_add(over);
+        self.spans.extend(job.spans.into_iter().take(room).map(|mut s| {
+            s.parent = match s.parent {
+                Some(p) => Some(p.saturating_add(offset)),
+                None => parent,
+            };
+            s
+        }));
+        self.dropped_events = self.dropped_events.saturating_add(job.dropped_events);
+        for ev in job.events {
+            self.push_event(ev);
+        }
+    }
 }
 
 /// A consistent copy of everything a [`Registry`] holds, taken under a
@@ -216,6 +272,29 @@ impl Registry {
         Self { clock: ClockSource::Virtual(AtomicU64::new(0)), inner: Mutex::new(Inner::default()) }
     }
 
+    /// A fresh registry for one par job forked from `self`: same clock
+    /// source, and a virtual clock starts at `self`'s reading, so that
+    /// the job's ticks move its own clock only.
+    pub(crate) fn new_job(&self) -> Self {
+        let clock = match &self.clock {
+            ClockSource::Wall(origin) => ClockSource::Wall(*origin),
+            ClockSource::Virtual(ns) => ClockSource::Virtual(AtomicU64::new(ns.load(Ordering::Relaxed))),
+        };
+        Self { clock, inner: Mutex::new(Inner::default()) }
+    }
+
+    /// The innermost open span, if any.
+    pub(crate) fn open_span(&self) -> Option<usize> {
+        self.locked().stack.last().copied()
+    }
+
+    /// Moves everything `job` recorded into `self` (see
+    /// `Inner::absorb`), its root spans under `parent`.
+    pub(crate) fn absorb(&self, job: &Registry, parent: Option<usize>) {
+        let tables = std::mem::take(&mut *job.locked());
+        self.locked().absorb(tables, parent);
+    }
+
     /// Whether this registry runs on the virtual clock.
     pub fn is_virtual(&self) -> bool {
         matches!(self.clock, ClockSource::Virtual(_))
@@ -248,12 +327,7 @@ impl Registry {
 
     /// Adds `n` to counter `name` (saturating).
     pub fn counter_add(&self, name: &str, n: u64) {
-        let mut inner = self.locked();
-        if let Some(v) = inner.counters.get_mut(name) {
-            *v = v.saturating_add(n);
-        } else {
-            inner.counters.insert(name.to_owned(), n);
-        }
+        self.locked().counter_add(name, n);
     }
 
     /// Records `value` into histogram `name`.

@@ -43,3 +43,8 @@ pub use pairing::{
 pub use poly::DensePoly;
 pub use fp6::Fq6;
 pub use fp12::Fq12;
+
+/// The telemetry facade the kernels record into, re-exported so that a
+/// crate built on this one can open spans of its own (the Groth16
+/// prover's `snark.*`) without a dependency line of its own.
+pub use dsaudit_obs as obs;

@@ -6,7 +6,80 @@
 //! cargo run --release -p dsaudit-bench --bin repro -- fig7 --mb 32
 //! ```
 
+use dsaudit_backend::BackendId;
 use dsaudit_bench::{figures, json, tables};
+
+const USAGE: &str = "usage: repro [table1|table2|fig4..fig10|fig10b|costs|baseline|attack|sim|node-soak|backends|trace|json|check|all] [table2/all: --full] [fig7/all: --mb N] [sim: --epochs N --providers N --owners N --files N --k N --n N --shards N --seed N --backends pairing,merkle,groth16] [node-soak: --sessions N --providers N --ttl-ms N --seed N --out PATH] [trace: --scenario sim|node-soak --out-dir DIR]";
+
+/// The flags one subcommand was given, parsed strictly: an unknown
+/// flag, a flag without its value, or a value that does not parse is an
+/// error (exit 2), never a silent default — CI must never green-light a
+/// run it did not ask for.
+struct Flags<'a> {
+    /// Each flag given and its value; a switch's value is empty.
+    given: Vec<(&'a str, &'a str)>,
+}
+
+impl<'a> Flags<'a> {
+    /// Parses the words after subcommand `cmd` against the flags `cmd`
+    /// knows; an unknown subcommand is an error too.
+    fn parse(cmd: &str, args: &'a [String]) -> Result<Self, String> {
+        let (valued, switches): (&[&str], &[&str]) = match cmd {
+            "table2" => (&[], &["--full"]),
+            "fig7" => (&["--mb"], &[]),
+            "all" => (&["--mb"], &["--full"]),
+            "sim" => (
+                &[
+                    "--seed", "--epochs", "--providers", "--owners", "--files", "--k", "--n",
+                    "--shards", "--backends",
+                ],
+                &[],
+            ),
+            "node-soak" => (&["--seed", "--sessions", "--providers", "--ttl-ms", "--out"], &[]),
+            "trace" => (&["--scenario", "--out-dir"], &[]),
+            "table1" | "fig4" | "fig5" | "fig6" | "fig8" | "fig9" | "fig10" | "fig10b"
+            | "costs" | "attack" | "baseline" | "json" | "check" | "backends" => (&[], &[]),
+            _ => return Err(format!("unknown experiment '{cmd}'")),
+        };
+        let mut given = Vec::new();
+        let mut words = args.iter().map(String::as_str);
+        while let Some(flag) = words.next() {
+            if switches.contains(&flag) {
+                given.push((flag, ""));
+            } else if valued.contains(&flag) {
+                given.push((flag, words.next().ok_or(format!("flag '{flag}' needs a value"))?));
+            } else {
+                let known = [valued, switches].concat().join(" ");
+                return Err(format!("unknown flag '{flag}' (known: [{known}])"));
+            }
+        }
+        Ok(Self { given })
+    }
+
+    /// Whether flag `name` was given.
+    fn has(&self, name: &str) -> bool {
+        self.given.iter().any(|(flag, _)| *flag == name)
+    }
+
+    /// The value of flag `name` as a `T`, or `default` when absent.
+    fn value<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        self.parsed(name, default, |v| v.parse().ok())
+    }
+
+    /// The value of flag `name` through `parse`, or `default` when
+    /// absent; the last of repeated flags wins.
+    fn parsed<T>(
+        &self,
+        name: &str,
+        default: T,
+        parse: impl Fn(&str) -> Option<T>,
+    ) -> Result<T, String> {
+        match self.given.iter().rev().find(|(flag, _)| *flag == name) {
+            None => Ok(default),
+            Some((_, v)) => parse(v).ok_or(format!("flag '{name}': cannot parse '{v}'")),
+        }
+    }
+}
 
 /// Measures the exact metrics and writes `BENCH_repro.json` at the
 /// workspace root (not the cwd, so the tracked snapshot always updates).
@@ -51,89 +124,31 @@ fn check_json() {
     }
 }
 
+/// The sim's configuration from its flags. Every count narrower than
+/// the seed is parsed as a `u32`, so an overflow is an error too.
+fn sim_config(flags: &Flags<'_>) -> Result<dsaudit_sim::SimConfig, String> {
+    let count = |name: &str, default: u32| flags.value(name, default).map(|v| v as usize);
+    let backends =
+        |list: &str| list.split(',').map(BackendId::from_name).collect::<Option<Vec<_>>>();
+    Ok(dsaudit_sim::SimConfig {
+        seed: flags.value("--seed", 0xd5a_517)?,
+        epochs: flags.value("--epochs", 20)?,
+        providers: count("--providers", 32)?,
+        owners: count("--owners", 4)?,
+        files_per_owner: count("--files", 1)?,
+        erasure_k: count("--k", 3)?,
+        erasure_n: count("--n", 6)?,
+        shards: count("--shards", 4)?,
+        backends: flags.parsed("--backends", Vec::new(), backends)?,
+        ..dsaudit_sim::SimConfig::default()
+    })
+}
+
 /// Runs the fixed-seed network simulation and prints its report: the
 /// scale scenario (erasure-coded multi-provider audits under churn and
 /// faults) as one reproducible experiment.
-fn run_sim(args: &[String]) {
-    const KNOWN: &[&str] = &[
-        "--seed", "--epochs", "--providers", "--owners", "--files", "--k", "--n", "--shards",
-        "--backends",
-    ];
-    // strict flag parsing: an unknown flag, a missing value, or an
-    // unparsable value is an error, not a silent fallback — CI must
-    // never green-light a scenario it did not ask for
-    let mut i = 1;
-    while i < args.len() {
-        if !KNOWN.contains(&args[i].as_str()) {
-            eprintln!("sim: unknown flag '{}' (known: {})", args[i], KNOWN.join(" "));
-            std::process::exit(2);
-        }
-        if args[i] == "--backends" {
-            // comma-separated backend names (shadow audit lanes)
-            let ok = args
-                .get(i + 1)
-                .is_some_and(|v| {
-                    !v.is_empty()
-                        && v.split(',')
-                            .all(|n| dsaudit_backend::BackendId::from_name(n).is_some())
-                });
-            if !ok {
-                eprintln!(
-                    "sim: flag '--backends' needs a comma-separated list of backend names \
-                     (pairing, merkle, groth16)"
-                );
-                std::process::exit(2);
-            }
-            i += 2;
-            continue;
-        }
-        // every field narrower than u64 fits in u32, so bound-check
-        // here — otherwise flag()'s typed re-parse would silently fall
-        // back to the default on overflow
-        let fits = match args.get(i + 1).map(|v| v.parse::<u64>()) {
-            Some(Ok(v)) => args[i] == "--seed" || v <= u32::MAX as u64,
-            _ => false,
-        };
-        if !fits {
-            eprintln!(
-                "sim: flag '{}' needs an unsigned integer value{}",
-                args[i],
-                if args[i] == "--seed" { "" } else { " (at most 2^32-1)" }
-            );
-            std::process::exit(2);
-        }
-        i += 2;
-    }
-    fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-    let cfg = dsaudit_sim::SimConfig {
-        seed: flag(args, "--seed", 0xd5a_517),
-        epochs: flag(args, "--epochs", 20),
-        providers: flag(args, "--providers", 32),
-        owners: flag(args, "--owners", 4),
-        files_per_owner: flag(args, "--files", 1),
-        erasure_k: flag(args, "--k", 3),
-        erasure_n: flag(args, "--n", 6),
-        shards: flag(args, "--shards", 4),
-        backends: args
-            .iter()
-            .position(|a| a == "--backends")
-            .and_then(|i| args.get(i + 1))
-            .map(|v| {
-                v.split(',')
-                    .map(|n| {
-                        dsaudit_backend::BackendId::from_name(n).expect("validated above")
-                    })
-                    .collect()
-            })
-            .unwrap_or_default(),
-        ..dsaudit_sim::SimConfig::default()
-    };
+fn run_sim(flags: &Flags<'_>) -> Result<(), String> {
+    let cfg = sim_config(flags)?;
     println!(
         "running {} epochs over {} providers / {} owners (seed {:#x})...\n",
         cfg.epochs, cfg.providers, cfg.owners, cfg.seed
@@ -167,52 +182,30 @@ fn run_sim(args: &[String]) {
         );
         std::process::exit(1);
     }
+    Ok(())
+}
+
+/// The node soak's configuration from its flags.
+fn soak_config(flags: &Flags<'_>) -> Result<dsaudit_node::SoakConfig, String> {
+    let defaults = dsaudit_node::SoakConfig::default();
+    Ok(dsaudit_node::SoakConfig {
+        seed: flags.value("--seed", defaults.seed)?,
+        sessions: flags.value("--sessions", defaults.sessions)?,
+        providers: flags.value("--providers", defaults.providers)?,
+        ttl_ms: flags.value("--ttl-ms", defaults.ttl_ms)?,
+    })
 }
 
 /// Runs the deterministic node soak (fault-injected audit daemons, three
 /// fault schedules) and writes its JSON report; exits nonzero when any
 /// challenge is lost, double-settled, or otherwise violates the
 /// termination invariant — the CI `node-soak` step.
-fn run_node_soak(args: &[String]) {
-    const KNOWN: &[&str] = &["--seed", "--sessions", "--providers", "--ttl-ms", "--out"];
-    let mut i = 1;
-    while i < args.len() {
-        if !KNOWN.contains(&args[i].as_str()) {
-            eprintln!(
-                "node-soak: unknown flag '{}' (known: {})",
-                args[i],
-                KNOWN.join(" ")
-            );
-            std::process::exit(2);
-        }
-        if args.get(i + 1).is_none() {
-            eprintln!("node-soak: flag '{}' needs a value", args[i]);
-            std::process::exit(2);
-        }
-        i += 2;
-    }
-    fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-    let defaults = dsaudit_node::SoakConfig::default();
-    let cfg = dsaudit_node::SoakConfig {
-        seed: flag(args, "--seed", defaults.seed),
-        sessions: flag(args, "--sessions", defaults.sessions),
-        providers: flag(args, "--providers", defaults.providers),
-        ttl_ms: flag(args, "--ttl-ms", defaults.ttl_ms),
-    };
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| {
-            concat!(env!("CARGO_MANIFEST_DIR"), "/../../NODE_SOAK_repro.json").to_string()
-        });
+fn run_node_soak(flags: &Flags<'_>) -> Result<(), String> {
+    let cfg = soak_config(flags)?;
+    let out_path: String = flags.value(
+        "--out",
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../NODE_SOAK_repro.json").to_string(),
+    )?;
 
     println!(
         "node soak: {} sessions over {} providers per schedule set (seed {:#x}, ttl {} ms)...\n",
@@ -254,6 +247,7 @@ fn run_node_soak(args: &[String]) {
         std::process::exit(1);
     }
     println!("every challenge terminated in exactly one of Settled/Expired");
+    Ok(())
 }
 
 /// Runs a deterministic scenario with a virtual-clock telemetry
@@ -262,41 +256,18 @@ fn run_node_soak(args: &[String]) {
 /// text exposition. The registry rides the scenario's own virtual
 /// clock, so repeated runs produce byte-identical traces (the CI
 /// artifact is diffable across PRs).
-fn run_trace(args: &[String]) {
+fn run_trace(flags: &Flags<'_>) -> Result<(), String> {
     use std::sync::Arc;
-    const KNOWN: &[&str] = &["--scenario", "--out-dir"];
-    let mut i = 1;
-    while i < args.len() {
-        if !KNOWN.contains(&args[i].as_str()) {
-            eprintln!("trace: unknown flag '{}' (known: {})", args[i], KNOWN.join(" "));
-            std::process::exit(2);
-        }
-        if args.get(i + 1).is_none() {
-            eprintln!("trace: flag '{}' needs a value", args[i]);
-            std::process::exit(2);
-        }
-        i += 2;
-    }
-    let scenario = args
-        .iter()
-        .position(|a| a == "--scenario")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("sim");
+    let scenario: String = flags.value("--scenario", "sim".to_string())?;
     if scenario != "sim" && scenario != "node-soak" {
-        eprintln!("trace: --scenario must be 'sim' or 'node-soak', got '{scenario}'");
-        std::process::exit(2);
+        return Err(format!("--scenario must be 'sim' or 'node-soak', got '{scenario}'"));
     }
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out-dir")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string());
+    let out_dir: String =
+        flags.value("--out-dir", concat!(env!("CARGO_MANIFEST_DIR"), "/../..").to_string())?;
 
     let reg = Arc::new(dsaudit_obs::Registry::new_virtual());
     dsaudit_obs::install(Arc::clone(&reg));
-    match scenario {
+    match scenario.as_str() {
         "sim" => {
             let cfg = dsaudit_sim::SimConfig {
                 seed: 0xd5a_517,
@@ -360,6 +331,7 @@ fn run_trace(args: &[String]) {
         snap.dropped_spans,
         snap.dropped_events
     );
+    Ok(())
 }
 
 /// Head-to-head comparison of the pluggable audit backends: the same
@@ -367,10 +339,8 @@ fn run_trace(args: &[String]) {
 /// and a fixed-seed simulation with all three backends running as
 /// shadow lanes through one challenge and fault schedule (system side).
 fn run_backends() {
-    use dsaudit_backend::{
-        AuditBackend, BackendId, Groth16MerkleBackend, MerkleBackend, PairingBackend,
-    };
-    use dsaudit_bench::time_mean;
+    use dsaudit_backend::{AuditBackend, Groth16MerkleBackend, MerkleBackend, PairingBackend};
+    use dsaudit_bench::{timed, CALL};
     use dsaudit_core::codec::Codec as _;
     use dsaudit_core::params::AuditParams;
     use rand::SeedableRng;
@@ -392,29 +362,19 @@ fn run_backends() {
     );
     for backend in &backends {
         let mut r = rand::rngs::StdRng::seed_from_u64(0xbac_4e40);
-        let t0 = std::time::Instant::now();
-        let setup = backend.setup(&mut r, &data).expect("setup");
-        let setup_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let prove_ms = {
-            let t = time_mean(5, || {
-                let _ = backend
-                    .prove(&mut r, &setup.kit, &data, &beacon)
-                    .expect("honest prove");
-            });
-            t.as_secs_f64() * 1e3
-        };
+        let mut setup = None;
+        let setup_ms = timed(1, || setup = Some(backend.setup(&mut r, &data).expect("setup")))
+            .mean_ms(CALL);
+        let setup = setup.expect("the closure ran");
+        let prove_ms =
+            timed(5, || backend.prove(&mut r, &setup.kit, &data, &beacon).expect("honest prove"))
+                .mean_ms(CALL);
         let proof = backend
             .prove(&mut r, &setup.kit, &data, &beacon)
             .expect("honest prove");
-        let verify_ms = {
-            let t = time_mean(5, || {
-                assert!(backend
-                    .verify(&setup.commitment, &beacon, &proof)
-                    .expect("well-formed proof")
-                    .accepted());
-            });
-            t.as_secs_f64() * 1e3
-        };
+        let verify = || backend.verify(&setup.commitment, &beacon, &proof);
+        let verify_ms =
+            timed(5, || assert!(verify().expect("well-formed proof").accepted())).mean_ms(CALL);
         println!(
             "  {:<10} {:>10.3} {:>10.3} {:>10.3} {:>9} {:>9}",
             backend.id().name(),
@@ -477,7 +437,7 @@ fn run_backends() {
 /// flat. Panics if an honest proof rejects.
 fn prove_by_size() {
     use dsaudit_backend::{AuditBackend, MerkleBackend, PairingBackend, ProverKit};
-    use dsaudit_bench::time_mean;
+    use dsaudit_bench::{timed, CALL};
     use rand::SeedableRng;
 
     const SIZES: [(&str, usize); 4] = [
@@ -515,11 +475,9 @@ fn prove_by_size() {
                 "honest {} proof rejected at {len} bytes",
                 backend.id()
             );
-            let t = time_mean(iters, || {
-                std::hint::black_box(backend.prove(&mut r, &setup.kit, &data, &beacon))
-                    .expect("honest prove");
-            });
-            print!(" {:>9.3}", t.as_secs_f64() * 1e3);
+            let prove = || backend.prove(&mut r, &setup.kit, &data, &beacon).expect("honest prove");
+            let ms = timed(iters, prove).mean_ms(CALL);
+            print!(" {ms:>9.3}");
             if let ProverKit::Merkle(kit) = &setup.kit {
                 kit_bytes.push(kit.tree_bytes());
             }
@@ -536,14 +494,18 @@ fn prove_by_size() {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let full = args.iter().any(|a| a == "--full");
-    let measure_mb = args
-        .iter()
-        .position(|a| a == "--mb")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8usize);
+    let rest = args.get(1..).unwrap_or(&[]);
+    if let Err(e) = Flags::parse(cmd, rest).and_then(|flags| run(cmd, &flags)) {
+        eprintln!("{cmd}: {e}");
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
+}
 
+/// Runs subcommand `cmd`; a bad flag value is an error.
+fn run(cmd: &str, flags: &Flags<'_>) -> Result<(), String> {
+    let full = flags.has("--full");
+    let measure_mb = || flags.value("--mb", 8usize);
     let divider = || println!("\n{}\n", "=".repeat(72));
     match cmd {
         "table1" => tables::table1(),
@@ -551,7 +513,7 @@ fn main() {
         "fig4" => figures::fig4(),
         "fig5" => figures::fig5(),
         "fig6" => figures::fig6(),
-        "fig7" => figures::fig7(measure_mb),
+        "fig7" => figures::fig7(measure_mb()?),
         "fig8" => figures::fig8(),
         "fig9" => figures::fig9(),
         "fig10" => figures::fig10(),
@@ -561,11 +523,12 @@ fn main() {
         "baseline" => figures::baseline(),
         "json" => emit_json(),
         "check" => check_json(),
-        "sim" => run_sim(&args),
-        "node-soak" => run_node_soak(&args),
-        "trace" => run_trace(&args),
+        "sim" => run_sim(flags)?,
+        "node-soak" => run_node_soak(flags)?,
+        "trace" => run_trace(flags)?,
         "backends" => run_backends(),
         "all" => {
+            let measure_mb = measure_mb()?;
             tables::table1();
             divider();
             tables::table2(full);
@@ -594,10 +557,59 @@ fn main() {
             divider();
             emit_json();
         }
-        other => {
-            eprintln!("unknown experiment '{other}'");
-            eprintln!("usage: repro [table1|table2|fig4..fig10|fig10b|costs|baseline|attack|sim|node-soak|backends|trace|json|check|all] [--full] [--mb N] [sim: --epochs N --providers N --owners N --files N --k N --n N --shards N --seed N --backends pairing,merkle,groth16] [node-soak: --sessions N --providers N --ttl-ms N --seed N --out PATH] [trace: --scenario sim|node-soak --out-dir DIR]");
-            std::process::exit(2);
+        other => return Err(format!("unknown experiment '{other}'")),
+    }
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn words(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn an_unparsable_value_is_an_error() {
+        let args = words("--sessions 5x");
+        let flags = Flags::parse("node-soak", &args).unwrap();
+        assert!(soak_config(&flags).is_err());
+        let args = words("--mb abc");
+        let flags = Flags::parse("fig7", &args).unwrap();
+        assert!(flags.value("--mb", 8usize).is_err());
+        let args = words("--providers 4294967296");
+        assert!(sim_config(&Flags::parse("sim", &args).unwrap()).is_err());
+    }
+
+    #[test]
+    fn a_missing_value_is_an_error() {
+        assert!(Flags::parse("node-soak", &words("--seed 1 --sessions")).is_err());
+        assert!(Flags::parse("fig7", &words("--mb")).is_err());
+    }
+
+    #[test]
+    fn an_unknown_flag_or_experiment_is_an_error() {
+        assert!(Flags::parse("fig5", &words("--full")).is_err());
+        assert!(Flags::parse("sim", &words("--ttl-ms 5")).is_err());
+        assert!(Flags::parse("fig11", &[]).is_err());
+        let args = words("--full --mb 2");
+        let flags = Flags::parse("all", &args).unwrap();
+        assert!(flags.has("--full"));
+        assert_eq!(flags.value("--mb", 8usize), Ok(2));
+    }
+
+    #[test]
+    fn backends_parse_as_a_list_of_names() {
+        let args = words("--backends pairing,merkle,groth16-merkle --shards 1");
+        let cfg = sim_config(&Flags::parse("sim", &args).unwrap()).unwrap();
+        assert_eq!(cfg.backends, BackendId::ALL.to_vec());
+        assert_eq!(cfg.shards, 1);
+        for bad in ["pairing,nope", "pairing,", ","] {
+            let args = vec!["--backends".to_string(), bad.to_string()];
+            assert!(sim_config(&Flags::parse("sim", &args).unwrap()).is_err(), "{bad}");
         }
+        let cfg = sim_config(&Flags::parse("sim", &[]).unwrap()).unwrap();
+        assert!(cfg.backends.is_empty());
     }
 }

@@ -3,7 +3,9 @@
 //! The reproduction harness behind the `repro` binary: one function per
 //! table/figure of the paper's evaluation (§VII), each *measuring* the
 //! relevant pipeline on this machine and printing the same rows/series
-//! the paper reports, plus the exact-metric snapshot ([`json`]).
+//! the paper reports, plus the exact-metric snapshot ([`json`]). Every
+//! timing is an obs span recorded by [`timed`]: each figure reads the
+//! span that already bounds its work (`core.prove_private`, ...).
 
 #![forbid(unsafe_code)]
 
@@ -11,7 +13,7 @@ pub mod figures;
 pub mod json;
 pub mod tables;
 
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 use dsaudit_algebra::g1::G1Affine;
 use dsaudit_core::{
@@ -19,6 +21,7 @@ use dsaudit_core::{
     SecretKey,
 };
 use dsaudit_core::tag::generate_tags;
+use dsaudit_obs::{Registry, SpanRecord};
 use rand::SeedableRng;
 
 /// Deterministic RNG for reproducible measurement runs.
@@ -79,57 +82,68 @@ impl Env {
     }
 }
 
-/// Times a closure over `iters` runs (plus one warm-up), returning the
-/// mean duration.
-pub fn time_mean<F: FnMut()>(iters: u32, mut f: F) -> Duration {
-    f();
-    let t0 = Instant::now();
+/// The span [`timed`] opens around each measured call: what a figure
+/// reads when the work has no span of its own.
+pub const CALL: &str = "bench.call";
+
+/// Runs `f` on a wall-clock obs registry, once to warm up and then
+/// `iters` times inside a [`CALL`] span each (its result kept opaque to
+/// the optimizer), and returns the spans the measured calls recorded;
+/// the warm-up records into a registry of its own, which is dropped.
+/// Obs is process-wide: nothing else may record while this runs.
+pub fn timed<R>(iters: u32, mut f: impl FnMut() -> R) -> Timed {
+    dsaudit_obs::install(Arc::new(Registry::new_wall()));
+    std::hint::black_box(f());
+    let registry = Arc::new(Registry::new_wall());
+    dsaudit_obs::install(Arc::clone(&registry));
     for _ in 0..iters {
-        f();
+        let _call = dsaudit_obs::span(CALL);
+        std::hint::black_box(f());
     }
-    t0.elapsed() / iters
+    dsaudit_obs::uninstall();
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.dropped_spans, 0, "the span table overflowed");
+    Timed { spans: snapshot.spans }
 }
 
-/// Measures the tag-generation throughput in MB/s for a given `s`
-/// over `file_bytes` of data (Fig. 7's extrapolation base).
-pub fn preprocess_throughput_mb_s(s: usize, file_bytes: usize) -> f64 {
-    let params = AuditParams::new(s, 300).expect("valid params");
-    let mut rng = rng();
-    let (sk, _) = keygen(&mut rng, &params);
-    let data: Vec<u8> = (0..file_bytes).map(|i| (i % 251) as u8).collect();
-    let file = EncodedFile::encode(&mut rng, &data, params);
-    let t0 = Instant::now();
-    let tags = generate_tags(&sk, &file);
-    let dt = t0.elapsed();
-    assert_eq!(tags.len(), file.num_chunks());
-    file_bytes as f64 / 1e6 / dt.as_secs_f64()
+/// What the measured calls of one [`timed`] run recorded. Both queries
+/// panic on a name that recorded nothing, so a renamed span fails the
+/// figure instead of printing 0.
+pub struct Timed {
+    spans: Vec<SpanRecord>,
 }
 
-/// Measured single verification time in milliseconds (averaged), run
-/// through the environment's warm [`Auditor`] handle.
-pub fn measure_verify_ms(env: &Env, private: bool, iters: u32) -> f64 {
-    let prover = env.prover();
-    let ch = env.challenge();
-    if private {
-        let mut r = rng();
-        let proof = prover.prove_private(&mut r, &ch);
-        let d = time_mean(iters, || {
-            assert!(env
-                .auditor
-                .verify_private(&env.pk, &env.meta, &ch, &proof)
-                .expect("valid meta")
-                .accepted());
+impl Timed {
+    /// Mean ms of the spans named `name`: per call when the closure
+    /// opens it once, per item when once per item.
+    pub fn mean_ms(&self, name: &str) -> f64 {
+        let (total, count) = self.total_ms(|s| s.name == name);
+        assert!(count > 0, "no `{name}` span was recorded");
+        total / count as f64
+    }
+
+    /// Mean ms, per span named `parent`, of the spans named `child`
+    /// directly under it (both MSMs of one proof, say).
+    pub fn child_ms(&self, parent: &str, child: &str) -> f64 {
+        let (_, parents) = self.total_ms(|s| s.name == parent);
+        let (total, count) = self.total_ms(|s| {
+            s.name == child
+                && s.parent
+                    .and_then(|p| self.spans.get(p))
+                    .is_some_and(|p| p.name == parent)
         });
-        d.as_secs_f64() * 1e3
-    } else {
-        let proof = prover.prove_plain(&ch);
-        let d = time_mean(iters, || {
-            assert!(env
-                .auditor
-                .verify_plain(&env.pk, &env.meta, &ch, &proof)
-                .expect("valid meta")
-                .accepted());
-        });
-        d.as_secs_f64() * 1e3
+        assert!(count > 0, "no `{child}` span was recorded under `{parent}`");
+        total / parents as f64
+    }
+
+    /// Total ms and count of the spans that satisfy `pick`.
+    fn total_ms(&self, pick: impl Fn(&SpanRecord) -> bool) -> (f64, usize) {
+        self.spans
+            .iter()
+            .filter(|s| pick(s))
+            .fold((0.0, 0), |(total, count), s| {
+                let ns = s.end_ns.unwrap_or(s.start_ns).saturating_sub(s.start_ns);
+                (total + ns as f64 / 1e6, count + 1)
+            })
     }
 }

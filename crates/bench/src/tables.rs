@@ -2,9 +2,10 @@
 //! (strawman vs. main solution, fully measured).
 
 use dsaudit_core::params::AuditParams;
-use dsaudit_snark::strawman::StrawmanAudit;
+use dsaudit_snark::strawman::{StrawmanAudit, StrawmanStats};
 
-use crate::{measure_verify_ms, preprocess_throughput_mb_s, rng, time_mean, Env};
+use crate::figures::{tag_gen_mb_s, verification_ms};
+use crate::{rng, timed, Env};
 
 /// Prints Table I — the §II taxonomy of auditing-related features.
 /// (Qualitative; regenerated from the paper's analysis encoded as data.)
@@ -50,8 +51,8 @@ pub fn table1() {
 
 /// Prints Table II — SNARK strawman vs. HLA main solution, measured on
 /// this machine. `full` pads the strawman circuit to the paper's 3x10^5
-/// constraints (minutes of runtime); otherwise the raw MiMC circuit is
-/// measured and the padded profile is reported from a smaller pad.
+/// constraints (minutes of runtime: the strawman runs once to warm up,
+/// then once measured); otherwise it is padded to 8,192 constraints.
 pub fn table2(full: bool) {
     let mut r = rng();
     println!("Table II — strawman (SNARK Merkle) vs. main (HLA + KZG)\n");
@@ -59,35 +60,37 @@ pub fn table2(full: bool) {
     // --- strawman on a 1 KB file, as in the paper ---
     let data: Vec<u8> = (0..1024).map(|i| (i % 251) as u8).collect();
     let pad = if full { Some(300_000) } else { Some(8_192) };
-    let audit = StrawmanAudit::commit(&mut r, &data, pad).expect("setup");
-    let (_, stats) = audit.respond(&mut r, 3, pad).expect("prove");
+    let mut stats = StrawmanStats::default();
+    let strawman = timed(1, || {
+        let audit = StrawmanAudit::commit(&mut r, &data, pad).expect("setup");
+        stats = audit.respond(&mut r, 3, pad).expect("prove").1;
+    });
     println!("strawman solution (1 KB file, MiMC Merkle circuit padded to {} constraints{})",
         stats.constraints, if full { "" } else { "; run with --full for the paper's 3e5" });
-    println!("  pre-process (trusted setup): {:>10.2?}", stats.setup_time);
+    println!("  pre-process (trusted setup): {:>10.2} ms", strawman.mean_ms("snark.setup"));
     println!("  param size:                  {:>10.1} MB", stats.param_bytes as f64 / 1e6);
     println!("  #constraints:                {:>10}", stats.constraints);
-    println!("  proof generation:            {:>10.2?}", stats.prove_time);
+    println!("  proof generation:            {:>10.2} ms", strawman.mean_ms("snark.prove"));
     println!("  proof size:                  {:>10} bytes", stats.proof_bytes);
-    println!("  verification:                {:>10.2?}", stats.verify_time);
+    println!("  verification:                {:>10.2} ms", strawman.mean_ms("snark.verify"));
     println!("  [paper: 260 s setup, 150 MB params, 3e5 constraints, 30 s prove, 384 B proof, 30 ms verify]\n");
 
     // --- main solution, s = 50, k = 300 ---
     let params = AuditParams::default();
     let file_bytes = 4 * 1024 * 1024; // measure on 4 MB, report MB/s
     let env = Env::new(file_bytes, params);
-    let mbs = preprocess_throughput_mb_s(50, file_bytes);
+    let mbs = tag_gen_mb_s(50, file_bytes);
     let prover = env.prover();
     let ch = env.challenge();
     let mut rr = rng();
-    let prove_t = time_mean(5, || {
-        let _ = prover.prove_private(&mut rr, &ch);
-    });
-    let verify_ms = measure_verify_ms(&env, true, 5);
+    let prove_ms = timed(5, || prover.prove_private(&mut rr, &ch)).mean_ms("core.prove_private");
+    let [_, verify_ms, verify_cold] = verification_ms(&env, 5);
     println!("main solution (s = 50, k = 300)");
     println!("  pre-process throughput:      {:>10.1} MB/s  (=> {:.0} s per GB; paper ~120 s)", mbs, 1024.0 / mbs);
     println!("  param size (pk, w/ privacy): {:>10.1} KB", env.pk.serialized_len(true) as f64 / 1e3);
-    println!("  proof generation:            {:>10.2?}", prove_t);
+    println!("  proof generation:            {:>10.2} ms", prove_ms);
     println!("  proof size:                  {:>10} bytes", dsaudit_core::proof::PRIVATE_PROOF_BYTES);
-    println!("  verification:                {:>10.2} ms", verify_ms);
+    println!("  verification (warm):         {:>10.2} ms", verify_ms);
+    println!("  verification (cold):         {:>10.2} ms  (fresh auditor per call)", verify_cold);
     println!("  [paper: ~120 s per GB, ~5 KB params, 46 ms prove, 288 B proof, 7 ms verify]");
 }

@@ -112,7 +112,7 @@ pub use keys::{keygen, PublicKey, SecretKey};
 pub use owner::{share_name, DataOwner, Outsourcing};
 pub use params::{chunks_for_confidence, confidence_for_chunks, AuditParams};
 pub use proof::{PlainProof, PrivateProof, PLAIN_PROOF_BYTES, PRIVATE_PROOF_BYTES};
-pub use prove::{Prover, ProveTimings};
+pub use prove::Prover;
 pub use provider::StorageProvider;
 pub use session::{AuditSession, ChallengedRound, ProvenRound, RoundChallenge, RoundResponse};
 pub use tag::{generate_tags, verify_tag, verify_tags_batch, verify_tags_each};

@@ -1,7 +1,5 @@
 //! Proof generation on the storage-provider side (§V-D step 1).
 
-use std::time::{Duration, Instant};
-
 use dsaudit_algebra::curve::Projective;
 use dsaudit_algebra::endo::msm_g1;
 use dsaudit_algebra::field::Field;
@@ -38,29 +36,6 @@ enum Chunks<'a> {
     /// The raw stored bytes: each challenged chunk is encoded as it is
     /// read ([`EncodedFile::encode_chunk`]), so a round costs `O(k)`.
     Stored(&'a [u8]),
-}
-
-/// Time split of one proof generation, for the Fig. 8 ablation. Each
-/// class is timed inside the closure that runs it.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ProveTimings {
-    /// Finite-field work: challenge expansion, challenge-weighted
-    /// coefficients, evaluation, quotient division.
-    pub field_ops: Duration,
-    /// Elliptic-curve work: the two MSMs.
-    pub curve_ops: Duration,
-    /// GT work: the privacy commitment `R = e(g1, eps)^z` and its hash
-    /// `zeta = H'(R)` (zero for the plain variant).
-    pub gt_ops: Duration,
-}
-
-impl ProveTimings {
-    /// Busy time: the sum of the three classes. The private prover runs
-    /// the GT class beside the other two when it has a second CPU, so
-    /// this can exceed the wall-clock time of the call.
-    pub fn total(&self) -> Duration {
-        self.field_ops + self.curve_ops + self.gt_ops
-    }
 }
 
 impl<'a> Prover<'a> {
@@ -130,11 +105,7 @@ impl<'a> Prover<'a> {
     /// at `r` (evaluation `y`, quotient witness) and runs the two MSMs —
     /// `sigma` over the challenged tags, `psi` over the commitment key —
     /// through the GLV-split Pippenger of `dsaudit_algebra::endo`.
-    fn aggregate_and_open(
-        &self,
-        challenge: &Challenge,
-    ) -> (G1Projective, Fr, G1Projective, ProveTimings) {
-        let t0 = Instant::now();
+    fn aggregate_and_open(&self, challenge: &Challenge) -> (G1Projective, Fr, G1Projective) {
         // one tag per chunk, checked at construction
         let set = challenge.expand(self.tags.len(), self.params.k);
         // P_k coefficients: p_j = sum_i c_i m_{i,j}
@@ -153,9 +124,7 @@ impl<'a> Prover<'a> {
             }
         }
         let (quot, y) = DensePoly::from_coeffs(pk_coeffs).divide_by_linear(challenge.r);
-        let field_ops = t0.elapsed();
 
-        let t1 = Instant::now();
         // sigma = prod_i sigma_i^{c_i}
         let (bases, coeffs): (Vec<G1Affine>, Vec<Fr>) = set
             .iter()
@@ -164,80 +133,51 @@ impl<'a> Prover<'a> {
         let sigma = msm_g1(&bases, &coeffs);
         let quot = quot.coeffs();
         let psi = msm_g1(&self.pk.alpha_powers_g1[..quot.len()], quot);
-        let t = ProveTimings {
-            field_ops,
-            curve_ops: t1.elapsed(),
-            gt_ops: Duration::ZERO,
-        };
-        (sigma, y, psi, t)
+        (sigma, y, psi)
     }
 
     /// Produces the non-private response `(sigma, y, psi)` — Eq. (1).
     pub fn prove_plain(&self, challenge: &Challenge) -> PlainProof {
-        self.prove_plain_instrumented(challenge).0
-    }
-
-    /// Instrumented plain prover (the "w/o on-chain privacy" series of
-    /// the Fig. 8 reproduction).
-    pub fn prove_plain_instrumented(&self, challenge: &Challenge) -> (PlainProof, ProveTimings) {
         let _span = dsaudit_obs::span("core.prove_plain");
         dsaudit_obs::counter_inc("core.proofs_plain");
-        let (sigma, y, psi, t) = self.aggregate_and_open(challenge);
+        let (sigma, y, psi) = self.aggregate_and_open(challenge);
         // one shared inversion for both affine conversions
         let affine = Projective::batch_to_affine(&[sigma, psi]);
-        (
-            PlainProof {
-                sigma: affine[0],
-                y,
-                psi: affine[1],
-            },
-            t,
-        )
+        PlainProof {
+            sigma: affine[0],
+            y,
+            psi: affine[1],
+        }
     }
 
     /// Produces the privacy-assured response `(sigma, y', psi, R)` —
     /// the paper's main protocol (§V-D, verified by Eq. (2)).
+    ///
+    /// The mask `z` is the only RNG draw and is taken first, so that the
+    /// commitment `R = e(g1, eps)^z` and `zeta = H'(R)` — which depend on
+    /// nothing else — run beside the shared response under [`join`].
     pub fn prove_private<R: rand::RngCore + ?Sized>(
         &self,
         rng: &mut R,
         challenge: &Challenge,
     ) -> PrivateProof {
-        self.prove_private_instrumented(rng, challenge).0
-    }
-
-    /// Instrumented variant returning the field/curve/GT time split used
-    /// by the Fig. 8 reproduction.
-    ///
-    /// The mask `z` is the only RNG draw and is taken first, so that the
-    /// commitment `R = e(g1, eps)^z` and `zeta = H'(R)` — which depend on
-    /// nothing else — run beside the shared response under [`join`].
-    pub fn prove_private_instrumented<R: rand::RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        challenge: &Challenge,
-    ) -> (PrivateProof, ProveTimings) {
         let _span = dsaudit_obs::span("core.prove_private");
         dsaudit_obs::counter_inc("core.proofs_private");
         let z = Fr::random(rng);
-        let ((r_commit, zeta, gt_ops), (sigma, y, psi, mut t)) = join(
+        let ((r_commit, zeta), (sigma, y, psi)) = join(
             || {
-                let t0 = Instant::now();
                 let r_commit = self.pk.e_g1_eps.pow(z);
-                (r_commit, h_prime(&r_commit), t0.elapsed())
+                (r_commit, h_prime(&r_commit))
             },
             || self.aggregate_and_open(challenge),
         );
-        t.gt_ops = gt_ops;
         let affine = Projective::batch_to_affine(&[sigma, psi]);
-        (
-            PrivateProof {
-                sigma: affine[0],
-                y_prime: zeta * y + z,
-                psi: affine[1],
-                r_commit,
-            },
-            t,
-        )
+        PrivateProof {
+            sigma: affine[0],
+            y_prime: zeta * y + z,
+            psi: affine[1],
+            r_commit,
+        }
     }
 }
 

@@ -177,6 +177,7 @@ pub fn setup<R: rand::RngCore + ?Sized>(
     rng: &mut R,
     cs: &ConstraintSystem,
 ) -> Result<ProvingKey, SnarkError> {
+    let _span = dsaudit_algebra::obs::span("snark.setup");
     let tau = Fr::random(rng);
     let alpha = Fr::random(rng);
     let beta = Fr::random(rng);
@@ -283,6 +284,7 @@ pub fn prove<R: rand::RngCore + ?Sized>(
     pk: &ProvingKey,
     cs: &ConstraintSystem,
 ) -> Result<Proof, SnarkError> {
+    let _span = dsaudit_algebra::obs::span("snark.prove");
     if !cs.is_satisfied() {
         return Err(SnarkError::Unsatisfied);
     }
@@ -325,6 +327,7 @@ pub fn prove<R: rand::RngCore + ?Sized>(
 /// Verifies a proof against public inputs:
 /// `e(A, B) == e(alpha, beta) * e(IC(x), gamma) * e(C, delta)`.
 pub fn verify(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> bool {
+    let _span = dsaudit_algebra::obs::span("snark.verify");
     if public_inputs.len() + 1 != vk.ic.len() {
         return false;
     }

@@ -4,8 +4,6 @@
 //! machinery, which is exactly what Table II quantifies against the
 //! paper's main HLA solution.
 
-use std::time::{Duration, Instant};
-
 use dsaudit_algebra::field::Field;
 use dsaudit_algebra::Fr;
 use dsaudit_merkle::tree::{MerkleTree, MimcHasher};
@@ -13,22 +11,17 @@ use dsaudit_merkle::tree::{MerkleTree, MimcHasher};
 use crate::gadgets::merkle_membership_circuit;
 use crate::groth16::{prove, setup, verify, Proof, ProvingKey, SnarkError};
 
-/// Measured profile of one strawman instantiation — the rows of
-/// Table II.
+/// Size profile of one strawman instantiation — the size rows of
+/// Table II. Its setup, prove and verify times are the `snark.setup`,
+/// `snark.prove` and `snark.verify` obs spans.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StrawmanStats {
     /// R1CS size (after optional padding).
     pub constraints: usize,
-    /// Trusted-setup wall time.
-    pub setup_time: Duration,
     /// Proving-key size in bytes ("Param. size").
     pub param_bytes: usize,
-    /// Proof generation wall time.
-    pub prove_time: Duration,
     /// Proof size in bytes (uncompressed, as posted on chain).
     pub proof_bytes: usize,
-    /// Verification wall time.
-    pub verify_time: Duration,
 }
 
 /// A committed file under the strawman scheme.
@@ -38,7 +31,6 @@ pub struct StrawmanAudit {
     pk: ProvingKey,
     /// Number of constraints in the circuit (incl. padding).
     pub constraints: usize,
-    setup_time: Duration,
 }
 
 impl StrawmanAudit {
@@ -75,15 +67,12 @@ impl StrawmanAudit {
             cs.pad_constraints(n);
         }
         let constraints = cs.constraints.len();
-        let t0 = Instant::now();
         let pk = setup(rng, &cs)?;
-        let setup_time = t0.elapsed();
         Ok(Self {
             tree,
             leaves,
             pk,
             constraints,
-            setup_time,
         })
     }
 
@@ -98,7 +87,7 @@ impl StrawmanAudit {
     }
 
     /// Produces the zero-knowledge audit response for a challenged
-    /// index, along with its measured profile.
+    /// index, verifies it, and reports the instantiation's sizes.
     ///
     /// # Errors
     /// Propagates prover errors.
@@ -114,24 +103,16 @@ impl StrawmanAudit {
         if let Some(n) = pad_constraints {
             cs.pad_constraints(n);
         }
-        let t0 = Instant::now();
         let proof = prove(rng, &self.pk, &cs)?;
-        let prove_time = t0.elapsed();
-
-        let t1 = Instant::now();
         let ok = verify(&self.pk.vk, &[self.tree.root()], &proof);
-        let verify_time = t1.elapsed();
         debug_assert!(ok, "honest strawman proof must verify");
 
         Ok((
             proof,
             StrawmanStats {
                 constraints: self.constraints,
-                setup_time: self.setup_time,
                 param_bytes: self.pk.serialized_len(),
-                prove_time,
                 proof_bytes: Proof::UNCOMPRESSED_BYTES,
-                verify_time,
             },
         ))
     }

@@ -38,7 +38,7 @@ pub use fft::Domain;
 pub use msm::{msm, FixedBaseTable};
 pub use pairing::{
     final_exponentiation, miller_loop, multi_miller_loop, multi_pairing, multi_pairing_prepared,
-    pairing, G2Prepared, Gt,
+    pairing, FixedBaseGt, G2Prepared, Gt,
 };
 pub use poly::DensePoly;
 pub use fp6::Fq6;

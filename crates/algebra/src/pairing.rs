@@ -23,9 +23,11 @@
 //! 6x^2`, so `g^k = prod_i frobenius_i(g)^{k_i}` with four ~66-bit `k_i`
 //! that share one run of cyclotomic squarings. The split is the one
 //! [`crate::endo`] runs for G1, on a four-dimensional basis written in
-//! the BN parameter `x`.
+//! the BN parameter `x`. A base raised to many exponents
+//! ([`FixedBaseGt`], the prover's commitment base `e(g1, eps)`) keeps a
+//! table of its powers instead, and pays no squarings at all.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::biguint::BigUint;
 use crate::curve::CurveParams;
@@ -461,9 +463,8 @@ impl Gt {
     /// Exponentiation by a scalar: the one-term [`Gt::multi_pow`], about
     /// 66 cyclotomic squarings and 55 multiplications where a signed-NAF
     /// square-and-multiply takes 254 and ~85. Variable-time in `k`
-    /// through its Frobenius split and wNAF schedule; the prover's mask
-    /// `z` (`R = e(g1, eps)^z`) is the one secret exponent it sees
-    /// (docs/LINTS.md).
+    /// through its Frobenius split and wNAF schedule. A base raised to
+    /// many exponents is cheaper as a [`FixedBaseGt`].
     pub fn pow(&self, k: Fr) -> Self {
         Self::multi_pow(&[(*self, k)])
     }
@@ -476,8 +477,7 @@ impl Gt {
     /// one table of its odd powers `g, g^3, g^5, g^7` (one squaring and
     /// three multiplications); the other three tables are its Frobenius
     /// images, and a negative part or digit is a free conjugation. This
-    /// is the prover's mask `R = e(g1, eps)^z` and the batch verifier's
-    /// `prod_u R_u^{-rho_u}`.
+    /// is the batch verifier's `prod_u R_u^{-rho_u}`.
     ///
     /// Exact on the order-`r` subgroup, where Frobenius is the power
     /// `lambda`: every pairing value and every product and power of
@@ -632,7 +632,8 @@ struct GlsTerm {
 /// Constant-time contract: constant-time in the bases, variable-time in
 /// the exponents. The body branches on the digits and on the sign of
 /// each part only, through the two audited `ct-branch` allows below;
-/// `Gt::pow(z)` brings the prover's secret mask here (docs/LINTS.md).
+/// the prover's secret mask reaches it only through the fallback of
+/// `FixedBaseGt::pow(z)` (docs/LINTS.md).
 // lint:ct
 fn gt_straus(terms: &[GlsTerm]) -> Fq12 {
     let len = terms.iter().map(|t| t.digits.len()).max().unwrap_or(0);
@@ -650,6 +651,151 @@ fn gt_straus(terms: &[GlsTerm]) -> Fq12 {
         }
     }
     acc
+}
+
+/// Window width of the fixed-base table: signed digits in `[-15, 16]`.
+const FIXED_WINDOW_BITS: u32 = 5;
+
+/// Windows per split part: 75 bits, above the `2^65` bound on a part
+/// (`Lattice::split`) with room for the recoding's carry.
+const FIXED_WINDOWS: usize = 15;
+
+/// Table entries per window, one per digit magnitude `1..=16`.
+const FIXED_ENTRIES: usize = 1 << (FIXED_WINDOW_BITS - 1);
+
+/// `row[j][m - 1] = g^(m 32^j)` for `m` in `1..=16` and `j` in `0..15`.
+type FixedRows = Vec<[Fq12; FIXED_ENTRIES]>;
+
+/// A `GT` element that is raised to many exponents: the prover's
+/// commitment base `e(g1, eps)`, one per owner key.
+///
+/// Its first [`FixedBaseGt::pow`] builds a signed window table over the
+/// four GLS parts (width 5, 15 windows of 16 powers: 240 `Fq12`, 92,160
+/// bytes) and bumps the `algebra.gt_tables_built` counter; it opens no
+/// span, because which of several concurrent callers builds it depends
+/// on scheduling. Every later power walks the table. Clones share the
+/// table, and equality and `Debug` see the base only.
+#[derive(Clone)]
+pub struct FixedBaseGt {
+    base: Gt,
+    table: Arc<OnceLock<FixedRows>>,
+}
+
+impl FixedBaseGt {
+    /// Wraps `base`; the table is built on the first [`FixedBaseGt::pow`].
+    pub fn new(base: Gt) -> Self {
+        Self {
+            base,
+            table: Arc::default(),
+        }
+    }
+
+    /// The base element.
+    pub fn base(&self) -> &Gt {
+        &self.base
+    }
+
+    /// `base^k`, equal to [`Gt::pow`]: `k` is split into four signed
+    /// parts as there, and each part's signed window digits pick one
+    /// table entry apiece, so a power costs at most 59 multiplications
+    /// and 3 Frobenius maps, and no squarings. Variable-time in `k`:
+    /// which entries are loaded and multiplied follows its digits; the
+    /// prover's mask `z` is the one secret exponent it sees
+    /// (docs/LINTS.md).
+    pub fn pow(&self, k: Fr) -> Gt {
+        let _span = dsaudit_obs::span("algebra.gt_fixed_pow");
+        self.pow_split(k, gls_lattice().and_then(|lattice| lattice.split(k)))
+    }
+
+    /// [`FixedBaseGt::pow`] on a given split of `k`; `None`, or a part
+    /// too long for the table (never expected), falls back to
+    /// [`Gt::pow`].
+    fn pow_split(&self, k: Fr, split: Option<[i128; 4]>) -> Gt {
+        split
+            .and_then(|parts| fixed_walk(self.rows(), &parts))
+            .map_or_else(|| self.base.pow(k), Gt)
+    }
+
+    fn rows(&self) -> &FixedRows {
+        self.table.get_or_init(|| {
+            dsaudit_obs::counter_inc("algebra.gt_tables_built");
+            fixed_rows(&self.base.0)
+        })
+    }
+}
+
+impl PartialEq for FixedBaseGt {
+    fn eq(&self, other: &Self) -> bool {
+        self.base == other.base
+    }
+}
+
+impl Eq for FixedBaseGt {}
+
+impl std::fmt::Debug for FixedBaseGt {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("FixedBaseGt").field(&self.base).finish()
+    }
+}
+
+/// The rows of [`FixedRows`] for cyclotomic `g`: each row is 16
+/// consecutive powers of its window's base, and the next window's base
+/// is the square of the last entry.
+fn fixed_rows(g: &Fq12) -> FixedRows {
+    let mut base = *g;
+    (0..FIXED_WINDOWS)
+        .map(|_| {
+            let mut acc = Fq12::one();
+            let row: [Fq12; FIXED_ENTRIES] = std::array::from_fn(|_| {
+                acc *= base;
+                acc
+            });
+            base = acc.cyclotomic_square();
+            row
+        })
+        .collect()
+}
+
+/// Signed width-5 digits of `mag`, least significant first, each in
+/// `[-15, 16]`; `None` when `mag` needs more than [`FIXED_WINDOWS`].
+fn fixed_digits(mag: u128) -> Option<[i8; FIXED_WINDOWS]> {
+    let mut rest = mag;
+    let mut digits = [0i8; FIXED_WINDOWS];
+    for d in &mut digits {
+        let w = (rest & ((1 << FIXED_WINDOW_BITS) - 1)) as i8;
+        rest >>= FIXED_WINDOW_BITS;
+        *d = if w > FIXED_ENTRIES as i8 {
+            rest += 1;
+            w - (1 << FIXED_WINDOW_BITS)
+        } else {
+            w
+        };
+    }
+    (rest == 0).then_some(digits)
+}
+
+/// `prod_i frobenius_i(g)^{k_i}` off the table of `g`, by Horner in the
+/// Frobenius map: part 3 first, then per lower part one Frobenius of
+/// the accumulator and one multiplication per non-zero digit. A digit's
+/// entry is conjugated when its sign and its part's sign differ.
+fn fixed_walk(rows: &FixedRows, parts: &[i128; 4]) -> Option<Fq12> {
+    let mut digits = [[0i8; FIXED_WINDOWS]; 4];
+    for (d, part) in digits.iter_mut().zip(parts) {
+        *d = fixed_digits(part.unsigned_abs())?;
+    }
+    let mut acc: Option<Fq12> = None;
+    for (part, digits) in parts.iter().zip(&digits).rev() {
+        acc = acc.map(|a| a.frobenius(1));
+        for (row, &d) in rows.iter().zip(digits) {
+            if d == 0 {
+                continue;
+            }
+            let p = row[usize::from(d.unsigned_abs()) - 1];
+            let p = if (d < 0) != (*part < 0) { p.conjugate() } else { p };
+            acc = Some(acc.map_or(p, |a| a * p));
+        }
+    }
+    Some(acc.unwrap_or_else(Fq12::one))
 }
 
 /// The Galbraith–Scott lattice of `GT`: `lambda = 6x^2 == q (mod r)`,
@@ -1017,5 +1163,58 @@ mod tests {
         assert_eq!(g.pow(Fr::zero()), Gt::identity());
         assert_eq!(g.pow(Fr::one()), g);
         assert_eq!(Gt::identity().pow(Fr::random(&mut rng)), Gt::identity());
+    }
+
+    /// The table walk equals `Gt::pow` on the edge scalars (0, 1,
+    /// r - 1 and the recoding stressors) and on random exponents, for
+    /// the generator, a random element and the identity.
+    #[test]
+    fn fixed_base_pow_matches_gt_pow() {
+        let mut rng = rng();
+        let bases = [
+            Gt::generator(),
+            final_exponentiation(&Fq12::random(&mut rng)),
+            Gt::identity(),
+        ];
+        let mut exps = crate::msm::adversarial_scalars();
+        exps.extend((0..8).map(|_| Fr::random(&mut rng)));
+        for g in bases {
+            let fixed = FixedBaseGt::new(g);
+            for &k in &exps {
+                assert_eq!(fixed.pow(k), g.pow(k), "k = {k:?}");
+            }
+        }
+    }
+
+    /// No split, or a part too long for the table, falls back to
+    /// `Gt::pow`.
+    #[test]
+    fn fixed_base_pow_falls_back_without_a_usable_split() {
+        let mut rng = rng();
+        let fixed = FixedBaseGt::new(Gt::generator());
+        let k = Fr::random(&mut rng);
+        assert_eq!(fixed.pow_split(k, None), Gt::generator().pow(k));
+        let too_long = Some([1i128 << 80, 0, 0, 0]);
+        assert_eq!(fixed.pow_split(k, too_long), Gt::generator().pow(k));
+        assert!(fixed_digits(1 << 80).is_none());
+        assert!(fixed_digits((1 << 74) - 1).is_some());
+    }
+
+    /// The digits recombine to the magnitude, stay in `[-15, 16]`, and
+    /// the table holds 240 elements.
+    #[test]
+    fn fixed_digits_recombine() {
+        for mag in [0u128, 1, 16, 17, 31, 32, (1 << 65) - 1, (1 << 74) - 1, 0x0001_2345_6789_abcd_ef01] {
+            let digits = fixed_digits(mag).expect("fits 15 windows");
+            assert!(digits.iter().all(|d| (-15..=16).contains(d)), "{mag}");
+            let back = digits
+                .iter()
+                .rev()
+                .fold(0i128, |acc, &d| (acc << FIXED_WINDOW_BITS) + i128::from(d));
+            assert_eq!(back, mag as i128);
+        }
+        let rows = fixed_rows(&Gt::generator().0);
+        assert_eq!(rows.len() * FIXED_ENTRIES, 240);
+        assert_eq!(rows[1][0], Gt::generator().0.pow(&[32, 0, 0, 0]));
     }
 }

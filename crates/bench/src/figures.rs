@@ -137,7 +137,7 @@ pub fn fig8() {
         let total_plain = plain.mean_ms("core.prove_plain");
         let field = total_plain - plain.child_ms("core.prove_plain", "algebra.msm");
         let curve = private.child_ms("core.prove_private", "algebra.msm");
-        let gt = private.child_ms("core.prove_private", "algebra.multi_pow");
+        let gt = private.child_ms("core.prove_private", "algebra.gt_fixed_pow");
         println!(
             "{:>6} {:>10.2} {:>10.2} {:>10.2} {:>12.2} {:>12.2}",
             s,

@@ -54,11 +54,11 @@ fn one_traced_run_records_every_span_the_figures_read() {
     assert!(spans.child_ms("core.prove_plain", "algebra.msm") <= plain_ms);
     let private_ms = spans.mean_ms("core.prove_private");
     assert!(spans.child_ms("core.prove_private", "algebra.msm") <= private_ms);
-    assert!(spans.child_ms("core.prove_private", "algebra.multi_pow") <= private_ms);
+    assert!(spans.child_ms("core.prove_private", "algebra.gt_fixed_pow") <= private_ms);
     // a name that recorded nothing panics rather than reading 0
     let panics = |query: &dyn Fn() -> f64| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(query)).is_err()
     };
     assert!(panics(&|| spans.mean_ms("core.prove")));
-    assert!(panics(&|| spans.child_ms("core.prove_plain", "algebra.multi_pow")));
+    assert!(panics(&|| spans.child_ms("core.prove_plain", "algebra.gt_fixed_pow")));
 }

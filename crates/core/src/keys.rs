@@ -8,7 +8,7 @@
 use dsaudit_algebra::field::Field;
 use dsaudit_algebra::g1::{G1Affine, G1Projective};
 use dsaudit_algebra::g2::G2Affine;
-use dsaudit_algebra::pairing::{multi_pairing_prepared, G2Prepared, Gt};
+use dsaudit_algebra::pairing::{multi_pairing_prepared, FixedBaseGt, G2Prepared, Gt};
 use dsaudit_algebra::Fr;
 
 use crate::codec::{ByteReader, Codec};
@@ -116,7 +116,10 @@ pub struct PublicKey {
     pub alpha_powers_g1: Vec<G1Affine>,
     /// Cached `e(g1, eps)` — the base for the Sigma-protocol commitment
     /// `R = e(g1, eps)^z`. Only needed with on-chain privacy enabled.
-    pub e_g1_eps: Gt,
+    /// The first proof under the key builds its table of powers (92,160
+    /// bytes), which the key's clones share; verifiers and decoders
+    /// never build one.
+    pub e_g1_eps: FixedBaseGt,
 }
 
 impl PublicKey {
@@ -158,7 +161,7 @@ impl PublicKey {
         }
         let g1 = G1Affine::generator();
         let eps_p = G2Prepared::from_affine(&self.eps);
-        if multi_pairing_prepared(&[(&g1, &eps_p)]) != self.e_g1_eps {
+        if multi_pairing_prepared(&[(&g1, &eps_p)]) != *self.e_g1_eps.base() {
             return Err(DsAuditError::Malformed {
                 ty: Self::TYPE_NAME,
                 field: "e_g1_eps",
@@ -200,7 +203,7 @@ impl Codec for PublicKey {
         for p in &self.alpha_powers_g1 {
             p.encode_into(out);
         }
-        self.e_g1_eps.encode_into(out);
+        self.e_g1_eps.base().encode_into(out);
     }
 
     fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, DsAuditError> {
@@ -238,7 +241,7 @@ impl Codec for PublicKey {
             eps,
             delta,
             alpha_powers_g1,
-            e_g1_eps,
+            e_g1_eps: FixedBaseGt::new(e_g1_eps),
         };
         pk.validate()?;
         Ok(pk)
@@ -275,7 +278,7 @@ pub fn public_key_for(sk: &SecretKey, s: usize) -> PublicKey {
         eps,
         delta,
         alpha_powers_g1,
-        e_g1_eps,
+        e_g1_eps: FixedBaseGt::new(e_g1_eps),
     }
 }
 

@@ -107,7 +107,10 @@ impl<'a> Prover<'a> {
     /// through the GLV-split Pippenger of `dsaudit_algebra::endo`.
     fn aggregate_and_open(&self, challenge: &Challenge) -> (G1Projective, Fr, G1Projective) {
         // one tag per chunk, checked at construction
-        let set = challenge.expand(self.tags.len(), self.params.k);
+        let set = {
+            let _expand = dsaudit_obs::span("core.challenge_expand");
+            challenge.expand(self.tags.len(), self.params.k)
+        };
         // P_k coefficients: p_j = sum_i c_i m_{i,j}
         let mut pk_coeffs = vec![Fr::zero(); self.params.s];
         for (i, c) in &set {
@@ -155,7 +158,9 @@ impl<'a> Prover<'a> {
     ///
     /// The mask `z` is the only RNG draw and is taken first, so that the
     /// commitment `R = e(g1, eps)^z` and `zeta = H'(R)` — which depend on
-    /// nothing else — run beside the shared response under [`join`].
+    /// nothing else — run beside the shared response under [`join`]. `R`
+    /// walks the key's fixed-base table ([`PublicKey::e_g1_eps`]), built
+    /// by the key's first proof.
     pub fn prove_private<R: rand::RngCore + ?Sized>(
         &self,
         rng: &mut R,

@@ -37,8 +37,16 @@
 //! churn and faults; every collection iterated is ordered; and no clock
 //! is read — every contract meters verification at the chain's declared
 //! cost ([`GasSchedule::verify_gas`](dsaudit_chain::gas::GasSchedule::verify_gas)).
+//! The audit phase proves the primary proofs, and then verifies the
+//! shard batches, as `algebra::par::par_jobs` jobs, each on its own RNG
+//! stream: a serial pass draws each job's bytes from the one RNG at the
+//! point, and by the amount, that the job would draw there if it ran
+//! serially — one scalar per proof's mask, one per batch weight of a
+//! shard — and the job replays them. Shadow-lane proofs stay in the
+//! serial pass, and every call is submitted in placement order. So
+//! every proof, weight and verdict is the one a serial run computes.
 //! Two runs of the same config, shadow lanes included, yield
-//! byte-for-byte identical reports.
+//! byte-for-byte identical reports, at any CPU count.
 
 use std::collections::BTreeMap;
 
@@ -46,6 +54,7 @@ use dsaudit_backend::{
     AuditBackend, BackendId, Groth16MerkleBackend, MerkleBackend, PairingBackend, ProverKit,
     Verifier,
 };
+use dsaudit_algebra::par::par_jobs;
 use dsaudit_chain::beacon::TrustedBeacon;
 use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::{eth, Address, Transaction, TxKind, TxStatus, Wei};
@@ -137,6 +146,53 @@ struct ShadowLane {
     false_accepts: u64,
     false_rejects: u64,
     prover_calls: u64,
+}
+
+/// One primary proof of an audit phase, run as a parallel job: the
+/// prover over the share's stored bytes, and the mask bytes the serial
+/// pass drew for it.
+struct ProveJob<'a> {
+    pl_id: usize,
+    prover: Prover<'a>,
+    challenge: Challenge,
+    mask: Vec<u8>,
+}
+
+/// The bytes of `n` scalar draws (`Fr::random` fills 64 bytes each),
+/// taken from `rng` as `n` serial draws would take them.
+fn draw_scalars(rng: &mut StdRng, n: usize) -> Vec<u8> {
+    let mut bytes = vec![0u8; 64 * n];
+    rng.fill_bytes(&mut bytes);
+    bytes
+}
+
+/// A parallel job's own RNG stream: it replays bytes drawn for the job
+/// from the simulation's stream, so the job draws exactly what the
+/// serial code drew at that point, whichever thread runs it. Past those
+/// bytes it reads zeros (a job that draws more than was drawn for it
+/// fails `job_streams_replay_the_serial_draws`).
+struct JobStream<'a>(&'a [u8]);
+
+impl RngCore for JobStream<'_> {
+    fn next_u32(&mut self) -> u32 {
+        let mut bytes = [0u8; 4];
+        self.fill_bytes(&mut bytes);
+        u32::from_le_bytes(bytes)
+    }
+
+    fn next_u64(&mut self) -> u64 {
+        let mut bytes = [0u8; 8];
+        self.fill_bytes(&mut bytes);
+        u64::from_le_bytes(bytes)
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        let (head, rest) = self.0.split_at(dest.len().min(self.0.len()));
+        for (d, s) in dest.iter_mut().zip(head.iter().chain(std::iter::repeat(&0))) {
+            *d = *s;
+        }
+        self.0 = rest;
+    }
 }
 
 /// The simulator. Build with [`Simulation::new`] (rates from the
@@ -757,10 +813,14 @@ impl Simulation {
             }
         }
 
-        // providers respond over their *stored* bytes
+        // providers respond over their *stored* bytes. A serial pass draws
+        // each primary proof's mask from the simulation's stream and runs
+        // the shadow lanes, in placement order; the primary proofs then
+        // run as parallel jobs, each on the bytes drawn for it
         let mut expected: Vec<Option<bool>> = vec![None; self.placements.len()];
-        let mut posted: Vec<Option<(Challenge, PrivateProof)>> =
-            vec![None; self.placements.len()];
+        let mut proving = Vec::new();
+        let mut lane_calls: Vec<Vec<(Address, Address, Vec<u8>)>> =
+            vec![Vec::new(); self.placements.len()];
         for pl_id in 0..self.placements.len() {
             let pl = &self.placements[pl_id];
             let Some(challenge) = challenges.get(&pl.contract).copied() else {
@@ -789,15 +849,13 @@ impl Simulation {
                 .get(&share_key)
                 .expect("blob present");
             let pk = self.owners[file.owner].handle.public_key();
-            let prover = Prover::from_stored(pk, blob, self.cfg.audit, &file.tags[pl.share])
-                .expect("share shapes are fixed");
-            let proof = prover.prove_private(&mut self.rng, &challenge);
-            posted[pl_id] = Some((challenge, proof));
-            let mut calls = vec![(
-                self.roster[pl.provider_slot].addr,
-                pl.contract,
-                PairingBackend::frame(&proof).encode(),
-            )];
+            proving.push(ProveJob {
+                pl_id,
+                prover: Prover::from_stored(pk, blob, self.cfg.audit, &file.tags[pl.share])
+                    .expect("share shapes are fixed"),
+                challenge,
+                mask: draw_scalars(&mut self.rng, 1),
+            });
             // shadow lanes prove over the *same* stored bytes for their
             // own contracts' beacons
             for lane in &mut self.shadows {
@@ -809,10 +867,27 @@ impl Simulation {
                     .backend
                     .prove(&mut self.rng, &slot.kit, blob, lane_beacon)
                     .expect("a same-shape blob always proves");
-                calls.push((slot.provider, slot.contract, lane_proof.encode()));
+                lane_calls[pl_id].push((slot.provider, slot.contract, lane_proof.encode()));
                 lane.prover_calls += 1;
             }
-            for (sender, contract, data) in calls {
+        }
+        let proofs = par_jobs(proving.len(), |j| {
+            let job = &proving[j];
+            job.prover.prove_private(&mut JobStream(&job.mask), &job.challenge)
+        });
+        let mut posted: Vec<Option<(Challenge, PrivateProof)>> =
+            vec![None; self.placements.len()];
+        for (job, proof) in proving.into_iter().zip(proofs) {
+            posted[job.pl_id] = Some((job.challenge, proof));
+        }
+        for (pl_id, lane_calls) in lane_calls.into_iter().enumerate() {
+            if let Some((_, proof)) = &posted[pl_id] {
+                let pl = &self.placements[pl_id];
+                let (sender, contract) = (self.roster[pl.provider_slot].addr, pl.contract);
+                let frame = PairingBackend::frame(proof).encode();
+                self.submit_call(sender, contract, "prove", frame, 0);
+            }
+            for (sender, contract, data) in lane_calls {
                 self.submit_call(sender, contract, "prove", data, 0);
             }
         }
@@ -822,17 +897,27 @@ impl Simulation {
         self.chain.advance_time(self.cfg.prove_deadline_secs + 1);
         self.mine_ok("verify triggers");
 
-        // per-shard batched settlement: a shard holds whole owner keys
-        for shard in 0..self.cfg.shards {
-            let members: Vec<usize> = (0..self.placements.len())
-                .filter(|&pl| {
-                    let owner = self.files[self.placements[pl].file].owner;
-                    owner % self.cfg.shards == shard && posted[pl].is_some()
-                })
-                .collect();
-            if members.is_empty() {
-                continue;
-            }
+        // per-shard batched settlement: a shard holds whole owner keys.
+        // Each shard's batch weights are drawn serially, in shard order
+        // (every meta here is the owner's own, so a batch draws all n);
+        // the shards then verify as parallel jobs
+        let batches: Vec<(usize, Vec<usize>)> = (0..self.cfg.shards)
+            .filter_map(|shard| {
+                let members: Vec<usize> = (0..self.placements.len())
+                    .filter(|&pl| {
+                        let owner = self.files[self.placements[pl].file].owner;
+                        owner % self.cfg.shards == shard && posted[pl].is_some()
+                    })
+                    .collect();
+                (!members.is_empty()).then_some((shard, members))
+            })
+            .collect();
+        let weights: Vec<Vec<u8>> = batches
+            .iter()
+            .map(|(_, members)| draw_scalars(&mut self.rng, members.len()))
+            .collect();
+        let flags = par_jobs(batches.len(), |j| {
+            let (shard, members) = &batches[j];
             let items: Vec<BatchItem<'_>> = members
                 .iter()
                 .map(|&pl| {
@@ -846,9 +931,10 @@ impl Simulation {
                     }
                 })
                 .collect();
-            let flags = self.auditors[shard].verify_private_each(&mut self.rng, &items);
-            drop(items);
-            for (&pl, flag) in members.iter().zip(flags) {
+            self.auditors[*shard].verify_private_each(&mut JobStream(&weights[j]), &items)
+        });
+        for ((shard, members), flags) in batches.into_iter().zip(flags) {
+            for (pl, flag) in members.into_iter().zip(flags) {
                 let (auditor, contract) = (self.auditor_addrs[shard], self.placements[pl].contract);
                 self.submit_call(auditor, contract, "verdict", vec![u8::from(flag)], 0);
             }
@@ -1143,6 +1229,78 @@ mod tests {
         assert!(report.total_gas > report.setup_gas);
         assert!(report.per_epoch.iter().all(|e| e.utilization > 0.0));
         assert_eq!(report.per_epoch.len(), 3);
+    }
+
+    /// A proof draws one scalar and a batch of `n` draws `n`, bisection
+    /// included: replayed from the bytes drawn for them, both compute
+    /// what they compute on the serial stream and leave it where the
+    /// serial calls leave it.
+    #[test]
+    fn job_streams_replay_the_serial_draws() {
+        use dsaudit_algebra::{Field, Fr};
+        use dsaudit_core::{generate_tags, keygen, AuditParams, EncodedFile};
+
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let params = AuditParams::new(4, 3).unwrap();
+        let (sk, pk) = keygen(&mut rng, &params);
+        let file = EncodedFile::encode(&mut rng, &[3u8; 600], params);
+        let tags = generate_tags(&sk, &file);
+        let prover = Prover::new(&pk, &file, &tags).unwrap();
+        let challenge = Challenge::random(&mut rng);
+        let (mut serial, mut drawn) = (rng.clone(), rng);
+
+        let mask = draw_scalars(&mut drawn, 1);
+        let proof = prover.prove_private(&mut JobStream(&mask), &challenge);
+        assert_eq!(proof, prover.prove_private(&mut serial, &challenge));
+        assert_eq!(serial.next_u64(), drawn.next_u64());
+
+        let meta = FileMeta {
+            name: file.name,
+            num_chunks: file.num_chunks(),
+            k: params.k,
+        };
+        let bad = PrivateProof {
+            y_prime: proof.y_prime + Fr::one(),
+            ..proof
+        };
+        let items = [proof, bad, proof].map(|proof| BatchItem {
+            pk: &pk,
+            meta,
+            challenge,
+            proof,
+        });
+        let auditor = Auditor::new();
+        let weights = draw_scalars(&mut drawn, items.len());
+        let flags = auditor.verify_private_each(&mut JobStream(&weights), &items);
+        assert_eq!(flags, auditor.verify_private_each(&mut serial, &items));
+        assert_eq!(flags, [true, false, true]);
+        assert_eq!(serial.next_u64(), drawn.next_u64());
+    }
+
+    /// The audit phase proves and verifies as parallel jobs on streams
+    /// drawn serially, so a faulty run gives the same report run over
+    /// run and at one shard or four.
+    #[test]
+    fn reports_repeat_and_ignore_the_shard_count() {
+        let cfg = |shards| SimConfig {
+            owners: 3,
+            shards,
+            faults: FaultRates {
+                corrupt: 0.1,
+                drop: 0.05,
+                withhold: 0.05,
+                transport: 0.1,
+            },
+            ..tiny_config()
+        };
+        let runs: Vec<String> = [1, 4, 1, 4]
+            .into_iter()
+            .map(|shards| Simulation::new(cfg(shards)).run().to_json())
+            .collect();
+        assert!(runs.iter().all(|run| run == &runs[0]));
+        let report = Simulation::new(cfg(4)).run();
+        assert!(report.injected_faults > 0, "the schedule must inject faults");
+        assert_eq!((report.false_accepts, report.false_rejects), (0, 0));
     }
 
     #[test]

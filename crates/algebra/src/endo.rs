@@ -256,7 +256,7 @@ impl G1Endo {
     }
 
     /// `phi(p) = (beta * x, y)`, which is `lambda * p` on the subgroup.
-    fn phi(&self, p: &G1Affine) -> G1Affine {
+    pub(crate) fn phi(&self, p: &G1Affine) -> G1Affine {
         Affine {
             x: p.x * self.beta,
             y: p.y,

@@ -35,7 +35,7 @@ pub use g1::{G1Affine, G1Projective};
 pub use g2::{G2Affine, G2Projective};
 pub use endo::{msm_g1, mul_each_g1};
 pub use fft::Domain;
-pub use msm::{msm, FixedBaseTable};
+pub use msm::{msm, FixedBaseTable, G1SliceTable, LazyG1Table};
 pub use pairing::{
     final_exponentiation, miller_loop, multi_miller_loop, multi_pairing, multi_pairing_prepared,
     pairing, FixedBaseGt, G2Prepared, Gt,

@@ -18,16 +18,31 @@
 //!   same secret exponent), with a shared wNAF schedule and batch-affine
 //!   accumulators. The GLV-accelerated G1 version lives in
 //!   [`crate::endo`].
+//! * [`msm_slices`] — G1 MSMs over bases reused round after round (a
+//!   provider's tags in [`LazyG1Table`], an owner key's `alpha`-powers,
+//!   the verifier's cached `H(name || i)`). Each base keeps a row of
+//!   slices `2^(c j) P` ([`slice_rows`], [`G1SliceTable`]), so every
+//!   GLV half-digit of every term drops into **one** shared set of
+//!   `2^(c-1)` buckets: no windows, no doublings between them and one
+//!   running sum per MSM, where [`msm`] pays one per window. At the
+//!   paper's `k = 300` (301 terms with `psi`) that is 8,428 bucket
+//!   placements and 512 running-sum buckets at `c = 10`, against 12,040
+//!   and 1,280 (20 windows of 64 at `c = 7`) for the GLV-split
+//!   Pippenger. The rows cost `c` doublings per slice once, at set-up.
 //!
 //! `msm(bases, scalars)` computes `sum_i scalars[i] * bases[i]` much
 //! faster than individual scalar multiplications. Used for aggregated
 //! authenticators, KZG openings and the Groth16 prover.
 
+use std::sync::{Arc, OnceLock};
+
 use crate::bigint::{self, Limbs};
 use crate::curve::{Affine, CurveParams, Projective};
+use crate::endo::{msm_g1, G1Endo};
 use crate::field::batch_inverse_with;
 use crate::fields::Fr;
-use crate::par::par_map_chunks;
+use crate::g1::{G1Affine, G1Params, G1Projective};
+use crate::par::{num_threads, par_jobs, par_map_chunks};
 
 /// Scalars are canonical representatives of the 254-bit field `Fr`.
 const FR_BITS: usize = 254;
@@ -61,15 +76,12 @@ const BATCH_AFFINE_CUTOFF: usize = 128;
 /// 3 to 6 tie at every size (at 600 points they choose between `c = 7`
 /// and `c = 6`, 3.14 against 3.15-3.18 ms); 3 stays.
 fn window_size(n: usize, nbits: usize) -> usize {
-    let mut best = (usize::MAX, 1);
-    for c in 1..=15 {
-        let windows = nbits.div_ceil(c) + 1;
-        let cost = windows * (n + 3 * (1usize << (c - 1)));
-        if cost < best.0 {
-            best = (cost, c);
-        }
-    }
-    best.1
+    cheapest_window(|c| (nbits.div_ceil(c) + 1) * (n + 3 * (1usize << (c - 1))))
+}
+
+/// The window `c` in `1..=15` of least `cost(c)`, the smallest on a tie.
+fn cheapest_window(cost: impl Fn(usize) -> usize) -> usize {
+    (1..=15).min_by_key(|&c| cost(c)).unwrap_or(1)
 }
 
 /// Computes `sum_i scalars[i] * bases[i]`.
@@ -241,28 +253,17 @@ impl<C: CurveParams> BucketArena<C> {
                 }
             }
         }
-        self.starts.clear();
-        let mut total = 0;
-        for &len in &self.lens {
-            self.starts.push(total);
-            total += len;
-        }
-        self.points.clear();
-        self.points.resize(total, Affine::identity());
-        // `starts` doubles as the placement cursor and is wound back after
-        let starts = &mut self.starts;
+        self.layout();
         for (base, row) in bases.iter().zip(digits.chunks_exact(num_windows)) {
             for (wi, &d) in row[ws.clone()].iter().enumerate() {
                 if d != 0 {
-                    let cursor = &mut starts[wi * half + usize::from(d.unsigned_abs()) - 1];
+                    let cursor = &mut self.starts[wi * half + usize::from(d.unsigned_abs()) - 1];
                     self.points[*cursor] = if d < 0 { base.neg() } else { *base };
                     *cursor += 1;
                 }
             }
         }
-        for (start, len) in starts.iter_mut().zip(&self.lens) {
-            *start -= len;
-        }
+        self.rewind();
     }
 
     /// Halves every bucket round by round: pair `(2j, 2j + 1)` of a
@@ -301,20 +302,47 @@ impl<C: CurveParams> BucketArena<C> {
         }
     }
 
-    /// Per window: merges each bucket's leftovers (mixed additions) while
-    /// folding the buckets with the running-sum trick, appending one sum
+    /// Per window: merges each bucket's leftovers while folding the
+    /// window's buckets with the running-sum trick, appending one sum
     /// per window of the block to `out`.
     fn window_sums(&self, out: &mut Vec<Projective<C>>) {
         for window in 0..self.lens.len() / self.half {
-            let mut running = Projective::<C>::identity();
-            let mut acc = Projective::<C>::identity();
-            for b in (window * self.half..(window + 1) * self.half).rev() {
-                for p in &self.points[self.starts[b]..self.starts[b] + self.lens[b]] {
-                    running = running.add_affine(p);
-                }
-                acc = acc.add(&running);
+            out.push(self.running_sum(window * self.half..(window + 1) * self.half).0);
+        }
+    }
+
+    /// Folds the arena buckets `range`, top down, merging each bucket's
+    /// leftovers through mixed additions: returns `(sum_b (b - start + 1)
+    /// * bucket[b], sum_b bucket[b])` over `b` in the range.
+    fn running_sum(&self, range: core::ops::Range<usize>) -> (Projective<C>, Projective<C>) {
+        let mut running = Projective::<C>::identity();
+        let mut acc = Projective::<C>::identity();
+        for b in range.rev() {
+            for p in &self.points[self.starts[b]..self.starts[b] + self.lens[b]] {
+                running = running.add_affine(p);
             }
-            out.push(acc);
+            acc = acc.add(&running);
+        }
+        (acc, running)
+    }
+
+    /// Winds the counted `lens` into segment `starts` and sizes `points`
+    /// to hold them; `starts` then serves as the placement cursor, and
+    /// [`BucketArena::rewind`] moves it back once every point is placed.
+    fn layout(&mut self) {
+        self.starts.clear();
+        let mut total = 0;
+        for &len in &self.lens {
+            self.starts.push(total);
+            total += len;
+        }
+        self.points.clear();
+        self.points.resize(total, Affine::identity());
+    }
+
+    fn rewind(&mut self) {
+        for (start, len) in self.starts.iter_mut().zip(&self.lens) {
+            *start -= len;
         }
     }
 }
@@ -565,6 +593,339 @@ impl<C: CurveParams> FixedBaseTable<C> {
     }
 }
 
+/// Below this many bases a slice-table MSM ([`msm_slices`],
+/// [`G1SliceTable::msm`], [`LazyG1Table::msm`]) defers to
+/// [`crate::endo::msm_g1`] over the rows' bases, a [`LazyG1Table`]
+/// builds nothing and the verifier's chi cache promotes no row.
+///
+/// Swept with prebuilt tables at [`slice_window`] against `msm_g1` over
+/// random bases and scalars on a 2-vCPU Xeon, median of 20-400 calls,
+/// table / `msm_g1` on one pinned CPU | on two: n = 4: 0.69 | 0.87, 6:
+/// 0.60 | 0.73, 8: 0.58 | 0.72, 10: 0.48 | 0.60, 16: 0.49 | 0.57, 32:
+/// 0.54 | 0.57, 49: 0.56 | 0.60, 301: 0.67 | 0.72. The walk wins at
+/// every size, so the cutoff decides where a build pays: a table costs
+/// 1.5-5 MSMs of its size to build (1.0 ms at 16 bases, 19 ms at 301),
+/// which a one-shot call never earns back. 16 keeps the simulator's and
+/// the node's `k = 4`, `s = 8` rounds (and any one-shot use at those
+/// sizes) on `msm_g1` with nothing built, and takes the paper's `s =
+/// 50` quotient (49 terms) and `k = 300` challenge onto tables.
+pub const SLICE_MSM_CUTOFF: usize = 16;
+
+/// Bits a slice row covers: a GLV half-scalar is below `2^126.4`
+/// (`endo::Lattice::split`), and the slice past them takes the signed
+/// recoding's carry.
+const HALF_BITS: usize = 128;
+
+/// Slices per base at window `c`: `2^(c j) P` for `j` in
+/// `0..=ceil(128 / c)`.
+pub fn slice_count(window: usize) -> usize {
+    HALF_BITS.div_ceil(window) + 1
+}
+
+/// The window of a slice table serving MSMs over `n` of its bases, by
+/// `window_size`'s weights (one per bucket placement, three per
+/// running-sum bucket) with one running sum instead of one per window:
+/// `2n * slice_count(c) + 3 * 2^(c-1)`. 10 at `n = 300`, 8 at `n = 49`.
+pub fn slice_window(n: usize) -> usize {
+    cheapest_window(|c| 2 * n * slice_count(c) + 3 * (1usize << (c - 1)))
+}
+
+/// The slice rows of `bases` at `window`, row-major: entry `j` of row
+/// `i` is `2^(window j) bases[i]`, `slice_count(window)` entries per
+/// row. Every base walks its slices by Jacobian doublings, `window` per
+/// slice, and each block of `SLICE_BUILD_BLOCK` (64) bases is made
+/// affine by one shared inversion: a single base (the verifier's `psi`)
+/// costs one inversion, not one per slice or per doubling, and a build
+/// holds one block's projective points beside the rows, not the
+/// table's. The blocks are spread over the [`crate::par`] workers.
+pub fn slice_rows(bases: &[G1Affine], window: usize) -> Vec<G1Affine> {
+    let slices = slice_count(window);
+    par_map_chunks(bases.len(), SLICE_BUILD_BLOCK, |range| {
+        let mut rows = Vec::with_capacity(range.len() * slices);
+        let mut walked: Vec<G1Projective> = Vec::with_capacity(SLICE_BUILD_BLOCK * slices);
+        for block in bases[range].chunks(SLICE_BUILD_BLOCK) {
+            walked.clear();
+            for base in block {
+                let mut p = base.to_projective();
+                walked.push(p);
+                for _ in 1..slices {
+                    for _ in 0..window {
+                        p = p.double();
+                    }
+                    walked.push(p);
+                }
+            }
+            rows.extend(G1Projective::batch_to_affine(&walked));
+        }
+        rows
+    })
+}
+
+/// Bases per shared inversion in [`slice_rows`]: 64 rows of 14 slices
+/// are ~900 Jacobian points, 86 KB.
+const SLICE_BUILD_BLOCK: usize = 64;
+
+/// `sum_i scalars[i] * rows[i][0]`, where `rows[i][j] = 2^(window j)
+/// rows[i][0]` for `j < slice_count(window)` ([`slice_rows`]): the
+/// shared kernel of [`G1SliceTable`], [`LazyG1Table`] and the
+/// verifier's cached `H(name || i)` rows.
+///
+/// Each scalar is GLV-split and both halves recoded into signed
+/// `window`-bit digits, one per slice, so every (base, half, slice)
+/// with a non-zero digit lands in **one** shared set of `2^(window-1)`
+/// buckets, `phi` applied to the slice on placement for the second
+/// half. There are no windows to double between and one running sum in
+/// all. The buckets are halved with batch-affine additions as in
+/// [`msm`], and the workers of [`crate::par`] split the bucket range
+/// into spans of about equal work: each fills, halves and folds its own
+/// buckets, and a worker whose range starts at bucket `lo` adds `acc +
+/// lo * run`. Records the `algebra.msm` span, `algebra.msm_calls`
+/// counter and `algebra.msm_points` histogram (`2n`) of
+/// [`crate::endo::msm_g1`], which it defers to below
+/// [`SLICE_MSM_CUTOFF`] rows or without a usable split (never
+/// expected).
+///
+/// # Panics
+/// Panics if `window` is outside `1..=15`, `rows` and `scalars` differ
+/// in length or a row holds fewer than `slice_count(window)` points.
+pub fn msm_slices(window: usize, rows: &[&[G1Affine]], scalars: &[Fr]) -> G1Projective {
+    assert_eq!(rows.len(), scalars.len(), "msm requires equal-length inputs");
+    let slices = slice_count(window);
+    assert!(
+        rows.iter().all(|row| row.len() >= slices),
+        "a slice row holds slice_count(window) points"
+    );
+    let bases = || -> Vec<G1Affine> { rows.iter().map(|row| row[0]).collect() };
+    if rows.len() < SLICE_MSM_CUTOFF {
+        return msm_g1(&bases(), scalars);
+    }
+    let Some(endo) = G1Endo::get() else {
+        return msm_g1(&bases(), scalars);
+    };
+    let Some(halves) = scalars
+        .iter()
+        .map(|k| endo.lattice.split(*k))
+        .collect::<Option<Vec<_>>>()
+    else {
+        return msm_g1(&bases(), scalars);
+    };
+    let _span = dsaudit_obs::span("algebra.msm");
+    dsaudit_obs::counter_inc("algebra.msm_calls");
+    dsaudit_obs::observe("algebra.msm_points", 2 * rows.len() as u64);
+    let mags: Vec<Limbs> = halves
+        .iter()
+        .flatten()
+        .map(|k| u128_limbs(k.unsigned_abs()))
+        .collect();
+    let digits = signed_digits(&mags, window, slices);
+    let terms = SliceTerms {
+        rows,
+        halves: &halves,
+        digits: &digits,
+        slices,
+    };
+    let mut counts = vec![0usize; 1 << (window - 1)];
+    for &d in &digits {
+        if let Some(b) = usize::from(d.unsigned_abs()).checked_sub(1) {
+            counts[b] += 1;
+        }
+    }
+    let ranges = balanced_ranges(&counts, num_threads());
+    let parts = par_jobs(ranges.len(), |w| {
+        let buckets = ranges[w].clone();
+        let lo = buckets.start as u64;
+        let mut arena = BucketArena::default();
+        arena.fill_slices(endo, &terms, &counts[buckets.clone()], buckets);
+        arena.halve();
+        let (acc, run) = arena.running_sum(0..arena.lens.len());
+        acc.add(&run.mul_u64(lo))
+    });
+    G1Projective::sum(parts)
+}
+
+/// Cuts buckets `0..counts.len()` into at most `parts` contiguous
+/// ranges of about equal cost by [`window_size`]'s weights: one per
+/// placed point, three per bucket. The top slices only carry small
+/// digits, so the low buckets hold more points than the high ones, and
+/// an even split by bucket count would leave one worker waiting.
+fn balanced_ranges(counts: &[usize], parts: usize) -> Vec<core::ops::Range<usize>> {
+    let total: usize = counts.iter().map(|c| c + 3).sum();
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut start, mut acc) = (0, 0);
+    for (b, c) in counts.iter().enumerate() {
+        acc += c + 3;
+        if ranges.len() + 1 < parts && acc * parts >= total * (ranges.len() + 1) {
+            ranges.push(start..b + 1);
+            start = b + 1;
+        }
+    }
+    if start < counts.len() {
+        ranges.push(start..counts.len());
+    }
+    ranges
+}
+
+/// The recoded terms of one [`msm_slices`] call, shared by its workers:
+/// the digits of half `h` of term `i` are
+/// `digits[(2i + h) * slices..][..slices]`.
+struct SliceTerms<'a> {
+    rows: &'a [&'a [G1Affine]],
+    halves: &'a [[i128; 2]],
+    digits: &'a [i16],
+    slices: usize,
+}
+
+impl BucketArena<G1Params> {
+    /// Counting sort of every `(term, half, slice)` whose digit's
+    /// magnitude falls in `buckets` (bucket `b` holds magnitude `b + 1`)
+    /// into arena buckets `0..buckets.len()`, whose sizes `lens` the
+    /// caller counted: the slice, through `phi` for the second half,
+    /// negated when the digit's sign and its half's sign differ.
+    fn fill_slices(
+        &mut self,
+        endo: &G1Endo,
+        terms: &SliceTerms<'_>,
+        lens: &[usize],
+        buckets: core::ops::Range<usize>,
+    ) {
+        let slot = |d: i16| {
+            let b = usize::from(d.unsigned_abs()).checked_sub(1)?;
+            buckets.contains(&b).then(|| b - buckets.start)
+        };
+        self.lens.clear();
+        self.lens.extend_from_slice(lens);
+        self.layout();
+        let mut digits = terms.digits.chunks_exact(terms.slices);
+        for (row, parts) in terms.rows.iter().zip(terms.halves) {
+            for (half, (&part, ds)) in parts.iter().zip(&mut digits).enumerate() {
+                for (p, &d) in row.iter().zip(ds) {
+                    let Some(b) = slot(d) else { continue };
+                    let q = if half == 1 { endo.phi(p) } else { *p };
+                    self.points[self.starts[b]] = if (d < 0) != (part < 0) { q.neg() } else { q };
+                    self.starts[b] += 1;
+                }
+            }
+        }
+        self.rewind();
+    }
+}
+
+/// The slice rows of a fixed set of G1 bases ([`slice_rows`]) at one
+/// window, for MSMs over any of them: [`G1SliceTable::msm`] runs
+/// [`msm_slices`] over the rows its indices pick.
+#[derive(Clone, Debug)]
+pub struct G1SliceTable {
+    window: usize,
+    slices: usize,
+    points: Vec<G1Affine>,
+}
+
+impl G1SliceTable {
+    /// Builds the rows of `bases` at `window` and bumps the
+    /// `algebra.g1_tables_built` counter. It opens no span: a lazily
+    /// built table is built by whichever job first needs it.
+    pub fn new(bases: &[G1Affine], window: usize) -> Self {
+        dsaudit_obs::counter_inc("algebra.g1_tables_built");
+        Self {
+            window,
+            slices: slice_count(window),
+            points: slice_rows(bases, window),
+        }
+    }
+
+    /// The window the rows are spaced at.
+    pub fn window(&self) -> usize {
+        self.window
+    }
+
+    /// `sum_j scalars[j] * bases[indices[j]]`, equal to
+    /// [`crate::endo::msm_g1`] over the gathered bases. Indices may
+    /// repeat and come in any order.
+    ///
+    /// # Panics
+    /// Panics on an index past the table or a length mismatch.
+    pub fn msm(&self, indices: &[usize], scalars: &[Fr]) -> G1Projective {
+        let rows: Vec<&[G1Affine]> = indices
+            .iter()
+            .map(|&i| self.row(i).expect("index inside the table"))
+            .collect();
+        msm_slices(self.window, &rows, scalars)
+    }
+
+    /// The slices of base `i`, `None` past the table.
+    pub fn row(&self, i: usize) -> Option<&[G1Affine]> {
+        self.points.chunks_exact(self.slices).nth(i)
+    }
+}
+
+/// The [`G1SliceTable`] of a set of G1 bases that MSMs reuse round
+/// after round (a provider's tags, an owner key's `alpha`-powers), kept
+/// beside the bases and built on first use.
+///
+/// The first [`LazyG1Table::msm`] of at least [`SLICE_MSM_CUTOFF`]
+/// terms builds the table over the bases it is given, at the window
+/// [`slice_window`] picks for that size, and every later call walks it;
+/// smaller calls gather the bases for [`crate::endo::msm_g1`] and build
+/// nothing. Clones share the table. A cell is a cache, not a value:
+/// every cell equals every other, so a struct holding one compares by
+/// its bases, and `Debug` shows only whether it is built.
+#[derive(Clone, Default)]
+pub struct LazyG1Table(Arc<OnceLock<G1SliceTable>>);
+
+impl LazyG1Table {
+    /// An empty cell.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The table, once an MSM has built it.
+    pub fn get(&self) -> Option<&G1SliceTable> {
+        self.0.get()
+    }
+
+    /// `sum_j scalars[j] * bases[indices[j]]`, equal to
+    /// [`crate::endo::msm_g1`] over the gathered bases. `bases` must be
+    /// the set the cell serves: a table whose rows do not start at the
+    /// gathered bases (bases changed after the build, never expected)
+    /// is passed by, not trusted.
+    ///
+    /// # Panics
+    /// Panics on an index past `bases` or a length mismatch.
+    pub fn msm(&self, bases: &[G1Affine], indices: &[usize], scalars: &[Fr]) -> G1Projective {
+        let gathered = || -> Vec<G1Affine> { indices.iter().map(|&i| bases[i]).collect() };
+        if indices.len() < SLICE_MSM_CUTOFF {
+            return msm_g1(&gathered(), scalars);
+        }
+        let table = self
+            .0
+            .get_or_init(|| G1SliceTable::new(bases, slice_window(indices.len())));
+        let fits = indices
+            .iter()
+            .all(|&i| table.row(i).and_then(<[G1Affine]>::first) == Some(&bases[i]));
+        if fits {
+            table.msm(indices, scalars)
+        } else {
+            msm_g1(&gathered(), scalars)
+        }
+    }
+}
+
+impl PartialEq for LazyG1Table {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for LazyG1Table {}
+
+impl std::fmt::Debug for LazyG1Table {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LazyG1Table")
+            .field("built", &self.get().is_some())
+            .finish()
+    }
+}
+
 /// Test-support fixture: scalars that stress digit extraction and window
 /// recoding — the canonical maximum `r - 1`, a dense all-ones bit
 /// pattern reduced into the field, the top canonical bit alone and with
@@ -806,6 +1167,118 @@ mod tests {
         let bases = vec![Affine::<G1Params>::generator()];
         let scalars: Vec<Fr> = vec![];
         let _ = msm(&bases, &scalars);
+    }
+
+    fn g1_points(rng: &mut rand::rngs::StdRng, n: usize) -> Vec<G1Affine> {
+        (0..n).map(|_| G1Projective::random(rng).to_affine()).collect()
+    }
+
+    #[test]
+    fn slice_rows_are_the_window_multiples() {
+        let mut rng = rng();
+        let mut bases = g1_points(&mut rng, 3);
+        bases.push(G1Affine::identity());
+        for window in [1usize, 7, 10, 15] {
+            let slices = slice_count(window);
+            let rows = slice_rows(&bases, window);
+            assert_eq!(rows.len(), bases.len() * slices);
+            for (base, row) in bases.iter().zip(rows.chunks_exact(slices)) {
+                let mut want = base.to_projective();
+                for p in row {
+                    assert_eq!(p.to_projective(), want, "window {window}");
+                    want = want.mul_u64(1 << window);
+                }
+            }
+        }
+    }
+
+    /// Adversarial and random scalars, at the cutoff and either side of
+    /// it and at the verifier's 301 terms, over a base set holding the
+    /// identity: the table equals `msm_g1` and the naive oracle.
+    #[test]
+    fn slice_table_matches_msm_g1_and_naive() {
+        let mut rng = rng();
+        let mut bases = g1_points(&mut rng, 330);
+        bases[17] = G1Affine::identity();
+        for window in [8, slice_window(301)] {
+            let table = G1SliceTable::new(&bases, window);
+            for n in [SLICE_MSM_CUTOFF - 1, SLICE_MSM_CUTOFF, SLICE_MSM_CUTOFF + 1, 301] {
+                let mut scalars: Vec<Fr> = (0..n).map(|_| Fr::random(&mut rng)).collect();
+                for (s, a) in scalars.iter_mut().zip(adversarial_scalars()) {
+                    *s = a;
+                }
+                let indices: Vec<usize> = (0..n).map(|j| (j * 7 + 10) % bases.len()).collect();
+                assert!(indices.contains(&17));
+                let gathered: Vec<G1Affine> = indices.iter().map(|&i| bases[i]).collect();
+                let want = msm_naive(&gathered, &scalars);
+                assert_eq!(msm_g1(&gathered, &scalars), want);
+                assert_eq!(table.msm(&indices, &scalars), want, "n {n} window {window}");
+            }
+        }
+    }
+
+    /// What the batch verifier gathers: several items' challenged rows
+    /// at once, so an index repeats, in no particular order.
+    #[test]
+    fn slice_table_takes_repeated_and_unordered_indices() {
+        let mut rng = rng();
+        let bases = g1_points(&mut rng, 40);
+        let table = G1SliceTable::new(&bases, 9);
+        let indices: Vec<usize> = (0..90).map(|j| (j * 13 + 5) % 40).rev().collect();
+        let scalars: Vec<Fr> = (0..90).map(|_| Fr::random(&mut rng)).collect();
+        let gathered: Vec<G1Affine> = indices.iter().map(|&i| bases[i]).collect();
+        assert_eq!(table.msm(&indices, &scalars), msm_naive(&gathered, &scalars));
+        // a base and its negation under one scalar cancel in the buckets
+        let twin = [bases[3], bases[3].neg()];
+        let rows = slice_rows(&twin, 9);
+        let rows: Vec<&[G1Affine]> = (0..SLICE_MSM_CUTOFF)
+            .map(|j| &rows[(j % 2) * slice_count(9)..][..slice_count(9)])
+            .collect();
+        let same = vec![scalars[0]; SLICE_MSM_CUTOFF];
+        assert!(msm_slices(9, &rows, &same).is_identity());
+    }
+
+    #[test]
+    fn balanced_ranges_partition_the_buckets() {
+        let counts: Vec<usize> = (0..512).map(|b| if b < 128 { 30 } else { 14 }).collect();
+        for parts in [1, 2, 3, 8] {
+            let ranges = balanced_ranges(&counts, parts);
+            assert_eq!(ranges.len(), parts);
+            assert_eq!(ranges[0].start, 0);
+            assert_eq!(ranges.last().unwrap().end, 512);
+            assert!(ranges.windows(2).all(|w| w[0].end == w[1].start && !w[1].is_empty()));
+        }
+        // the heavy low buckets get a narrower range
+        let two = balanced_ranges(&counts, 2);
+        assert!(two[0].len() < two[1].len());
+        let one = balanced_ranges(&[5], 2);
+        assert_eq!((one.len(), one[0].clone()), (1, 0..1));
+    }
+
+    #[test]
+    fn lazy_table_builds_once_shared_by_clones() {
+        let mut rng = rng();
+        let bases = g1_points(&mut rng, 50);
+        let cell = LazyG1Table::new();
+        let scalars: Vec<Fr> = (0..50).map(|_| Fr::random(&mut rng)).collect();
+        let want = |idx: &[usize], bases: &[G1Affine]| {
+            let gathered: Vec<G1Affine> = idx.iter().map(|&i| bases[i]).collect();
+            msm_naive(&gathered, &scalars[..idx.len()])
+        };
+        let small: Vec<usize> = (0..SLICE_MSM_CUTOFF - 1).collect();
+        assert_eq!(cell.msm(&bases, &small, &scalars[..small.len()]), want(&small, &bases));
+        assert!(cell.get().is_none(), "a small MSM builds nothing");
+        let clone = cell.clone();
+        let all: Vec<usize> = (0..50).rev().collect();
+        assert_eq!(clone.msm(&bases, &all, &scalars), want(&all, &bases));
+        let built = cell.get().expect("the clone built the shared table");
+        assert_eq!(built.window(), slice_window(50));
+        assert!(std::ptr::eq(built, clone.get().unwrap()));
+        assert_eq!(cell.msm(&bases, &all, &scalars), want(&all, &bases));
+        // bases changed under a built table: the table is passed by
+        let mut moved = bases.clone();
+        moved[9] = G1Projective::random(&mut rng).to_affine();
+        assert_eq!(cell.msm(&moved, &all, &scalars), want(&all, &moved));
     }
 
     #[test]

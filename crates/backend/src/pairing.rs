@@ -6,6 +6,7 @@
 use rand::RngCore;
 
 use dsaudit_algebra::g1::G1Affine;
+use dsaudit_algebra::msm::LazyG1Table;
 use dsaudit_algebra::Fr;
 use dsaudit_core::codec::{ByteReader, Codec};
 use dsaudit_core::verify::FileMeta;
@@ -26,14 +27,18 @@ pub struct PairingBackend {
 }
 
 /// The pairing provider's proving material: the owner's public key,
-/// the validated parameters the file was encoded with, and one tag per
-/// chunk. The name the tags are bound to is the verifier's business; a
-/// round encodes its `k` challenged chunks from the stored bytes.
+/// the validated parameters the file was encoded with, one tag per
+/// chunk and the tags' slice table, built by the first proof with `k`
+/// at or above `SLICE_MSM_CUTOFF` and shared by clones (as
+/// `StorageProvider` keeps it). The name the tags are bound to is the
+/// verifier's business; a round encodes its `k` challenged chunks from
+/// the stored bytes.
 #[derive(Clone, Debug)]
 pub struct PairingKit {
     pk: PublicKey,
     params: AuditParams,
     tags: Vec<G1Affine>,
+    tag_table: LazyG1Table,
 }
 
 impl PairingBackend {
@@ -110,6 +115,7 @@ impl AuditBackend for PairingBackend {
                 pk: out.pk,
                 params,
                 tags: out.tags,
+                tag_table: LazyG1Table::new(),
             })),
         })
     }
@@ -130,7 +136,8 @@ impl AuditBackend for PairingBackend {
             return Err(BackendError::Shape("chunk count vs. tag count"));
         }
         // only the k challenged chunks are encoded
-        let prover = Prover::from_stored(&kit.pk, stored, kit.params, &kit.tags)?;
+        let prover = Prover::from_stored(&kit.pk, stored, kit.params, &kit.tags)?
+            .with_tag_table(&kit.tag_table);
         let challenge = Challenge::from_beacon(beacon);
         Ok(Self::frame(&prover.prove_private(rng, &challenge)))
     }

@@ -16,6 +16,7 @@ pub mod tables;
 use std::sync::Arc;
 
 use dsaudit_algebra::g1::G1Affine;
+use dsaudit_algebra::msm::LazyG1Table;
 use dsaudit_core::{
     keygen, AuditParams, Auditor, Challenge, EncodedFile, FileMeta, Prover, PublicKey,
     SecretKey,
@@ -30,7 +31,10 @@ pub fn rng() -> rand::rngs::StdRng {
 }
 
 /// A ready-to-audit environment (keys + encoded file + tags + a warm
-/// verifier handle).
+/// verifier handle), in the steady state of a provider and an auditor
+/// that have served rounds before: [`Env::new`] proves one round and
+/// verifies it twice, which builds the tags' and the key's slice tables
+/// and promotes the auditor's chi rows for [`Env::challenge`].
 pub struct Env {
     /// Owner key pair.
     pub sk: SecretKey,
@@ -40,6 +44,8 @@ pub struct Env {
     pub file: EncodedFile,
     /// Authenticators.
     pub tags: Vec<G1Affine>,
+    /// The tags' slice table, as a provider keeps it beside them.
+    pub tag_table: LazyG1Table,
     /// Verifier metadata.
     pub meta: FileMeta,
     /// The verifier handle whose caches persist across measured rounds
@@ -60,18 +66,34 @@ impl Env {
             num_chunks: file.num_chunks(),
             k: params.k,
         };
-        Self {
+        let env = Self {
             sk,
             pk,
             file,
             tags,
+            tag_table: LazyG1Table::new(),
             meta,
             auditor: Auditor::new(),
+        };
+        let ch = env.challenge();
+        let proof = env.prover().prove_plain(&ch);
+        for _ in 0..2 {
+            let verdict = env.auditor.verify_plain(&env.pk, &env.meta, &ch, &proof);
+            assert!(verdict.is_ok_and(|v| v.accepted()), "an honest round verifies");
         }
+        env
     }
 
-    /// A prover over this environment.
+    /// The provider's prover over this environment: `sigma` walks the
+    /// tags' slice table.
     pub fn prover(&self) -> Prover<'_> {
+        self.one_shot_prover().with_tag_table(&self.tag_table)
+    }
+
+    /// A bare prover over this environment, as one-shot proving runs:
+    /// no tag table. The key's `GT` and `alpha`-power tables are the
+    /// key's own, built by its first proof, so both provers share them.
+    pub fn one_shot_prover(&self) -> Prover<'_> {
         Prover::new(&self.pk, &self.file, &self.tags)
             .expect("bench environment is dimension-consistent")
     }

@@ -183,6 +183,8 @@ mod tests {
     use crate::params::AuditParams;
     use crate::prove::Prover;
     use crate::tag::generate_tags;
+    use dsaudit_algebra::field::Field;
+    use dsaudit_algebra::Fr;
     use rand::SeedableRng;
 
     #[test]
@@ -215,5 +217,54 @@ mod tests {
         let other = Auditor::new();
         let (chi2, g22) = other.cache_stats();
         assert_eq!((chi2.hits, g22.hits), (0, 0));
+    }
+
+    /// At `k` at or above the slice cutoff, the first round fills the
+    /// chi cache and promotes nothing; the second promotes the entries
+    /// it hits, and verdicts and hit/miss counts are what they were
+    /// without rows. At `k` below it nothing is ever promoted.
+    #[test]
+    fn a_warm_auditor_promotes_entries_from_its_second_round() {
+        use dsaudit_algebra::msm::SLICE_MSM_CUTOFF;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xa0d18);
+        for k in [SLICE_MSM_CUTOFF - 1, SLICE_MSM_CUTOFF + 4] {
+            let params = AuditParams::new(3, k).unwrap();
+            let (sk, pk) = keygen(&mut rng, &params);
+            let file = EncodedFile::encode(&mut rng, &[6u8; 6000], params);
+            assert!(file.num_chunks() > 2 * k, "k must not clamp");
+            let tags = generate_tags(&sk, &file);
+            let meta = FileMeta {
+                name: file.name,
+                num_chunks: file.num_chunks(),
+                k: params.k,
+            };
+            let prover = Prover::new(&pk, &file, &tags).unwrap();
+            let auditor = Auditor::new();
+            let mut promoted = Vec::new();
+            for round in 0..6 {
+                let ch = Challenge::random(&mut rng);
+                let mut proof = prover.prove_private(&mut rng, &ch);
+                let honest = round != 4;
+                if !honest {
+                    proof.y_prime += Fr::one();
+                }
+                let verdict = auditor.verify_private(&pk, &meta, &ch, &proof).unwrap();
+                assert_eq!(verdict.accepted(), honest, "k {k} round {round}");
+                promoted.push(auditor.chi_cache().rows_len());
+            }
+            // the counts are those of the lookups alone: every distinct
+            // index misses once, every other lookup hits
+            let (chi, _) = auditor.cache_stats();
+            assert_eq!(chi.hits + chi.misses, 6 * k as u64);
+            assert_eq!(chi.misses, auditor.chi_cache().len() as u64);
+            if k < SLICE_MSM_CUTOFF {
+                assert_eq!(promoted, [0; 6]);
+            } else {
+                assert_eq!(promoted[0], 0, "a cold round promotes nothing");
+                assert!(promoted[1] > 0, "the second round promotes its hits");
+                assert!(promoted.windows(2).all(|w| w[0] <= w[1]));
+                assert!(promoted[5] <= auditor.chi_cache().len());
+            }
+        }
     }
 }

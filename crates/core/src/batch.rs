@@ -49,7 +49,7 @@ use dsaudit_algebra::Fr;
 use dsaudit_crypto::prf::h_prime;
 
 use crate::auditor::Auditor;
-use crate::cache::ChiCache;
+use crate::cache::{ChiCache, ChiPoints};
 use crate::challenge::Challenge;
 use crate::error::{DsAuditError, RejectReason, Verdict};
 use crate::keys::PublicKey;
@@ -74,9 +74,10 @@ struct KeyTerms<'a> {
     pk: &'a PublicKey,
     /// `sum_u y'_u rho_u`.
     y: Fr,
-    /// Every item's challenged `H(name || i)`, with coefficient
+    /// Every item's challenged `H(name || i)` (with their slice rows
+    /// while every item's gather has them), with coefficient
     /// `-zeta_u rho_u c_i`.
-    hashes: Vec<G1Affine>,
+    hashes: ChiPoints,
     hash_scalars: Vec<Fr>,
     /// The items' `psi_u`, with `zeta_u rho_u r_u` on the eps side and
     /// `-zeta_u rho_u` on the delta side.
@@ -90,7 +91,7 @@ impl<'a> KeyTerms<'a> {
         Self {
             pk,
             y: Fr::zero(),
-            hashes: Vec::new(),
+            hashes: ChiPoints::default(),
             hash_scalars: Vec::new(),
             psis: Vec::new(),
             psi_eps: Vec::new(),
@@ -108,7 +109,8 @@ impl<'a> KeyTerms<'a> {
         };
         dsaudit_obs::observe("core.challenge_set", set.len() as u64);
         let indices: Vec<u64> = set.iter().map(|&(i, _)| i).collect();
-        self.hashes.extend(cache.index_oracles(item.meta.name, &indices));
+        self.hashes
+            .append(cache.index_oracle_rows(item.meta.name, &indices));
         self.hash_scalars.extend(set.iter().map(|&(_, c)| -(w * c)));
         self.psis.push(item.proof.psi);
         self.psi_eps.push(w * item.challenge.r);
@@ -117,13 +119,13 @@ impl<'a> KeyTerms<'a> {
 
     /// The key's two G1 points: `g1^{-y} prod H^{..} prod psi_u^{zeta_u
     /// rho_u r_u}` for `eps` and `prod psi_u^{-zeta_u rho_u}` for `delta`.
-    fn points(mut self) -> [G1Projective; 2] {
+    fn points(self) -> [G1Projective; 2] {
         let delta_side = msm_g1(&self.psis, &self.psi_delta);
-        self.hashes.append(&mut self.psis);
-        self.hash_scalars.append(&mut self.psi_eps);
-        let eps_side = G1Projective::generator_table()
-            .mul(-self.y)
-            .add(&msm_g1(&self.hashes, &self.hash_scalars));
+        let eps_side = G1Projective::generator_table().mul(-self.y).add(&self.hashes.msm(
+            &self.hash_scalars,
+            &self.psis,
+            &self.psi_eps,
+        ));
         [eps_side, delta_side]
     }
 }
@@ -375,6 +377,51 @@ mod tests {
             .verify_private_batch(&mut rng, &items)
             .unwrap()
             .accepted());
+    }
+
+    /// Items on one file at `k` above the slice cutoff, once the
+    /// auditor has promoted the file's chi rows: the key's eps-side MSM
+    /// walks the rows, over indices that repeat across the items, and
+    /// the flags still equal single verification.
+    #[test]
+    fn batch_over_promoted_rows_flags_what_singles_flag() {
+        use dsaudit_algebra::msm::SLICE_MSM_CUTOFF;
+        let mut rng = rng();
+        let params = AuditParams::new(3, SLICE_MSM_CUTOFF + 2).unwrap();
+        let (sk, pk) = keygen(&mut rng, &params);
+        let data: Vec<u8> = (0..4000).map(|i| (i * 11 % 251) as u8).collect();
+        let file = EncodedFile::encode(&mut rng, &data, params);
+        let tags = generate_tags(&sk, &file);
+        let meta = FileMeta {
+            name: file.name,
+            num_chunks: file.num_chunks(),
+            k: params.k,
+        };
+        let prover = Prover::new(&pk, &file, &tags).unwrap();
+        let auditor = Auditor::new();
+        // every chunk challenged twice over: all rows promoted
+        let all: Vec<u64> = (0..meta.num_chunks as u64).collect();
+        for _ in 0..2 {
+            let _ = auditor.chi_cache().index_oracle_rows(meta.name, &all);
+        }
+        assert_eq!(auditor.chi_cache().rows_len(), meta.num_chunks);
+        let mut items: Vec<BatchItem<'_>> = (0..6)
+            .map(|_| {
+                let challenge = Challenge::random(&mut rng);
+                let proof = prover.prove_private(&mut rng, &challenge);
+                BatchItem {
+                    pk: &pk,
+                    meta,
+                    challenge,
+                    proof,
+                }
+            })
+            .collect();
+        assert!(auditor.verify_private_batch(&mut rng, &items).unwrap().accepted());
+        items[4].proof.y_prime += Fr::one();
+        let singles: Vec<bool> = items.iter().map(|item| verify_alone(&auditor, item)).collect();
+        assert_eq!(singles, [true, true, true, true, false, true]);
+        assert_eq!(auditor.verify_private_each(&mut rng, &items), singles);
     }
 
     #[test]

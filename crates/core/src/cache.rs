@@ -25,9 +25,11 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
-use dsaudit_algebra::g1::G1Affine;
+use dsaudit_algebra::endo::msm_g1;
+use dsaudit_algebra::g1::{G1Affine, G1Projective};
+use dsaudit_algebra::msm::{msm_slices, slice_count, slice_rows, slice_window, SLICE_MSM_CUTOFF};
 use dsaudit_algebra::g2::G2Affine;
 use dsaudit_algebra::pairing::G2Prepared;
 use dsaudit_algebra::par::par_map;
@@ -66,9 +68,38 @@ struct BoundedCache<K, V> {
 /// one per lookup on the verify hot path.
 const OBS_FLUSH_EVERY: u64 = 64;
 
-struct BoundedMap<K, V> {
+/// A map bounded by FIFO eviction: the oldest key out first.
+struct Fifo<K, V> {
     map: HashMap<K, V>,
     order: VecDeque<K>,
+}
+
+impl<K: Eq + Hash + Clone, V> Fifo<K, V> {
+    fn new() -> Self {
+        Self {
+            map: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    /// Inserts an entry, evicting oldest-first down to `capacity`; a
+    /// key already resident keeps its place in the order.
+    fn insert(&mut self, key: K, value: V, capacity: usize) {
+        if self.map.insert(key.clone(), value).is_none() {
+            self.order.push_back(key);
+            while self.map.len() > capacity {
+                if let Some(victim) = self.order.pop_front() {
+                    self.map.remove(&victim);
+                } else {
+                    break;
+                }
+            }
+        }
+    }
+}
+
+struct BoundedMap<K, V> {
+    fifo: Fifo<K, V>,
     hits: u64,
     misses: u64,
     /// Hits not yet flushed to the obs registry.
@@ -97,21 +128,6 @@ impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
         self.pending_misses = 0;
         Some(deltas)
     }
-
-    /// Inserts a computed entry, evicting oldest-first down to
-    /// `capacity`; a key already resident keeps its place in the order.
-    fn insert(&mut self, key: K, value: V, capacity: usize) {
-        if self.map.insert(key.clone(), value).is_none() {
-            self.order.push_back(key);
-            while self.map.len() > capacity {
-                if let Some(victim) = self.order.pop_front() {
-                    self.map.remove(&victim);
-                } else {
-                    break;
-                }
-            }
-        }
-    }
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
@@ -130,8 +146,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
         assert!(capacity > 0, "cache capacity must be positive");
         Self {
             inner: Mutex::new(BoundedMap {
-                map: HashMap::new(),
-                order: VecDeque::new(),
+                fifo: Fifo::new(),
                 hits: 0,
                 misses: 0,
                 pending_hits: 0,
@@ -146,7 +161,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
     fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
         let (warm, flush) = {
             let mut inner = self.locked();
-            let warm = inner.map.get(&key).cloned();
+            let warm = inner.fifo.map.get(&key).cloned();
             let flush = inner.count(warm.is_some());
             (warm, flush)
         };
@@ -157,7 +172,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
             return v;
         }
         let v = compute();
-        self.locked().insert(key, v.clone(), self.capacity);
+        self.locked().fifo.insert(key, v.clone(), self.capacity);
         v
     }
 
@@ -168,8 +183,13 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
     /// outside the lock, the second inserts them. Counting follows the
     /// one-by-one order — a repeat of a cold key is a hit on its first
     /// occurrence's value — so the totals and the obs flush points are
-    /// those of `keys.len()` sequential lookups.
-    fn get_or_compute_many(&self, keys: &[K], compute: impl FnOnce(&[K]) -> Vec<V>) -> Vec<V> {
+    /// those of `keys.len()` sequential lookups. Beside the values comes
+    /// one flag per key: whether it was resident before the call.
+    fn get_or_compute_many(
+        &self,
+        keys: &[K],
+        compute: impl FnOnce(&[K]) -> Vec<V>,
+    ) -> (Vec<V>, Vec<bool>) {
         // per key: the warm value, or its slot among the cold keys
         let mut found: Vec<Result<V, usize>> = Vec::with_capacity(keys.len());
         let mut cold: Vec<K> = Vec::new();
@@ -178,7 +198,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
         {
             let mut inner = self.locked();
             for key in keys {
-                let (entry, hit) = match (inner.map.get(key), cold_slot.get(key)) {
+                let (entry, hit) = match (inner.fifo.map.get(key), cold_slot.get(key)) {
                     (Some(v), _) => (Ok(v.clone()), true),
                     (None, Some(&slot)) => (Err(slot), true),
                     (None, None) => {
@@ -194,8 +214,9 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
         for deltas in flushes {
             self.flush(deltas);
         }
+        let resident: Vec<bool> = found.iter().map(Result::is_ok).collect();
         if cold.is_empty() {
-            return found.into_iter().flatten().collect();
+            return (found.into_iter().flatten().collect(), resident);
         }
         let computed = compute(&cold);
         assert_eq!(computed.len(), cold.len(), "one value per cold key");
@@ -205,9 +226,9 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
             .collect();
         let mut inner = self.locked();
         for (key, v) in cold.into_iter().zip(computed) {
-            inner.insert(key, v, self.capacity);
+            inner.fifo.insert(key, v, self.capacity);
         }
-        out
+        (out, resident)
     }
 
     /// Mirrors one batch of hit/miss deltas onto the obs registry.
@@ -221,7 +242,7 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
     }
 
     fn len(&self) -> usize {
-        self.locked().map.len()
+        self.locked().fifo.map.len()
     }
 
     /// One snapshot under the cache's own lock: the totals are exactly
@@ -236,17 +257,99 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
     }
 }
 
-/// Memoizes the index oracle `H(name || i)` per `(file, chunk)` pair.
+/// Memoizes the index oracle `H(name || i)` per `(file, chunk)` pair,
+/// and the slice rows of the entries audits keep coming back to.
 ///
 /// Audit challenges re-sample `k` chunks of the same file every round,
 /// so repeated rounds hit warm entries instead of re-running the
-/// hash-to-curve square-root search.
+/// hash-to-curve square-root search. An entry hit again by a gather of
+/// at least [`SLICE_MSM_CUTOFF`] indices is *promoted*: its slice row
+/// ([`slice_rows`], `2^(c j) H(name || i)` for every slice `j`) is built
+/// and kept, so the MSM over a round's hashes walks the rows in one
+/// bucket pass ([`msm_slices`]). The first such gather fixes the window
+/// `c` of every row of the cache. A cold gather (a one-shot verify)
+/// does not look for rows, and neither it nor a small one (`k` below
+/// the cutoff) promotes any. Promotions bump
+/// the `core.chi_rows_promoted` counter and leave the hit/miss counts
+/// alone.
 pub struct ChiCache {
-    cache: BoundedCache<(Fr, u64), G1Affine>,
+    cache: BoundedCache<ChiKey, G1Affine>,
+    /// Promoted rows, FIFO-bounded at `row_capacity` on their own.
+    rows: Mutex<Fifo<ChiKey, SliceRow>>,
+    row_capacity: usize,
+    window: OnceLock<usize>,
 }
 
-/// Default capacity of [`ChiCache`] (~100 bytes/entry).
+/// A file's name and a chunk index.
+type ChiKey = (Fr, u64);
+
+/// The slices of one `H(name || i)`, shared with the gathers using it.
+type SliceRow = Arc<[G1Affine]>;
+
+/// Default capacity of [`ChiCache`] in entries. An entry is a 40-byte
+/// key and a 72-byte point in the map and the key again in the FIFO
+/// order: 272 bytes of RSS per entry with the map's spare capacity,
+/// measured over 2^18 entries, so ~285 MB at the bound.
 pub const CHI_CACHE_CAPACITY: usize = 1 << 20;
+
+/// At most this many entries of a [`ChiCache`] hold a slice row at
+/// once; beyond it the oldest promotion is dropped first. A row at the
+/// window of a `k = 300` audit is 14 points of 72 bytes; with its key,
+/// its FIFO slot and the map's spare capacity it costs 1.17-1.26 KB of
+/// RSS (measured over 2^15 rows), so the rows add ~40 MB at the bound,
+/// 48 files of 677 chunks at the paper's design point.
+pub const CHI_ROW_CAPACITY: usize = 1 << 15;
+
+/// The `H(name || i)` of one gather, with every point's slice row when
+/// each has one.
+#[derive(Default)]
+pub(crate) struct ChiPoints {
+    points: Vec<G1Affine>,
+    /// The rows' window and the rows, parallel to `points`.
+    rows: Option<(usize, Vec<SliceRow>)>,
+}
+
+impl ChiPoints {
+    /// Appends another gather of the same cache; the rows stay only if
+    /// both gathers had them (an empty gather has all its rows).
+    pub(crate) fn append(&mut self, other: ChiPoints) {
+        if self.points.is_empty() {
+            *self = other;
+            return;
+        }
+        self.points.extend(other.points);
+        self.rows = match (self.rows.take(), other.rows) {
+            (Some((window, mut rows)), Some((w, more))) if w == window => {
+                rows.extend(more);
+                Some((window, rows))
+            }
+            _ => None,
+        };
+    }
+
+    /// `sum_j scalars[j] points[j] + sum_j extra_scalars[j] extra[j]` as
+    /// one MSM: over the slice rows when every point has one (the rows
+    /// of `extra`, a proof's `psi`, are built on the spot), else
+    /// through [`msm_g1`].
+    ///
+    /// # Panics
+    /// Panics if a slice's length does not match its scalars'.
+    pub(crate) fn msm(self, scalars: &[Fr], extra: &[G1Affine], extra_scalars: &[Fr]) -> G1Projective {
+        let all_scalars: Vec<Fr> = scalars.iter().chain(extra_scalars).copied().collect();
+        let Some((window, rows)) = self.rows else {
+            let mut bases = self.points;
+            bases.extend_from_slice(extra);
+            return msm_g1(&bases, &all_scalars);
+        };
+        let extra_rows = slice_rows(extra, window);
+        let refs: Vec<&[G1Affine]> = rows
+            .iter()
+            .map(AsRef::as_ref)
+            .chain(extra_rows.chunks_exact(slice_count(window)))
+            .collect();
+        msm_slices(window, &refs, &all_scalars)
+    }
+}
 
 impl ChiCache {
     /// A cache bounded at [`CHI_CACHE_CAPACITY`] entries.
@@ -254,13 +357,17 @@ impl ChiCache {
         Self::with_capacity(CHI_CACHE_CAPACITY)
     }
 
-    /// A cache bounded at `capacity` entries (FIFO eviction beyond it).
+    /// A cache bounded at `capacity` entries (FIFO eviction beyond it),
+    /// of which at most [`CHI_ROW_CAPACITY`] hold a row.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> Self {
         Self {
             cache: BoundedCache::new(capacity, "core.cache.chi"),
+            rows: Mutex::new(Fifo::new()),
+            row_capacity: capacity.min(CHI_ROW_CAPACITY),
+            window: OnceLock::new(),
         }
     }
 
@@ -276,7 +383,62 @@ impl ChiCache {
     /// more. A warm audit round is `k` hits for two lock acquisitions
     /// and no thread.
     pub fn index_oracles(&self, name: Fr, indices: &[u64]) -> Vec<G1Affine> {
-        let keys: Vec<(Fr, u64)> = indices.iter().map(|&i| (name, i)).collect();
+        self.gather(name, indices).0
+    }
+
+    /// [`ChiCache::index_oracles`] with the points' slice rows, for an
+    /// MSM over them: promotes the warm entries of a large enough
+    /// gather that have no row yet, and returns the rows when every
+    /// point has one.
+    pub(crate) fn index_oracle_rows(&self, name: Fr, indices: &[u64]) -> ChiPoints {
+        let (points, resident) = self.gather(name, indices);
+        if indices.len() < SLICE_MSM_CUTOFF || !resident.contains(&true) {
+            return ChiPoints { points, rows: None };
+        }
+        let window = *self.window.get_or_init(|| slice_window(indices.len()));
+        let rows_of = || -> Vec<Option<SliceRow>> {
+            let fifo = self.rows_locked();
+            indices.iter().map(|&i| fifo.map.get(&(name, i)).cloned()).collect()
+        };
+        let mut rows = rows_of();
+        // each warm index without a row once, in first-occurrence order
+        let mut promote: Vec<(u64, G1Affine)> = Vec::new();
+        for ((&i, point), (row, &warm)) in indices.iter().zip(&points).zip(rows.iter().zip(&resident)) {
+            if warm && row.is_none() && !promote.iter().any(|&(j, _)| j == i) {
+                promote.push((i, *point));
+            }
+        }
+        if !promote.is_empty() {
+            let bases: Vec<G1Affine> = promote.iter().map(|&(_, p)| p).collect();
+            let built = slice_rows(&bases, window);
+            dsaudit_obs::counter_add("core.chi_rows_promoted", promote.len() as u64);
+            {
+                let mut fifo = self.rows_locked();
+                for (&(i, _), row) in promote.iter().zip(built.chunks_exact(slice_count(window))) {
+                    fifo.insert((name, i), Arc::from(row), self.row_capacity);
+                }
+            }
+            rows = rows_of();
+        }
+        let rows: Option<Vec<SliceRow>> = rows.into_iter().collect();
+        ChiPoints {
+            points,
+            rows: rows.map(|rows| (window, rows)),
+        }
+    }
+
+    /// The promoted rows, recovering from poisoning as
+    /// `BoundedCache::locked` does: a row is a deterministic function
+    /// of its key.
+    fn rows_locked(&self) -> std::sync::MutexGuard<'_, Fifo<ChiKey, SliceRow>> {
+        self.rows
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The points of `indices`, and whether each was resident before.
+    fn gather(&self, name: Fr, indices: &[u64]) -> (Vec<G1Affine>, Vec<bool>) {
+        let keys: Vec<ChiKey> = indices.iter().map(|&i| (name, i)).collect();
         self.cache.get_or_compute_many(&keys, |cold| {
             par_map(cold.len(), |j| index_oracle(cold[j].0, cold[j].1))
         })
@@ -290,6 +452,11 @@ impl ChiCache {
     /// `true` when no entry is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Entries holding a slice row.
+    pub fn rows_len(&self) -> usize {
+        self.rows_locked().map.len()
     }
 
     /// Hit/miss counters since creation.

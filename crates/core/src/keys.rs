@@ -8,6 +8,7 @@
 use dsaudit_algebra::field::Field;
 use dsaudit_algebra::g1::{G1Affine, G1Projective};
 use dsaudit_algebra::g2::G2Affine;
+use dsaudit_algebra::msm::LazyG1Table;
 use dsaudit_algebra::pairing::{multi_pairing_prepared, FixedBaseGt, G2Prepared, Gt};
 use dsaudit_algebra::Fr;
 
@@ -120,6 +121,13 @@ pub struct PublicKey {
     /// bytes), which the key's clones share; verifiers and decoders
     /// never build one.
     pub e_g1_eps: FixedBaseGt,
+    /// The slice table of `alpha_powers_g1` for the prover's quotient
+    /// witness `psi`, built like `e_g1_eps`'s by the key's first proof
+    /// with at least `SLICE_MSM_CUTOFF` quotient coefficients (at `s =
+    /// 50`: 50 rows of 17 points, 61,200 bytes) and shared by its
+    /// clones. Below the cutoff (`s <= 16`), in verifiers and decoders,
+    /// nothing is built.
+    pub alpha_table: LazyG1Table,
 }
 
 impl PublicKey {
@@ -242,6 +250,7 @@ impl Codec for PublicKey {
             delta,
             alpha_powers_g1,
             e_g1_eps: FixedBaseGt::new(e_g1_eps),
+            alpha_table: LazyG1Table::new(),
         };
         pk.validate()?;
         Ok(pk)
@@ -279,6 +288,7 @@ pub fn public_key_for(sk: &SecretKey, s: usize) -> PublicKey {
         delta,
         alpha_powers_g1,
         e_g1_eps: FixedBaseGt::new(e_g1_eps),
+        alpha_table: LazyG1Table::new(),
     }
 }
 

@@ -4,6 +4,7 @@ use dsaudit_algebra::curve::Projective;
 use dsaudit_algebra::endo::msm_g1;
 use dsaudit_algebra::field::Field;
 use dsaudit_algebra::g1::{G1Affine, G1Projective};
+use dsaudit_algebra::msm::LazyG1Table;
 use dsaudit_algebra::par::join;
 use dsaudit_algebra::poly::DensePoly;
 use dsaudit_algebra::Fr;
@@ -24,6 +25,9 @@ pub struct Prover<'a> {
     pub pk: &'a PublicKey,
     /// Per-chunk authenticators received from the data owner.
     pub tags: &'a [G1Affine],
+    /// The tags' slice table, when the prover serves many rounds
+    /// ([`Prover::with_tag_table`]).
+    tag_table: Option<&'a LazyG1Table>,
     chunks: Chunks<'a>,
     params: AuditParams,
 }
@@ -95,16 +99,30 @@ impl<'a> Prover<'a> {
         Ok(Self {
             pk,
             tags,
+            tag_table: None,
             chunks,
             params,
         })
     }
 
+    /// Runs `sigma` over the slice table `table` keeps of this prover's
+    /// tags: the first proof with `k` at or above `SLICE_MSM_CUTOFF`
+    /// builds it, every later one (through any prover given the same
+    /// cell, or a clone of it) walks it. For a holder of the tags that
+    /// answers round after round, as [`crate::StorageProvider`] does; a
+    /// bare prover builds nothing for its tags. Proofs are
+    /// byte-identical either way.
+    pub fn with_tag_table(mut self, table: &'a LazyG1Table) -> Self {
+        self.tag_table = Some(table);
+        self
+    }
+
     /// What both responses share, `(sigma, y, psi)` still projective:
     /// expands the challenge, aggregates `P_k = sum_i c_i M_i`, opens it
     /// at `r` (evaluation `y`, quotient witness) and runs the two MSMs —
-    /// `sigma` over the challenged tags, `psi` over the commitment key —
-    /// through the GLV-split Pippenger of `dsaudit_algebra::endo`.
+    /// `sigma` over the challenged tags, on the tag table when there is
+    /// one, and `psi` over the commitment key, on the key's
+    /// `alpha_table` — or through `msm_g1` below the tables' cutoff.
     fn aggregate_and_open(&self, challenge: &Challenge) -> (G1Projective, Fr, G1Projective) {
         // one tag per chunk, checked at construction
         let set = {
@@ -129,13 +147,21 @@ impl<'a> Prover<'a> {
         let (quot, y) = DensePoly::from_coeffs(pk_coeffs).divide_by_linear(challenge.r);
 
         // sigma = prod_i sigma_i^{c_i}
-        let (bases, coeffs): (Vec<G1Affine>, Vec<Fr>) = set
-            .iter()
-            .map(|(i, c)| (self.tags[*i as usize], *c))
-            .unzip();
-        let sigma = msm_g1(&bases, &coeffs);
+        let (indices, coeffs): (Vec<usize>, Vec<Fr>) =
+            set.iter().map(|(i, c)| (*i as usize, *c)).unzip();
+        let sigma = match self.tag_table {
+            Some(table) => table.msm(self.tags, &indices, &coeffs),
+            None => {
+                let bases: Vec<G1Affine> = indices.iter().map(|&i| self.tags[i]).collect();
+                msm_g1(&bases, &coeffs)
+            }
+        };
         let quot = quot.coeffs();
-        let psi = msm_g1(&self.pk.alpha_powers_g1[..quot.len()], quot);
+        let powers: Vec<usize> = (0..quot.len()).collect();
+        let psi = self
+            .pk
+            .alpha_table
+            .msm(&self.pk.alpha_powers_g1, &powers, quot);
         (sigma, y, psi)
     }
 

@@ -10,6 +10,7 @@
 #![deny(missing_docs)]
 
 use dsaudit_algebra::g1::G1Affine;
+use dsaudit_algebra::msm::LazyG1Table;
 
 use crate::challenge::Challenge;
 use crate::error::DsAuditError;
@@ -23,11 +24,18 @@ use crate::tag::verify_tags_batch;
 use crate::verify::FileMeta;
 
 /// Provider-side state for one stored file.
+///
+/// The provider answers round after round over the same tags, so it
+/// keeps their slice table beside them: the first proof with `k` at or
+/// above `SLICE_MSM_CUTOFF` builds it (at `k = 300` over a 677-chunk
+/// file: 677 rows of 14 points, 682,416 bytes), every later proof walks
+/// it, and clones share it. Nothing is built at ingest.
 #[derive(Clone, Debug)]
 pub struct StorageProvider {
     pk: PublicKey,
     file: EncodedFile,
     tags: Vec<G1Affine>,
+    tag_table: LazyG1Table,
 }
 
 impl StorageProvider {
@@ -64,7 +72,12 @@ impl StorageProvider {
     ) -> Result<Self, DsAuditError> {
         // a Prover over the same references performs the shape checks
         Prover::new(&pk, &file, &tags)?;
-        Ok(Self { pk, file, tags })
+        Ok(Self {
+            pk,
+            file,
+            tags,
+            tag_table: LazyG1Table::new(),
+        })
     }
 
     /// The owner's public key this provider serves.
@@ -91,10 +104,11 @@ impl StorageProvider {
         }
     }
 
-    /// The internal prover over this provider's holdings.
+    /// The internal prover over this provider's holdings and tag table.
     fn prover(&self) -> Prover<'_> {
         Prover::new(&self.pk, &self.file, &self.tags)
             .expect("provider state was dimension-checked at construction")
+            .with_tag_table(&self.tag_table)
     }
 
     /// Answers a challenge with the privacy-assured proof (§V-D).
@@ -211,6 +225,33 @@ mod tests {
             StorageProvider::ingest(&mut rng, bundle),
             Err(DsAuditError::DimensionMismatch { .. })
         ));
+    }
+
+    /// At the paper's `(s, k) = (50, 300)` the provider's proofs walk
+    /// its tag table; they are byte for byte a bare prover's from the
+    /// same randomness, from the proof that builds the table on.
+    #[test]
+    fn tag_table_proofs_equal_bare_prover_proofs() {
+        use crate::codec::Codec;
+        use crate::prove::Prover;
+        let mut rng = rng();
+        let params = AuditParams::default();
+        assert_eq!((params.s, params.k), (50, 300));
+        let owner = DataOwner::generate(&mut rng, params);
+        let data: Vec<u8> = (0..480_000).map(|i| (i * 29 % 251) as u8).collect();
+        let bundle = owner.outsource(&mut rng, &data);
+        assert!(bundle.file.num_chunks() > params.k, "k must not clamp");
+        let provider =
+            StorageProvider::new_unchecked(bundle.pk, bundle.file, bundle.tags).unwrap();
+        let bare = Prover::new(provider.public_key(), provider.file(), provider.tags()).unwrap();
+        for seed in [1u64, 2] {
+            let ch = Challenge::random(&mut rng);
+            let mut with_table = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut without = rand::rngs::StdRng::seed_from_u64(seed);
+            let proof = provider.respond(&mut with_table, &ch);
+            assert!(provider.tag_table.get().is_some(), "the first proof builds the table");
+            assert_eq!(proof.encode(), bare.prove_private(&mut without, &ch).encode());
+        }
     }
 
     #[test]

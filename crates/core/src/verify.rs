@@ -85,14 +85,14 @@ impl FileMeta {
 pub fn compute_chi(cache: &ChiCache, name: Fr, set: &[(u64, Fr)]) -> G1Projective {
     let _span = dsaudit_obs::span("core.compute_chi");
     let (indices, coeffs): (Vec<u64>, Vec<Fr>) = set.iter().copied().unzip();
-    let hashes = cache.index_oracles(name, &indices);
-    msm_g1(&hashes, &coeffs)
+    cache.index_oracle_rows(name, &indices).msm(&coeffs, &[], &[])
 }
 
 /// The G1 point paired with `eps`, `g1^{-y} * chi^{-zeta} * psi^{zeta r}`,
 /// for the challenge `(d, k, challenge)` on file `name`: expands the
 /// challenge, gathers the `k` cached `H(name || i)` and runs one MSM over
-/// them and `psi`. Eq. (1) passes `zeta = 1`.
+/// them and `psi`, on the hashes' slice rows once the cache has promoted
+/// them. Eq. (1) passes `zeta = 1`.
 fn eps_side(
     cache: &ChiCache,
     meta: &FileMeta,
@@ -106,14 +106,12 @@ fn eps_side(
         challenge.expand(meta.num_chunks, meta.k)
     };
     dsaudit_obs::observe("core.challenge_set", set.len() as u64);
-    let (indices, mut scalars): (Vec<u64>, Vec<Fr>) =
+    let (indices, scalars): (Vec<u64>, Vec<Fr>) =
         set.iter().map(|(i, c)| (*i, -(zeta * *c))).unzip();
-    let mut bases = cache.index_oracles(meta.name, &indices);
-    bases.push(*psi);
-    scalars.push(zeta * challenge.r);
+    let hashes = cache.index_oracle_rows(meta.name, &indices);
     G1Projective::generator_table()
         .mul(-y)
-        .add(&msm_g1(&bases, &scalars))
+        .add(&hashes.msm(&scalars, &[*psi], &[zeta * challenge.r]))
 }
 
 /// Eq. (1) against the caches of `auditor`.

@@ -1,17 +1,18 @@
 //! The Groth16-compressed Merkle backend: one constant 128-byte proof
-//! per round that verifies a whole batch of challenged Merkle paths —
-//! `snark::strawman` grown into a real backend.
+//! per round that verifies a whole batch of challenged Merkle paths.
+//! At one index, [`membership_circuit`] is the paper's §IV strawman,
+//! which Table II measures.
 //!
-//! Two deliberate departures from the strawman:
+//! Two properties beyond the paper's strawman:
 //!
 //! * **batching** — the circuit proves `B` challenged paths against one
 //!   shared public root, so proof size and verify cost are independent
 //!   of the batch;
-//! * **public index bits** — the strawman witnesses the path direction
-//!   bits, which is a soundness hole for auditing: a prover holding a
-//!   single leaf could satisfy any challenge by re-routing its path.
-//!   Here the verifier derives the challenged indices from the beacon
-//!   and pins their bits as *public inputs*
+//! * **public index bits** — witnessed path direction bits would be a
+//!   soundness hole for auditing: a prover holding a single leaf could
+//!   satisfy any challenge by re-routing its path. Here the verifier
+//!   derives the challenged indices from the beacon and pins their bits
+//!   as *public inputs*
 //!   (see [`dsaudit_snark::merkle_batch_membership_circuit`]).
 //!
 //! The honest prover always synthesizes a satisfied circuit over its
@@ -27,7 +28,7 @@ use dsaudit_core::codec::{ByteReader, Codec};
 use dsaudit_core::{Challenge, DsAuditError, RejectReason, Verdict};
 use dsaudit_merkle::tree::{MerkleTree, MimcHasher};
 use dsaudit_snark::groth16::{prove, setup, verify, Proof, ProvingKey, VerifyingKey};
-use dsaudit_snark::{batch_public_inputs, merkle_batch_membership_circuit};
+use dsaudit_snark::{batch_public_inputs, merkle_batch_membership_circuit, ConstraintSystem};
 
 use crate::wire::{BackendProof, Commitment};
 use crate::{AuditBackend, BackendError, BackendId, BackendSetup, ProverKit, Verifier};
@@ -35,6 +36,9 @@ use crate::{AuditBackend, BackendError, BackendId, BackendSetup, ProverKit, Veri
 /// Wire ceiling on tree depth (shared rationale with the merkle
 /// backend: bounds decode work, unreachable in practice).
 const MAX_DEPTH: usize = 64;
+
+/// Bytes per leaf: 31 bytes always fit below the BN254 scalar modulus.
+const LEAF_BYTES: usize = 31;
 
 /// The Groth16-compressed Merkle backend.
 #[derive(Clone, Copy, Debug)]
@@ -49,19 +53,59 @@ impl Default for Groth16MerkleBackend {
     }
 }
 
-/// Splits data into 31-byte field-element leaves (strawman encoding:
-/// 31 bytes always fit below the BN254 scalar modulus).
-fn leaves_from(data: &[u8]) -> Vec<Fr> {
-    if data.is_empty() {
-        return vec![Fr::from_u64(0)];
+/// The batch-membership circuit over some stored bytes at a list of
+/// challenged indices, with what a verifier holding its root derives.
+#[derive(Clone, Debug)]
+pub struct MembershipCircuit {
+    /// The synthesized circuit, satisfied by construction.
+    pub cs: ConstraintSystem,
+    /// [`batch_public_inputs`] over the circuit's own root: the root,
+    /// then each index's direction bits.
+    pub publics: Vec<Fr>,
+    /// Root of the MiMC tree over the stored bytes.
+    pub root: Fr,
+    /// Depth of that tree.
+    pub depth: usize,
+    /// Its real (unpadded) leaf count.
+    pub leaf_count: usize,
+}
+
+/// Builds [`merkle_batch_membership_circuit`] over `stored` — split
+/// into 31-byte field-element leaves (an empty file is one zero leaf)
+/// under a MiMC tree — at the challenged `indices`, in order.
+///
+/// # Errors
+/// [`BackendError::Shape`] when an index is past the last leaf.
+pub fn membership_circuit(stored: &[u8], indices: &[u64]) -> Result<MembershipCircuit, BackendError> {
+    let leaves: Vec<Fr> = if stored.is_empty() {
+        vec![Fr::from_u64(0)]
+    } else {
+        stored
+            .chunks(LEAF_BYTES)
+            .map(|chunk| {
+                let mut buf = [0u8; 32];
+                buf[1..=chunk.len()].copy_from_slice(chunk);
+                Fr::from_bytes_be(&buf).expect("31 bytes fit below the modulus")
+            })
+            .collect()
+    };
+    let leaf_count = leaves.len();
+    if indices.iter().any(|&i| i >= leaf_count as u64) {
+        return Err(BackendError::Shape("challenged index past the last leaf"));
     }
-    data.chunks(31)
-        .map(|chunk| {
-            let mut buf = [0u8; 32];
-            buf[1..1 + chunk.len()].copy_from_slice(chunk);
-            Fr::from_bytes_be(&buf).expect("31 bytes fit below the modulus")
-        })
-        .collect()
+    let tree = MerkleTree::<MimcHasher>::from_leaves(leaves);
+    let entries: Vec<(Fr, Vec<Fr>, usize)> = indices
+        .iter()
+        .map(|&i| (*tree.leaf(i as usize), tree.open(i as usize).siblings, i as usize))
+        .collect();
+    let (root, depth) = (tree.root(), tree.depth());
+    Ok(MembershipCircuit {
+        cs: merkle_batch_membership_circuit(root, &entries),
+        publics: batch_public_inputs(root, indices, depth),
+        root,
+        depth,
+        leaf_count,
+    })
 }
 
 /// The Groth16 provider's proving material: the tree shape and batch
@@ -128,22 +172,16 @@ impl AuditBackend for Groth16MerkleBackend {
         if self.batch == 0 {
             return Err(BackendError::Shape("batch must be positive"));
         }
-        let leaves = leaves_from(data);
-        let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
-        let depth = tree.depth();
-        let leaf_count = leaves.len();
         // the circuit shape depends only on (batch, depth) — setup over
         // representative indices 0..b_eff; the same clamp the challenge
         // expansion applies keeps prove/verify on the identical shape
-        let b_eff = self.batch.min(leaf_count);
-        let entries: Vec<(Fr, Vec<Fr>, usize)> = (0..b_eff)
-            .map(|i| (leaves[i], tree.open(i).siblings, i))
-            .collect();
-        let cs = merkle_batch_membership_circuit(tree.root(), &entries);
-        let pk = setup(rng, &cs)?;
+        let b_eff = self.batch.min(data.len().div_ceil(LEAF_BYTES).max(1));
+        let circuit = membership_circuit(data, &(0..b_eff as u64).collect::<Vec<_>>())?;
+        let (root, depth, leaf_count) = (circuit.root, circuit.depth, circuit.leaf_count);
+        let pk = setup(rng, &circuit.cs)?;
 
         let mut commitment = Vec::new();
-        tree.root().encode_into(&mut commitment);
+        root.encode_into(&mut commitment);
         commitment.extend_from_slice(&(depth as u32).to_le_bytes());
         commitment.extend_from_slice(&(leaf_count as u64).to_le_bytes());
         commitment.extend_from_slice(&(self.batch as u32).to_le_bytes());
@@ -173,20 +211,15 @@ impl AuditBackend for Groth16MerkleBackend {
         let ProverKit::Groth16Merkle(kit) = kit else {
             return Err(kit.wrong_backend(BackendId::Groth16Merkle));
         };
-        let leaves = leaves_from(stored);
-        let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
-        if tree.depth() != kit.depth || leaves.len() != kit.leaf_count {
-            return Err(BackendError::Shape("tree depth / leaf count"));
-        }
-        let entries: Vec<(Fr, Vec<Fr>, usize)> = Self::indices(beacon, kit.leaf_count, kit.batch)
-            .into_iter()
-            .map(|i| (leaves[i as usize], tree.open(i as usize).siblings, i as usize))
-            .collect();
+        let indices = Self::indices(beacon, kit.leaf_count, kit.batch);
         // synthesized over the prover's OWN root: always satisfied, so
         // proving never fails on corrupt data — the mismatch surfaces
         // at verification against the committed root
-        let cs = merkle_batch_membership_circuit(tree.root(), &entries);
-        let proof = prove(rng, &kit.pk, &cs)?;
+        let circuit = membership_circuit(stored, &indices)?;
+        if circuit.depth != kit.depth || circuit.leaf_count != kit.leaf_count {
+            return Err(BackendError::Shape("tree depth / leaf count"));
+        }
+        let proof = prove(rng, &kit.pk, &circuit.cs)?;
         Ok(BackendProof {
             backend: BackendId::Groth16Merkle,
             bytes: proof.encode(),

@@ -296,3 +296,209 @@ mod tests {
         assert_eq!(ids, BackendId::ALL.to_vec());
     }
 }
+
+/// §II's Sia-style Merkle audit baseline, as the merkle backend runs
+/// it: one leaf per round, challenged from the chain's beacon.
+#[cfg(test)]
+mod audit {
+    #[cfg(test)]
+    mod tests {
+        use std::collections::HashMap;
+
+        use dsaudit_core::codec::Codec;
+        use dsaudit_core::{Challenge, RejectReason, Verdict};
+        use rand::SeedableRng;
+
+        use crate::{AuditBackend, BackendId, BackendProof, MerkleBackend, MerkleBackendProof};
+
+        fn rng() -> rand::rngs::StdRng {
+            rand::rngs::StdRng::seed_from_u64(0x5a1a)
+        }
+
+        /// What a provider that dropped the file but kept its old proofs
+        /// needs to answer `beacon`: the indices it challenges.
+        fn challenged(beacon: &[u8; 48], leaf_count: usize) -> Vec<u64> {
+            Challenge::from_beacon(beacon).indices(leaf_count, 1)
+        }
+
+        fn full_entropy(round: u64) -> [u8; 48] {
+            let mut beacon = [0u8; 48];
+            beacon[..32].copy_from_slice(&dsaudit_crypto::sha256::sha256(&round.to_le_bytes()));
+            beacon
+        }
+
+        #[test]
+        fn honest_audit_passes() {
+            let data: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+            let b = MerkleBackend { leaf_size: 64, k: 1 };
+            let setup = b.setup(&mut rng(), &data).unwrap();
+            for round in 0..20u64 {
+                let beacon = full_entropy(round);
+                let proof = b.prove(&mut rng(), &setup.kit, &data, &beacon).unwrap();
+                assert!(b.verify(&setup.commitment, &beacon, &proof).unwrap().accepted());
+            }
+        }
+
+        /// A proof whose leaf bytes were changed after proving fails the
+        /// root recomputation.
+        #[test]
+        fn tampered_leaf_fails() {
+            let data: Vec<u8> = (0..2048).map(|i| i as u8).collect();
+            let b = MerkleBackend { leaf_size: 32, k: 1 };
+            let setup = b.setup(&mut rng(), &data).unwrap();
+            let beacon = full_entropy(9);
+            let proof = b.prove(&mut rng(), &setup.kit, &data, &beacon).unwrap();
+            let mut p = MerkleBackendProof::decode(&proof.bytes).unwrap();
+            p.entries[0].leaf[0] ^= 1;
+            let tampered = BackendProof {
+                backend: BackendId::Merkle,
+                bytes: p.encode(),
+            };
+            assert_eq!(
+                b.verify(&setup.commitment, &beacon, &tampered).unwrap(),
+                Verdict::Reject(RejectReason::MerklePath)
+            );
+        }
+
+        /// The §II weakness: while the challenge randomness recurs (16
+        /// beacon values), a provider that recorded its proofs by
+        /// challenged index, then dropped the file, answers every round
+        /// from a record smaller than the file.
+        #[test]
+        fn caching_cheater_beats_low_entropy_challenges() {
+            let data: Vec<u8> = (0..32 * 256).map(|i| (i * 7) as u8).collect();
+            let b = MerkleBackend { leaf_size: 256, k: 1 }; // 32 leaves
+            let setup = b.setup(&mut rng(), &data).unwrap();
+            let beacon = |round: u64| [(round % 16) as u8; 48];
+
+            // phase 1: the provider behaves, but records its proofs
+            let mut recorded = HashMap::new();
+            for round in 0..64u64 {
+                let beacon = beacon(round);
+                let proof = b.prove(&mut rng(), &setup.kit, &data, &beacon).unwrap();
+                assert!(b.verify(&setup.commitment, &beacon, &proof).unwrap().accepted());
+                recorded.insert(challenged(&beacon, 32), proof);
+            }
+
+            // phase 2: the file is gone; the record answers every round
+            for round in 64..128u64 {
+                let beacon = beacon(round);
+                let proof = recorded.get(&challenged(&beacon, 32)).expect("record covers the domain");
+                assert!(b.verify(&setup.commitment, &beacon, proof).unwrap().accepted());
+            }
+            let record_bytes: usize = recorded.values().map(|p| p.bytes.len()).sum();
+            assert!(record_bytes < data.len(), "record {record_bytes} B vs file {} B", data.len());
+        }
+
+        /// A provider restating the committed root as a shallower tree
+        /// is held to the committed depth: a path one level short or
+        /// long never verifies, and the restated shape rejects the
+        /// honest proof.
+        #[test]
+        fn depth_spoof_is_rejected() {
+            let data: Vec<u8> = (0..64 * 8).map(|i| i as u8).collect();
+            let b = MerkleBackend { leaf_size: 64, k: 1 }; // 8 leaves, depth 3
+            let setup = b.setup(&mut rng(), &data).unwrap();
+            assert_eq!(setup.commitment.bytes[32..36], 3u32.to_le_bytes());
+            let beacon = full_entropy(3);
+            let proof = b.prove(&mut rng(), &setup.kit, &data, &beacon).unwrap();
+            assert!(b.verify(&setup.commitment, &beacon, &proof).unwrap().accepted());
+
+            let reshaped = |edit: fn(&mut Vec<[u8; 32]>)| {
+                let mut p = MerkleBackendProof::decode(&proof.bytes).unwrap();
+                edit(&mut p.entries[0].siblings);
+                BackendProof {
+                    backend: BackendId::Merkle,
+                    bytes: p.encode(),
+                }
+            };
+            for spoofed in [
+                reshaped(|s| {
+                    s.pop();
+                }),
+                reshaped(|s| s.push([0u8; 32])),
+            ] {
+                assert_eq!(
+                    b.verify(&setup.commitment, &beacon, &spoofed).unwrap(),
+                    Verdict::Reject(RejectReason::MerklePath)
+                );
+            }
+
+            // the genuine root restated as depth 2 over 4 leaves
+            let mut restated = setup.commitment.clone();
+            restated.bytes[32..36].copy_from_slice(&2u32.to_le_bytes());
+            restated.bytes[36..44].copy_from_slice(&4u64.to_le_bytes());
+            assert!(!b.verify(&restated, &beacon, &proof).unwrap().accepted());
+        }
+
+        /// Full-entropy beacons defeat the record: 32 rounds of proofs
+        /// over 512 leaves answer few of the next 64 rounds.
+        #[test]
+        fn high_entropy_defeats_small_cache() {
+            let data: Vec<u8> = (0..256 * 512).map(|i| (i * 3) as u8).collect();
+            let b = MerkleBackend { leaf_size: 256, k: 1 }; // 512 leaves
+            let setup = b.setup(&mut rng(), &data).unwrap();
+            let mut recorded = HashMap::new();
+            for round in 0..32u64 {
+                let beacon = full_entropy(round);
+                let proof = b.prove(&mut rng(), &setup.kit, &data, &beacon).unwrap();
+                recorded.insert(challenged(&beacon, 512), proof);
+            }
+            let passes = (32..96u64)
+                .filter(|&round| {
+                    let beacon = full_entropy(round);
+                    recorded.get(&challenged(&beacon, 512)).is_some_and(|proof| {
+                        b.verify(&setup.commitment, &beacon, proof).unwrap().accepted()
+                    })
+                })
+                .count();
+            assert!(passes < 16, "{passes} of 64 full-entropy rounds hit the record");
+        }
+    }
+}
+
+/// Table II's SNARK strawman: the groth16 backend's circuit at one
+/// challenged index, run through `snark::{setup, prove, verify}`.
+#[cfg(test)]
+mod strawman {
+    #[cfg(test)]
+    mod tests {
+        use dsaudit_snark::groth16::{prove, setup, verify};
+        use rand::SeedableRng;
+
+        use crate::groth16::membership_circuit;
+        use crate::BackendError;
+
+        fn rng() -> rand::rngs::StdRng {
+            rand::rngs::StdRng::seed_from_u64(0x57a77)
+        }
+
+        #[test]
+        fn strawman_end_to_end_1kb() {
+            let mut r = rng();
+            let data: Vec<u8> = (0..1024).map(|i| (i % 251) as u8).collect();
+            let circuit = membership_circuit(&data, &[7]).unwrap();
+            assert_eq!(circuit.leaf_count, 34); // ceil(1024 / 31)
+            assert_eq!(circuit.publics, circuit.cs.public_inputs());
+            assert!(!circuit.cs.constraints.is_empty());
+            let pk = setup(&mut r, &circuit.cs).unwrap();
+            let proof = prove(&mut r, &pk, &circuit.cs).unwrap();
+            assert!(verify(&pk.vk, &circuit.publics, &proof));
+            assert!(matches!(membership_circuit(&data, &[34]), Err(BackendError::Shape(_))));
+        }
+
+        /// A proof for one file's root fails under another file's
+        /// publics.
+        #[test]
+        fn wrong_root_rejected() {
+            let mut r = rng();
+            let mine = membership_circuit(&[1u8; 256], &[0]).unwrap();
+            let other = membership_circuit(&[2u8; 256], &[0]).unwrap();
+            assert_ne!(mine.root, other.root);
+            let pk = setup(&mut r, &mine.cs).unwrap();
+            let proof = prove(&mut r, &pk, &mine.cs).unwrap();
+            assert!(verify(&pk.vk, &mine.publics, &proof));
+            assert!(!verify(&pk.vk, &other.publics, &proof));
+        }
+    }
+}

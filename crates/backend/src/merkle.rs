@@ -1,6 +1,6 @@
-//! Merkle path audits behind the [`AuditBackend`] trait — cheap,
-//! frequent integrity checks promoted from the `dsaudit-merkle`
-//! baseline, with the two §II weaknesses addressed at this layer:
+//! Merkle path audits behind the [`AuditBackend`] trait — the
+//! Siacoin-style baseline of §II: cheap, frequent integrity checks,
+//! with the two §II weaknesses addressed at this layer:
 //!
 //! * **challenge reuse** — indices come from the protocol's
 //!   [`Challenge`] expansion over the chain's randomness beacon
@@ -17,8 +17,7 @@ use rand::RngCore;
 
 use dsaudit_core::codec::{ByteReader, Codec};
 use dsaudit_core::{Challenge, DsAuditError, RejectReason, Verdict};
-use dsaudit_merkle::audit::{leaf_bytes, MerkleAudit};
-use dsaudit_merkle::tree::{MerkleHasher, MerklePath, PrunedTree, Sha256Hasher};
+use dsaudit_merkle::tree::{MerkleHasher, MerklePath, MerkleTree, PrunedTree, Sha256Hasher};
 
 use crate::wire::{BackendProof, Commitment};
 use crate::{AuditBackend, BackendError, BackendId, BackendSetup, ProverKit, Verifier};
@@ -205,12 +204,17 @@ impl AuditBackend for MerkleBackend {
         if self.leaf_size == 0 || self.k == 0 {
             return Err(BackendError::Shape("leaf_size and k must be positive"));
         }
-        let (audit, tree) = MerkleAudit::commit(data, self.leaf_size);
+        // an empty file is one empty leaf
+        let tree = if data.is_empty() {
+            MerkleTree::<Sha256Hasher>::from_data(&[data])
+        } else {
+            MerkleTree::<Sha256Hasher>::from_data(&data.chunks(self.leaf_size).collect::<Vec<_>>())
+        };
 
         let mut commitment = Vec::with_capacity(COMMITMENT_BYTES);
-        commitment.extend_from_slice(&audit.root);
-        commitment.extend_from_slice(&(audit.depth as u32).to_le_bytes());
-        commitment.extend_from_slice(&(audit.num_leaves as u64).to_le_bytes());
+        commitment.extend_from_slice(&tree.root());
+        commitment.extend_from_slice(&(tree.depth() as u32).to_le_bytes());
+        commitment.extend_from_slice(&(tree.num_leaves as u64).to_le_bytes());
         commitment.extend_from_slice(&(self.k as u32).to_le_bytes());
 
         Ok(BackendSetup {
@@ -240,7 +244,9 @@ impl AuditBackend for MerkleBackend {
         if leaf_count != kit.tree.num_leaves {
             return Err(BackendError::Shape("leaf count"));
         }
-        let leaf = |i: usize| leaf_bytes(stored, kit.leaf_size, i);
+        // leaf `i` of the split setup hashed; an empty file's one leaf
+        // is empty
+        let leaf = |i: usize| stored.chunks(kit.leaf_size).nth(i).unwrap_or_default();
         let entries = Self::indices(beacon, leaf_count, kit.k)
             .into_iter()
             .map(|i| {
@@ -334,6 +340,27 @@ mod tests {
         let proof = b.prove(&mut r, &setup.kit, &bad, &beacon).unwrap();
         assert_eq!(
             b.verify(&setup.commitment, &beacon, &proof).unwrap(),
+            Verdict::Reject(RejectReason::MerklePath)
+        );
+    }
+
+    /// A proof for other indices fails this round: the verifier pins
+    /// each entry's index to the beacon's challenge.
+    #[test]
+    fn proof_for_other_round_rejects() {
+        let mut r = rng();
+        let data: Vec<u8> = (0..1024).map(|i| (i % 241) as u8).collect();
+        let b = backend();
+        let setup = b.setup(&mut r, &data).unwrap();
+        let (beacon_a, beacon_b) = ([10u8; 48], [11u8; 48]);
+        assert_ne!(
+            MerkleBackend::indices(&beacon_a, 32, 3),
+            MerkleBackend::indices(&beacon_b, 32, 3),
+            "test beacons must challenge different indices"
+        );
+        let proof = b.prove(&mut r, &setup.kit, &data, &beacon_a).unwrap();
+        assert_eq!(
+            b.verify(&setup.commitment, &beacon_b, &proof).unwrap(),
             Verdict::Reject(RejectReason::MerklePath)
         );
     }

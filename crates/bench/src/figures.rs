@@ -71,7 +71,7 @@ pub fn fig5() {
     }
     // measured anchors on this machine
     let env = Env::new(1024 * 1024, AuditParams::default());
-    let [v_plain, v_priv, v_cold] = verification_ms(&env, 3);
+    let [v_plain, v_priv, v_cold] = verification_ms(&env, 20);
     println!(
         "measured verification on this machine (warm): plain {:.1} ms -> {} gas, private {:.1} ms -> {} gas",
         v_plain,

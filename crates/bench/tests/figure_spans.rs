@@ -5,10 +5,10 @@
 //! Obs is a process-wide sink, so this file holds one test: nothing else
 //! in its binary records into the registry while it is installed.
 
+use dsaudit_backend::groth16::membership_circuit;
 use dsaudit_bench::{rng, timed, Env, CALL};
 use dsaudit_core::batch::BatchItem;
 use dsaudit_core::{generate_tags, AuditParams, Auditor};
-use dsaudit_snark::strawman::StrawmanAudit;
 
 #[test]
 fn one_traced_run_records_every_span_the_figures_read() {
@@ -29,9 +29,10 @@ fn one_traced_run_records_every_span_the_figures_read() {
         let batch = env.auditor.verify_private_batch(&mut rng(), std::slice::from_ref(&item));
         assert!(batch.unwrap().accepted());
         assert_eq!(generate_tags(&env.sk, &env.file).len(), env.file.num_chunks());
-        let audit = StrawmanAudit::commit(&mut r, &data, None).unwrap();
-        let (proof, _) = audit.respond(&mut r, 0, None).unwrap();
-        assert!(audit.verify_response(&proof));
+        let circuit = membership_circuit(&data, &[0]).unwrap();
+        let pk = dsaudit_snark::setup(&mut r, &circuit.cs).unwrap();
+        let proof = dsaudit_snark::prove(&mut r, &pk, &circuit.cs).unwrap();
+        assert!(dsaudit_snark::verify(&pk.vk, &circuit.publics, &proof));
     });
 
     for name in [

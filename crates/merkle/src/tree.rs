@@ -42,7 +42,7 @@ impl MerkleHasher for Sha256Hasher {
 }
 
 /// MiMC hasher over `Fr` — the circuit-friendly instantiation used by
-/// the SNARK strawman.
+/// the groth16 backend's circuit (at one index, Table II's strawman).
 #[derive(Clone, Copy, Debug)]
 pub struct MimcHasher;
 

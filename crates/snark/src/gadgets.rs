@@ -1,6 +1,7 @@
-//! R1CS gadgets: MiMC permutation/hash and Merkle-path membership —
-//! the circuit of the paper's strawman ("the challenged leaf node `m_i`
-//! and the corresponding Merkle path always lead to `rt`").
+//! R1CS gadgets: MiMC permutation/hash and batched Merkle-path
+//! membership — the circuit of the paper's strawman ("the challenged
+//! leaf node `m_i` and the corresponding Merkle path always lead to
+//! `rt`"), which Table II runs at one challenged index.
 //!
 //! The constraint semantics mirror `dsaudit_crypto::mimc` exactly; a
 //! test asserts circuit/native agreement on random inputs.
@@ -95,60 +96,10 @@ pub fn mimc_hash2_gadget(cs: &mut ConstraintSystem, l: &FrVar, r: &FrVar) -> FrV
     inner.add(&t).add(r)
 }
 
-/// Enforces that `b` is boolean (`b * (1 - b) = 0`).
-pub fn enforce_boolean(cs: &mut ConstraintSystem, b: Variable) {
-    cs.enforce(
-        LinearCombination::from_var(b),
-        LinearCombination::constant(Fr::one()).sub_lc(&LinearCombination::from_var(b)),
-        LinearCombination::zero(),
-    );
-}
-
-/// Synthesizes the strawman's Merkle membership circuit:
-///
-/// * public input: the Merkle root `rt`;
-/// * witnesses: the challenged leaf value, the sibling per level, and
-///   the path direction bits.
-///
-/// The proof convinces the chain that the (hidden) leaf hashes to the
-/// committed root — on-chain privacy for the Merkle audit.
-///
-/// Returns the constraint system ready for setup/prove.
-pub fn merkle_membership_circuit(
-    root: Fr,
-    leaf: Fr,
-    siblings: &[Fr],
-    index: usize,
-) -> ConstraintSystem {
-    let mut cs = ConstraintSystem::new();
-    let root_v = cs.alloc_public(root);
-    let leaf_v = cs.alloc_witness(leaf);
-    let mut cur = FrVar::from_variable(&cs, leaf_v);
-    for (level, sib) in siblings.iter().enumerate() {
-        let bit = (index >> level) & 1 == 1;
-        let b = cs.alloc_witness(if bit { Fr::one() } else { Fr::zero() });
-        enforce_boolean(&mut cs, b);
-        let b_var = FrVar::from_variable(&cs, b);
-        let sib_var = {
-            let v = cs.alloc_witness(*sib);
-            FrVar::from_variable(&cs, v)
-        };
-        // swap = b * (sib - cur); left = cur + swap; right = sib - swap
-        let diff = sib_var.sub(&cur);
-        let swap = mul_vars(&mut cs, &b_var, &diff);
-        let left = cur.add(&swap);
-        let right = sib_var.sub(&swap);
-        cur = mimc_hash2_gadget(&mut cs, &left, &right);
-    }
-    cs.enforce_equal(cur.lc, LinearCombination::from_var(root_v));
-    cs
-}
-
 /// Synthesizes the batched membership circuit the groth16-merkle audit
 /// backend proves: one shared public root, `B` challenged paths.
 ///
-/// Unlike [`merkle_membership_circuit`], the path direction bits are
-/// **public inputs** (allocated before any witness, as the R1CS layout
+/// The path direction bits are **public inputs** (allocated before any witness, as the R1CS layout
 /// requires). With witness bits a prover holding any single leaf could
 /// answer every challenge by re-routing the path — the bits must be
 /// pinned by the verifier, who derives them from the challenge beacon.
@@ -259,47 +210,6 @@ mod tests {
         assert_eq!(out.value, mimc_hash2(l, r));
     }
 
-    #[test]
-    fn merkle_circuit_accepts_valid_path() {
-        let leaves: Vec<Fr> = (0..16u64).map(Fr::from_u64).collect();
-        let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
-        for index in [0usize, 5, 15] {
-            let path = tree.open(index);
-            let cs = merkle_membership_circuit(tree.root(), leaves[index], &path.siblings, index);
-            assert!(cs.is_satisfied(), "index {index}");
-        }
-    }
-
-    #[test]
-    fn merkle_circuit_rejects_wrong_leaf() {
-        let leaves: Vec<Fr> = (0..16u64).map(Fr::from_u64).collect();
-        let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
-        let path = tree.open(3);
-        let cs = merkle_membership_circuit(tree.root(), Fr::from_u64(99), &path.siblings, 3);
-        assert!(!cs.is_satisfied());
-    }
-
-    #[test]
-    fn merkle_circuit_rejects_wrong_index_bits() {
-        let leaves: Vec<Fr> = (0..16u64).map(Fr::from_u64).collect();
-        let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
-        let path = tree.open(3);
-        let cs = merkle_membership_circuit(tree.root(), leaves[3], &path.siblings, 5);
-        assert!(!cs.is_satisfied());
-    }
-
-    #[test]
-    fn constraint_count_scales_with_depth() {
-        let leaves: Vec<Fr> = (0..32u64).map(Fr::from_u64).collect();
-        let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
-        let path = tree.open(0);
-        let cs = merkle_membership_circuit(tree.root(), leaves[0], &path.siblings, 0);
-        // ~2 * 330 + 2 constraints per level, 5 levels, + equality
-        let per_level = 2 * 3 * MIMC_ROUNDS + 2;
-        assert!(cs.constraints.len() >= 5 * per_level);
-        assert!(cs.constraints.len() <= 5 * per_level + 10);
-    }
-
     fn batch_entries(
         tree: &MerkleTree<MimcHasher>,
         leaves: &[Fr],
@@ -309,6 +219,54 @@ mod tests {
             .iter()
             .map(|&i| (leaves[i], tree.open(i).siblings, i))
             .collect()
+    }
+
+    #[test]
+    fn merkle_circuit_accepts_valid_path() {
+        let leaves: Vec<Fr> = (0..16u64).map(Fr::from_u64).collect();
+        let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
+        for index in [0usize, 5, 15] {
+            let entries = batch_entries(&tree, &leaves, &[index]);
+            let cs = merkle_batch_membership_circuit(tree.root(), &entries);
+            assert!(cs.is_satisfied(), "index {index}");
+        }
+    }
+
+    #[test]
+    fn merkle_circuit_rejects_wrong_leaf() {
+        let leaves: Vec<Fr> = (0..16u64).map(Fr::from_u64).collect();
+        let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
+        let mut entries = batch_entries(&tree, &leaves, &[3]);
+        entries[0].0 = Fr::from_u64(99);
+        let cs = merkle_batch_membership_circuit(tree.root(), &entries);
+        assert!(!cs.is_satisfied());
+    }
+
+    #[test]
+    fn merkle_circuit_rejects_wrong_index_bits() {
+        // leaf 3's path under index 5's (public) direction bits
+        let leaves: Vec<Fr> = (0..16u64).map(Fr::from_u64).collect();
+        let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
+        let entries = [(leaves[3], tree.open(3).siblings, 5)];
+        let cs = merkle_batch_membership_circuit(tree.root(), &entries);
+        assert!(!cs.is_satisfied());
+    }
+
+    #[test]
+    fn constraint_count_scales_with_depth() {
+        // per level: the swap product and two MiMC permutations; per
+        // entry: the root equality. The bits are public, so no
+        // booleanity constraints.
+        for depth in 1..=5u32 {
+            let leaves: Vec<Fr> = (0..1u64 << depth).map(Fr::from_u64).collect();
+            let tree = MerkleTree::<MimcHasher>::from_leaves(leaves.clone());
+            for indices in [&[0usize][..], &[1, 0, 1]] {
+                let entries = batch_entries(&tree, &leaves, indices);
+                let cs = merkle_batch_membership_circuit(tree.root(), &entries);
+                let per_entry = depth as usize * (6 * MIMC_ROUNDS + 1) + 1;
+                assert_eq!(cs.constraints.len(), indices.len() * per_entry, "depth {depth}");
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@ use dsaudit_algebra::field::{batch_inverse, Field};
 use dsaudit_algebra::g1::{G1Affine, G1Projective};
 use dsaudit_algebra::g2::{G2Affine, G2Projective};
 use dsaudit_algebra::msm::{msm, FixedBaseTable};
-use dsaudit_algebra::pairing::{multi_pairing, pairing, Gt};
+use dsaudit_algebra::pairing::{multi_pairing, Gt};
 use dsaudit_algebra::Fr;
 
 use crate::r1cs::ConstraintSystem;
@@ -325,7 +325,10 @@ pub fn prove<R: rand::RngCore + ?Sized>(
 }
 
 /// Verifies a proof against public inputs:
-/// `e(A, B) == e(alpha, beta) * e(IC(x), gamma) * e(C, delta)`.
+/// `e(A, B) == e(alpha, beta) * e(IC(x), gamma) * e(C, delta)`, checked
+/// as one four-pair product `e(A, B) e(-alpha, beta) e(-IC(x), gamma)
+/// e(-C, delta) == 1` — one shared Miller loop and one final
+/// exponentiation.
 pub fn verify(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> bool {
     let _span = dsaudit_algebra::obs::span("snark.verify");
     if public_inputs.len() + 1 != vk.ic.len() {
@@ -335,47 +338,12 @@ pub fn verify(vk: &VerifyingKey, public_inputs: &[Fr], proof: &Proof) -> bool {
     for (p, b) in public_inputs.iter().zip(&vk.ic[1..]) {
         acc = acc.add(&b.mul(*p));
     }
-    let lhs = pairing(&proof.a, &proof.b);
-    let alpha_beta = pairing(&vk.alpha_g1, &vk.beta_g2);
-    let rest = multi_pairing(&[
-        (acc.to_affine(), vk.gamma_g2),
-        (proof.c, vk.delta_g2),
-    ]);
-    lhs == alpha_beta.mul(&rest)
-}
-
-/// Cached `e(alpha, beta)` verifier for repeated use (the on-chain
-/// pattern — the pairing of fixed VK elements is precomputed).
-#[derive(Clone, Debug)]
-pub struct PreparedVerifier {
-    vk: VerifyingKey,
-    alpha_beta: Gt,
-}
-
-impl PreparedVerifier {
-    /// Precomputes the fixed pairing.
-    pub fn new(vk: VerifyingKey) -> Self {
-        let alpha_beta = pairing(&vk.alpha_g1, &vk.beta_g2);
-        Self { vk, alpha_beta }
-    }
-
-    /// Verifies with the cached pairing (3 Miller loops total).
-    pub fn verify(&self, public_inputs: &[Fr], proof: &Proof) -> bool {
-        if public_inputs.len() + 1 != self.vk.ic.len() {
-            return false;
-        }
-        let mut acc = self.vk.ic[0].to_projective();
-        for (p, b) in public_inputs.iter().zip(&self.vk.ic[1..]) {
-            acc = acc.add(&b.mul(*p));
-        }
-        // e(A, B) * e(-IC, gamma) * e(-C, delta) == e(alpha, beta)
-        let prod = multi_pairing(&[
-            (proof.a, proof.b),
-            (acc.to_affine().neg(), self.vk.gamma_g2),
-            (proof.c.neg(), self.vk.delta_g2),
-        ]);
-        prod == self.alpha_beta
-    }
+    multi_pairing(&[
+        (proof.a, proof.b),
+        (vk.alpha_g1.neg(), vk.beta_g2),
+        (acc.to_affine().neg(), vk.gamma_g2),
+        (proof.c.neg(), vk.delta_g2),
+    ]) == Gt::identity()
 }
 
 #[cfg(test)]
@@ -439,17 +407,6 @@ mod tests {
         let mut bad = proof;
         bad.a = bad.c;
         assert!(!verify(&pk.vk, &[Fr::from_u64(15)], &bad));
-    }
-
-    #[test]
-    fn prepared_verifier_agrees() {
-        let mut rng = rng();
-        let cs = product_circuit(11, 13, 143);
-        let pk = setup(&mut rng, &cs).unwrap();
-        let proof = prove(&mut rng, &pk, &cs).unwrap();
-        let prepared = PreparedVerifier::new(pk.vk.clone());
-        assert!(prepared.verify(&[Fr::from_u64(143)], &proof));
-        assert!(!prepared.verify(&[Fr::from_u64(144)], &proof));
     }
 
     #[test]

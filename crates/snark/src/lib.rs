@@ -3,9 +3,10 @@
 //! A complete, self-contained Groth16 zk-SNARK over BN254 — the
 //! Bellman-equivalent backend of the paper's §IV strawman: R1CS
 //! construction, QAP via radix-2 FFTs, trusted setup, prover, verifier,
-//! MiMC gadgets, and the full Merkle-membership audit pipeline with a
-//! constraint-padding knob to reproduce the paper's 3x10^5-constraint
-//! circuit profile (Table II).
+//! and the MiMC Merkle-membership gadgets. The strawman of Table II is
+//! the groth16 backend's circuit at one index
+//! (`dsaudit_backend::groth16::membership_circuit`), padded with
+//! [`ConstraintSystem::pad_constraints`] to the paper's circuit size.
 
 #![forbid(unsafe_code)]
 
@@ -13,12 +14,10 @@ pub mod codec;
 pub mod gadgets;
 pub mod groth16;
 pub mod r1cs;
-pub mod strawman;
 
 pub use gadgets::{
-    batch_public_inputs, merkle_batch_membership_circuit, merkle_membership_circuit,
-    mimc_hash2_gadget, mimc_permute_gadget, FrVar,
+    batch_public_inputs, merkle_batch_membership_circuit, mimc_hash2_gadget, mimc_permute_gadget,
+    FrVar,
 };
-pub use groth16::{prove, setup, verify, PreparedVerifier, Proof, ProvingKey, SnarkError, VerifyingKey};
+pub use groth16::{prove, setup, verify, Proof, ProvingKey, SnarkError, VerifyingKey};
 pub use r1cs::{ConstraintSystem, LinearCombination, Variable};
-pub use strawman::{StrawmanAudit, StrawmanStats};

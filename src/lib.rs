@@ -11,8 +11,10 @@
 //! * [`crypto`] — SHA-256 / HMAC / ChaCha20 / PRF / PRP / MiMC / sloth VDF
 //! * [`core`] — the paper's audit protocol (HLA + KZG + Sigma masking),
 //!   exposed through the role handles re-exported in [`prelude`]
-//! * [`merkle`] — Merkle trees and the Siacoin-style audit baseline
-//! * [`snark`] — Groth16 with the MiMC Merkle circuit (the §IV strawman)
+//! * [`merkle`] — Merkle trees; the Siacoin-style §II audit baseline is
+//!   the merkle backend (`dsaudit_backend::MerkleBackend`)
+//! * [`snark`] — Groth16 with MiMC Merkle gadgets; the §IV strawman is
+//!   the groth16 backend's circuit at one index
 //! * [`chain`] — Ethereum-like simulator: gas, beacons, scheduler, costs
 //! * [`contract`] — the Fig. 2 audit smart contract and multi-user harness
 //! * [`storage`] — erasure-coded, DHT-routed decentralized storage network

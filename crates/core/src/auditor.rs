@@ -13,14 +13,16 @@
 
 #![deny(missing_docs)]
 
-use crate::batch::{verify_private_batch_with, verify_private_each_with, BatchItem};
+use crate::batch::{
+    plain_holds, private_holds, verify_private_batch_with, verify_private_each_with, BatchItem,
+};
 use crate::cache::{CacheStats, ChiCache, PreparedG2Cache};
 use crate::challenge::Challenge;
-use crate::error::{DsAuditError, Verdict};
+use crate::error::{DsAuditError, RejectReason, Verdict};
 use crate::keys::PublicKey;
 use crate::proof::{PlainProof, PrivateProof};
 use crate::session::AuditSession;
-use crate::verify::{verify_plain_with, verify_private_with, FileMeta};
+use crate::verify::FileMeta;
 
 /// Verifier handle owning the audit caches.
 pub struct Auditor {
@@ -37,22 +39,14 @@ impl Auditor {
         }
     }
 
-    /// An auditor with explicit cache bounds (entries, not bytes).
-    ///
-    /// # Panics
-    /// Panics if either capacity is zero.
-    pub fn with_capacities(chi_entries: usize, g2_entries: usize) -> Self {
-        Self {
-            chi: ChiCache::with_capacity(chi_entries),
-            g2: PreparedG2Cache::with_capacity(g2_entries),
-        }
-    }
-
     /// A throwaway auditor for the stateless one-shot wrappers: caches
     /// sized for a single round (one file's challenged set, three G2
     /// points).
     pub(crate) fn ephemeral() -> Self {
-        Self::with_capacities(512, 8)
+        Self {
+            chi: ChiCache::with_capacity(512),
+            g2: PreparedG2Cache::with_capacity(8),
+        }
     }
 
     /// The hash-to-curve cache (for [`crate::verify::compute_chi`]).
@@ -110,7 +104,9 @@ impl Auditor {
         challenge: &Challenge,
         proof: &PlainProof,
     ) -> Result<Verdict, DsAuditError> {
-        verify_plain_with(self, pk, meta, challenge, proof)
+        meta.validate()?;
+        let holds = plain_holds(self, pk, meta, challenge, proof);
+        Ok(Verdict::from_equation(holds, RejectReason::Equation1))
     }
 
     /// Verifies the privacy-assured response against Eq. (2) — the
@@ -126,7 +122,17 @@ impl Auditor {
         challenge: &Challenge,
         proof: &PrivateProof,
     ) -> Result<Verdict, DsAuditError> {
-        verify_private_with(self, pk, meta, challenge, proof)
+        meta.validate()?;
+        let item = BatchItem {
+            pk,
+            meta: *meta,
+            challenge: *challenge,
+            proof: *proof,
+        };
+        Ok(Verdict::from_equation(
+            private_holds(self, &item),
+            RejectReason::Equation2,
+        ))
     }
 
     /// Verifies a whole round's proofs with one shared Miller loop over

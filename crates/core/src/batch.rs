@@ -1,4 +1,21 @@
-//! Batch auditing across users (§VII-D).
+//! Proof verification (§V-B Audit, §V-D step 2) and batch auditing
+//! across users (§VII-D): one check, of which a single proof is a batch
+//! of one.
+//!
+//! Both verification equations are a product of three pairings under one
+//! final exponentiation. The paper writes the KZG term as
+//! `e(psi^{-1}, delta * eps^{-r})`, but `eps^{-r}` would force a fresh G2
+//! scalar multiplication *and* a fresh Miller-loop preparation every
+//! round; moving the challenge exponent to the G1 side
+//! (`e(psi^{-1}, eps^{-r}) = e(psi^{r}, eps)`) folds it into the `eps`
+//! term, so every G2 point in the product is fixed across audits and
+//! served prepared from the [`Auditor`]'s bounded
+//! [`PreparedG2Cache`](crate::cache::PreparedG2Cache):
+//!
+//! * Eq. (2): `e(sigma^zeta, g2) * e(g1^{-y'} * chi^{-zeta} * psi^{zeta r}, eps) * e(psi^{-zeta}, delta) == R^{-1}`
+//! * Eq. (1) is Eq. (2) at `zeta = 1`, `R = 1`.
+//!
+//! with `chi = prod H(name || i)^{c_i}` recomputed from public data.
 //!
 //! When one storage provider serves dozens of data owners (the paper
 //! measures ~30 per provider on Siacoin/Storj), the contract can verify
@@ -9,25 +26,34 @@
 //! `prod_u [e(sigma_u^{zeta_u}, g2) e(g1^{-y'_u} chi_u^{-zeta_u} psi_u^{zeta_u r_u}, eps_u) e(psi_u^{-zeta_u}, delta_u)]^{rho_u} == prod_u R_u^{-rho_u}`
 //!
 //! A batch holding a failing item passes for at most one `rho_u` of the
-//! `r` it is drawn from, so soundness is `1/r`. The left side is
+//! `r` it is drawn from, so soundness is `1/r`. A single proof is the
+//! same check over one term at unit weight: nothing is drawn and the
+//! right side is `R^{-1}` itself, with no `GT` power. The left side is
 //! evaluated regrouped by bilinearity, which changes how it is computed
-//! and not what it is — this is the same test, not a new one:
+//! and not what it is:
 //!
 //! * every `sigma_u` pairs with the fixed `g2`, so one MSM over the
-//!   `sigma_u` with scalars `zeta_u rho_u` gives **one** pair;
-//! * items under one owner key `(eps, delta)` share both G2 points, so
+//!   `sigma_u` with scalars `w_u = zeta_u rho_u` gives **one** pair;
+//! * terms under one owner key `(eps, delta)` share both G2 points, so
 //!   each distinct key gives **two** pairs: on its `eps` side one
 //!   fixed-base `g1^{-sum y'_u rho_u}` plus one MSM over the `k`
-//!   gathered `H(name || i)` of each of its items and its `psi_u`, on
-//!   its `delta` side one MSM over its `psi_u`.
+//!   gathered `H(name || i)` of each of its terms and its `psi_u`, on
+//!   its `delta` side one MSM over its `psi_u`. The eps-side point is
+//!   never assembled from `chi`: `zeta` and `rho` are folded into the
+//!   MSM's scalars and `psi` rides along as its `k+1`-th point.
 //!
-//! So `1 + 2 * (distinct keys)` pairs go into one Miller loop, whatever
-//! the item count. The `R_u^{-rho_u}` product (`Gt::multi_pow`: each
-//! `rho_u` split along the Frobenius map, so ~66 cyclotomic squarings
-//! shared by `4n` bases) runs in the side closure of [`join`] beside
-//! the MSMs and the Miller loop, and one final exponentiation closes the
-//! check.
-//! The G2 points come prepared from the [`Auditor`]'s cache.
+//! So `1 + 2 * (distinct keys)` pairs, whatever the item count, run as
+//! two closures under [`join`]. What does not depend on the challenge
+//! sets — the `sigma` MSM, each key's `delta`-side MSM, their Miller
+//! loop against `g2` and the `delta`s, and the right side (the batch's
+//! `prod_u R_u^{-rho_u}` is one `Gt::multi_pow`: each `rho_u` split along
+//! the Frobenius map, so ~66 cyclotomic squarings shared by `4n` bases)
+//! — goes on the second CPU while the caller expands each challenge,
+//! gathers the hashes, runs each key's eps-side MSM and the Miller loop
+//! against the `eps`s; the two `Fq12` values are multiplied and
+//! exponentiated once. The Miller loop is multiplicative in its pairs,
+//! so this is the one-loop product to the bit. With one CPU the same two
+//! closures run in order.
 //!
 //! Blame for a rejected batch ([`Auditor::verify_private_each`]) reuses
 //! the batch's weights. Both sides are products of per-item factors in
@@ -53,7 +79,7 @@ use crate::cache::{ChiCache, ChiPoints};
 use crate::challenge::Challenge;
 use crate::error::{DsAuditError, RejectReason, Verdict};
 use crate::keys::PublicKey;
-use crate::proof::PrivateProof;
+use crate::proof::{PlainProof, PrivateProof};
 use crate::verify::FileMeta;
 
 /// One user's audit instance inside a batch.
@@ -69,65 +95,182 @@ pub struct BatchItem<'a> {
     pub proof: PrivateProof,
 }
 
-/// What the items under one owner key pair with its `eps` and `delta`.
-struct KeyTerms<'a> {
+/// One proof's left-side factor at weight `rho`: Eq. (2)'s
+/// `(sigma, y', psi)` with `w = zeta rho`, or Eq. (1)'s `(sigma, y, psi)`
+/// with `w = 1`.
+struct Term<'a> {
     pk: &'a PublicKey,
-    /// `sum_u y'_u rho_u`.
+    meta: &'a FileMeta,
+    challenge: &'a Challenge,
+    sigma: G1Affine,
+    psi: G1Affine,
+    /// `y rho`.
     y: Fr,
-    /// Every item's challenged `H(name || i)` (with their slice rows
-    /// while every item's gather has them), with coefficient
-    /// `-zeta_u rho_u c_i`.
-    hashes: ChiPoints,
-    hash_scalars: Vec<Fr>,
-    /// The items' `psi_u`, with `zeta_u rho_u r_u` on the eps side and
-    /// `-zeta_u rho_u` on the delta side.
-    psis: Vec<G1Affine>,
-    psi_eps: Vec<Fr>,
-    psi_delta: Vec<Fr>,
+    /// `zeta rho`.
+    w: Fr,
 }
 
-impl<'a> KeyTerms<'a> {
-    fn new(pk: &'a PublicKey) -> Self {
+impl<'a> Term<'a> {
+    /// `item`'s Eq. (2) term at weight `rho`.
+    fn of(item: &'a BatchItem<'a>, rho: Fr) -> Self {
         Self {
-            pk,
-            y: Fr::zero(),
-            hashes: ChiPoints::default(),
-            hash_scalars: Vec::new(),
-            psis: Vec::new(),
-            psi_eps: Vec::new(),
-            psi_delta: Vec::new(),
+            pk: item.pk,
+            meta: &item.meta,
+            challenge: &item.challenge,
+            sigma: item.proof.sigma,
+            psi: item.proof.psi,
+            y: item.proof.y_prime * rho,
+            w: h_prime(&item.proof.r_commit) * rho,
         }
     }
+}
 
-    /// Adds one item, weighted `rho` and `w = zeta rho`: expands its
-    /// challenge and gathers its `k` cached `H(name || i)`.
-    fn add_item(&mut self, cache: &ChiCache, item: &BatchItem<'_>, rho: Fr, w: Fr) {
-        self.y += item.proof.y_prime * rho;
-        let set = {
-            let _expand = dsaudit_obs::span("core.challenge_expand");
-            item.challenge.expand(item.meta.num_chunks, item.meta.k)
-        };
-        dsaudit_obs::observe("core.challenge_set", set.len() as u64);
-        let indices: Vec<u64> = set.iter().map(|&(i, _)| i).collect();
-        self.hashes
-            .append(cache.index_oracle_rows(item.meta.name, &indices));
-        self.hash_scalars.extend(set.iter().map(|&(_, c)| -(w * c)));
-        self.psis.push(item.proof.psi);
-        self.psi_eps.push(w * item.challenge.r);
-        self.psi_delta.push(-w);
+/// The terms under one owner key, which share its `eps` and `delta`.
+struct KeyTerms<'t, 'a> {
+    pk: &'a PublicKey,
+    terms: Vec<&'t Term<'a>>,
+}
+
+impl KeyTerms<'_, '_> {
+    /// `prod_u psi_u^{-w_u}`, paired with `delta`.
+    fn delta_point(&self) -> G1Projective {
+        let (psis, scalars): (Vec<G1Affine>, Vec<Fr>) =
+            self.terms.iter().map(|term| (term.psi, -term.w)).unzip();
+        msm_g1(&psis, &scalars)
     }
 
-    /// The key's two G1 points: `g1^{-y} prod H^{..} prod psi_u^{zeta_u
-    /// rho_u r_u}` for `eps` and `prod psi_u^{-zeta_u rho_u}` for `delta`.
-    fn points(self) -> [G1Projective; 2] {
-        let delta_side = msm_g1(&self.psis, &self.psi_delta);
-        let eps_side = G1Projective::generator_table().mul(-self.y).add(&self.hashes.msm(
-            &self.hash_scalars,
-            &self.psis,
-            &self.psi_eps,
-        ));
-        [eps_side, delta_side]
+    /// `g1^{-sum y_u} prod_u prod_i H(name_u || i)^{-w_u c_i}
+    /// psi_u^{w_u r_u}`, paired with `eps`: expands each term's challenge,
+    /// gathers its `k` cached `H(name || i)` (with their slice rows while
+    /// every gather has them) and runs one MSM over them and the `psi_u`.
+    fn eps_point(&self, cache: &ChiCache) -> G1Projective {
+        let mut hashes = ChiPoints::default();
+        let mut scalars = Vec::new();
+        for term in &self.terms {
+            let set = {
+                let _expand = dsaudit_obs::span("core.challenge_expand");
+                term.challenge.expand(term.meta.num_chunks, term.meta.k)
+            };
+            dsaudit_obs::observe("core.challenge_set", set.len() as u64);
+            let indices: Vec<u64> = set.iter().map(|&(i, _)| i).collect();
+            hashes.append(cache.index_oracle_rows(term.meta.name, &indices));
+            scalars.extend(set.iter().map(|&(_, c)| -(term.w * c)));
+        }
+        let y = self.terms.iter().fold(Fr::zero(), |y, term| y + term.y);
+        let (psis, psi_scalars): (Vec<G1Affine>, Vec<Fr>) = self
+            .terms
+            .iter()
+            .map(|term| (term.psi, term.w * term.challenge.r))
+            .unzip();
+        G1Projective::generator_table()
+            .mul(-y)
+            .add(&hashes.msm(&scalars, &psis, &psi_scalars))
     }
+}
+
+/// `terms` grouped by owner key, keys in order of first appearance.
+fn by_key<'t, 'a>(terms: &'t [Term<'a>]) -> Vec<KeyTerms<'t, 'a>> {
+    let mut keys: Vec<KeyTerms<'t, 'a>> = Vec::new();
+    for term in terms {
+        match keys.iter_mut().find(|key| same_key(key.pk, term.pk)) {
+            Some(key) => key.terms.push(term),
+            None => keys.push(KeyTerms {
+                pk: term.pk,
+                terms: vec![term],
+            }),
+        }
+    }
+    keys
+}
+
+/// The two `GT` sides of the check over `keys`: `final_exp` of the
+/// regrouped pairs, and `rhs`, which runs in the side closure. The
+/// check holds iff they are equal.
+fn sides(
+    auditor: &Auditor,
+    keys: &[KeyTerms<'_, '_>],
+    rhs: impl FnOnce() -> Gt + Send,
+) -> (Gt, Gt) {
+    let g2: Vec<[Arc<G2Prepared>; 2]> = keys
+        .iter()
+        .map(|key| [&key.pk.eps, &key.pk.delta].map(|q| auditor.g2_cache().prepared(q)))
+        .collect();
+    let ((fixed, rhs), challenged) = join(
+        || {
+            let rhs = rhs();
+            let (sigmas, scalars): (Vec<G1Affine>, Vec<Fr>) = keys
+                .iter()
+                .flat_map(|key| key.terms.iter().map(|term| (term.sigma, term.w)))
+                .unzip();
+            let mut points = vec![msm_g1(&sigmas, &scalars)];
+            points.extend(keys.iter().map(KeyTerms::delta_point));
+            // one shared inversion for every affine conversion
+            let points = G1Projective::batch_to_affine(&points);
+            let g2 =
+                once(G2Prepared::generator()).chain(g2.iter().map(|[_, delta]| delta.as_ref()));
+            let pairs: Vec<(&G1Affine, &G2Prepared)> = points.iter().zip(g2).collect();
+            let _miller = dsaudit_obs::span("algebra.miller_loop");
+            (multi_miller_loop(&pairs), rhs)
+        },
+        || {
+            let points: Vec<G1Projective> = keys
+                .iter()
+                .map(|key| key.eps_point(auditor.chi_cache()))
+                .collect();
+            let points = G1Projective::batch_to_affine(&points);
+            let g2 = g2.iter().map(|[eps, _]| eps.as_ref());
+            let pairs: Vec<(&G1Affine, &G2Prepared)> = points.iter().zip(g2).collect();
+            let _miller = dsaudit_obs::span("algebra.miller_loop");
+            multi_miller_loop(&pairs)
+        },
+    );
+    (final_exponentiation(&(fixed * challenged)), rhs)
+}
+
+/// One proof's check: its term at unit weight against `rhs`, with the
+/// verdict counted.
+fn holds_alone(auditor: &Auditor, term: Term<'_>, rhs: Gt) -> bool {
+    let (lhs, rhs) = sides(auditor, &by_key(&[term]), || rhs);
+    let holds = lhs == rhs;
+    dsaudit_obs::counter_inc(if holds {
+        "core.verdict.accept"
+    } else {
+        "core.verdict.reject"
+    });
+    holds
+}
+
+/// Eq. (1) for one proof: Eq. (2) at `zeta = 1`, `R = 1`.
+pub(crate) fn plain_holds(
+    auditor: &Auditor,
+    pk: &PublicKey,
+    meta: &FileMeta,
+    challenge: &Challenge,
+    proof: &PlainProof,
+) -> bool {
+    let _span = dsaudit_obs::span("core.verify_plain");
+    let term = Term {
+        pk,
+        meta,
+        challenge,
+        sigma: proof.sigma,
+        psi: proof.psi,
+        y: proof.y,
+        w: Fr::one(),
+    };
+    holds_alone(auditor, term, Gt::identity())
+}
+
+/// Eq. (2) for one item: its term at unit weight, so nothing is drawn
+/// and the right side is `R^{-1}`. Single verification, and each item
+/// of a bisection leaf.
+pub(crate) fn private_holds(auditor: &Auditor, item: &BatchItem<'_>) -> bool {
+    let _span = dsaudit_obs::span("core.verify_private");
+    holds_alone(
+        auditor,
+        Term::of(item, Fr::one()),
+        item.proof.r_commit.invert(),
+    )
 }
 
 /// Sub-batches of at most this many items are settled by verifying each
@@ -140,53 +283,25 @@ impl<'a> KeyTerms<'a> {
 /// (38-40 ms with one bad item, 55-59 ms with two) and 6 is slower.
 const BISECT_LEAF: usize = 3;
 
-/// The two `GT` sides of the batched check over `weighted` items:
-/// `final_exp` of the regrouped pairs and `prod_u R_u^{-rho_u}`. The
-/// batch holds iff they are equal. Both are products of per-item
+/// The two `GT` sides of the batched check over `weighted` items; the
+/// right one is `prod_u R_u^{-rho_u}`. Both are products of per-item
 /// factors, so a sub-batch's sides divide out of its parent's.
-fn sides(auditor: &Auditor, weighted: &[(&BatchItem<'_>, Fr)]) -> (Gt, Gt) {
+fn batch_sides(auditor: &Auditor, weighted: &[(&BatchItem<'_>, Fr)]) -> (Gt, Gt) {
     let _span = dsaudit_obs::span("core.verify_batch");
-    let r_terms: Vec<(Gt, Fr)> = weighted
+    let terms: Vec<Term<'_>> = weighted
         .iter()
-        .map(|(item, rho)| (item.proof.r_commit.invert(), *rho))
+        .map(|&(item, rho)| Term::of(item, rho))
         .collect();
-    let (rhs, f) = join(
-        || Gt::multi_pow(&r_terms),
-        || {
-            let mut sigmas = Vec::with_capacity(weighted.len());
-            let mut sigma_scalars = Vec::with_capacity(weighted.len());
-            let mut keys: Vec<KeyTerms<'_>> = Vec::new();
-            for &(item, rho) in weighted {
-                let w = h_prime(&item.proof.r_commit) * rho;
-                sigmas.push(item.proof.sigma);
-                sigma_scalars.push(w);
-                let at = keys
-                    .iter()
-                    .position(|key| same_key(key.pk, item.pk))
-                    .unwrap_or_else(|| {
-                        keys.push(KeyTerms::new(item.pk));
-                        keys.len() - 1
-                    });
-                keys[at].add_item(auditor.chi_cache(), item, rho, w);
-            }
-            let mut points = vec![msm_g1(&sigmas, &sigma_scalars)];
-            let mut g2: Vec<Arc<G2Prepared>> = Vec::with_capacity(2 * keys.len());
-            for key in keys {
-                g2.push(auditor.g2_cache().prepared(&key.pk.eps));
-                g2.push(auditor.g2_cache().prepared(&key.pk.delta));
-                points.extend(key.points());
-            }
-            // one shared inversion for every affine conversion of the batch
-            let points = G1Projective::batch_to_affine(&points);
-            let g2 = once(G2Prepared::generator()).chain(g2.iter().map(Arc::as_ref));
-            let pairs: Vec<(&G1Affine, &G2Prepared)> = points.iter().zip(g2).collect();
-            dsaudit_obs::observe("core.batch_items", weighted.len() as u64);
-            dsaudit_obs::observe("core.batch_pairs", pairs.len() as u64);
-            let _miller = dsaudit_obs::span("algebra.miller_loop");
-            multi_miller_loop(&pairs)
-        },
-    );
-    (final_exponentiation(&f), rhs)
+    let keys = by_key(&terms);
+    dsaudit_obs::observe("core.batch_items", weighted.len() as u64);
+    dsaudit_obs::observe("core.batch_pairs", 1 + 2 * keys.len() as u64);
+    sides(auditor, &keys, || {
+        let r_terms: Vec<(Gt, Fr)> = weighted
+            .iter()
+            .map(|(item, rho)| (item.proof.r_commit.invert(), *rho))
+            .collect();
+        Gt::multi_pow(&r_terms)
+    })
 }
 
 /// Checks every item's metadata, then draws one `rho_u` per item in
@@ -212,7 +327,7 @@ pub(crate) fn verify_private_batch_with<R: rand::RngCore + ?Sized>(
     }
     let rhos = weights(rng, items)?;
     let weighted: Vec<(&BatchItem<'_>, Fr)> = items.iter().zip(rhos).collect();
-    let (lhs, rhs) = sides(auditor, &weighted);
+    let (lhs, rhs) = batch_sides(auditor, &weighted);
     Ok(Verdict::from_equation(
         lhs == rhs,
         RejectReason::BatchCombination,
@@ -239,11 +354,11 @@ pub(crate) fn verify_private_each_with<R: rand::RngCore + ?Sized>(
         // an unusable item: no weights were drawn
         return items
             .iter()
-            .map(|item| verify_alone(auditor, item))
+            .map(|item| item.meta.validate().is_ok() && private_holds(auditor, item))
             .collect();
     };
     let weighted: Vec<(&BatchItem<'_>, Fr)> = items.iter().zip(rhos).collect();
-    let (lhs, rhs) = sides(auditor, &weighted);
+    let (lhs, rhs) = batch_sides(auditor, &weighted);
     if lhs == rhs {
         return vec![true; items.len()];
     }
@@ -269,13 +384,13 @@ fn bisect(
         let bad = weighted
             .iter()
             .zip(at)
-            .filter(|((item, _), _)| !verify_alone(auditor, item));
+            .filter(|((item, _), _)| !private_holds(auditor, item));
         blamed.extend(bad.map(|(_, &i)| i));
         return;
     }
     let (left, right) = weighted.split_at(weighted.len() / 2);
     let (at_left, at_right) = at.split_at(left.len());
-    let left_sides = sides(auditor, left);
+    let left_sides = batch_sides(auditor, left);
     let right_sides = (
         failing.0.mul(&left_sides.0.invert()),
         failing.1.mul(&left_sides.1.invert()),
@@ -285,12 +400,6 @@ fn bisect(
             bisect(auditor, half, at, (lhs, rhs), blamed);
         }
     }
-}
-
-fn verify_alone(auditor: &Auditor, item: &BatchItem<'_>) -> bool {
-    auditor
-        .verify_private(item.pk, &item.meta, &item.challenge, &item.proof)
-        .is_ok_and(|v| v.accepted())
 }
 
 fn same_key(a: &PublicKey, b: &PublicKey) -> bool {
@@ -527,6 +636,11 @@ mod tests {
                 proof,
             })
             .collect()
+    }
+
+    /// One item through the unit-weight check, against `auditor`'s caches.
+    fn verify_alone(auditor: &Auditor, item: &BatchItem<'_>) -> bool {
+        private_holds(auditor, item)
     }
 
     /// Each item through single verification; an unusable item fails.

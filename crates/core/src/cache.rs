@@ -437,9 +437,12 @@ impl ChiCache {
     }
 
     /// The points of `indices`, and whether each was resident before.
+    /// Hashing the misses is a `core.index_oracles` span; a warm gather
+    /// records none.
     fn gather(&self, name: Fr, indices: &[u64]) -> (Vec<G1Affine>, Vec<bool>) {
         let keys: Vec<ChiKey> = indices.iter().map(|&i| (name, i)).collect();
         self.cache.get_or_compute_many(&keys, |cold| {
+            let _span = dsaudit_obs::span("core.index_oracles");
             par_map(cold.len(), |j| index_oracle(cold[j].0, cold[j].1))
         })
     }
@@ -500,10 +503,13 @@ impl PreparedG2Cache {
         }
     }
 
-    /// The prepared form of `q`, served from the cache when warm.
+    /// The prepared form of `q`, served from the cache when warm. A miss
+    /// prepares under an `algebra.g2_prepare` span; a hit records none.
     pub fn prepared(&self, q: &G2Affine) -> Arc<G2Prepared> {
-        self.cache
-            .get_or_compute(q.to_compressed(), || Arc::new(G2Prepared::from_affine(q)))
+        self.cache.get_or_compute(q.to_compressed(), || {
+            let _span = dsaudit_obs::span("algebra.g2_prepare");
+            Arc::new(G2Prepared::from_affine(q))
+        })
     }
 
     /// Resident entries.

@@ -1,54 +1,15 @@
-//! On-chain proof verification (§V-B Audit / §V-D step 2).
-//!
-//! Both verification equations are a product of three pairings under one
-//! final exponentiation. The paper writes the KZG term as
-//! `e(psi^{-1}, delta * eps^{-r})`, but `eps^{-r}` would force a fresh G2
-//! scalar multiplication *and* a fresh Miller-loop preparation every
-//! round; moving the challenge exponent to the G1 side
-//! (`e(psi^{-1}, eps^{-r}) = e(psi^{r}, eps)`) folds it into the `eps`
-//! term, so every G2 point in the product is fixed across audits and
-//! served prepared from the [`Auditor`]'s bounded
-//! [`PreparedG2Cache`](crate::cache::PreparedG2Cache):
-//!
-//! * Eq. (1): `e(sigma, g2) * e(g1^{-y} * chi^{-1} * psi^{r}, eps) * e(psi^{-1}, delta) == 1`
-//! * Eq. (2): `e(sigma^zeta, g2) * e(g1^{-y'} * chi^{-zeta} * psi^{zeta r}, eps) * e(psi^{-zeta}, delta) == R^{-1}`
-//!
-//! with `chi = prod H(name || i)^{c_i}` recomputed from public data.
-//!
-//! The eps-side point is never assembled from `chi`: `eps_side` runs
-//! *one* `k + 1`-point MSM over the cached `H(name || i)` and `psi` with
-//! scalars `-zeta c_i` and `zeta r`, plus the fixed-base `g1^{-y}` — no
-//! variable-base multiplication of `chi` or `psi` on that side.
-//!
-//! Eq. (2) runs as two closures under [`join`]. What does not depend on
-//! the challenge set — `sigma^zeta`, `psi^{-zeta}` and their Miller loop
-//! against `g2` and `delta` — goes on the second CPU while the caller
-//! expands the challenge, gathers the `k` hashes, runs the MSM and the
-//! Miller loop against `eps`; the two `Fq12` values are multiplied and
-//! exponentiated once. The Miller loop is multiplicative in its pairs,
-//! so this is the three-pair product to the bit. With one CPU the same
-//! two closures run in order. Only the caller's closure records
-//! telemetry.
-//!
-//! The entry points are methods on [`Auditor`], which owns the caches;
-//! the free [`verify_plain`] / [`verify_private`] wrappers run the same
-//! check stateless (cold caches) for one-shot use.
+//! The file metadata a verifier holds, `chi` from public data, and the
+//! stateless one-shot wrappers around the [`Auditor`]'s checks. The
+//! verification equations themselves are evaluated in one place,
+//! [`crate::batch`]: a single proof is a batch of one.
 
-use dsaudit_algebra::curve::Projective;
-use dsaudit_algebra::endo::msm_g1;
-use dsaudit_algebra::field::Field;
-use dsaudit_algebra::g1::{G1Affine, G1Projective};
-use dsaudit_algebra::pairing::{
-    final_exponentiation, multi_miller_loop, multi_pairing_prepared, G2Prepared,
-};
-use dsaudit_algebra::par::join;
+use dsaudit_algebra::g1::G1Projective;
 use dsaudit_algebra::Fr;
-use dsaudit_crypto::prf::h_prime;
 
 use crate::auditor::Auditor;
 use crate::cache::ChiCache;
 use crate::challenge::Challenge;
-use crate::error::{DsAuditError, RejectReason, Verdict};
+use crate::error::{DsAuditError, Verdict};
 use crate::keys::PublicKey;
 use crate::proof::{PlainProof, PrivateProof};
 
@@ -88,110 +49,6 @@ pub fn compute_chi(cache: &ChiCache, name: Fr, set: &[(u64, Fr)]) -> G1Projectiv
     cache.index_oracle_rows(name, &indices).msm(&coeffs, &[], &[])
 }
 
-/// The G1 point paired with `eps`, `g1^{-y} * chi^{-zeta} * psi^{zeta r}`,
-/// for the challenge `(d, k, challenge)` on file `name`: expands the
-/// challenge, gathers the `k` cached `H(name || i)` and runs one MSM over
-/// them and `psi`, on the hashes' slice rows once the cache has promoted
-/// them. Eq. (1) passes `zeta = 1`.
-fn eps_side(
-    cache: &ChiCache,
-    meta: &FileMeta,
-    challenge: &Challenge,
-    y: Fr,
-    zeta: Fr,
-    psi: &G1Affine,
-) -> G1Projective {
-    let set = {
-        let _expand = dsaudit_obs::span("core.challenge_expand");
-        challenge.expand(meta.num_chunks, meta.k)
-    };
-    dsaudit_obs::observe("core.challenge_set", set.len() as u64);
-    let (indices, scalars): (Vec<u64>, Vec<Fr>) =
-        set.iter().map(|(i, c)| (*i, -(zeta * *c))).unzip();
-    let hashes = cache.index_oracle_rows(meta.name, &indices);
-    G1Projective::generator_table()
-        .mul(-y)
-        .add(&hashes.msm(&scalars, &[*psi], &[zeta * challenge.r]))
-}
-
-/// Eq. (1) against the caches of `auditor`.
-pub(crate) fn verify_plain_with(
-    auditor: &Auditor,
-    pk: &PublicKey,
-    meta: &FileMeta,
-    challenge: &Challenge,
-    proof: &PlainProof,
-) -> Result<Verdict, DsAuditError> {
-    meta.validate()?;
-    let _span = dsaudit_obs::span("core.verify_plain");
-    let left_eps = eps_side(
-        auditor.chi_cache(),
-        meta,
-        challenge,
-        proof.y,
-        Fr::one(),
-        &proof.psi,
-    )
-    .to_affine();
-    let psi_neg = proof.psi.neg();
-    let eps_p = auditor.g2_cache().prepared(&pk.eps);
-    let delta_p = auditor.g2_cache().prepared(&pk.delta);
-    let holds = multi_pairing_prepared(&[
-        (&proof.sigma, G2Prepared::generator()),
-        (&left_eps, eps_p.as_ref()),
-        (&psi_neg, delta_p.as_ref()),
-    ])
-    .is_identity();
-    dsaudit_obs::counter_inc(if holds { "core.verdict.accept" } else { "core.verdict.reject" });
-    Ok(Verdict::from_equation(holds, RejectReason::Equation1))
-}
-
-/// Eq. (2) against the caches of `auditor`.
-pub(crate) fn verify_private_with(
-    auditor: &Auditor,
-    pk: &PublicKey,
-    meta: &FileMeta,
-    challenge: &Challenge,
-    proof: &PrivateProof,
-) -> Result<Verdict, DsAuditError> {
-    meta.validate()?;
-    let _span = dsaudit_obs::span("core.verify_private");
-    let eps_p = auditor.g2_cache().prepared(&pk.eps);
-    let delta_p = auditor.g2_cache().prepared(&pk.delta);
-    let zeta = h_prime(&proof.r_commit);
-    let (fixed, challenged) = join(
-        || {
-            // each power is a one-term GLV Straus pass; one shared
-            // inversion for both affine conversions
-            let affine = Projective::batch_to_affine(&[
-                msm_g1(&[proof.sigma], &[zeta]),
-                msm_g1(&[proof.psi], &[-zeta]),
-            ]);
-            let _miller = dsaudit_obs::span("algebra.miller_loop");
-            multi_miller_loop(&[
-                (&affine[0], G2Prepared::generator()),
-                (&affine[1], delta_p.as_ref()),
-            ])
-        },
-        || {
-            let left_eps = eps_side(
-                auditor.chi_cache(),
-                meta,
-                challenge,
-                proof.y_prime,
-                zeta,
-                &proof.psi,
-            )
-            .to_affine();
-            let _miller = dsaudit_obs::span("algebra.miller_loop");
-            multi_miller_loop(&[(&left_eps, eps_p.as_ref())])
-        },
-    );
-    let holds = final_exponentiation(&(fixed * challenged)) == proof.r_commit.invert();
-    dsaudit_obs::counter_inc(if holds { "core.verdict.accept" } else { "core.verdict.reject" });
-    Ok(Verdict::from_equation(holds, RejectReason::Equation2))
-}
-
 /// One-shot verification of the non-private response against Eq. (1),
 /// with cold caches. Prefer [`Auditor::verify_plain`] for repeated
 /// rounds — the handle keeps its hash-to-curve and prepared-G2 caches
@@ -228,11 +85,15 @@ pub fn verify_private(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::RejectReason;
     use crate::file::EncodedFile;
     use crate::keys::keygen;
     use crate::params::AuditParams;
     use crate::prove::Prover;
     use crate::tag::generate_tags;
+    use dsaudit_algebra::field::Field;
+    use dsaudit_algebra::g1::G1Affine;
+    use dsaudit_crypto::prf::h_prime;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {

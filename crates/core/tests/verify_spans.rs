@@ -59,10 +59,13 @@ fn a_traced_private_verification_records_both_miller_loops() {
     assert_eq!(
         children,
         [
+            "algebra.g2_prepare",
+            "algebra.g2_prepare",
             "algebra.msm",
             "algebra.msm",
             "algebra.miller_loop",
             "core.challenge_expand",
+            "core.index_oracles",
             "algebra.msm",
             "algebra.miller_loop",
             "algebra.final_exp"

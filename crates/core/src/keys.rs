@@ -11,6 +11,7 @@ use dsaudit_algebra::g2::G2Affine;
 use dsaudit_algebra::msm::LazyG1Table;
 use dsaudit_algebra::pairing::{multi_pairing_prepared, FixedBaseGt, G2Prepared, Gt};
 use dsaudit_algebra::Fr;
+use dsaudit_crypto::assert_not_formattable;
 
 use crate::codec::{ByteReader, Codec};
 use crate::error::DsAuditError;
@@ -19,8 +20,9 @@ use crate::params::AuditParams;
 /// The data owner's secret key `(x, alpha)`.
 ///
 /// Deliberately neither `Copy` nor `Debug`: dropping a key zeroizes it
-/// (so stray copies must be explicit `clone()`s), and the secret-hygiene
-/// lint (`secret-debug` in `docs/LINTS.md`) forbids formatting it.
+/// (so stray copies must be explicit `clone()`s), and
+/// [`dsaudit_crypto::assert_not_formattable`] fails the build if it
+/// implements `Debug` or `Display`.
 #[derive(Clone, PartialEq, Eq)]
 pub struct SecretKey {
     /// HLA signing exponent.
@@ -28,6 +30,8 @@ pub struct SecretKey {
     /// KZG trapdoor.
     pub alpha: Fr,
 }
+
+assert_not_formattable!(SecretKey);
 
 /// Best-effort zeroize-on-drop: see [`SecretKey::wipe`].
 impl Drop for SecretKey {

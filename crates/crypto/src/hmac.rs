@@ -1,5 +1,6 @@
 //! HMAC-SHA-256 (RFC 2104), the keyed-PRF base for challenge expansion.
 
+use crate::assert_not_formattable;
 use crate::sha256::Sha256;
 
 const BLOCK: usize = 64;
@@ -9,13 +10,16 @@ const BLOCK: usize = 64;
 /// key (Feistel rounds of the index PRP, one PRF call per coefficient);
 /// reusing the midstates halves the SHA-256 compressions of every call —
 /// two per short-message MAC instead of four.
-/// Not `Debug`: the pad midstates are key-equivalent material, and the
-/// secret-hygiene lint (`secret-debug`) forbids formatting them.
+/// Neither `Debug` nor `Display`: the pad midstates are key-equivalent
+/// material, and [`crate::assert_not_formattable`] fails the build if
+/// either is implemented.
 #[derive(Clone)]
 pub struct HmacKey {
     inner: Sha256,
     outer: Sha256,
 }
+
+assert_not_formattable!(HmacKey);
 
 /// Best-effort zeroize-on-drop: both pad midstates are wiped, so a
 /// dropped challenge-expansion key does not linger on the heap/stack.

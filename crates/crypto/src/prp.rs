@@ -6,6 +6,7 @@
 //! permutation of `[0, d)` — so the first `k` outputs are automatically
 //! distinct, exactly the property the paper's `pi` provides.
 
+use crate::assert_not_formattable;
 use crate::hmac::{hmac_sha256, HmacKey};
 
 /// Number of Feistel rounds (4 suffice for a PRP in the Luby–Rackoff
@@ -14,14 +15,18 @@ const ROUNDS: u32 = 7;
 
 /// A keyed pseudorandom permutation over `[0, domain_size)`.
 ///
-/// Not `Debug`: the Feistel key is challenge-seed material (formatting
-/// it would leak which chunks an audit samples before settlement).
+/// Neither `Debug` nor `Display`: the Feistel key is challenge-seed
+/// material (formatting it would leak which chunks an audit samples
+/// before settlement), and [`crate::assert_not_formattable`] fails the
+/// build if either is implemented.
 #[derive(Clone)]
 pub struct SmallDomainPrp {
     key: HmacKey,
     domain_size: u64,
     half_bits: u32,
 }
+
+assert_not_formattable!(SmallDomainPrp);
 
 impl SmallDomainPrp {
     /// Creates a PRP over `[0, domain_size)` keyed by `seed`.

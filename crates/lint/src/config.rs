@@ -53,7 +53,7 @@ pub struct LintConfig {
 }
 
 /// Rules whose findings may be suppressed via `lint.toml`.
-const TOML_RULES: &[&str] = &["panic-reachability", "secret-taint", "ct-closure", "deadline"];
+const TOML_RULES: &[&str] = &["panic-reachability", "secret-taint", "ct-closure"];
 
 impl LintConfig {
     /// Parses `lint.toml` source. Malformed entries become findings

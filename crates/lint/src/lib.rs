@@ -10,8 +10,11 @@
 //! * **determinism** — the simulator, chain, storage and contract crates must be
 //!   byte-for-byte reproducible from a seed (verdict agreement dies the
 //!   moment iteration order differs between verifiers);
-//! * **secret-hygiene** — secret key material must not be formattable,
-//!   and annotated crypto hot paths must not branch on secret data.
+//! * **secret-hygiene** — secret key material must not reach a
+//!   formatting or wire sink, and annotated crypto hot paths must not
+//!   branch on secret data. (That the secret types themselves implement
+//!   neither `Debug` nor `Display` is a compile-time check,
+//!   `dsaudit_crypto::assert_not_formattable!`, not a rule here.)
 //!
 //! This crate reads every workspace `.rs` file once through a
 //! hand-rolled, comment/string/raw-string-aware lexer and a total
@@ -21,7 +24,7 @@
 //! place via `lint:allow(<rule>)` comments that must carry a reason.
 //!
 //! Shipped three ways: the `dsaudit-lint` binary (nonzero exit on
-//! findings, `--json` for machine-readable reports), the
+//! findings, `--sarif` for a machine-readable report), the
 //! `workspace_clean` integration test (so `cargo test` is a gate), and a
 //! CI step.
 
@@ -94,11 +97,8 @@ pub fn parse_workspace(root: &Path) -> std::io::Result<Vec<(String, lexer::Lexed
     Ok(out)
 }
 
-/// Analyzes every workspace `.rs` file under `root`: the per-file
-/// rules, then the workspace call graph and the five
-/// interprocedural passes (panic-reachability, secret-taint,
-/// ct-closure, deadline, obs-purity) with `lint.toml` suppressions
-/// applied.
+/// Analyzes every workspace `.rs` file under `root` against the
+/// `lint.toml` there (see [`analyze_files`]).
 ///
 /// `root` should be the workspace root (the directory holding the
 /// top-level `Cargo.toml`); paths in findings are reported relative to
@@ -107,10 +107,22 @@ pub fn parse_workspace(root: &Path) -> std::io::Result<Vec<(String, lexer::Lexed
 /// # Errors
 /// Propagates I/O errors from the directory walk or file reads.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
-    let mut report = WorkspaceReport::default();
-    let files = parse_workspace(root)?;
+    Ok(analyze_files(&parse_workspace(root)?, config::LintConfig::load(root)))
+}
 
-    for (rel, lexed, ast) in &files {
+/// Analyzes parsed `(relative_path, lexed, ast)` files: the per-file
+/// rules, then the workspace call graph and the four interprocedural
+/// passes (panic-reachability, secret-taint, ct-closure, obs-purity)
+/// with the `lint.toml` suppressions of `config` applied. `config` is a
+/// parsed allow-list and the findings its parse raised
+/// ([`config::LintConfig::parse`]).
+pub fn analyze_files(
+    files: &[(String, lexer::Lexed, ast::Ast)],
+    config: (config::LintConfig, Vec<Finding>),
+) -> WorkspaceReport {
+    let (cfg, cfg_findings) = config;
+    let mut report = WorkspaceReport::default();
+    for (rel, lexed, ast) in files {
         let file_report = analyze_file(rel, lexed, ast);
         report.files_scanned += 1;
         report.findings.extend(file_report.findings);
@@ -118,24 +130,22 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<WorkspaceReport> {
     }
 
     // Interprocedural passes over the workspace call graph.
-    let graph = callgraph::CallGraph::build(&files);
+    let graph = callgraph::CallGraph::build(files);
     report.callgraph_fns = graph.fns.len();
-    let (cfg, mut cfg_findings) = config::LintConfig::load(root);
     for pass in [
         passes::panic_reachability(&graph, &cfg),
         passes::secret_taint(&graph, &cfg),
         passes::ct_closure(&graph, &cfg),
-        passes::deadline(&graph, &cfg),
         passes::obs_purity(&graph, &cfg),
     ] {
         report.findings.extend(pass.findings);
         report.suppressed.extend(pass.suppressed);
     }
-    report.findings.append(&mut cfg_findings);
+    report.findings.extend(cfg_findings);
     report.findings.extend(cfg.unused_findings());
 
     report
         .findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    Ok(report)
+    report
 }

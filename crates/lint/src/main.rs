@@ -1,6 +1,6 @@
 //! The `dsaudit-lint` binary: run from anywhere in the workspace with
 //! `cargo run -p dsaudit-lint`. Exits nonzero when unsuppressed findings
-//! exist; `--json` and `--sarif` switch to machine-readable reports.
+//! exist; `--sarif` switches to the machine-readable SARIF report.
 
 #![forbid(unsafe_code)]
 
@@ -9,7 +9,6 @@ use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage: dsaudit-lint [OPTIONS] [WORKSPACE_ROOT]
-  --json           machine-readable report (stable schema)
   --sarif          SARIF 2.1.0 report (for CI annotations)
   --only <rule>    restrict output to one rule id
   --list-rules     print the rule catalogue and exit
@@ -28,7 +27,6 @@ fn main() -> ExitCode {
         }
         return ExitCode::SUCCESS;
     }
-    let json = args.iter().any(|a| a == "--json");
     let sarif = args.iter().any(|a| a == "--sarif");
     let only: Option<String> = args
         .iter()
@@ -70,8 +68,6 @@ fn main() -> ExitCode {
             };
             if sarif {
                 print!("{}", dsaudit_lint::sarif::render_sarif(&report));
-            } else if json {
-                print!("{}", report.render_json());
             } else {
                 print!("{}", report.render_text());
             }

@@ -1,6 +1,5 @@
 //! The interprocedural passes over the workspace call graph:
-//! panic-reachability, secret-taint, ct-closure, deadline, and
-//! obs-purity.
+//! panic-reachability, secret-taint, ct-closure and obs-purity.
 //!
 //! All of them consume the [`CallGraph`] plus the audited allow-list from
 //! `lint.toml` ([`crate::config::LintConfig`]): pass findings are
@@ -279,9 +278,10 @@ fn shortest_chains_to_sinks(
 // secret-taint
 // ---------------------------------------------------------------------------
 
-/// Types whose values are secret material: the sources of this pass
-/// and the types the `secret-debug` token rule keeps unformattable.
-pub(crate) const SECRET_TYPES: &[&str] = &["SecretKey", "HmacKey", "SmallDomainPrp"];
+/// Types whose values are secret material: the sources of this pass.
+/// `dsaudit_crypto::assert_not_formattable!` keeps the types themselves
+/// from implementing `Debug` or `Display`.
+const SECRET_TYPES: &[&str] = &["SecretKey", "HmacKey", "SmallDomainPrp"];
 
 /// Format-family macros: anything that can render a value to text.
 const FORMAT_MACROS: &[&str] = &[
@@ -296,6 +296,9 @@ const FORMAT_MACROS: &[&str] = &[
     "assert",
     "assert_eq",
     "assert_ne",
+    "debug_assert",
+    "debug_assert_eq",
+    "debug_assert_ne",
     "dbg",
 ];
 
@@ -676,9 +679,15 @@ fn eval(
         }
         Expr::Macro { segs, args, line } => {
             let name = segs.last().map(String::as_str).unwrap_or("");
+            // an assertion's condition is a 1-bit public verdict, like a
+            // comparison's: only the arguments after it are rendered
+            let rendered_from = usize::from(matches!(name, "assert" | "debug_assert"));
             let mut t = Taint::new();
-            for a in args {
-                t.extend(eval(a, node, graph, summaries, env, hits));
+            for (i, a) in args.iter().enumerate() {
+                let at = eval(a, node, graph, summaries, env, hits);
+                if i >= rendered_from {
+                    t.extend(at);
+                }
             }
             if FORMAT_MACROS.contains(&name) && !t.is_empty() {
                 hits.push(SinkHit {
@@ -927,120 +936,6 @@ pub fn ct_closure(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
                 ),
                 hint: "annotate the callee lint:ct (and fix its branches), or allowlist it in \
                        lint.toml with a reason",
-            };
-            out.push(f, cfg, node);
-        }
-    }
-    out
-}
-
-// ---------------------------------------------------------------------------
-// deadline
-// ---------------------------------------------------------------------------
-
-/// Identifier fragments that witness a timeout/TTL bound (checked
-/// case-insensitively as substrings, so `expires_at`, `poll_timeout`
-/// and `horizon_ms` all count).
-const DEADLINE_WITNESSES: &[&str] = &["deadline", "timeout", "expir", "horizon"];
-
-/// The TTL witness, matched as a whole word (`ttl_ms`, `Ttl`,
-/// `TTL`) only: as a substring it would also match `settle`.
-const TTL_WORD: &str = "ttl";
-
-/// Method/function names that receive from a transport.
-const RECV_NAMES: &[&str] = &["recv", "try_recv"];
-
-fn mentions_witness(ident: &str) -> bool {
-    let lower = ident.to_ascii_lowercase();
-    let lowercase_at = |i: Option<usize>| {
-        i.and_then(|i| ident.as_bytes().get(i))
-            .is_some_and(u8::is_ascii_lowercase)
-    };
-    DEADLINE_WITNESSES.iter().any(|w| lower.contains(w))
-        || lower.match_indices(TTL_WORD).any(|(i, _)| {
-            !lowercase_at(i.checked_sub(1)) && !lowercase_at(Some(i + TTL_WORD.len()))
-        })
-}
-
-/// `deadline`: every loop in `crates/node` that awaits a transport
-/// receive (`recv`/`try_recv`) must be reachable from a timeout/TTL
-/// check — concretely, the enclosing function must mention a deadline
-/// witness (`deadline`, `ttl`, `timeout`, `expir…`, `horizon`) in its
-/// parameters or body. A daemon loop that drains a transport with no
-/// such bound can spin forever on a partitioned or silent peer, which
-/// is exactly the liveness failure the challenge lifecycle's TTL-expiry
-/// path exists to prevent. Suppression goes through `lint.toml` like
-/// the other whole-program rules.
-pub fn deadline(graph: &CallGraph, cfg: &LintConfig) -> PassResult {
-    let mut out = PassResult::default();
-    for node in &graph.fns {
-        if node.in_test || !node.file.starts_with("crates/node/src/") {
-            continue;
-        }
-        let Some(body) = &node.def.body else {
-            continue;
-        };
-
-        // A witness anywhere in the function bounds every loop in it:
-        // the TTL check and the drain loop are usually siblings
-        // (`step(now)` checks expiries then drains the mailbox).
-        let mut witnessed = node.def.params.iter().any(|p| {
-            p.names.iter().any(|n| mentions_witness(n)) || p.ty.iter().any(|t| mentions_witness(t))
-        });
-        if !witnessed {
-            walk_stmts(body, &mut |e| {
-                witnessed |= match e {
-                    Expr::Path { segs, .. }
-                    | Expr::Call { segs, .. }
-                    | Expr::Macro { segs, .. } => segs.iter().any(|s| mentions_witness(s)),
-                    Expr::Method { name, .. } | Expr::Field { name, .. } => {
-                        mentions_witness(name)
-                    }
-                    Expr::Struct { fields, .. } => {
-                        fields.iter().any(|(n, _)| mentions_witness(n))
-                    }
-                    _ => false,
-                };
-            });
-        }
-        if witnessed {
-            continue;
-        }
-
-        // Any loop whose subtree (including a while-let condition, where
-        // the recv call usually lives) touches a transport receive.
-        let mut recv_loop_lines: Vec<u32> = Vec::new();
-        walk_stmts(body, &mut |e| {
-            let line = match e {
-                Expr::Loop { line, .. } | Expr::For { line, .. } => *line,
-                _ => return,
-            };
-            let mut has_recv = false;
-            e.walk(&mut |inner| {
-                has_recv |= match inner {
-                    Expr::Method { name, .. } => RECV_NAMES.contains(&name.as_str()),
-                    Expr::Call { segs, .. } => {
-                        segs.last().is_some_and(|s| RECV_NAMES.contains(&s.as_str()))
-                    }
-                    _ => false,
-                };
-            });
-            if has_recv {
-                recv_loop_lines.push(line);
-            }
-        });
-        for line in recv_loop_lines {
-            let f = Finding {
-                file: node.file.clone(),
-                line,
-                rule: "deadline",
-                message: format!(
-                    "`{}` loops over a transport receive with no reachable timeout/TTL \
-                     check — a silent or partitioned peer would spin this loop forever",
-                    node.qname()
-                ),
-                hint: "bound the loop with a deadline (ttl/timeout/expires_at/horizon) \
-                       checked in the same function, or audit it in lint.toml with a reason",
             };
             out.push(f, cfg, node);
         }
@@ -1355,71 +1250,6 @@ mod tests {
         assert!(r.findings.is_empty(), "{:?}", r.findings);
     }
 
-    #[test]
-    fn unbounded_recv_loop_in_node_is_flagged() {
-        // `Settle` contains `ttl` but is not a TTL witness
-        let g = graph_of(&[(
-            "crates/node/src/pump.rs",
-            "fn pump(t: &mut Mailbox) {\n\
-                 while let Some(m) = t.recv(0, 1) {\n\
-                     handle(Frame::Settle(m));\n\
-                 }\n\
-             }\n\
-             fn handle(_m: u8) {}\n",
-        )]);
-        let r = deadline(&g, &empty_cfg());
-        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
-        assert_eq!(r.findings[0].rule, "deadline");
-        assert!(r.findings[0].message.contains("pump"), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn deadline_witness_in_the_same_function_silences_the_rule() {
-        // the witness can be a field access (`expires_at`, `ttl_ms`),
-        // a local (`deadline`), or a parameter — all idioms the daemons
-        // use
-        let g = graph_of(&[(
-            "crates/node/src/pump.rs",
-            "fn pump(t: &mut Mailbox, deadline: u64) {\n\
-                 while let Some(m) = t.recv(0, 1) {\n\
-                     if m.at > deadline { break; }\n\
-                     handle(m);\n\
-                 }\n\
-             }\n\
-             fn drain(t: &mut Mailbox, now: u64) {\n\
-                 expire_overdue(now);\n\
-                 loop {\n\
-                     let m = t.try_recv(now);\n\
-                     if m.is_none() { break; }\n\
-                 }\n\
-             }\n\
-             fn bounded(t: &mut Mailbox, cfg: Cfg) {\n\
-                 while let Some(m) = t.recv(cfg.ttl_ms, 1) {\n\
-                     handle(m);\n\
-                 }\n\
-             }\n\
-             fn expire_overdue(_now: u64) {}\n\
-             fn handle(_m: u8) {}\n",
-        )]);
-        let r = deadline(&g, &empty_cfg());
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn recv_loops_outside_crates_node_are_not_the_rules_business() {
-        let g = graph_of(&[(
-            "crates/sim/src/engine.rs",
-            "fn pump(t: &mut Mailbox) {\n\
-                 while let Some(m) = t.recv(0, 1) {\n\
-                     handle(m);\n\
-                 }\n\
-             }\n\
-             fn handle(_m: u8) {}\n",
-        )]);
-        let r = deadline(&g, &empty_cfg());
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
     /// A fake obs crate plus an instrumented verify chain, all clean:
     /// statement-position calls and an underscore-bound span guard.
     const OBS_SRC: (&str, &str) = (
@@ -1502,22 +1332,6 @@ mod tests {
             ),
         ]);
         let r = obs_purity(&g, &empty_cfg());
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-    }
-
-    #[test]
-    fn loops_without_a_receive_are_ignored() {
-        let g = graph_of(&[(
-            "crates/node/src/math.rs",
-            "fn sum(xs: &[u64]) -> u64 {\n\
-                 let mut acc = 0u64;\n\
-                 for x in xs {\n\
-                     acc += x;\n\
-                 }\n\
-                 acc\n\
-             }\n",
-        )]);
-        let r = deadline(&g, &empty_cfg());
         assert!(r.findings.is_empty(), "{:?}", r.findings);
     }
 }

@@ -1,7 +1,5 @@
-//! Finding and report types, plus the text and JSON renderers.
-//!
-//! JSON is hand-rolled (the workspace has no serde) with full string
-//! escaping, matching the style of `dsaudit-bench`'s metrics emitter.
+//! Finding and report types, plus the text renderer and the JSON string
+//! escaping the SARIF renderer uses (the workspace has no serde).
 
 use crate::rules::RULES;
 
@@ -108,72 +106,10 @@ impl WorkspaceReport {
         ));
         out
     }
-
-    /// Machine-readable report. The schema is stable (snapshot-tested
-    /// in `tests/json_schema.rs`): top-level keys `files_scanned`,
-    /// `callgraph_fns`, `rules`, `counts`, `findings`, `suppressed`;
-    /// findings carry `file`/`line`/`rule`/`message`/`hint` (+`reason`
-    /// when suppressed). New keys may be added; none are removed or
-    /// renamed.
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"callgraph_fns\": {},\n", self.callgraph_fns));
-        out.push_str("  \"counts\": {");
-        for (i, r) in RULES.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{}: {{\"findings\": {}, \"suppressed\": {}}}",
-                json_str(r.id),
-                self.count_findings(r.id),
-                self.count_suppressed(r.id)
-            ));
-        }
-        out.push_str("},\n");
-        out.push_str("  \"rules\": [");
-        for (i, r) in RULES.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(r.id));
-        }
-        out.push_str("],\n");
-        out.push_str("  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            out.push_str(&finding_json(f, None));
-            out.push_str(if i + 1 < self.findings.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"suppressed\": [\n");
-        for (i, (f, s)) in self.suppressed.iter().enumerate() {
-            out.push_str(&finding_json(f, Some(&s.reason)));
-            out.push_str(if i + 1 < self.suppressed.len() { ",\n" } else { "\n" });
-        }
-        out.push_str("  ]\n}\n");
-        out
-    }
 }
 
-fn finding_json(f: &Finding, reason: Option<&str>) -> String {
-    let mut s = format!(
-        "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"hint\": {}",
-        json_str(&f.file),
-        f.line,
-        json_str(f.rule),
-        json_str(&f.message),
-        json_str(f.hint)
-    );
-    if let Some(r) = reason {
-        s.push_str(&format!(", \"reason\": {}", json_str(r)));
-    }
-    s.push('}');
-    s
-}
-
-/// JSON string escaping (quotes, backslashes, control characters),
-/// shared by the `--json` and `--sarif` renderers.
+/// JSON string escaping (quotes, backslashes, control characters) for
+/// the SARIF renderer.
 pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -200,25 +136,5 @@ mod tests {
     fn json_escapes_specials() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn report_json_is_well_formed_ish() {
-        let rep = WorkspaceReport {
-            files_scanned: 2,
-            findings: vec![Finding {
-                file: "a.rs".into(),
-                line: 3,
-                rule: "no-panic",
-                message: "x".into(),
-                hint: "h",
-            }],
-            suppressed: vec![],
-            ..WorkspaceReport::default()
-        };
-        let j = rep.render_json();
-        assert!(j.contains("\"files_scanned\": 2"));
-        assert!(j.contains("\"rule\": \"no-panic\""));
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 }

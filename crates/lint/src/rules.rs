@@ -1,6 +1,6 @@
-//! The per-file rules: zones, inline suppressions, and the seven rules
+//! The per-file rules: zones, inline suppressions, and the six rules
 //! that need no call graph (`no-panic`, `no-index`, `determinism`,
-//! `secret-debug`, `ct-branch`, `decode-bounds`, `suppression`).
+//! `ct-branch`, `decode-bounds`, `suppression`).
 //!
 //! They read the `(path, Lexed, Ast)` triple that
 //! [`crate::parse_workspace`] builds for the passes too, so each file is
@@ -14,10 +14,10 @@
 use crate::ast::{Ast, Item, ItemKind};
 use crate::lexer::{lex, Lexed, Token, TokenKind};
 use crate::parser::parse;
-use crate::passes::{intrinsic_panic_sites, PanicKind, SECRET_TYPES};
+use crate::passes::{intrinsic_panic_sites, PanicKind};
 use crate::report::{FileReport, Finding, Suppression};
 
-/// Static description of one rule, for `--json` and the docs.
+/// Static description of one rule, for `--list-rules` and SARIF.
 #[derive(Clone, Copy, Debug)]
 pub struct RuleInfo {
     /// Stable rule id, as used in suppression comments.
@@ -42,11 +42,6 @@ pub const RULES: &[RuleInfo] = &[
         id: "determinism",
         summary: "no HashMap/HashSet/Instant/SystemTime/thread_rng/Date-like calls in \
                   crates/{sim,chain,storage,contract}: seed-reproducibility is contractual",
-    },
-    RuleInfo {
-        id: "secret-debug",
-        summary: "secret types (SecretKey, HmacKey, SmallDomainPrp) may not derive or \
-                  impl Debug/Display",
     },
     RuleInfo {
         id: "ct-branch",
@@ -83,12 +78,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "interprocedural: observability is write-only — no verdict/codec/ct-\
                   reachable function may consume an obs return value (statement position \
                   or `let _x = ...` only), and lint:ct kernels may not call obs at all",
-    },
-    RuleInfo {
-        id: "deadline",
-        summary: "interprocedural: every loop in crates/node awaiting a transport receive \
-                  (recv/try_recv) must be reachable from a timeout/TTL check in the same \
-                  function; unbounded daemon drains spin forever on partitioned peers",
     },
 ];
 
@@ -133,10 +122,6 @@ pub(crate) fn is_test_path(path: &str) -> bool {
 
 fn is_punct(t: &Token, s: &str) -> bool {
     t.kind == TokenKind::Punct && t.text == s
-}
-
-fn is_ident(t: &Token, s: &str) -> bool {
-    t.kind == TokenKind::Ident && t.text == s
 }
 
 /// Parsed suppressions plus findings for malformed ones.
@@ -351,77 +336,6 @@ fn check_determinism(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     }
 }
 
-fn check_secret_debug(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
-    let tokens = ctx.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        // derive(..., Debug/Display, ...) on a secret struct/enum
-        if (is_ident(t, "struct") || is_ident(t, "enum"))
-            && tokens
-                .get(i + 1)
-                .is_some_and(|n| SECRET_TYPES.contains(&n.text.as_str()))
-        {
-            // scan the attribute window above the item (stop at the
-            // previous item boundary)
-            let mut j = i;
-            let mut derive_window = Vec::new();
-            while j > 0 {
-                j -= 1;
-                let p = &tokens[j];
-                if is_punct(p, ";") || is_punct(p, "}") || is_punct(p, "{") {
-                    break;
-                }
-                derive_window.push(p);
-            }
-            let has_derive = derive_window.iter().any(|p| is_ident(p, "derive"));
-            let bad = derive_window
-                .iter()
-                .find(|p| is_ident(p, "Debug") || is_ident(p, "Display"));
-            if has_derive {
-                if let Some(b) = bad {
-                    out.push(ctx.finding(
-                        tokens[i + 1].line,
-                        "secret-debug",
-                        format!(
-                            "secret type `{}` derives {}",
-                            tokens[i + 1].text, b.text
-                        ),
-                        "secrets must not be formattable; drop the derive (add a manual \
-                         redacting impl on the container if needed)",
-                    ));
-                }
-            }
-        }
-        // impl Debug/Display for <secret>
-        if is_ident(t, "impl") {
-            let mut j = i + 1;
-            let mut fmt_trait = None;
-            let mut saw_for = false;
-            let mut target_secret = None;
-            while j < tokens.len() && !is_punct(&tokens[j], "{") && !is_punct(&tokens[j], ";") {
-                let p = &tokens[j];
-                if is_ident(p, "Debug") || is_ident(p, "Display") {
-                    fmt_trait = Some(p.text.clone());
-                }
-                if is_ident(p, "for") {
-                    saw_for = true;
-                }
-                if saw_for && SECRET_TYPES.contains(&p.text.as_str()) {
-                    target_secret = Some(p.text.clone());
-                }
-                j += 1;
-            }
-            if let (Some(tr), Some(sec)) = (fmt_trait, target_secret) {
-                out.push(ctx.finding(
-                    t.line,
-                    "secret-debug",
-                    format!("manual {tr} impl for secret type `{sec}`"),
-                    "secrets must not be formattable",
-                ));
-            }
-        }
-    }
-}
-
 fn check_ct_branch(ctx: &FileContext<'_>, out: &mut Vec<Finding>) {
     for &(start, end) in &ctx.ct_spans {
         for t in &ctx.tokens[start..end] {
@@ -495,7 +409,6 @@ pub fn analyze_file(path: &str, lexed: &Lexed, ast: &Ast) -> FileReport {
     let ctx = FileContext::new(path, lexed, ast);
     check_panic_sites(&ctx, ast, &mut findings);
     check_determinism(&ctx, &mut findings);
-    check_secret_debug(&ctx, &mut findings);
     check_ct_branch(&ctx, &mut findings);
     check_decode_bounds(&ctx, &mut findings);
     findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));

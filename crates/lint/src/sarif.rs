@@ -120,4 +120,24 @@ mod tests {
             assert!(s.contains(&format!("\"id\": \"{}\"", r.id)), "{}", r.id);
         }
     }
+
+    #[test]
+    fn sarif_is_balanced_and_escaped() {
+        let rep = WorkspaceReport {
+            findings: vec![Finding {
+                file: "crates/x/src/lib.rs".into(),
+                line: 0,
+                rule: "no-panic",
+                message: "quote \" backslash \\ newline \n".into(),
+                hint: "h",
+            }],
+            ..WorkspaceReport::default()
+        };
+        let s = render_sarif(&rep);
+        assert!(s.contains("quote \\\" backslash \\\\ newline \\n"), "{s}");
+        // SARIF lines are 1-based
+        assert!(s.contains("\"startLine\": 1"));
+        assert_eq!(s.matches('{').count(), s.matches('}').count());
+        assert_eq!(s.matches('[').count(), s.matches(']').count());
+    }
 }

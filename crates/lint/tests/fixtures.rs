@@ -2,12 +2,12 @@
 //! non-firing source, plus the lexer edge cases that would turn a
 //! text-match linter into a false-positive machine.
 
-use dsaudit_lint::analyze_source;
 use dsaudit_lint::callgraph::CallGraph;
 use dsaudit_lint::config::LintConfig;
 use dsaudit_lint::lexer::lex;
 use dsaudit_lint::parser::parse;
 use dsaudit_lint::passes::panic_reachability;
+use dsaudit_lint::{analyze_files, analyze_source, RULES};
 
 /// Rules of the live (unsuppressed) findings for `src` analyzed at `path`.
 fn live_rules(path: &str, src: &str) -> Vec<&'static str> {
@@ -16,6 +16,84 @@ fn live_rules(path: &str, src: &str) -> Vec<&'static str> {
         .iter()
         .map(|f| f.rule)
         .collect()
+}
+
+/// Rules of the live findings for `files` run through every rule and
+/// pass, as `analyze_workspace` runs them, with an empty `lint.toml`.
+fn workspace_rules(files: &[(&str, &str)]) -> Vec<&'static str> {
+    let parsed: Vec<_> = files
+        .iter()
+        .map(|(path, src)| {
+            let lexed = lex(src);
+            let ast = parse(&lexed);
+            ((*path).to_string(), lexed, ast)
+        })
+        .collect();
+    let report = analyze_files(&parsed, LintConfig::parse("", "lint.toml"));
+    report.findings.iter().map(|f| f.rule).collect()
+}
+
+/// One planted defect per rule: `(rule id, files)`. Each fires its rule
+/// and no other.
+const PLANTED: &[(&str, &[(&str, &str)])] = &[
+    ("no-panic", &[("crates/core/src/codec.rs", "pub fn read(r: &R) -> u8 { r.next().unwrap() }")]),
+    ("no-index", &[("crates/core/src/codec.rs", "pub fn first(b: &[u8]) -> u8 { b[0] }")]),
+    ("determinism", &[("crates/sim/src/engine.rs", "use std::collections::HashMap;")]),
+    (
+        "ct-branch",
+        &[("crates/crypto/src/prf.rs", "// lint:ct\nfn f(x: u64) -> u64 { if x > 0 { 1 } else { 0 } }")],
+    ),
+    (
+        "decode-bounds",
+        &[(
+            "crates/core/src/tag.rs",
+            "fn decode_from(r: &mut R) -> Result<V, E> {\n    let n = r.u32_le(\"n\")? as usize;\n    Ok(Vec::with_capacity(n))\n}",
+        )],
+    ),
+    ("suppression", &[("crates/core/src/misc.rs", "// lint:allow(no-such-rule) — reason\nfn f() {}")]),
+    (
+        "panic-reachability",
+        &[(
+            "crates/x/src/lib.rs",
+            "fn verify_thing(v: &[u8]) -> bool { helper(v) }\nfn helper(v: &[u8]) -> bool { v[0] == 1 }",
+        )],
+    ),
+    (
+        "secret-taint",
+        &[("crates/x/src/lib.rs", "struct HmacKey;\nfn bad(key: &HmacKey) { println!(\"{:?}\", key); }")],
+    ),
+    (
+        "ct-closure",
+        &[(
+            "crates/x/src/lib.rs",
+            "// lint:ct\nfn kernel(x: u64) -> u64 { helper(x) }\nfn helper(x: u64) -> u64 { x.wrapping_mul(3) }",
+        )],
+    ),
+    (
+        "obs-purity",
+        &[
+            ("crates/obs/src/lib.rs", "pub fn span(name: &str) -> Span { Span }\npub struct Span;"),
+            (
+                "crates/x/src/lib.rs",
+                "fn verify_thing() -> bool { let guard = dsaudit_obs::span(\"x\"); helper(&guard) }\n\
+                 fn helper(_g: &Span) -> bool { true }",
+            ),
+        ],
+    ),
+];
+
+/// Every rule shows a true finding: its planted defect fires it and no
+/// other rule. A rule without a planted defect fails here.
+#[test]
+fn every_rule_fires_on_its_planted_defect_alone() {
+    for rule in RULES {
+        let (_, files) = PLANTED
+            .iter()
+            .find(|(id, _)| *id == rule.id)
+            .unwrap_or_else(|| panic!("rule `{}` has no planted defect", rule.id));
+        assert_eq!(workspace_rules(files), [rule.id], "planted defect of `{}`", rule.id);
+    }
+    assert_eq!(PLANTED.len(), RULES.len(), "a planted defect names no rule");
 }
 
 // --- no-panic --------------------------------------------------------------
@@ -54,9 +132,10 @@ fn no_panic_silent_outside_zones_and_in_tests() {
 }
 
 /// Why `no-panic` is not subsumed by `panic-reachability`: `encode_into`
-/// is no entry point of the pass, and a file-level `lint.toml` allow
-/// (like the one on `crates/core/src/keys.rs`) discharges every site in
-/// the file. The token rule still reports the `.unwrap()`.
+/// is no entry point of the pass, so the pass never reports its
+/// `.unwrap()`, with or without an allow. The token rule does. (A
+/// file-level allow, which `lint.toml` still accepts, would also
+/// discharge a site that an entry point does reach.)
 #[test]
 fn no_panic_catches_what_a_file_level_reachability_allow_discharges() {
     let path = "crates/core/src/keys.rs";
@@ -150,27 +229,26 @@ fn determinism_dedups_double_mentions_on_one_line() {
     assert_eq!(live_rules("crates/sim/src/engine.rs", src), ["determinism"]);
 }
 
-// --- secret-debug ----------------------------------------------------------
+// --- secret-taint ----------------------------------------------------------
 
+/// An assertion renders its message arguments and both operands of
+/// `assert_eq!`/`assert_ne!`, but never the condition of
+/// `assert!`/`debug_assert!`: a 1-bit verdict, like a comparison's.
 #[test]
-fn secret_debug_fires_on_derive_and_manual_impls() {
-    let src = "#[derive(Clone, Debug)]\npub struct SecretKey { x: u64 }";
-    assert_eq!(live_rules("crates/core/src/keys.rs", src), ["secret-debug"]);
-    let src = "#[derive(Display)]\npub struct HmacKey;";
-    assert_eq!(live_rules("crates/crypto/src/hmac.rs", src), ["secret-debug"]);
-    let src = "impl core::fmt::Debug for SmallDomainPrp {\n    fn fmt(&self, f: &mut F) -> R { Ok(()) }\n}";
-    assert_eq!(live_rules("crates/crypto/src/prp.rs", src), ["secret-debug"]);
-}
-
-#[test]
-fn secret_debug_silent_on_public_types_and_clean_secrets() {
-    let src = "#[derive(Clone, Debug)]\npub struct PublicKey { v: u64 }";
-    assert!(live_rules("crates/core/src/keys.rs", src).is_empty());
-    let src = "#[derive(Clone, PartialEq)]\npub struct SecretKey { x: u64 }";
-    assert!(live_rules("crates/core/src/keys.rs", src).is_empty());
-    // Debug impl for a *different* type in a file that also defines a secret
-    let src = "pub struct SecretKey;\nimpl std::fmt::Debug for Wrapper {\n    fn fmt(&self, f: &mut F) -> R { Ok(()) }\n}";
-    assert!(live_rules("crates/core/src/keys.rs", src).is_empty());
+fn secret_taint_reads_an_assert_condition_as_a_public_bit() {
+    for (body, fires) in [
+        ("assert!(valid(key));", false),
+        ("debug_assert!(valid(key), \"a usable key\");", false),
+        ("assert!(valid(key), \"bad key {:?}\", key);", true),
+        ("debug_assert!(valid(key), \"bad key {:?}\", key);", true),
+        ("assert_eq!(digest(key), 0);", true),
+        ("assert_ne!(0, digest(key));", true),
+    ] {
+        let src = format!("struct HmacKey;\nfn check(key: &HmacKey) {{ {body} }}");
+        let rules = workspace_rules(&[("crates/x/src/lib.rs", &src)]);
+        let expected: &[&str] = if fires { &["secret-taint"] } else { &[] };
+        assert_eq!(rules, expected, "{body}");
+    }
 }
 
 // --- ct-branch -------------------------------------------------------------

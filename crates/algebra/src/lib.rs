@@ -12,6 +12,7 @@
 
 pub mod bigint;
 pub mod biguint;
+pub mod cell;
 pub mod endo;
 pub mod field;
 pub mod fields;

@@ -34,9 +34,8 @@
 //! faster than individual scalar multiplications. Used for aggregated
 //! authenticators, KZG openings and the Groth16 prover.
 
-use std::sync::{Arc, OnceLock};
-
 use crate::bigint::{self, Limbs};
+use crate::cell::TableCell;
 use crate::curve::{Affine, CurveParams, Projective};
 use crate::endo::{msm_g1, G1Endo};
 use crate::field::batch_inverse_with;
@@ -821,11 +820,8 @@ pub struct G1SliceTable {
 }
 
 impl G1SliceTable {
-    /// Builds the rows of `bases` at `window` and bumps the
-    /// `algebra.g1_tables_built` counter. It opens no span: a lazily
-    /// built table is built by whichever job first needs it.
+    /// Builds the rows of `bases` at `window`.
     pub fn new(bases: &[G1Affine], window: usize) -> Self {
-        dsaudit_obs::counter_inc("algebra.g1_tables_built");
         Self {
             window,
             slices: slice_count(window),
@@ -866,23 +862,11 @@ impl G1SliceTable {
 /// terms builds the table over the bases it is given, at the window
 /// [`slice_window`] picks for that size, and every later call walks it;
 /// smaller calls gather the bases for [`crate::endo::msm_g1`] and build
-/// nothing. Clones share the table. A cell is a cache, not a value:
-/// every cell equals every other, so a struct holding one compares by
-/// its bases, and `Debug` shows only whether it is built.
-#[derive(Clone, Default)]
-pub struct LazyG1Table(Arc<OnceLock<G1SliceTable>>);
+/// nothing. The build bumps the `algebra.g1_tables_built` counter, and
+/// clones share the table ([`TableCell`]).
+pub type LazyG1Table = TableCell<G1SliceTable>;
 
 impl LazyG1Table {
-    /// An empty cell.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The table, once an MSM has built it.
-    pub fn get(&self) -> Option<&G1SliceTable> {
-        self.0.get()
-    }
-
     /// `sum_j scalars[j] * bases[indices[j]]`, equal to
     /// [`crate::endo::msm_g1`] over the gathered bases. `bases` must be
     /// the set the cell serves: a table whose rows do not start at the
@@ -896,9 +880,8 @@ impl LazyG1Table {
         if indices.len() < SLICE_MSM_CUTOFF {
             return msm_g1(&gathered(), scalars);
         }
-        let table = self
-            .0
-            .get_or_init(|| G1SliceTable::new(bases, slice_window(indices.len())));
+        let window = slice_window(indices.len());
+        let table = self.get_or_build("algebra.g1_tables_built", || G1SliceTable::new(bases, window));
         let fits = indices
             .iter()
             .all(|&i| table.row(i).and_then(<[G1Affine]>::first) == Some(&bases[i]));
@@ -907,22 +890,6 @@ impl LazyG1Table {
         } else {
             msm_g1(&gathered(), scalars)
         }
-    }
-}
-
-impl PartialEq for LazyG1Table {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
-impl Eq for LazyG1Table {}
-
-impl std::fmt::Debug for LazyG1Table {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LazyG1Table")
-            .field("built", &self.get().is_some())
-            .finish()
     }
 }
 
@@ -1259,7 +1226,7 @@ mod tests {
     fn lazy_table_builds_once_shared_by_clones() {
         let mut rng = rng();
         let bases = g1_points(&mut rng, 50);
-        let cell = LazyG1Table::new();
+        let cell = LazyG1Table::default();
         let scalars: Vec<Fr> = (0..50).map(|_| Fr::random(&mut rng)).collect();
         let want = |idx: &[usize], bases: &[G1Affine]| {
             let gathered: Vec<G1Affine> = idx.iter().map(|&i| bases[i]).collect();

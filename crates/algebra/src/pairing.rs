@@ -27,9 +27,10 @@
 //! ([`FixedBaseGt`], the prover's commitment base `e(g1, eps)`) keeps a
 //! table of its powers instead, and pays no squarings at all.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crate::biguint::BigUint;
+use crate::cell::TableCell;
 use crate::curve::CurveParams;
 use crate::endo::{fr_from_i128, Lattice};
 use crate::field::Field;
@@ -671,23 +672,19 @@ type FixedRows = Vec<[Fq12; FIXED_ENTRIES]>;
 ///
 /// Its first [`FixedBaseGt::pow`] builds a signed window table over the
 /// four GLS parts (width 5, 15 windows of 16 powers: 240 `Fq12`, 92,160
-/// bytes) and bumps the `algebra.gt_tables_built` counter; it opens no
-/// span, because which of several concurrent callers builds it depends
-/// on scheduling. Every later power walks the table. Clones share the
-/// table, and equality and `Debug` see the base only.
-#[derive(Clone)]
+/// bytes) in a [`TableCell`] and bumps the `algebra.gt_tables_built`
+/// counter. Every later power walks the table. Clones share the table,
+/// and two bases compare equal iff their base elements do.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FixedBaseGt {
     base: Gt,
-    table: Arc<OnceLock<FixedRows>>,
+    table: TableCell<FixedRows>,
 }
 
 impl FixedBaseGt {
     /// Wraps `base`; the table is built on the first [`FixedBaseGt::pow`].
     pub fn new(base: Gt) -> Self {
-        Self {
-            base,
-            table: Arc::default(),
-        }
+        Self { base, table: TableCell::default() }
     }
 
     /// The base element.
@@ -717,24 +714,8 @@ impl FixedBaseGt {
     }
 
     fn rows(&self) -> &FixedRows {
-        self.table.get_or_init(|| {
-            dsaudit_obs::counter_inc("algebra.gt_tables_built");
-            fixed_rows(&self.base.0)
-        })
-    }
-}
-
-impl PartialEq for FixedBaseGt {
-    fn eq(&self, other: &Self) -> bool {
-        self.base == other.base
-    }
-}
-
-impl Eq for FixedBaseGt {}
-
-impl std::fmt::Debug for FixedBaseGt {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("FixedBaseGt").field(&self.base).finish()
+        self.table
+            .get_or_build("algebra.gt_tables_built", || fixed_rows(&self.base.0))
     }
 }
 

@@ -115,7 +115,7 @@ impl AuditBackend for PairingBackend {
                 pk: out.pk,
                 params,
                 tags: out.tags,
-                tag_table: LazyG1Table::new(),
+                tag_table: LazyG1Table::default(),
             })),
         })
     }

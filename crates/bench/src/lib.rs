@@ -71,7 +71,7 @@ impl Env {
             pk,
             file,
             tags,
-            tag_table: LazyG1Table::new(),
+            tag_table: LazyG1Table::default(),
             meta,
             auditor: Auditor::new(),
         };

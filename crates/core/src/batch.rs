@@ -64,11 +64,11 @@
 //! being a conjugation. No weight is drawn beyond the top level's.
 
 use std::iter::once;
-use std::sync::Arc;
 
 use dsaudit_algebra::endo::msm_g1;
 use dsaudit_algebra::field::Field;
 use dsaudit_algebra::g1::{G1Affine, G1Projective};
+use dsaudit_algebra::g2::G2Affine;
 use dsaudit_algebra::pairing::{final_exponentiation, multi_miller_loop, G2Prepared, Gt};
 use dsaudit_algebra::par::join;
 use dsaudit_algebra::Fr;
@@ -191,10 +191,10 @@ fn sides(
     keys: &[KeyTerms<'_, '_>],
     rhs: impl FnOnce() -> Gt + Send,
 ) -> (Gt, Gt) {
-    let g2: Vec<[Arc<G2Prepared>; 2]> = keys
-        .iter()
-        .map(|key| [&key.pk.eps, &key.pk.delta].map(|q| auditor.g2_cache().prepared(q)))
-        .collect();
+    // one lookup: each key's eps then delta, in key order, which the
+    // two closures pick apart by position
+    let g2_points: Vec<G2Affine> = keys.iter().flat_map(|key| [key.pk.eps, key.pk.delta]).collect();
+    let g2 = auditor.g2_cache().prepared(&g2_points);
     let ((fixed, rhs), challenged) = join(
         || {
             let rhs = rhs();
@@ -207,7 +207,7 @@ fn sides(
             // one shared inversion for every affine conversion
             let points = G1Projective::batch_to_affine(&points);
             let g2 =
-                once(G2Prepared::generator()).chain(g2.iter().map(|[_, delta]| delta.as_ref()));
+                once(G2Prepared::generator()).chain(g2.iter().skip(1).step_by(2).map(AsRef::as_ref));
             let pairs: Vec<(&G1Affine, &G2Prepared)> = points.iter().zip(g2).collect();
             let _miller = dsaudit_obs::span("algebra.miller_loop");
             (multi_miller_loop(&pairs), rhs)
@@ -218,7 +218,7 @@ fn sides(
                 .map(|key| key.eps_point(auditor.chi_cache()))
                 .collect();
             let points = G1Projective::batch_to_affine(&points);
-            let g2 = g2.iter().map(|[eps, _]| eps.as_ref());
+            let g2 = g2.iter().step_by(2).map(AsRef::as_ref);
             let pairs: Vec<(&G1Affine, &G2Prepared)> = points.iter().zip(g2).collect();
             let _miller = dsaudit_obs::span("algebra.miller_loop");
             multi_miller_loop(&pairs)

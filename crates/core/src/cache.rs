@@ -1,31 +1,28 @@
 //! Bounded verifier-side caches, owned by the [`crate::Auditor`] handle.
 //!
-//! Earlier revisions kept two process-wide statics: the `(name, i)`
-//! index-oracle cache behind `compute_chi` and the prepared-G2
-//! line-coefficient cache behind every pairing. Under million-file
-//! traffic those grow without limit and every verifier in the process
-//! shares one lock. Both now live inside each [`crate::Auditor`] (and
-//! are dropped with it), bounded by a capacity with FIFO eviction —
-//! oldest entry out first, so a flood of throwaway keys cycles through
-//! without wiping a hot working set all at once — and keep the hit/miss
-//! counters the bench harness and tests read.
+//! Two memoizations make repeated audit rounds cheap: [`ChiCache`], the
+//! `(name, i)` index-oracle points behind `chi`, and
+//! [`PreparedG2Cache`], the prepared line coefficients of the owner keys'
+//! G2 points. Each lives inside one [`crate::Auditor`] and is dropped
+//! with it, bounded by a capacity with FIFO eviction — oldest entry out
+//! first, so a flood of throwaway keys cycles through without wiping a
+//! hot working set all at once.
 //!
-//! Counters live *inside* the same mutex as the map, so a
-//! [`CacheStats`] snapshot is consistent with the cache body even under
-//! concurrent readers. Hits and misses are mirrored onto the
-//! `dsaudit-obs` registry (`core.cache.chi.*` / `core.cache.g2.*`) in
-//! batches of `OBS_FLUSH_EVERY` (64) lookups rather than one obs call
-//! per lookup: a warm verify performs hundreds of cache hits, and the
-//! telemetry mirror must not dominate the cost it measures. The obs
-//! counters therefore lag the exact [`CacheStats`] totals by at most
-//! one batch; the flush points are a deterministic function of the
-//! lookup sequence, so virtual-clock traces stay byte-reproducible.
+//! Both go through one lookup path, `BoundedCache::get_or_compute_many`:
+//! a single lookup is a batch of one. A batch takes the cache's lock
+//! twice, once to gather the warm entries and count the lookups, once
+//! to insert the cold ones computed in between. The hit/miss totals sit
+//! inside the same mutex as the map, so a [`CacheStats`] snapshot is
+//! consistent with the cache body. After each call drops the lock it
+//! adds its own hit and miss counts to the `dsaudit-obs` registry
+//! (`core.cache.chi.*` / `core.cache.g2.*`), one counter call each, so
+//! the obs counters equal [`CacheStats`] whenever no call is in flight.
 
 #![deny(missing_docs)]
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use dsaudit_algebra::endo::msm_g1;
 use dsaudit_algebra::g1::{G1Affine, G1Projective};
@@ -45,28 +42,27 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
+/// Locks `mutex`, recovering from poisoning: every cached value is a
+/// deterministic function of its key, so a map observed mid-panic of
+/// another thread is still internally consistent (worst case a
+/// concurrent insert is missing, which is the same as a benign racing
+/// miss). Verifier paths stay panic-free.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A capacity-bounded map with FIFO eviction and hit/miss counters.
 ///
 /// Misses compute outside the lock (two racing lookups may both compute
 /// a fresh entry, which is benign for deterministic values); insertion
-/// evicts the oldest keys until the capacity bound holds. A batch of
-/// keys is looked up under one lock and its misses inserted under one
-/// more. The counters
-/// sit inside the same mutex as the map, so [`BoundedCache::stats`] is
-/// one consistent snapshot rather than two racing atomic loads.
+/// evicts the oldest keys until the capacity bound holds.
 struct BoundedCache<K, V> {
-    inner: Mutex<BoundedMap<K, V>>,
+    inner: Mutex<Counted<K, V>>,
     capacity: usize,
     /// Obs counter names, built once so the hot path never formats.
     hit_metric: String,
     miss_metric: String,
 }
-
-/// Cache lookups between flushes of the hit/miss deltas to the obs
-/// registry. Small enough that traces track the caches closely, large
-/// enough that the mirror costs one obs call pair per batch instead of
-/// one per lookup on the verify hot path.
-const OBS_FLUSH_EVERY: u64 = 64;
 
 /// A map bounded by FIFO eviction: the oldest key out first.
 struct Fifo<K, V> {
@@ -98,59 +94,19 @@ impl<K: Eq + Hash + Clone, V> Fifo<K, V> {
     }
 }
 
-struct BoundedMap<K, V> {
+/// A [`Fifo`] and the hit/miss totals of the lookups into it.
+struct Counted<K, V> {
     fifo: Fifo<K, V>,
-    hits: u64,
-    misses: u64,
-    /// Hits not yet flushed to the obs registry.
-    pending_hits: u64,
-    /// Misses not yet flushed to the obs registry.
-    pending_misses: u64,
-}
-
-impl<K: Eq + Hash + Clone, V> BoundedMap<K, V> {
-    /// Counts one lookup; every `OBS_FLUSH_EVERY`-th returns the
-    /// `(hits, misses)` deltas to mirror onto the obs registry once the
-    /// lock is released.
-    fn count(&mut self, hit: bool) -> Option<(u64, u64)> {
-        if hit {
-            self.hits = self.hits.saturating_add(1);
-            self.pending_hits = self.pending_hits.saturating_add(1);
-        } else {
-            self.misses = self.misses.saturating_add(1);
-            self.pending_misses = self.pending_misses.saturating_add(1);
-        }
-        if self.pending_hits.saturating_add(self.pending_misses) < OBS_FLUSH_EVERY {
-            return None;
-        }
-        let deltas = (self.pending_hits, self.pending_misses);
-        self.pending_hits = 0;
-        self.pending_misses = 0;
-        Some(deltas)
-    }
+    stats: CacheStats,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
-    /// Locks the map, recovering from poisoning: entries are
-    /// deterministic values keyed by their inputs, so a map observed
-    /// mid-panic of another thread is still internally consistent
-    /// (worst case a concurrent insert is missing, which is the same
-    /// as a benign racing miss). Verifier paths stay panic-free.
-    fn locked(&self) -> std::sync::MutexGuard<'_, BoundedMap<K, V>> {
-        self.inner
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     fn new(capacity: usize, metric: &str) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         Self {
-            inner: Mutex::new(BoundedMap {
+            inner: Mutex::new(Counted {
                 fifo: Fifo::new(),
-                hits: 0,
-                misses: 0,
-                pending_hits: 0,
-                pending_misses: 0,
+                stats: CacheStats::default(),
             }),
             capacity,
             hit_metric: format!("{metric}.hits"),
@@ -158,61 +114,45 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
         }
     }
 
-    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        let (warm, flush) = {
-            let mut inner = self.locked();
-            let warm = inner.fifo.map.get(&key).cloned();
-            let flush = inner.count(warm.is_some());
-            (warm, flush)
-        };
-        if let Some(deltas) = flush {
-            self.flush(deltas);
-        }
-        if let Some(v) = warm {
-            return v;
-        }
-        let v = compute();
-        self.locked().fifo.insert(key, v.clone(), self.capacity);
-        v
-    }
-
-    /// [`Self::get_or_compute`] for a whole batch under two lock
-    /// acquisitions instead of one or two per key: the first gathers the
-    /// warm entries and counts every lookup, `compute` then fills in the
-    /// cold keys (each distinct one once, in first-occurrence order)
-    /// outside the lock, the second inserts them. Counting follows the
-    /// one-by-one order — a repeat of a cold key is a hit on its first
-    /// occurrence's value — so the totals and the obs flush points are
-    /// those of `keys.len()` sequential lookups. Beside the values comes
-    /// one flag per key: whether it was resident before the call.
+    /// The value of every key of `keys`, in order, and whether each was
+    /// resident before the call. `compute` gets the positions in `keys`
+    /// of the cold keys — each distinct one once, at its first
+    /// occurrence, in order — and returns their values; it runs outside
+    /// the lock. A repeat of a cold key counts as a hit on its first
+    /// occurrence's value, so the totals are those of `keys.len()`
+    /// lookups of one key each.
     fn get_or_compute_many(
         &self,
         keys: &[K],
-        compute: impl FnOnce(&[K]) -> Vec<V>,
+        compute: impl FnOnce(&[usize]) -> Vec<V>,
     ) -> (Vec<V>, Vec<bool>) {
         // per key: the warm value, or its slot among the cold keys
         let mut found: Vec<Result<V, usize>> = Vec::with_capacity(keys.len());
-        let mut cold: Vec<K> = Vec::new();
+        let mut cold: Vec<usize> = Vec::new();
         let mut cold_slot: HashMap<&K, usize> = HashMap::new();
-        let mut flushes = Vec::new();
-        {
-            let mut inner = self.locked();
-            for key in keys {
-                let (entry, hit) = match (inner.fifo.map.get(key), cold_slot.get(key)) {
-                    (Some(v), _) => (Ok(v.clone()), true),
-                    (None, Some(&slot)) => (Err(slot), true),
+        let (hits, misses) = {
+            let mut inner = lock(&self.inner);
+            for (j, key) in keys.iter().enumerate() {
+                found.push(match (inner.fifo.map.get(key), cold_slot.get(key)) {
+                    (Some(v), _) => Ok(v.clone()),
+                    (None, Some(&slot)) => Err(slot),
                     (None, None) => {
                         cold_slot.insert(key, cold.len());
-                        cold.push(key.clone());
-                        (Err(cold.len() - 1), false)
+                        cold.push(j);
+                        Err(cold.len() - 1)
                     }
-                };
-                found.push(entry);
-                flushes.extend(inner.count(hit));
+                });
             }
-        }
-        for deltas in flushes {
-            self.flush(deltas);
+            let misses = cold.len() as u64;
+            let hits = keys.len() as u64 - misses;
+            inner.stats.hits = inner.stats.hits.saturating_add(hits);
+            inner.stats.misses = inner.stats.misses.saturating_add(misses);
+            (hits, misses)
+        };
+        for (metric, n) in [(&self.hit_metric, hits), (&self.miss_metric, misses)] {
+            if n > 0 {
+                dsaudit_obs::counter_add(metric, n);
+            }
         }
         let resident: Vec<bool> = found.iter().map(Result::is_ok).collect();
         if cold.is_empty() {
@@ -224,36 +164,19 @@ impl<K: Eq + Hash + Clone, V: Clone> BoundedCache<K, V> {
             .into_iter()
             .map(|entry| entry.unwrap_or_else(|slot| computed[slot].clone()))
             .collect();
-        let mut inner = self.locked();
-        for (key, v) in cold.into_iter().zip(computed) {
-            inner.fifo.insert(key, v, self.capacity);
+        let mut inner = lock(&self.inner);
+        for (&j, v) in cold.iter().zip(computed) {
+            inner.fifo.insert(keys[j].clone(), v, self.capacity);
         }
         (out, resident)
     }
 
-    /// Mirrors one batch of hit/miss deltas onto the obs registry.
-    fn flush(&self, (hits, misses): (u64, u64)) {
-        if hits > 0 {
-            dsaudit_obs::counter_add(&self.hit_metric, hits);
-        }
-        if misses > 0 {
-            dsaudit_obs::counter_add(&self.miss_metric, misses);
-        }
-    }
-
     fn len(&self) -> usize {
-        self.locked().fifo.map.len()
+        lock(&self.inner).fifo.map.len()
     }
 
-    /// One snapshot under the cache's own lock: the totals are exactly
-    /// the hit/miss split of the lookups that have completed, never a
-    /// torn pair from two separate atomics.
     fn stats(&self) -> CacheStats {
-        let inner = self.locked();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-        }
+        lock(&self.inner).stats
     }
 }
 
@@ -371,25 +294,12 @@ impl ChiCache {
         }
     }
 
-    /// `H(name || i)`, served from the cache when warm.
-    pub fn index_oracle(&self, name: Fr, i: u64) -> G1Affine {
-        self.cache
-            .get_or_compute((name, i), || index_oracle(name, i))
-    }
-
-    /// `H(name || i)` for every `i` of `indices`, in order: warm
-    /// entries gathered under one lock, the cold ones hashed outside it
-    /// (across threads when there are enough) and inserted under one
-    /// more. A warm audit round is `k` hits for two lock acquisitions
-    /// and no thread.
-    pub fn index_oracles(&self, name: Fr, indices: &[u64]) -> Vec<G1Affine> {
-        self.gather(name, indices).0
-    }
-
-    /// [`ChiCache::index_oracles`] with the points' slice rows, for an
-    /// MSM over them: promotes the warm entries of a large enough
-    /// gather that have no row yet, and returns the rows when every
-    /// point has one.
+    /// `H(name || i)` for every `i` of `indices`, in order, with the
+    /// points' slice rows, for an MSM over them. The cold points are
+    /// hashed outside the lock (across threads when there are enough);
+    /// a warm audit round is `k` hits for one lock acquisition and no
+    /// thread. Promotes the warm entries of a large enough gather that
+    /// have no row yet, and returns the rows when every point has one.
     pub(crate) fn index_oracle_rows(&self, name: Fr, indices: &[u64]) -> ChiPoints {
         let (points, resident) = self.gather(name, indices);
         if indices.len() < SLICE_MSM_CUTOFF || !resident.contains(&true) {
@@ -397,7 +307,7 @@ impl ChiCache {
         }
         let window = *self.window.get_or_init(|| slice_window(indices.len()));
         let rows_of = || -> Vec<Option<SliceRow>> {
-            let fifo = self.rows_locked();
+            let fifo = lock(&self.rows);
             indices.iter().map(|&i| fifo.map.get(&(name, i)).cloned()).collect()
         };
         let mut rows = rows_of();
@@ -413,7 +323,7 @@ impl ChiCache {
             let built = slice_rows(&bases, window);
             dsaudit_obs::counter_add("core.chi_rows_promoted", promote.len() as u64);
             {
-                let mut fifo = self.rows_locked();
+                let mut fifo = lock(&self.rows);
                 for (&(i, _), row) in promote.iter().zip(built.chunks_exact(slice_count(window))) {
                     fifo.insert((name, i), Arc::from(row), self.row_capacity);
                 }
@@ -427,15 +337,6 @@ impl ChiCache {
         }
     }
 
-    /// The promoted rows, recovering from poisoning as
-    /// `BoundedCache::locked` does: a row is a deterministic function
-    /// of its key.
-    fn rows_locked(&self) -> std::sync::MutexGuard<'_, Fifo<ChiKey, SliceRow>> {
-        self.rows
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     /// The points of `indices`, and whether each was resident before.
     /// Hashing the misses is a `core.index_oracles` span; a warm gather
     /// records none.
@@ -443,7 +344,7 @@ impl ChiCache {
         let keys: Vec<ChiKey> = indices.iter().map(|&i| (name, i)).collect();
         self.cache.get_or_compute_many(&keys, |cold| {
             let _span = dsaudit_obs::span("core.index_oracles");
-            par_map(cold.len(), |j| index_oracle(cold[j].0, cold[j].1))
+            par_map(cold.len(), |j| index_oracle(name, indices[cold[j]]))
         })
     }
 
@@ -459,7 +360,7 @@ impl ChiCache {
 
     /// Entries holding a slice row.
     pub fn rows_len(&self) -> usize {
-        self.rows_locked().map.len()
+        lock(&self.rows).map.len()
     }
 
     /// Hit/miss counters since creation.
@@ -503,13 +404,21 @@ impl PreparedG2Cache {
         }
     }
 
-    /// The prepared form of `q`, served from the cache when warm. A miss
-    /// prepares under an `algebra.g2_prepare` span; a hit records none.
-    pub fn prepared(&self, q: &G2Affine) -> Arc<G2Prepared> {
-        self.cache.get_or_compute(q.to_compressed(), || {
-            let _span = dsaudit_obs::span("algebra.g2_prepare");
-            Arc::new(G2Prepared::from_affine(q))
-        })
+    /// The prepared form of every point of `points`, in order, served
+    /// from the cache when warm. Each cold point is prepared once, in
+    /// order of first occurrence, under its own `algebra.g2_prepare`
+    /// span; a hit records none.
+    pub fn prepared(&self, points: &[G2Affine]) -> Vec<Arc<G2Prepared>> {
+        let keys: Vec<[u8; 64]> = points.iter().map(G2Affine::to_compressed).collect();
+        let (prepared, _) = self.cache.get_or_compute_many(&keys, |cold| {
+            cold.iter()
+                .map(|&j| {
+                    let _span = dsaudit_obs::span("algebra.g2_prepare");
+                    Arc::new(G2Prepared::from_affine(&points[j]))
+                })
+                .collect()
+        });
+        prepared
     }
 
     /// Resident entries.
@@ -547,15 +456,20 @@ mod tests {
         rand::rngs::StdRng::seed_from_u64(0xcac4e)
     }
 
+    /// The points of one gather, without its rows.
+    fn points(cache: &ChiCache, name: Fr, indices: &[u64]) -> Vec<G1Affine> {
+        cache.gather(name, indices).0
+    }
+
     #[test]
     fn chi_cache_hits_and_matches_fresh_compute() {
         let mut rng = rng();
         let cache = ChiCache::new();
         let name = Fr::random(&mut rng);
         let fresh = index_oracle(name, 3);
-        assert_eq!(cache.index_oracle(name, 3), fresh);
+        assert_eq!(cache.gather(name, &[3]), (vec![fresh], vec![false]));
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
-        assert_eq!(cache.index_oracle(name, 3), fresh);
+        assert_eq!(cache.gather(name, &[3]), (vec![fresh], vec![true]));
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
@@ -565,14 +479,14 @@ mod tests {
         let cache = ChiCache::with_capacity(4);
         let name = Fr::random(&mut rng);
         for i in 0..10 {
-            let _ = cache.index_oracle(name, i);
+            let _ = points(&cache, name, &[i]);
         }
         assert_eq!(cache.len(), 4, "capacity bound must hold");
         // oldest entries (0..6) were evicted, newest (6..10) are warm
         let before = cache.stats();
-        let _ = cache.index_oracle(name, 9);
+        let _ = points(&cache, name, &[9]);
         assert_eq!(cache.stats().hits, before.hits + 1);
-        let _ = cache.index_oracle(name, 0);
+        let _ = points(&cache, name, &[0]);
         assert_eq!(cache.stats().misses, before.misses + 1);
         assert_eq!(cache.len(), 4, "re-inserting keeps the bound");
     }
@@ -584,25 +498,25 @@ mod tests {
         let expected: Vec<G1Affine> = indices.iter().map(|&i| index_oracle(name, i)).collect();
         let batched = ChiCache::new();
         // cold, then half warm, then all warm
-        assert_eq!(batched.index_oracles(name, &indices[..20]), expected[..20]);
-        assert_eq!(batched.index_oracles(name, &indices), expected);
-        assert_eq!(batched.index_oracles(name, &indices), expected);
+        assert_eq!(points(&batched, name, &indices[..20]), expected[..20]);
+        assert_eq!(points(&batched, name, &indices), expected);
+        assert_eq!(points(&batched, name, &indices), expected);
         let one_by_one = ChiCache::new();
         for round in [&indices[..20], &indices, &indices] {
             for (&i, want) in round.iter().zip(&expected) {
-                assert_eq!(one_by_one.index_oracle(name, i), *want);
+                assert_eq!(points(&one_by_one, name, &[i]), [*want]);
             }
         }
         assert_eq!(batched.stats(), one_by_one.stats());
         assert_eq!(batched.len(), one_by_one.len());
-        assert!(batched.index_oracles(name, &[]).is_empty());
+        assert!(points(&batched, name, &[]).is_empty());
     }
 
     #[test]
     fn batch_counts_a_repeated_cold_key_once() {
         let name = Fr::from_u64(12);
         let cache = ChiCache::new();
-        let got = cache.index_oracles(name, &[5, 9, 5, 5, 9]);
+        let got = points(&cache, name, &[5, 9, 5, 5, 9]);
         let (five, nine) = (index_oracle(name, 5), index_oracle(name, 9));
         assert_eq!(got, [five, nine, five, five, nine]);
         assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 2 });
@@ -614,34 +528,16 @@ mod tests {
         let name = Fr::from_u64(13);
         let cache = ChiCache::with_capacity(4);
         let indices: Vec<u64> = (0..10).collect();
-        let got = cache.index_oracles(name, &indices);
+        let got = points(&cache, name, &indices);
         let expected: Vec<G1Affine> = indices.iter().map(|&i| index_oracle(name, i)).collect();
         assert_eq!(got, expected, "evicted entries are still returned");
         assert_eq!(cache.len(), 4, "capacity bound must hold");
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 0,
-                misses: 10
-            }
-        );
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 10 });
         // the newest four (6..10) stayed, the oldest six went
-        let _ = cache.index_oracles(name, &[6, 7, 8, 9]);
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 4,
-                misses: 10
-            }
-        );
-        let _ = cache.index_oracles(name, &[0]);
-        assert_eq!(
-            cache.stats(),
-            CacheStats {
-                hits: 4,
-                misses: 11
-            }
-        );
+        let _ = points(&cache, name, &[6, 7, 8, 9]);
+        assert_eq!(cache.stats(), CacheStats { hits: 4, misses: 10 });
+        let _ = points(&cache, name, &[0]);
+        assert_eq!(cache.stats(), CacheStats { hits: 4, misses: 11 });
         assert_eq!(cache.len(), 4);
     }
 
@@ -657,7 +553,7 @@ mod tests {
                 scope.spawn(move || {
                     start.wait();
                     for _ in 0..3 {
-                        let got = cache.index_oracles(name, indices);
+                        let got = points(cache, name, indices);
                         assert_eq!(got[0], index_oracle(name, indices[0]));
                     }
                 });
@@ -680,26 +576,38 @@ mod tests {
         let cache = PreparedG2Cache::with_capacity(2);
         let p = G1Projective::random(&mut rng).to_affine();
         let q = G2Projective::random(&mut rng).to_affine();
-        let prep = cache.prepared(&q);
+        let [prep] = <[_; 1]>::try_from(cache.prepared(&[q])).expect("one point");
         assert_eq!(
             multi_pairing_prepared(&[(&p, prep.as_ref())]),
             pairing(&p, &q)
         );
-        let again = cache.prepared(&q);
+        let [again] = <[_; 1]>::try_from(cache.prepared(&[q])).expect("one point");
         assert_eq!(cache.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(
-            multi_pairing_prepared(&[(&p, again.as_ref())]),
-            pairing(&p, &q)
-        );
+        assert!(Arc::ptr_eq(&prep, &again), "a hit serves the cached preparation");
         // identity prepares and pairs correctly too
-        let id = cache.prepared(&G2Affine::identity());
+        let [id] = <[_; 1]>::try_from(cache.prepared(&[G2Affine::identity()])).expect("one point");
         assert!(multi_pairing_prepared(&[(&p, id.as_ref())]).is_identity());
         // eviction keeps the bound
-        for _ in 0..4 {
-            let r = G2Projective::random(&mut rng).to_affine();
-            let _ = cache.prepared(&r);
-        }
+        let more: Vec<G2Affine> = (0..4).map(|_| G2Projective::random(&mut rng).to_affine()).collect();
+        assert_eq!(cache.prepared(&more).len(), 4);
         assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn prepared_batch_counts_as_lookups_of_one() {
+        let mut rng = rng();
+        let [a, b] = [(); 2].map(|()| G2Projective::random(&mut rng).to_affine());
+        let batched = PreparedG2Cache::new();
+        let got = batched.prepared(&[a, b, a]);
+        assert_eq!(batched.stats(), CacheStats { hits: 1, misses: 2 });
+        assert_eq!(batched.len(), 2);
+        assert!(Arc::ptr_eq(&got[0], &got[2]), "a repeat reuses its first occurrence's preparation");
+        let one_by_one = PreparedG2Cache::new();
+        for q in [a, b, a] {
+            let _ = one_by_one.prepared(&[q]);
+        }
+        assert_eq!(batched.stats(), one_by_one.stats());
+        assert!(batched.prepared(&[]).is_empty());
     }
 
     #[test]
@@ -707,7 +615,7 @@ mod tests {
         let cache = ChiCache::with_capacity(2);
         let name = Fr::from_u64(7);
         for _ in 0..5 {
-            let _ = cache.index_oracle(name, 1);
+            let _ = points(&cache, name, &[1]);
         }
         assert_eq!(cache.len(), 1);
     }

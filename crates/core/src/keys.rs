@@ -254,7 +254,7 @@ impl Codec for PublicKey {
             delta,
             alpha_powers_g1,
             e_g1_eps: FixedBaseGt::new(e_g1_eps),
-            alpha_table: LazyG1Table::new(),
+            alpha_table: LazyG1Table::default(),
         };
         pk.validate()?;
         Ok(pk)
@@ -292,7 +292,7 @@ pub fn public_key_for(sk: &SecretKey, s: usize) -> PublicKey {
         delta,
         alpha_powers_g1,
         e_g1_eps: FixedBaseGt::new(e_g1_eps),
-        alpha_table: LazyG1Table::new(),
+        alpha_table: LazyG1Table::default(),
     }
 }
 

@@ -76,7 +76,7 @@ impl StorageProvider {
             pk,
             file,
             tags,
-            tag_table: LazyG1Table::new(),
+            tag_table: LazyG1Table::default(),
         })
     }
 

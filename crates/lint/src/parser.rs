@@ -461,16 +461,17 @@ impl<'a> Parser<'a> {
                 }
             }
             ItemKind::Other { what, name }
-        } else if self.at_any_ident()
-            && self.punct_at(1, "!")
-            && (self.punct_at(2, "(") || self.punct_at(2, "[") || self.punct_at(2, "{"))
-        {
+        } else if let Some(path_len) = self.item_macro_path() {
             // item-position macro invocation: `proptest! { ... }`,
-            // `criterion_group!(...)`. Brace-delimited contents are
-            // parsed as items so fns inside (proptest bodies) reach
-            // the call graph; other delimiters are skipped whole.
-            let name = self.bump().expect("macro name").text.clone();
-            self.pos += 1; // !
+            // `criterion_group!(...)`, `krate::m!(...)`. Brace-delimited
+            // contents are parsed as items so fns inside (proptest
+            // bodies) reach the call graph; other delimiters are
+            // skipped whole.
+            let name: String = self.toks[self.pos..self.pos + path_len]
+                .iter()
+                .map(|t| t.text.as_str())
+                .collect();
+            self.pos += path_len + 1; // path, !
             let braced = self.at_punct("{");
             let close = self.matching(self.pos);
             let items = if braced {
@@ -502,6 +503,21 @@ impl<'a> Parser<'a> {
             span: (start, self.pos),
             is_test,
         }
+    }
+
+    /// The token length of the macro path `a::b::m` when an item-position
+    /// invocation `a::b::m!(..)` / `[..]` / `{..}` starts at `pos`.
+    fn item_macro_path(&self) -> Option<usize> {
+        let ident_at = |off: usize| self.peek_at(off).is_some_and(|t| t.kind == TokenKind::Ident);
+        if !ident_at(0) {
+            return None;
+        }
+        let mut len = 1;
+        while self.punct_at(len, ":") && self.punct_at(len + 1, ":") && ident_at(len + 2) {
+            len += 3;
+        }
+        let delimited = ["(", "[", "{"].iter().any(|d| self.punct_at(len + 1, d));
+        (self.punct_at(len, "!") && delimited).then_some(len)
     }
 
     fn bump_ident_name(&mut self) -> String {
@@ -1698,6 +1714,27 @@ mod tests {
         assert!(facts.contains(&"macro:assert_eq".to_string()));
         assert!(facts.contains(&"call:a".to_string()));
         assert!(facts.contains(&"call:b".to_string()));
+    }
+
+    #[test]
+    fn path_macros_at_item_position_parse_as_macro_items() {
+        let src = "dsaudit_crypto::assert_not_formattable!(SecretKey);\n\
+                   crate::m! { fn f() { g(); } }\nfn g() {}\n";
+        let ast = parse_src(src);
+        let names: Vec<&str> = ast
+            .items
+            .iter()
+            .filter_map(|item| match &item.kind {
+                ItemKind::Mod { name, .. } => Some(name.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(names, ["dsaudit_crypto::assert_not_formattable!", "crate::m!"]);
+        assert_eq!(ast.opaque_tokens(), 0);
+        let graph = crate::callgraph::CallGraph::build(&[("a.rs".to_string(), lex(src), ast)]);
+        let f = graph.find("f").expect("the braced body's fn is in the call graph");
+        let g = graph.find("g").expect("g");
+        assert!(graph.calls[f].iter().any(|site| site.callees.contains(&g)));
     }
 
     #[test]

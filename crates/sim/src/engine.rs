@@ -133,19 +133,15 @@ struct ShadowSlot {
 }
 
 /// One backend driven head-to-head against the primary pairing path:
-/// an [`AuditContract`] per share plus the lane's running totals.
+/// an [`AuditContract`] per share plus the lane's report row, whose
+/// `gas` and `proof_bytes` [`Simulation::finalize`] reads off the chain.
 struct ShadowLane {
     /// The lane's backend, sized for this run's shares; it sets up
     /// every slot and answers every round.
     backend: Box<dyn AuditBackend>,
     /// Parallel to `Simulation::placements`.
     slots: Vec<ShadowSlot>,
-    audits: u64,
-    passes: u64,
-    failures: u64,
-    false_accepts: u64,
-    false_rejects: u64,
-    prover_calls: u64,
+    row: BackendLane,
 }
 
 /// One primary proof of an audit phase, run as a parallel job: the
@@ -338,15 +334,17 @@ impl Simulation {
         self.shadows = cfg
             .backends
             .iter()
-            .map(|&id| ShadowLane {
-                backend: Self::lane_backend(&cfg, id),
-                slots: Vec::new(),
-                audits: 0,
-                passes: 0,
-                failures: 0,
-                false_accepts: 0,
-                false_rejects: 0,
-                prover_calls: 0,
+            .map(|&id| {
+                let backend = Self::lane_backend(&cfg, id);
+                let row = BackendLane {
+                    backend: backend.id().name().to_string(),
+                    ..BackendLane::default()
+                };
+                ShadowLane {
+                    backend,
+                    slots: Vec::new(),
+                    row,
+                }
             })
             .collect();
         for o in 0..cfg.owners {
@@ -868,7 +866,7 @@ impl Simulation {
                     .prove(&mut self.rng, &slot.kit, blob, lane_beacon)
                     .expect("a same-shape blob always proves");
                 lane_calls[pl_id].push((slot.provider, slot.contract, lane_proof.encode()));
-                lane.prover_calls += 1;
+                lane.row.prover_calls += 1;
             }
         }
         let proofs = par_jobs(proving.len(), |j| {
@@ -978,16 +976,16 @@ impl Simulation {
                 let got = *settled
                     .get(&self.shadows[li].slots[pl_id].contract)
                     .expect("every challenged shadow round settles within its epoch");
-                let lane = &mut self.shadows[li];
-                lane.audits += 1;
+                let row = &mut self.shadows[li].row;
+                row.audits += 1;
                 if got {
-                    lane.passes += 1;
+                    row.passes += 1;
                 } else {
-                    lane.failures += 1;
+                    row.failures += 1;
                 }
                 match (exp, got) {
-                    (true, false) => lane.false_rejects += 1,
-                    (false, true) => lane.false_accepts += 1,
+                    (true, false) => row.false_rejects += 1,
+                    (false, true) => row.false_accepts += 1,
                     _ => {}
                 }
             }
@@ -1168,24 +1166,14 @@ impl Simulation {
             }
         }
         for lane in &self.shadows {
-            let (mut gas, mut proof_bytes) = (0u64, 0u64);
+            let mut row = lane.row.clone();
             for s in &lane.slots {
                 if let Some(&(g, b)) = metered.get(&s.contract) {
-                    gas += g;
-                    proof_bytes += b;
+                    row.gas += g;
+                    row.proof_bytes += b;
                 }
             }
-            self.report.backend_lanes.push(BackendLane {
-                backend: lane.backend.id().name().to_string(),
-                audits: lane.audits,
-                passes: lane.passes,
-                failures: lane.failures,
-                false_accepts: lane.false_accepts,
-                false_rejects: lane.false_rejects,
-                gas,
-                proof_bytes,
-                prover_calls: lane.prover_calls,
-            });
+            self.report.backend_lanes.push(row);
         }
     }
 }

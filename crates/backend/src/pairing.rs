@@ -12,7 +12,7 @@ use dsaudit_core::codec::{ByteReader, Codec};
 use dsaudit_core::verify::FileMeta;
 use dsaudit_core::{
     AuditParams, Auditor, Challenge, DataOwner, EncodedFile, PrivateProof, Prover, PublicKey,
-    Verdict,
+    StorageProvider, Verdict,
 };
 
 use crate::wire::{BackendProof, Commitment};
@@ -63,6 +63,19 @@ impl PairingBackend {
             pk,
             meta,
             auditor: Auditor::new(),
+        }))
+    }
+
+    /// The kit for a file a [`StorageProvider`] ingested through the
+    /// role API: the owner's key, the file's parameters and the tags the
+    /// provider validated — what [`AuditBackend::setup`] builds for a
+    /// file it outsources itself.
+    pub fn kit_for(provider: &StorageProvider) -> ProverKit {
+        ProverKit::Pairing(Box::new(PairingKit {
+            pk: provider.public_key().clone(),
+            params: provider.file().params,
+            tags: provider.tags().to_vec(),
+            tag_table: LazyG1Table::default(),
         }))
     }
 

@@ -6,7 +6,7 @@ use dsaudit_core::params::{chunks_for_confidence, AuditParams};
 use dsaudit_core::proof::{PLAIN_PROOF_BYTES, PRIVATE_PROOF_BYTES};
 use dsaudit_core::{generate_tags, Auditor, DsAuditError, Verdict};
 
-use crate::{rng, timed, Env, CALL};
+use crate::{rng, timed, Env};
 
 /// Ms of one verification on `env`, read off the verifiers' spans:
 /// `[plain, private, private cold]`. The first two run through the
@@ -206,59 +206,20 @@ pub fn fig10() {
     println!("[paper: linear, ~12 s at 300 owners; ~20 s at 5,000-user scale]");
 }
 
-/// Fig. 10-style **measured** batched-verification series (§VII-D).
-///
-/// First one provider hosting 1..30 users, each round settled
-/// end-to-end through the contract layer, per-user against batched.
-/// Then the verification-only curve for n = 1..64 items: the same proofs
-/// through one `verify_private_batch` and through n single
-/// verifications, in ms per item, under one owner key and under n
-/// distinct keys. A batch pairs `1 + 2 * (distinct keys)` points in one
-/// Miller loop — 3 under one key, `2n + 1` under distinct keys — where n
-/// single verifications pay `3n` pairs and n final exponentiations.
-/// Every honest batch must accept.
+/// Fig. 10-style **measured** batched-verification series (§VII-D):
+/// for n = 1..64 items, the same proofs through one
+/// `verify_private_batch` and through n single verifications, in ms per
+/// item, under one owner key and under n distinct keys. A batch pairs
+/// `1 + 2 * (distinct keys)` points in one Miller loop — 3 under one
+/// key, `2n + 1` under distinct keys — where n single verifications pay
+/// `3n` pairs and n final exponentiations. Every honest batch must
+/// accept.
 pub fn fig10_batched() {
-    use dsaudit_contract::harness::AgreementTerms;
-    use dsaudit_contract::registry::AuditNetwork;
-    use dsaudit_chain::types::Address;
-
-    println!("Fig. 10-style — measured round settlement, batched vs per-user");
-    println!(
-        "{:>6} {:>16} {:>16} {:>10}",
-        "users", "per-user (ms)", "batched (ms)", "speedup"
-    );
-    let params = AuditParams::new(4, 8).expect("valid params");
-    for &users in &[1usize, 2, 5, 10, 20, 30] {
-        let mut round_ms = [0.0f64; 2];
-        for (slot, batched) in [(0usize, false), (1usize, true)] {
-            let mut rng = rng();
-            let terms = AgreementTerms {
-                num_audits: 2,
-                batch_auditor: batched.then(|| Address::from_label("bench/batch-auditor")),
-                ..AgreementTerms::default()
-            };
-            let mut net = AuditNetwork::new(&mut rng, users, 2048, params, terms);
-            // the warm-up settles the first of the two audits
-            round_ms[slot] = timed(1, || {
-                let stats = net.run_round_all(&mut rng);
-                assert_eq!(stats.passes, users as u64, "honest round must pass");
-            })
-            .mean_ms(CALL);
-        }
-        println!(
-            "{:>6} {:>16.1} {:>16.1} {:>9.2}x",
-            users,
-            round_ms[0],
-            round_ms[1],
-            round_ms[0] / round_ms[1]
-        );
-    }
-    println!("(end-to-end rounds include challenge + proving; verification-only below)");
-
     use dsaudit_core::batch::BatchItem;
     use dsaudit_core::{DataOwner, PublicKey, StorageProvider};
 
     const MAX_ITEMS: usize = 64;
+    let params = AuditParams::new(4, 8).expect("valid params");
     let respond = |r: &mut rand::rngs::StdRng, owner: &DataOwner, u: usize| {
         let data: Vec<u8> = (0..2048).map(|i| ((i + u * 13) % 251) as u8).collect();
         let bundle = owner.outsource(r, &data);
@@ -308,7 +269,7 @@ pub fn fig10_batched() {
         .mean_ms("core.verify_batch");
         (batched / n as f64, single)
     };
-    println!("\nverification only, ms per item (ratio = batched / single)");
+    println!("Fig. 10-style — verification only, ms per item (ratio = batched / single)");
     println!(
         "{:>4} | {:>9} {:>9} {:>6} | {:>9} {:>9} {:>6}",
         "n", "one key", "single", "ratio", "distinct", "single", "ratio"
@@ -364,7 +325,7 @@ pub fn baseline() {
     use dsaudit_backend::{AuditBackend, BackendId, MerkleBackend};
     use dsaudit_chain::beacon::TrustedBeacon;
     use dsaudit_chain::chain::Blockchain;
-    use dsaudit_contract::harness::{latest_beacon, setup_backend_session, submit_ok};
+    use dsaudit_contract::harness::{run_round, setup_backend_session};
     use dsaudit_core::Codec;
 
     println!("Baseline (Sia-style Merkle) vs. main protocol, on chain");
@@ -390,25 +351,15 @@ pub fn baseline() {
         },
         None,
     );
-    let mut merkle_proof_bytes = 0usize;
     for _ in 0..3 {
-        chain.advance_time(terms.audit_interval_secs + 1);
-        chain.mine_block();
-        let rand = latest_beacon(&chain, session.contract).expect("challenged");
-        let wire = merkle
-            .prove(&mut r, &session.kit, &session.stored, &rand)
-            .expect("honest prover")
-            .encode();
-        merkle_proof_bytes += wire.len();
-        submit_ok(&mut chain, session.provider, session.contract, "prove", wire, 0);
-        chain.advance_time(terms.prove_deadline_secs + 1);
-        chain.mine_block();
+        assert!(run_round(&mut r, &mut chain, &session, true), "the honest baseline passes");
     }
-    assert_eq!(
-        chain.all_events().iter().filter(|e| e.name == "pass").count(),
-        3,
-        "the honest baseline passes every round"
-    );
+    // a merkle proof's size is fixed by `k` and the tree depth
+    let merkle_proof_bytes = merkle
+        .prove(&mut r, &session.kit, &session.stored, &[0u8; 48])
+        .expect("honest prover")
+        .encode()
+        .len();
     let merkle_gas = chain.total_gas_used();
 
     // --- main protocol (same chain machinery) ---
@@ -417,12 +368,12 @@ pub fn baseline() {
     let session =
         dsaudit_contract::setup_session(&mut r, &mut chain2, "main", &file, params, None, terms);
     for _ in 0..3 {
-        assert!(dsaudit_contract::run_round(&mut r, &mut chain2, &session, true));
+        assert!(run_round(&mut r, &mut chain2, &session, true));
     }
     let main_gas = chain2.total_gas_used();
 
     println!("{:>24} {:>18} {:>14}", "", "proof bytes/round", "gas (3 rounds)");
-    println!("{:>24} {:>18} {:>14}   + raw file data exposed on chain", "Merkle baseline", merkle_proof_bytes / 3, merkle_gas);
+    println!("{:>24} {:>18} {:>14}   + raw file data exposed on chain", "Merkle baseline", merkle_proof_bytes, merkle_gas);
     println!("{:>24} {:>18} {:>14}   data-private (witness-indist.)", "main protocol", 288, main_gas);
     println!("[the baseline also degrades with file size: path grows as 32*log2(n); the main proof is constant]");
 }

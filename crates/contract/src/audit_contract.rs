@@ -194,8 +194,14 @@ impl AuditContract {
     /// at deployment. Taking a [`Verifier`] rather than bytes is what
     /// makes "stored commitment does not decode" unrepresentable here:
     /// `AuditBackend::verifier` (or `PairingBackend::verifier_for`)
-    /// already refused it.
-    pub fn new(agreement: Agreement, verifier: Box<dyn Verifier>) -> Self {
+    /// already refused it. With a `batch_auditor` the round verdict is
+    /// accepted from that address (the §VII-D batch verifier) instead of
+    /// being computed here at the `Verify` trigger.
+    pub fn new(
+        agreement: Agreement,
+        verifier: Box<dyn Verifier>,
+        batch_auditor: Option<Address>,
+    ) -> Self {
         Self {
             agreement,
             verifier,
@@ -207,7 +213,7 @@ impl AuditContract {
             provider_pool: 0,
             challenge: None,
             pending_proof: None,
-            batch_auditor: None,
+            batch_auditor,
             pending_migration: None,
             onchain_proof_bytes: 0,
             metered_gas: 0,
@@ -237,15 +243,6 @@ impl AuditContract {
             .is_ok_and(|verdict| verdict.accepted());
         self.charge(env, GasSchedule::default().verify_gas());
         ok
-    }
-
-    /// Switches the contract into batched-verification mode: the round
-    /// verdict is accepted from `auditor` (the §VII-D batch verifier)
-    /// instead of being computed per contract at the `Verify` trigger.
-    #[must_use]
-    pub fn with_batch_auditor(mut self, auditor: Address) -> Self {
-        self.batch_auditor = Some(auditor);
-        self
     }
 
     /// Current phase.
@@ -580,7 +577,8 @@ impl ContractBehavior for AuditContract {
 mod tests {
     use super::*;
     use crate::harness::{
-        latest_beacon, setup_backend_session, submit_ok, AgreementTerms, BackendSession,
+        beacon_since, run_round, run_round_multi, setup_backend_session, submit_ok,
+        AgreementTerms, BackendSession,
     };
     use dsaudit_backend::{
         backend_for, AuditBackend, Groth16MerkleBackend, MerkleBackend, PairingBackend,
@@ -648,6 +646,11 @@ mod tests {
             .collect()
     }
 
+    /// Every session of `fleet`, all answering or all silent.
+    fn lockstep(fleet: &[BackendSession], honest: bool) -> Vec<(&BackendSession, bool)> {
+        fleet.iter().map(|d| (d, honest)).collect()
+    }
+
     fn event_count(chain: &Blockchain, contract: Address, name: &str) -> usize {
         chain
             .all_events()
@@ -670,26 +673,8 @@ mod tests {
         let fleet = deploy_fleet(&mut chain, &data, 2);
         let mut rng = StdRng::seed_from_u64(0x50a1);
         for _ in 0..2 {
-            chain.advance_time(3601);
-            chain.mine_block();
-            for d in &fleet {
-                let beacon = latest_beacon(&chain, d.contract).expect("challenged");
-                let backend = small_backend(d.backend);
-                let proof = backend
-                    .prove(&mut rng, &d.kit, &data, &beacon)
-                    .expect("prove");
-                chain.submit(call_tx(d.provider, d.contract, "prove", proof.encode(), 0));
-                let b = chain.mine_block();
-                assert_eq!(
-                    b.txs[0].1.status,
-                    TxStatus::Success,
-                    "{}: {:?}",
-                    d.backend,
-                    b.txs[0].1.revert_reason
-                );
-            }
-            chain.advance_time(601);
-            chain.mine_block();
+            let verdicts = run_round_multi(&mut rng, &mut chain, &lockstep(&fleet, true));
+            assert_eq!(verdicts, [true; 3]);
         }
         for d in &fleet {
             assert_eq!(
@@ -705,34 +690,39 @@ mod tests {
     fn corrupted_store_fails_round_on_every_backend() {
         let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"backend-corrupt")));
         let data: Vec<u8> = (0..1024).map(|i| (i % 247) as u8).collect();
-        let fleet = deploy_fleet(&mut chain, &data, 1);
+        let mut fleet = deploy_fleet(&mut chain, &data, 1);
         // flip a bit in every 31-byte window so each backend's
         // challenged unit hits damage regardless of leaf geometry
-        let mut bad = data.clone();
-        for i in (0..bad.len()).step_by(31) {
-            bad[i] ^= 0x08;
+        for d in &mut fleet {
+            for i in (0..d.stored.len()).step_by(31) {
+                d.stored[i] ^= 0x08;
+            }
         }
         let mut rng = StdRng::seed_from_u64(0x50a2);
-        chain.advance_time(3601);
-        chain.mine_block();
+        let verdicts = run_round_multi(&mut rng, &mut chain, &lockstep(&fleet, true));
+        assert_eq!(verdicts, [false; 3]);
         for d in &fleet {
-            let beacon = latest_beacon(&chain, d.contract).expect("challenged");
-            let proof = small_backend(d.backend)
-                .prove(&mut rng, &d.kit, &bad, &beacon)
-                .expect("prove");
-            chain.submit(call_tx(d.provider, d.contract, "prove", proof.encode(), 0));
-            let b = chain.mine_block();
-            assert_eq!(b.txs[0].1.status, TxStatus::Success);
-        }
-        chain.advance_time(601);
-        chain.mine_block();
-        for d in &fleet {
+            let timeouts = event_count(&chain, d.contract, "timeout");
+            assert_eq!(timeouts, 0, "{}: proof posted", d.backend);
             assert_eq!(
                 verdict_counts(&chain, d.contract),
                 (0, 1),
                 "backend `{}` must fail the corrupted round",
                 d.backend
             );
+        }
+    }
+
+    #[test]
+    fn silent_provider_times_out_on_every_backend() {
+        let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"backend-silent")));
+        let data: Vec<u8> = (0..1024).map(|i| (i % 247) as u8).collect();
+        let fleet = deploy_fleet(&mut chain, &data, 1);
+        let mut rng = StdRng::seed_from_u64(0x50a5);
+        let verdicts = run_round_multi(&mut rng, &mut chain, &lockstep(&fleet, false));
+        assert_eq!(verdicts, [false; 3]);
+        for d in &fleet {
+            assert_eq!(event_count(&chain, d.contract, "timeout"), 1, "{}: expired", d.backend);
         }
     }
 
@@ -745,7 +735,7 @@ mod tests {
         assert_eq!(pairing.backend, BackendId::Pairing);
         chain.advance_time(3601);
         chain.mine_block();
-        let beacon = latest_beacon(&chain, pairing.contract).expect("challenged");
+        let beacon = beacon_since(&chain, 0, pairing.contract).expect("challenged");
 
         // garbage calldata
         chain.submit(call_tx(pairing.provider, pairing.contract, "prove", vec![0xff; 3], 0));
@@ -844,26 +834,14 @@ mod tests {
     fn merkle_contract_migrates_and_successor_earns_the_rest() {
         let mut chain = Blockchain::new(Box::new(TrustedBeacon::new(b"backend-migrate")));
         let data: Vec<u8> = (0..1024).map(|i| (i % 247) as u8).collect();
-        let fleet = deploy_fleet(&mut chain, &data, 3);
-        let d = &fleet[1];
+        let mut d = deploy_fleet(&mut chain, &data, 3).remove(1);
         assert_eq!(d.backend, BackendId::Merkle);
         let t = terms(3);
-        let backend = small_backend(d.backend);
         let mut rng = StdRng::seed_from_u64(0x50a6);
-        let mut round = |chain: &mut Blockchain, sender: Address| {
-            chain.advance_time(3601);
-            chain.mine_block();
-            let beacon = latest_beacon(chain, d.contract).expect("challenged");
-            let proof = backend.prove(&mut rng, &d.kit, &data, &beacon).expect("prove");
-            submit_ok(chain, sender, d.contract, "prove", proof.encode(), 0);
-            chain.advance_time(601);
-            chain.mine_block();
-        };
 
         // round 0 is served by the original provider
         let old_before = chain.balance(d.provider);
-        round(&mut chain, d.provider);
-        assert_eq!(verdict_counts(&chain, d.contract), (1, 0));
+        assert!(run_round(&mut rng, &mut chain, &d, true));
 
         // the owner re-homes the share; the successor covers the two
         // remaining rounds' penalties and the old provider is refunded
@@ -880,8 +858,9 @@ mod tests {
 
         // the successor serves the remaining rounds and collects
         let successor_before = chain.balance(successor);
-        round(&mut chain, successor);
-        round(&mut chain, successor);
+        d.provider = successor;
+        assert!(run_round(&mut rng, &mut chain, &d, true));
+        assert!(run_round(&mut rng, &mut chain, &d, true));
         assert_eq!(verdict_counts(&chain, d.contract), (3, 0));
         assert_eq!(
             chain.balance(successor) - successor_before,

@@ -2,77 +2,73 @@
 //! and the on-chain contract: deployment, deposits, and the
 //! challenge/prove/verify round-trip of one audit round.
 //!
-//! Two ways in, one contract out. [`setup_session`] plays the paper's
-//! protocol through the role handles of `dsaudit-core` — a
+//! One session type, one round driver. [`setup_session`] plays the
+//! paper's protocol through the role handles of `dsaudit-core` — a
 //! [`DataOwner`] produces the outsourcing bundle, a [`StorageProvider`]
-//! validates and holds it — and [`setup_backend_session`] lets any
-//! [`AuditBackend`] process the data itself. Both end in the same
-//! [`AuditContract`], built around the backend's [`Verifier`] and taken
-//! through negotiate → ack → deposits by one helper. (The typed
-//! off-chain session type is `dsaudit_core::session::AuditSession`; the
-//! on-chain pendants here are [`ContractSession`] and
-//! [`BackendSession`].)
+//! validates it before acknowledging — and [`setup_backend_session`]
+//! lets any [`AuditBackend`] process the data itself. Both return a
+//! [`BackendSession`]: an [`AuditContract`] built around the backend's
+//! [`Verifier`], deployed by [`deploy`] and taken through negotiate →
+//! ack → deposits in one block, plus the provider's kit and stored
+//! bytes. [`run_round`] and its lockstep form [`run_round_multi`] prove
+//! through the session's backend, whichever it is. (The typed off-chain
+//! session type is `dsaudit_core::session::AuditSession`.)
 
-use dsaudit_backend::{AuditBackend, BackendId, PairingBackend, ProverKit, Verifier};
+use dsaudit_backend::{backend_for, AuditBackend, BackendId, PairingBackend, ProverKit, Verifier};
 use dsaudit_chain::chain::Blockchain;
-use dsaudit_chain::types::{eth, Address, Transaction, TxKind, TxStatus, Wei};
-use dsaudit_core::{Challenge, Codec, DataOwner, StorageProvider};
+use dsaudit_chain::types::{eth, Address, Event, Transaction, TxKind, TxStatus, Wei};
+use dsaudit_core::{Codec, DataOwner, StorageProvider};
 
 use crate::audit_contract::{Agreement, AuditContract};
 
-/// A fully initialized audit session on chain: deployed contract, both
-/// deposits locked, first challenge scheduled.
-pub struct ContractSession {
-    /// Deployed contract address.
-    pub contract: Address,
-    /// Data owner account.
-    pub owner: Address,
-    /// Storage provider account.
-    pub provider: Address,
-    /// Provider-side role handle for responding to challenges.
-    pub provider_state: StorageProvider,
-    /// Terms in force.
-    pub agreement: Agreement,
+/// Deploys an [`AuditContract`] for `agreement` around `verifier` and
+/// queues negotiate → ack → both deposits for the next block. With a
+/// `batch_auditor` the contract takes its round verdicts from that
+/// address (§VII-D batched mode) instead of verifying at the `Verify`
+/// trigger. Returns the contract address; both parties must hold their
+/// deposits when the block is mined.
+pub fn deploy(
+    chain: &mut Blockchain,
+    label: &str,
+    agreement: Agreement,
+    verifier: Box<dyn Verifier>,
+    batch_auditor: Option<Address>,
+) -> Address {
+    let contract = AuditContract::new(agreement, verifier, batch_auditor);
+    let addr = chain.deploy(label, Box::new(contract));
+    let (owner, provider) = (agreement.owner, agreement.provider);
+    queue_call(chain, owner, addr, "negotiate", Vec::new(), 0);
+    queue_call(chain, provider, addr, "acked", Vec::new(), 0);
+    queue_call(chain, owner, addr, "freeze", Vec::new(), agreement.owner_deposit);
+    queue_call(chain, provider, addr, "freeze", Vec::new(), agreement.provider_deposit);
+    addr
 }
 
-impl ContractSession {
-    /// The provider's wire response to a challenge: the canonical
-    /// 288-byte proof in the pairing backend's frame, as posted in
-    /// `prove` calldata.
-    pub fn respond_wire<R: rand::RngCore + ?Sized>(
-        &self,
-        rng: &mut R,
-        challenge: &Challenge,
-    ) -> Vec<u8> {
-        PairingBackend::frame(&self.provider_state.respond(rng, challenge)).encode()
-    }
-}
-
-/// Deploys an [`AuditContract`] around `verifier` for the accounts
-/// `{label}/owner` and `{label}/provider` (funded here) and takes it
-/// through negotiate → ack → both deposits. Returns the contract
-/// address and the agreement in force.
-fn deploy(
+/// Funds `{label}/owner` and `{label}/provider`, deploys their contract
+/// around `verifier` and mines its set-up.
+fn open_session(
     chain: &mut Blockchain,
     label: &str,
     verifier: Box<dyn Verifier>,
+    kit: ProverKit,
+    data: &[u8],
     terms: AgreementTerms,
-) -> (Address, Agreement) {
+) -> BackendSession {
     let owner = Address::from_label(&format!("{label}/owner"));
     let provider = Address::from_label(&format!("{label}/provider"));
     chain.fund_account(owner, terms.owner_deposit + eth(1));
     chain.fund_account(provider, terms.provider_deposit + eth(1));
-    let agreement = terms.bind(owner, provider);
-    let mut contract = AuditContract::new(agreement, verifier);
-    if let Some(auditor) = terms.batch_auditor {
-        contract = contract.with_batch_auditor(auditor);
+    let contract = deploy(chain, label, terms.bind(owner, provider), verifier, None);
+    mine_ok(chain, "session set-up");
+    BackendSession {
+        contract,
+        owner,
+        provider,
+        backend: kit.backend(),
+        kit,
+        stored: data.to_vec(),
+        terms,
     }
-    let addr = chain.deploy(label, Box::new(contract));
-    submit_ok(chain, owner, addr, "negotiate", Vec::new(), 0);
-    submit_ok(chain, provider, addr, "acked", Vec::new(), 0);
-    submit_ok(chain, owner, addr, "freeze", Vec::new(), terms.owner_deposit);
-    submit_ok(chain, provider, addr, "freeze", Vec::new(), terms.provider_deposit);
-    (addr, agreement)
 }
 
 /// Sets up a complete audit session on the chain: keygen, encode, tag,
@@ -92,22 +88,14 @@ pub fn setup_session<R: rand::RngCore + ?Sized>(
     params: dsaudit_core::params::AuditParams,
     owner_handle: Option<DataOwner>,
     terms: AgreementTerms,
-) -> ContractSession {
+) -> BackendSession {
     let owner_handle = owner_handle.unwrap_or_else(|| DataOwner::generate(rng, params));
     let bundle = owner_handle.outsource(rng, data);
     let verifier = PairingBackend::verifier_for(bundle.pk.clone(), bundle.meta())
         .expect("harness meta is auditable");
     // the provider validates the authenticators before acknowledging
-    let provider_state =
-        StorageProvider::ingest(rng, bundle).expect("honest bundle must validate");
-    let (contract, agreement) = deploy(chain, label, verifier, terms);
-    ContractSession {
-        contract,
-        owner: agreement.owner,
-        provider: agreement.provider,
-        provider_state,
-        agreement,
-    }
+    let provider = StorageProvider::ingest(rng, bundle).expect("honest bundle must validate");
+    open_session(chain, label, verifier, PairingBackend::kit_for(&provider), data, terms)
 }
 
 /// Economic terms for [`setup_session`] / [`setup_backend_session`],
@@ -128,10 +116,6 @@ pub struct AgreementTerms {
     pub owner_deposit: Wei,
     /// Provider's locked deposit.
     pub provider_deposit: Wei,
-    /// When set, contracts defer round verdicts to this batch-verifier
-    /// address (§VII-D amortized verification); `None` keeps
-    /// per-contract verification at the `Verify` trigger.
-    pub batch_auditor: Option<Address>,
     /// The proof-of-storage scheme this agreement audits with, recorded
     /// for reporting. The backend instance handed to
     /// [`setup_backend_session`] is what actually deploys; contracts
@@ -168,16 +152,14 @@ impl Default for AgreementTerms {
             penalty_per_fail: gwei(5_000_000), // 0.005 ETH
             owner_deposit: gwei(1_000_000) * 100,
             provider_deposit: gwei(5_000_000) * 100,
-            batch_auditor: None,
             backend: BackendId::Pairing,
         }
     }
 }
 
-/// A backend-driven audit session on chain: a deployed
-/// [`AuditContract`] with both deposits locked, plus the provider-side
-/// material ([`ProverKit`] and the stored bytes) needed to answer
-/// challenges.
+/// An audit session on chain: a deployed [`AuditContract`] with both
+/// deposits locked, plus the provider-side material ([`ProverKit`] and
+/// the stored bytes) needed to answer challenges.
 pub struct BackendSession {
     /// Deployed contract address.
     pub contract: Address,
@@ -222,23 +204,11 @@ pub fn setup_backend_session<R: rand::RngCore>(
     let verifier = backend
         .verifier(&setup.commitment)
         .expect("a backend parses its own commitment");
-    let (contract, agreement) = deploy(chain, label, verifier, terms);
-    BackendSession {
-        contract,
-        owner: agreement.owner,
-        provider: agreement.provider,
-        backend: backend.id(),
-        kit: setup.kit,
-        stored: data.to_vec(),
-        terms,
-    }
+    open_session(chain, label, verifier, setup.kit, data, terms)
 }
 
-/// Submits a contract call and asserts success.
-///
-/// # Panics
-/// Panics when the transaction reverts.
-pub fn submit_ok(
+/// Queues a contract call for the next block.
+pub fn queue_call(
     chain: &mut Blockchain,
     from: Address,
     to: Address,
@@ -255,93 +225,132 @@ pub fn submit_ok(
             data,
         },
     });
-    let block = chain.mine_block();
-    let (_, receipt) = block.txs.last().expect("tx was submitted");
-    assert_eq!(
-        receipt.status,
-        TxStatus::Success,
-        "{method} reverted: {:?}",
-        receipt.revert_reason
-    );
 }
 
-/// The beacon output of `contract`'s latest "challenged" event: the
-/// round's challenge in the form every backend's `prove` takes.
-pub fn latest_beacon(chain: &Blockchain, contract: Address) -> Option<[u8; 48]> {
-    chain
-        .all_events()
-        .into_iter()
-        .rev()
-        .find(|e| e.contract == contract && e.name == "challenged")
+/// Mines a block and asserts that every transaction in it, triggers
+/// included, succeeded: a revert in a driver's own traffic is a bug in
+/// the driver, not an outcome.
+///
+/// # Panics
+/// On the first reverted receipt, naming `context`.
+pub fn mine_ok(chain: &mut Blockchain, context: &str) {
+    for (tx, receipt) in &chain.mine_block().txs {
+        assert_eq!(
+            receipt.status,
+            TxStatus::Success,
+            "{context}: tx {:?} reverted: {:?}",
+            tx.kind,
+            receipt.revert_reason
+        );
+    }
+}
+
+/// [`queue_call`], then [`mine_ok`] on a block of its own.
+pub fn submit_ok(
+    chain: &mut Blockchain,
+    from: Address,
+    to: Address,
+    method: &str,
+    data: Vec<u8>,
+    value: Wei,
+) {
+    queue_call(chain, from, to, method, data, value);
+    mine_ok(chain, method);
+}
+
+/// The beacon of `contract`'s latest "challenged" event in blocks
+/// `from_block..`: the round's challenge in the form every backend's
+/// `prove` takes.
+pub fn beacon_since(chain: &Blockchain, from_block: usize, contract: Address) -> Option<[u8; 48]> {
+    last_event(chain, from_block, contract, &["challenged"])
         .and_then(|e| e.data.as_slice().try_into().ok())
 }
 
-/// [`latest_beacon`] expanded into the pairing scheme's [`Challenge`].
-pub fn latest_challenge(chain: &Blockchain, contract: Address) -> Option<Challenge> {
-    latest_beacon(chain, contract).map(|beacon| Challenge::from_beacon(&beacon))
+/// Whether `contract`'s latest round settled in blocks `from_block..`
+/// passed; `None` when none settled there.
+pub fn verdict_since(chain: &Blockchain, from_block: usize, contract: Address) -> Option<bool> {
+    last_event(chain, from_block, contract, &["pass", "fail"]).map(|e| e.name == "pass")
 }
 
-/// Whether `contract`'s latest settled round passed; `None` before its
-/// first verdict.
-pub fn latest_verdict(chain: &Blockchain, contract: Address) -> Option<bool> {
-    chain
-        .all_events()
-        .into_iter()
-        .rev()
-        .find(|e| e.contract == contract && (e.name == "pass" || e.name == "fail"))
-        .map(|e| e.name == "pass")
+/// The latest event of `contract` named in `names`, in blocks `from_block..`.
+fn last_event<'c>(
+    chain: &'c Blockchain,
+    from_block: usize,
+    contract: Address,
+    names: &[&str],
+) -> Option<&'c Event> {
+    let events = chain.events_since(from_block);
+    events.into_iter().rev().find(|e| e.contract == contract && names.contains(&e.name.as_str()))
 }
 
 /// Runs one complete audit round for a single session on its own chain.
-/// `honest` controls the provider: `true` posts a valid-format proof over
-/// whatever data it holds, `false` simulates a timeout. Returns whether
-/// the round passed.
+/// `honest` controls the provider: `true` proves over whatever bytes it
+/// stores, `false` simulates a timeout. Returns whether the round
+/// passed.
+///
+/// # Panics
+/// As [`run_round_multi`].
 pub fn run_round<R: rand::RngCore + ?Sized>(
     rng: &mut R,
     chain: &mut Blockchain,
-    session: &ContractSession,
+    session: &BackendSession,
     honest: bool,
 ) -> bool {
     run_round_multi(rng, chain, &[(session, honest)])[0]
 }
 
-/// Runs one audit round for several sessions sharing one chain, in
-/// lockstep: a single time advance fires every session's "Chal" trigger,
-/// all providers respond in the same block window, and a single deadline
-/// pass fires every "Verify". Returns per-session pass flags in input
-/// order.
-///
-/// All sessions must share the same interval/deadline settings (they are
-/// driven by one clock).
+/// The first half of [`run_round_multi`]: one time advance fires every
+/// `Chal` trigger, then each honest provider's proof, made by its
+/// session's backend over its stored bytes, is posted in one block (a
+/// provider whose bytes lost their shape posts nothing and times out).
+/// Returns the index of the round's first block.
 ///
 /// # Panics
-/// Panics if a session is missing its challenge or verdict event —
-/// a harness programming error.
+/// As [`run_round_multi`].
+pub fn prove_round<R: rand::RngCore + ?Sized>(
+    mut rng: &mut R,
+    chain: &mut Blockchain,
+    sessions: &[(&BackendSession, bool)],
+) -> usize {
+    let start = chain.block_count();
+    let interval = sessions.first().map_or(0, |(s, _)| s.terms.audit_interval_secs);
+    chain.advance_time(interval + 1);
+    mine_ok(chain, "challenge triggers");
+    for (session, honest) in sessions {
+        let beacon = beacon_since(chain, start, session.contract).expect("challenge event");
+        if !*honest {
+            continue;
+        }
+        let backend = backend_for(session.backend);
+        if let Ok(proof) = backend.prove(&mut rng, &session.kit, &session.stored, &beacon) {
+            queue_call(chain, session.provider, session.contract, "prove", proof.encode(), 0);
+        }
+    }
+    mine_ok(chain, "proof submissions");
+    start
+}
+
+/// Runs one audit round for several sessions sharing one chain, in
+/// lockstep: [`prove_round`], then one deadline pass fires every
+/// `Verify` trigger. Returns per-session pass flags in input order, read
+/// from the blocks the round mined. The sessions share one clock, so
+/// they must share interval and deadline, and verify on-contract (a
+/// contract with a batch auditor parks its round for a verdict).
+///
+/// # Panics
+/// Panics if a session is missing its challenge or verdict event, or a
+/// transaction reverts — a harness programming error.
 pub fn run_round_multi<R: rand::RngCore + ?Sized>(
     rng: &mut R,
     chain: &mut Blockchain,
-    sessions: &[(&ContractSession, bool)],
+    sessions: &[(&BackendSession, bool)],
 ) -> Vec<bool> {
-    assert!(!sessions.is_empty());
-    let interval = sessions[0].0.agreement.audit_interval_secs;
-    let deadline = sessions[0].0.agreement.prove_deadline_secs;
-    // fire all Chal triggers
-    chain.advance_time(interval + 1);
-    chain.mine_block();
-    // all honest providers respond within the same window
-    for (session, honest) in sessions {
-        if *honest {
-            let challenge =
-                latest_challenge(chain, session.contract).expect("challenge event");
-            let proof = session.respond_wire(rng, &challenge);
-            submit_ok(chain, session.provider, session.contract, "prove", proof, 0);
-        }
-    }
-    // fire all Verify triggers
+    let start = prove_round(rng, chain, sessions);
+    let deadline = sessions.first().map_or(0, |(s, _)| s.terms.prove_deadline_secs);
     chain.advance_time(deadline + 1);
-    chain.mine_block();
+    mine_ok(chain, "verify triggers");
     sessions
         .iter()
-        .map(|(session, _)| latest_verdict(chain, session.contract).expect("verdict event"))
+        .map(|(session, _)| verdict_since(chain, start, session.contract).expect("verdict event"))
         .collect()
 }

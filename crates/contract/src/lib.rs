@@ -3,8 +3,8 @@
 //! The on-chain side of the paper: the storage-auditing smart contract
 //! of Fig. 2 (Initialize: negotiated → acked → freeze; Audit:
 //! challenge → prove → verify → pay), deposit management, micro-payment
-//! settlement and dispute handling, plus a multi-user network harness
-//! for the scalability experiments (§VII-D).
+//! settlement and dispute handling, plus the harness that deploys
+//! sessions and drives their rounds.
 //!
 //! There is one contract, [`AuditContract`], with one [`Phase`] machine
 //! and one [`Agreement`]. The proof-of-storage scheme is a deployment
@@ -17,10 +17,9 @@
 
 pub mod audit_contract;
 pub mod harness;
-pub mod registry;
 
 pub use audit_contract::{Agreement, AuditContract, Phase, RoundOutcome};
 pub use harness::{
-    run_round, run_round_multi, setup_session, AgreementTerms, ContractSession,
+    run_round, run_round_multi, setup_backend_session, setup_session, AgreementTerms,
+    BackendSession,
 };
-pub use registry::{AuditNetwork, NetworkStats};

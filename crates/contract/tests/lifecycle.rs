@@ -5,9 +5,10 @@ use dsaudit_chain::beacon::TrustedBeacon;
 use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::{eth, Transaction, TxKind, TxStatus};
 use dsaudit_contract::harness::{
-    latest_challenge, run_round, setup_session, submit_ok, AgreementTerms,
+    beacon_since, run_round, setup_session, submit_ok, AgreementTerms, BackendSession,
 };
 use dsaudit_core::params::AuditParams;
+use dsaudit_core::{Challenge, EncodedFile};
 use rand::SeedableRng;
 
 fn rng() -> rand::rngs::StdRng {
@@ -20,6 +21,15 @@ fn chain() -> Blockchain {
 
 fn params() -> AuditParams {
     AuditParams::new(4, 3).unwrap()
+}
+
+/// Zeroes chunk `i` of the provider's stored bytes (models dropped
+/// data).
+fn drop_chunk(session: &mut BackendSession, params: AuditParams, i: usize) {
+    let len = session.stored.len();
+    let lo = (i * params.chunk_bytes()).min(len);
+    let hi = (lo + params.chunk_bytes()).min(len);
+    session.stored[lo..hi].fill(0);
 }
 
 #[test]
@@ -58,9 +68,9 @@ fn data_loss_pays_the_owner() {
     };
     let mut session = setup_session(&mut rng, &mut chain, "loss", &[3u8; 900], params(), None, terms);
     // provider silently drops a chunk; k >= d so it is always challenged
-    session.provider_state.drop_chunk(0);
-    session.provider_state.drop_chunk(1);
-    session.provider_state.drop_chunk(2);
+    for i in 0..3 {
+        drop_chunk(&mut session, params(), i);
+    }
 
     let owner_before = chain.balance(session.owner);
     let passed = run_round(&mut rng, &mut chain, &session, true);
@@ -102,21 +112,12 @@ fn provider_can_reject_negotiation() {
     chain.fund_account(owner, eth(10));
     chain.fund_account(provider, eth(10));
     let meta = bundle.meta();
-    let agreement = dsaudit_contract::Agreement {
-        owner,
-        provider,
-        num_audits: terms.num_audits,
-        audit_interval_secs: terms.audit_interval_secs,
-        prove_deadline_secs: terms.prove_deadline_secs,
-        reward_per_audit: terms.reward_per_audit,
-        penalty_per_fail: terms.penalty_per_fail,
-        owner_deposit: terms.owner_deposit,
-        provider_deposit: terms.provider_deposit,
-    };
+    let agreement = terms.bind(owner, provider);
     let contract = dsaudit_contract::AuditContract::new(
         agreement,
         dsaudit_backend::PairingBackend::verifier_for(bundle.pk.clone(), meta)
             .expect("auditable meta"),
+        None,
     );
     let addr = chain.deploy("rej", Box::new(contract));
     submit_ok(&mut chain, owner, addr, "negotiate", Vec::new(), 0);
@@ -154,21 +155,12 @@ fn wrong_deposit_amount_rejected() {
         num_chunks: file.num_chunks(),
         k: p.k,
     };
-    let agreement = dsaudit_contract::Agreement {
-        owner,
-        provider,
-        num_audits: terms.num_audits,
-        audit_interval_secs: terms.audit_interval_secs,
-        prove_deadline_secs: terms.prove_deadline_secs,
-        reward_per_audit: terms.reward_per_audit,
-        penalty_per_fail: terms.penalty_per_fail,
-        owner_deposit: terms.owner_deposit,
-        provider_deposit: terms.provider_deposit,
-    };
+    let agreement = terms.bind(owner, provider);
     let contract = dsaudit_contract::AuditContract::new(
         agreement,
         dsaudit_backend::PairingBackend::verifier_for(owner_handle.public_key().clone(), meta)
             .expect("auditable meta"),
+        None,
     );
     let addr = chain.deploy("dep", Box::new(contract));
     submit_ok(&mut chain, owner, addr, "negotiate", Vec::new(), 0);
@@ -199,15 +191,7 @@ fn forged_proof_from_wrong_file_fails() {
     let mut session = setup_session(&mut rng, &mut chain, "forge", &[9u8; 900], params(), None, terms);
     // provider swaps in a different file of the same shape (e.g. serving
     // someone else's data), keeping the original tags
-    let other = dsaudit_core::EncodedFile::encode_with_name(
-        session.provider_state.file().name,
-        &[10u8; 900],
-        params(),
-    );
-    session
-        .provider_state
-        .replace_file(other)
-        .expect("same shape");
+    session.stored = vec![10u8; 900];
     let passed = run_round(&mut rng, &mut chain, &session, true);
     assert!(!passed);
 }
@@ -223,9 +207,10 @@ fn challenge_events_carry_valid_beacons() {
     let session = setup_session(&mut rng, &mut chain, "beacon", &[2u8; 600], params(), None, terms);
     chain.advance_time(terms.audit_interval_secs + 1);
     chain.mine_block();
-    let ch = latest_challenge(&chain, session.contract).expect("challenge");
+    let beacon = beacon_since(&chain, 0, session.contract).expect("challenge");
     // challenge expansion works and is deterministic
-    let set = ch.expand(session.provider_state.file().num_chunks(), 3);
+    let num_chunks = EncodedFile::chunk_count(session.stored.len(), params());
+    let set = Challenge::from_beacon(&beacon).expand(num_chunks, 3);
     assert_eq!(set.len(), 3);
 }
 
@@ -262,10 +247,10 @@ fn migration_rehomes_the_share_and_settles_across_providers() {
     let params = AuditParams::new(4, 8).unwrap();
     let mut session =
         setup_session(&mut rng, &mut chain, "migrating", &[6u8; 900], params, None, terms);
-    let pristine = session.provider_state.clone();
+    let pristine = session.stored.clone();
 
     // round 0: the original provider serves corrupted data and fails
-    session.provider_state.corrupt_block(0, 0);
+    session.stored[0] ^= 1;
     let old_provider = session.provider;
     let old_balance_before_round = chain.balance(old_provider);
     assert!(!run_round(&mut rng, &mut chain, &session, true), "corruption must fail");
@@ -310,7 +295,7 @@ fn migration_rehomes_the_share_and_settles_across_providers() {
 
     // the successor holds the (repaired) share and serves the last rounds
     session.provider = successor;
-    session.provider_state = pristine;
+    session.stored = pristine;
     let successor_before = chain.balance(successor);
     assert!(run_round(&mut rng, &mut chain, &session, true), "round 1 passes post-migration");
     assert!(run_round(&mut rng, &mut chain, &session, true), "round 2 passes post-migration");

@@ -6,6 +6,7 @@
 use dsaudit_backend::BackendId;
 use dsaudit_chain::cost::ChainCapacity;
 use dsaudit_chain::types::{gwei, Wei};
+use dsaudit_contract::AgreementTerms;
 use dsaudit_core::AuditParams;
 
 use crate::churn::ChurnRates;
@@ -148,16 +149,19 @@ impl SimConfig {
         self.file_bytes.div_ceil(self.erasure_k)
     }
 
-    /// The owner deposit a share contract locks (covers every round's
-    /// reward).
-    pub fn owner_deposit(&self) -> Wei {
-        self.reward_per_audit * self.epochs as Wei
-    }
-
-    /// The provider deposit a share contract locks (covers every
-    /// round's penalty).
-    pub fn provider_deposit(&self) -> Wei {
-        self.penalty_per_fail * self.epochs as Wei
+    /// The terms every share contract is deployed under: one round per
+    /// epoch, deposits that cover every round's reward and penalty.
+    pub fn terms(&self) -> AgreementTerms {
+        AgreementTerms {
+            num_audits: self.epochs as u64,
+            audit_interval_secs: self.epoch_secs,
+            prove_deadline_secs: self.prove_deadline_secs,
+            reward_per_audit: self.reward_per_audit,
+            penalty_per_fail: self.penalty_per_fail,
+            owner_deposit: self.reward_per_audit * self.epochs as Wei,
+            provider_deposit: self.penalty_per_fail * self.epochs as Wei,
+            backend: BackendId::Pairing,
+        }
     }
 }
 

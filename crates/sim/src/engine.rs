@@ -27,8 +27,9 @@
 //!
 //! When the config lists [`backends`](crate::SimConfig::backends),
 //! every share additionally carries one *shadow* contract per listed
-//! backend — the same [`AuditContract`] type, deployed through the same
-//! helper, verifying on-contract instead of through a shard auditor —
+//! backend — the same [`AuditContract`](dsaudit_contract::AuditContract)
+//! type, deployed by the same [`deploy`], verifying on-contract instead
+//! of through a shard auditor —
 //! driven through the identical challenge and fault schedule: one run
 //! compares the schemes head to head (per-backend verdict accuracy,
 //! metered gas, proof bytes).
@@ -52,13 +53,12 @@ use std::collections::BTreeMap;
 
 use dsaudit_backend::{
     AuditBackend, BackendId, Groth16MerkleBackend, MerkleBackend, PairingBackend, ProverKit,
-    Verifier,
 };
 use dsaudit_algebra::par::par_jobs;
 use dsaudit_chain::beacon::TrustedBeacon;
 use dsaudit_chain::chain::Blockchain;
-use dsaudit_chain::types::{eth, Address, Transaction, TxKind, TxStatus, Wei};
-use dsaudit_contract::{Agreement, AuditContract};
+use dsaudit_chain::types::{eth, Address, Wei};
+use dsaudit_contract::harness::{deploy, mine_ok, queue_call};
 use dsaudit_core::batch::BatchItem;
 use dsaudit_core::{Auditor, Challenge, Codec, DataOwner, FileMeta, PrivateProof, Prover};
 use dsaudit_storage::{FileManifest, NodeId, StorageError, StorageNetwork};
@@ -164,9 +164,12 @@ fn draw_scalars(rng: &mut StdRng, n: usize) -> Vec<u8> {
 
 /// A parallel job's own RNG stream: it replays bytes drawn for the job
 /// from the simulation's stream, so the job draws exactly what the
-/// serial code drew at that point, whichever thread runs it. Past those
-/// bytes it reads zeros (a job that draws more than was drawn for it
-/// fails `job_streams_replay_the_serial_draws`).
+/// serial code drew at that point, whichever thread runs it.
+///
+/// # Panics
+/// When a job reads past the bytes drawn for it. Zeros there would be a
+/// zero batch weight, which drops a bad proof out of the batch product
+/// (a false accept), or a zero mask, which un-blinds the proof.
 struct JobStream<'a>(&'a [u8]);
 
 impl RngCore for JobStream<'_> {
@@ -183,10 +186,14 @@ impl RngCore for JobStream<'_> {
     }
 
     fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let (head, rest) = self.0.split_at(dest.len().min(self.0.len()));
-        for (d, s) in dest.iter_mut().zip(head.iter().chain(std::iter::repeat(&0))) {
-            *d = *s;
-        }
+        assert!(
+            dest.len() <= self.0.len(),
+            "a job read {} bytes with {} drawn for it",
+            dest.len(),
+            self.0.len()
+        );
+        let (head, rest) = self.0.split_at(dest.len());
+        dest.copy_from_slice(head);
         self.0 = rest;
     }
 }
@@ -347,6 +354,7 @@ impl Simulation {
                 }
             })
             .collect();
+        let terms = cfg.terms();
         for o in 0..cfg.owners {
             for fi in 0..cfg.files_per_owner {
                 let data: Vec<u8> = (0..cfg.file_bytes)
@@ -389,20 +397,11 @@ impl Simulation {
                     );
                     let meta = bundle.meta();
                     let slot = self.slot_by_id[provider];
-                    let agreement = Agreement {
-                        owner: self.owners[o].addr,
-                        provider: self.roster[slot].addr,
-                        num_audits: cfg.epochs as u64,
-                        audit_interval_secs: cfg.epoch_secs,
-                        prove_deadline_secs: cfg.prove_deadline_secs,
-                        reward_per_audit: cfg.reward_per_audit,
-                        penalty_per_fail: cfg.penalty_per_fail,
-                        owner_deposit: cfg.owner_deposit(),
-                        provider_deposit: cfg.provider_deposit(),
-                    };
+                    let agreement = terms.bind(self.owners[o].addr, self.roster[slot].addr);
                     // primary lane: outsourced through the role API,
                     // settled by the batch auditor of the owner's shard
-                    let contract = self.deploy_contract(
+                    let contract = deploy(
+                        &mut self.chain,
                         &format!("sim/o{o}f{fi}s{share}"),
                         agreement,
                         PairingBackend::verifier_for(bundle.pk.clone(), meta)
@@ -421,7 +420,8 @@ impl Simulation {
                         let verifier = backend
                             .verifier(&setup.commitment)
                             .expect("a backend parses its own commitment");
-                        let addr = self.deploy_contract(
+                        let addr = deploy(
+                            &mut self.chain,
                             &format!("sim/o{o}f{fi}s{share}/{id}"),
                             agreement,
                             verifier,
@@ -459,67 +459,8 @@ impl Simulation {
                 });
             }
         }
-        self.mine_ok("setup");
+        mine_ok(&mut self.chain, "setup");
         self.report.setup_gas = self.chain.total_gas_used();
-    }
-
-    /// Deploys one [`AuditContract`] around `verifier` and queues its
-    /// negotiate → ack → deposits (mined with the rest of the setup
-    /// block). Every lane deploys through here; `batch_auditor` is what
-    /// tells the primary lane (verdicts from its shard auditor) from a
-    /// shadow lane (on-contract verification). Verification is metered
-    /// at the chain's declared cost either way.
-    fn deploy_contract(
-        &mut self,
-        label: &str,
-        agreement: Agreement,
-        verifier: Box<dyn Verifier>,
-        batch_auditor: Option<Address>,
-    ) -> Address {
-        let mut contract = AuditContract::new(agreement, verifier);
-        if let Some(auditor) = batch_auditor {
-            contract = contract.with_batch_auditor(auditor);
-        }
-        let addr = self.chain.deploy(label, Box::new(contract));
-        self.submit_call(agreement.owner, addr, "negotiate", Vec::new(), 0);
-        self.submit_call(agreement.provider, addr, "acked", Vec::new(), 0);
-        self.submit_call(agreement.owner, addr, "freeze", Vec::new(), agreement.owner_deposit);
-        self.submit_call(
-            agreement.provider,
-            addr,
-            "freeze",
-            Vec::new(),
-            agreement.provider_deposit,
-        );
-        addr
-    }
-
-    fn submit_call(&mut self, from: Address, to: Address, method: &str, data: Vec<u8>, value: Wei) {
-        self.chain.submit(Transaction {
-            from,
-            to,
-            value,
-            kind: TxKind::Call {
-                method: method.into(),
-                data,
-            },
-        });
-    }
-
-    /// Mines a block and asserts every transaction in it succeeded —
-    /// any revert in the engine's own traffic is a harness bug, not a
-    /// simulated outcome.
-    fn mine_ok(&mut self, context: &str) {
-        let block = self.chain.mine_block();
-        for (tx, receipt) in &block.txs {
-            assert_eq!(
-                receipt.status,
-                TxStatus::Success,
-                "{context}: tx {:?} reverted: {:?}",
-                tx.kind,
-                receipt.revert_reason
-            );
-        }
     }
 
     /// The DHT-nearest online provider (to `file`'s content id) that
@@ -549,8 +490,9 @@ impl Simulation {
         let contract = self.placements[pl_id].contract;
         let owner_addr = self.owners[self.files[self.placements[pl_id].file].owner].addr;
         let new_addr = self.roster[target_slot].addr;
-        self.submit_call(owner_addr, contract, "migrate", new_addr.0.to_vec(), 0);
-        self.submit_call(
+        queue_call(&mut self.chain, owner_addr, contract, "migrate", new_addr.0.to_vec(), 0);
+        queue_call(
+            &mut self.chain,
             new_addr,
             contract,
             "takeover",
@@ -676,7 +618,7 @@ impl Simulation {
             }
         }
         if es.leaves > 0 {
-            self.mine_ok("graceful-leave migrations");
+            mine_ok(&mut self.chain, "graceful-leave migrations");
         }
     }
 
@@ -797,7 +739,7 @@ impl Simulation {
     fn audit_phase(&mut self, es: &mut EpochStats) -> (Vec<Option<bool>>, Vec<Option<bool>>) {
         let audit_mark = self.chain.block_count();
         self.chain.advance_time(self.cfg.epoch_secs + 1);
-        self.mine_ok("challenge triggers");
+        mine_ok(&mut self.chain, "challenge triggers");
 
         // collect each contract's challenge from the event log; the raw
         // beacon doubles as the shadow lanes' backend-agnostic challenge
@@ -883,17 +825,17 @@ impl Simulation {
                 let pl = &self.placements[pl_id];
                 let (sender, contract) = (self.roster[pl.provider_slot].addr, pl.contract);
                 let frame = PairingBackend::frame(proof).encode();
-                self.submit_call(sender, contract, "prove", frame, 0);
+                queue_call(&mut self.chain, sender, contract, "prove", frame, 0);
             }
             for (sender, contract, data) in lane_calls {
-                self.submit_call(sender, contract, "prove", data, 0);
+                queue_call(&mut self.chain, sender, contract, "prove", data, 0);
             }
         }
-        self.mine_ok("proof submissions");
+        mine_ok(&mut self.chain, "proof submissions");
 
         // deadline: timeouts settle, posted proofs park awaiting verdicts
         self.chain.advance_time(self.cfg.prove_deadline_secs + 1);
-        self.mine_ok("verify triggers");
+        mine_ok(&mut self.chain, "verify triggers");
 
         // per-shard batched settlement: a shard holds whole owner keys.
         // Each shard's batch weights are drawn serially, in shard order
@@ -934,10 +876,11 @@ impl Simulation {
         for ((shard, members), flags) in batches.into_iter().zip(flags) {
             for (pl, flag) in members.into_iter().zip(flags) {
                 let (auditor, contract) = (self.auditor_addrs[shard], self.placements[pl].contract);
-                self.submit_call(auditor, contract, "verdict", vec![u8::from(flag)], 0);
+                let flag = vec![u8::from(flag)];
+                queue_call(&mut self.chain, auditor, contract, "verdict", flag, 0);
             }
         }
-        self.mine_ok("verdict submissions");
+        mine_ok(&mut self.chain, "verdict submissions");
 
         // read back the settled verdicts
         let mut settled: BTreeMap<Address, bool> = BTreeMap::new();
@@ -1136,7 +1079,7 @@ impl Simulation {
             pl.transport = false;
         }
         if queued_any {
-            self.mine_ok("repair migrations");
+            mine_ok(&mut self.chain, "repair migrations");
         }
     }
 
@@ -1263,6 +1206,18 @@ mod tests {
         assert_eq!(flags, auditor.verify_private_each(&mut serial, &items));
         assert_eq!(flags, [true, false, true]);
         assert_eq!(serial.next_u64(), drawn.next_u64());
+    }
+
+    /// A job that draws more than was drawn for it stops: it never
+    /// reads zeros, which would be a zero batch weight or mask.
+    #[test]
+    #[should_panic(expected = "a job read 64 bytes with 63 drawn for it")]
+    fn job_streams_refuse_to_read_past_their_draws() {
+        use dsaudit_algebra::{Field, Fr};
+        let drawn = [7u8; 127];
+        let mut stream = JobStream(&drawn);
+        let _first = Fr::random(&mut stream);
+        let _second = Fr::random(&mut stream);
     }
 
     /// The audit phase proves and verifies as parallel jobs on streams

@@ -85,9 +85,12 @@ fn main() {
     // challenged chunks the detection probability per round is
     // 1 - (2/3)^40 > 99.9999% (this is the §VI-A confidence math: k
     // trades audit cost against detection probability).
-    let d = session.provider_state.file().num_chunks();
+    let chunk = params.chunk_bytes();
+    let d = session.stored.len().div_ceil(chunk);
     for i in (0..d).step_by(3) {
-        session.provider_state.drop_chunk(i);
+        let lo = i * chunk;
+        let hi = (lo + chunk).min(session.stored.len());
+        session.stored[lo..hi].fill(0);
     }
     println!("\nprovider silently drops {} of {} chunks to reclaim space...", d.div_ceil(3), d);
 

@@ -1,6 +1,7 @@
-//! Scalability scenario (§VII-D / Fig. 10): many data owners auditing
-//! on one chain, driven in lockstep rounds, with chain-growth and
-//! provider-load accounting — plus a beacon-bias vignette (§V-E).
+//! Scalability scenario (§VII-D / Fig. 10): chain-growth and fee
+//! projections for many data owners auditing daily on one chain, plus a
+//! beacon-bias vignette (§V-E). The live multi-owner run is
+//! `examples/network_sim.rs`.
 //!
 //! ```text
 //! cargo run --release --example multi_user
@@ -8,34 +9,10 @@
 
 use dsaudit::chain::beacon::{CommitRevealBeacon, VdfBeacon};
 use dsaudit::chain::cost::{ChainCapacity, CostModel};
-use dsaudit::contract::harness::AgreementTerms;
-use dsaudit::contract::registry::AuditNetwork;
-use dsaudit::core::params::AuditParams;
-use rand::SeedableRng;
 
 fn main() {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-
-    // --- a small live network (simulation); the cost model then scales ---
-    let users = 6;
-    let params = AuditParams::new(8, 6).expect("valid");
-    let terms = AgreementTerms {
-        num_audits: 2,
-        ..AgreementTerms::default()
-    };
-    println!("setting up {users} audit contracts on one chain...");
-    let mut net = AuditNetwork::new(&mut rng, users, 3_000, params, terms);
-    for round in 1..=2 {
-        let stats = net.run_round_all(&mut rng);
-        println!(
-            "round {round}: {}/{} passed; chain = {} bytes, cumulative gas = {}",
-            stats.passes, stats.rounds, stats.chain_bytes, stats.total_gas
-        );
-        assert_eq!(stats.passes, stats.rounds);
-    }
-
     // --- scale-out projections (Fig. 10) ---
-    println!("\nprojected annual chain growth (daily audits):");
+    println!("projected annual chain growth (daily audits):");
     let cap = ChainCapacity::default();
     for n in [1_000usize, 5_000, 10_000] {
         println!(

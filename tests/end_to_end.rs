@@ -78,9 +78,7 @@ fn contract_settles_mixed_run() {
     );
     assert!(run_round(&mut rng, &mut chain, &session, true));
     // drop everything -> guaranteed fail
-    for i in 0..session.provider_state.file().num_chunks() {
-        session.provider_state.drop_chunk(i);
-    }
+    session.stored.fill(0);
     assert!(!run_round(&mut rng, &mut chain, &session, true));
     assert!(!run_round(&mut rng, &mut chain, &session, false)); // timeout
     // one pass + two fails settled; contract completed

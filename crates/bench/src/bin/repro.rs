@@ -9,7 +9,7 @@
 use dsaudit_backend::BackendId;
 use dsaudit_bench::{figures, json, tables};
 
-const USAGE: &str = "usage: repro [table1|table2|fig4..fig10|fig10b|costs|baseline|attack|sim|node-soak|backends|trace|json|check|all] [table2/all: --full] [fig7/all: --mb N] [sim: --epochs N --providers N --owners N --files N --k N --n N --shards N --seed N --backends pairing,merkle,groth16] [node-soak: --sessions N --providers N --ttl-ms N --seed N --out PATH] [trace: --scenario sim|node-soak --out-dir DIR]";
+const USAGE: &str = "usage: repro [table1|table2|fig4..fig10|fig10b|costs|baseline|attack|sim|node-soak|backends|trace|json|check|all] [table2/all: --full] [fig7/all: --mb N] [sim: --epochs N --providers N --owners N --files N --k N --n N --seed N --backends pairing,merkle,groth16] [node-soak: --sessions N --providers N --ttl-ms N --seed N --out PATH] [trace: --scenario sim|node-soak --out-dir DIR]";
 
 /// The flags one subcommand was given, parsed strictly: an unknown
 /// flag, a flag without its value, or a value that does not parse is an
@@ -31,7 +31,7 @@ impl<'a> Flags<'a> {
             "sim" => (
                 &[
                     "--seed", "--epochs", "--providers", "--owners", "--files", "--k", "--n",
-                    "--shards", "--backends",
+                    "--backends",
                 ],
                 &[],
             ),
@@ -138,7 +138,6 @@ fn sim_config(flags: &Flags<'_>) -> Result<dsaudit_sim::SimConfig, String> {
         files_per_owner: count("--files", 1)?,
         erasure_k: count("--k", 3)?,
         erasure_n: count("--n", 6)?,
-        shards: count("--shards", 4)?,
         backends: flags.parsed("--backends", Vec::new(), backends)?,
         ..dsaudit_sim::SimConfig::default()
     })
@@ -276,7 +275,6 @@ fn run_trace(flags: &Flags<'_>) -> Result<(), String> {
                 owners: 2,
                 erasure_k: 2,
                 erasure_n: 4,
-                shards: 2,
                 faults: dsaudit_sim::FaultRates {
                     corrupt: 0.02,
                     drop: 0.0,
@@ -388,21 +386,7 @@ fn run_backends() {
 
     prove_by_size();
 
-    let cfg = dsaudit_sim::SimConfig {
-        seed: 0xbac_4e40,
-        epochs: 4,
-        providers: 6,
-        owners: 1,
-        files_per_owner: 1,
-        file_bytes: 240,
-        erasure_k: 2,
-        erasure_n: 3,
-        shards: 1,
-        churn: dsaudit_sim::ChurnRates::none(),
-        faults: dsaudit_sim::FaultRates::none(),
-        backends: BackendId::ALL.to_vec(),
-        ..dsaudit_sim::SimConfig::default()
-    };
+    let cfg = json::bench_backend_sim_config();
     println!(
         "\nsystem: {} epochs x {} shares, every backend as a shadow lane\n",
         cfg.epochs,
@@ -601,10 +585,9 @@ mod tests {
 
     #[test]
     fn backends_parse_as_a_list_of_names() {
-        let args = words("--backends pairing,merkle,groth16-merkle --shards 1");
+        let args = words("--backends pairing,merkle,groth16-merkle");
         let cfg = sim_config(&Flags::parse("sim", &args).unwrap()).unwrap();
         assert_eq!(cfg.backends, BackendId::ALL.to_vec());
-        assert_eq!(cfg.shards, 1);
         for bad in ["pairing,nope", "pairing,", ","] {
             let args = vec!["--backends".to_string(), bad.to_string()];
             assert!(sim_config(&Flags::parse("sim", &args).unwrap()).is_err(), "{bad}");

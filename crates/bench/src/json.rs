@@ -39,7 +39,6 @@ fn bench_sim_config() -> dsaudit_sim::SimConfig {
         file_bytes: 300,
         erasure_k: 2,
         erasure_n: 4,
-        shards: 2,
         churn: dsaudit_sim::ChurnRates::none(),
         // honest providers on a lossy network: a tenth of all proof
         // frames are lost in flight and recovered by retries
@@ -53,10 +52,11 @@ fn bench_sim_config() -> dsaudit_sim::SimConfig {
     }
 }
 
-/// The fixed-seed faulty simulation, `crates/sim/tests/keyed_shards.rs`'s
-/// `faulty_config(4)`: churn and all four fault classes over eight owners
-/// in four auditor shards, so its verdicts run both scalar splits (G1
-/// MSMs, bisection included, and `Gt::multi_pow`) on every batch.
+/// The fixed-seed faulty simulation, `crates/sim/tests/owner_batches.rs`'s
+/// `faulty_config()`: churn and all four fault classes over eight owners,
+/// one batch per owner key, so its verdicts run both scalar splits (G1
+/// MSMs and `Gt::multi_pow`) on every batch, and bisection on a rejected
+/// one.
 fn bench_faulty_sim_config() -> dsaudit_sim::SimConfig {
     dsaudit_sim::SimConfig {
         seed: 0x005e_aded,
@@ -67,7 +67,6 @@ fn bench_faulty_sim_config() -> dsaudit_sim::SimConfig {
         file_bytes: 240,
         erasure_k: 2,
         erasure_n: 3,
-        shards: 4,
         churn: dsaudit_sim::ChurnRates {
             join_rate: 0.3,
             leave_prob: 0.01,
@@ -216,7 +215,7 @@ fn collect_node_metrics() -> Vec<Metric> {
 /// schedule. Gas is deterministic (the declared per-proof verify cost
 /// plus measured transaction bytes), so one run yields stable
 /// per-round figures.
-fn bench_backend_sim_config() -> dsaudit_sim::SimConfig {
+pub fn bench_backend_sim_config() -> dsaudit_sim::SimConfig {
     dsaudit_sim::SimConfig {
         seed: 0xbac_4e40,
         epochs: 4,
@@ -226,7 +225,6 @@ fn bench_backend_sim_config() -> dsaudit_sim::SimConfig {
         file_bytes: 240,
         erasure_k: 2,
         erasure_n: 3,
-        shards: 1,
         churn: dsaudit_sim::ChurnRates::none(),
         faults: dsaudit_sim::FaultRates::none(),
         backends: dsaudit_backend::BackendId::ALL.to_vec(),

@@ -67,8 +67,10 @@ fn data_loss_pays_the_owner() {
         ..AgreementTerms::default()
     };
     let mut session = setup_session(&mut rng, &mut chain, "loss", &[3u8; 900], params(), None, terms);
-    // provider silently drops a chunk; k >= d so it is always challenged
-    for i in 0..3 {
+    // the provider silently drops every chunk: k = 3 of the file's 8
+    // chunks are challenged, so only losing all of them makes the
+    // challenged set hit a dropped chunk whatever the beacon draws
+    for i in 0..EncodedFile::chunk_count(900, params()) {
         drop_chunk(&mut session, params(), i);
     }
 

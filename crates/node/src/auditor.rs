@@ -46,21 +46,15 @@ impl Default for AuditorConfig {
     }
 }
 
-/// Counters over everything an auditor daemon did.
+/// Counters over everything an auditor daemon did. A round's opening
+/// and outcome are counted by its track ([`AuditorNode::tracks`],
+/// [`AuditorNode::outcome_counts`]), not here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AuditorStats {
-    /// Rounds opened (unique ids).
-    pub opened: u64,
     /// Rounds whose proof was verified: one per round, counted when its
     /// verdict settles, whether the proof was checked alone or inside
     /// its owner key's batch.
     pub proofs_verified: u64,
-    /// Terminal `Settled(Accept)` outcomes.
-    pub settled_accept: u64,
-    /// Terminal `Settled(Reject)` outcomes.
-    pub settled_reject: u64,
-    /// Terminal `Expired` outcomes.
-    pub expired: u64,
     /// Frames that failed to decode (loss; the provider's proof
     /// retransmission recovers it).
     pub corrupt_frames: u64,
@@ -182,18 +176,11 @@ impl AuditorNode {
         if self.tracks.contains_key(&id) {
             return None;
         }
-        let track = ChallengeTrack {
-            provider,
-            rc: RoundChallenge {
-                round: beacon_round,
-                challenge: Challenge::from_beacon(randomness),
-            },
-            opened_at: now,
-            deadline,
-            outcome: None,
+        let rc = RoundChallenge {
+            round: beacon_round,
+            challenge: Challenge::from_beacon(randomness),
         };
-        self.tracks.insert(id, track);
-        self.stats.opened += 1;
+        self.tracks.insert(id, ChallengeTrack::new(provider, rc, now, deadline));
         dsaudit_obs::counter_inc("node.session.issued");
         Some(id)
     }
@@ -227,7 +214,6 @@ impl AuditorNode {
             // deadline elapsed: the round expires into the penalty
             // path, exactly once
             if now >= track.deadline && track.settle(Outcome::Expired) {
-                self.stats.expired += 1;
                 dsaudit_obs::counter_inc("node.session.expired");
             }
         }
@@ -339,7 +325,7 @@ impl AuditorNode {
                 self.stats.late_proofs += 1;
                 dsaudit_obs::counter_inc("node.late_proofs");
                 if let Some(track) = self.tracks.get(&id) {
-                    if let Some(Outcome::Settled(v)) = track.outcome {
+                    if let Some(Outcome::Settled(v)) = track.outcome() {
                         self.send_settle(now, id, track.provider, v, transport);
                     }
                 }
@@ -367,10 +353,6 @@ impl AuditorNode {
         dsaudit_obs::counter_inc("node.proofs_verified");
         let provider = track.provider;
         if track.settle(Outcome::Settled(verdict)) {
-            match verdict {
-                Verdict::Accept => self.stats.settled_accept += 1,
-                Verdict::Reject(_) => self.stats.settled_reject += 1,
-            }
             dsaudit_obs::counter_inc(if verdict.accepted() {
                 "node.session.settled_accept"
             } else {
@@ -414,7 +396,7 @@ impl AuditorNode {
     pub fn outcome_counts(&self) -> (u64, u64, u64, u64) {
         let mut counts = (0, 0, 0, 0);
         for track in self.tracks.values() {
-            match track.outcome {
+            match track.outcome() {
                 Some(Outcome::Settled(Verdict::Accept)) => counts.0 += 1,
                 Some(Outcome::Settled(Verdict::Reject(_))) => counts.1 += 1,
                 Some(Outcome::Expired) => counts.2 += 1,
@@ -425,32 +407,14 @@ impl AuditorNode {
     }
 
     /// Checks the terminal-state invariant over all tracks: every
-    /// round has exactly one terminal outcome and the stats agree.
-    /// Returns human-readable violations (empty = invariant holds).
+    /// round reached a terminal outcome (a track's outcome is written
+    /// once, by [`ChallengeTrack::settle`], so none has two). Returns
+    /// human-readable violations (empty = invariant holds).
     pub fn audit_invariants(&self) -> Vec<String> {
+        let (.., pending) = self.outcome_counts();
         let mut violations = Vec::new();
-        let (accept, reject, expired, pending) = self.outcome_counts();
         if pending > 0 {
             violations.push(format!("{pending} challenge(s) never reached a terminal state"));
-        }
-        if accept + reject + expired + pending != self.stats.opened {
-            violations.push(format!(
-                "opened {} but tracked {} outcomes",
-                self.stats.opened,
-                accept + reject + expired + pending
-            ));
-        }
-        if (accept, reject, expired)
-            != (
-                self.stats.settled_accept,
-                self.stats.settled_reject,
-                self.stats.expired,
-            )
-        {
-            violations.push(format!(
-                "settlement counters ({}, {}, {}) disagree with track outcomes ({accept}, {reject}, {expired}) — a challenge settled more than once",
-                self.stats.settled_accept, self.stats.settled_reject, self.stats.expired
-            ));
         }
         violations
     }

@@ -170,7 +170,7 @@ mod tests {
         let id = cluster.issue(1, &mut beacon, 0).unwrap();
         assert!(cluster.run_until_settled(60_000));
         let track = &cluster.auditor.tracks()[&id];
-        assert_eq!(track.outcome, Some(Outcome::Settled(Verdict::Accept)));
+        assert_eq!(track.outcome(), Some(Outcome::Settled(Verdict::Accept)));
         assert!(cluster.auditor.audit_invariants().is_empty());
     }
 
@@ -184,7 +184,7 @@ mod tests {
         let id = cluster.issue(1, &mut beacon, 0).unwrap();
         assert!(cluster.run_until_settled(60_000));
         assert!(matches!(
-            cluster.auditor.tracks()[&id].outcome,
+            cluster.auditor.tracks()[&id].outcome(),
             Some(Outcome::Settled(Verdict::Reject(_)))
         ));
     }
@@ -203,7 +203,7 @@ mod tests {
         attach(&mut cluster, 1, false, ProviderConfig::default());
         let id = cluster.issue(1, &mut beacon, 0).unwrap();
         assert!(cluster.run_until_settled(60_000));
-        assert_eq!(cluster.auditor.tracks()[&id].outcome, Some(Outcome::Expired));
+        assert_eq!(cluster.auditor.tracks()[&id].outcome(), Some(Outcome::Expired));
         let provider = &cluster.providers[&1];
         assert!(provider.stats.retries > 0, "the provider retries its proof first");
         assert_eq!((provider.stats.expired, provider.open_rounds()), (1, 0));
@@ -228,7 +228,7 @@ mod tests {
         let id = cluster.issue(1, &mut beacon, 0).unwrap();
         assert!(cluster.run_until_settled(60_000));
         let track = &cluster.auditor.tracks()[&id];
-        assert_eq!(track.outcome, Some(Outcome::Settled(Verdict::Accept)));
+        assert_eq!(track.outcome(), Some(Outcome::Settled(Verdict::Accept)));
         assert!(cluster.now < track.deadline, "settled before the TTL");
         let provider = &cluster.providers[&1];
         assert!(provider.stats.retries >= 2, "retries: {}", provider.stats.retries);
@@ -258,7 +258,7 @@ mod tests {
         assert!(cluster.run_until_settled(60_000));
         assert_eq!(cluster.transport.stats.partitioned, 1, "only the first Settle is lost");
         assert_eq!(
-            cluster.auditor.tracks()[&id].outcome,
+            cluster.auditor.tracks()[&id].outcome(),
             Some(Outcome::Settled(Verdict::Accept))
         );
         let a = cluster.auditor.stats;
@@ -299,18 +299,18 @@ mod tests {
         // a duplicate issue of the same beacon round is a no-op, even
         // while the round is still open
         assert_eq!(cluster.issue(1, &mut beacon, 0), None);
-        assert_eq!(cluster.auditor.stats.opened, 1);
+        assert_eq!(cluster.auditor.tracks().len(), 1);
         assert!(cluster.run_until_settled(60_000));
         // ... and after settlement too: the terminal track is kept and
         // the provider does not prove the round again
         assert_eq!(cluster.issue(1, &mut beacon, 0), None);
-        assert_eq!(cluster.auditor.stats.opened, 1);
+        assert_eq!(cluster.auditor.tracks().len(), 1);
         assert_eq!(cluster.providers[&1].open_rounds(), 0);
         // a new beacon round yields a fresh id
         let b = cluster.issue(1, &mut beacon, 1).unwrap();
         assert_ne!(a, b);
         assert!(cluster.run_until_settled(120_000));
-        assert_eq!(cluster.auditor.stats.opened, 2);
+        assert_eq!(cluster.auditor.tracks().len(), 2);
         assert_eq!(cluster.providers[&1].stats.proofs_sent, 2);
         assert!(cluster.auditor.audit_invariants().is_empty());
     }
@@ -337,7 +337,7 @@ mod tests {
         // nothing was registered, so no round opens against the peer
         cluster.add_provider(ProviderNode::new(1, handle, ProviderConfig::default(), 0x401));
         assert_eq!(cluster.issue(1, &mut beacon, 0), None);
-        assert_eq!(cluster.auditor.stats.opened, 0);
+        assert_eq!(cluster.auditor.tracks().len(), 0);
     }
 
     /// Hands the auditor a scripted inbox in one step and records every
@@ -432,7 +432,7 @@ mod tests {
         auditor.step(2, &mut net);
 
         for (id, verdict) in &expected {
-            assert_eq!(auditor.tracks()[id].outcome, Some(Outcome::Settled(*verdict)));
+            assert_eq!(auditor.tracks()[id].outcome(), Some(Outcome::Settled(*verdict)));
         }
         let rejected = expected.values().filter(|v| !v.accepted()).count();
         assert_eq!(rejected, 3, "exactly the corrupted peer's rounds reject");
@@ -440,8 +440,8 @@ mod tests {
         assert_eq!(a.proofs_verified, proofs.len() as u64, "each round verified once");
         assert_eq!(a.late_proofs, 2, "the duplicate and the retransmission");
         assert_eq!(
-            (a.settled_accept, a.settled_reject),
-            (proofs.len() as u64 - 3, 3)
+            auditor.outcome_counts(),
+            (proofs.len() as u64 - 3, 3, 0, 0)
         );
         // every frame of the step is answered, in the order it arrived;
         // the late ones get their round's verdict again

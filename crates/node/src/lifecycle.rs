@@ -102,11 +102,28 @@ pub struct ChallengeTrack {
     /// Hard settlement deadline: at this instant an unsettled round
     /// expires into the penalty path.
     pub deadline: Millis,
-    /// Terminal outcome; written exactly once.
-    pub outcome: Option<Outcome>,
+    /// Terminal outcome; [`settle`](Self::settle) is its only writer.
+    outcome: Option<Outcome>,
 }
 
 impl ChallengeTrack {
+    /// A round against `provider` opened at `opened_at`, settling by
+    /// `deadline`.
+    pub fn new(provider: PeerId, rc: RoundChallenge, opened_at: Millis, deadline: Millis) -> Self {
+        Self {
+            provider,
+            rc,
+            opened_at,
+            deadline,
+            outcome: None,
+        }
+    }
+
+    /// The terminal outcome; `None` while the round is open.
+    pub fn outcome(&self) -> Option<Outcome> {
+        self.outcome
+    }
+
     /// Whether the round has reached its single terminal state.
     pub fn is_terminal(&self) -> bool {
         self.outcome.is_some()
@@ -160,36 +177,26 @@ mod tests {
     #[test]
     fn settle_is_write_once() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let mut track = ChallengeTrack {
-            provider: 2,
-            rc: RoundChallenge {
-                round: 0,
-                challenge: Challenge::random(&mut rng),
-            },
-            opened_at: 0,
-            deadline: 1_000,
-            outcome: None,
+        let rc = RoundChallenge {
+            round: 0,
+            challenge: Challenge::random(&mut rng),
         };
-        assert_eq!(track.next_wakeup(), Some(1_000));
+        let mut track = ChallengeTrack::new(2, rc, 0, 1_000);
+        assert_eq!((track.outcome(), track.next_wakeup()), (None, Some(1_000)));
         assert!(track.settle(Outcome::Settled(Verdict::Accept)));
         assert!(!track.settle(Outcome::Expired), "second settle refused");
-        assert_eq!(track.outcome, Some(Outcome::Settled(Verdict::Accept)));
+        assert_eq!(track.outcome(), Some(Outcome::Settled(Verdict::Accept)));
         assert_eq!(track.next_wakeup(), None);
     }
 
     #[test]
     fn wakeup_falls_back_to_the_deadline() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
-        let track = ChallengeTrack {
-            provider: 1,
-            rc: RoundChallenge {
-                round: 2,
-                challenge: Challenge::random(&mut rng),
-            },
-            opened_at: 0,
-            deadline: 5_000,
-            outcome: None,
+        let rc = RoundChallenge {
+            round: 2,
+            challenge: Challenge::random(&mut rng),
         };
+        let track = ChallengeTrack::new(1, rc, 0, 5_000);
         assert_eq!(track.next_wakeup(), Some(5_000));
     }
 }

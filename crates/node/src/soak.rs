@@ -291,23 +291,22 @@ fn run_schedule(
     if lost {
         violations.push("event loop hit its horizon with rounds still open".into());
     }
-    if cluster.auditor.stats.opened != sessions as u64 {
-        violations.push(format!(
-            "opened {} of {sessions} planned sessions",
-            cluster.auditor.stats.opened
-        ));
+    let opened = cluster.auditor.tracks().len() as u64;
+    if opened != sessions as u64 {
+        violations.push(format!("opened {opened} of {sessions} planned sessions"));
     }
     let a = cluster.auditor.stats;
+    let (settled_accept, settled_reject, expired, _) = cluster.auditor.outcome_counts();
     let (retries, corrupt_p) = cluster
         .providers
         .values()
         .fold((0, 0), |(r, c), p| (r + p.stats.retries, c + p.stats.corrupt_frames));
     ScheduleReport {
         name,
-        sessions: a.opened,
-        settled_accept: a.settled_accept,
-        settled_reject: a.settled_reject,
-        expired: a.expired,
+        sessions: opened,
+        settled_accept,
+        settled_reject,
+        expired,
         retries,
         overloaded: 0,
         corrupt_frames: a.corrupt_frames + corrupt_p,

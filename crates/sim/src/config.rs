@@ -25,7 +25,8 @@ pub struct SimConfig {
     pub epochs: u32,
     /// Initial provider population (the DHT's bootstrap membership).
     pub providers: usize,
-    /// Number of data owners.
+    /// Number of data owners. The batch auditor settles each owner's
+    /// rounds with one batched pairing product per epoch.
     pub owners: usize,
     /// Files uploaded per owner.
     pub files_per_owner: usize,
@@ -37,11 +38,6 @@ pub struct SimConfig {
     pub erasure_n: usize,
     /// Audit parameters `(s, k)` for each *share's* tag vector.
     pub audit: AuditParams,
-    /// Number of auditor shards; each shard settles its contracts'
-    /// rounds with one batched pairing product. Shard `o % shards` holds
-    /// every share of owner `o`, so a batch spans `ceil(owners / shards)`
-    /// owner keys at most. The report does not depend on it.
-    pub shards: usize,
     /// Seconds between audit rounds (the epoch length on the chain
     /// clock).
     pub epoch_secs: u64,
@@ -83,7 +79,6 @@ impl Default for SimConfig {
             erasure_k: 3,
             erasure_n: 6,
             audit: AuditParams { s: 8, k: 4 },
-            shards: 4,
             epoch_secs: 86_400,
             prove_deadline_secs: 3_600,
             reward_per_audit: gwei(1_000_000),
@@ -101,7 +96,7 @@ impl SimConfig {
     ///
     /// # Panics
     /// Panics on configurations that cannot form a network (zero
-    /// populations, `k > n`, fewer providers than shares, zero shards).
+    /// populations, `k > n`, fewer providers than shares).
     pub fn validate(&self) {
         assert!(self.epochs > 0, "need at least one epoch");
         assert!(self.owners > 0 && self.files_per_owner > 0, "need data owners");
@@ -113,7 +108,6 @@ impl SimConfig {
             self.providers >= self.erasure_n,
             "fewer providers than shares per file"
         );
-        assert!(self.shards > 0, "need at least one auditor shard");
         assert!(self.file_bytes > 0, "need file data");
         assert!(
             self.prove_deadline_secs < self.epoch_secs,

@@ -13,11 +13,10 @@
 //!    its proof, as `dsaudit-node`'s provider daemon does).
 //! 3. **Audit** — every share contract's `Chal` trigger fires; online
 //!    providers prove over *whatever bytes they actually store*; the
-//!    per-shard auditors settle all posted proofs with one batched
-//!    pairing product each and post verdicts on chain (timeouts settle
-//!    at the `Verify` trigger). Shard `o % shards` holds every share of
-//!    owner `o`, so a shard's batch pairs `1 + 2 * (its owner keys)`
-//!    points; a rejected batch finds its bad proofs by bisection
+//!    one batch auditor settles the posted proofs with one batched
+//!    pairing product per owner key (3 points) and posts verdicts on
+//!    chain (timeouts settle at the `Verify` trigger); a rejected batch
+//!    finds its bad proofs by bisection
 //!    ([`Auditor::verify_private_each`]).
 //! 4. **Repair** — every share whose round failed is reconstructed
 //!    from surviving shares, re-placed on the DHT-nearest free
@@ -29,7 +28,7 @@
 //! every share additionally carries one *shadow* contract per listed
 //! backend — the same [`AuditContract`](dsaudit_contract::AuditContract)
 //! type, deployed by the same [`deploy`], verifying on-contract instead
-//! of through a shard auditor —
+//! of through the batch auditor —
 //! driven through the identical challenge and fault schedule: one run
 //! compares the schemes head to head (per-backend verdict accuracy,
 //! metered gas, proof bytes).
@@ -39,11 +38,12 @@
 //! is read — every contract meters verification at the chain's declared
 //! cost ([`GasSchedule::verify_gas`](dsaudit_chain::gas::GasSchedule::verify_gas)).
 //! The audit phase proves the primary proofs, and then verifies the
-//! shard batches, as `algebra::par::par_jobs` jobs, each on its own RNG
+//! owner batches, as `algebra::par::par_jobs` jobs, each on its own RNG
 //! stream: a serial pass draws each job's bytes from the one RNG at the
 //! point, and by the amount, that the job would draw there if it ran
-//! serially — one scalar per proof's mask, one per batch weight of a
-//! shard — and the job replays them. Shadow-lane proofs stay in the
+//! serially — one scalar per proof's mask, one per batch weight — and
+//! the job replays them. No two batches share an owner key, so none
+//! looks up another's cache entries. Shadow-lane proofs stay in the
 //! serial pass, and every call is submitted in placement order. So
 //! every proof, weight and verdict is the one a serial run computes.
 //! Two runs of the same config, shadow lanes included, yield
@@ -58,7 +58,7 @@ use dsaudit_algebra::par::par_jobs;
 use dsaudit_chain::beacon::TrustedBeacon;
 use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::{eth, Address, Wei};
-use dsaudit_contract::harness::{deploy, mine_ok, queue_call};
+use dsaudit_contract::harness::{beacon_since, deploy, mine_ok, queue_call, verdict_since};
 use dsaudit_core::batch::BatchItem;
 use dsaudit_core::{Auditor, Challenge, Codec, DataOwner, FileMeta, PrivateProof, Prover};
 use dsaudit_storage::{FileManifest, NodeId, StorageError, StorageNetwork};
@@ -211,8 +211,10 @@ pub struct Simulation {
     roster: Vec<Slot>,
     slot_by_id: BTreeMap<NodeId, usize>,
     owners: Vec<OwnerEntry>,
-    auditors: Vec<Auditor>,
-    auditor_addrs: Vec<Address>,
+    /// The one batch auditor: its off-chain handle, and the address
+    /// every share contract takes verdicts from.
+    auditor: Auditor,
+    auditor_addr: Address,
     files: Vec<SimFile>,
     placements: Vec<Placement>,
     shadows: Vec<ShadowLane>,
@@ -262,15 +264,8 @@ impl Simulation {
             });
         }
 
-        // shard auditors (off-chain handles + on-chain accounts)
-        let auditors: Vec<Auditor> = (0..cfg.shards).map(|_| Auditor::new()).collect();
-        let auditor_addrs: Vec<Address> = (0..cfg.shards)
-            .map(|s| {
-                let addr = Address::from_label(&format!("sim/auditor-{s}"));
-                chain.fund_account(addr, eth(1));
-                addr
-            })
-            .collect();
+        let auditor_addr = Address::from_label("sim/auditor");
+        chain.fund_account(auditor_addr, eth(1));
 
         // owners
         let owners: Vec<OwnerEntry> = (0..cfg.owners)
@@ -304,8 +299,8 @@ impl Simulation {
             roster,
             slot_by_id,
             owners,
-            auditors,
-            auditor_addrs,
+            auditor: Auditor::new(),
+            auditor_addr,
             files: Vec::new(),
             placements: Vec::new(),
             shadows: Vec::new(),
@@ -399,14 +394,14 @@ impl Simulation {
                     let slot = self.slot_by_id[provider];
                     let agreement = terms.bind(self.owners[o].addr, self.roster[slot].addr);
                     // primary lane: outsourced through the role API,
-                    // settled by the batch auditor of the owner's shard
+                    // settled by the batch auditor
                     let contract = deploy(
                         &mut self.chain,
                         &format!("sim/o{o}f{fi}s{share}"),
                         agreement,
                         PairingBackend::verifier_for(bundle.pk.clone(), meta)
                             .expect("share metadata is auditable"),
-                        Some(self.auditor_addrs[o % cfg.shards]),
+                        Some(self.auditor_addr),
                     );
                     // shadow lanes: one more contract per listed
                     // backend, auditing the same blob on the same chain
@@ -733,25 +728,13 @@ impl Simulation {
     }
 
     /// Fires the round: `Chal` triggers, provider responses over the
-    /// bytes actually stored, `Verify` triggers, then per-shard batched
-    /// verdicts. Returns, per placement, the expected outcome (ground
-    /// truth) and the contract-settled verdict.
+    /// bytes actually stored, `Verify` triggers, then one batch of
+    /// verdicts per owner key. Returns, per placement, the expected
+    /// outcome (ground truth) and the contract-settled verdict.
     fn audit_phase(&mut self, es: &mut EpochStats) -> (Vec<Option<bool>>, Vec<Option<bool>>) {
         let audit_mark = self.chain.block_count();
         self.chain.advance_time(self.cfg.epoch_secs + 1);
         mine_ok(&mut self.chain, "challenge triggers");
-
-        // collect each contract's challenge from the event log; the raw
-        // beacon doubles as the shadow lanes' backend-agnostic challenge
-        let mut challenges: BTreeMap<Address, Challenge> = BTreeMap::new();
-        let mut beacons: BTreeMap<Address, [u8; 48]> = BTreeMap::new();
-        for ev in self.chain.events_since(audit_mark) {
-            if ev.name == "challenged" {
-                let beacon: [u8; 48] = ev.data[..48].try_into().expect("48-byte beacon");
-                challenges.insert(ev.contract, Challenge::from_beacon(&beacon));
-                beacons.insert(ev.contract, beacon);
-            }
-        }
 
         // providers respond over their *stored* bytes. A serial pass draws
         // each primary proof's mask from the simulation's stream and runs
@@ -763,7 +746,7 @@ impl Simulation {
             vec![Vec::new(); self.placements.len()];
         for pl_id in 0..self.placements.len() {
             let pl = &self.placements[pl_id];
-            let Some(challenge) = challenges.get(&pl.contract).copied() else {
+            let Some(beacon) = beacon_since(&self.chain, audit_mark, pl.contract) else {
                 continue; // contract already completed
             };
             let online = self.roster[pl.provider_slot].online;
@@ -793,19 +776,20 @@ impl Simulation {
                 pl_id,
                 prover: Prover::from_stored(pk, blob, self.cfg.audit, &file.tags[pl.share])
                     .expect("share shapes are fixed"),
-                challenge,
+                challenge: Challenge::from_beacon(&beacon),
                 mask: draw_scalars(&mut self.rng, 1),
             });
             // shadow lanes prove over the *same* stored bytes for their
-            // own contracts' beacons
+            // own contracts' beacons, the backend-agnostic challenge
             for lane in &mut self.shadows {
                 let slot = &lane.slots[pl_id];
-                let Some(lane_beacon) = beacons.get(&slot.contract) else {
+                let Some(lane_beacon) = beacon_since(&self.chain, audit_mark, slot.contract)
+                else {
                     continue;
                 };
                 let lane_proof = lane
                     .backend
-                    .prove(&mut self.rng, &slot.kit, blob, lane_beacon)
+                    .prove(&mut self.rng, &slot.kit, blob, &lane_beacon)
                     .expect("a same-shape blob always proves");
                 lane_calls[pl_id].push((slot.provider, slot.contract, lane_proof.encode()));
                 lane.row.prover_calls += 1;
@@ -837,28 +821,27 @@ impl Simulation {
         self.chain.advance_time(self.cfg.prove_deadline_secs + 1);
         mine_ok(&mut self.chain, "verify triggers");
 
-        // per-shard batched settlement: a shard holds whole owner keys.
-        // Each shard's batch weights are drawn serially, in shard order
-        // (every meta here is the owner's own, so a batch draws all n);
-        // the shards then verify as parallel jobs
-        let batches: Vec<(usize, Vec<usize>)> = (0..self.cfg.shards)
-            .filter_map(|shard| {
-                let members: Vec<usize> = (0..self.placements.len())
+        // batched settlement, one batch per owner key: owners in order,
+        // members in placement order. Each batch's weights are drawn
+        // serially (every meta here is the owner's own, so a batch draws
+        // all n); the batches then verify as parallel jobs
+        let batches: Vec<Vec<usize>> = (0..self.owners.len())
+            .map(|owner| {
+                (0..self.placements.len())
                     .filter(|&pl| {
-                        let owner = self.files[self.placements[pl].file].owner;
-                        owner % self.cfg.shards == shard && posted[pl].is_some()
+                        self.files[self.placements[pl].file].owner == owner
+                            && posted[pl].is_some()
                     })
-                    .collect();
-                (!members.is_empty()).then_some((shard, members))
+                    .collect::<Vec<usize>>()
             })
+            .filter(|members| !members.is_empty())
             .collect();
         let weights: Vec<Vec<u8>> = batches
             .iter()
-            .map(|(_, members)| draw_scalars(&mut self.rng, members.len()))
+            .map(|members| draw_scalars(&mut self.rng, members.len()))
             .collect();
         let flags = par_jobs(batches.len(), |j| {
-            let (shard, members) = &batches[j];
-            let items: Vec<BatchItem<'_>> = members
+            let items: Vec<BatchItem<'_>> = batches[j]
                 .iter()
                 .map(|&pl| {
                     let (challenge, proof) = posted[pl].expect("member has a posted proof");
@@ -871,41 +854,25 @@ impl Simulation {
                     }
                 })
                 .collect();
-            self.auditors[*shard].verify_private_each(&mut JobStream(&weights[j]), &items)
+            self.auditor.verify_private_each(&mut JobStream(&weights[j]), &items)
         });
-        for ((shard, members), flags) in batches.into_iter().zip(flags) {
+        for (members, flags) in batches.into_iter().zip(flags) {
             for (pl, flag) in members.into_iter().zip(flags) {
-                let (auditor, contract) = (self.auditor_addrs[shard], self.placements[pl].contract);
-                let flag = vec![u8::from(flag)];
-                queue_call(&mut self.chain, auditor, contract, "verdict", flag, 0);
+                let (contract, flag) = (self.placements[pl].contract, vec![u8::from(flag)]);
+                queue_call(&mut self.chain, self.auditor_addr, contract, "verdict", flag, 0);
             }
         }
         mine_ok(&mut self.chain, "verdict submissions");
 
         // read back the settled verdicts
-        let mut settled: BTreeMap<Address, bool> = BTreeMap::new();
-        for ev in self.chain.events_since(audit_mark) {
-            match ev.name.as_str() {
-                "pass" => {
-                    settled.insert(ev.contract, true);
-                }
-                "fail" => {
-                    settled.insert(ev.contract, false);
-                }
-                _ => {}
-            }
-        }
+        let settled = |contract| verdict_since(&self.chain, audit_mark, contract);
         let verdicts: Vec<Option<bool>> = self
             .placements
             .iter()
             .enumerate()
             .map(|(pl_id, pl)| {
                 expected[pl_id]?;
-                Some(
-                    *settled
-                        .get(&pl.contract)
-                        .expect("every challenged round settles within its epoch"),
-                )
+                Some(settled(pl.contract).expect("every challenged round settles within its epoch"))
             })
             .collect();
         // score each shadow lane against the same ground truth the
@@ -916,8 +883,7 @@ impl Simulation {
                 let Some(exp) = *exp else {
                     continue;
                 };
-                let got = *settled
-                    .get(&self.shadows[li].slots[pl_id].contract)
+                let got = settled(self.shadows[li].slots[pl_id].contract)
                     .expect("every challenged shadow round settles within its epoch");
                 let row = &mut self.shadows[li].row;
                 row.audits += 1;
@@ -1014,20 +980,7 @@ impl Simulation {
             if bad.is_empty() {
                 continue;
             }
-            let mut manifest = std::mem::replace(
-                &mut self.files[f].manifest,
-                FileManifest {
-                    content_id: NodeId([0; 32]),
-                    plaintext_len: 0,
-                    ciphertext_len: 0,
-                    placements: Vec::new(),
-                    code: (0, 0),
-                    nonce: [0; 12],
-                },
-            );
-            let outcome = self.net.repair(&mut manifest, &bad);
-            self.files[f].manifest = manifest;
-            match outcome {
+            match self.net.repair(&mut self.files[f].manifest, &bad) {
                 Ok(new_placements) => {
                     es.repairs += new_placements.len() as u32;
                     es.repair_traffic_bytes += (self.cfg.erasure_k + new_placements.len())
@@ -1135,7 +1088,6 @@ mod tests {
             file_bytes: 240,
             erasure_k: 2,
             erasure_n: 4,
-            shards: 2,
             churn: ChurnRates::none(),
             faults: FaultRates::none(),
             ..SimConfig::default()
@@ -1222,12 +1174,11 @@ mod tests {
 
     /// The audit phase proves and verifies as parallel jobs on streams
     /// drawn serially, so a faulty run gives the same report run over
-    /// run and at one shard or four.
+    /// run.
     #[test]
-    fn reports_repeat_and_ignore_the_shard_count() {
-        let cfg = |shards| SimConfig {
+    fn reports_repeat() {
+        let cfg = || SimConfig {
             owners: 3,
-            shards,
             faults: FaultRates {
                 corrupt: 0.1,
                 drop: 0.05,
@@ -1236,12 +1187,8 @@ mod tests {
             },
             ..tiny_config()
         };
-        let runs: Vec<String> = [1, 4, 1, 4]
-            .into_iter()
-            .map(|shards| Simulation::new(cfg(shards)).run().to_json())
-            .collect();
-        assert!(runs.iter().all(|run| run == &runs[0]));
-        let report = Simulation::new(cfg(4)).run();
+        let [report, again] = [(); 2].map(|()| Simulation::new(cfg()).run());
+        assert_eq!(report.to_json(), again.to_json());
         assert!(report.injected_faults > 0, "the schedule must inject faults");
         assert_eq!((report.false_accepts, report.false_rejects), (0, 0));
     }

@@ -16,7 +16,6 @@ fn acceptance_config() -> SimConfig {
         file_bytes: 480,
         erasure_k: 3,
         erasure_n: 6,
-        shards: 8,
         churn: ChurnRates {
             join_rate: 0.3,
             leave_prob: 0.004,
@@ -40,7 +39,6 @@ fn small_config() -> SimConfig {
         file_bytes: 300,
         erasure_k: 2,
         erasure_n: 4,
-        shards: 2,
         churn: ChurnRates::none(),
         faults: FaultRates::none(),
         ..SimConfig::default()
@@ -119,7 +117,6 @@ fn backend_lane_runs_are_byte_identical() {
         file_bytes: 240,
         erasure_k: 2,
         erasure_n: 3,
-        shards: 1,
         churn: ChurnRates::none(),
         faults: FaultRates::none(),
         backends: BackendId::ALL.to_vec(),

@@ -5,9 +5,9 @@
 //! every share carries its own authenticator vector and its own Fig. 2
 //! audit contract on one shared chain. Each epoch, providers churn
 //! (join / leave / crash) and misbehave (corrupt / drop / withhold
-//! shares), per-shard auditors settle all proofs with batched pairing
-//! products, failed audits trigger DHT-proximity repair, and the
-//! contracts migrate to the shares' new holders.
+//! shares), one batch auditor settles each owner's proofs with one
+//! batched pairing product, failed audits trigger DHT-proximity repair,
+//! and the contracts migrate to the shares' new holders.
 //!
 //! ```text
 //! cargo run --release --example network_sim
@@ -25,7 +25,6 @@ fn main() {
         file_bytes: 480,
         erasure_k: 3,
         erasure_n: 6,
-        shards: 4,
         churn: ChurnRates {
             join_rate: 0.5,
             leave_prob: 0.01,

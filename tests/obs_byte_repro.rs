@@ -26,7 +26,6 @@ fn sim_config() -> dsaudit_sim::SimConfig {
         file_bytes: 240,
         erasure_k: 2,
         erasure_n: 3,
-        shards: 1,
         faults: dsaudit_sim::FaultRates {
             corrupt: 0.05,
             drop: 0.0,

@@ -110,7 +110,7 @@ pub struct Receipt {
 }
 
 /// A contract event (broadcast in Fig. 2: "negotiated", "challenged",
-/// "proofposted", "pass", "fail", ...).
+/// "proofposted", "pass"/"fail" carrying the round's outcome, ...).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event {
     /// Emitting contract.

@@ -9,13 +9,15 @@
 //!   Freeze --deposit(D) + deposit(S)--> Audit       (broadcast "inited")
 //!   Audit  --trigger "Chal"--> Prove                (broadcast "challenged")
 //!   Prove  --prove(S)--> Prove                      (broadcast "proofposted")
-//!   Prove  --trigger "Verify"--> Audit | Completed  ("pass"/"fail" + payment)
+//!   Prove  --trigger "Verify"--> Audit | Completed  (Accept | Reject(reason) | Expired)
 //! ```
 //!
-//! On `pass` the provider earns `reward_per_audit` from the owner's
-//! locked deposit; on `fail` (bad proof **or** timeout) the owner is
-//! compensated with `penalty_per_fail` from the provider's deposit.
-//! When `cnt` reaches `num` the remaining deposits are released.
+//! Each round settles exactly one [`Outcome`], broadcast as `pass`
+//! (Accept: the provider earns `reward_per_audit` from the owner's
+//! deposit) or `fail` (Reject or Expired: the owner is compensated with
+//! `penalty_per_fail` from the provider's), carrying `cnt (8 bytes, LE)
+//! || outcome byte`. When `cnt` reaches `num` the remaining deposits
+//! are released.
 //!
 //! The scheme is a parameter of that flow, not a second contract: the
 //! agreement's `AuditBackend` decodes the erased commitment **once**,
@@ -30,11 +32,11 @@
 //! Verdict contract, enforced here: wire problems (garbage calldata, a
 //! proof framed for another backend) revert the `prove` transaction
 //! with [`VmError::BadCalldata`] and never reach verdict logic; a
-//! well-framed proof settles the round — as a pass when its backend
-//! accepts it, as a failure when it rejects it *or cannot even decode
-//! its payload*. With the commitment parsed up front a verification
-//! error can only be the proof's fault, so no posted proof can leave a
-//! round unsettled and deposits locked.
+//! well-framed proof settles the round with its backend's verdict, or
+//! as `Reject(Undecodable)` when its payload does not decode. With the
+//! commitment parsed up front a verification error can only be the
+//! proof's fault, so no posted proof can leave a round unsettled and
+//! deposits locked.
 //!
 //! Metering: a round pays the proof's storage at `prove` and one
 //! [`GasSchedule::verify_gas`] for its check, on-contract or by batch
@@ -44,7 +46,7 @@ use dsaudit_backend::{BackendId, BackendProof, Verifier};
 use dsaudit_chain::gas::GasSchedule;
 use dsaudit_chain::runtime::{CallEnv, ContractBehavior, VmError};
 use dsaudit_chain::types::{Address, Wei};
-use dsaudit_core::Codec;
+use dsaudit_core::{Codec, Outcome, RejectReason};
 
 /// Contract phase (the `st` variable of Fig. 2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,19 +116,6 @@ impl Agreement {
     }
 }
 
-/// Outcome of one audit round.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RoundOutcome {
-    /// Round counter value.
-    pub round: u64,
-    /// Whether the proof verified.
-    pub passed: bool,
-    /// Whether the provider missed the deadline entirely.
-    pub timed_out: bool,
-    /// Simulation time of the verdict.
-    pub verdict_at: u64,
-}
-
 /// The deployed auditing contract.
 pub struct AuditContract {
     agreement: Agreement,
@@ -159,8 +148,6 @@ pub struct AuditContract {
     /// Gas the rounds themselves have metered (proof storage +
     /// verification), for per-backend head-to-head reporting.
     metered_gas: u64,
-    /// Completed round log (public audit trail).
-    pub history: Vec<RoundOutcome>,
 }
 
 /// Obs counter names for one backend — gas, proof bytes, rounds passed,
@@ -217,7 +204,6 @@ impl AuditContract {
             pending_migration: None,
             onchain_proof_bytes: 0,
             metered_gas: 0,
-            history: Vec::new(),
         }
     }
 
@@ -230,19 +216,21 @@ impl AuditContract {
         env.charge_gas(gas);
     }
 
-    /// Runs the on-contract check of a posted proof and meters it at the
-    /// declared verification cost. The commitment was parsed at
-    /// deployment, so an error here is the proof's own (a payload that
-    /// does not decode); it settles as a failed round like any other
-    /// proof that did not convince the contract.
-    fn check_proof(&mut self, env: &mut CallEnv, proof: &BackendProof) -> bool {
+    /// The open round's outcome: Expired without a posted proof, else the
+    /// contract's own check of it, metered at the declared verification
+    /// cost. The commitment was parsed at deployment, so an error here is
+    /// the proof's own: its payload does not decode.
+    fn check_proof(&mut self, env: &mut CallEnv) -> Outcome {
+        let Some(proof) = self.pending_proof.take() else {
+            return Outcome::Expired;
+        };
         let beacon = self.challenge.expect("an open round has a challenge");
-        let ok = self
+        let outcome = self
             .verifier
-            .verify(&beacon, proof)
-            .is_ok_and(|verdict| verdict.accepted());
+            .verify(&beacon, &proof)
+            .map_or(Outcome::Reject(RejectReason::Undecodable), Outcome::from);
         self.charge(env, GasSchedule::default().verify_gas());
-        ok
+        outcome
     }
 
     /// Current phase.
@@ -271,26 +259,24 @@ impl AuditContract {
         env.emit("completed", Vec::new());
     }
 
-    fn settle_round(&mut self, env: &mut CallEnv, passed: bool, timed_out: bool) {
+    /// Pays for the open round's `outcome` and broadcasts it.
+    fn settle_round(&mut self, env: &mut CallEnv, outcome: Outcome) {
         let _span = dsaudit_obs::span("contract.settle");
+        let passed = outcome.accepted();
         dsaudit_obs::counter_inc(obs_names(self.verifier.id())[if passed { 2 } else { 3 }]);
+        let mut data = self.cnt.to_le_bytes().to_vec();
+        data.push(outcome.to_byte());
         if passed {
             let reward = self.agreement.reward_per_audit.min(self.owner_pool);
             self.owner_pool -= reward;
             env.pay(self.agreement.provider, reward);
-            env.emit("pass", self.cnt.to_le_bytes().to_vec());
+            env.emit("pass", data);
         } else {
             let penalty = self.agreement.penalty_per_fail.min(self.provider_pool);
             self.provider_pool -= penalty;
             env.pay(self.agreement.owner, penalty);
-            env.emit("fail", self.cnt.to_le_bytes().to_vec());
+            env.emit("fail", data);
         }
-        self.history.push(RoundOutcome {
-            round: self.cnt,
-            passed,
-            timed_out,
-            verdict_at: env.now,
-        });
         // cumulative metering snapshot: off-chain harnesses (the
         // simulator's head-to-head lanes) read per-contract gas and
         // proof-byte totals from the event log instead of needing
@@ -420,7 +406,8 @@ impl ContractBehavior for AuditContract {
                 Ok(())
             }
             // the designated batch auditor settles a deferred round:
-            // calldata is exactly one flag byte (1 pass, 0 fail). The
+            // calldata is exactly one flag byte (1 accept, 0 reject on
+            // Eq. (2), the only equation a batch member fails). The
             // check it stands for is charged like the contract's own,
             // at the declared verification cost; the auditor reports a
             // verdict, never a price
@@ -431,9 +418,9 @@ impl ContractBehavior for AuditContract {
                 if Some(env.caller) != self.batch_auditor {
                     return Err(VmError::Unauthorized);
                 }
-                let passed = match data {
-                    [0] => false,
-                    [1] => true,
+                let outcome = match data {
+                    [0] => Outcome::Reject(RejectReason::Equation2),
+                    [1] => Outcome::Accept,
                     _ => {
                         return Err(VmError::BadCalldata(
                             "verdict is one flag byte, 0 or 1".into(),
@@ -441,7 +428,7 @@ impl ContractBehavior for AuditContract {
                     }
                 };
                 self.charge(env, GasSchedule::default().verify_gas());
-                self.settle_round(env, passed, false);
+                self.settle_round(env, outcome);
                 Ok(())
             }
             // --- provider migration (multi-provider settlement) -------
@@ -538,17 +525,8 @@ impl ContractBehavior for AuditContract {
                     );
                     return Ok(());
                 }
-                match self.pending_proof.take() {
-                    Some(proof) => {
-                        let ok = self.check_proof(env, &proof);
-                        self.settle_round(env, ok, false);
-                    }
-                    None => {
-                        // timeout: provider never responded
-                        env.emit("timeout", self.cnt.to_le_bytes().to_vec());
-                        self.settle_round(env, false, true);
-                    }
-                }
+                let outcome = self.check_proof(env);
+                self.settle_round(env, outcome);
                 Ok(())
             }
             // batched mode's escape hatch: the auditor missed its window,
@@ -559,13 +537,9 @@ impl ContractBehavior for AuditContract {
                 if self.phase != Phase::AwaitVerdict {
                     return Ok(());
                 }
-                let proof = self
-                    .pending_proof
-                    .take()
-                    .expect("AwaitVerdict implies a posted proof");
                 env.emit("verdicttimeout", self.cnt.to_le_bytes().to_vec());
-                let ok = self.check_proof(env, &proof);
-                self.settle_round(env, ok, false);
+                let outcome = self.check_proof(env);
+                self.settle_round(env, outcome);
                 Ok(())
             }
             other => Err(VmError::UnknownMethod(other.into())),
@@ -577,8 +551,8 @@ impl ContractBehavior for AuditContract {
 mod tests {
     use super::*;
     use crate::harness::{
-        beacon_since, run_round, run_round_multi, setup_backend_session, submit_ok,
-        AgreementTerms, BackendSession,
+        beacon_since, outcome_since, run_round, run_round_multi, setup_backend_session,
+        submit_ok, AgreementTerms, BackendSession,
     };
     use dsaudit_backend::{
         backend_for, AuditBackend, Groth16MerkleBackend, MerkleBackend, PairingBackend,
@@ -673,8 +647,8 @@ mod tests {
         let fleet = deploy_fleet(&mut chain, &data, 2);
         let mut rng = StdRng::seed_from_u64(0x50a1);
         for _ in 0..2 {
-            let verdicts = run_round_multi(&mut rng, &mut chain, &lockstep(&fleet, true));
-            assert_eq!(verdicts, [true; 3]);
+            let outcomes = run_round_multi(&mut rng, &mut chain, &lockstep(&fleet, true));
+            assert_eq!(outcomes, [Outcome::Accept; 3]);
         }
         for d in &fleet {
             assert_eq!(
@@ -699,11 +673,15 @@ mod tests {
             }
         }
         let mut rng = StdRng::seed_from_u64(0x50a2);
-        let verdicts = run_round_multi(&mut rng, &mut chain, &lockstep(&fleet, true));
-        assert_eq!(verdicts, [false; 3]);
+        // each backend's own reason, read off the chain
+        let outcomes = run_round_multi(&mut rng, &mut chain, &lockstep(&fleet, true));
+        let reasons = [
+            RejectReason::Equation2,
+            RejectReason::MerklePath,
+            RejectReason::SnarkProof,
+        ];
+        assert_eq!(outcomes, reasons.map(Outcome::Reject));
         for d in &fleet {
-            let timeouts = event_count(&chain, d.contract, "timeout");
-            assert_eq!(timeouts, 0, "{}: proof posted", d.backend);
             assert_eq!(
                 verdict_counts(&chain, d.contract),
                 (0, 1),
@@ -719,10 +697,10 @@ mod tests {
         let data: Vec<u8> = (0..1024).map(|i| (i % 247) as u8).collect();
         let fleet = deploy_fleet(&mut chain, &data, 1);
         let mut rng = StdRng::seed_from_u64(0x50a5);
-        let verdicts = run_round_multi(&mut rng, &mut chain, &lockstep(&fleet, false));
-        assert_eq!(verdicts, [false; 3]);
+        let outcomes = run_round_multi(&mut rng, &mut chain, &lockstep(&fleet, false));
+        assert_eq!(outcomes, [Outcome::Expired; 3]);
         for d in &fleet {
-            assert_eq!(event_count(&chain, d.contract, "timeout"), 1, "{}: expired", d.backend);
+            assert_eq!(verdict_counts(&chain, d.contract), (0, 1), "{}: expired", d.backend);
         }
     }
 
@@ -761,12 +739,13 @@ mod tests {
         // no verdict has been settled by either revert
         assert_eq!(verdict_counts(&chain, pairing.contract), (0, 0));
 
-        // the silent round times out and settles as a failure — the
-        // timeout, not the malformed bytes, is what costs the provider
+        // the silent round expires and settles as a failure — the
+        // missed deadline, not the malformed bytes, is what costs the
+        // provider
         chain.advance_time(601);
         chain.mine_block();
         assert_eq!(verdict_counts(&chain, pairing.contract), (0, 1));
-        assert_eq!(event_count(&chain, pairing.contract, "timeout"), 1);
+        assert_eq!(outcome_since(&chain, 0, pairing.contract), Some(Outcome::Expired));
     }
 
     #[test]
@@ -810,6 +789,12 @@ mod tests {
             let (pass, fail) = verdict_counts(&chain, d.contract);
             assert_eq!(pass + fail, 1, "backend `{}`: round must settle exactly once", d.backend);
             assert_eq!(fail, 1, "backend `{}`: garbage cannot pass", d.backend);
+            assert_eq!(
+                outcome_since(&chain, 0, d.contract),
+                Some(Outcome::Reject(RejectReason::Undecodable)),
+                "backend `{}`",
+                d.backend
+            );
             assert_eq!(
                 event_count(&chain, d.contract, "completed"),
                 1,

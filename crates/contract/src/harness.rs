@@ -17,7 +17,7 @@
 use dsaudit_backend::{backend_for, AuditBackend, BackendId, PairingBackend, ProverKit, Verifier};
 use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::{eth, Address, Event, Transaction, TxKind, TxStatus, Wei};
-use dsaudit_core::{Codec, DataOwner, StorageProvider};
+use dsaudit_core::{Codec, DataOwner, Outcome, StorageProvider};
 
 use crate::audit_contract::{Agreement, AuditContract};
 
@@ -266,10 +266,12 @@ pub fn beacon_since(chain: &Blockchain, from_block: usize, contract: Address) ->
         .and_then(|e| e.data.as_slice().try_into().ok())
 }
 
-/// Whether `contract`'s latest round settled in blocks `from_block..`
-/// passed; `None` when none settled there.
-pub fn verdict_since(chain: &Blockchain, from_block: usize, contract: Address) -> Option<bool> {
-    last_event(chain, from_block, contract, &["pass", "fail"]).map(|e| e.name == "pass")
+/// The outcome of `contract`'s latest round settled in blocks
+/// `from_block..`, decoded from its `pass`/`fail` event's last byte;
+/// `None` when none settled there.
+pub fn outcome_since(chain: &Blockchain, from_block: usize, contract: Address) -> Option<Outcome> {
+    last_event(chain, from_block, contract, &["pass", "fail"])
+        .and_then(|e| Outcome::from_byte(*e.data.last()?))
 }
 
 /// The latest event of `contract` named in `names`, in blocks `from_block..`.
@@ -285,8 +287,8 @@ fn last_event<'c>(
 
 /// Runs one complete audit round for a single session on its own chain.
 /// `honest` controls the provider: `true` proves over whatever bytes it
-/// stores, `false` simulates a timeout. Returns whether the round
-/// passed.
+/// stores, `false` posts nothing, so the round expires. Returns whether
+/// the round passed.
 ///
 /// # Panics
 /// As [`run_round_multi`].
@@ -296,7 +298,7 @@ pub fn run_round<R: rand::RngCore + ?Sized>(
     session: &BackendSession,
     honest: bool,
 ) -> bool {
-    run_round_multi(rng, chain, &[(session, honest)])[0]
+    run_round_multi(rng, chain, &[(session, honest)])[0].accepted()
 }
 
 /// The first half of [`run_round_multi`]: one time advance fires every
@@ -332,25 +334,25 @@ pub fn prove_round<R: rand::RngCore + ?Sized>(
 
 /// Runs one audit round for several sessions sharing one chain, in
 /// lockstep: [`prove_round`], then one deadline pass fires every
-/// `Verify` trigger. Returns per-session pass flags in input order, read
+/// `Verify` trigger. Returns per-session outcomes in input order, read
 /// from the blocks the round mined. The sessions share one clock, so
 /// they must share interval and deadline, and verify on-contract (a
 /// contract with a batch auditor parks its round for a verdict).
 ///
 /// # Panics
-/// Panics if a session is missing its challenge or verdict event, or a
+/// Panics if a session is missing its challenge or settle event, or a
 /// transaction reverts — a harness programming error.
 pub fn run_round_multi<R: rand::RngCore + ?Sized>(
     rng: &mut R,
     chain: &mut Blockchain,
     sessions: &[(&BackendSession, bool)],
-) -> Vec<bool> {
+) -> Vec<Outcome> {
     let start = prove_round(rng, chain, sessions);
     let deadline = sessions.first().map_or(0, |(s, _)| s.terms.prove_deadline_secs);
     chain.advance_time(deadline + 1);
     mine_ok(chain, "verify triggers");
     sessions
         .iter()
-        .map(|(session, _)| verdict_since(chain, start, session.contract).expect("verdict event"))
+        .map(|(session, _)| outcome_since(chain, start, session.contract).expect("settle event"))
         .collect()
 }

@@ -18,7 +18,7 @@
 pub mod audit_contract;
 pub mod harness;
 
-pub use audit_contract::{Agreement, AuditContract, Phase, RoundOutcome};
+pub use audit_contract::{Agreement, AuditContract, Phase};
 pub use harness::{
     run_round, run_round_multi, setup_backend_session, setup_session, AgreementTerms,
     BackendSession,

@@ -9,9 +9,9 @@ use dsaudit_chain::gas::GasSchedule;
 use dsaudit_chain::types::{eth, gwei, Address, Transaction, TxKind, TxStatus, Wei};
 use dsaudit_contract::harness::{
     beacon_since, deploy, mine_ok, prove_round, queue_call, run_round, run_round_multi,
-    setup_backend_session, setup_session, verdict_since, AgreementTerms, BackendSession,
+    outcome_since, setup_backend_session, setup_session, AgreementTerms, BackendSession,
 };
-use dsaudit_core::{AuditParams, Codec};
+use dsaudit_core::{AuditParams, Codec, Outcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -150,7 +150,7 @@ fn verdict_is_one_flag_byte_charged_at_the_declared_cost() {
     for bad in [old_form, Vec::new(), vec![2]] {
         let receipt = verdict(&mut chain, bad.clone());
         assert_eq!(receipt.status, TxStatus::Reverted, "verdict calldata {bad:?}");
-        assert_eq!(verdict_since(&chain, start, s.contract), None, "a revert settles nothing");
+        assert_eq!(outcome_since(&chain, start, s.contract), None, "a revert settles nothing");
     }
 
     let receipt = verdict(&mut chain, vec![1]);
@@ -158,7 +158,7 @@ fn verdict_is_one_flag_byte_charged_at_the_declared_cost() {
     let g = GasSchedule::default();
     assert_eq!(receipt.gas_used, g.tx_base + 16 * 8 + g.verify_gas());
     assert_eq!(receipt.gas_used, 363_848);
-    assert_eq!(verdict_since(&chain, start, s.contract), Some(true));
+    assert_eq!(outcome_since(&chain, start, s.contract), Some(Outcome::Accept));
 }
 
 /// Batched mode's escape hatch: when the batch auditor never answers,
@@ -172,7 +172,7 @@ fn batched_verdict_timeout_falls_back_to_self_verification() {
     let (s, _) = pairing_session(&mut rng, &mut chain, "t", &[5u8; 300], Some(asleep), terms(1));
     let start = prove_round(&mut rng, &mut chain, &[(&s, true)]);
     pass_deadline(&mut chain);
-    assert_eq!(verdict_since(&chain, start, s.contract), None, "the round is parked");
+    assert_eq!(outcome_since(&chain, start, s.contract), None, "the round is parked");
     pass_deadline(&mut chain);
     let events = chain.events_since(start);
     assert!(
@@ -180,8 +180,8 @@ fn batched_verdict_timeout_falls_back_to_self_verification() {
         "timeout event recorded"
     );
     assert_eq!(
-        verdict_since(&chain, start, s.contract),
-        Some(true),
+        outcome_since(&chain, start, s.contract),
+        Some(Outcome::Accept),
         "honest proof passes via the self-verification fallback"
     );
 }
@@ -218,7 +218,7 @@ fn same_seed_networks_report_equal_stats_in_both_modes() {
                     queue_call(&mut chain, auditor, s.contract, "verdict", vec![u8::from(ok)], 0);
                 }
                 mine_ok(&mut chain, "verdicts");
-                let verdict = |s: &BackendSession| verdict_since(&chain, start, s.contract);
+                let verdict = |s: &BackendSession| outcome_since(&chain, start, s.contract);
                 pairs.iter().map(|(s, _)| verdict(s).expect("settled")).collect()
             } else {
                 run_round_multi(&mut rng, &mut chain, &pairs)
@@ -230,6 +230,6 @@ fn same_seed_networks_report_equal_stats_in_both_modes() {
     for batched in [false, true] {
         let first = run(batched);
         assert_eq!(first, run(batched), "batched = {batched}: same seed, same stats");
-        assert_eq!(first[1].0, [true, true]);
+        assert_eq!(first[1].0, [Outcome::Accept; 2]);
     }
 }

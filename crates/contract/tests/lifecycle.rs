@@ -5,10 +5,11 @@ use dsaudit_chain::beacon::TrustedBeacon;
 use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::{eth, Transaction, TxKind, TxStatus};
 use dsaudit_contract::harness::{
-    beacon_since, run_round, setup_session, submit_ok, AgreementTerms, BackendSession,
+    beacon_since, outcome_since, run_round, setup_session, submit_ok, AgreementTerms,
+    BackendSession,
 };
 use dsaudit_core::params::AuditParams;
-use dsaudit_core::{Challenge, EncodedFile};
+use dsaudit_core::{Challenge, EncodedFile, Outcome};
 use rand::SeedableRng;
 
 fn rng() -> rand::rngs::StdRng {
@@ -96,7 +97,7 @@ fn timeout_counts_as_failure() {
     let session = setup_session(&mut rng, &mut chain, "timeout", &[5u8; 600], params(), None, terms);
     let passed = run_round(&mut rng, &mut chain, &session, false);
     assert!(!passed);
-    assert!(chain.all_events().iter().any(|e| e.name == "timeout"));
+    assert_eq!(outcome_since(&chain, 0, session.contract), Some(Outcome::Expired));
 }
 
 #[test]

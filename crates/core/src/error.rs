@@ -161,6 +161,9 @@ pub enum RejectReason {
     /// A zk-SNARK possession proof failed pairing verification against
     /// the committed verifying key and public inputs.
     SnarkProof,
+    /// The proof's payload does not decode under the agreement's
+    /// backend.
+    Undecodable,
 }
 
 impl std::fmt::Display for RejectReason {
@@ -172,6 +175,7 @@ impl std::fmt::Display for RejectReason {
             RejectReason::TagEquation => write!(f, "authenticator equation failed"),
             RejectReason::MerklePath => write!(f, "merkle path check failed"),
             RejectReason::SnarkProof => write!(f, "snark proof verification failed"),
+            RejectReason::Undecodable => write!(f, "proof payload does not decode"),
         }
     }
 }
@@ -208,9 +212,73 @@ impl Verdict {
 
 impl std::fmt::Display for Verdict {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        Outcome::from(*self).fmt(f)
+    }
+}
+
+/// How an audit round ended: the one terminal state the contract
+/// settles, its `pass`/`fail` event carries, and the node and the
+/// simulator record. A round is open until it reaches exactly one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Outcome {
+    /// A proof arrived in time and verified.
+    Accept,
+    /// A proof arrived in time and did not verify.
+    Reject(RejectReason),
+    /// The deadline passed without a proof.
+    Expired,
+}
+
+impl Outcome {
+    /// `true` when the round passed.
+    pub fn accepted(&self) -> bool {
+        matches!(self, Outcome::Accept)
+    }
+
+    /// The outcome as one byte: `0` accept, `1 + reason` reject (reasons
+    /// in declaration order), `0xff` expired.
+    pub fn to_byte(self) -> u8 {
         match self {
-            Verdict::Accept => write!(f, "accept"),
-            Verdict::Reject(r) => write!(f, "reject ({r})"),
+            Outcome::Accept => 0,
+            Outcome::Reject(reason) => 1 + reason as u8,
+            Outcome::Expired => 0xff,
+        }
+    }
+
+    /// Decodes [`to_byte`](Self::to_byte)'s byte; `None` on any byte
+    /// that encodes no outcome.
+    pub fn from_byte(byte: u8) -> Option<Self> {
+        let reason = match byte {
+            0 => return Some(Outcome::Accept),
+            0xff => return Some(Outcome::Expired),
+            1 => RejectReason::Equation1,
+            2 => RejectReason::Equation2,
+            3 => RejectReason::BatchCombination,
+            4 => RejectReason::TagEquation,
+            5 => RejectReason::MerklePath,
+            6 => RejectReason::SnarkProof,
+            7 => RejectReason::Undecodable,
+            _ => return None,
+        };
+        Some(Outcome::Reject(reason))
+    }
+}
+
+impl From<Verdict> for Outcome {
+    fn from(verdict: Verdict) -> Self {
+        match verdict {
+            Verdict::Accept => Outcome::Accept,
+            Verdict::Reject(reason) => Outcome::Reject(reason),
+        }
+    }
+}
+
+impl std::fmt::Display for Outcome {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Outcome::Accept => write!(f, "accept"),
+            Outcome::Reject(r) => write!(f, "reject ({r})"),
+            Outcome::Expired => write!(f, "expired"),
         }
     }
 }
@@ -225,6 +293,48 @@ mod tests {
         assert!(!Verdict::Reject(RejectReason::Equation2).accepted());
         assert!(Verdict::from_equation(true, RejectReason::Equation1).accepted());
         assert!(!Verdict::from_equation(false, RejectReason::Equation1).accepted());
+    }
+
+    #[test]
+    fn outcome_bytes_round_trip_and_refuse_the_rest() {
+        let mut decoded = 0;
+        for byte in 0..=u8::MAX {
+            if let Some(outcome) = Outcome::from_byte(byte) {
+                assert_eq!(outcome.to_byte(), byte, "{outcome}");
+                decoded += 1;
+            }
+        }
+        use RejectReason::*;
+        let reasons = [
+            Equation1,
+            Equation2,
+            BatchCombination,
+            TagEquation,
+            MerklePath,
+            SnarkProof,
+            Undecodable,
+        ];
+        // exhaustive, so a new reason stops this test from compiling
+        // until it is listed above
+        for reason in reasons {
+            match reason {
+                Equation1 | Equation2 | BatchCombination | TagEquation | MerklePath
+                | SnarkProof | Undecodable => {}
+            }
+        }
+        let outcomes: Vec<Outcome> = [Outcome::Accept, Outcome::Expired]
+            .into_iter()
+            .chain(reasons.map(Outcome::Reject))
+            .collect();
+        assert_eq!(decoded, outcomes.len());
+        for outcome in outcomes {
+            assert_eq!(Outcome::from_byte(outcome.to_byte()), Some(outcome));
+        }
+        assert_eq!(
+            Outcome::from(Verdict::Reject(RejectReason::MerklePath)),
+            Outcome::Reject(RejectReason::MerklePath)
+        );
+        assert!(Outcome::from(Verdict::Accept).accepted() && !Outcome::Expired.accepted());
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub use auditor::Auditor;
 pub use cache::{CacheStats, ChiCache, PreparedG2Cache};
 pub use challenge::Challenge;
 pub use codec::{ByteReader, Codec};
-pub use error::{DsAuditError, RejectReason, Verdict};
+pub use error::{DsAuditError, Outcome, RejectReason, Verdict};
 pub use file::EncodedFile;
 pub use keys::{keygen, PublicKey, SecretKey};
 pub use owner::{share_name, DataOwner, Outsourcing};

@@ -23,13 +23,13 @@ use dsaudit_backend::BackendId;
 use dsaudit_core::batch::BatchItem;
 use dsaudit_core::codec::Codec;
 use dsaudit_core::{
-    Auditor, Challenge, DsAuditError, FileMeta, PrivateProof, PublicKey, RejectReason,
+    Auditor, Challenge, DsAuditError, FileMeta, Outcome, PrivateProof, PublicKey, RejectReason,
     RoundChallenge, Verdict,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::frame::{derive_challenge_id, ChallengeId, Frame, ProofFrame, SettleFrame};
-use crate::lifecycle::{ChallengeTrack, Outcome};
+use crate::lifecycle::ChallengeTrack;
 use crate::transport::{Millis, PeerId, Transport};
 
 /// Tuning knobs of an [`AuditorNode`].
@@ -62,14 +62,6 @@ pub struct AuditorStats {
     /// write-once, so these can never double-settle; a settled round's
     /// `Settle` notice is sent again).
     pub late_proofs: u64,
-    /// Proofs answering the wrong session round (refused).
-    pub round_mismatches: u64,
-    /// Proofs for unknown challenge ids or for another provider's round.
-    pub unknown_ids: u64,
-    /// Proof bodies tagged for a backend this auditor cannot verify,
-    /// or whose payload failed its backend decode (refused; the
-    /// round stays open and the provider's retransmission recovers).
-    pub backend_mismatches: u64,
 }
 
 struct Target {
@@ -80,16 +72,16 @@ struct Target {
 /// What one received proof frame asks of the auditor, decided against
 /// the tracks as the step found them.
 enum Ingest {
-    /// An unknown id, or a proof for someone else's round.
-    Unknown,
+    /// An unknown id, a proof for someone else's round, a body tagged
+    /// for another backend or a payload that does not decode under it:
+    /// refused, and the round stays open for the provider's
+    /// retransmission.
+    Refused,
     /// The round is terminal, or an earlier frame of this step carries
     /// its proof.
     Late(ChallengeId),
     /// A proof answering another session round.
     RoundMismatch,
-    /// A body tagged for another backend, or a payload that does not
-    /// decode under it.
-    BackendMismatch,
     /// The round's first acceptable proof: settles with its verdict.
     Verify(ChallengeId),
 }
@@ -165,7 +157,6 @@ impl AuditorNode {
     /// existing track is in).
     pub fn open(
         &mut self,
-        now: Millis,
         provider: PeerId,
         beacon_round: u64,
         randomness: &[u8; 48],
@@ -180,7 +171,7 @@ impl AuditorNode {
             round: beacon_round,
             challenge: Challenge::from_beacon(randomness),
         };
-        self.tracks.insert(id, ChallengeTrack::new(provider, rc, now, deadline));
+        self.tracks.insert(id, ChallengeTrack::new(provider, rc, deadline));
         dsaudit_obs::counter_inc("node.session.issued");
         Some(id)
     }
@@ -230,7 +221,7 @@ impl AuditorNode {
     ) -> Ingest {
         let id = p.challenge_id;
         let Some(track) = self.tracks.get(&id).filter(|t| t.provider == from) else {
-            return Ingest::Unknown;
+            return Ingest::Refused;
         };
         if track.is_terminal() || selected.iter().any(|(s, _)| *s == id) {
             return Ingest::Late(id);
@@ -243,10 +234,10 @@ impl AuditorNode {
         // problems refuse the proof (retransmission recovers), never
         // settle
         if p.proof.backend != BackendId::Pairing {
-            return Ingest::BackendMismatch;
+            return Ingest::Refused;
         }
         let Ok(proof) = PrivateProof::decode(&p.proof.bytes) else {
-            return Ingest::BackendMismatch;
+            return Ingest::Refused;
         };
         selected.push((id, proof));
         Ingest::Verify(id)
@@ -256,8 +247,9 @@ impl AuditorNode {
     /// [`Auditor::verify_private_each`] batch per owner key, keys in the
     /// order their first proof arrived; a key with one proof verifies
     /// it alone. Each verdict is the one [`Auditor::verify_private`]
-    /// gives that proof alone: it rejects only on Eq. (2), and the
-    /// registered metadata cannot make it fail.
+    /// gives that proof alone: it rejects only on Eq. (2), so a false
+    /// batch flag is that, and the registered metadata cannot make it
+    /// fail (an error is rejected, as a batch rejects it).
     fn verify_selected(
         &mut self,
         selected: Vec<(ChallengeId, PrivateProof)>,
@@ -286,28 +278,28 @@ impl AuditorNode {
         }
         let mut verdicts = BTreeMap::new();
         for (_, ids, items) in groups {
-            let accepted = match items.as_slice() {
+            let reject = Verdict::Reject(RejectReason::Equation2);
+            let group: Vec<Verdict> = match items.as_slice() {
                 [item] => vec![self
                     .auditor
                     .verify_private(item.pk, &item.meta, &item.challenge, &item.proof)
-                    .is_ok_and(|v| v.accepted())],
-                _ => self.auditor.verify_private_each(&mut self.rng, &items),
+                    .unwrap_or(reject)],
+                _ => self
+                    .auditor
+                    .verify_private_each(&mut self.rng, &items)
+                    .into_iter()
+                    .map(|ok| if ok { Verdict::Accept } else { reject })
+                    .collect(),
             };
-            for (id, ok) in ids.into_iter().zip(accepted) {
-                let verdict = if ok {
-                    Verdict::Accept
-                } else {
-                    Verdict::Reject(RejectReason::Equation2)
-                };
-                verdicts.insert(id, verdict);
-            }
+            verdicts.extend(ids.into_iter().zip(group));
         }
         verdicts
     }
 
-    /// Applies one sorted frame, in arrival order: counts a refusal,
-    /// answers a late proof with its round's `Settle` again, or settles
-    /// a selected proof with its verdict.
+    /// Applies one sorted frame, in arrival order: counts a refusal, or
+    /// settles a selected proof with its verdict. The round's `Settle`
+    /// notice then goes out, again for a late proof (the first notice
+    /// may have been lost); an expired round has none.
     fn settle_proof<T: Transport>(
         &mut self,
         now: Millis,
@@ -316,65 +308,47 @@ impl AuditorNode {
         transport: &mut T,
     ) {
         let id = match ingest {
-            Ingest::Verify(id) => id,
+            Ingest::Verify(id) => {
+                let (Some(&verdict), Some(track)) = (verdicts.get(&id), self.tracks.get_mut(&id))
+                else {
+                    return;
+                };
+                self.stats.proofs_verified += 1;
+                dsaudit_obs::counter_inc("node.proofs_verified");
+                if track.settle(verdict.into()) {
+                    dsaudit_obs::counter_inc(if verdict.accepted() {
+                        "node.session.settled_accept"
+                    } else {
+                        "node.session.settled_reject"
+                    });
+                }
+                id
+            }
             Ingest::Late(id) => {
                 // write-once settlement: a proof racing the deadline, a
                 // duplicated frame or a retransmission whose `Settle` was
-                // lost cannot settle a second time, but the settle notice
-                // is sent again when one exists
+                // lost cannot settle a second time
                 self.stats.late_proofs += 1;
                 dsaudit_obs::counter_inc("node.late_proofs");
-                if let Some(track) = self.tracks.get(&id) {
-                    if let Some(Outcome::Settled(v)) = track.outcome() {
-                        self.send_settle(now, id, track.provider, v, transport);
-                    }
-                }
-                return;
+                id
             }
-            Ingest::Unknown => {
-                self.stats.unknown_ids += 1;
-                return;
-            }
+            Ingest::Refused => return,
             Ingest::RoundMismatch => {
                 // wrong session round: refuse, keep the round open
-                self.stats.round_mismatches += 1;
                 dsaudit_obs::counter_inc("node.round_mismatches");
                 return;
             }
-            Ingest::BackendMismatch => {
-                self.stats.backend_mismatches += 1;
-                return;
-            }
         };
-        let (Some(&verdict), Some(track)) = (verdicts.get(&id), self.tracks.get_mut(&id)) else {
+        let Some(track) = self.tracks.get(&id) else {
             return;
         };
-        self.stats.proofs_verified += 1;
-        dsaudit_obs::counter_inc("node.proofs_verified");
-        let provider = track.provider;
-        if track.settle(Outcome::Settled(verdict)) {
-            dsaudit_obs::counter_inc(if verdict.accepted() {
-                "node.session.settled_accept"
-            } else {
-                "node.session.settled_reject"
+        if let Some(outcome) = track.outcome().filter(|o| *o != Outcome::Expired) {
+            let frame = Frame::Settle(SettleFrame {
+                challenge_id: id,
+                accepted: outcome.accepted(),
             });
-            self.send_settle(now, id, provider, verdict, transport);
+            transport.send(now, self.peer, track.provider, frame.to_wire());
         }
-    }
-
-    fn send_settle<T: Transport>(
-        &self,
-        now: Millis,
-        id: ChallengeId,
-        provider: PeerId,
-        verdict: Verdict,
-        transport: &mut T,
-    ) {
-        let frame = Frame::Settle(SettleFrame {
-            challenge_id: id,
-            accepted: verdict.accepted(),
-        });
-        transport.send(now, self.peer, provider, frame.to_wire());
     }
 
     /// Rounds not yet terminal.
@@ -397,8 +371,8 @@ impl AuditorNode {
         let mut counts = (0, 0, 0, 0);
         for track in self.tracks.values() {
             match track.outcome() {
-                Some(Outcome::Settled(Verdict::Accept)) => counts.0 += 1,
-                Some(Outcome::Settled(Verdict::Reject(_))) => counts.1 += 1,
+                Some(Outcome::Accept) => counts.0 += 1,
+                Some(Outcome::Reject(_)) => counts.1 += 1,
                 Some(Outcome::Expired) => counts.2 += 1,
                 None => counts.3 += 1,
             }

@@ -60,9 +60,7 @@ impl<T: Transport> Cluster<T> {
         let node = self.providers.get_mut(&provider)?;
         let randomness = beacon.randomness(beacon_round);
         let deadline = self.now + self.auditor.ttl_ms();
-        let id = self
-            .auditor
-            .open(self.now, provider, beacon_round, &randomness, deadline)?;
+        let id = self.auditor.open(provider, beacon_round, &randomness, deadline)?;
         node.open(self.now, self.auditor.peer(), beacon_round, &randomness, deadline);
         Some(id)
     }
@@ -114,14 +112,13 @@ mod tests {
     use super::*;
     use crate::auditor::AuditorConfig;
     use crate::frame::{Frame, ProofFrame};
-    use crate::lifecycle::Outcome;
     use crate::provider::{ProviderConfig, ProviderNode};
     use crate::transport::{InProcTransport, NetFaultConfig, PartitionWindow};
     use dsaudit_backend::{BackendId, BackendProof};
     use dsaudit_chain::beacon::TrustedBeacon;
     use dsaudit_core::codec::Codec;
     use dsaudit_core::{
-        AuditParams, Auditor, DataOwner, DsAuditError, FileMeta, StorageProvider, Verdict,
+        AuditParams, Auditor, DataOwner, DsAuditError, FileMeta, Outcome, StorageProvider,
     };
     use rand::SeedableRng;
     use std::collections::VecDeque;
@@ -170,7 +167,7 @@ mod tests {
         let id = cluster.issue(1, &mut beacon, 0).unwrap();
         assert!(cluster.run_until_settled(60_000));
         let track = &cluster.auditor.tracks()[&id];
-        assert_eq!(track.outcome(), Some(Outcome::Settled(Verdict::Accept)));
+        assert_eq!(track.outcome(), Some(Outcome::Accept));
         assert!(cluster.auditor.audit_invariants().is_empty());
     }
 
@@ -185,7 +182,7 @@ mod tests {
         assert!(cluster.run_until_settled(60_000));
         assert!(matches!(
             cluster.auditor.tracks()[&id].outcome(),
-            Some(Outcome::Settled(Verdict::Reject(_)))
+            Some(Outcome::Reject(_))
         ));
     }
 
@@ -228,7 +225,7 @@ mod tests {
         let id = cluster.issue(1, &mut beacon, 0).unwrap();
         assert!(cluster.run_until_settled(60_000));
         let track = &cluster.auditor.tracks()[&id];
-        assert_eq!(track.outcome(), Some(Outcome::Settled(Verdict::Accept)));
+        assert_eq!(track.outcome(), Some(Outcome::Accept));
         assert!(cluster.now < track.deadline, "settled before the TTL");
         let provider = &cluster.providers[&1];
         assert!(provider.stats.retries >= 2, "retries: {}", provider.stats.retries);
@@ -259,7 +256,7 @@ mod tests {
         assert_eq!(cluster.transport.stats.partitioned, 1, "only the first Settle is lost");
         assert_eq!(
             cluster.auditor.tracks()[&id].outcome(),
-            Some(Outcome::Settled(Verdict::Accept))
+            Some(Outcome::Accept)
         );
         let a = cluster.auditor.stats;
         assert_eq!((a.proofs_verified, a.late_proofs), (1, 1), "verified once, answered twice");
@@ -385,7 +382,7 @@ mod tests {
             for round in 0..3u64 {
                 let beacon_round = 10 * u64::from(peer) + round;
                 let randomness = beacon.randomness(beacon_round);
-                let id = auditor.open(0, peer, beacon_round, &randomness, 10_000).unwrap();
+                let id = auditor.open(peer, beacon_round, &randomness, 10_000).unwrap();
                 let rc = auditor.tracks()[&id].rc;
                 let proof = holding.respond_round(&mut rng, &rc).proof;
                 let wire = Frame::Proof(ProofFrame {
@@ -432,7 +429,7 @@ mod tests {
         auditor.step(2, &mut net);
 
         for (id, verdict) in &expected {
-            assert_eq!(auditor.tracks()[id].outcome(), Some(Outcome::Settled(*verdict)));
+            assert_eq!(auditor.tracks()[id].outcome(), Some(Outcome::from(*verdict)));
         }
         let rejected = expected.values().filter(|v| !v.accepted()).count();
         assert_eq!(rejected, 3, "exactly the corrupted peer's rounds reject");

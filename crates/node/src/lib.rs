@@ -15,10 +15,9 @@
 //! proof with bounded exponential backoff and deterministic jitter
 //! until the auditor's `Settle` notice arrives, and a deadline expires
 //! silence into the contract's penalty path. The lifecycle is
-//! Open → Settled | Expired. The invariant the whole crate exists to
-//! uphold: **every opened round terminates in exactly one of
-//! `Settled(Accept)`, `Settled(Reject)` or `Expired` — none lost, none
-//! settled twice** — which [`soak`] checks over hundreds of sessions
+//! Open → Accept | Reject | Expired. The invariant the whole crate
+//! exists to uphold: **every opened round terminates in exactly one
+//! `dsaudit_core::Outcome` — none lost, none settled twice** — which [`soak`] checks over hundreds of sessions
 //! and three fault schedules, reproducibly.
 //!
 //! Everything runs on a virtual millisecond clock; there is no wall
@@ -39,7 +38,7 @@ pub mod transport;
 pub use auditor::{AuditorConfig, AuditorNode, AuditorStats};
 pub use frame::{derive_challenge_id, ChallengeId, Frame};
 pub use harness::Cluster;
-pub use lifecycle::{ChallengeTrack, Outcome, RetryPolicy};
+pub use lifecycle::{ChallengeTrack, RetryPolicy};
 pub use provider::{ProviderConfig, ProviderNode, ProviderStats};
 pub use soak::{run_soak, ScheduleReport, SoakConfig, SoakReport};
 pub use transport::{

@@ -4,47 +4,26 @@
 //! proof is the only message that has to cross the network:
 //!
 //! ```text
-//!          proof verifies (write-once)
-//! Open ---------------------------------> Settled(Accept)
-//!   |   \-------------------------------> Settled(Reject)
+//!          proof judged (write-once)
+//! Open ---------------------------------> Accept
+//!   |   \-------------------------------> Reject(reason)
 //!   |
-//!   +------------ deadline elapsed -----> Expired(Penalty)
+//!   +------------ deadline elapsed -----> Expired (penalty)
 //! ```
 //!
-//! Every opened round terminates in **exactly one** of
-//! `Settled(Accept)`, `Settled(Reject)` or `Expired` — the terminal
-//! outcome is written once and never overwritten, so a late proof racing
-//! the deadline cannot double-settle, and the deadline guarantees no
-//! round is ever lost.
+//! Every opened round terminates in **exactly one**
+//! [`Outcome`] — `Accept`, `Reject(reason)` or `Expired`, the contract's
+//! own — written once and never overwritten, so a late proof racing the
+//! deadline cannot double-settle, and the deadline guarantees no round
+//! is ever lost.
 
 #![deny(missing_docs)]
 
-use dsaudit_core::{RoundChallenge, Verdict};
+use dsaudit_core::{Outcome, RoundChallenge};
 use dsaudit_crypto::sha256::sha256;
 
 use crate::frame::ChallengeId;
 use crate::transport::{Millis, PeerId};
-
-/// The single terminal outcome of a challenge.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Outcome {
-    /// A proof arrived in time and was judged.
-    Settled(Verdict),
-    /// The TTL elapsed without a judged proof; the provider is
-    /// penalized via the contract's timeout path.
-    Expired,
-}
-
-impl Outcome {
-    /// Short stable label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Outcome::Settled(Verdict::Accept) => "settled_accept",
-            Outcome::Settled(Verdict::Reject(_)) => "settled_reject",
-            Outcome::Expired => "expired",
-        }
-    }
-}
 
 /// Bounded proof retransmission with exponential backoff and
 /// deterministic jitter.
@@ -97,8 +76,6 @@ pub struct ChallengeTrack {
     pub provider: PeerId,
     /// The round-stamped challenge.
     pub rc: RoundChallenge,
-    /// Open time (virtual ms).
-    pub opened_at: Millis,
     /// Hard settlement deadline: at this instant an unsettled round
     /// expires into the penalty path.
     pub deadline: Millis,
@@ -107,13 +84,11 @@ pub struct ChallengeTrack {
 }
 
 impl ChallengeTrack {
-    /// A round against `provider` opened at `opened_at`, settling by
-    /// `deadline`.
-    pub fn new(provider: PeerId, rc: RoundChallenge, opened_at: Millis, deadline: Millis) -> Self {
+    /// A round against `provider`, settling by `deadline`.
+    pub fn new(provider: PeerId, rc: RoundChallenge, deadline: Millis) -> Self {
         Self {
             provider,
             rc,
-            opened_at,
             deadline,
             outcome: None,
         }
@@ -181,11 +156,11 @@ mod tests {
             round: 0,
             challenge: Challenge::random(&mut rng),
         };
-        let mut track = ChallengeTrack::new(2, rc, 0, 1_000);
+        let mut track = ChallengeTrack::new(2, rc, 1_000);
         assert_eq!((track.outcome(), track.next_wakeup()), (None, Some(1_000)));
-        assert!(track.settle(Outcome::Settled(Verdict::Accept)));
+        assert!(track.settle(Outcome::Accept));
         assert!(!track.settle(Outcome::Expired), "second settle refused");
-        assert_eq!(track.outcome(), Some(Outcome::Settled(Verdict::Accept)));
+        assert_eq!(track.outcome(), Some(Outcome::Accept));
         assert_eq!(track.next_wakeup(), None);
     }
 
@@ -196,7 +171,7 @@ mod tests {
             round: 2,
             challenge: Challenge::random(&mut rng),
         };
-        let track = ChallengeTrack::new(1, rc, 0, 5_000);
+        let track = ChallengeTrack::new(1, rc, 5_000);
         assert_eq!(track.next_wakeup(), Some(5_000));
     }
 }

@@ -1,8 +1,8 @@
 //! Seeded soak runner: hundreds of audit rounds across named fault
 //! schedules, checked against the lifecycle invariant.
 //!
-//! Every opened round must terminate in exactly one of `Settled(Accept)`,
-//! `Settled(Reject)` or `Expired` — no challenge lost, no double
+//! Every opened round must terminate in exactly one of `Accept`,
+//! `Reject` or `Expired` — no challenge lost, no double
 //! settlement. The report is a pure function of the seed: running the
 //! same [`SoakConfig`] twice yields byte-identical JSON, which CI
 //! exploits to catch nondeterminism as well as lifecycle violations.

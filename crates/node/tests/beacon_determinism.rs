@@ -90,7 +90,7 @@ proptest! {
         let at_auditor = TrustedBeacon::new(&seed).randomness(round);
         let at_provider = TrustedBeacon::new(&seed).randomness(round);
         let deadline = 10_000;
-        let a = auditor.open(0, 1, round, &at_auditor, deadline).unwrap();
+        let a = auditor.open(1, round, &at_auditor, deadline).unwrap();
         let p = provider.open(0, 0, round, &at_provider, deadline);
         prop_assert_eq!(a, p, "same challenge id");
         prop_assert_eq!(

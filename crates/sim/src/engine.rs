@@ -15,7 +15,7 @@
 //!    providers prove over *whatever bytes they actually store*; the
 //!    one batch auditor settles the posted proofs with one batched
 //!    pairing product per owner key (3 points) and posts verdicts on
-//!    chain (timeouts settle at the `Verify` trigger); a rejected batch
+//!    chain (silence expires at the `Verify` trigger); a rejected batch
 //!    finds its bad proofs by bisection
 //!    ([`Auditor::verify_private_each`]).
 //! 4. **Repair** — every share whose round failed is reconstructed
@@ -58,9 +58,9 @@ use dsaudit_algebra::par::par_jobs;
 use dsaudit_chain::beacon::TrustedBeacon;
 use dsaudit_chain::chain::Blockchain;
 use dsaudit_chain::types::{eth, Address, Wei};
-use dsaudit_contract::harness::{beacon_since, deploy, mine_ok, queue_call, verdict_since};
+use dsaudit_contract::harness::{beacon_since, deploy, mine_ok, outcome_since, queue_call};
 use dsaudit_core::batch::BatchItem;
-use dsaudit_core::{Auditor, Challenge, Codec, DataOwner, FileMeta, PrivateProof, Prover};
+use dsaudit_core::{Auditor, Challenge, Codec, DataOwner, FileMeta, Outcome, PrivateProof, Prover};
 use dsaudit_storage::{FileManifest, NodeId, StorageError, StorageNetwork};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -152,6 +152,36 @@ struct ProveJob<'a> {
     prover: Prover<'a>,
     challenge: Challenge,
     mask: Vec<u8>,
+}
+
+/// A round's on-chain outcome scored against its share's ground truth
+/// (healthy and served, or not). The primary path and every shadow lane
+/// score their rounds here.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Score {
+    /// Accepted, and the share is healthy and served.
+    Pass,
+    /// Rejected or expired, and the share is faulty.
+    Caught,
+    /// Accepted although the share is faulty.
+    FalseAccept,
+    /// Rejected or expired although the share is healthy and served.
+    FalseReject,
+}
+
+impl Score {
+    fn of(expected: bool, outcome: Outcome) -> Self {
+        match (expected, outcome.accepted()) {
+            (true, true) => Score::Pass,
+            (false, false) => Score::Caught,
+            (false, true) => Score::FalseAccept,
+            (true, false) => Score::FalseReject,
+        }
+    }
+
+    fn passed(self) -> bool {
+        matches!(self, Score::Pass | Score::FalseAccept)
+    }
 }
 
 /// The bytes of `n` scalar draws (`Fr::random` fills 64 bytes each),
@@ -520,9 +550,9 @@ impl Simulation {
 
         self.churn_phase(epoch, &mut es);
         let injected = self.fault_phase(epoch, &mut es);
-        let (expected, verdicts) = self.audit_phase(&mut es);
-        self.settle_phase(&injected, &expected, &verdicts, &mut es);
-        self.repair_phase(epoch, &verdicts, &mut es);
+        let scores = self.audit_phase(&mut es);
+        self.settle_phase(&injected, &scores, &mut es);
+        self.repair_phase(epoch, &scores, &mut es);
 
         // durability margin after repair
         es.min_live_shares = self
@@ -729,9 +759,10 @@ impl Simulation {
 
     /// Fires the round: `Chal` triggers, provider responses over the
     /// bytes actually stored, `Verify` triggers, then one batch of
-    /// verdicts per owner key. Returns, per placement, the expected
-    /// outcome (ground truth) and the contract-settled verdict.
-    fn audit_phase(&mut self, es: &mut EpochStats) -> (Vec<Option<bool>>, Vec<Option<bool>>) {
+    /// verdicts per owner key. Returns, per challenged placement, the
+    /// contract-settled outcome scored against ground truth; each shadow
+    /// lane's scores are counted on its row.
+    fn audit_phase(&mut self, es: &mut EpochStats) -> Vec<Option<Score>> {
         let audit_mark = self.chain.block_count();
         self.chain.advance_time(self.cfg.epoch_secs + 1);
         mine_ok(&mut self.chain, "challenge triggers");
@@ -817,7 +848,7 @@ impl Simulation {
         }
         mine_ok(&mut self.chain, "proof submissions");
 
-        // deadline: timeouts settle, posted proofs park awaiting verdicts
+        // deadline: silent rounds expire, posted proofs await verdicts
         self.chain.advance_time(self.cfg.prove_deadline_secs + 1);
         mine_ok(&mut self.chain, "verify triggers");
 
@@ -864,76 +895,58 @@ impl Simulation {
         }
         mine_ok(&mut self.chain, "verdict submissions");
 
-        // read back the settled verdicts
-        let settled = |contract| verdict_since(&self.chain, audit_mark, contract);
-        let verdicts: Vec<Option<bool>> = self
-            .placements
-            .iter()
-            .enumerate()
-            .map(|(pl_id, pl)| {
-                expected[pl_id]?;
-                Some(settled(pl.contract).expect("every challenged round settles within its epoch"))
-            })
-            .collect();
-        // score each shadow lane against the same ground truth the
-        // primary path is scored against — a corrupted share must fail
-        // (and a healthy one pass) under *every* backend
-        for li in 0..self.shadows.len() {
-            for (pl_id, exp) in expected.iter().enumerate() {
-                let Some(exp) = *exp else {
-                    continue;
-                };
-                let got = settled(self.shadows[li].slots[pl_id].contract)
-                    .expect("every challenged shadow round settles within its epoch");
-                let row = &mut self.shadows[li].row;
-                row.audits += 1;
-                if got {
-                    row.passes += 1;
-                } else {
-                    row.failures += 1;
-                }
-                match (exp, got) {
-                    (true, false) => row.false_rejects += 1,
-                    (false, true) => row.false_accepts += 1,
-                    _ => {}
-                }
+        // read back the settled outcomes and score them; each shadow
+        // lane is scored against the same ground truth as the primary
+        // path — a corrupted share must fail (and a healthy one pass)
+        // under *every* backend
+        let settled = |contract| {
+            outcome_since(&self.chain, audit_mark, contract)
+                .expect("every challenged round settles within its epoch")
+        };
+        let mut scores = vec![None; self.placements.len()];
+        for (pl_id, exp) in expected.into_iter().enumerate() {
+            let Some(exp) = exp else {
+                continue;
+            };
+            scores[pl_id] = Some(Score::of(exp, settled(self.placements[pl_id].contract)));
+            for lane in &mut self.shadows {
+                let score = Score::of(exp, settled(lane.slots[pl_id].contract));
+                lane.row.audits += 1;
+                lane.row.passes += u64::from(score.passed());
+                lane.row.failures += u64::from(!score.passed());
+                lane.row.false_accepts += u64::from(score == Score::FalseAccept);
+                lane.row.false_rejects += u64::from(score == Score::FalseReject);
             }
         }
-        (expected, verdicts)
+        scores
     }
 
-    /// Compares contract verdicts against ground truth and updates the
-    /// accuracy counters.
+    /// Counts the primary path's scored rounds and updates the accuracy
+    /// counters.
     fn settle_phase(
         &mut self,
         injected: &[(usize, FaultKind)],
-        expected: &[Option<bool>],
-        verdicts: &[Option<bool>],
+        scores: &[Option<Score>],
         es: &mut EpochStats,
     ) {
-        for pl_id in 0..self.placements.len() {
-            let (Some(exp), Some(got)) = (expected[pl_id], verdicts[pl_id]) else {
+        for (pl_id, score) in scores.iter().enumerate() {
+            let Some(score) = *score else {
                 continue;
             };
+            let injected_here = |fault: fn(&FaultKind) -> bool| {
+                injected.iter().any(|(pl, k)| *pl == pl_id && fault(k))
+            };
+            let provider_fault = injected_here(FaultKind::is_provider_fault);
             es.audits += 1;
-            if got {
-                es.passes += 1;
-            } else {
-                es.failures += 1;
-            }
-            match (exp, got) {
-                (true, false) => {
+            es.passes += u32::from(score.passed());
+            es.failures += u32::from(!score.passed());
+            match score {
+                Score::FalseReject => {
                     // attribute the completeness violation: a healthy,
                     // served share failing *because the network lost a
                     // frame* is its own guarded counter — a dropped
                     // frame must be a retry, never a verdict
-                    let transport_only = injected
-                        .iter()
-                        .any(|&(pl, k)| pl == pl_id && k == FaultKind::Transport)
-                        && !injected
-                            .iter()
-                            .any(|&(pl, k)| pl == pl_id && k.is_provider_fault());
-                    if transport_only {
+                    if !provider_fault && injected_here(|k| *k == FaultKind::Transport) {
                         self.report.transport_false_rejects += 1;
                         dsaudit_obs::counter_inc("sim.transport_false_rejects");
                     } else {
@@ -941,26 +954,19 @@ impl Simulation {
                         dsaudit_obs::counter_inc("sim.false_rejects");
                     }
                 }
-                (false, true) => {
+                Score::FalseAccept => {
                     self.report.false_accepts += 1;
                     dsaudit_obs::counter_inc("sim.false_accepts");
                 }
-                (false, false) => {
-                    if injected
-                        .iter()
-                        .any(|&(pl, k)| pl == pl_id && k.is_provider_fault())
-                    {
-                        es.detected += 1;
-                    }
-                }
-                (true, true) => {}
+                Score::Caught => es.detected += u32::from(provider_fault),
+                Score::Pass => {}
             }
         }
     }
 
     /// Reconstructs and re-places every share whose round failed, and
     /// migrates the contracts onto the new holders.
-    fn repair_phase(&mut self, epoch: u32, verdicts: &[Option<bool>], es: &mut EpochStats) {
+    fn repair_phase(&mut self, epoch: u32, scores: &[Option<Score>], es: &mut EpochStats) {
         let settled_rounds = epoch as u64 + 1; // this epoch's round is settled
         let mut queued_any = false;
         for f in 0..self.files.len() {
@@ -972,7 +978,7 @@ impl Simulation {
                 .iter()
                 .map(|&pl_id| (self.placements[pl_id].share, pl_id))
                 .filter(|&(_, pl_id)| {
-                    verdicts[pl_id] == Some(false)
+                    scores[pl_id].is_some_and(|s| !s.passed())
                         || self.placements[pl_id].status != ShareStatus::Good
                 })
                 .map(|(share, _)| share)

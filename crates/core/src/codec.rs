@@ -18,6 +18,7 @@
 use dsaudit_algebra::g1::G1Affine;
 use dsaudit_algebra::g2::G2Affine;
 use dsaudit_algebra::pairing::Gt;
+use dsaudit_algebra::par::par_map_chunks;
 use dsaudit_algebra::Fr;
 
 use crate::error::DsAuditError;
@@ -216,6 +217,10 @@ impl Codec for Gt {
     }
 }
 
+/// Fewest tags one decode range takes: a tag vector splits across
+/// threads from twice this length, so short vectors spawn no thread.
+const TAG_DECODE_MIN_RANGE: usize = 64;
+
 /// Tag vectors ship owner → provider as a length-prefixed sequence of
 /// compressed G1 points: `count (4 B LE) || count x 32 B`.
 impl Codec for Vec<G1Affine> {
@@ -244,12 +249,21 @@ impl Codec for Vec<G1Affine> {
                 got: r.remaining(),
             });
         }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let bytes = r.array::<32>("tag")?;
-            out.push(G1Affine::from_compressed(&bytes).ok_or_else(|| r.malformed("tag"))?);
-        }
-        Ok(out)
+        // each point costs a square root (~12 us), so the points
+        // decompress over `algebra::par` ranges; any bad point fails the
+        // whole vector with the error a serial loop gives
+        let bytes = r.take(32 * count, "tags")?;
+        let decompress = |i: usize| {
+            let point: [u8; 32] = bytes.get(32 * i..32 * (i + 1))?.try_into().ok()?;
+            G1Affine::from_compressed(&point)
+        };
+        let points = par_map_chunks(count, TAG_DECODE_MIN_RANGE, |range| {
+            range.map(decompress).collect()
+        });
+        points
+            .into_iter()
+            .collect::<Option<Vec<G1Affine>>>()
+            .ok_or_else(|| r.malformed("tag"))
     }
 }
 
@@ -359,6 +373,46 @@ mod tests {
             Vec::<G1Affine>::decode(&Vec::<G1Affine>::new().encode()).unwrap(),
             Vec::new()
         );
+    }
+
+    /// A 200-point vector decodes over two ranges. One x off the curve
+    /// at the first point, the split point or the last fails the whole
+    /// vector with the error a serial loop gives, and an over-long count
+    /// still fails on the length check.
+    #[test]
+    fn tag_vector_split_keeps_bytes_and_errors() {
+        let mut rng = rng();
+        let tags: Vec<G1Affine> = (0..200)
+            .map(|_| G1Projective::random(&mut rng).to_affine())
+            .collect();
+        let bytes = tags.encode();
+        assert_eq!(Vec::<G1Affine>::decode(&bytes).unwrap(), tags);
+        let off_curve = (0u8..)
+            .map(|x| {
+                let mut point = [0u8; 32];
+                point[31] = x;
+                point
+            })
+            .find(|point| G1Affine::from_compressed(point).is_none())
+            .expect("some small x is not on the curve");
+        for bad in [0, 100, 199] {
+            let mut forged = bytes.clone();
+            forged[4 + 32 * bad..4 + 32 * (bad + 1)].copy_from_slice(&off_curve);
+            assert_eq!(
+                Vec::<G1Affine>::decode(&forged),
+                Err(DsAuditError::Malformed {
+                    ty: "TagVector",
+                    field: "tag"
+                }),
+                "bad point at {bad}"
+            );
+        }
+        let mut long = bytes.clone();
+        long[..4].copy_from_slice(&201u32.to_le_bytes());
+        assert!(matches!(
+            Vec::<G1Affine>::decode(&long),
+            Err(DsAuditError::Truncated { field: "tags", .. })
+        ));
     }
 
     #[test]

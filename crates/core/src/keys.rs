@@ -10,6 +10,7 @@ use dsaudit_algebra::g1::{G1Affine, G1Projective};
 use dsaudit_algebra::g2::G2Affine;
 use dsaudit_algebra::msm::LazyG1Table;
 use dsaudit_algebra::pairing::{multi_pairing_prepared, FixedBaseGt, G2Prepared, Gt};
+use dsaudit_algebra::par::join;
 use dsaudit_algebra::Fr;
 use dsaudit_crypto::assert_not_formattable;
 
@@ -165,15 +166,18 @@ impl PublicKey {
     /// # Errors
     /// [`DsAuditError::Malformed`] naming the field that fails.
     pub fn validate(&self) -> Result<(), DsAuditError> {
+        self.validate_against(&pair_with_g1(&self.eps))
+    }
+
+    /// [`PublicKey::validate`] with `e(g1, eps)` already computed.
+    fn validate_against(&self, g1_eps: &Gt) -> Result<(), DsAuditError> {
         if self.alpha_powers_g1.first() != Some(&G1Affine::generator()) {
             return Err(DsAuditError::Malformed {
                 ty: Self::TYPE_NAME,
                 field: "alpha_powers_g1[0]",
             });
         }
-        let g1 = G1Affine::generator();
-        let eps_p = G2Prepared::from_affine(&self.eps);
-        if multi_pairing_prepared(&[(&g1, &eps_p)]) != *self.e_g1_eps.base() {
+        if g1_eps != self.e_g1_eps.base() {
             return Err(DsAuditError::Malformed {
                 ty: Self::TYPE_NAME,
                 field: "e_g1_eps",
@@ -195,6 +199,12 @@ impl PublicKey {
             base
         }
     }
+}
+
+/// `e(g1, eps)`, the pairing [`PublicKey::validate`] compares the cached
+/// `GT` element with.
+fn pair_with_g1(eps: &G2Affine) -> Gt {
+    multi_pairing_prepared(&[(&G1Affine::generator(), &G2Prepared::from_affine(eps))])
 }
 
 /// The on-chain registration format: `s (4 B LE) || eps || delta ||
@@ -225,30 +235,40 @@ impl Codec for PublicKey {
         }
         let eps_bytes = r.array::<64>("eps")?;
         let eps = G2Affine::from_compressed(&eps_bytes).ok_or_else(|| r.malformed("eps"))?;
-        let delta_bytes = r.array::<64>("delta")?;
-        let delta =
-            G2Affine::from_compressed(&delta_bytes).ok_or_else(|| r.malformed("delta"))?;
-        // the announced count must be consistent with the bytes actually
-        // present, so a forged prefix cannot trigger a huge allocation
-        if r.remaining() < 32 * s {
-            return Err(DsAuditError::Truncated {
-                ty: Self::TYPE_NAME,
-                field: "alpha_powers_g1",
-                expected: 32 * s,
-                got: r.remaining(),
-            });
-        }
-        let mut alpha_powers_g1 = Vec::with_capacity(s);
-        for _ in 0..s {
-            let p_bytes = r.array::<32>("alpha_powers_g1")?;
-            alpha_powers_g1.push(
-                G1Affine::from_compressed(&p_bytes)
-                    .ok_or_else(|| r.malformed("alpha_powers_g1"))?,
-            );
-        }
-        let gt_bytes = r.array::<192>("e_g1_eps")?;
-        let e_g1_eps =
-            Gt::from_compressed(&gt_bytes).ok_or_else(|| r.malformed("e_g1_eps"))?;
+        // the registration pairing needs `eps` alone, so it runs beside
+        // the other fields' decode; their errors still come first
+        let (rest, g1_eps) = join(
+            || {
+                let delta_bytes = r.array::<64>("delta")?;
+                let delta = G2Affine::from_compressed(&delta_bytes)
+                    .ok_or_else(|| r.malformed("delta"))?;
+                // the announced count must be consistent with the bytes
+                // actually present, so a forged prefix cannot trigger a
+                // huge allocation
+                if r.remaining() < 32 * s {
+                    return Err(DsAuditError::Truncated {
+                        ty: Self::TYPE_NAME,
+                        field: "alpha_powers_g1",
+                        expected: 32 * s,
+                        got: r.remaining(),
+                    });
+                }
+                let mut alpha_powers_g1 = Vec::with_capacity(s);
+                for _ in 0..s {
+                    let p_bytes = r.array::<32>("alpha_powers_g1")?;
+                    alpha_powers_g1.push(
+                        G1Affine::from_compressed(&p_bytes)
+                            .ok_or_else(|| r.malformed("alpha_powers_g1"))?,
+                    );
+                }
+                let gt_bytes = r.array::<192>("e_g1_eps")?;
+                let e_g1_eps =
+                    Gt::from_compressed(&gt_bytes).ok_or_else(|| r.malformed("e_g1_eps"))?;
+                Ok((delta, alpha_powers_g1, e_g1_eps))
+            },
+            || pair_with_g1(&eps),
+        );
+        let (delta, alpha_powers_g1, e_g1_eps) = rest?;
         let pk = Self {
             eps,
             delta,
@@ -256,7 +276,7 @@ impl Codec for PublicKey {
             e_g1_eps: FixedBaseGt::new(e_g1_eps),
             alpha_table: LazyG1Table::default(),
         };
-        pk.validate()?;
+        pk.validate_against(&g1_eps)?;
         Ok(pk)
     }
 }

@@ -102,6 +102,11 @@ pub mod session;
 pub mod tag;
 pub mod verify;
 
+/// `algebra`'s scoped-thread helpers (`join`, `par_map*`, `par_jobs`),
+/// for crates that build on core without depending on algebra directly
+/// (the storage network's upload).
+pub use dsaudit_algebra::par;
+
 pub use auditor::Auditor;
 pub use cache::{CacheStats, ChiCache, PreparedG2Cache};
 pub use challenge::Challenge;
@@ -115,5 +120,7 @@ pub use proof::{PlainProof, PrivateProof, PLAIN_PROOF_BYTES, PRIVATE_PROOF_BYTES
 pub use prove::Prover;
 pub use provider::StorageProvider;
 pub use session::{AuditSession, ChallengedRound, ProvenRound, RoundChallenge, RoundResponse};
-pub use tag::{generate_tags, verify_tag, verify_tags_batch, verify_tags_each};
+pub use tag::{
+    generate_tags, generate_tags_batch, verify_tag, verify_tags_batch, verify_tags_each,
+};
 pub use verify::{verify_plain, verify_private, FileMeta};

@@ -16,7 +16,7 @@ use crate::error::DsAuditError;
 use crate::file::EncodedFile;
 use crate::keys::{keygen, public_key_for, PublicKey, SecretKey};
 use crate::params::AuditParams;
-use crate::tag::generate_tags;
+use crate::tag::{generate_tags, generate_tags_batch};
 use crate::verify::FileMeta;
 
 /// Everything a storage provider receives for one file: the encoded
@@ -154,15 +154,32 @@ impl DataOwner {
     }
 
     /// [`DataOwner::outsource_share`] over a whole share vector, in
-    /// index order (index `i` is position `i`).
+    /// index order (index `i` is position `i`). Every share is encoded
+    /// first, then all of them are tagged as one batch
+    /// ([`generate_tags_batch`]): one fan-out and one `mul_each_g1` pass
+    /// over all the shares' chunks instead of one small batch per share.
+    /// Each bundle equals what [`DataOwner::outsource_share`] builds.
     pub fn outsource_shares<'a, I>(&self, content_address: &[u8; 32], shares: I) -> Vec<Outsourcing>
     where
         I: IntoIterator<Item = &'a [u8]>,
     {
-        shares
+        let files: Vec<EncodedFile> = shares
             .into_iter()
             .enumerate()
-            .map(|(i, data)| self.outsource_share(content_address, i as u64, data))
+            .map(|(i, data)| {
+                let name = share_name(content_address, i as u64);
+                EncodedFile::encode_with_name(name, data, self.params)
+            })
+            .collect();
+        let tags = generate_tags_batch(&self.sk, &files.iter().collect::<Vec<_>>());
+        files
+            .into_iter()
+            .zip(tags)
+            .map(|(file, tags)| Outsourcing {
+                pk: self.pk.clone(),
+                file,
+                tags,
+            })
             .collect()
     }
 
@@ -255,10 +272,13 @@ mod tests {
             assert_eq!(b.tags.len(), b.file.num_chunks());
         }
         assert_ne!(bundles[0].file.name, bundles[1].file.name);
-        // a reconstructed share re-tags to the identical bundle
-        let again = owner.outsource_share(&content, 1, &shares[1]);
-        assert_eq!(again.file, bundles[1].file);
-        assert_eq!(again.tags, bundles[1].tags);
+        // a reconstructed share re-tags to the identical bundle, and the
+        // batch builds what one share at a time builds, at every index
+        for (i, bundle) in bundles.iter().enumerate() {
+            let again = owner.outsource_share(&content, i as u64, &shares[i]);
+            assert_eq!(again.file, bundle.file);
+            assert_eq!(again.tags, bundle.tags);
+        }
         // a different file's share 1 gets a different name
         assert_ne!(share_name(&[0xcd; 32], 1), share_name(&content, 1));
     }

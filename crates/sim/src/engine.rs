@@ -154,15 +154,44 @@ struct ProveJob<'a> {
     mask: Vec<u8>,
 }
 
+/// The outcome a challenged round must settle as, from its share's
+/// ground truth at challenge time.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Expect {
+    /// The share is healthy and served: its proof verifies.
+    Accept,
+    /// A corrupt share is served: its proof is posted and fails.
+    Reject,
+    /// No proof is posted (the provider is offline, withholds, or lost
+    /// the share): the deadline lapses.
+    Expired,
+}
+
+impl Expect {
+    /// Whether `outcome` is of this kind.
+    fn is(self, outcome: Outcome) -> bool {
+        matches!(
+            (self, outcome),
+            (Expect::Accept, Outcome::Accept)
+                | (Expect::Reject, Outcome::Reject(_))
+                | (Expect::Expired, Outcome::Expired)
+        )
+    }
+}
+
 /// A round's on-chain outcome scored against its share's ground truth
-/// (healthy and served, or not). The primary path and every shadow lane
-/// score their rounds here.
+/// (healthy and served, corrupt and served, or silent). The primary
+/// path and every shadow lane score their rounds here.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Score {
     /// Accepted, and the share is healthy and served.
     Pass,
-    /// Rejected or expired, and the share is faulty.
+    /// Failed as expected: rejected and the share corrupt, or expired
+    /// and no proof posted.
     Caught,
+    /// Failed, and the share is faulty, but as the other kind of
+    /// failure.
+    WrongKind,
     /// Accepted although the share is faulty.
     FalseAccept,
     /// Rejected or expired although the share is healthy and served.
@@ -170,12 +199,13 @@ enum Score {
 }
 
 impl Score {
-    fn of(expected: bool, outcome: Outcome) -> Self {
+    fn of(expected: Expect, outcome: Outcome) -> Self {
         match (expected, outcome.accepted()) {
-            (true, true) => Score::Pass,
-            (false, false) => Score::Caught,
-            (false, true) => Score::FalseAccept,
-            (true, false) => Score::FalseReject,
+            (Expect::Accept, true) => Score::Pass,
+            (Expect::Accept, false) => Score::FalseReject,
+            (_, true) => Score::FalseAccept,
+            (_, false) if expected.is(outcome) => Score::Caught,
+            (_, false) => Score::WrongKind,
         }
     }
 
@@ -771,7 +801,7 @@ impl Simulation {
         // each primary proof's mask from the simulation's stream and runs
         // the shadow lanes, in placement order; the primary proofs then
         // run as parallel jobs, each on the bytes drawn for it
-        let mut expected: Vec<Option<bool>> = vec![None; self.placements.len()];
+        let mut expected: Vec<Option<Expect>> = vec![None; self.placements.len()];
         let mut proving = Vec::new();
         let mut lane_calls: Vec<Vec<(Address, Address, Vec<u8>)>> =
             vec![Vec::new(); self.placements.len()];
@@ -781,9 +811,12 @@ impl Simulation {
                 continue; // contract already completed
             };
             let online = self.roster[pl.provider_slot].online;
-            expected[pl_id] =
-                Some(pl.status == ShareStatus::Good && online && !pl.withhold);
             let responds = online && !pl.withhold && pl.status != ShareStatus::Missing;
+            expected[pl_id] = Some(match (responds, pl.status) {
+                (false, _) => Expect::Expired,
+                (true, ShareStatus::Good) => Expect::Accept,
+                (true, _) => Expect::Reject,
+            });
             if !responds {
                 continue;
             }
@@ -916,6 +949,7 @@ impl Simulation {
                 lane.row.failures += u64::from(!score.passed());
                 lane.row.false_accepts += u64::from(score == Score::FalseAccept);
                 lane.row.false_rejects += u64::from(score == Score::FalseReject);
+                lane.row.wrong_kind_failures += u64::from(score == Score::WrongKind);
             }
         }
         scores
@@ -959,6 +993,10 @@ impl Simulation {
                     dsaudit_obs::counter_inc("sim.false_accepts");
                 }
                 Score::Caught => es.detected += u32::from(provider_fault),
+                Score::WrongKind => {
+                    es.detected += u32::from(provider_fault);
+                    self.report.wrong_kind_failures += 1;
+                }
                 Score::Pass => {}
             }
         }
@@ -1197,6 +1235,37 @@ mod tests {
         assert_eq!(report.to_json(), again.to_json());
         assert!(report.injected_faults > 0, "the schedule must inject faults");
         assert_eq!((report.false_accepts, report.false_rejects), (0, 0));
+    }
+
+    /// Every failed round of a faulty share fails as its kind:
+    /// `Expired` when no proof was posted, `Reject` when a corrupt
+    /// share's proof was. At the default config (churn and faults), and
+    /// with all four fault classes on the primary path and all three
+    /// shadow lanes.
+    #[test]
+    fn failed_rounds_fail_as_their_kind() {
+        use dsaudit_backend::BackendId;
+        let report = Simulation::new(SimConfig::default()).run();
+        assert!(report.failures > 0, "the default schedule fails rounds");
+        assert_eq!(report.wrong_kind_failures, 0);
+        let cfg = SimConfig {
+            backends: BackendId::ALL.to_vec(),
+            faults: FaultRates {
+                corrupt: 0.15,
+                drop: 0.1,
+                withhold: 0.1,
+                transport: 0.1,
+            },
+            ..tiny_config()
+        };
+        let report = Simulation::new(cfg).run();
+        assert!(report.failures > 0, "the schedule must fail rounds");
+        assert_eq!(report.wrong_kind_failures, 0);
+        assert_eq!(report.backend_lanes.len(), 3);
+        for lane in &report.backend_lanes {
+            assert!(lane.failures > 0, "{}", lane.backend);
+            assert_eq!(lane.wrong_kind_failures, 0, "{}", lane.backend);
+        }
     }
 
     #[test]

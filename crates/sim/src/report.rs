@@ -25,6 +25,10 @@ pub struct BackendLane {
     /// Rounds failed although the share was healthy and served (must
     /// be zero).
     pub false_rejects: u64,
+    /// Rounds of a faulty share that failed as the other kind: `Reject`
+    /// where no proof was posted, or `Expired` where a corrupt share's
+    /// proof was (must be zero; not printed).
+    pub wrong_kind_failures: u64,
     /// Gas the lane's contracts metered (proof storage at `prove` +
     /// verification compute at the `Verify` trigger, at the declared
     /// verification cost).
@@ -138,6 +142,11 @@ pub struct SimReport {
     /// (completeness violations; must be zero). Excludes
     /// transport-attributed failures, which have their own counter.
     pub false_rejects: u64,
+    /// Rounds of a faulty share that failed as the other kind: `Reject`
+    /// where no proof was posted (offline, withheld or missing share),
+    /// or `Expired` where a corrupt share's proof was (must be zero).
+    /// Not printed, so the renderings stay those of a run before it.
+    pub wrong_kind_failures: u64,
     /// Provider faults (corrupt + drop + withhold) injected across the
     /// run.
     pub injected_faults: u64,

@@ -8,7 +8,8 @@
 
 use std::collections::BTreeMap;
 
-use dsaudit_crypto::chacha20::ChaCha20;
+use dsaudit_core::par::join;
+use dsaudit_crypto::chacha20::{ChaCha20, PAR_MIN_BYTES};
 use dsaudit_crypto::sha256::sha256;
 
 use crate::dht::{DhtNetwork, NodeId};
@@ -161,6 +162,12 @@ impl StorageNetwork {
     /// Owner-side upload: encrypt, erasure-code, place shares on the
     /// `n` providers closest to the content id.
     ///
+    /// The content id (SHA-256 of the ciphertext) and the erasure
+    /// encoding read the same ciphertext and nothing of each other, so
+    /// from [`PAR_MIN_BYTES`] up they run side by side under
+    /// [`join`]; below it, and on one CPU, in order. The keystream
+    /// itself splits the same way ([`ChaCha20::apply_keystream`]).
+    ///
     /// # Errors
     /// [`StorageError::NoEligibleProvider`] when the network has no live
     /// provider to place a share on (e.g. an empty DHT).
@@ -172,8 +179,13 @@ impl StorageNetwork {
     ) -> Result<FileManifest, StorageError> {
         let mut ciphertext = plaintext.to_vec();
         ChaCha20::new(key, nonce).encrypt(&mut ciphertext);
-        let content_id = NodeId::from_content(&ciphertext);
-        let shares = self.code.encode(&ciphertext);
+        let content_id = || NodeId::from_content(&ciphertext);
+        let shares = || self.code.encode(&ciphertext);
+        let (content_id, shares) = if ciphertext.len() < PAR_MIN_BYTES {
+            (content_id(), shares())
+        } else {
+            join(content_id, shares)
+        };
         let candidates = self.dht.providers_for(&content_id, self.code.n());
         let mut placements = Vec::with_capacity(self.code.n());
         for share in shares {
@@ -358,6 +370,25 @@ mod tests {
         assert_eq!(net.live_shares(&manifest), 10);
         let back = net.download(&manifest, [1u8; 32]).unwrap();
         assert_eq!(back, data);
+    }
+
+    /// A 2 MiB upload splits its keystream and hashes beside the erasure
+    /// code; its content id is still the hash of the ciphertext one
+    /// serial keystream pass makes (here in 32 KiB pieces, below the
+    /// split floor), and the download returns the plaintext.
+    #[test]
+    fn large_upload_matches_serial_encryption() {
+        let mut net = net();
+        let (key, nonce) = ([9u8; 32], [4u8; 12]);
+        let data: Vec<u8> = (0..2 << 20).map(|i| (i * 13 % 251) as u8).collect();
+        let manifest = net.upload(key, nonce, &data).expect("upload succeeds");
+        let mut serial = data.clone();
+        let cipher = ChaCha20::new(key, nonce);
+        for (piece, bytes) in serial.chunks_mut(32 << 10).enumerate() {
+            cipher.apply_keystream(1 + 512 * piece as u32, bytes);
+        }
+        assert_eq!(manifest.content_id, NodeId::from_content(&serial));
+        assert!(net.download(&manifest, key).unwrap() == data);
     }
 
     #[test]
